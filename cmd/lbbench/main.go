@@ -94,11 +94,12 @@
 // and on completion merges the journals and renders the report to stdout —
 // byte-identical to the single-process sweep. Interrupting the orchestrator
 // interrupts the children gracefully; re-running the same command resumes
-// every shard. -parallel applies per child. -emit-matrix {github|slurm|
-// shell} prints the planned split as a GitHub Actions matrix include-list,
-// a Slurm job-array script or a plain shell fan-out instead of running it,
-// so the exact local split is what CI and clusters execute. cmd/lborch is
-// the standalone wrapper around the same machinery.
+// every shard. -parallel applies per child. -launcher ssh|slurm runs the
+// attempts on remote hosts or a Slurm queue under the same supervision,
+// and -steal-after re-splits a stalled shard's unstarted units onto idle
+// slots. -emit-matrix github prints the planned split as a GitHub Actions
+// matrix include-list instead of running it, so the exact local split is
+// what CI executes.
 //
 // Exit codes: 0 success; 1 failed units or rendering; 2 usage/spec errors;
 // 3 interrupted or journal-close failure (resumable); 4 contradictory flag
@@ -160,7 +161,7 @@ func main() {
 		cacheStats = flag.Bool("cache-stats", false, "print shared spectral-cache statistics to stderr on exit")
 
 		spawn      = flag.Int("spawn", 0, "grid: orchestrate the sweep as this many shard attempts (plan, launch, supervise, merge; journals under the -out directory)")
-		emitMatrix = flag.String("emit-matrix", "", "grid: with -spawn m, print the shard plan as a CI/cluster fan-out (github, slurm, shell) instead of running it")
+		emitMatrix = flag.String("emit-matrix", "", "grid: with -spawn m, print the shard plan as a GitHub Actions matrix (github) instead of running it")
 		launch     = cliflags.RegisterLaunch(flag.CommandLine)
 
 		obsFlags  = cliflags.RegisterObs(flag.CommandLine)
@@ -272,14 +273,14 @@ func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge
 		return "-spawn needs -out DIR: the directory holding the per-shard journals", exitConflict
 	case emitMatrix != "" && spawn <= 0:
 		return "-emit-matrix needs -spawn m to size the shard split", exitConflict
-	case emitMatrix != "" && emitMatrix != "github" && emitMatrix != "slurm" && emitMatrix != "shell":
-		return fmt.Sprintf("unknown -emit-matrix %q (want %s)", emitMatrix, orchestrator.EmitFormats), exitUsage
+	case emitMatrix != "" && emitMatrix != "github":
+		return fmt.Sprintf("unknown -emit-matrix %q (want github)", emitMatrix), exitUsage
 	case units != "" && !grid:
 		return "-units windows grid sweeps — pass -grid with the sweep's flags", exitConflict
 	case origin != "" && out == "":
 		return "-origin annotates the -out journal's header — pass -out", exitConflict
 	case (launch.Launcher != "" && launch.Launcher != "local" || launch.Hosts != "" || launch.RemoteDir != "" || launch.StealAfter > 0) && spawn <= 0:
-		return "-launcher/-hosts/-remote-dir/-steal-after configure the orchestrator — pass -spawn m (or use lborch)", exitConflict
+		return "-launcher/-hosts/-remote-dir/-steal-after configure the orchestrator — pass -spawn m", exitConflict
 	case resume != "" && out == "":
 		return "-resume without -out: re-running units nothing journals loses them on the next crash — pass -out (typically the same path, to resume in place), or use -merge for a pure render", exitConflict
 	case merge != "" && resume != "":
@@ -322,7 +323,7 @@ func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) in
 	}
 
 	if emitMatrix != "" {
-		if err := plan.Emit(emitMatrix, os.Stdout); err != nil {
+		if err := plan.EmitGitHub(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 			return exitUsage
 		}

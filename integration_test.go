@@ -128,16 +128,19 @@ func TestTheoremBoundsRespectedAcrossSuite(t *testing.T) {
 
 func TestLambda2SolverAgreement(t *testing.T) {
 	// All independent λ₂ paths must agree: dense QL, Jacobi (via full
-	// spectrum), Lanczos, inverse-power CG, and the closed form.
+	// spectrum), implicit Lanczos, inverse-power CG, and the closed form.
 	for _, g := range []*graph.G{graph.Cycle(40), graph.Torus(5, 5), graph.Hypercube(5)} {
 		dense := spectral.MustLambda2(g)
 		closed, ok := graph.KnownLambda2(g)
 		if !ok {
 			t.Fatalf("%s: no closed form", g.Name())
 		}
-		lan, err := spectral.Lambda2Lanczos(g, 3)
+		lan, _, ok, err := spectral.LaplacianExtremal(g, 3)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("%s: Lanczos did not converge", g.Name())
 		}
 		inv, err := spectral.Lambda2InversePower(g, 3)
 		if err != nil {

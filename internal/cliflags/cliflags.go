@@ -1,10 +1,10 @@
-// Package cliflags centralizes the flag surfaces the lb* CLIs share —
-// the sweep grid's dimensions and run parameters (lbbench, lborch), the
-// report output knobs, the orchestrator's launcher/policy flags (lbbench
-// -spawn, lborch), and the parsers behind them (seed lists, -round-workers,
-// -shard i/m, -units lo:hi). One registration point means a new shared flag
-// — -launcher, -hosts, -steal-after — appears on every CLI at once, with
-// one help string and one parser, instead of drifting copies.
+// Package cliflags centralizes the lb* CLIs' flag surfaces — the sweep
+// grid's dimensions and run parameters, the report output knobs, the
+// orchestrator's launcher/policy flags (lbbench -spawn), the telemetry and
+// round-worker flags lbserved shares, and the parsers behind them (seed
+// lists, -round-workers, -shard i/m, -units lo:hi). One registration point
+// means a shared flag has one help string and one parser, instead of
+// drifting copies.
 package cliflags
 
 import (

@@ -18,8 +18,8 @@ type Grid struct {
 }
 
 // RegisterGrid registers the sweep grid's dimension and run-parameter flags
-// on fs — the one definition lbbench and lborch both present, so the grids
-// they accept (and the help they print) cannot drift apart.
+// on fs — lbbench's grid mode and its -spawn orchestrator read the same
+// values, so a spawned sweep's shards run exactly the grid it was given.
 func RegisterGrid(fs *flag.FlagSet) *Grid {
 	g := &Grid{}
 	fs.StringVar(&g.Topos, "topos", "cycle,torus,hypercube", "grid: comma-separated topology names")
@@ -38,7 +38,7 @@ func RegisterGrid(fs *flag.FlagSet) *Grid {
 }
 
 // RegisterRoundWorkers registers the one -round-workers flag every lb* CLI
-// presents (lbbench and lborch through RegisterGrid, lbserved directly):
+// presents (lbbench through RegisterGrid, lbserved directly):
 // parse the value with ParseRoundWorkers.
 func RegisterRoundWorkers(fs *flag.FlagSet, v *string) {
 	fs.StringVar(v, "round-workers", "1", "round-level workers inside every stepper's node loops: a number, or 'auto' to fan out over all cores (grid sweeps split GOMAXPROCS between unit- and round-level work from the grid shape; results are byte-identical for any value)")

@@ -10,8 +10,7 @@ import (
 
 // Launch holds the shared orchestration flag values: which execution
 // backend runs the shards and how the supervisor restarts, warns and
-// steals. Registered once here, the -launcher/-hosts/-steal-after surface
-// is identical on lbbench -spawn and lborch.
+// steals: the -launcher/-hosts/-steal-after surface of lbbench -spawn.
 type Launch struct {
 	Launcher   string
 	Hosts      string

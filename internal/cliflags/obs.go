@@ -8,7 +8,7 @@ import (
 )
 
 // Obs holds the shared telemetry flag values — one definition presented by
-// lbbench, lborch and lbserved, so the observability surface (and its help
+// lbbench and lbserved, so the observability surface (and its help
 // text) cannot drift between the CLIs.
 type Obs struct {
 	// Telemetry is the debug listener address ("" = off).

@@ -7,27 +7,6 @@ import (
 	"strings"
 )
 
-// EmitFormats names the -emit-matrix serializations in help-string order.
-const EmitFormats = "github, slurm, shell"
-
-// Emit serializes the plan in the named format: "github" (an Actions matrix
-// include-list), "slurm" (a job-array script) or "shell" (a plain fan-out
-// script). The emitted split is the exact one the supervisor would run
-// locally — same shard assignment, same journal layout — so a sweep can
-// move between a laptop, CI and a cluster without re-planning.
-func (p *Plan) Emit(format string, w io.Writer) error {
-	switch format {
-	case "github":
-		return p.EmitGitHub(w)
-	case "slurm":
-		return p.EmitSlurm(w)
-	case "shell":
-		return p.EmitShell(w)
-	default:
-		return fmt.Errorf("orchestrator: unknown emit format %q (want %s)", format, EmitFormats)
-	}
-}
-
 // matrixEntry is one GitHub Actions matrix include entry: enough to run the
 // shard (`args`), to identify it (`shard`, `index`), and to name its
 // artifact (`journal`).
@@ -44,7 +23,9 @@ type matrixEntry struct {
 // `{"include":[...]}` — the shape `strategy: matrix: ${{ fromJSON(...) }}`
 // consumes, and single-line so a setup job can pass it through
 // $GITHUB_OUTPUT verbatim. Each entry's `args` are the complete lbbench
-// flags for that shard; the job template only prefixes the binary.
+// flags for that shard; the job template only prefixes the binary. The
+// split is the exact one the supervisor would run locally — same shard
+// assignment, same journal layout.
 func (p *Plan) EmitGitHub(w io.Writer) error {
 	entries := make([]matrixEntry, len(p.Shards))
 	for i, sh := range p.Shards {
@@ -66,95 +47,4 @@ func (p *Plan) EmitGitHub(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// EmitSlurm writes an sbatch job-array script: one array task per shard,
-// each running its slice and journaling under the plan's directory (which
-// must be on a filesystem all tasks share, as must LB_SPECCACHE_DIR for the
-// eigensolve sharing to kick in). The trailing comment gives the merge
-// command to run once the array drains.
-func (p *Plan) EmitSlurm(w io.Writer) error {
-	m := len(p.Shards)
-	var b strings.Builder
-	fmt.Fprintf(&b, "#!/bin/sh\n")
-	fmt.Fprintf(&b, "#SBATCH --job-name=lbbench-sweep\n")
-	fmt.Fprintf(&b, "#SBATCH --array=0-%d\n", m-1)
-	fmt.Fprintf(&b, "# Generated by lbbench -emit-matrix slurm: %d shards x %d total units.\n", m, p.TotalUnits())
-	fmt.Fprintf(&b, "# Set LBBENCH to the lbbench binary; point LB_SPECCACHE_DIR at a shared\n")
-	fmt.Fprintf(&b, "# directory so the array tasks share eigensolves.\n")
-	fmt.Fprintf(&b, "set -eu\n")
-	if p.Dir != "" {
-		fmt.Fprintf(&b, "mkdir -p %s\n", shellQuote(p.Dir))
-	}
-	fmt.Fprintf(&b, "i=\"${SLURM_ARRAY_TASK_ID}\"\n")
-	fmt.Fprintf(&b, "exec \"${LBBENCH:-lbbench}\" %s -shard \"$i/%d\" -out \"%s\"\n",
-		shellJoin(p.GridArgs()), m, p.journalPattern("$i"))
-	fmt.Fprintf(&b, "# After the array completes, merge on any node:\n")
-	fmt.Fprintf(&b, "#   lbbench %s -merge %s\n", shellJoin(p.mergeArgs()), shellQuote(strings.Join(p.JournalPaths(), ",")))
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// EmitShell writes a plain POSIX-shell fan-out: spawn every shard in the
-// background, wait, print a resume command for each failed shard, and merge
-// when all succeeded — the supervisor's happy path as a script you can run
-// where no orchestrator binary exists.
-func (p *Plan) EmitShell(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "#!/bin/sh\n")
-	fmt.Fprintf(&b, "# Generated by lbbench -emit-matrix shell: %d shards x %d total units.\n", len(p.Shards), p.TotalUnits())
-	fmt.Fprintf(&b, "set -u\n")
-	fmt.Fprintf(&b, "LBBENCH=\"${LBBENCH:-lbbench}\"\n")
-	if p.Dir != "" {
-		fmt.Fprintf(&b, "mkdir -p %s\n", shellQuote(p.Dir))
-	}
-	for i, sh := range p.Shards {
-		fmt.Fprintf(&b, "\"$LBBENCH\" %s >/dev/null & pid%d=$!\n", shellJoin(p.ShardArgs(i, false)), sh.Index)
-	}
-	fmt.Fprintf(&b, "fail=0\n")
-	for i, sh := range p.Shards {
-		// The whole hint is one shellQuote so resume commands with quoted
-		// paths survive the echo instead of nesting quotes.
-		hint := fmt.Sprintf("shard %d/%d failed; resume: lbbench %s", sh.Index, sh.Count, shellJoin(p.ShardArgs(i, true)))
-		fmt.Fprintf(&b, "wait \"$pid%d\" || { echo %s >&2; fail=1; }\n", sh.Index, shellQuote(hint))
-	}
-	fmt.Fprintf(&b, "[ \"$fail\" -eq 0 ] || exit 1\n")
-	fmt.Fprintf(&b, "exec \"$LBBENCH\" %s -merge %s\n", shellJoin(p.mergeArgs()), shellQuote(strings.Join(p.JournalPaths(), ",")))
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// mergeArgs are the grid flags plus the render format — what the emitted
-// scripts' final merge step runs, so a `-format csv` plan fans out and
-// merges back to the same bytes the local orchestrator would print.
-func (p *Plan) mergeArgs() []string {
-	args := p.GridArgs()
-	if p.Format != "" {
-		args = append(args, "-format", p.Format)
-	}
-	return args
-}
-
-// journalPattern is the shard journal path with the index replaced by a
-// shell expression — what lets the Slurm script be one line per array
-// rather than one case arm per shard.
-func (p *Plan) journalPattern(indexExpr string) string {
-	return strings.Replace(p.Shards[0].Journal, "shard-0.jsonl", "shard-"+indexExpr+".jsonl", 1)
-}
-
-// shellQuote quotes s for POSIX sh when it needs it (grid flag values are
-// alphanumeric lists, so mostly it does not — the quoting is for paths).
-func shellQuote(s string) string {
-	if s != "" && !strings.ContainsAny(s, " \t\n'\"\\$&|;<>()*?[]#~`{}!") {
-		return s
-	}
-	return "'" + strings.ReplaceAll(s, "'", "'\\''") + "'"
-}
-
-func shellJoin(args []string) string {
-	quoted := make([]string, len(args))
-	for i, a := range args {
-		quoted[i] = shellQuote(a)
-	}
-	return strings.Join(quoted, " ")
 }

@@ -49,77 +49,3 @@ func TestEmitGitHubMatrix(t *testing.T) {
 		}
 	}
 }
-
-func TestEmitSlurmArray(t *testing.T) {
-	p, err := NewPlan(testSpec(), 4, "sweep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.EmitSlurm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{
-		"#SBATCH --array=0-3",
-		`-shard "$i/4"`,
-		`sweep/shard-$i.jsonl`,
-		"-merge sweep/shard-0.jsonl,sweep/shard-1.jsonl,sweep/shard-2.jsonl,sweep/shard-3.jsonl",
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("slurm script missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestEmitShellFanout(t *testing.T) {
-	p, err := NewPlan(testSpec(), 2, "sweep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Format = "csv"
-	var buf bytes.Buffer
-	if err := p.EmitShell(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{
-		"#!/bin/sh",
-		`-shard 0/2 -out sweep/shard-0.jsonl >/dev/null & pid0=$!`,
-		`-shard 1/2 -out sweep/shard-1.jsonl >/dev/null & pid1=$!`,
-		`wait "$pid0"`,
-		"-resume sweep/shard-0.jsonl", // failure hint resumes, not restarts
-		// The merge step carries the render format, so the script's output
-		// matches what the local orchestrator would print.
-		"-format csv -merge sweep/shard-0.jsonl,sweep/shard-1.jsonl",
-	} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("shell script missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestEmitUnknownFormat(t *testing.T) {
-	p, err := NewPlan(testSpec(), 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Emit("nomad", &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-}
-
-func TestShellQuote(t *testing.T) {
-	cases := map[string]string{
-		"plain":        "plain",
-		"a,b,c":        "a,b,c",
-		"has space":    "'has space'",
-		"d'quote":      `'d'\''quote'`,
-		"$HOME/sweeps": "'$HOME/sweeps'",
-	}
-	for in, want := range cases {
-		if got := shellQuote(in); got != want {
-			t.Fatalf("shellQuote(%q) = %q, want %q", in, got, want)
-		}
-	}
-}

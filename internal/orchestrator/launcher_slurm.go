@@ -10,10 +10,9 @@ import (
 	"time"
 )
 
-// SlurmLauncher submits attempts to a Slurm queue, one job per attempt —
-// the live counterpart of the `-emit-matrix slurm` job-array plan: same
-// per-shard lbbench command line, but submitted and polled by the
-// supervisor, so stalls and steals work on a cluster too. It assumes the
+// SlurmLauncher submits attempts to a Slurm queue, one job per attempt,
+// each running the per-shard lbbench command line, submitted and polled by
+// the supervisor, so stalls and steals work on a cluster too. It assumes the
 // cluster shares the plan's output directory (the standard Slurm setup), so
 // journals appear in place and FetchJournal is a no-op.
 type SlurmLauncher struct {

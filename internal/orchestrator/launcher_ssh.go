@@ -6,9 +6,28 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 )
+
+// shellQuote quotes s for POSIX sh when it needs it (grid flag values are
+// alphanumeric lists, so mostly it does not — the quoting is for paths).
+// The ssh and Slurm launchers both hand lbbench argv to a remote shell.
+func shellQuote(s string) string {
+	if s != "" && !strings.ContainsAny(s, " \t\n'\"\\$&|;<>()*?[]#~`{}!") {
+		return s
+	}
+	return "'" + strings.ReplaceAll(s, "'", "'\\''") + "'"
+}
+
+func shellJoin(args []string) string {
+	quoted := make([]string, len(args))
+	for i, a := range args {
+		quoted[i] = shellQuote(a)
+	}
+	return strings.Join(quoted, " ")
+}
 
 // SSHLauncher runs attempts on a remote host over ssh. The remote lbbench
 // journals at the same path the plan laid out locally (the layout is the

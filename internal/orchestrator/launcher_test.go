@@ -402,3 +402,18 @@ if [ ! -f "$marker" ]; then touch "$marker"; echo "42 lb-s0 RUNNING"; fi`),
 		t.Fatal("Wait did not return after the job left the queue")
 	}
 }
+
+func TestShellQuote(t *testing.T) {
+	cases := map[string]string{
+		"plain":        "plain",
+		"a,b,c":        "a,b,c",
+		"has space":    "'has space'",
+		"d'quote":      `'d'\''quote'`,
+		"$HOME/sweeps": "'$HOME/sweeps'",
+	}
+	for in, want := range cases {
+		if got := shellQuote(in); got != want {
+			t.Fatalf("shellQuote(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

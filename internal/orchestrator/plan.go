@@ -4,9 +4,8 @@
 // shard subprocesses (restarting dead ones against their own journals),
 // tails the journals for shard-aware live progress, and merges the finished
 // journals into a final report byte-identical to a single-process sweep.
-// The same plan serializes as a GitHub Actions matrix, a Slurm job array or
-// a plain shell fan-out, so the exact split the orchestrator runs locally
-// is what CI and clusters run remotely.
+// The same plan serializes as a GitHub Actions matrix, so the exact split
+// the orchestrator runs locally is what CI runs as matrix jobs.
 package orchestrator
 
 import (

@@ -569,14 +569,14 @@ func (r *run) carve(v *task, p batch.JournalProgress) int {
 	return k
 }
 
-// RunAndReport is the whole pipeline behind `lbbench -spawn` and `lborch`:
-// supervise the plan's tasks, then — when every journal is in — merge and
-// render the final report (the plan's Format) to stdout. The journal set is
-// whatever Run produced: the planned shards plus any stolen sub-shards. The
-// return value is a process exit code, the same contract both CLIs
-// document: 0 success; 1 failed tasks or failed units (the figure has
-// holes); 2 merge/render failure; 3 interrupted, with every journal left
-// resumable by re-running the same command.
+// RunAndReport is the whole pipeline behind `lbbench -spawn`: supervise the
+// plan's tasks, then — when every journal is in — merge and render the
+// final report (the plan's Format) to stdout. The journal set is whatever
+// Run produced: the planned shards plus any stolen sub-shards. The return
+// value is a process exit code, the contract lbbench documents: 0 success;
+// 1 failed tasks or failed units (the figure has holes); 2 merge/render
+// failure; 3 interrupted, with every journal left resumable by re-running
+// the same command.
 func (s *Supervisor) RunAndReport(ctx context.Context, streamAgg bool, stdout io.Writer) int {
 	log := s.Log
 	if log == nil {

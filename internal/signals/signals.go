@@ -1,5 +1,5 @@
 // Package signals centralizes the graceful-shutdown contract the CLIs
-// (lbbench, lborch, lbserved) share: the first SIGINT/SIGTERM cancels the
+// (lbbench, lbserved) share: the first SIGINT/SIGTERM cancels the
 // returned context so in-flight work can drain — journals flush, shards
 // are reaped, the daemon finishes its drain rounds — and immediately
 // restores the default disposition, so a second signal terminates the

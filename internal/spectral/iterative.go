@@ -1,9 +1,6 @@
 package spectral
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/graph"
 	"repro/internal/matrix"
 )
@@ -25,125 +22,4 @@ func LaplacianApply(g *graph.G, dst, x matrix.Vector) {
 		}
 		dst[i] = s
 	}
-}
-
-// lanczosSteps bounds the Krylov dimension. Full reorthogonalization keeps
-// the basis numerically orthogonal, so a modest dimension recovers extremal
-// Ritz values to far better accuracy than the diffusion experiments need.
-const lanczosSteps = 220
-
-// Lambda2Lanczos estimates λ₂ of the Laplacian of g, the smallest
-// eigenvalue of L restricted to the complement of the all-ones kernel. It
-// runs Lanczos on the shifted operator B = cI − L (c > λ_max, so the
-// smallest eigenvalue of L becomes the largest of B), projecting the ones
-// direction out of every Krylov vector, and reads λ₂ = c − θ_max off the
-// top Ritz value. g must be connected.
-func Lambda2Lanczos(g *graph.G, seed int64) (float64, error) {
-	n := g.N()
-	if n < 2 {
-		return 0, fmt.Errorf("spectral: λ₂ undefined for n=%d", n)
-	}
-	if !g.IsConnected() {
-		return 0, fmt.Errorf("spectral: graph %s is disconnected (λ₂ = 0)", g.Name())
-	}
-	c := 2*float64(g.MaxDegree()) + 1 // ≥ λ_max(L) + 1 by Gershgorin
-
-	steps := lanczosSteps
-	if steps > n-1 {
-		steps = n - 1
-	}
-
-	// Deterministic pseudo-random start orthogonal to ones.
-	v := make(matrix.Vector, n)
-	s := uint64(seed)*2862933555777941757 + 3037000493
-	for i := range v {
-		s = s*6364136223846793005 + 1442695040888963407
-		v[i] = float64(int64(s>>11))/float64(1<<52) - 0.5
-	}
-	ones := make(matrix.Vector, n).Fill(1)
-	v.ProjectOut(ones)
-	if v.Normalize() == 0 {
-		return 0, fmt.Errorf("spectral: degenerate Lanczos start")
-	}
-
-	basis := make([]matrix.Vector, 0, steps)
-	alpha := make([]float64, 0, steps)
-	beta := make([]float64, 0, steps) // beta[k] couples basis[k] and basis[k+1]
-	w := make(matrix.Vector, n)
-
-	for k := 0; k < steps; k++ {
-		basis = append(basis, v.Clone())
-		// w ← B·v = c·v − L·v
-		LaplacianApply(g, w, v)
-		for i := range w {
-			w[i] = c*v[i] - w[i]
-		}
-		a := w.Dot(v)
-		alpha = append(alpha, a)
-		w.AddScaled(-a, v)
-		if k > 0 {
-			w.AddScaled(-beta[k-1], basis[k-1])
-		}
-		// Full reorthogonalization against the kernel and the whole basis.
-		w.ProjectOut(ones)
-		for _, b := range basis {
-			w.AddScaled(-w.Dot(b), b)
-		}
-		bNorm := w.Norm2()
-		if bNorm < 1e-13 {
-			break // Krylov space exhausted; Ritz values are exact
-		}
-		beta = append(beta, bNorm)
-		copy(v, w)
-		v.Scale(1 / bNorm)
-	}
-
-	m := len(alpha)
-	t := Tridiagonal{D: append([]float64(nil), alpha...), E: make([]float64, m)}
-	for k := 0; k+1 < m; k++ {
-		t.E[k+1] = beta[k] // QLImplicit expects e[i] coupling rows i−1, i
-	}
-	if err := QLImplicit(t, nil); err != nil {
-		return 0, err
-	}
-	thetaMax := math.Inf(-1)
-	for _, th := range t.D {
-		if th > thetaMax {
-			thetaMax = th
-		}
-	}
-	lambda2 := c - thetaMax
-	if lambda2 < 0 && lambda2 > -1e-9 {
-		lambda2 = 0
-	}
-	return lambda2, nil
-}
-
-// PowerIterationTop returns the dominant eigenvalue (largest |λ|) of the
-// symmetric matrix a and its eigenvector estimate, via power iteration with
-// Rayleigh-quotient readout. Used for γ estimation on diffusion matrices
-// after deflating the known stationary eigenvector.
-func PowerIterationTop(a *matrix.Dense, start matrix.Vector, iters int, deflate []matrix.Vector) (float64, matrix.Vector) {
-	n := a.Rows()
-	v := start.Clone()
-	for _, d := range deflate {
-		v.ProjectOut(d)
-	}
-	if v.Normalize() == 0 {
-		panic("spectral: power iteration start lies in deflated space")
-	}
-	w := make(matrix.Vector, n)
-	var rq float64
-	for k := 0; k < iters; k++ {
-		a.MulVecTo(w, v)
-		for _, d := range deflate {
-			w.ProjectOut(d)
-		}
-		rq = w.Dot(v)
-		if w.Normalize() == 0 {
-			return 0, v
-		}
-		v, w = w, v
-	}
-	return rq, v
 }
