@@ -109,9 +109,12 @@ round-smoke: bins
 	cmp /tmp/lbbench-rw1.csv /tmp/lbbench-rw8.csv
 	cmp /tmp/lbbench-rw1.csv /tmp/lbbench-rwauto.csv
 
+# Grid reports and experiment tables must not depend on the pool width.
 grid-smoke: bins
 	for w in 1 8; do /tmp/lbbench -grid -n 32 -seeds 1,2 -parallel $$w -format csv > /tmp/lbbench-w$$w.csv; done
 	cmp /tmp/lbbench-w1.csv /tmp/lbbench-w8.csv
+	for w in 1 8; do /tmp/lbbench -exp all -quick -csv -parallel $$w > /tmp/lbbench-exp-w$$w.csv; done
+	cmp /tmp/lbbench-exp-w1.csv /tmp/lbbench-exp-w8.csv
 
 SWEEP_ARGS = -grid -topos cycle,torus,hypercube,star,complete,path \
 	-algos diffusion,dimexchange,randpair -modes continuous,discrete \

@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kind, err := parseWorkload(*wl)
+	kind, err := workload.ParseKind(*wl)
 	if err != nil {
 		fatal(err)
 	}
@@ -95,15 +95,6 @@ func main() {
 			}
 		}
 	}
-}
-
-func parseWorkload(s string) (workload.Kind, error) {
-	for _, k := range workload.AllKinds() {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown workload %q", s)
 }
 
 func fatal(err error) {

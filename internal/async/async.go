@@ -76,7 +76,7 @@ func (c *Continuous) Tick() {
 }
 
 // Step runs m ticks — the edge-activation budget of one synchronous
-// Algorithm 1 round — so the type satisfies sim.System with a comparable
+// Algorithm 1 round — so the type satisfies core.System with a comparable
 // notion of "round".
 func (c *Continuous) Step() {
 	for k := 0; k < c.G.M(); k++ {

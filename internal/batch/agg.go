@@ -14,16 +14,16 @@ import (
 // counts across seeds) plus per-dimension marginals (the same statistics
 // collapsed onto each topology, algorithm, mode, workload and seed value).
 // No cell is ever retained, so a report can render straight from a journal
-// stream — or from a live sweep via RunStream — with memory proportional to
-// the number of distinct grid cells and dimension values, independent of
+// stream — or from a live sweep via ResumeStream — with memory proportional
+// to the number of distinct grid cells and dimension values, independent of
 // the unit (seed × cell) count.
 //
-// The folding arithmetic is Aggregate.fold/finalize — the exact sequence
-// Report.aggregate applies to materialized cells — and cells always reach a
-// sink in expansion order (the engine's sequencer guarantees it for live
-// sweeps, MergeJournals' index-ordered merge for shard journals), so
-// AggSink's aggregates are bit-identical to a MemorySink-derived Report's
-// for any worker count and any shard split.
+// The grid-cell fold is cellFold — the one Report.aggregate applies to
+// materialized cells — and cells always reach a sink in expansion order
+// (the engine's sequencer guarantees it for live sweeps, MergeJournals'
+// index-ordered merge for shard journals), so AggSink's aggregates are
+// bit-identical to the engine Report's for any worker count and any shard
+// split.
 type AggSink struct {
 	spec       *Spec
 	shardsSeen map[[2]int]bool
@@ -31,8 +31,7 @@ type AggSink struct {
 	units      int
 	failed     int
 
-	index map[string]int // CellKey → position in aggs, first-seen order
-	aggs  []Aggregate
+	cells cellFold
 	mdex  map[string]int // dimension\x00value → position in margs
 	margs []marginalAcc
 }
@@ -53,7 +52,6 @@ var marginalDims = [...]string{"topology", "algorithm", "mode", "workload", "sce
 func NewAggSink() *AggSink {
 	return &AggSink{
 		shardsSeen: make(map[[2]int]bool),
-		index:      make(map[string]int),
 		mdex:       make(map[string]int),
 	}
 }
@@ -108,20 +106,7 @@ func (s *AggSink) Cell(c Cell) error {
 	if c.Err != "" {
 		s.failed++
 	}
-	key := c.CellKey()
-	i, ok := s.index[key]
-	if !ok {
-		i = len(s.aggs)
-		s.index[key] = i
-		s.aggs = append(s.aggs, Aggregate{
-			Topology:  c.Topology,
-			Algorithm: c.Algorithm,
-			Mode:      c.Mode,
-			Workload:  c.WorkloadName,
-			Scenario:  c.Scenario,
-		})
-	}
-	s.aggs[i].fold(c)
+	s.cells.fold(c)
 
 	for dim, value := range [...]string{
 		c.Topology, c.Algorithm, c.Mode, c.WorkloadName,
@@ -189,7 +174,7 @@ func (s *AggSink) Report() *AggReport {
 		Units:         s.units,
 		ExpectedUnits: s.expected,
 		Failed:        s.failed,
-		Aggregates:    append([]Aggregate(nil), s.aggs...),
+		Aggregates:    s.cells.finalized(),
 	}
 	if s.spec != nil {
 		r.Spec = *s.spec
@@ -198,9 +183,6 @@ func (s *AggSink) Report() *AggReport {
 		if len(s.shardsSeen) > 1 {
 			r.Spec.ShardIndex, r.Spec.ShardCount = 0, 0
 		}
-	}
-	for i := range r.Aggregates {
-		r.Aggregates[i].finalize()
 	}
 	margs := append([]marginalAcc(nil), s.margs...)
 	sort.SliceStable(margs, func(i, j int) bool {
@@ -236,27 +218,6 @@ func (r *AggReport) Missing() int {
 	return 0
 }
 
-// Table renders the grid-cell aggregates (same columns as
-// Report.AggregateTable).
-func (r *AggReport) Table() *trace.Table {
-	t := trace.NewTable(fmt.Sprintf("streaming aggregates — %d units", r.Units),
-		"topology", "algorithm", "mode", "workload", "scenario",
-		"runs", "converged", "failed", "rounds (mean±sd)", "mean rounds/bound", "mean rms disc.")
-	for _, a := range r.Aggregates {
-		ratio := "-"
-		if a.MeanBoundRatio > 0 {
-			ratio = fmt.Sprintf("%.4g", a.MeanBoundRatio)
-		}
-		t.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
-			scenarioDisplay(a.Scenario),
-			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged),
-			fmt.Sprintf("%d", a.Failed),
-			fmt.Sprintf("%.4g±%.3g", a.MeanRounds, a.SDRounds), ratio,
-			fmt.Sprintf("%.4g", a.MeanRMS))
-	}
-	return t
-}
-
 // MarginalTable renders the per-dimension marginals.
 func (r *AggReport) MarginalTable() *trace.Table {
 	t := trace.NewTable("per-dimension marginals",
@@ -280,16 +241,7 @@ func (r *AggReport) MarginalTable() *trace.Table {
 // Report.RenderCSV) followed by a blank line and the marginal block. Bytes
 // are identical for any worker count and any shard split.
 func (r *AggReport) RenderCSV(w io.Writer) error {
-	aggs := trace.NewTable("", "topology", "algorithm", "mode", "workload", "scenario",
-		"runs", "converged", "failed", "mean_rounds", "sd_rounds", "mean_bound_ratio", "mean_rms_discrepancy")
-	for _, a := range r.Aggregates {
-		aggs.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
-			scenarioDisplay(a.Scenario),
-			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged), fmt.Sprintf("%d", a.Failed),
-			fmt.Sprintf("%.8g", a.MeanRounds), fmt.Sprintf("%.8g", a.SDRounds),
-			fmt.Sprintf("%.8g", a.MeanBoundRatio), fmt.Sprintf("%.8g", a.MeanRMS))
-	}
-	if err := aggs.RenderCSV(w); err != nil {
+	if err := renderAggregateCSV(w, r.Aggregates); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(w, "\n"); err != nil {
@@ -320,7 +272,8 @@ func (r *AggReport) RenderJSON(w io.Writer) error {
 func (r *AggReport) Render(format string, w io.Writer) error {
 	switch format {
 	case "table":
-		if err := r.Table().Render(w); err != nil {
+		title := fmt.Sprintf("streaming aggregates — %d units", r.Units)
+		if err := aggregateTable(title, r.Aggregates).Render(w); err != nil {
 			return err
 		}
 		return r.MarginalTable().Render(w)

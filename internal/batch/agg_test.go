@@ -28,19 +28,18 @@ func messyRun(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.
 
 // TestAggSinkMatchesReportAggregates is the equivalence satellite: the
 // incrementally folded aggregates must be bit-identical to the ones the
-// materialized Report derives from a MemorySink's cells — for any worker
+// engine's materialized Report derives from the same cells — for any worker
 // count, including sweeps with failed and unbounded cells.
 func TestAggSinkMatchesReportAggregates(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		spec := okSpec()
 		spec.Workers = workers
-		mem := batch.NewMemorySink()
 		agg := batch.NewAggSink()
-		rep, err := batch.RunSink(context.Background(), spec, messyRun, batch.MultiSink{mem, agg})
+		rep, err := batch.Resume(context.Background(), spec, messyRun, nil, agg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromCells, err := json.Marshal(mem.Report(spec).Aggregates)
+		fromCells, err := json.Marshal(rep.Aggregates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +49,7 @@ func TestAggSinkMatchesReportAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(fromCells, fromStream) {
-			t.Fatalf("workers=%d: streamed aggregates differ from MemorySink-derived ones:\n%s\nvs\n%s",
+			t.Fatalf("workers=%d: streamed aggregates differ from the report's:\n%s\nvs\n%s",
 				workers, fromStream, fromCells)
 		}
 		if streamed.Units != len(rep.Cells) || streamed.Failed != rep.Failed() {
@@ -70,7 +69,7 @@ func TestAggSinkMatchesReportAggregates(t *testing.T) {
 func TestAggSinkMarginals(t *testing.T) {
 	spec := okSpec()
 	agg := batch.NewAggSink()
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, agg); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, agg); err != nil {
 		t.Fatal(err)
 	}
 	rep := agg.Report()
@@ -106,20 +105,20 @@ func TestAggSinkMarginals(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRunSink: the streaming engine path (no in-process
-// report) must deliver exactly the stream RunSink delivers, so the rendered
-// aggregate bytes agree for any worker count.
+// TestRunStreamMatchesRunSink: the streaming engine path (ResumeStream, no
+// in-process report) must deliver exactly the stream Resume delivers to its
+// sink, so the rendered aggregate bytes agree for any worker count.
 func TestRunStreamMatchesRunSink(t *testing.T) {
 	render := func(streaming bool, workers int) []byte {
 		spec := okSpec()
 		spec.Workers = workers
 		agg := batch.NewAggSink()
 		if streaming {
-			if err := batch.RunStream(context.Background(), spec, messyRun, agg); err != nil {
+			if err := batch.ResumeStream(context.Background(), spec, messyRun, nil, agg); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := batch.RunSink(context.Background(), spec, messyRun, agg); err != nil {
+			if _, err := batch.Resume(context.Background(), spec, messyRun, nil, agg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -135,11 +134,11 @@ func TestRunStreamMatchesRunSink(t *testing.T) {
 	ref := render(false, 1)
 	for _, workers := range []int{1, 8} {
 		if got := render(true, workers); !bytes.Equal(got, ref) {
-			t.Fatalf("workers=%d: RunStream aggregate output differs from RunSink's", workers)
+			t.Fatalf("workers=%d: ResumeStream aggregate output differs from Resume's", workers)
 		}
 	}
-	if err := batch.RunStream(context.Background(), okSpec(), fakeRun, nil); err == nil {
-		t.Fatal("RunStream accepted a nil sink — the results would vanish")
+	if err := batch.ResumeStream(context.Background(), okSpec(), fakeRun, nil, nil); err == nil {
+		t.Fatal("ResumeStream accepted a nil sink — the results would vanish")
 	}
 }
 
@@ -150,7 +149,7 @@ func TestRunStreamMatchesRunSink(t *testing.T) {
 func TestMergedStreamAggregationByteIdentical(t *testing.T) {
 	spec := okSpec()
 	direct := batch.NewAggSink()
-	if err := batch.RunStream(context.Background(), spec, fakeRun, direct); err != nil {
+	if err := batch.ResumeStream(context.Background(), spec, fakeRun, nil, direct); err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer

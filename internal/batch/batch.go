@@ -9,8 +9,8 @@
 // The engine is sink-driven: finished cells can additionally be streamed,
 // one at a time and in deterministic expansion order (a sequencing layer
 // reorders out-of-order completions for any worker count), to a Sink —
-// MemorySink for the classic in-RAM report, JSONLSink for a
-// one-line-per-cell journal on disk, MultiSink to fan out. JSONL journals
+// JSONLSink for a one-line-per-cell journal on disk, AggSink for
+// incremental aggregates, MultiSink to fan out. JSONL journals
 // are the unit of crash recovery: Resume replays a journal's completed
 // unit Keys and re-enqueues only the missing or failed cells, merging old
 // and new into a report byte-identical to an uninterrupted run.
@@ -20,7 +20,7 @@
 // construction — and MergeJournals k-way-merges the m per-shard journals
 // back into the exact global expansion order, failing loudly on overlap or
 // grid mismatch. For grids whose cells must never materialize (the classic
-// Report is O(units) memory), RunStream + AggSink fold per-cell statistics
+// Report is O(units) memory), ResumeStream + AggSink fold per-cell statistics
 // incrementally — bit-identical to the Report's aggregates — straight from
 // the live stream or from merged journals.
 //

@@ -109,7 +109,7 @@ func TestRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	render := func(workers int) (csv, jsn []byte) {
 		spec := okSpec()
 		spec.Workers = workers
-		rep, err := batch.Run(spec, fakeRun)
+		rep, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestFailedAndPanickingUnitsDoNotWedgeThePool(t *testing.T) {
 	spec := okSpec()
 	spec.Workers = 4
 	var calls atomic.Int64
-	rep, err := batch.Run(spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
+	rep, err := batch.Resume(context.Background(), spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
 		calls.Add(1)
 		switch u.Index {
 		case 3:
@@ -150,7 +150,7 @@ func TestFailedAndPanickingUnitsDoNotWedgeThePool(t *testing.T) {
 			panic("synthetic panic")
 		}
 		return fakeRun(u, g, loads, algoSeed)
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,10 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	rep, err := batch.RunContext(ctx, okSpec(), func(batch.Unit, *graph.G, []float64, int64) (batch.Outcome, error) {
+	rep, err := batch.Resume(ctx, okSpec(), func(batch.Unit, *graph.G, []float64, int64) (batch.Outcome, error) {
 		time.Sleep(time.Second)
 		return batch.Outcome{}, nil
-	})
+	}, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -206,12 +206,12 @@ func TestRunContextCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	spec := okSpec()
 	spec.Workers = 1 // serial in-order execution makes the cut deterministic
-	rep, err := batch.RunContext(ctx, spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
+	rep, err := batch.Resume(ctx, spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
 		if u.Index == 4 {
 			cancel()
 		}
 		return fakeRun(u, g, loads, algoSeed)
-	})
+	}, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -281,7 +281,7 @@ func TestForEachDeterministicRNGStreams(t *testing.T) {
 
 func TestAggregatesAcrossSeeds(t *testing.T) {
 	spec := okSpec()
-	rep, err := batch.Run(spec, fakeRun)
+	rep, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

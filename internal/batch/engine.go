@@ -81,69 +81,22 @@ type Outcome struct {
 // stay deterministic under parallel scheduling.
 type RunFunc func(u Unit, g *graph.G, loads []float64, algoSeed int64) (Outcome, error)
 
-// Run expands spec and executes every unit through run on the worker pool.
-// The only overall errors are spec-level (bad grid, unbuildable topology);
-// per-unit failures and panics land in the matching cell's Err field so the
-// rest of the sweep still completes.
-func Run(spec Spec, run RunFunc) (*Report, error) {
-	return RunContext(context.Background(), spec, run)
-}
-
-// RunContext is Run with cancellation: units not yet started when ctx fires
-// record ctx.Err() in their cells, the already-running ones finish normally,
-// and the partial report is returned together with ctx.Err().
-func RunContext(ctx context.Context, spec Spec, run RunFunc) (*Report, error) {
-	return RunSink(ctx, spec, run, nil)
-}
-
-// RunSink is RunContext with a streaming sink: every finished cell is also
-// delivered to sink in expansion order, each the moment it and all its
-// predecessors completed (see Sink). sink may be nil. The report is returned
-// even when ctx fires or the sink errors, alongside the corresponding error,
-// so callers always have the partial results the journal also recorded.
-func RunSink(ctx context.Context, spec Spec, run RunFunc, sink Sink) (*Report, error) {
-	return runSink(ctx, spec, run, sink, nil, true)
-}
-
-// RunStream is RunSink without the in-process Report: cells go to sink only,
-// so the run's memory footprint is independent of the unit count (the
-// sequencer's bounded lookahead window is all that is ever buffered). Pair it
-// with an AggSink — which folds aggregates incrementally — to render a
-// summary of a grid too large to hold cell-by-cell in RAM. sink is required.
-func RunStream(ctx context.Context, spec Spec, run RunFunc, sink Sink) error {
-	_, err := runSink(ctx, spec, run, sink, nil, false)
-	return err
-}
-
-// ResumeStream is Resume without the in-process Report — the streaming
-// counterpart for resumed sweeps. (The replay index itself holds one key and
-// outcome per journaled unit; the cells never materialize.)
-func ResumeStream(ctx context.Context, spec Spec, run RunFunc, journal *Journal, sink Sink) error {
-	if sink == nil {
-		return fmt.Errorf("batch: ResumeStream needs a sink")
-	}
-	if journal == nil {
-		return RunStream(ctx, spec, run, sink)
-	}
-	if err := journal.CheckSpec(spec); err != nil {
-		return err
-	}
-	_, err := runSink(ctx, spec, run, sink, journal.replay(), false)
-	return err
-}
-
-// runSink is the engine body shared by fresh runs and resumes: replay maps
-// unit Keys to journaled outcomes that are adopted instead of re-run. When
-// collect is false no cells are retained and the returned report is nil —
-// the streaming path for grids whose cells must not accumulate in memory.
+// runSink is the engine body behind Resume and ResumeStream: it expands
+// spec and executes every owned unit through run on the worker pool,
+// delivering each finished cell to sink (which may be nil when collect is
+// set) in expansion order. replay maps unit Keys to journaled outcomes that
+// are adopted instead of re-run (nil for a fresh sweep). When collect is
+// false no cells are retained and the returned report is nil — the
+// streaming path for grids whose cells must not accumulate in memory. The
+// only overall errors are spec-level (bad grid, unbuildable topology), a
+// failing sink, and ctx firing; per-unit failures and panics land in the
+// matching cell's Err field so the rest of the sweep still completes, and
+// the partial report is returned alongside a sink or ctx error.
 func runSink(ctx context.Context, spec Spec, run RunFunc, sink Sink, replay map[string]Outcome, collect bool) (*Report, error) {
 	spec = spec.withDefaults()
 	units, err := Expand(spec)
 	if err != nil {
 		return nil, err
-	}
-	if !collect && sink == nil {
-		return nil, fmt.Errorf("batch: streaming run needs a sink")
 	}
 	// A sharded spec runs (and reports, and journals) only its own slice of
 	// the expansion; the slice preserves expansion order, so the sequencer

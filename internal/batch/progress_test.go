@@ -15,7 +15,7 @@ import (
 func journalBytes(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), okSpec(), fakeRun, batch.NewJSONLSink(&buf)); err != nil {
+	if _, err := batch.Resume(context.Background(), okSpec(), fakeRun, nil, batch.NewJSONLSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -134,26 +134,51 @@ func (a *Aggregate) finalize() {
 
 // aggregate groups cells by CellKey in first-seen (expansion) order.
 func (r *Report) aggregate() {
-	index := map[string]int{}
+	var f cellFold
 	for _, c := range r.Cells {
-		key := c.CellKey()
-		i, ok := index[key]
-		if !ok {
-			i = len(r.Aggregates)
-			index[key] = i
-			r.Aggregates = append(r.Aggregates, Aggregate{
-				Topology:  c.Topology,
-				Algorithm: c.Algorithm,
-				Mode:      c.Mode,
-				Workload:  c.WorkloadName,
-				Scenario:  c.Scenario,
-			})
+		f.fold(c)
+	}
+	r.Aggregates = f.finalized()
+}
+
+// cellFold folds cells into one Aggregate per grid cell (CellKey), in
+// first-seen — expansion — order. Report.aggregate and AggSink both fold
+// through it, so the materialized and the streaming report share one
+// arithmetic sequence.
+type cellFold struct {
+	index map[string]int // CellKey → position in aggs
+	aggs  []Aggregate
+}
+
+// fold accumulates c into its grid cell's running sums.
+func (f *cellFold) fold(c Cell) {
+	key := c.CellKey()
+	i, ok := f.index[key]
+	if !ok {
+		if f.index == nil {
+			f.index = make(map[string]int)
 		}
-		r.Aggregates[i].fold(c)
+		i = len(f.aggs)
+		f.index[key] = i
+		f.aggs = append(f.aggs, Aggregate{
+			Topology:  c.Topology,
+			Algorithm: c.Algorithm,
+			Mode:      c.Mode,
+			Workload:  c.WorkloadName,
+			Scenario:  c.Scenario,
+		})
 	}
-	for i := range r.Aggregates {
-		r.Aggregates[i].finalize()
+	f.aggs[i].fold(c)
+}
+
+// finalized returns the published statistics of a snapshot, leaving the
+// running sums free to keep folding.
+func (f *cellFold) finalized() []Aggregate {
+	out := append([]Aggregate(nil), f.aggs...)
+	for i := range out {
+		out[i].finalize()
 	}
+	return out
 }
 
 // scenarioDisplay renders a stored scenario string for humans: the legacy
@@ -187,12 +212,13 @@ func (r *Report) Table() *trace.Table {
 	return t
 }
 
-// AggregateTable renders the per-grid-cell summary across seeds.
-func (r *Report) AggregateTable() *trace.Table {
-	t := trace.NewTable("batch grid — aggregates across seeds",
+// aggregateTable renders per-grid-cell aggregates under title — the
+// human-facing aggregate view of both Report and AggReport.
+func aggregateTable(title string, aggs []Aggregate) *trace.Table {
+	t := trace.NewTable(title,
 		"topology", "algorithm", "mode", "workload", "scenario",
 		"runs", "converged", "failed", "rounds (mean±sd)", "mean rounds/bound", "mean rms disc.")
-	for _, a := range r.Aggregates {
+	for _, a := range aggs {
 		ratio := "-"
 		if a.MeanBoundRatio > 0 {
 			ratio = fmt.Sprintf("%.4g", a.MeanBoundRatio)
@@ -205,6 +231,21 @@ func (r *Report) AggregateTable() *trace.Table {
 			fmt.Sprintf("%.4g", a.MeanRMS))
 	}
 	return t
+}
+
+// renderAggregateCSV writes the aggregate CSV block — the same bytes in
+// Report.RenderCSV and AggReport.RenderCSV.
+func renderAggregateCSV(w io.Writer, aggs []Aggregate) error {
+	t := trace.NewTable("", "topology", "algorithm", "mode", "workload", "scenario",
+		"runs", "converged", "failed", "mean_rounds", "sd_rounds", "mean_bound_ratio", "mean_rms_discrepancy")
+	for _, a := range aggs {
+		t.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
+			scenarioDisplay(a.Scenario),
+			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged), fmt.Sprintf("%d", a.Failed),
+			fmt.Sprintf("%.8g", a.MeanRounds), fmt.Sprintf("%.8g", a.SDRounds),
+			fmt.Sprintf("%.8g", a.MeanBoundRatio), fmt.Sprintf("%.8g", a.MeanRMS))
+	}
+	return t.RenderCSV(w)
 }
 
 // RenderCSV writes the per-cell grid followed by a blank line and the
@@ -230,16 +271,7 @@ func (r *Report) RenderCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "\n"); err != nil {
 		return err
 	}
-	aggs := trace.NewTable("", "topology", "algorithm", "mode", "workload", "scenario",
-		"runs", "converged", "failed", "mean_rounds", "sd_rounds", "mean_bound_ratio", "mean_rms_discrepancy")
-	for _, a := range r.Aggregates {
-		aggs.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
-			scenarioDisplay(a.Scenario),
-			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged), fmt.Sprintf("%d", a.Failed),
-			fmt.Sprintf("%.8g", a.MeanRounds), fmt.Sprintf("%.8g", a.SDRounds),
-			fmt.Sprintf("%.8g", a.MeanBoundRatio), fmt.Sprintf("%.8g", a.MeanRMS))
-	}
-	return aggs.RenderCSV(w)
+	return renderAggregateCSV(w, r.Aggregates)
 }
 
 // RenderJSON writes the report as indented JSON. Wall times and worker
@@ -262,7 +294,7 @@ func (r *Report) Render(format string, w io.Writer) error {
 		if err := r.Table().Render(w); err != nil {
 			return err
 		}
-		return r.AggregateTable().Render(w)
+		return aggregateTable("batch grid — aggregates across seeds", r.Aggregates).Render(w)
 	case "csv":
 		return r.RenderCSV(w)
 	case "json":

@@ -133,21 +133,49 @@ func ReadJournalFile(path string) (*Journal, error) {
 //
 // Journal cells whose Key is not in spec's expansion are ignored, so a
 // journal can be replayed against a grown grid; keys duplicated by repeated
-// resumes resolve to the last occurrence. A nil journal degrades to a
-// fresh RunSink.
+// resumes resolve to the last occurrence. A nil journal runs the whole grid
+// fresh.
+//
+// Units not yet started when ctx fires record ctx.Err() in their cells; the
+// already-running ones finish normally, and the partial report is returned
+// together with ctx.Err(). sink, when non-nil, receives every finished cell
+// in expansion order (see Sink).
 func Resume(ctx context.Context, spec Spec, run RunFunc, journal *Journal, sink Sink) (*Report, error) {
-	if journal == nil {
-		return runSink(ctx, spec, run, sink, nil, true)
-	}
-	if err := journal.CheckSpec(spec); err != nil {
+	replay, err := journal.replayFor(spec)
+	if err != nil {
 		return nil, err
 	}
-	return runSink(ctx, spec, run, sink, journal.replay(), true)
+	return runSink(ctx, spec, run, sink, replay, true)
 }
 
-// replay indexes the journal's clean outcomes by unit Key; keys duplicated
-// by repeated resumes resolve to the last occurrence.
-func (j *Journal) replay() map[string]Outcome {
+// ResumeStream is Resume without the in-process Report: cells go to sink
+// only, so the run's memory footprint is independent of the unit count (the
+// sequencer's bounded lookahead window is all that is ever buffered; the
+// replay index holds one key and outcome per journaled unit). Pair it with
+// an AggSink — which folds aggregates incrementally — to render a summary
+// of a grid too large to hold cell-by-cell in RAM. sink is required.
+func ResumeStream(ctx context.Context, spec Spec, run RunFunc, journal *Journal, sink Sink) error {
+	if sink == nil {
+		return fmt.Errorf("batch: ResumeStream needs a sink")
+	}
+	replay, err := journal.replayFor(spec)
+	if err != nil {
+		return err
+	}
+	_, err = runSink(ctx, spec, run, sink, replay, false)
+	return err
+}
+
+// replayFor checks the journal's headers against spec and indexes its clean
+// outcomes by unit Key; keys duplicated by repeated resumes resolve to the
+// last occurrence. A nil journal replays nothing.
+func (j *Journal) replayFor(spec Spec) (map[string]Outcome, error) {
+	if j == nil {
+		return nil, nil
+	}
+	if err := j.CheckSpec(spec); err != nil {
+		return nil, err
+	}
 	replay := make(map[string]Outcome, len(j.Cells))
 	for _, c := range j.Cells {
 		if c.Err != "" {
@@ -155,5 +183,5 @@ func (j *Journal) replay() map[string]Outcome {
 		}
 		replay[c.Key()] = c.Outcome
 	}
-	return replay
+	return replay, nil
 }

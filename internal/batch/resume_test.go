@@ -33,12 +33,12 @@ func interruptedJournal(t *testing.T, spec batch.Spec, cutAt int) []byte {
 	defer cancel()
 	spec.Workers = 1
 	var buf bytes.Buffer
-	_, err := batch.RunSink(ctx, spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
+	_, err := batch.Resume(ctx, spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
 		if u.Index == cutAt {
 			cancel()
 		}
 		return fakeRun(u, g, loads, algoSeed)
-	}, batch.NewJSONLSink(&buf))
+	}, nil, batch.NewJSONLSink(&buf))
 	if err != context.Canceled {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
@@ -51,13 +51,13 @@ func interruptedJournal(t *testing.T, spec batch.Spec, cutAt int) []byte {
 // for any worker count.
 func TestResumeByteIdenticalToFreshRun(t *testing.T) {
 	spec := okSpec()
-	fullRep, err := batch.Run(spec, fakeRun)
+	fullRep, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullOut := renderAll(t, fullRep)
 	var fullJournal bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&fullJournal)); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&fullJournal)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,7 +103,7 @@ func TestResumeByteIdenticalToFreshRun(t *testing.T) {
 func TestResumeOnlyRunsMissingUnits(t *testing.T) {
 	spec := okSpec()
 	var full bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&full)); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&full)); err != nil {
 		t.Fatal(err)
 	}
 	journal, err := batch.ReadJournal(bytes.NewReader(full.Bytes()))
@@ -149,7 +149,7 @@ func TestResumeOnlyRunsMissingUnits(t *testing.T) {
 func TestReadJournalToleratesTruncatedTail(t *testing.T) {
 	spec := okSpec()
 	var full bytes.Buffer
-	fullRep, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&full))
+	fullRep, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestReadJournalToleratesTruncatedTail(t *testing.T) {
 func TestReadJournalStopsAtCorruption(t *testing.T) {
 	spec := okSpec()
 	var full bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&full)); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&full)); err != nil {
 		t.Fatal(err)
 	}
 	text := full.String()
@@ -220,7 +220,7 @@ func TestReadJournalStopsAtCorruption(t *testing.T) {
 func TestResumeIgnoresStaleKeys(t *testing.T) {
 	big := okSpec()
 	var full bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), big, fakeRun, batch.NewJSONLSink(&full)); err != nil {
+	if _, err := batch.Resume(context.Background(), big, fakeRun, nil, batch.NewJSONLSink(&full)); err != nil {
 		t.Fatal(err)
 	}
 	journal, err := batch.ReadJournal(bytes.NewReader(full.Bytes()))
@@ -254,7 +254,7 @@ func TestResumeIgnoresStaleKeys(t *testing.T) {
 func TestResumeRefusesParameterMismatch(t *testing.T) {
 	spec := okSpec()
 	var full bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&full)); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&full)); err != nil {
 		t.Fatal(err)
 	}
 	journal, err := batch.ReadJournal(bytes.NewReader(full.Bytes()))
@@ -297,10 +297,10 @@ func TestConcatenatedShardJournals(t *testing.T) {
 	shardB.Topologies = []string{"torus", "hypercube"}
 
 	var buf bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), shardA, fakeRun, batch.NewJSONLSink(&buf)); err != nil {
+	if _, err := batch.Resume(context.Background(), shardA, fakeRun, nil, batch.NewJSONLSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch.RunSink(context.Background(), shardB, fakeRun, batch.NewJSONLSink(&buf)); err != nil {
+	if _, err := batch.Resume(context.Background(), shardB, fakeRun, nil, batch.NewJSONLSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -330,7 +330,7 @@ func TestConcatenatedShardJournals(t *testing.T) {
 	if calls.Load() != 0 {
 		t.Fatalf("merged shards still re-ran %d units", calls.Load())
 	}
-	full, err := batch.Run(whole, fakeRun)
+	full, err := batch.Resume(context.Background(), whole, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestConcatenatedShardJournals(t *testing.T) {
 	// One shard recorded under a different n poisons the whole merge.
 	badShard := shardB
 	badShard.N = 8
-	if _, err := batch.RunSink(context.Background(), badShard, fakeRun, batch.NewJSONLSink(&buf)); err != nil {
+	if _, err := batch.Resume(context.Background(), badShard, fakeRun, nil, batch.NewJSONLSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	journal, err = batch.ReadJournal(bytes.NewReader(buf.Bytes()))

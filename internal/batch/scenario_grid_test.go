@@ -119,7 +119,7 @@ func TestShardDisjointExhaustive6D(t *testing.T) {
 // single-process sweep — CSV, JSON and the streaming aggregates.
 func TestMergeJournals6DByteIdentity(t *testing.T) {
 	spec := scenarioSpec()
-	full, err := batch.Run(spec, fakeRun)
+	full, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMergeJournals6DByteIdentity(t *testing.T) {
 	// Streaming aggregates folded from the merged journals must match the
 	// aggregates folded from the live sweep.
 	liveAgg := batch.NewAggSink()
-	if err := batch.RunStream(context.Background(), spec, fakeRun, liveAgg); err != nil {
+	if err := batch.ResumeStream(context.Background(), spec, fakeRun, nil, liveAgg); err != nil {
 		t.Fatal(err)
 	}
 	mergedAgg := batch.NewAggSink()
@@ -222,7 +222,7 @@ func TestMergeRefusesScenarioMismatch(t *testing.T) {
 // never emit a scenario key.
 func TestOldJournalCompat(t *testing.T) {
 	spec := okSpec() // scenario-free: defaults to ["static"]
-	full, err := batch.Run(spec, fakeRun)
+	full, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestOldJournalCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, sink); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {

@@ -30,7 +30,7 @@ func writeShardJournals(t *testing.T, spec batch.Spec, m int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := batch.RunSink(context.Background(), sharded, fakeRun, sink); err != nil {
+		if _, err := batch.Resume(context.Background(), sharded, fakeRun, nil, sink); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Close(); err != nil {
@@ -91,13 +91,13 @@ func TestShardOwnershipDisjointExhaustive(t *testing.T) {
 // shards: their journals hold a lone header and must merge cleanly.
 func TestShardedSweepMergesByteIdentical(t *testing.T) {
 	spec := okSpec() // 72 units
-	fullRep, err := batch.Run(spec, fakeRun)
+	fullRep, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fullOut := renderAll(t, fullRep)
 	var fullJournal bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&fullJournal)); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&fullJournal)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +146,7 @@ func TestShardedSweepMergesByteIdentical(t *testing.T) {
 func TestShardedResumeAfterKill(t *testing.T) {
 	spec := okSpec()
 	const m = 3
-	fullRep, err := batch.Run(spec, fakeRun)
+	fullRep, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMergeJournalsRejectsDifferentGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := batch.RunSink(context.Background(), s, fakeRun, sink); err != nil {
+		if _, err := batch.Resume(context.Background(), s, fakeRun, nil, sink); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Close(); err != nil {
@@ -294,7 +294,7 @@ func TestMergeToleratesTornTail(t *testing.T) {
 	if stats.Dropped != 1 {
 		t.Fatalf("dropped %d lines, want 1", stats.Dropped)
 	}
-	full, err := batch.Run(spec, fakeRun)
+	full, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

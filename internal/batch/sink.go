@@ -36,36 +36,6 @@ type SpecWriter interface {
 	Spec(spec Spec) error
 }
 
-// MemorySink collects cells in memory — the classic all-in-RAM Report path
-// expressed as a sink, for callers composing it with streaming sinks via
-// MultiSink.
-type MemorySink struct {
-	cells []Cell
-}
-
-// NewMemorySink returns an empty in-memory sink.
-func NewMemorySink() *MemorySink { return &MemorySink{} }
-
-// Cell appends c.
-func (m *MemorySink) Cell(c Cell) error {
-	m.cells = append(m.cells, c)
-	return nil
-}
-
-// Close is a no-op.
-func (m *MemorySink) Close() error { return nil }
-
-// Cells returns the collected cells in delivery (= expansion) order. The
-// caller must not mutate the slice while the sweep is still running.
-func (m *MemorySink) Cells() []Cell { return m.cells }
-
-// Report builds the aggregated report over the collected cells.
-func (m *MemorySink) Report(spec Spec) *Report {
-	rep := &Report{Spec: spec.withDefaults(), Cells: m.cells}
-	rep.aggregate()
-	return rep
-}
-
 // JSONLSink streams each finished cell as one JSON line. Every line is
 // emitted with a single Write call, so an interrupted sweep leaves a valid
 // journal of complete lines (plus at most one torn final line, which

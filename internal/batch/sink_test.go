@@ -21,7 +21,7 @@ func TestJSONLSinkStreamsInExpansionOrder(t *testing.T) {
 	spec := okSpec()
 	spec.Workers = 8
 	var buf bytes.Buffer
-	rep, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&buf))
+	rep, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestJSONLJournalBytesDeterministicAcrossWorkers(t *testing.T) {
 		spec := okSpec()
 		spec.Workers = workers
 		var buf bytes.Buffer
-		if _, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&buf)); err != nil {
+		if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&buf)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -73,30 +73,36 @@ func TestJSONLJournalBytesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// memorySink collects every cell a sweep delivers, in delivery order.
+type memorySink struct{ cells []batch.Cell }
+
+func (m *memorySink) Cell(c batch.Cell) error {
+	m.cells = append(m.cells, c)
+	return nil
+}
+
+func (m *memorySink) Close() error { return nil }
+
 // TestMemorySinkMatchesReport checks the sink path observes exactly the
-// cells the report records, and that MemorySink.Report aggregates them the
-// same way.
+// cells the report records, in the same (expansion) order.
 func TestMemorySinkMatchesReport(t *testing.T) {
 	spec := okSpec()
 	spec.Workers = 4
-	mem := batch.NewMemorySink()
-	rep, err := batch.RunSink(context.Background(), spec, fakeRun, mem)
+	mem := &memorySink{}
+	rep, err := batch.Resume(context.Background(), spec, fakeRun, nil, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := mem.Cells()
-	if len(cells) != len(rep.Cells) {
-		t.Fatalf("sink saw %d cells, report has %d", len(cells), len(rep.Cells))
-	}
-	var fromSink, fromRun bytes.Buffer
-	if err := mem.Report(spec).RenderCSV(&fromSink); err != nil {
+	fromSink, err := json.Marshal(mem.cells)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.RenderCSV(&fromRun); err != nil {
+	fromRun, err := json.Marshal(rep.Cells)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fromSink.Bytes(), fromRun.Bytes()) {
-		t.Fatal("MemorySink.Report renders differently from the engine's report")
+	if !bytes.Equal(fromSink, fromRun) {
+		t.Fatal("the sink saw different cells from the ones the report records")
 	}
 }
 
@@ -104,10 +110,10 @@ func TestMemorySinkMatchesReport(t *testing.T) {
 func TestMultiSinkFansOut(t *testing.T) {
 	spec := okSpec()
 	spec.Workers = 4
-	mem := batch.NewMemorySink()
+	mem := &memorySink{}
 	var buf bytes.Buffer
 	multi := batch.MultiSink{mem, batch.NewJSONLSink(&buf)}
-	rep, err := batch.RunSink(context.Background(), spec, fakeRun, multi)
+	rep, err := batch.Resume(context.Background(), spec, fakeRun, nil, multi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +127,8 @@ func TestMultiSinkFansOut(t *testing.T) {
 	if len(j.Specs) != 1 {
 		t.Fatal("MultiSink did not forward the spec header to the JSONL member")
 	}
-	if len(mem.Cells()) != len(rep.Cells) || len(j.Cells) != len(rep.Cells) {
-		t.Fatalf("fan-out incomplete: mem=%d jsonl=%d want=%d", len(mem.Cells()), len(j.Cells), len(rep.Cells))
+	if len(mem.cells) != len(rep.Cells) || len(j.Cells) != len(rep.Cells) {
+		t.Fatalf("fan-out incomplete: mem=%d jsonl=%d want=%d", len(mem.cells), len(j.Cells), len(rep.Cells))
 	}
 }
 
@@ -149,7 +155,7 @@ func TestSinkErrorAbortsTheSweep(t *testing.T) {
 	spec := okSpec()
 	spec.Workers = 4
 	sink := &failingSink{limit: 5}
-	rep, err := batch.RunSink(context.Background(), spec, fakeRun, sink)
+	rep, err := batch.Resume(context.Background(), spec, fakeRun, nil, sink)
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("sink error was swallowed: %v", err)
 	}
@@ -182,14 +188,14 @@ func TestSinkBackpressureBoundsJournalLag(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := batch.RunSink(context.Background(), spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
+		_, err := batch.Resume(context.Background(), spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
 			if u.Index == 0 {
 				<-gate
 			} else {
 				started.Add(1)
 			}
 			return fakeRun(u, g, loads, algoSeed)
-		}, batch.NewJSONLSink(&buf))
+		}, nil, batch.NewJSONLSink(&buf))
 		if err != nil {
 			t.Error(err)
 		}
@@ -270,13 +276,13 @@ func TestJSONLCellRoundTrip(t *testing.T) {
 		Workloads:  []string{"spike"},
 		N:          16,
 	}
-	rep, err := batch.Run(spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
+	rep, err := batch.Resume(context.Background(), spec, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
 		return batch.Outcome{
 			Rounds: 17, Converged: true,
 			PhiStart: 1.0 / 3.0, PhiEnd: 2.220446049250313e-16,
 			Bound: 123.456789, BoundName: "Theorem 4",
 		}, nil
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func runJournal(t *testing.T, spec batch.Spec, path, origin string) {
 		t.Fatal(err)
 	}
 	sink.Origin = origin
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, sink); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -141,7 +141,7 @@ func runJournal(t *testing.T, spec batch.Spec, path, origin string) {
 func TestMergeAcrossStolenSubRanges(t *testing.T) {
 	spec := okSpec() // 72 units
 	const m = 3
-	full, err := batch.Run(spec, fakeRun)
+	full, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +262,12 @@ func TestMergeRejectsOverlappingStolenRanges(t *testing.T) {
 func TestJournalOriginProvenance(t *testing.T) {
 	spec := okSpec()
 	var plain, annotated bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, batch.NewJSONLSink(&plain)); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&plain)); err != nil {
 		t.Fatal(err)
 	}
 	sink := batch.NewJSONLSink(&annotated)
 	sink.Origin = "ssh:host1:s0:attempt2"
-	if _, err := batch.RunSink(context.Background(), spec, fakeRun, sink); err != nil {
+	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, sink); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(plain.Bytes(), []byte("origin")) {
@@ -443,7 +443,7 @@ func TestRangedJournalHeaderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := batch.RunSink(context.Background(), ranged, fakeRun, batch.NewJSONLSink(&buf)); err != nil {
+	if _, err := batch.Resume(context.Background(), ranged, fakeRun, nil, batch.NewJSONLSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	header := buf.Bytes()[:bytes.IndexByte(buf.Bytes(), '\n')]
@@ -465,7 +465,7 @@ func TestRangedJournalHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch.RunSink(context.Background(), tail, fakeRun, batch.NewJSONLSink(&unbounded)); err != nil {
+	if _, err := batch.Resume(context.Background(), tail, fakeRun, nil, batch.NewJSONLSink(&unbounded)); err != nil {
 		t.Fatal(err)
 	}
 	header = unbounded.Bytes()[:bytes.IndexByte(unbounded.Bytes(), '\n')]

@@ -1,8 +1,8 @@
 // Package core is the top-level facade of the library: a single, documented
 // entry point that wires together the topology (internal/graph), the
 // balancing algorithms (internal/diffusion, internal/dimexchange,
-// internal/randpair), the spectral analysis (internal/spectral) and the
-// round driver (internal/sim).
+// internal/randpair) and the spectral analysis (internal/spectral), and
+// owns the one round driver every caller shares: Session.
 //
 // A typical use:
 //
@@ -31,7 +31,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/randpair"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/speccache"
 )
 
@@ -286,23 +285,43 @@ func Balance(cfg Config) (Result, error) {
 	return s.Close(), nil
 }
 
-// buildSystem constructs the requested stepper on the config's graph and
-// initial loads.
-func buildSystem(cfg Config) (sim.System, error) {
-	return buildSystemOn(cfg, cfg.Graph, cfg.Loads, rand.New(rand.NewSource(cfg.Seed)), speccache.Shared())
+// System is the stepper surface every balancing algorithm in this
+// repository exposes (diffusion, dimexchange, randpair, async, …): one Step
+// call is one synchronous round of the paper's model.
+type System interface {
+	// Step advances the system one synchronous round.
+	Step()
+	// Potential returns Φ of the current load distribution.
+	Potential() float64
+}
+
+// ContinuousState is implemented by continuous-mode steppers whose load
+// vector can be read — and mutated in place — between rounds. It is the
+// session's injection hook: arrivals land directly in the live vector,
+// without knowing the concrete algorithm type or rebuilding the stepper.
+type ContinuousState interface {
+	// LoadVector returns the live per-node load vector (not a copy).
+	LoadVector() []float64
+}
+
+// DiscreteState is ContinuousState for token-mode steppers.
+type DiscreteState interface {
+	// LoadTokens returns the live per-node token counts (not a copy).
+	LoadTokens() []int64
 }
 
 // buildSystemOn constructs the requested stepper on an explicit graph and
-// load vector with an explicit RNG — the factory the scenario round loop
-// uses to rebuild a stepper when the active graph changes mid-run. The
-// persistent rng keeps a randomized algorithm's draw stream continuous
-// across rebuilds, so a run's randomness does not restart with each churn.
+// load vector with an explicit RNG — the factory Open, NewSystem and
+// SwapGraph share; SwapGraph uses it to rebuild a stepper when the active
+// graph changes mid-run. Its persistent rng keeps a randomized algorithm's
+// draw stream continuous across rebuilds, so a run's randomness does not
+// restart with each churn.
 // spectra supplies the second-order scheme's γ: the shared process-wide
 // cache for graphs that recur across units, a run-local cache for the
 // transient per-round subgraphs a churn scenario draws (which would
 // otherwise each cost an eigensolve entry in — and disk spill from — the
 // shared cache, never to be looked up again).
-func buildSystemOn(cfg Config, g *graph.G, loads []float64, rng *rand.Rand, spectra *speccache.Cache) (sim.System, error) {
+func buildSystemOn(cfg Config, g *graph.G, loads []float64, rng *rand.Rand, spectra *speccache.Cache) (System, error) {
 	switch cfg.Algorithm {
 	case Diffusion:
 		if cfg.Mode == Discrete {
@@ -358,16 +377,17 @@ func buildSystemOn(cfg Config, g *graph.G, loads []float64, rng *rand.Rand, spec
 }
 
 // NewSystem validates cfg's structural fields and constructs the configured
-// stepper without running it — the entry point for harnesses (notably
-// internal/perfbench) that drive rounds themselves. The stepper starts from
+// stepper without a Session around it — the entry point for harnesses
+// (notably internal/perfbench) that time bare Step calls themselves. The stepper starts from
 // a copy of cfg.Loads; Epsilon, MaxRounds and Scenario are ignored, and no
 // spectral bound is computed (SecondOrder still pays for its β through the
 // shared γ cache).
-func NewSystem(cfg Config) (sim.System, error) {
+func NewSystem(cfg Config) (System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return buildSystem(cfg.withDefaults())
+	cfg = cfg.withDefaults()
+	return buildSystemOn(cfg, cfg.Graph, cfg.Loads, rand.New(rand.NewSource(cfg.Seed)), speccache.Shared())
 }
 
 // SpikeLoads places the whole load on node 0 — the canonical hard start.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/graph"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // roundWorkerCounts are the worker counts every stepper must be
@@ -58,17 +57,17 @@ func algorithmModes() []struct {
 }
 
 // loadBits fingerprints the stepper's live load state at bit level.
-func loadBits(t *testing.T, sys sim.System, mode Mode) []uint64 {
+func loadBits(t *testing.T, sys System, mode Mode) []uint64 {
 	t.Helper()
 	if mode == Discrete {
-		tok := sys.(sim.DiscreteState).LoadTokens()
+		tok := sys.(DiscreteState).LoadTokens()
 		out := make([]uint64, len(tok))
 		for i, x := range tok {
 			out[i] = uint64(x)
 		}
 		return out
 	}
-	v := sys.(sim.ContinuousState).LoadVector()
+	v := sys.(ContinuousState).LoadVector()
 	out := make([]uint64, len(v))
 	for i, x := range v {
 		out[i] = math.Float64bits(x)

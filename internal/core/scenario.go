@@ -9,7 +9,6 @@ import (
 	"repro/internal/dimexchange"
 	"repro/internal/randpair"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // runScenario drives an open session under its non-static scenario: each
@@ -66,7 +65,7 @@ func runScenario(s *Session) (Result, error) {
 // or a float view of the token counts. Token counts of any realistic
 // magnitude are exact in float64, so the view round-trips losslessly into
 // the next stepper build.
-func currentLoads(sys sim.System, mode Mode) []float64 {
+func currentLoads(sys System, mode Mode) []float64 {
 	if mode == Discrete {
 		tok := mustDiscrete(sys).LoadTokens()
 		out := make([]float64, len(tok))
@@ -80,7 +79,7 @@ func currentLoads(sys sim.System, mode Mode) []float64 {
 
 // inject lands the arrivals in the stepper's live load state, returning
 // the total injected (discrete amounts round to whole tokens).
-func inject(sys sim.System, mode Mode, arrivals []scenario.Arrival) (float64, error) {
+func inject(sys System, mode Mode, arrivals []scenario.Arrival) (float64, error) {
 	if len(arrivals) == 0 {
 		return 0, nil
 	}
@@ -110,18 +109,18 @@ func inject(sys sim.System, mode Mode, arrivals []scenario.Arrival) (float64, er
 
 // mustContinuous and mustDiscrete assert the stepper exposes the matching
 // state hook. Every algorithm core builds implements them; a panic here
-// means a new stepper was added without its sim.ContinuousState or
-// sim.DiscreteState method.
-func mustContinuous(sys sim.System) sim.ContinuousState {
-	cs, ok := sys.(sim.ContinuousState)
+// means a new stepper was added without its ContinuousState or
+// DiscreteState method.
+func mustContinuous(sys System) ContinuousState {
+	cs, ok := sys.(ContinuousState)
 	if !ok {
 		panic(fmt.Sprintf("core: stepper %T has no LoadVector hook", sys))
 	}
 	return cs
 }
 
-func mustDiscrete(sys sim.System) sim.DiscreteState {
-	ds, ok := sys.(sim.DiscreteState)
+func mustDiscrete(sys System) DiscreteState {
+	ds, ok := sys.(DiscreteState)
 	if !ok {
 		panic(fmt.Sprintf("core: stepper %T has no LoadTokens hook", sys))
 	}
@@ -132,14 +131,14 @@ func mustDiscrete(sys sim.System) sim.DiscreteState {
 // its state hook, so forgetting the method on a new algorithm fails the
 // build, not a sweep.
 var (
-	_ sim.ContinuousState = (*diffusion.Continuous)(nil)
-	_ sim.ContinuousState = (*diffusion.FirstOrder)(nil)
-	_ sim.ContinuousState = (*diffusion.SecondOrder)(nil)
-	_ sim.ContinuousState = (*dimexchange.Continuous)(nil)
-	_ sim.ContinuousState = (*dimexchange.RoundRobin)(nil)
-	_ sim.ContinuousState = (*randpair.Continuous)(nil)
-	_ sim.DiscreteState   = (*diffusion.Discrete)(nil)
-	_ sim.DiscreteState   = (*dimexchange.Discrete)(nil)
-	_ sim.DiscreteState   = (*dimexchange.RoundRobinDiscrete)(nil)
-	_ sim.DiscreteState   = (*randpair.Discrete)(nil)
+	_ ContinuousState = (*diffusion.Continuous)(nil)
+	_ ContinuousState = (*diffusion.FirstOrder)(nil)
+	_ ContinuousState = (*diffusion.SecondOrder)(nil)
+	_ ContinuousState = (*dimexchange.Continuous)(nil)
+	_ ContinuousState = (*dimexchange.RoundRobin)(nil)
+	_ ContinuousState = (*randpair.Continuous)(nil)
+	_ DiscreteState   = (*diffusion.Discrete)(nil)
+	_ DiscreteState   = (*dimexchange.Discrete)(nil)
+	_ DiscreteState   = (*dimexchange.RoundRobinDiscrete)(nil)
+	_ DiscreteState   = (*randpair.Discrete)(nil)
 )

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/randpair"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/speccache"
 )
 
@@ -45,7 +44,7 @@ type Session struct {
 	cfg  Config
 	base *graph.G // cfg.Graph; SwapGraph may activate others
 	g    *graph.G // the active graph
-	sys  sim.System
+	sys  System
 
 	// algoRNG persists across SwapGraph rebuilds so a randomized
 	// algorithm's draw stream never restarts mid-run; runSpectra keeps

@@ -160,7 +160,7 @@ func (c *Continuous) Step() {
 // Potential returns Φ of the current distribution.
 func (c *Continuous) Potential() float64 { return c.Load.Potential() }
 
-// LoadVector returns the live load vector (implements sim.ContinuousState,
+// LoadVector returns the live load vector (implements core.ContinuousState,
 // the scenario engine's between-round injection hook).
 func (c *Continuous) LoadVector() []float64 { return c.Load.Vector() }
 
@@ -226,7 +226,7 @@ func (d *Discrete) Step() {
 // Potential returns Φ of the current distribution.
 func (d *Discrete) Potential() float64 { return d.Load.Potential() }
 
-// LoadTokens returns the live token counts (implements sim.DiscreteState,
+// LoadTokens returns the live token counts (implements core.DiscreteState,
 // the scenario engine's between-round injection hook).
 func (d *Discrete) LoadTokens() []int64 { return d.Load.Tokens() }
 

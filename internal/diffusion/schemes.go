@@ -57,7 +57,7 @@ func (f *FirstOrder) Step() {
 // Potential returns Φ of the current distribution.
 func (f *FirstOrder) Potential() float64 { return f.Load.Potential() }
 
-// LoadVector returns the live load vector (implements sim.ContinuousState).
+// LoadVector returns the live load vector (implements core.ContinuousState).
 func (f *FirstOrder) LoadVector() []float64 { return f.Load.Vector() }
 
 // SecondOrder is the second-order scheme of [15]:
@@ -144,7 +144,7 @@ func (s *SecondOrder) Step() {
 // shows; only the envelope decays at the accelerated rate.
 func (s *SecondOrder) Potential() float64 { return s.Load.Potential() }
 
-// LoadVector returns the live load vector (implements sim.ContinuousState).
+// LoadVector returns the live load vector (implements core.ContinuousState).
 // Injecting into it perturbs Lᵗ only; the scheme's Lᵗ⁻¹ memory is left to
 // absorb the shock over the next rounds.
 func (s *SecondOrder) LoadVector() []float64 { return s.Load.Vector() }

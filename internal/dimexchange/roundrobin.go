@@ -102,7 +102,7 @@ func (r *RoundRobin) Step() {
 // Potential returns Φ of the current distribution.
 func (r *RoundRobin) Potential() float64 { return r.Load.Potential() }
 
-// LoadVector returns the live load vector (implements sim.ContinuousState).
+// LoadVector returns the live load vector (implements core.ContinuousState).
 func (r *RoundRobin) LoadVector() []float64 { return r.Load.Vector() }
 
 // RoundRobinDiscrete is the token version: matched pairs move ⌊diff/2⌋.
@@ -180,5 +180,5 @@ func (r *RoundRobinDiscrete) Step() {
 // Potential returns Φ of the current distribution.
 func (r *RoundRobinDiscrete) Potential() float64 { return r.Load.Potential() }
 
-// LoadTokens returns the live token counts (implements sim.DiscreteState).
+// LoadTokens returns the live token counts (implements core.DiscreteState).
 func (r *RoundRobinDiscrete) LoadTokens() []int64 { return r.Load.Tokens() }

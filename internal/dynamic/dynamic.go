@@ -5,19 +5,16 @@
 //
 // The package provides graph-sequence generators (random subgraphs of a
 // base topology, periodic edge failures, alternating topologies, random
-// matchings viewed as degenerate graphs) and steppers that run Algorithm 1
-// — continuous and discrete — against a sequence, tracking the per-round
-// λ₂⁽ᵏ⁾/δ⁽ᵏ⁾ statistics that Theorems 7 and 8 are stated in.
+// matchings viewed as degenerate graphs) and the per-round λ₂⁽ᵏ⁾/δ⁽ᵏ⁾
+// record that Theorems 7 and 8 are stated in. Runs against a sequence are
+// core.Session runs that SwapGraph to seq.Next(k) before every round k.
 package dynamic
 
 import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/diffusion"
 	"repro/internal/graph"
-	"repro/internal/load"
-	"repro/internal/speccache"
 )
 
 // Sequence yields the active graph of each round. Implementations must be
@@ -126,90 +123,6 @@ type RoundStat struct {
 	Lambda2 float64
 	Delta   int
 	Phi     float64 // potential after the round
-}
-
-// Result is the outcome of a dynamic run.
-type Result struct {
-	Stats []RoundStat
-	// AK is the Theorem 7 average A_K = (1/K)·Σ λ₂⁽ᵏ⁾/δ⁽ᵏ⁾ over the rounds
-	// actually executed (disconnected rounds contribute 0).
-	AK float64
-	// PhiStart and PhiEnd bracket the run.
-	PhiStart, PhiEnd float64
-}
-
-// Rounds returns the number of executed rounds.
-func (r Result) Rounds() int { return len(r.Stats) }
-
-// RunContinuous runs the continuous Algorithm 1 against seq until the
-// potential falls to target or maxRounds elapse. Spectral stats are
-// computed per round (λ₂ of each round's graph), which is the dominant cost
-// for large graphs — callers that only need the trajectory can pass
-// withSpectra=false to skip it. λ₂ goes through a per-run speccache, so
-// sequences that revisit graphs (alternating topologies, periodic failure
-// patterns) pay for each distinct round graph once — while sequences that
-// build a fresh graph every round only grow a cache that dies with the
-// run, not the process-wide one.
-func RunContinuous(seq Sequence, initial []float64, target float64, maxRounds int, withSpectra bool) Result {
-	cache := speccache.New()
-	cur := load.NewContinuous(initial)
-	res := Result{PhiStart: cur.Potential()}
-	phi := res.PhiStart
-	var sumRatio float64
-	for k := 0; k < maxRounds && phi > target; k++ {
-		g := seq.Next(k)
-		st := diffusion.NewContinuous(g, cur.Vector())
-		st.Step()
-		copy(cur.Vector(), st.Load.Vector())
-		phi = cur.Potential()
-		stat := RoundStat{Round: k, Delta: g.MaxDegree(), Phi: phi}
-		if withSpectra {
-			if l2, err := cache.Lambda2(g); err == nil {
-				stat.Lambda2 = l2
-				if stat.Delta > 0 {
-					sumRatio += l2 / float64(stat.Delta)
-				}
-			}
-		}
-		res.Stats = append(res.Stats, stat)
-	}
-	if n := len(res.Stats); n > 0 && withSpectra {
-		res.AK = sumRatio / float64(n)
-	}
-	res.PhiEnd = phi
-	return res
-}
-
-// RunDiscrete is RunContinuous for the discrete Algorithm 1. The run stops
-// when Φ ≤ target (callers pass the Theorem 8 threshold Φ*) or maxRounds.
-func RunDiscrete(seq Sequence, initial []int64, target float64, maxRounds int, withSpectra bool) Result {
-	cache := speccache.New()
-	cur := load.NewDiscrete(initial)
-	res := Result{PhiStart: cur.Potential()}
-	phi := res.PhiStart
-	var sumRatio float64
-	for k := 0; k < maxRounds && phi > target; k++ {
-		g := seq.Next(k)
-		st := diffusion.NewDiscrete(g, cur.Tokens())
-		st.Step()
-		copy(cur.Tokens(), st.Load.Tokens())
-		phi = cur.Potential()
-		stat := RoundStat{Round: k, Delta: g.MaxDegree(), Phi: phi}
-		if withSpectra {
-			if l2, err := cache.Lambda2(g); err == nil {
-				stat.Lambda2 = l2
-				if stat.Delta > 0 {
-					sumRatio += l2 / float64(stat.Delta)
-				}
-			}
-		}
-		res.Stats = append(res.Stats, stat)
-	}
-	if n := len(res.Stats); n > 0 && withSpectra {
-		res.AK = sumRatio / float64(n)
-	}
-	res.PhiEnd = phi
-	return res
 }
 
 // Theorem8Threshold computes Φ* = 64·n·max_k(δ⁽ᵏ⁾)³/λ₂⁽ᵏ⁾ over the rounds

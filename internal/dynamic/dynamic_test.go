@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/workload"
 )
 
 func TestStaticSequence(t *testing.T) {
@@ -78,73 +77,6 @@ func TestEdgeFailures(t *testing.T) {
 	}
 }
 
-func TestRunContinuousOnStaticMatchesTheorem7Shape(t *testing.T) {
-	// On a static sequence Theorem 7 reduces to Theorem 4: the run must
-	// reach ε·Φ⁰ within ln(1/ε)/A_K rounds for A_K = λ₂/(4δ)… we check the
-	// conservative 4× version used in the paper's Theorem 4 proof.
-	g := graph.Torus(4, 4)
-	init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
-	const eps = 1e-3
-	res := RunContinuous(Static{G: g}, init, eps*potentialOf(init), 10000, true)
-	if res.PhiEnd > eps*res.PhiStart {
-		t.Fatalf("did not converge: %v → %v", res.PhiStart, res.PhiEnd)
-	}
-	if res.AK <= 0 {
-		t.Fatalf("A_K = %v", res.AK)
-	}
-	bound := 4 * math.Log(1/eps) / res.AK
-	if float64(res.Rounds()) > bound {
-		t.Fatalf("rounds %d exceed Theorem 7 bound %v", res.Rounds(), bound)
-	}
-}
-
-func TestRunContinuousDynamicConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := graph.Hypercube(4)
-	seq := &RandomSubgraphs{Base: base, KeepProb: 0.7, RNG: rng}
-	init := workload.Continuous(workload.Spike, base.N(), 1e5, nil)
-	res := RunContinuous(seq, init, 1e-3*potentialOf(init), 5000, true)
-	if res.PhiEnd > 1e-3*res.PhiStart {
-		t.Fatalf("dynamic run failed to converge: %v → %v", res.PhiStart, res.PhiEnd)
-	}
-	// Potential must be non-increasing round over round (continuous case).
-	prev := res.PhiStart
-	for _, s := range res.Stats {
-		if s.Phi > prev+1e-9*(1+prev) {
-			t.Fatalf("Φ rose in round %d", s.Round)
-		}
-		prev = s.Phi
-	}
-}
-
-func TestRunDiscreteReachesTheorem8Threshold(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	base := graph.Torus(4, 4)
-	seq := &RandomSubgraphs{Base: base, KeepProb: 0.8, RNG: rng}
-	init := workload.Discrete(workload.Spike, base.N(), 10_000_000, nil)
-	// First pass to collect per-round spectra for the threshold.
-	res := RunDiscrete(seq, init, 0, 600, true)
-	thr := Theorem8Threshold(base.N(), res.Stats)
-	if thr <= 0 {
-		t.Fatalf("threshold %v", thr)
-	}
-	if res.PhiEnd > thr {
-		t.Fatalf("Φ end %v above Theorem 8 threshold %v", res.PhiEnd, thr)
-	}
-}
-
-func TestRunStopsAtTarget(t *testing.T) {
-	g := graph.Complete(8)
-	init := workload.Continuous(workload.Spike, 8, 100, nil)
-	res := RunContinuous(Static{G: g}, init, potentialOf(init)*0.5, 1000, false)
-	if res.Rounds() >= 1000 {
-		t.Fatal("should stop early at target")
-	}
-	if res.AK != 0 {
-		t.Fatal("AK must be 0 when spectra are skipped")
-	}
-}
-
 func TestTheorem8ThresholdSkipsDisconnected(t *testing.T) {
 	stats := []RoundStat{
 		{Lambda2: 0, Delta: 4},   // disconnected round: ignored
@@ -156,18 +88,4 @@ func TestTheorem8ThresholdSkipsDisconnected(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("threshold %v, want %v", got, want)
 	}
-}
-
-func potentialOf(v []float64) float64 {
-	var mean float64
-	for _, x := range v {
-		mean += x
-	}
-	mean /= float64(len(v))
-	var s float64
-	for _, x := range v {
-		d := x - mean
-		s += d * d
-	}
-	return s
 }

@@ -5,10 +5,8 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/diffusion"
-	"repro/internal/dimexchange"
+	"repro/internal/core"
 	"repro/internal/markov"
-	"repro/internal/sim"
 	"repro/internal/speccache"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -39,14 +37,14 @@ func E11VsDimensionExchange(o Options) *trace.Table {
 	rows := make([]row, len(suite))
 	o.sweep(len(rows), func(i int, rng *rand.Rand) {
 		g := suite[i]
-		init := workload.Continuous(workload.Spike, g.N(), 1e8, nil)
-		diffSt := diffusion.NewContinuous(g, init)
-		diffRounds := sim.RoundsToFraction(diffSt, eps, maxRounds)
+		cfg := core.Config{Graph: g, Loads: workload.Continuous(workload.Spike, g.N(), 1e8, nil), Epsilon: eps}
+		diffRounds := o.roundsTo(cfg, maxRounds)
 
 		var dimRounds []float64
+		cfg.Algorithm = core.DimensionExchange
 		for k := 0; k < reps; k++ {
-			st := dimexchange.NewContinuous(g, init, rand.New(rand.NewSource(rng.Int63())))
-			dimRounds = append(dimRounds, float64(sim.RoundsToFraction(st, eps, maxRounds)))
+			cfg.Seed = rng.Int63()
+			dimRounds = append(dimRounds, float64(o.roundsTo(cfg, maxRounds)))
 		}
 		s := stats.Summarize(dimRounds)
 		speedup := s.Mean / float64(diffRounds)
@@ -73,16 +71,17 @@ func E12VsFirstSecondOrder(o Options) *trace.Table {
 	rows := make([]row, len(suite))
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		g := suite[i]
-		init := workload.Continuous(workload.Spike, g.N(), 1e8, nil)
-
-		a1 := sim.RoundsToFraction(diffusion.NewContinuous(g, init), eps, maxRounds)
-		fo := sim.RoundsToFraction(diffusion.NewFirstOrder(g, init), eps, maxRounds)
+		cfg := core.Config{Graph: g, Loads: workload.Continuous(workload.Spike, g.N(), 1e8, nil), Epsilon: eps}
+		a1 := o.roundsTo(cfg, maxRounds)
+		cfg.Algorithm = core.FirstOrder
+		fo := o.roundsTo(cfg, maxRounds)
 
 		gamma := math.NaN()
 		so := maxRounds + 1
 		if gm, err := speccache.Gamma(g); err == nil {
 			gamma = gm
-			so = sim.RoundsToFraction(diffusion.NewSecondOrder(g, init, diffusion.OptimalBeta(gm)), eps, maxRounds)
+			cfg.Algorithm = core.SecondOrder
+			so = o.roundsTo(cfg, maxRounds)
 		}
 		rows[i] = row{g.Name(), a1, fo, so, gamma}
 	})

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/batch"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -32,8 +33,8 @@ type Options struct {
 	// Results are identical for any value: every sweep cell draws from its
 	// own RNG stream derived from Seed and the cell index.
 	Workers int
-	// RoundWorkers is the round-level worker count handed to the steppers
-	// an experiment drives directly (≤ 0 means serial rounds). Like
+	// RoundWorkers is the round-level worker count handed to the runs an
+	// experiment drives through core (≤ 0 means serial rounds). Like
 	// Workers it is a pure scheduling knob: tables are byte-identical for
 	// any value.
 	RoundWorkers int
@@ -74,6 +75,54 @@ func (o Options) sweep(n int, body func(i int, rng *rand.Rand)) {
 			panic(err)
 		}
 	}
+}
+
+// balance runs cfg through core.Balance — the Session every grid sweep and
+// lbserved also run on — capped at maxRounds rounds, on o.RoundWorkers
+// round workers. The experiments build their configurations themselves, so
+// a rejected one is a programming error.
+func (o Options) balance(cfg core.Config, maxRounds int) core.Result {
+	cfg.MaxRounds, cfg.Workers = maxRounds, o.RoundWorkers
+	res, err := core.Balance(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// roundsTo is balance reduced to the comparison tables' round count:
+// the rounds taken to reach the target, or maxRounds+1 when the cap was hit
+// first.
+func (o Options) roundsTo(cfg core.Config, maxRounds int) int {
+	if res := o.balance(cfg, maxRounds); res.Converged {
+		return res.Rounds
+	}
+	return maxRounds + 1
+}
+
+// stepUntil is the round loop for steppers core does not build — the
+// asynchronous and dimension-class schedules — and for E9/E10, whose probe
+// trials and timed run share one RNG stream: it steps sys until Φ ≤ target
+// or maxRounds rounds have run, returning the rounds run and whether the
+// target was reached.
+func stepUntil(sys core.System, target float64, maxRounds int) (int, bool) {
+	for t := 0; ; t++ {
+		if sys.Potential() <= target {
+			return t, true
+		}
+		if t == maxRounds {
+			return t, false
+		}
+		sys.Step()
+	}
+}
+
+// roundsToFraction is roundsTo for a bare stepper: stepUntil to frac·Φ⁰.
+func roundsToFraction(sys core.System, frac float64, maxRounds int) int {
+	if rounds, ok := stepUntil(sys, frac*sys.Potential(), maxRounds); ok {
+		return rounds
+	}
+	return maxRounds + 1
 }
 
 // row holds one table row's values until the sweep finishes; nil rows

@@ -71,7 +71,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 // Theorem-bound experiments must show measured ≤ bound in their ratio
-// column. Checks the quick-mode rows of E3 (Theorem 4) and E4 (Theorem 6).
+// column: the quick-mode rows of E3/E19 (Theorem 4), E4/E19 (Theorem 6),
+// E5 (Theorem 7), E6 (Theorem 8), E9 (Theorem 12) and E10 (Theorem 14).
 func TestBoundsRespectedQuick(t *testing.T) {
 	cases := []struct {
 		id       string
@@ -80,6 +81,7 @@ func TestBoundsRespectedQuick(t *testing.T) {
 		{"E3", "rounds/bound"},
 		{"E4", "rounds/bound"},
 		{"E5", "K/bound"},
+		{"E6", "K/bound"},
 		{"E9", "rounds/bound"},
 		{"E10", "rounds/bound"},
 		{"E19", "T4 ratio"},

@@ -5,12 +5,12 @@ import (
 	"math/rand"
 
 	"repro/internal/async"
+	"repro/internal/core"
 	"repro/internal/diffusion"
 	"repro/internal/dimexchange"
 	"repro/internal/flow"
 	"repro/internal/matrix"
 	"repro/internal/randpair"
-	"repro/internal/sim"
 	"repro/internal/speccache"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -169,8 +169,10 @@ func A4OPSComparison(o Options) *trace.Table {
 		for !ops.Done() {
 			ops.Step()
 		}
-		a1 := sim.RoundsToFraction(diffusion.NewContinuous(g, init), eps, horizon)
-		fo := sim.RoundsToFraction(diffusion.NewFirstOrder(g, init), eps, horizon)
+		cfg := core.Config{Graph: g, Loads: init, Epsilon: eps}
+		a1 := o.roundsTo(cfg, horizon)
+		cfg.Algorithm = core.FirstOrder
+		fo := o.roundsTo(cfg, horizon)
 		rows[i] = row{g.Name(), ops.Rounds(), ops.Potential(), a1, fo}
 	})
 	emit(t, rows)
@@ -194,10 +196,10 @@ func A5SyncVsAsync(o Options) *trace.Table {
 	o.sweep(len(rows), func(i int, rng *rand.Rand) {
 		g := suite[i]
 		init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
-		sync := sim.RoundsToFraction(diffusion.NewContinuous(g, init), eps, horizon)
-		asyncU := sim.RoundsToFraction(
+		sync := o.roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, horizon)
+		asyncU := roundsToFraction(
 			async.NewContinuous(g, init, async.UniformRandom, rand.New(rand.NewSource(rng.Int63()))), eps, horizon)
-		asyncR := sim.RoundsToFraction(
+		asyncR := roundsToFraction(
 			async.NewContinuous(g, init, async.RoundRobin, nil), eps, horizon)
 		rows[i] = row{g.Name(), sync, asyncU, asyncR, float64(asyncU) / float64(sync)}
 	})

@@ -4,11 +4,12 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/diffusion"
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/matrix"
 	"repro/internal/sequential"
-	"repro/internal/sim"
 	"repro/internal/speccache"
 	"repro/internal/spectral"
 	"repro/internal/trace"
@@ -137,9 +138,8 @@ func E3ContinuousConvergence(o Options) *trace.Table {
 		g, eps := suite[i/len(epsilons)], epsilons[i%len(epsilons)]
 		lambda2 := speccache.MustLambda2(g)
 		init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
-		st := diffusion.NewContinuous(g, init)
 		bound := diffusion.ContinuousBound(g, lambda2, eps)
-		rounds := sim.RoundsToFraction(st, eps, int(bound)+1)
+		rounds := o.roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, int(bound)+1)
 		rows[i] = row{g.Name(), lambda2, g.MaxDegree(), eps, rounds, bound, float64(rounds) / bound}
 	})
 	emit(t, rows)
@@ -158,22 +158,28 @@ func E4DiscreteConvergence(o Options) *trace.Table {
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		g := suite[i]
 		lambda2 := speccache.MustLambda2(g)
-		init := workload.Discrete(workload.Spike, g.N(), 1_000_000_000, nil)
-		st := diffusion.NewDiscrete(g, init)
-		phi0 := st.Potential()
-		thr := diffusion.DiscreteThreshold(g, lambda2)
-		bound := diffusion.DiscreteBound(g, lambda2, phi0)
-		maxRounds := int(bound) + 1
-		res := sim.Run(st, maxRounds, sim.UntilPotential(thr))
+		res, thr := o.discreteToThreshold(g, lambda2)
 		ratio := math.NaN()
-		if bound > 0 {
-			ratio = float64(res.Rounds) / bound
+		if res.Bound > 0 {
+			ratio = float64(res.Rounds) / res.Bound
 		}
-		rows[i] = row{g.Name(), phi0, thr, res.Rounds, bound, ratio, res.PhiEnd() / thr}
+		rows[i] = row{g.Name(), res.PhiStart, thr, res.Rounds, res.Bound, ratio, res.PhiEnd / thr}
 	})
 	emit(t, rows)
 	t.Note("Theorem 6 holds when rounds/bound ≤ 1 and Φ end/threshold ≤ 1.")
 	return t
+}
+
+// discreteToThreshold runs the discrete Algorithm 1 from a 10⁹-token spike
+// until Φ reaches the Theorem 6 threshold 64δ³n/λ₂, capped at the theorem's
+// round bound + 1. The Session raises a discrete run's target to that
+// threshold whenever ε·Φ⁰ lies below it, so a vanishing ε makes the
+// threshold the target exactly.
+func (o Options) discreteToThreshold(g *graph.G, lambda2 float64) (core.Result, float64) {
+	init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
+	bound := diffusion.DiscreteBound(g, lambda2, load.NewContinuous(init).Potential())
+	cfg := core.Config{Graph: g, Mode: core.Discrete, Loads: init, Epsilon: math.SmallestNonzeroFloat64}
+	return o.balance(cfg, int(bound)+1), diffusion.DiscreteThreshold(g, lambda2)
 }
 
 // A1DiffusionFactor ablates the paper's transfer rule 1/(4·max(dᵢ,dⱼ))

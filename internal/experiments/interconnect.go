@@ -4,9 +4,9 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/diffusion"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/speccache"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -53,23 +53,17 @@ func E19Interconnects(o Options) *trace.Table {
 		// Continuous / Theorem 4.
 		init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
 		contBound := diffusion.ContinuousBound(g, lambda2, eps)
-		contRounds := sim.RoundsToFraction(diffusion.NewContinuous(g, init), eps, int(contBound)+1)
+		contRounds := o.roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, int(contBound)+1)
 
 		// Discrete / Theorem 6.
-		tokens := workload.Discrete(workload.Spike, g.N(), 1_000_000_000, nil)
-		st := diffusion.NewDiscrete(g, tokens)
-		phi0 := st.Potential()
-		thr := diffusion.DiscreteThreshold(g, lambda2)
-		discBound := diffusion.DiscreteBound(g, lambda2, phi0)
-		res := sim.Run(st, int(discBound)+1, sim.UntilPotential(thr))
-
+		res, _ := o.discreteToThreshold(g, lambda2)
 		discRatio := math.NaN()
-		if discBound > 0 {
-			discRatio = float64(res.Rounds) / discBound
+		if res.Bound > 0 {
+			discRatio = float64(res.Rounds) / res.Bound
 		}
 		rows[i] = row{g.Name(), g.N(), g.MaxDegree(), lambda2,
 			contRounds, contBound, float64(contRounds) / contBound,
-			res.Rounds, discBound, discRatio}
+			res.Rounds, res.Bound, discRatio}
 	})
 	emit(t, rows)
 	t.Note("both ratio columns must stay ≤ 1: the paper's bounds are stated for arbitrary connected topologies, and these families exercise λ₂ values the closed-form suite does not reach.")

@@ -8,7 +8,6 @@ import (
 	"repro/internal/load"
 	"repro/internal/matrix"
 	"repro/internal/randpair"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -120,8 +119,8 @@ func E9RandomPartners(o Options) *trace.Table {
 		st := randpair.NewContinuous(init, rng)
 		phi0 := st.Potential()
 		bound := 120 * math.Log(phi0)
-		res := sim.Run(st, int(bound)+1, sim.UntilPotential(math.Exp(-1)))
-		rows[i] = row{n, meanFactor, randpair.ContinuousDropBound, res.Rounds, bound, float64(res.Rounds) / bound}
+		rounds, _ := stepUntil(st, math.Exp(-1), int(bound)+1)
+		rows[i] = row{n, meanFactor, randpair.ContinuousDropBound, rounds, bound, float64(rounds) / bound}
 	})
 	emit(t, rows)
 	t.Note("Lemma 11 holds when mean factor ≤ 0.95; Theorem 12 when rounds/bound ≤ 1 (measured is typically ≪).")
@@ -157,8 +156,8 @@ func E10RandomPartnersDiscrete(o Options) *trace.Table {
 		phi0 := st.Potential()
 		thr := randpair.DiscreteThreshold(n)
 		bound := 240 * math.Log(phi0/thr)
-		res := sim.Run(st, int(bound)+1, sim.UntilPotential(thr))
-		rows[i] = row{n, meanFactor, randpair.DiscreteDropBound, res.Rounds, bound, float64(res.Rounds) / bound}
+		rounds, _ := stepUntil(st, thr, int(bound)+1)
+		rows[i] = row{n, meanFactor, randpair.DiscreteDropBound, rounds, bound, float64(rounds) / bound}
 	})
 	emit(t, rows)
 	t.Note("Lemma 13 holds when mean factor ≤ 0.975 above the 3200n threshold; Theorem 14 when rounds/bound ≤ 1.")

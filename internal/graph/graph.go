@@ -6,8 +6,8 @@
 //
 // Graphs are simple (no self loops, no multi-edges) and immutable once
 // built; every algorithm in this repository treats the topology as
-// read-only, which is what makes the goroutine-parallel round executor in
-// internal/sim safe without locks.
+// read-only, which is what makes the steppers' goroutine-parallel round
+// executors (internal/parallel) safe without locks.
 package graph
 
 import (

@@ -37,7 +37,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/spectral"
 	"repro/internal/topoparse"
 	"repro/internal/workload"
@@ -477,7 +476,7 @@ func calibrate(cfg Config) (float64, error) {
 // ns/round of the fastest sample and the final-state checksum.
 func measure(cfg Config, g *graph.G, algo core.Algorithm, mode core.Mode, loads []float64, rw, rounds int) (float64, string, error) {
 	best := time.Duration(math.MaxInt64)
-	var last sim.System
+	var last core.System
 	for s := 0; s < cfg.Samples; s++ {
 		sys, err := core.NewSystem(core.Config{
 			Graph:     g,
@@ -518,16 +517,16 @@ func parseMode(s string) (core.Mode, error) {
 // float bits (continuous) or token values (discrete). Bit-level, not
 // value-level — +0/−0 or differing NaN payloads would show — which is
 // exactly the byte-identity contract the parallel paths promise.
-func stateChecksum(sys sim.System) string {
+func stateChecksum(sys core.System) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	switch s := sys.(type) {
-	case sim.DiscreteState:
+	case core.DiscreteState:
 		for _, t := range s.LoadTokens() {
 			binary.LittleEndian.PutUint64(buf[:], uint64(t))
 			h.Write(buf[:])
 		}
-	case sim.ContinuousState:
+	case core.ContinuousState:
 		for _, v := range s.LoadVector() {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])

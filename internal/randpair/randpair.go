@@ -240,7 +240,7 @@ func (c *Continuous) Step() {
 // Potential returns Φ of the current distribution.
 func (c *Continuous) Potential() float64 { return c.Load.Potential() }
 
-// LoadVector returns the live load vector (implements sim.ContinuousState).
+// LoadVector returns the live load vector (implements core.ContinuousState).
 func (c *Continuous) LoadVector() []float64 { return c.Load.Vector() }
 
 // Discrete is the discrete Algorithm 2 stepper (floor transfers).
@@ -380,7 +380,7 @@ func (d *Discrete) Step() {
 // Potential returns Φ of the current distribution.
 func (d *Discrete) Potential() float64 { return d.Load.Potential() }
 
-// LoadTokens returns the live token counts (implements sim.DiscreteState).
+// LoadTokens returns the live token counts (implements core.DiscreteState).
 func (d *Discrete) LoadTokens() []int64 { return d.Load.Tokens() }
 
 // PartnerDegreeProbe estimates, by Monte-Carlo over rounds, the Lemma 9
