@@ -142,36 +142,56 @@ func TestGridResumeSkipsUnitSpans(t *testing.T) {
 
 // TestSessionHotLoopZeroAllocs is the gate behind "telemetry off is free":
 // with no Phases attached, the serial Step+Commit round loop must not
-// allocate. A regression here means instrumentation leaked into the hot
-// path (e.g. a time.Time escaping, or an unconditional map for span args).
+// allocate, for every algorithm × mode core builds a reusable round for.
+// A regression here means instrumentation leaked into the hot path (e.g. a
+// time.Time escaping, or an unconditional map for span args), a stepper
+// builds a closure per round, or a Potential copies the load vector.
+// Random matching (dimexchange) is left out: it draws a fresh matching
+// every round and allocates doing so (3 times per round on this torus).
 func TestSessionHotLoopZeroAllocs(t *testing.T) {
 	g := graph.Torus(4, 4)
-	cfg := Config{
-		Graph:     g,
-		Algorithm: Diffusion,
-		Mode:      Continuous,
-		Loads:     workload.Continuous(workload.Spike, g.N(), 1e6, rand.New(rand.NewSource(1))),
-		Epsilon:   1e-9, // never converges within the measured rounds
-		Workers:   1,
+	cases := []struct {
+		algo Algorithm
+		mode Mode
+	}{
+		{Diffusion, Continuous},
+		{Diffusion, Discrete},
+		{RandomPartners, Continuous},
+		{RandomPartners, Discrete},
+		{RoundRobinExchange, Continuous},
+		{RoundRobinExchange, Discrete},
+		{FirstOrder, Continuous},
+		{SecondOrder, Continuous},
 	}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	for _, tc := range cases {
+		t.Run(tc.algo.String()+"/"+tc.mode.String(), func(t *testing.T) {
+			s, err := Open(Config{
+				Graph:     g,
+				Algorithm: tc.algo,
+				Mode:      tc.mode,
+				Loads:     workload.Continuous(workload.Spike, g.N(), 1e6, rand.New(rand.NewSource(1))),
+				Epsilon:   1e-9, // never converges within the measured rounds
+				Workers:   1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
 
-	// 100 runs keeps the Φ trace inside its initial capacity, so the only
-	// allocations measured are the round loop's own.
-	avg := testing.AllocsPerRun(100, func() {
-		if err := s.Step(); err != nil {
-			panic(err)
-		}
-		if _, err := s.Commit(); err != nil {
-			panic(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("untraced Step+Commit allocates %v times per round, want 0", avg)
+			// 100 runs keeps the Φ trace inside its initial capacity, so the
+			// only allocations measured are the round loop's own.
+			avg := testing.AllocsPerRun(100, func() {
+				if err := s.Step(); err != nil {
+					panic(err)
+				}
+				if _, err := s.Commit(); err != nil {
+					panic(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("untraced Step+Commit allocates %v times per round, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -107,7 +107,8 @@ func NewContinuous(g *graph.G, initial []float64) *Continuous {
 //
 // Node i's next load depends only on the round-start vector:
 //
-//	ℓᵢ′ = ℓᵢ − Σ_{j∼i: ℓᵢ>ℓⱼ} w_ij + Σ_{j∼i: ℓⱼ>ℓᵢ} w_ij,
+//	ℓᵢ′ = ℓᵢ − Σ_{j∼i: ℓᵢ>ℓⱼ} w_ij + Σ_{j∼i: ℓⱼ>ℓᵢ} w_ij
+//	    = ℓᵢ + Σ_{j∼i} (ℓⱼ − ℓᵢ)/(4·max(dᵢ, dⱼ)),
 //
 // so each node is computed independently — this is the concurrency the
 // paper's proof technique is about, and it is also what makes the parallel
@@ -134,6 +135,14 @@ func (c *Continuous) Step() {
 			// offset loads and target bounds checks.
 			row := tgt[off[i]:off[i+1]]
 			di := len(row)
+			// "The heavier endpoint sends |ℓᵢ−ℓⱼ|/D" is written as one
+			// signed update, with no abs and no sign branch to mispredict.
+			// It is bit-identical to the abs-and-branch form: IEEE
+			// subtraction and division are sign-symmetric under
+			// round-to-nearest (ℓⱼ−ℓᵢ = −(ℓᵢ−ℓⱼ) and (−x)/D = −(x/D),
+			// both exact), and a − w ≡ a + (−w). The ℓᵢ == ℓⱼ skip stays:
+			// without it a node holding −0 next to a +0 neighbour would
+			// add +0 and turn into +0.
 			for _, j := range row {
 				lj := cur[j]
 				if li == lj {
@@ -143,12 +152,7 @@ func (c *Continuous) Step() {
 				if dj := int(off[j+1] - off[j]); dj > d {
 					d = dj
 				}
-				w := math.Abs(li-lj) / (4 * float64(d))
-				if li > lj {
-					acc -= w
-				} else {
-					acc += w
-				}
+				acc += (lj - li) / (4 * float64(d))
 			}
 			next[i] = acc
 		}
@@ -209,12 +213,9 @@ func (d *Discrete) Step() {
 				if dj := int(off[j+1] - off[j]); dj > d {
 					d = dj
 				}
-				w := int64(math.Abs(float64(li)-float64(lj)) / (4 * float64(d)))
-				if li > lj {
-					acc -= w
-				} else {
-					acc += w
-				}
+				// Continuous.Step's sign-symmetric update; conversion to
+				// int64 truncates toward zero, which is symmetric too.
+				acc += int64((float64(lj) - float64(li)) / (4 * float64(d)))
 			}
 			next[i] = acc
 		}

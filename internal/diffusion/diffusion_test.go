@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -323,5 +324,124 @@ func TestDiscreteConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refContinuousRound is the abs-and-branch form of one continuous
+// Algorithm 1 round, the oracle for the branch-free Continuous.Step: on
+// each edge the heavier endpoint sends |ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ)) to the
+// lighter one. It walks the CSR rows in the stepper's order, so the two
+// must agree bit for bit.
+func refContinuousRound(g *graph.G, cur []float64) []float64 {
+	off, tgt := g.CSR()
+	next := make([]float64, len(cur))
+	for i, li := range cur {
+		acc := li
+		row := tgt[off[i]:off[i+1]]
+		for _, j := range row {
+			lj := cur[j]
+			if li == lj {
+				continue
+			}
+			d := len(row)
+			if dj := int(off[j+1] - off[j]); dj > d {
+				d = dj
+			}
+			w := math.Abs(li-lj) / (4 * float64(d))
+			if li > lj {
+				acc -= w
+			} else {
+				acc += w
+			}
+		}
+		next[i] = acc
+	}
+	return next
+}
+
+// refDiscreteRound is the abs-and-branch oracle for Discrete.Step: the
+// heavier endpoint sends ⌊|ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ))⌋ tokens.
+func refDiscreteRound(g *graph.G, cur []int64) []int64 {
+	off, tgt := g.CSR()
+	next := make([]int64, len(cur))
+	for i, li := range cur {
+		acc := li
+		row := tgt[off[i]:off[i+1]]
+		for _, j := range row {
+			lj := cur[j]
+			if li == lj {
+				continue
+			}
+			d := len(row)
+			if dj := int(off[j+1] - off[j]); dj > d {
+				d = dj
+			}
+			w := int64(math.Abs(float64(li)-float64(lj)) / (4 * float64(d)))
+			if li > lj {
+				acc -= w
+			} else {
+				acc += w
+			}
+		}
+		next[i] = acc
+	}
+	return next
+}
+
+// checkRoundMatchesReference compares the steppers' live state with the
+// oracle's, node by node: Float64bits for loads, so a flipped zero sign
+// shows, and exact equality for tokens.
+func checkRoundMatchesReference(t *testing.T, round int, c *Continuous, want []float64, d *Discrete, wantTok []int64) {
+	t.Helper()
+	if c != nil {
+		for i, v := range c.Load.Vector() {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("continuous round %d node %d: %v (%#x), reference %v (%#x)",
+					round, i, v, math.Float64bits(v), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for i, v := range d.Load.Tokens() {
+		if v != wantTok[i] {
+			t.Fatalf("discrete round %d node %d: %d tokens, reference %d", round, i, v, wantTok[i])
+		}
+	}
+}
+
+// TestRoundMatchesReference pins the branch-free Algorithm 1 kernel to the
+// abs-and-branch oracle for 200 rounds, serial and round-parallel. The
+// hypercube and torus are regular; on the star every row but the centre's
+// takes its divisor from the neighbour's degree, and de Bruijn's degrees
+// (2 to 4) vary from edge to edge. A spike over zeros keeps many
+// neighbours exactly equal, so the ℓᵢ == ℓⱼ skip is exercised; uniform
+// noise exercises both signs on every row.
+func TestRoundMatchesReference(t *testing.T) {
+	const rounds = 200
+	for _, g := range []*graph.G{graph.Hypercube(6), graph.Torus(8, 8), graph.Star(33), graph.DeBruijn(6)} {
+		n := g.N()
+		rng := rand.New(rand.NewSource(7))
+		starts := []struct {
+			name   string
+			loads  []float64
+			tokens []int64
+		}{
+			{"spike", workload.Continuous(workload.Spike, n, 1e6*float64(n), nil), workload.Discrete(workload.Spike, n, 1e6*int64(n), nil)},
+			{"uniform", workload.Continuous(workload.Uniform, n, 1e6, rng), workload.Discrete(workload.Uniform, n, 1e6*int64(n), rng)},
+		}
+		for _, start := range starts {
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", g.Name(), start.name, workers), func(t *testing.T) {
+					c, d := NewContinuous(g, start.loads), NewDiscrete(g, start.tokens)
+					c.Workers, d.Workers = workers, workers
+					want, wantTok := start.loads, start.tokens
+					for r := 1; r <= rounds; r++ {
+						c.Step()
+						d.Step()
+						want, wantTok = refContinuousRound(g, want), refDiscreteRound(g, wantTok)
+						checkRoundMatchesReference(t, r, c, want, d, wantTok)
+					}
+				})
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -62,6 +63,49 @@ func FuzzDiscreteRoundConserves(f *testing.F) {
 			if v < 0 {
 				t.Fatalf("node %d negative: %d", node, v)
 			}
+		}
+	})
+}
+
+// FuzzRoundMatchesReference fuzzes one branch-free Algorithm 1 round
+// against the abs-and-branch oracle on Star(6) and Torus(3,3). Each 8-byte
+// word of the input is one node's state, read as float64 bits for the
+// continuous round and as an int64 token count for the discrete one
+// (missing words are zero). Load vectors holding a NaN skip the
+// continuous check: the two forms may disagree on a NaN's sign bit, and
+// no stepper is ever given a NaN load.
+func FuzzRoundMatchesReference(f *testing.F) {
+	words := func(ws ...uint64) []byte {
+		b := make([]byte, 8*len(ws))
+		for i, w := range ws {
+			binary.LittleEndian.PutUint64(b[8*i:], w)
+		}
+		return b
+	}
+	f.Add(words(math.Float64bits(1e6)))                              // spike over zeros
+	f.Add(words(math.Float64bits(math.Copysign(0, -1)), 0, 0, 0, 0)) // −0 among +0
+	f.Add(words(math.Float64bits(3.5), math.Float64bits(-2.25), math.Float64bits(1e-310),
+		math.Float64bits(math.Inf(1)), math.Float64bits(7), math.Float64bits(7), 1, 1<<63, 42))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, g := range []*graph.G{graph.Star(6), graph.Torus(3, 3)} {
+			loads, tokens := make([]float64, g.N()), make([]int64, g.N())
+			hasNaN := false
+			for i := range loads {
+				var w uint64
+				if len(data) >= 8*(i+1) {
+					w = binary.LittleEndian.Uint64(data[8*i:])
+				}
+				loads[i], tokens[i] = math.Float64frombits(w), int64(w)
+				hasNaN = hasNaN || math.IsNaN(loads[i])
+			}
+			var c *Continuous
+			if !hasNaN {
+				c = NewContinuous(g, loads)
+				c.Step()
+			}
+			d := NewDiscrete(g, tokens)
+			d.Step()
+			checkRoundMatchesReference(t, 1, c, refContinuousRound(g, loads), d, refDiscreteRound(g, tokens))
 		}
 	})
 }

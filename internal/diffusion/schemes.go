@@ -20,6 +20,7 @@ type FirstOrder struct {
 	Workers int
 
 	next matrix.Vector
+	body func(i int) // the round body, built once (see Step)
 }
 
 // NewFirstOrder creates the scheme with α = 1/(δ+1).
@@ -34,24 +35,33 @@ func NewFirstOrder(g *graph.G, initial []float64) *FirstOrder {
 	}
 }
 
-// Step advances one round.
+// Step advances one round. Like Continuous.Step, the round body is built
+// on the first call, so Alpha is fixed from then on.
 func (f *FirstOrder) Step() {
-	g, cur := f.G, f.Load.Vector()
-	n := g.N()
-	if f.next == nil {
+	cur := f.Load.Vector()
+	n := f.G.N()
+	if f.body == nil {
 		f.next = make(matrix.Vector, n)
+		f.body = firstOrderBody(f.G, cur, f.next, f.Alpha)
 	}
-	alpha := f.Alpha
+	parallel.For(n, parallel.StepperWorkers(f.Workers), f.body)
+	copy(cur, f.next)
+}
+
+// firstOrderBody returns the round body next[i] = ℓᵢ + α·Σ_{j∼i}(ℓⱼ − ℓᵢ)
+// over the round-start vector cur. Callers build it once per stepper: the
+// graph and both vectors are fixed for the stepper's lifetime, and a
+// per-Step closure would be one heap allocation per round.
+func firstOrderBody(g *graph.G, cur, next matrix.Vector, alpha float64) func(i int) {
 	off, tgt := g.CSR()
-	parallel.For(n, parallel.StepperWorkers(f.Workers), func(i int) {
+	return func(i int) {
 		li := cur[i]
 		acc := li
 		for _, j := range tgt[off[i]:off[i+1]] {
 			acc += alpha * (cur[j] - li)
 		}
-		f.next[i] = acc
-	})
-	copy(cur, f.next)
+		next[i] = acc
+	}
 }
 
 // Potential returns Φ of the current distribution.
@@ -77,6 +87,9 @@ type SecondOrder struct {
 	prev  matrix.Vector // Lᵗ⁻¹
 	round int
 	next  matrix.Vector
+	// The round bodies, built once (see Step): first is the plain
+	// first-order round 0, body every later round.
+	first, body func(i int)
 }
 
 // NewSecondOrder creates the scheme with the given β and α = 1/(δ+1).
@@ -102,36 +115,32 @@ func OptimalBeta(gamma float64) float64 {
 }
 
 // Step advances one round. The very first round is a plain first-order
-// step (there is no Lᵗ⁻² yet).
+// step (there is no Lᵗ⁻² yet). The round bodies are built on the first
+// call, so Alpha and Beta are fixed from then on.
 func (s *SecondOrder) Step() {
-	g, cur := s.G, s.Load.Vector()
-	n := g.N()
-	if s.next == nil {
+	cur := s.Load.Vector()
+	n := s.G.N()
+	if s.body == nil {
 		s.next = make(matrix.Vector, n)
-	}
-	alpha, beta := s.Alpha, s.Beta
-	workers := parallel.StepperWorkers(s.Workers)
-	off, tgt := g.CSR()
-	if s.round == 0 {
-		s.prev = cur.Clone()
-		parallel.For(n, workers, func(i int) {
-			li := cur[i]
-			acc := li
-			for _, j := range tgt[off[i]:off[i+1]] {
-				acc += alpha * (cur[j] - li)
-			}
-			s.next[i] = acc
-		})
-	} else {
-		parallel.For(n, workers, func(i int) {
+		s.prev = make(matrix.Vector, n)
+		s.first = firstOrderBody(s.G, cur, s.next, s.Alpha)
+		off, tgt := s.G.CSR()
+		next, prev := s.next, s.prev
+		alpha, beta := s.Alpha, s.Beta
+		s.body = func(i int) {
 			li := cur[i]
 			ml := li
 			for _, j := range tgt[off[i]:off[i+1]] {
 				ml += alpha * (cur[j] - li)
 			}
-			s.next[i] = beta*ml + (1-beta)*s.prev[i]
-		})
+			next[i] = beta*ml + (1-beta)*prev[i]
+		}
 	}
+	body := s.body
+	if s.round == 0 {
+		body = s.first
+	}
+	parallel.For(n, parallel.StepperWorkers(s.Workers), body)
 	copy(s.prev, cur)
 	copy(cur, s.next)
 	s.round++

@@ -147,9 +147,10 @@ func (d *Discrete) Average() float64 {
 	return float64(d.Total()) / float64(len(d.v))
 }
 
-// Potential returns Φ(L) = Σᵢ(ℓᵢ − ℓ̄)².
+// Potential returns Φ(L) = Σᵢ(ℓᵢ − ℓ̄)², bit-identical to PotentialAround
+// over Float64s but without the n-float copy.
 func (d *Discrete) Potential() float64 {
-	return PotentialAround(d.Float64s(), d.Average())
+	return potentialAround(d.v, d.Average())
 }
 
 // Discrepancy returns K = maxᵢℓᵢ − minᵢℓᵢ.
@@ -192,9 +193,16 @@ func (d *Discrete) String() string {
 // the potential is differenced across rounds, so we avoid losing the small
 // per-round drops to cancellation.
 func PotentialAround(x matrix.Vector, c float64) float64 {
+	return potentialAround(x, c)
+}
+
+// potentialAround is PotentialAround over float64 loads or int64 token
+// counts; each count converts to float64 exactly as Float64s would, and the
+// compensated op chain is the same for both.
+func potentialAround[S ~[]E, E float64 | int64](x S, c float64) float64 {
 	var sum, comp float64
 	for _, v := range x {
-		d := v - c
+		d := float64(v) - c
 		term := d * d
 		y := term - comp
 		t := sum + y

@@ -1,6 +1,7 @@
 package perfbench
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -285,5 +286,46 @@ func TestRunLargeSizes(t *testing.T) {
 	}
 	if res, err := Compare(rep, rep, 0.25); err != nil || !res.OK() {
 		t.Fatalf("large-n report does not match itself: %+v (err %v)", res, err)
+	}
+}
+
+// TestAlgorithm1ChecksumsMatchBaseline pins the Algorithm 1 kernel's bits
+// across changes: it re-runs the serial diffusion rows of the committed
+// BENCH_PR7.json (torus and hypercube, n ∈ {1024, 4096}, both modes) and
+// requires each final-state checksum to equal the recorded one. Compare
+// gates timings only, so without this a kernel rewrite could change the
+// trajectory unnoticed. Only Algorithm 1 rows are pinned: its round has
+// no multiply-add that a compiler could fuse differently on another
+// architecture.
+func TestAlgorithm1ChecksumsMatchBaseline(t *testing.T) {
+	base, err := ReadFile(filepath.Join("..", "..", "BENCH_PR7.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, r := range base.Rounds {
+		want[r.Key()] = r.Checksum
+	}
+	rep, err := Run(Config{
+		Topologies:       []string{"torus", "hypercube"},
+		Algorithms:       []string{"diffusion"},
+		Sizes:            []int{1024, 4096},
+		RoundWorkersList: []int{1},
+		Samples:          1,
+		SkipSweeps:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rounds) != 8 { // 2 topologies × 2 sizes × 2 modes
+		t.Fatalf("got %d round rows, want 8", len(rep.Rounds))
+	}
+	for _, r := range rep.Rounds {
+		w, ok := want[r.Key()]
+		if !ok {
+			t.Errorf("%s: no row in BENCH_PR7.json", r.Key())
+		} else if r.Checksum != w {
+			t.Errorf("%s: state checksum %s, BENCH_PR7.json has %s", r.Key(), r.Checksum, w)
+		}
 	}
 }
