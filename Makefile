@@ -34,7 +34,7 @@ fmt-check:
 
 staticcheck:
 	if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...
-	else echo "staticcheck not installed — skipping (CI runs it via honnef.co/go/tools@2023.1.7)" >&2; fi
+	else echo "staticcheck not installed — skipping (CI runs it via honnef.co/go/tools@2025.1.1)" >&2; fi
 
 # e2ebench has its own go.mod, so `go build ./...` never compiles it.
 e2e-test:

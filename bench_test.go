@@ -110,7 +110,7 @@ func benchGraph() *graph.G { return graph.Torus(32, 32) } // 1024 nodes, 2048 ed
 func BenchmarkDiffusionStepContinuous(b *testing.B) {
 	g := benchGraph()
 	init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
-	st := diffusion.NewContinuous(g, init)
+	st := diffusion.New(g, init)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,7 +121,7 @@ func BenchmarkDiffusionStepContinuous(b *testing.B) {
 func BenchmarkDiffusionStepContinuousParallel(b *testing.B) {
 	g := benchGraph()
 	init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
-	st := diffusion.NewContinuous(g, init)
+	st := diffusion.New(g, init)
 	st.Workers = 8
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -133,7 +133,7 @@ func BenchmarkDiffusionStepContinuousParallel(b *testing.B) {
 func BenchmarkDiffusionStepDiscrete(b *testing.B) {
 	g := benchGraph()
 	init := workload.Discrete(workload.Spike, g.N(), 1_000_000_000, nil)
-	st := diffusion.NewDiscrete(g, init)
+	st := diffusion.New(g, init)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -145,7 +145,7 @@ func BenchmarkDimExchangeStep(b *testing.B) {
 	g := benchGraph()
 	rng := rand.New(rand.NewSource(1))
 	init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
-	st := dimexchange.NewContinuous(g, init, rng)
+	st := dimexchange.New(g, init, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -156,7 +156,7 @@ func BenchmarkDimExchangeStep(b *testing.B) {
 func BenchmarkRandPairStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	init := workload.Continuous(workload.Spike, 1024, 1e9, nil)
-	st := randpair.NewContinuous(init, rng)
+	st := randpair.New(init, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

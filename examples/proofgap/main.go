@@ -50,7 +50,7 @@ func main() {
 	}
 
 	// The concurrent round from the same start.
-	st := diffusion.NewContinuous(g, l)
+	st := diffusion.New(g, l)
 	phi0 := st.Potential()
 	st.Step()
 	concurrentDrop := phi0 - st.Potential()

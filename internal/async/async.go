@@ -3,7 +3,8 @@
 // counterpart of its model: at every tick one edge is activated (drawn
 // uniformly, or round-robin) and its endpoints balance pairwise — to the
 // exact average in the continuous case, moving ⌊diff/2⌋ tokens in the
-// discrete case.
+// discrete case. Both cases are one type, Stepper[T], whose pair rule is
+// dimension exchange's (dimexchange.PairRule).
 //
 // The asynchronous process is the degenerate end of the paper's
 // sequentialization spectrum — zero concurrency — so comparing it against
@@ -16,7 +17,9 @@ package async
 
 import (
 	"math/rand"
+	"slices"
 
+	"repro/internal/dimexchange"
 	"repro/internal/graph"
 	"repro/internal/load"
 )
@@ -39,108 +42,59 @@ func (s Schedule) String() string {
 	return "uniform"
 }
 
-// Continuous is the asynchronous continuous balancer.
-type Continuous struct {
+// Stepper is the asynchronous balancer over float64 loads or int64
+// tokens. Each activation balances the edge's endpoints with
+// dimexchange.PairRule, the only per-type rule.
+type Stepper[T load.Value] struct {
 	G        *graph.G
-	Load     *load.Continuous
 	Schedule Schedule
 	RNG      *rand.Rand
 
-	tick int
+	loads []T
+	pair  func(a, b T) (T, T)
+	tick  int
 }
 
-// NewContinuous creates a balancer over a copy of the initial loads.
-func NewContinuous(g *graph.G, initial []float64, sched Schedule, rng *rand.Rand) *Continuous {
+// New creates a balancer over a copy of the initial loads or tokens.
+func New[T load.Value](g *graph.G, initial []T, sched Schedule, rng *rand.Rand) *Stepper[T] {
 	if len(initial) != g.N() {
 		panic("async: initial load length mismatch")
 	}
-	return &Continuous{G: g, Load: load.NewContinuous(initial), Schedule: sched, RNG: rng}
+	return &Stepper[T]{G: g, Schedule: sched, RNG: rng, loads: slices.Clone(initial), pair: dimexchange.PairRule[T]()}
 }
 
-// Tick activates one edge: its endpoints average their load exactly.
-func (c *Continuous) Tick() {
-	m := c.G.M()
+// Tick activates one edge: its endpoints average their load exactly
+// (continuous) or move ⌊|ℓᵢ−ℓⱼ|/2⌋ tokens downhill (discrete).
+func (s *Stepper[T]) Tick() {
+	m := s.G.M()
 	if m == 0 {
 		return
 	}
 	var e graph.Edge
-	if c.Schedule == RoundRobin {
-		e = c.G.Edges()[c.tick%m]
+	if s.Schedule == RoundRobin {
+		e = s.G.Edges()[s.tick%m]
 	} else {
-		e = c.G.Edges()[c.RNG.Intn(m)]
+		e = s.G.Edges()[s.RNG.Intn(m)]
 	}
-	c.tick++
-	v := c.Load.Vector()
-	avg := (v[e.U] + v[e.V]) / 2
-	v[e.U], v[e.V] = avg, avg
+	s.tick++
+	v := s.loads
+	v[e.U], v[e.V] = s.pair(v[e.U], v[e.V])
 }
 
 // Step runs m ticks — the edge-activation budget of one synchronous
 // Algorithm 1 round — so the type satisfies core.System with a comparable
 // notion of "round".
-func (c *Continuous) Step() {
-	for k := 0; k < c.G.M(); k++ {
-		c.Tick()
+func (s *Stepper[T]) Step() {
+	for k := 0; k < s.G.M(); k++ {
+		s.Tick()
 	}
 }
 
 // Potential returns Φ of the current distribution.
-func (c *Continuous) Potential() float64 { return c.Load.Potential() }
+func (s *Stepper[T]) Potential() float64 { return load.Potential(s.loads) }
+
+// Values returns the live loads or tokens (not a copy).
+func (s *Stepper[T]) Values() []T { return s.loads }
 
 // Ticks returns the number of edge activations so far.
-func (c *Continuous) Ticks() int { return c.tick }
-
-// Discrete is the asynchronous discrete balancer (⌊diff/2⌋ tokens per
-// activation, the [5] / [12] pairwise rule).
-type Discrete struct {
-	G        *graph.G
-	Load     *load.Discrete
-	Schedule Schedule
-	RNG      *rand.Rand
-
-	tick int
-}
-
-// NewDiscrete creates a balancer over a copy of the initial tokens.
-func NewDiscrete(g *graph.G, initial []int64, sched Schedule, rng *rand.Rand) *Discrete {
-	if len(initial) != g.N() {
-		panic("async: initial token length mismatch")
-	}
-	return &Discrete{G: g, Load: load.NewDiscrete(initial), Schedule: sched, RNG: rng}
-}
-
-// Tick activates one edge and moves ⌊|ℓᵢ−ℓⱼ|/2⌋ tokens downhill.
-func (d *Discrete) Tick() {
-	m := d.G.M()
-	if m == 0 {
-		return
-	}
-	var e graph.Edge
-	if d.Schedule == RoundRobin {
-		e = d.G.Edges()[d.tick%m]
-	} else {
-		e = d.G.Edges()[d.RNG.Intn(m)]
-	}
-	d.tick++
-	v := d.Load.Tokens()
-	hi, lo := e.U, e.V
-	if v[hi] < v[lo] {
-		hi, lo = lo, hi
-	}
-	t := (v[hi] - v[lo]) / 2
-	v[hi] -= t
-	v[lo] += t
-}
-
-// Step runs m ticks (one synchronous-round budget).
-func (d *Discrete) Step() {
-	for k := 0; k < d.G.M(); k++ {
-		d.Tick()
-	}
-}
-
-// Potential returns Φ of the current distribution.
-func (d *Discrete) Potential() float64 { return d.Load.Potential() }
-
-// Ticks returns the number of edge activations so far.
-func (d *Discrete) Ticks() int { return d.tick }
+func (s *Stepper[T]) Ticks() int { return s.tick }

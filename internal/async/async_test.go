@@ -3,19 +3,21 @@ package async
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/workload"
 )
 
 func TestContinuousTickAverages(t *testing.T) {
 	g := graph.Path(2)
-	c := NewContinuous(g, []float64{10, 0}, RoundRobin, nil)
+	c := New(g, []float64{10, 0}, RoundRobin, nil)
 	c.Tick()
-	if c.Load.At(0) != 5 || c.Load.At(1) != 5 {
-		t.Fatalf("after tick: %v %v", c.Load.At(0), c.Load.At(1))
+	if c.Values()[0] != 5 || c.Values()[1] != 5 {
+		t.Fatalf("after tick: %v %v", c.Values()[0], c.Values()[1])
 	}
 	if c.Ticks() != 1 {
 		t.Fatal("tick count")
@@ -25,7 +27,7 @@ func TestContinuousTickAverages(t *testing.T) {
 func TestContinuousPotentialMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Torus(4, 4)
-	c := NewContinuous(g, workload.Continuous(workload.Uniform, g.N(), 100, rng), UniformRandom, rng)
+	c := New(g, workload.Continuous(workload.Uniform, g.N(), 100, rng), UniformRandom, rng)
 	prev := c.Potential()
 	for k := 0; k < 1000; k++ {
 		c.Tick()
@@ -40,12 +42,12 @@ func TestContinuousPotentialMonotone(t *testing.T) {
 func TestContinuousConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.Hypercube(4)
-	c := NewContinuous(g, workload.Continuous(workload.Exponential, g.N(), 10, rng), UniformRandom, rng)
-	before := c.Load.Total()
+	c := New(g, workload.Continuous(workload.Exponential, g.N(), 10, rng), UniformRandom, rng)
+	before := load.Sum(c.Values())
 	for k := 0; k < 50; k++ {
 		c.Step()
 	}
-	if math.Abs(c.Load.Total()-before) > 1e-8*(1+math.Abs(before)) {
+	if math.Abs(load.Sum(c.Values())-before) > 1e-8*(1+math.Abs(before)) {
 		t.Fatal("async continuous must conserve")
 	}
 }
@@ -53,7 +55,7 @@ func TestContinuousConservation(t *testing.T) {
 func TestContinuousConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.Cycle(16)
-	c := NewContinuous(g, workload.Continuous(workload.Spike, g.N(), 1e6, nil), UniformRandom, rng)
+	c := New(g, workload.Continuous(workload.Spike, g.N(), 1e6, nil), UniformRandom, rng)
 	phi0 := c.Potential()
 	for k := 0; k < 500; k++ {
 		c.Step()
@@ -66,13 +68,13 @@ func TestContinuousConverges(t *testing.T) {
 func TestRoundRobinDeterministic(t *testing.T) {
 	g := graph.Torus(3, 3)
 	init := workload.Continuous(workload.Spike, g.N(), 900, nil)
-	a := NewContinuous(g, init, RoundRobin, nil)
-	b := NewContinuous(g, init, RoundRobin, nil)
+	a := New(g, init, RoundRobin, nil)
+	b := New(g, init, RoundRobin, nil)
 	for k := 0; k < 5; k++ {
 		a.Step()
 		b.Step()
 	}
-	if !a.Load.Vector().ApproxEqual(b.Load.Vector(), 0) {
+	if !slices.Equal(a.Values(), b.Values()) {
 		t.Fatal("round robin must be deterministic")
 	}
 }
@@ -80,17 +82,17 @@ func TestRoundRobinDeterministic(t *testing.T) {
 func TestDiscreteConservesAndStaysNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.Star(9)
-	d := NewDiscrete(g, workload.Discrete(workload.Spike, g.N(), 12345, nil), UniformRandom, rng)
-	before := d.Load.Total()
+	d := New(g, workload.Discrete(workload.Spike, g.N(), 12345, nil), UniformRandom, rng)
+	before := load.Sum(d.Values())
 	for k := 0; k < 100; k++ {
 		d.Step()
-		for node, v := range d.Load.Tokens() {
+		for node, v := range d.Values() {
 			if v < 0 {
 				t.Fatalf("node %d negative", node)
 			}
 		}
 	}
-	if d.Load.Total() != before {
+	if load.Sum(d.Values()) != before {
 		t.Fatal("tokens not conserved")
 	}
 }
@@ -101,15 +103,15 @@ func TestDiscreteReachesDiameterDiscrepancy(t *testing.T) {
 	// discrepancy can legitimately stall at up to the graph diameter.
 	g := graph.Cycle(8)
 	bound := int64(graph.Diameter(g))
-	d := NewDiscrete(g, workload.Discrete(workload.Spike, g.N(), 8000, nil), RoundRobin, nil)
+	d := New(g, workload.Discrete(workload.Spike, g.N(), 8000, nil), RoundRobin, nil)
 	// Run round-robin sweeps until a full sweep moves nothing (true fixed
 	// point); must happen quickly.
 	for k := 0; k < 2000; k++ {
-		before := d.Load.Clone()
+		before := slices.Clone(d.Values())
 		d.Step()
 		same := true
 		for i := 0; i < g.N(); i++ {
-			if before.At(i) != d.Load.At(i) {
+			if before[i] != d.Values()[i] {
 				same = false
 				break
 			}
@@ -118,12 +120,12 @@ func TestDiscreteReachesDiameterDiscrepancy(t *testing.T) {
 			break
 		}
 	}
-	if k := d.Load.Discrepancy(); k > bound {
+	if k := load.NewDiscrete(d.Values()).Discrepancy(); k > bound {
 		t.Fatalf("discrepancy %d above diameter bound %d", k, bound)
 	}
 	// And adjacent differences must be ≤ 1 at the fixed point.
 	for _, e := range g.Edges() {
-		diff := d.Load.At(e.U) - d.Load.At(e.V)
+		diff := d.Values()[e.U] - d.Values()[e.V]
 		if diff < -1 || diff > 1 {
 			t.Fatalf("edge %v difference %d at fixed point", e, diff)
 		}
@@ -132,10 +134,10 @@ func TestDiscreteReachesDiameterDiscrepancy(t *testing.T) {
 
 func TestEmptyGraphTicksAreNoops(t *testing.T) {
 	g := graph.NewBuilder("iso", 3).MustFinish()
-	c := NewContinuous(g, []float64{1, 2, 3}, UniformRandom, rand.New(rand.NewSource(1)))
+	c := New(g, []float64{1, 2, 3}, UniformRandom, rand.New(rand.NewSource(1)))
 	c.Tick()
 	c.Step()
-	if c.Load.At(0) != 1 {
+	if c.Values()[0] != 1 {
 		t.Fatal("no edges, no movement")
 	}
 }
@@ -152,14 +154,14 @@ func TestTickPairBalanceProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		r := rand.New(rand.NewSource(int64(seed)))
 		g := graph.Complete(4 + r.Intn(6))
-		c := NewContinuous(g, workload.Continuous(workload.Uniform, g.N(), 100, r), RoundRobin, nil)
-		before := c.Load.Total()
+		c := New(g, workload.Continuous(workload.Uniform, g.N(), 100, r), RoundRobin, nil)
+		before := load.Sum(c.Values())
 		c.Tick()
 		e := g.Edges()[0]
-		if math.Abs(c.Load.At(e.U)-c.Load.At(e.V)) > 1e-9 {
+		if math.Abs(c.Values()[e.U]-c.Values()[e.V]) > 1e-9 {
 			return false
 		}
-		return math.Abs(c.Load.Total()-before) < 1e-9*(1+math.Abs(before))
+		return math.Abs(load.Sum(c.Values())-before) < 1e-9*(1+math.Abs(before))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/dimexchange"
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/randpair"
 	"repro/internal/scenario"
@@ -295,19 +296,15 @@ type System interface {
 	Potential() float64
 }
 
-// ContinuousState is implemented by continuous-mode steppers whose load
-// vector can be read — and mutated in place — between rounds. It is the
-// session's injection hook: arrivals land directly in the live vector,
-// without knowing the concrete algorithm type or rebuilding the stepper.
-type ContinuousState interface {
-	// LoadVector returns the live per-node load vector (not a copy).
-	LoadVector() []float64
-}
-
-// DiscreteState is ContinuousState for token-mode steppers.
-type DiscreteState interface {
-	// LoadTokens returns the live per-node token counts (not a copy).
-	LoadTokens() []int64
+// Stepper is a System whose live load state can be read — and mutated in
+// place — between rounds: float64 loads in continuous mode, int64 tokens
+// in discrete mode. Values is the session's injection hook: arrivals land
+// directly in the live vector, without knowing the concrete algorithm or
+// rebuilding the stepper. Every stepper core builds is one.
+type Stepper[T load.Value] interface {
+	System
+	// Values returns the live per-node loads or tokens (not a copy).
+	Values() []T
 }
 
 // buildSystemOn constructs the requested stepper on an explicit graph and
@@ -322,39 +319,12 @@ type DiscreteState interface {
 // otherwise each cost an eigensolve entry in — and disk spill from — the
 // shared cache, never to be looked up again).
 func buildSystemOn(cfg Config, g *graph.G, loads []float64, rng *rand.Rand, spectra *speccache.Cache) (System, error) {
-	switch cfg.Algorithm {
-	case Diffusion:
-		if cfg.Mode == Discrete {
-			st := diffusion.NewDiscrete(g, toTokens(loads))
-			st.Workers = cfg.Workers
-			return st, nil
-		}
-		st := diffusion.NewContinuous(g, loads)
-		st.Workers = cfg.Workers
-		return st, nil
-	case DimensionExchange:
-		if cfg.Mode == Discrete {
-			st := dimexchange.NewDiscrete(g, toTokens(loads), rng)
-			st.Workers = cfg.Workers
-			return st, nil
-		}
-		st := dimexchange.NewContinuous(g, loads, rng)
-		st.Workers = cfg.Workers
-		return st, nil
-	case RandomPartners:
-		if cfg.Mode == Discrete {
-			st := randpair.NewDiscrete(toTokens(loads), rng)
-			st.Workers = cfg.Workers
-			return st, nil
-		}
-		st := randpair.NewContinuous(loads, rng)
-		st.Workers = cfg.Workers
-		return st, nil
-	case FirstOrder:
+	switch {
+	case cfg.Algorithm == FirstOrder:
 		st := diffusion.NewFirstOrder(g, loads)
 		st.Workers = cfg.Workers
 		return st, nil
-	case SecondOrder:
+	case cfg.Algorithm == SecondOrder:
 		gamma, err := spectra.Gamma(g)
 		if err != nil {
 			return nil, fmt.Errorf("core: γ for second-order β: %w", err)
@@ -362,12 +332,30 @@ func buildSystemOn(cfg Config, g *graph.G, loads []float64, rng *rand.Rand, spec
 		st := diffusion.NewSecondOrder(g, loads, diffusion.OptimalBeta(gamma))
 		st.Workers = cfg.Workers
 		return st, nil
+	case cfg.Mode == Discrete:
+		return build(cfg, g, toTokens(loads), rng)
+	default:
+		return build(cfg, g, loads, rng)
+	}
+}
+
+// build constructs the algorithms that run in both modes, over float64
+// loads or int64 tokens.
+func build[T load.Value](cfg Config, g *graph.G, loads []T, rng *rand.Rand) (Stepper[T], error) {
+	switch cfg.Algorithm {
+	case Diffusion:
+		st := diffusion.New(g, loads)
+		st.Workers = cfg.Workers
+		return st, nil
+	case DimensionExchange:
+		st := dimexchange.New(g, loads, rng)
+		st.Workers = cfg.Workers
+		return st, nil
+	case RandomPartners:
+		st := randpair.New(loads, rng)
+		st.Workers = cfg.Workers
+		return st, nil
 	case RoundRobinExchange:
-		if cfg.Mode == Discrete {
-			st := dimexchange.NewRoundRobinDiscrete(g, toTokens(loads))
-			st.Workers = cfg.Workers
-			return st, nil
-		}
 		st := dimexchange.NewRoundRobin(g, loads)
 		st.Workers = cfg.Workers
 		return st, nil

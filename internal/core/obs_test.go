@@ -146,8 +146,6 @@ func TestGridResumeSkipsUnitSpans(t *testing.T) {
 // A regression here means instrumentation leaked into the hot path (e.g. a
 // time.Time escaping, or an unconditional map for span args), a stepper
 // builds a closure per round, or a Potential copies the load vector.
-// Random matching (dimexchange) is left out: it draws a fresh matching
-// every round and allocates doing so (3 times per round on this torus).
 func TestSessionHotLoopZeroAllocs(t *testing.T) {
 	g := graph.Torus(4, 4)
 	cases := []struct {
@@ -156,6 +154,8 @@ func TestSessionHotLoopZeroAllocs(t *testing.T) {
 	}{
 		{Diffusion, Continuous},
 		{Diffusion, Discrete},
+		{DimensionExchange, Continuous},
+		{DimensionExchange, Discrete},
 		{RandomPartners, Continuous},
 		{RandomPartners, Discrete},
 		{RoundRobinExchange, Continuous},

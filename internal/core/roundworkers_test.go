@@ -60,14 +60,14 @@ func algorithmModes() []struct {
 func loadBits(t *testing.T, sys System, mode Mode) []uint64 {
 	t.Helper()
 	if mode == Discrete {
-		tok := sys.(DiscreteState).LoadTokens()
+		tok := sys.(Stepper[int64]).Values()
 		out := make([]uint64, len(tok))
 		for i, x := range tok {
 			out[i] = uint64(x)
 		}
 		return out
 	}
-	v := sys.(ContinuousState).LoadVector()
+	v := sys.(Stepper[float64]).Values()
 	out := make([]uint64, len(v))
 	for i, x := range v {
 		out[i] = math.Float64bits(x)

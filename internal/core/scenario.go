@@ -5,9 +5,7 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/diffusion"
-	"repro/internal/dimexchange"
-	"repro/internal/randpair"
+	"repro/internal/load"
 	"repro/internal/scenario"
 )
 
@@ -65,80 +63,43 @@ func runScenario(s *Session) (Result, error) {
 // or a float view of the token counts. Token counts of any realistic
 // magnitude are exact in float64, so the view round-trips losslessly into
 // the next stepper build.
-func currentLoads(sys System, mode Mode) []float64 {
-	if mode == Discrete {
-		tok := mustDiscrete(sys).LoadTokens()
-		out := make([]float64, len(tok))
-		for i, x := range tok {
-			out[i] = float64(x)
-		}
-		return out
+func currentLoads(sys System) []float64 {
+	st, ok := sys.(Stepper[int64])
+	if !ok {
+		return sys.(Stepper[float64]).Values()
 	}
-	return mustContinuous(sys).LoadVector()
+	tok := st.Values()
+	out := make([]float64, len(tok))
+	for i, x := range tok {
+		out[i] = float64(x)
+	}
+	return out
 }
 
-// inject lands the arrivals in the stepper's live load state, returning
-// the total injected (discrete amounts round to whole tokens).
-func inject(sys System, mode Mode, arrivals []scenario.Arrival) (float64, error) {
-	if len(arrivals) == 0 {
-		return 0, nil
+// injectInto lands the arrivals in the stepper's live load state,
+// returning the total injected.
+func injectInto(sys System, arrivals []scenario.Arrival) float64 {
+	if st, ok := sys.(Stepper[int64]); ok {
+		return inject(st.Values(), arrivals)
 	}
+	return inject(sys.(Stepper[float64]).Values(), arrivals)
+}
+
+// inject adds each arrival to its node's load, skipping non-positive
+// amounts and out-of-range nodes, and returns the total injected. The one
+// per-type line is the rounding of discrete arrivals to whole tokens.
+func inject[T load.Value](v []T, arrivals []scenario.Arrival) float64 {
 	var total float64
-	if mode == Discrete {
-		tok := mustDiscrete(sys).LoadTokens()
-		for _, a := range arrivals {
-			amt := int64(math.Round(a.Amount))
-			if amt <= 0 || a.Node < 0 || a.Node >= len(tok) {
-				continue
-			}
-			tok[a.Node] += amt
-			total += float64(amt)
-		}
-		return total, nil
-	}
-	v := mustContinuous(sys).LoadVector()
 	for _, a := range arrivals {
-		if a.Amount <= 0 || a.Node < 0 || a.Node >= len(v) {
+		amt := T(a.Amount)
+		if _, tokens := any(amt).(int64); tokens {
+			amt = T(math.Round(a.Amount))
+		}
+		if amt <= 0 || a.Node < 0 || a.Node >= len(v) {
 			continue
 		}
-		v[a.Node] += a.Amount
-		total += a.Amount
+		v[a.Node] += amt
+		total += float64(amt)
 	}
-	return total, nil
+	return total
 }
-
-// mustContinuous and mustDiscrete assert the stepper exposes the matching
-// state hook. Every algorithm core builds implements them; a panic here
-// means a new stepper was added without its ContinuousState or
-// DiscreteState method.
-func mustContinuous(sys System) ContinuousState {
-	cs, ok := sys.(ContinuousState)
-	if !ok {
-		panic(fmt.Sprintf("core: stepper %T has no LoadVector hook", sys))
-	}
-	return cs
-}
-
-func mustDiscrete(sys System) DiscreteState {
-	ds, ok := sys.(DiscreteState)
-	if !ok {
-		panic(fmt.Sprintf("core: stepper %T has no LoadTokens hook", sys))
-	}
-	return ds
-}
-
-// Compile-time checks: every stepper buildSystemOn can return must expose
-// its state hook, so forgetting the method on a new algorithm fails the
-// build, not a sweep.
-var (
-	_ ContinuousState = (*diffusion.Continuous)(nil)
-	_ ContinuousState = (*diffusion.FirstOrder)(nil)
-	_ ContinuousState = (*diffusion.SecondOrder)(nil)
-	_ ContinuousState = (*dimexchange.Continuous)(nil)
-	_ ContinuousState = (*dimexchange.RoundRobin)(nil)
-	_ ContinuousState = (*randpair.Continuous)(nil)
-	_ DiscreteState   = (*diffusion.Discrete)(nil)
-	_ DiscreteState   = (*dimexchange.Discrete)(nil)
-	_ DiscreteState   = (*dimexchange.RoundRobinDiscrete)(nil)
-	_ DiscreteState   = (*randpair.Discrete)(nil)
-)

@@ -245,12 +245,9 @@ func (s *Session) Inject(arrivals []scenario.Arrival) (float64, error) {
 	if s.phases.Enabled() {
 		t0 = time.Now()
 	}
-	total, err := inject(s.sys, s.cfg.Mode, arrivals)
+	total := injectInto(s.sys, arrivals)
 	if s.phases.Enabled() {
 		s.phases.Observe(obs.PhaseInject, time.Since(t0))
-	}
-	if err != nil {
-		return 0, err
 	}
 	s.injected += total
 	return total, nil
@@ -283,7 +280,7 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	if s.phases.Enabled() {
 		t0 = time.Now()
 	}
-	sys, err := buildSystemOn(s.cfg, g, currentLoads(s.sys, s.cfg.Mode), s.algoRNG, spectra)
+	sys, err := buildSystemOn(s.cfg, g, currentLoads(s.sys), s.algoRNG, spectra)
 	if s.phases.Enabled() {
 		s.phases.Observe(obs.PhaseGraphSwap, time.Since(t0))
 	}
@@ -333,12 +330,12 @@ func (s *Session) Commit() (float64, error) {
 // float view of the token counts. This is the view scenario arrival
 // processes observe.
 func (s *Session) Loads() []float64 {
-	return currentLoads(s.sys, s.cfg.Mode)
+	return currentLoads(s.sys)
 }
 
 // Snapshot returns a copy of the per-node load state, safe to retain.
 func (s *Session) Snapshot() []float64 {
-	live := currentLoads(s.sys, s.cfg.Mode)
+	live := currentLoads(s.sys)
 	out := make([]float64, len(live))
 	copy(out, live)
 	return out

@@ -5,6 +5,12 @@
 // continuous model (fractional load, §4.1) and the discrete model
 // (indivisible tokens, floor of the same quantity, §4.2).
 //
+// Both models run on one type, Stepper[T], generic over float64 loads and
+// int64 tokens. The discrete model is the continuous transfer rule,
+// floored, and that is the only per-type rule in the round body: the
+// transfer is computed in float64 and converted to T, which is a no-op for
+// float64 and truncation toward zero for int64.
+//
 // The package also implements the classical comparators the paper discusses:
 // Cybenko's first-order scheme Lᵗ⁺¹ = M·Lᵗ with uniform diffusion factor
 // α = 1/(δ+1) [3], and the second-order scheme of Muthukrishnan, Ghosh and
@@ -19,10 +25,10 @@ package diffusion
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/load"
-	"repro/internal/matrix"
 	"repro/internal/parallel"
 )
 
@@ -47,31 +53,15 @@ func EdgeWeight(g *graph.G, i, j int, li, lj float64) float64 {
 	return math.Abs(li-lj) / (4 * float64(di))
 }
 
-// RoundFlowsContinuous computes the per-edge flows Algorithm 1 sends in one
-// round from the given load vector, without applying them.
-func RoundFlowsContinuous(g *graph.G, l matrix.Vector) []Flow {
+// RoundFlows computes the per-edge flows Algorithm 1 sends in one round
+// from the given loads, without applying them: (ℓᵢ−ℓⱼ)/(4·max(dᵢ,dⱼ))
+// from the heavier endpoint for float64 loads, its floor for int64
+// tokens (the conversion to T truncates, and the weight is non-negative).
+func RoundFlows[T load.Value](g *graph.G, l []T) []Flow {
 	flows := make([]Flow, 0, g.M())
 	for _, e := range g.Edges() {
-		w := EdgeWeight(g, e.U, e.V, l[e.U], l[e.V])
-		if w == 0 {
-			continue
-		}
-		amt := w
-		if l[e.U] < l[e.V] {
-			amt = -w
-		}
-		flows = append(flows, Flow{Edge: e, Amount: amt})
-	}
-	return flows
-}
-
-// RoundFlowsDiscrete computes the integer per-edge flows of the discrete
-// Algorithm 1: ⌊|ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ))⌋ tokens from the heavier endpoint.
-func RoundFlowsDiscrete(g *graph.G, tokens []int64) []Flow {
-	flows := make([]Flow, 0, g.M())
-	for _, e := range g.Edges() {
-		li, lj := float64(tokens[e.U]), float64(tokens[e.V])
-		w := math.Floor(EdgeWeight(g, e.U, e.V, li, lj))
+		li, lj := float64(l[e.U]), float64(l[e.V])
+		w := float64(T(EdgeWeight(g, e.U, e.V, li, lj)))
 		if w == 0 {
 			continue
 		}
@@ -84,23 +74,23 @@ func RoundFlowsDiscrete(g *graph.G, tokens []int64) []Flow {
 	return flows
 }
 
-// Continuous is the stateful continuous Algorithm 1 stepper on a fixed
-// graph. Workers > 1 enables the goroutine-parallel round executor.
-type Continuous struct {
+// Stepper is the stateful Algorithm 1 stepper on a fixed graph, over
+// float64 loads (the continuous model) or int64 tokens (the discrete
+// model). Workers > 1 enables the goroutine-parallel round executor.
+type Stepper[T load.Value] struct {
 	G       *graph.G
-	Load    *load.Continuous
 	Workers int
 
-	next matrix.Vector // scratch for the round-start/next double buffer
-	body func(i int)   // the round body, built once (see Step)
+	cur, next []T         // the round-start/next double buffer
+	body      func(i int) // the round body, built once (see Step)
 }
 
-// NewContinuous creates a stepper over a copy of the initial loads.
-func NewContinuous(g *graph.G, initial []float64) *Continuous {
+// New creates a stepper over a copy of the initial loads or tokens.
+func New[T load.Value](g *graph.G, initial []T) *Stepper[T] {
 	if len(initial) != g.N() {
 		panic("diffusion: initial load length mismatch")
 	}
-	return &Continuous{G: g, Load: load.NewContinuous(initial)}
+	return &Stepper[T]{G: g, cur: slices.Clone(initial)}
 }
 
 // Step advances one synchronous round of Algorithm 1.
@@ -112,12 +102,15 @@ func NewContinuous(g *graph.G, initial []float64) *Continuous {
 //
 // so each node is computed independently — this is the concurrency the
 // paper's proof technique is about, and it is also what makes the parallel
-// executor safe without synchronization beyond the round barrier.
-func (c *Continuous) Step() {
-	g, cur := c.G, c.Load.Vector()
+// executor safe without synchronization beyond the round barrier. In the
+// discrete model every edge moves ⌊|ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ))⌋ tokens; both
+// endpoints compute the same flow from the same round-start counts, so
+// the node-parallel formulation remains exact.
+func (s *Stepper[T]) Step() {
+	g, cur := s.G, s.cur
 	n := g.N()
-	if c.body == nil {
-		c.next = make(matrix.Vector, n)
+	if s.body == nil {
+		s.next = make([]T, n)
 		// The round body scans the CSR rows — one contiguous index stream —
 		// instead of pointer-chasing per-node slices. Neighbour order and the
 		// floating-point operation chain are identical to the slice form (the
@@ -127,8 +120,8 @@ func (c *Continuous) Step() {
 		// and a per-Step closure would put one heap allocation in the round
 		// hot loop.
 		off, tgt := g.CSR()
-		next := c.next
-		c.body = func(i int) {
+		next := s.next
+		s.body = func(i int) {
 			li := cur[i]
 			acc := li
 			// Reslicing the row once keeps the inner loop free of repeated
@@ -143,6 +136,12 @@ func (c *Continuous) Step() {
 			// both exact), and a − w ≡ a + (−w). The ℓᵢ == ℓⱼ skip stays:
 			// without it a node holding −0 next to a +0 neighbour would
 			// add +0 and turn into +0.
+			//
+			// The acc update is the only place the two models differ. For
+			// float64 the conversions vanish; for int64 the transfer is
+			// computed in float64 and T(·) truncates it toward zero —
+			// symmetric too, so it is the floor of the heavier endpoint's
+			// transfer.
 			for _, j := range row {
 				lj := cur[j]
 				if li == lj {
@@ -152,84 +151,21 @@ func (c *Continuous) Step() {
 				if dj := int(off[j+1] - off[j]); dj > d {
 					d = dj
 				}
-				acc += (lj - li) / (4 * float64(d))
+				acc += T((float64(lj) - float64(li)) / (4 * float64(d)))
 			}
 			next[i] = acc
 		}
 	}
-	parallel.For(n, parallel.StepperWorkers(c.Workers), c.body)
-	copy(cur, c.next)
+	parallel.For(n, parallel.StepperWorkers(s.Workers), s.body)
+	copy(cur, s.next)
 }
 
 // Potential returns Φ of the current distribution.
-func (c *Continuous) Potential() float64 { return c.Load.Potential() }
+func (s *Stepper[T]) Potential() float64 { return load.Potential(s.cur) }
 
-// LoadVector returns the live load vector (implements core.ContinuousState,
-// the scenario engine's between-round injection hook).
-func (c *Continuous) LoadVector() []float64 { return c.Load.Vector() }
-
-// Discrete is the stateful discrete Algorithm 1 stepper.
-type Discrete struct {
-	G       *graph.G
-	Load    *load.Discrete
-	Workers int
-
-	next []int64
-	body func(i int) // the round body, built once (see Step)
-}
-
-// NewDiscrete creates a stepper over a copy of the initial token counts.
-func NewDiscrete(g *graph.G, initial []int64) *Discrete {
-	if len(initial) != g.N() {
-		panic("diffusion: initial token length mismatch")
-	}
-	return &Discrete{G: g, Load: load.NewDiscrete(initial)}
-}
-
-// Step advances one synchronous round of the discrete Algorithm 1, moving
-// ⌊(ℓᵢ−ℓⱼ)/(4·max(dᵢ,dⱼ))⌋ tokens across each unbalanced edge. Both
-// endpoints compute the same flow from the same round-start counts, so the
-// node-parallel formulation remains exact.
-func (d *Discrete) Step() {
-	g, cur := d.G, d.Load.Tokens()
-	n := g.N()
-	if d.body == nil {
-		d.next = make([]int64, n)
-		// Built once for the stepper's lifetime, like Continuous.Step — a
-		// per-Step closure would be one heap allocation per round.
-		off, tgt := g.CSR()
-		next := d.next
-		d.body = func(i int) {
-			li := cur[i]
-			acc := li
-			row := tgt[off[i]:off[i+1]]
-			di := len(row)
-			for _, j := range row {
-				lj := cur[j]
-				if li == lj {
-					continue
-				}
-				d := di
-				if dj := int(off[j+1] - off[j]); dj > d {
-					d = dj
-				}
-				// Continuous.Step's sign-symmetric update; conversion to
-				// int64 truncates toward zero, which is symmetric too.
-				acc += int64((float64(lj) - float64(li)) / (4 * float64(d)))
-			}
-			next[i] = acc
-		}
-	}
-	parallel.For(n, parallel.StepperWorkers(d.Workers), d.body)
-	copy(cur, d.next)
-}
-
-// Potential returns Φ of the current distribution.
-func (d *Discrete) Potential() float64 { return d.Load.Potential() }
-
-// LoadTokens returns the live token counts (implements core.DiscreteState,
-// the scenario engine's between-round injection hook).
-func (d *Discrete) LoadTokens() []int64 { return d.Load.Tokens() }
+// Values returns the live loads or tokens (not a copy) — the scenario
+// engine's between-round injection hook.
+func (s *Stepper[T]) Values() []T { return s.cur }
 
 // DiscreteThreshold returns the paper's Theorem 6 residual threshold
 // 64·δ³·n/λ₂ below which the discrete analysis stops guaranteeing progress.

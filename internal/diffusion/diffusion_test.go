@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/load"
+	"repro/internal/matrix"
 	"repro/internal/spectral"
 	"repro/internal/workload"
 )
@@ -28,20 +29,20 @@ func TestEdgeWeightRule(t *testing.T) {
 func TestContinuousStepConserves(t *testing.T) {
 	g := graph.Cycle(8)
 	init := workload.Continuous(workload.Uniform, 8, 100, rand.New(rand.NewSource(1)))
-	st := NewContinuous(g, init)
-	before := st.Load.Total()
+	st := New(g, init)
+	before := load.Sum(st.Values())
 	for i := 0; i < 50; i++ {
 		st.Step()
 	}
-	if math.Abs(st.Load.Total()-before) > 1e-8*math.Abs(before) {
-		t.Fatalf("total drifted: %v → %v", before, st.Load.Total())
+	if math.Abs(load.Sum(st.Values())-before) > 1e-8*math.Abs(before) {
+		t.Fatalf("total drifted: %v → %v", before, load.Sum(st.Values()))
 	}
 }
 
 func TestContinuousPotentialMonotone(t *testing.T) {
 	g := graph.Torus(4, 4)
 	init := workload.Continuous(workload.Spike, 16, 1000, nil)
-	st := NewContinuous(g, init)
+	st := New(g, init)
 	prev := st.Potential()
 	for i := 0; i < 100; i++ {
 		st.Step()
@@ -59,13 +60,13 @@ func TestContinuousMatchesPaperDiffusionMatrix(t *testing.T) {
 	g := graph.Petersen()
 	rng := rand.New(rand.NewSource(2))
 	init := workload.Continuous(workload.Uniform, g.N(), 50, rng)
-	st := NewContinuous(g, init)
+	st := New(g, init)
 	st.Step()
 
 	m := spectral.PaperDiffusionMatrix(g)
 	ms := NewMatrixStepper(m, init)
 	ms.Step()
-	if !st.Load.Vector().ApproxEqual(ms.Load.Vector(), 1e-10) {
+	if !matrix.Vector(st.Values()).ApproxEqual(ms.Load.Vector(), 1e-10) {
 		t.Fatal("sparse step disagrees with matrix step")
 	}
 }
@@ -74,14 +75,14 @@ func TestContinuousParallelMatchesSerial(t *testing.T) {
 	g := graph.Torus(6, 6)
 	rng := rand.New(rand.NewSource(3))
 	init := workload.Continuous(workload.Uniform, g.N(), 100, rng)
-	serial := NewContinuous(g, init)
-	par := NewContinuous(g, init)
+	serial := New(g, init)
+	par := New(g, init)
 	par.Workers = 8
 	for i := 0; i < 20; i++ {
 		serial.Step()
 		par.Step()
 	}
-	if !serial.Load.Vector().ApproxEqual(par.Load.Vector(), 0) {
+	if !matrix.Vector(serial.Values()).ApproxEqual(par.Values(), 0) {
 		t.Fatal("parallel executor must be bitwise identical to serial")
 	}
 }
@@ -100,7 +101,7 @@ func TestTheorem4BoundHolds(t *testing.T) {
 		lambda2 := spectral.MustLambda2(g)
 		bound := int(math.Ceil(ContinuousBound(g, lambda2, eps)))
 		init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
-		st := NewContinuous(g, init)
+		st := New(g, init)
 		phi0 := st.Potential()
 		rounds := 0
 		for ; rounds <= bound && st.Potential() > eps*phi0; rounds++ {
@@ -117,23 +118,23 @@ func TestDiscreteStepConservesTokens(t *testing.T) {
 	g := graph.Torus(4, 4)
 	rng := rand.New(rand.NewSource(4))
 	init := workload.Discrete(workload.Uniform, g.N(), 100000, rng)
-	st := NewDiscrete(g, init)
-	before := st.Load.Total()
+	st := New(g, init)
+	before := load.Sum(st.Values())
 	for i := 0; i < 100; i++ {
 		st.Step()
 	}
-	if st.Load.Total() != before {
-		t.Fatalf("tokens not conserved: %d → %d", before, st.Load.Total())
+	if load.Sum(st.Values()) != before {
+		t.Fatalf("tokens not conserved: %d → %d", before, load.Sum(st.Values()))
 	}
 }
 
 func TestDiscreteNoNegativeLoads(t *testing.T) {
 	g := graph.Star(10)
 	init := workload.Discrete(workload.Spike, g.N(), 1000, nil)
-	st := NewDiscrete(g, init)
+	st := New(g, init)
 	for i := 0; i < 200; i++ {
 		st.Step()
-		for node, v := range st.Load.Tokens() {
+		for node, v := range st.Values() {
 			if v < 0 {
 				t.Fatalf("round %d: node %d went negative: %d", i, node, v)
 			}
@@ -145,15 +146,15 @@ func TestDiscreteParallelMatchesSerial(t *testing.T) {
 	g := graph.Hypercube(5)
 	rng := rand.New(rand.NewSource(5))
 	init := workload.Discrete(workload.PowerLaw, g.N(), 500000, rng)
-	serial := NewDiscrete(g, init)
-	par := NewDiscrete(g, init)
+	serial := New(g, init)
+	par := New(g, init)
 	par.Workers = 4
 	for i := 0; i < 30; i++ {
 		serial.Step()
 		par.Step()
 	}
-	for i, v := range serial.Load.Tokens() {
-		if par.Load.Tokens()[i] != v {
+	for i, v := range serial.Values() {
+		if par.Values()[i] != v {
 			t.Fatal("parallel discrete executor must match serial exactly")
 		}
 	}
@@ -169,7 +170,7 @@ func TestTheorem6DiscreteReachesThreshold(t *testing.T) {
 	} {
 		lambda2 := spectral.MustLambda2(g)
 		init := workload.Discrete(workload.Spike, g.N(), 10_000_000, nil)
-		st := NewDiscrete(g, init)
+		st := New(g, init)
 		phi0 := st.Potential()
 		thr := DiscreteThreshold(g, lambda2)
 		bound := int(math.Ceil(DiscreteBound(g, lambda2, phi0)))
@@ -193,9 +194,9 @@ func TestDiscreteLineRampIsStable(t *testing.T) {
 	for i := range init {
 		init[i] = int64(i)
 	}
-	st := NewDiscrete(g, init)
+	st := New(g, init)
 	st.Step()
-	for i, v := range st.Load.Tokens() {
+	for i, v := range st.Values() {
 		if v != int64(i) {
 			t.Fatalf("ramp moved: node %d = %d", i, v)
 		}
@@ -221,7 +222,7 @@ func TestRoundFlowsContinuousAntisymmetry(t *testing.T) {
 	g := graph.Torus(3, 3)
 	rng := rand.New(rand.NewSource(6))
 	l := workload.Continuous(workload.Uniform, g.N(), 10, rng)
-	flows := RoundFlowsContinuous(g, l)
+	flows := RoundFlows(g, l)
 	for _, f := range flows {
 		// Flow direction must go from heavier to lighter.
 		hi, lo := f.Edge.U, f.Edge.V
@@ -241,13 +242,13 @@ func TestRoundFlowsContinuousAntisymmetry(t *testing.T) {
 
 func TestRoundFlowsDiscreteFloor(t *testing.T) {
 	g := graph.Path(2)
-	flows := RoundFlowsDiscrete(g, []int64{10, 0})
+	flows := RoundFlows(g, []int64{10, 0})
 	// w = 10/(4·1) = 2.5 → 2 tokens.
 	if len(flows) != 1 || flows[0].Amount != 2 {
 		t.Fatalf("flows = %+v", flows)
 	}
 	// Sub-threshold difference moves nothing.
-	if got := RoundFlowsDiscrete(g, []int64{3, 0}); len(got) != 0 {
+	if got := RoundFlows(g, []int64{3, 0}); len(got) != 0 {
 		t.Fatalf("expected no flow, got %+v", got)
 	}
 }
@@ -258,7 +259,7 @@ func TestNewSteppersValidateLength(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewContinuous(graph.Cycle(4), []float64{1})
+	New(graph.Cycle(4), []float64{1})
 }
 
 // Property: one continuous round never increases Φ, for random graphs and
@@ -269,7 +270,7 @@ func TestContinuousDropProperty(t *testing.T) {
 		n := 4 + r.Intn(16)
 		g := graph.ErdosRenyi(n, 0.5, r)
 		init := workload.Continuous(workload.Uniform, n, 100, r)
-		st := NewContinuous(g, init)
+		st := New(g, init)
 		phi0 := st.Potential()
 		st.Step()
 		return st.Potential() <= phi0+1e-9*(1+phi0)
@@ -290,7 +291,7 @@ func TestLemma2LowerBoundProperty(t *testing.T) {
 			return true
 		}
 		init := workload.Continuous(workload.Uniform, n, 50, r)
-		st := NewContinuous(g, init)
+		st := New(g, init)
 		l := load.NewContinuous(init)
 		var rhs float64
 		for _, e := range g.Edges() {
@@ -315,12 +316,12 @@ func TestDiscreteConservationProperty(t *testing.T) {
 		n := 3 + r.Intn(20)
 		g := graph.ErdosRenyi(n, 0.4, r)
 		init := workload.Discrete(workload.Uniform, n, int64(1000+r.Intn(100000)), r)
-		st := NewDiscrete(g, init)
-		before := st.Load.Total()
+		st := New(g, init)
+		before := load.Sum(st.Values())
 		for k := 0; k < 5; k++ {
 			st.Step()
 		}
-		return st.Load.Total() == before
+		return load.Sum(st.Values()) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -328,7 +329,7 @@ func TestDiscreteConservationProperty(t *testing.T) {
 }
 
 // refContinuousRound is the abs-and-branch form of one continuous
-// Algorithm 1 round, the oracle for the branch-free Continuous.Step: on
+// Algorithm 1 round, the oracle for the branch-free Stepper[float64].Step: on
 // each edge the heavier endpoint sends |ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ)) to the
 // lighter one. It walks the CSR rows in the stepper's order, so the two
 // must agree bit for bit.
@@ -359,7 +360,7 @@ func refContinuousRound(g *graph.G, cur []float64) []float64 {
 	return next
 }
 
-// refDiscreteRound is the abs-and-branch oracle for Discrete.Step: the
+// refDiscreteRound is the abs-and-branch oracle for Stepper[int64].Step: the
 // heavier endpoint sends ⌊|ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ))⌋ tokens.
 func refDiscreteRound(g *graph.G, cur []int64) []int64 {
 	off, tgt := g.CSR()
@@ -391,17 +392,17 @@ func refDiscreteRound(g *graph.G, cur []int64) []int64 {
 // checkRoundMatchesReference compares the steppers' live state with the
 // oracle's, node by node: Float64bits for loads, so a flipped zero sign
 // shows, and exact equality for tokens.
-func checkRoundMatchesReference(t *testing.T, round int, c *Continuous, want []float64, d *Discrete, wantTok []int64) {
+func checkRoundMatchesReference(t *testing.T, round int, c *Stepper[float64], want []float64, d *Stepper[int64], wantTok []int64) {
 	t.Helper()
 	if c != nil {
-		for i, v := range c.Load.Vector() {
+		for i, v := range c.Values() {
 			if math.Float64bits(v) != math.Float64bits(want[i]) {
 				t.Fatalf("continuous round %d node %d: %v (%#x), reference %v (%#x)",
 					round, i, v, math.Float64bits(v), want[i], math.Float64bits(want[i]))
 			}
 		}
 	}
-	for i, v := range d.Load.Tokens() {
+	for i, v := range d.Values() {
 		if v != wantTok[i] {
 			t.Fatalf("discrete round %d node %d: %d tokens, reference %d", round, i, v, wantTok[i])
 		}
@@ -431,7 +432,7 @@ func TestRoundMatchesReference(t *testing.T) {
 		for _, start := range starts {
 			for _, workers := range []int{1, 3} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", g.Name(), start.name, workers), func(t *testing.T) {
-					c, d := NewContinuous(g, start.loads), NewDiscrete(g, start.tokens)
+					c, d := New(g, start.loads), New(g, start.tokens)
 					c.Workers, d.Workers = workers, workers
 					want, wantTok := start.loads, start.tokens
 					for r := 1; r <= rounds; r++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/load"
 )
 
 // FuzzEdgeWeightInvariants fuzzes the Algorithm 1 transfer rule: the
@@ -48,7 +49,7 @@ func FuzzDiscreteRoundConserves(f *testing.F) {
 		}
 		g := graph.Torus(3, 3)
 		tokens := []int64{a, b, c, d, a % 97, b % 89, c % 83, d % 79, (a + b) % 71}
-		st := NewDiscrete(g, tokens)
+		st := New(g, tokens)
 		var before int64
 		for _, v := range tokens {
 			before += v
@@ -56,10 +57,10 @@ func FuzzDiscreteRoundConserves(f *testing.F) {
 		for k := 0; k < 5; k++ {
 			st.Step()
 		}
-		if st.Load.Total() != before {
-			t.Fatalf("tokens not conserved: %d → %d", before, st.Load.Total())
+		if load.Sum(st.Values()) != before {
+			t.Fatalf("tokens not conserved: %d → %d", before, load.Sum(st.Values()))
 		}
-		for node, v := range st.Load.Tokens() {
+		for node, v := range st.Values() {
 			if v < 0 {
 				t.Fatalf("node %d negative: %d", node, v)
 			}
@@ -98,12 +99,12 @@ func FuzzRoundMatchesReference(f *testing.F) {
 				loads[i], tokens[i] = math.Float64frombits(w), int64(w)
 				hasNaN = hasNaN || math.IsNaN(loads[i])
 			}
-			var c *Continuous
+			var c *Stepper[float64]
 			if !hasNaN {
-				c = NewContinuous(g, loads)
+				c = New(g, loads)
 				c.Step()
 			}
-			d := NewDiscrete(g, tokens)
+			d := New(g, tokens)
 			d.Step()
 			checkRoundMatchesReference(t, 1, c, refContinuousRound(g, loads), d, refDiscreteRound(g, tokens))
 		}

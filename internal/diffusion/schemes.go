@@ -35,7 +35,7 @@ func NewFirstOrder(g *graph.G, initial []float64) *FirstOrder {
 	}
 }
 
-// Step advances one round. Like Continuous.Step, the round body is built
+// Step advances one round. Like Stepper.Step, the round body is built
 // on the first call, so Alpha is fixed from then on.
 func (f *FirstOrder) Step() {
 	cur := f.Load.Vector()
@@ -67,8 +67,8 @@ func firstOrderBody(g *graph.G, cur, next matrix.Vector, alpha float64) func(i i
 // Potential returns Φ of the current distribution.
 func (f *FirstOrder) Potential() float64 { return f.Load.Potential() }
 
-// LoadVector returns the live load vector (implements core.ContinuousState).
-func (f *FirstOrder) LoadVector() []float64 { return f.Load.Vector() }
+// Values returns the live load vector (the core injection hook).
+func (f *FirstOrder) Values() []float64 { return f.Load.Vector() }
 
 // SecondOrder is the second-order scheme of [15]:
 //
@@ -153,10 +153,10 @@ func (s *SecondOrder) Step() {
 // shows; only the envelope decays at the accelerated rate.
 func (s *SecondOrder) Potential() float64 { return s.Load.Potential() }
 
-// LoadVector returns the live load vector (implements core.ContinuousState).
+// Values returns the live load vector (the core injection hook).
 // Injecting into it perturbs Lᵗ only; the scheme's Lᵗ⁻¹ memory is left to
 // absorb the shock over the next rounds.
-func (s *SecondOrder) LoadVector() []float64 { return s.Load.Vector() }
+func (s *SecondOrder) Values() []float64 { return s.Load.Vector() }
 
 // MatrixStepper advances L ← M·L for an arbitrary diffusion matrix; it is
 // the dense-reference implementation used in tests to validate the sparse

@@ -1,7 +1,15 @@
 // Package dimexchange implements the dimension-exchange baseline of Ghosh
 // and Muthukrishnan [12]: in every round a random matching of the network
 // is generated, and each matched pair balances by exchanging half of its
-// load difference (continuous) or ⌊·/2⌋ tokens (discrete).
+// load difference (continuous) or ⌊·/2⌋ tokens (discrete). The
+// deterministic variant the paper attributes to [3] cycles a fixed
+// schedule of matchings instead.
+//
+// One type, Stepper[T], serves both models and both matching sources. Its
+// only per-type rule is PairRule — the exact average for float64 loads,
+// the ⌊diff/2⌋ downhill move for int64 tokens — picked once at
+// construction; the random and round-robin steppers differ only in where a
+// round's matching comes from.
 //
 // The paper's §3 claims Algorithm 1 converges a constant factor faster than
 // this baseline because diffusion balances over all edges concurrently
@@ -17,6 +25,7 @@ package dimexchange
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/load"
@@ -26,7 +35,7 @@ import (
 // matchingPartners fills partner with each node's mate in matching m (−1 for
 // unmatched nodes), growing the scratch slice as needed. A matching touches
 // every node at most once, so a node-parallel apply over the partner array
-// performs exactly the serial loop's one averaging operation per matched
+// performs exactly the serial loop's one pair-rule application per matched
 // node — bit-identical for any worker count.
 func matchingPartners(partner []int, n int, m []graph.Edge) []int {
 	if cap(partner) < n {
@@ -42,15 +51,37 @@ func matchingPartners(partner []int, n int, m []graph.Edge) []int {
 	return partner
 }
 
-// RandomMatching draws a random matching of g. The procedure follows [12]:
-// each free node picks one incident edge uniformly at random (a proposal);
-// an edge enters the matching if both endpoints proposed it. One proposal
-// round per balancing round keeps the per-edge inclusion probability at
-// least 1/(4δ) for edges between degree-≤δ endpoints, matching the 1/8δ
-// style bound used in the analysis.
+// RandomMatching draws a random matching of g into a fresh slice; see
+// matcher.draw for the procedure.
 func RandomMatching(g *graph.G, rng *rand.Rand) []graph.Edge {
+	var mt matcher
+	return mt.draw(g, rng)
+}
+
+// matcher is the reusable scratch of the random-matching draw, so a
+// stepper's rounds allocate nothing once the buffers have grown.
+type matcher struct {
+	proposal []int
+	matched  []bool
+	edges    []graph.Edge
+}
+
+// draw returns a random matching of g, valid until the next draw. The
+// procedure follows [12]: each free node picks one incident edge uniformly
+// at random (a proposal); an edge enters the matching if both endpoints
+// proposed it. One proposal round per balancing round keeps the per-edge
+// inclusion probability at least 1/(4δ) for edges between degree-≤δ
+// endpoints, matching the 1/8δ style bound used in the analysis.
+func (mt *matcher) draw(g *graph.G, rng *rand.Rand) []graph.Edge {
 	n := g.N()
-	proposal := make([]int, n)
+	if cap(mt.proposal) < n {
+		// A matching has at most n/2 edges, so the edge buffer never
+		// grows after this.
+		mt.proposal, mt.matched = make([]int, n), make([]bool, n)
+		mt.edges = make([]graph.Edge, 0, n/2)
+	}
+	proposal, matched := mt.proposal[:n], mt.matched[:n]
+	clear(matched)
 	// CSR rows replay the Neighbors order exactly, so the rng.Intn draw
 	// sequence — and with it every sampled matching — is unchanged.
 	off, tgt := g.CSR()
@@ -62,8 +93,7 @@ func RandomMatching(g *graph.G, rng *rand.Rand) []graph.Edge {
 		}
 		proposal[i] = tgt[off[i]+rng.Intn(deg)]
 	}
-	matched := make([]bool, n)
-	var m []graph.Edge
+	m := mt.edges[:0]
 	for i := 0; i < n; i++ {
 		j := proposal[i]
 		if j < 0 || j < i { // handle each pair once, from the smaller index
@@ -74,136 +104,152 @@ func RandomMatching(g *graph.G, rng *rand.Rand) []graph.Edge {
 			m = append(m, graph.Edge{U: i, V: j})
 		}
 	}
+	mt.edges = m
 	return m
 }
 
-// Continuous is the continuous dimension-exchange stepper.
-type Continuous struct {
-	G    *graph.G
-	Load *load.Continuous
-	RNG  *rand.Rand
-	// Workers > 1 fans the pair-averaging loop over goroutines; results
-	// are bit-identical for any value (the matching touches each node at
-	// most once).
-	Workers int
-
-	// LastMatching is the matching used by the most recent Step; exposed
-	// for the tests that validate the matching distribution.
-	LastMatching []graph.Edge
-
-	partner []int
-	next    []float64
+// PairRule returns the rule a matched pair (a, b) balances by, chosen
+// once per type: the exact average for float64 loads, and a move of
+// ⌊|a−b|/2⌋ tokens from the heavier to the lighter endpoint for int64.
+// Both rules are symmetric — PairRule()(b, a) swaps the results of
+// PairRule()(a, b) — so a node's new load is the first result of the rule
+// applied to (its load, its partner's load).
+func PairRule[T load.Value]() func(a, b T) (T, T) {
+	var rule any = averagePair
+	if _, tokens := any(T(0)).(int64); tokens {
+		rule = tokenPair
+	}
+	return rule.(func(a, b T) (T, T))
 }
 
-// NewContinuous creates a stepper over a copy of the initial loads.
-func NewContinuous(g *graph.G, initial []float64, rng *rand.Rand) *Continuous {
+func averagePair(a, b float64) (float64, float64) {
+	avg := (a + b) / 2
+	return avg, avg
+}
+
+func tokenPair(a, b int64) (int64, int64) {
+	if a < b {
+		t := (b - a) / 2
+		return a + t, b - t
+	}
+	t := (a - b) / 2
+	return a - t, b + t
+}
+
+// Stepper is the dimension-exchange stepper over float64 loads or int64
+// tokens. Each round activates one matching of G and every matched pair
+// balances with PairRule. The matching comes from one of two sources,
+// fixed at construction: a fresh random matching per round (New, the [12]
+// baseline) or a fixed schedule of matchings cycled round-robin
+// (NewRoundRobin, the deterministic exchange the paper's introduction
+// attributes to [3]).
+type Stepper[T load.Value] struct {
+	G *graph.G
+	// Classes is the round-robin schedule: round t activates class
+	// t mod len(Classes). Nil for random matchings.
+	Classes [][]graph.Edge
+	// Workers > 1 fans the pair loop over goroutines; results are
+	// bit-identical for any value (the matching touches each node at most
+	// once).
+	Workers int
+
+	// LastMatching is the matching used by the most recent Step, valid
+	// until the next one; exposed for the tests that validate the
+	// matching distribution.
+	LastMatching []graph.Edge
+
+	loads []T
+	pair  func(a, b T) (T, T)
+	rng   *rand.Rand // the random source; nil for a schedule
+	round int
+
+	matcher matcher
+	partner []int
+	next    []T
+}
+
+// New creates a random-matching stepper over a copy of the initial loads
+// or tokens.
+func New[T load.Value](g *graph.G, initial []T, rng *rand.Rand) *Stepper[T] {
+	st := newStepper(g, initial)
+	st.rng = rng
+	return st
+}
+
+// NewRoundRobin creates a round-robin stepper whose schedule is a greedy
+// edge coloring of g: each color class is a matching, so every edge
+// balances exactly once per sweep.
+func NewRoundRobin[T load.Value](g *graph.G, initial []T) *Stepper[T] {
+	colors, num := graph.EdgeColoring(g)
+	return NewRoundRobinWithClasses(g, initial, graph.ColorClasses(g, colors, num))
+}
+
+// NewRoundRobinWithClasses uses a caller-provided matching schedule (e.g.
+// graph.HypercubeDimensionClasses, under which a continuous run on the
+// hypercube balances perfectly after one sweep of the d dimensions).
+func NewRoundRobinWithClasses[T load.Value](g *graph.G, initial []T, classes [][]graph.Edge) *Stepper[T] {
+	st := newStepper(g, initial)
+	st.Classes = classes
+	return st
+}
+
+func newStepper[T load.Value](g *graph.G, initial []T) *Stepper[T] {
 	if len(initial) != g.N() {
 		panic("dimexchange: initial load length mismatch")
 	}
-	return &Continuous{G: g, Load: load.NewContinuous(initial), RNG: rng}
+	return &Stepper[T]{G: g, loads: slices.Clone(initial), pair: PairRule[T]()}
 }
 
-// Step draws a random matching and balances each matched pair to the exact
-// average of the two loads.
-func (c *Continuous) Step() {
-	m := RandomMatching(c.G, c.RNG)
-	c.LastMatching = m
-	v := c.Load.Vector()
-	w := parallel.StepperWorkers(c.Workers)
+// Sweep returns the number of rounds per full schedule cycle (0 for random
+// matchings).
+func (s *Stepper[T]) Sweep() int { return len(s.Classes) }
+
+// matching returns this round's matching from the stepper's source.
+func (s *Stepper[T]) matching() []graph.Edge {
+	if s.rng != nil {
+		return s.matcher.draw(s.G, s.rng)
+	}
+	if len(s.Classes) == 0 {
+		return nil
+	}
+	m := s.Classes[s.round%len(s.Classes)]
+	s.round++
+	return m
+}
+
+// Step activates this round's matching and balances each matched pair.
+func (s *Stepper[T]) Step() {
+	m := s.matching()
+	s.LastMatching = m
+	v := s.loads
+	w := parallel.StepperWorkers(s.Workers)
 	if w == 1 {
 		for _, e := range m {
-			avg := (v[e.U] + v[e.V]) / 2
-			v[e.U], v[e.V] = avg, avg
+			v[e.U], v[e.V] = s.pair(v[e.U], v[e.V])
 		}
 		return
 	}
-	n := c.G.N()
-	c.partner = matchingPartners(c.partner, n, m)
-	if len(c.next) < n {
-		c.next = make([]float64, n)
-	}
-	parallel.For(n, w, func(i int) {
-		if j := c.partner[i]; j >= 0 {
-			c.next[i] = (v[i] + v[j]) / 2
-		} else {
-			c.next[i] = v[i]
-		}
-	})
-	copy(v, c.next[:n])
-}
-
-// Potential returns Φ of the current distribution.
-func (c *Continuous) Potential() float64 { return c.Load.Potential() }
-
-// LoadVector returns the live load vector (implements core.ContinuousState).
-func (c *Continuous) LoadVector() []float64 { return c.Load.Vector() }
-
-// Discrete is the discrete dimension-exchange stepper: matched pairs move
-// ⌊|ℓᵢ−ℓⱼ|/2⌋ tokens from the heavier to the lighter endpoint.
-type Discrete struct {
-	G    *graph.G
-	Load *load.Discrete
-	RNG  *rand.Rand
-	// Workers > 1 fans the pair-balancing loop over goroutines; results
-	// are identical for any value.
-	Workers int
-
-	LastMatching []graph.Edge
-
-	partner []int
-	next    []int64
-}
-
-// NewDiscrete creates a stepper over a copy of the initial token counts.
-func NewDiscrete(g *graph.G, initial []int64, rng *rand.Rand) *Discrete {
-	if len(initial) != g.N() {
-		panic("dimexchange: initial token length mismatch")
-	}
-	return &Discrete{G: g, Load: load.NewDiscrete(initial), RNG: rng}
-}
-
-// Step draws a random matching and balances each matched pair.
-func (d *Discrete) Step() {
-	m := RandomMatching(d.G, d.RNG)
-	d.LastMatching = m
-	v := d.Load.Tokens()
-	w := parallel.StepperWorkers(d.Workers)
-	if w == 1 {
-		for _, e := range m {
-			hi, lo := e.U, e.V
-			if v[hi] < v[lo] {
-				hi, lo = lo, hi
-			}
-			t := (v[hi] - v[lo]) / 2
-			v[hi] -= t
-			v[lo] += t
-		}
-		return
-	}
-	n := d.G.N()
-	d.partner = matchingPartners(d.partner, n, m)
-	if len(d.next) < n {
-		d.next = make([]int64, n)
+	n := s.G.N()
+	s.partner = matchingPartners(s.partner, n, m)
+	if len(s.next) < n {
+		s.next = make([]T, n)
 	}
 	parallel.For(n, w, func(i int) {
 		li := v[i]
-		if j := d.partner[i]; j >= 0 {
-			if lj := v[j]; li > lj {
-				li -= (li - lj) / 2
-			} else if lj > li {
-				li += (lj - li) / 2
-			}
+		if j := s.partner[i]; j >= 0 {
+			li, _ = s.pair(li, v[j])
 		}
-		d.next[i] = li
+		s.next[i] = li
 	})
-	copy(v, d.next[:n])
+	copy(v, s.next[:n])
 }
 
 // Potential returns Φ of the current distribution.
-func (d *Discrete) Potential() float64 { return d.Load.Potential() }
+func (s *Stepper[T]) Potential() float64 { return load.Potential(s.loads) }
 
-// LoadTokens returns the live token counts (implements core.DiscreteState).
-func (d *Discrete) LoadTokens() []int64 { return d.Load.Tokens() }
+// Values returns the live loads or tokens (not a copy) — the core
+// injection hook.
+func (s *Stepper[T]) Values() []T { return s.loads }
 
 // IsMatching reports whether the edge set m is a matching of g (edges of g,
 // pairwise disjoint endpoints). Exposed for tests and assertions.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/workload"
 )
 
@@ -64,13 +65,13 @@ func TestContinuousConservesAndConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.Hypercube(4)
 	init := workload.Continuous(workload.Spike, g.N(), 1000, nil)
-	st := NewContinuous(g, init, rng)
-	before := st.Load.Total()
+	st := New(g, init, rng)
+	before := load.Sum(st.Values())
 	phi0 := st.Potential()
 	for i := 0; i < 400; i++ {
 		st.Step()
 	}
-	if math.Abs(st.Load.Total()-before) > 1e-8*(1+before) {
+	if math.Abs(load.Sum(st.Values())-before) > 1e-8*(1+before) {
 		t.Fatal("continuous dimension exchange must conserve")
 	}
 	if st.Potential() > phi0/1000 {
@@ -82,7 +83,7 @@ func TestContinuousStepNeverIncreasesPotential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.Torus(4, 4)
 	init := workload.Continuous(workload.Uniform, g.N(), 100, rng)
-	st := NewContinuous(g, init, rng)
+	st := New(g, init, rng)
 	prev := st.Potential()
 	for i := 0; i < 200; i++ {
 		st.Step()
@@ -98,12 +99,12 @@ func TestDiscreteConserves(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := graph.Cycle(12)
 	init := workload.Discrete(workload.PowerLaw, g.N(), 100000, rng)
-	st := NewDiscrete(g, init, rng)
-	before := st.Load.Total()
+	st := New(g, init, rng)
+	before := load.Sum(st.Values())
 	for i := 0; i < 300; i++ {
 		st.Step()
 	}
-	if st.Load.Total() != before {
+	if load.Sum(st.Values()) != before {
 		t.Fatal("discrete dimension exchange must conserve tokens")
 	}
 }
@@ -112,14 +113,14 @@ func TestDiscreteReachesSmallDiscrepancy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Complete(16)
 	init := workload.Discrete(workload.Spike, g.N(), 160000, nil)
-	st := NewDiscrete(g, init, rng)
+	st := New(g, init, rng)
 	// Mutual-proposal matchings on K_n are sparse (≈1/δ² per edge and
 	// round), so give the run a generous horizon; the fixed point has all
 	// pairwise differences ≤ 1, i.e. global discrepancy ≤ 1.
-	for i := 0; i < 5000 && st.Load.Discrepancy() > 1; i++ {
+	for i := 0; i < 5000 && load.NewDiscrete(st.Values()).Discrepancy() > 1; i++ {
 		st.Step()
 	}
-	if k := st.Load.Discrepancy(); k > 1 {
+	if k := load.NewDiscrete(st.Values()).Discrepancy(); k > 1 {
 		t.Fatalf("discrepancy %d after 5000 rounds on K16", k)
 	}
 }
@@ -128,10 +129,10 @@ func TestDiscreteNoNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.Star(9)
 	init := workload.Discrete(workload.Spike, g.N(), 999, nil)
-	st := NewDiscrete(g, init, rng)
+	st := New(g, init, rng)
 	for i := 0; i < 200; i++ {
 		st.Step()
-		for node, v := range st.Load.Tokens() {
+		for node, v := range st.Values() {
 			if v < 0 {
 				t.Fatalf("node %d negative: %d", node, v)
 			}
@@ -158,7 +159,7 @@ func TestSteppersValidateLength(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewContinuous(graph.Cycle(4), []float64{1}, rand.New(rand.NewSource(1)))
+	New(graph.Cycle(4), []float64{1}, rand.New(rand.NewSource(1)))
 }
 
 // Property: matched pairs end exactly balanced (continuous case).
@@ -168,10 +169,10 @@ func TestMatchedPairsBalanceProperty(t *testing.T) {
 		n := 4 + 2*r.Intn(8)
 		g := graph.Complete(n)
 		init := workload.Continuous(workload.Uniform, n, 100, r)
-		st := NewContinuous(g, init, r)
+		st := New(g, init, r)
 		st.Step()
 		for _, e := range st.LastMatching {
-			if math.Abs(st.Load.At(e.U)-st.Load.At(e.V)) > 1e-9 {
+			if math.Abs(st.Values()[e.U]-st.Values()[e.V]) > 1e-9 {
 				return false
 			}
 		}

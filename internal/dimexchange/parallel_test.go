@@ -25,16 +25,16 @@ func spikeTokens(n int) []int64 {
 func TestContinuousParallelMatchesSerial(t *testing.T) {
 	for _, g := range []*graph.G{graph.Cycle(17), graph.Torus(5, 6), graph.Hypercube(5)} {
 		for _, w := range []int{2, 3, 7, 16} {
-			serial := NewContinuous(g, spikeFloats(g.N()), rand.New(rand.NewSource(5)))
-			par := NewContinuous(g, spikeFloats(g.N()), rand.New(rand.NewSource(5)))
+			serial := New(g, spikeFloats(g.N()), rand.New(rand.NewSource(5)))
+			par := New(g, spikeFloats(g.N()), rand.New(rand.NewSource(5)))
 			par.Workers = w
 			for r := 0; r < 40; r++ {
 				serial.Step()
 				par.Step()
-				for i := range serial.Load.Vector() {
-					if math.Float64bits(serial.Load.Vector()[i]) != math.Float64bits(par.Load.Vector()[i]) {
+				for i := range serial.Values() {
+					if math.Float64bits(serial.Values()[i]) != math.Float64bits(par.Values()[i]) {
 						t.Fatalf("%s workers=%d round %d node %d: %v != %v",
-							g.Name(), w, r, i, par.Load.Vector()[i], serial.Load.Vector()[i])
+							g.Name(), w, r, i, par.Values()[i], serial.Values()[i])
 					}
 				}
 			}
@@ -45,16 +45,16 @@ func TestContinuousParallelMatchesSerial(t *testing.T) {
 func TestDiscreteParallelMatchesSerial(t *testing.T) {
 	for _, g := range []*graph.G{graph.Cycle(17), graph.Torus(5, 6), graph.Hypercube(5)} {
 		for _, w := range []int{2, 3, 7, 16} {
-			serial := NewDiscrete(g, spikeTokens(g.N()), rand.New(rand.NewSource(5)))
-			par := NewDiscrete(g, spikeTokens(g.N()), rand.New(rand.NewSource(5)))
+			serial := New(g, spikeTokens(g.N()), rand.New(rand.NewSource(5)))
+			par := New(g, spikeTokens(g.N()), rand.New(rand.NewSource(5)))
 			par.Workers = w
 			for r := 0; r < 40; r++ {
 				serial.Step()
 				par.Step()
-				for i := range serial.Load.Tokens() {
-					if serial.Load.Tokens()[i] != par.Load.Tokens()[i] {
+				for i := range serial.Values() {
+					if serial.Values()[i] != par.Values()[i] {
 						t.Fatalf("%s workers=%d round %d node %d: %d != %d",
-							g.Name(), w, r, i, par.Load.Tokens()[i], serial.Load.Tokens()[i])
+							g.Name(), w, r, i, par.Values()[i], serial.Values()[i])
 					}
 				}
 			}
@@ -71,10 +71,10 @@ func TestRoundRobinParallelMatchesSerial(t *testing.T) {
 			for r := 0; r < 3*len(serial.Classes); r++ {
 				serial.Step()
 				par.Step()
-				for i := range serial.Load.Vector() {
-					if math.Float64bits(serial.Load.Vector()[i]) != math.Float64bits(par.Load.Vector()[i]) {
+				for i := range serial.Values() {
+					if math.Float64bits(serial.Values()[i]) != math.Float64bits(par.Values()[i]) {
 						t.Fatalf("%s workers=%d round %d node %d: %v != %v",
-							g.Name(), w, r, i, par.Load.Vector()[i], serial.Load.Vector()[i])
+							g.Name(), w, r, i, par.Values()[i], serial.Values()[i])
 					}
 				}
 			}
@@ -85,16 +85,16 @@ func TestRoundRobinParallelMatchesSerial(t *testing.T) {
 func TestRoundRobinDiscreteParallelMatchesSerial(t *testing.T) {
 	for _, g := range []*graph.G{graph.Cycle(12), graph.Torus(4, 5), graph.Hypercube(4)} {
 		for _, w := range []int{2, 7} {
-			serial := NewRoundRobinDiscrete(g, spikeTokens(g.N()))
-			par := NewRoundRobinDiscrete(g, spikeTokens(g.N()))
+			serial := NewRoundRobin(g, spikeTokens(g.N()))
+			par := NewRoundRobin(g, spikeTokens(g.N()))
 			par.Workers = w
 			for r := 0; r < 3*len(serial.Classes); r++ {
 				serial.Step()
 				par.Step()
-				for i := range serial.Load.Tokens() {
-					if serial.Load.Tokens()[i] != par.Load.Tokens()[i] {
+				for i := range serial.Values() {
+					if serial.Values()[i] != par.Values()[i] {
 						t.Fatalf("%s workers=%d round %d node %d: %d != %d",
-							g.Name(), w, r, i, par.Load.Tokens()[i], serial.Load.Tokens()[i])
+							g.Name(), w, r, i, par.Values()[i], serial.Values()[i])
 					}
 				}
 			}

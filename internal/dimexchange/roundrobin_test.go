@@ -3,9 +3,11 @@ package dimexchange
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/workload"
 )
 
@@ -81,12 +83,12 @@ func TestRoundRobinConservesAndConverges(t *testing.T) {
 	g := graph.Torus(4, 4)
 	init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
 	rr := NewRoundRobin(g, init)
-	before := rr.Load.Total()
+	before := load.Sum(rr.Values())
 	phi0 := rr.Potential()
 	for k := 0; k < 500; k++ {
 		rr.Step()
 	}
-	if math.Abs(rr.Load.Total()-before) > 1e-8*(1+before) {
+	if math.Abs(load.Sum(rr.Values())-before) > 1e-8*(1+before) {
 		t.Fatal("round robin must conserve")
 	}
 	if rr.Potential() > 1e-9*phi0 {
@@ -103,7 +105,7 @@ func TestRoundRobinDeterministic(t *testing.T) {
 		a.Step()
 		b.Step()
 	}
-	if !a.Load.Vector().ApproxEqual(b.Load.Vector(), 0) {
+	if !slices.Equal(a.Values(), b.Values()) {
 		t.Fatal("deterministic schedule must reproduce exactly")
 	}
 }
@@ -112,17 +114,17 @@ func TestRoundRobinDiscreteConserves(t *testing.T) {
 	g := graph.Hypercube(4)
 	rng := rand.New(rand.NewSource(2))
 	init := workload.Discrete(workload.PowerLaw, g.N(), 500_000, rng)
-	rr := NewRoundRobinDiscrete(g, init)
-	before := rr.Load.Total()
+	rr := NewRoundRobin(g, init)
+	before := load.Sum(rr.Values())
 	for k := 0; k < 300; k++ {
 		rr.Step()
-		for node, v := range rr.Load.Tokens() {
+		for node, v := range rr.Values() {
 			if v < 0 {
 				t.Fatalf("node %d negative", node)
 			}
 		}
 	}
-	if rr.Load.Total() != before {
+	if load.Sum(rr.Values()) != before {
 		t.Fatal("tokens not conserved")
 	}
 }
@@ -130,13 +132,13 @@ func TestRoundRobinDiscreteConserves(t *testing.T) {
 func TestRoundRobinDiscreteReachesSmallResidual(t *testing.T) {
 	g := graph.Hypercube(4)
 	init := workload.Discrete(workload.Spike, g.N(), 1_600_000, nil)
-	rr := NewRoundRobinDiscrete(g, init)
+	rr := NewRoundRobin(g, init)
 	for k := 0; k < 2000; k++ {
 		rr.Step()
 	}
 	// Discrete pairwise averaging on the hypercube gets within a few
 	// tokens per node of perfect balance.
-	if k := rr.Load.Discrepancy(); k > int64(g.MaxDegree())+1 {
+	if k := load.NewDiscrete(rr.Values()).Discrepancy(); k > int64(g.MaxDegree())+1 {
 		t.Fatalf("discrepancy %d", k)
 	}
 }
@@ -149,7 +151,7 @@ func TestRoundRobinFasterThanRandomMatchingOnHypercube(t *testing.T) {
 	g := graph.Hypercube(5)
 	init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
 	rr := NewRoundRobinWithClasses(g, init, graph.HypercubeDimensionClasses(5))
-	rm := NewContinuous(g, init, rand.New(rand.NewSource(3)))
+	rm := New(g, init, rand.New(rand.NewSource(3)))
 	for k := 0; k < 10; k++ {
 		rr.Step()
 		rm.Step()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/async"
 	"repro/internal/core"
@@ -46,7 +47,7 @@ func E15FlowOptimality(o Options) *trace.Table {
 		acc := flow.NewAccumulator(g)
 		cur := l.Clone()
 		for round := 0; round < horizon; round++ {
-			flows := diffusion.RoundFlowsContinuous(g, cur)
+			flows := diffusion.RoundFlows(g, cur)
 			if len(flows) == 0 {
 				break
 			}
@@ -105,7 +106,7 @@ func E16CommunicationCost(o Options) *trace.Table {
 		case "diffusion":
 			cur := l.Clone()
 			for rounds = 0; rounds < horizon && potentialOf(cur) > target; rounds++ {
-				for _, fl := range diffusion.RoundFlowsContinuous(g, cur) {
+				for _, fl := range diffusion.RoundFlows(g, cur) {
 					moved += math.Abs(fl.Amount)
 					activations++
 					cur[fl.Edge.U] -= fl.Amount
@@ -113,9 +114,9 @@ func E16CommunicationCost(o Options) *trace.Table {
 				}
 			}
 		case "dimexchange":
-			st := dimexchange.NewContinuous(g, l, rng)
+			st := dimexchange.New(g, l, rng)
 			for rounds = 0; rounds < horizon && st.Potential() > target; rounds++ {
-				before := st.Load.Vector().Clone()
+				before := slices.Clone(st.Values())
 				st.Step()
 				for _, e := range st.LastMatching {
 					d := math.Abs(before[e.U]-before[e.V]) / 2
@@ -127,13 +128,13 @@ func E16CommunicationCost(o Options) *trace.Table {
 			}
 		case "randpair":
 			// Not edge-constrained: moved/optimal is reported for scale only.
-			st := randpair.NewContinuous(l, rng)
+			st := randpair.New(l, rng)
 			for rounds = 0; rounds < horizon && st.Potential() > target; rounds++ {
-				before := st.Load.Vector().Clone()
+				before := slices.Clone(st.Values())
 				st.Step()
 				var roundMoved float64
 				for i := range before {
-					roundMoved += math.Abs(st.Load.At(i) - before[i])
+					roundMoved += math.Abs(st.Values()[i] - before[i])
 				}
 				moved += roundMoved / 2 // each unit leaves one node and arrives at another
 				activations += len(st.LastLinks)
@@ -198,9 +199,9 @@ func A5SyncVsAsync(o Options) *trace.Table {
 		init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
 		sync := o.roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, horizon)
 		asyncU := roundsToFraction(
-			async.NewContinuous(g, init, async.UniformRandom, rand.New(rand.NewSource(rng.Int63()))), eps, horizon)
+			async.New(g, init, async.UniformRandom, rand.New(rand.NewSource(rng.Int63()))), eps, horizon)
 		asyncR := roundsToFraction(
-			async.NewContinuous(g, init, async.RoundRobin, nil), eps, horizon)
+			async.New(g, init, async.RoundRobin, nil), eps, horizon)
 		rows[i] = row{g.Name(), sync, asyncU, asyncR, float64(asyncU) / float64(sync)}
 	})
 	emit(t, rows)

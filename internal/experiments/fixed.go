@@ -80,9 +80,9 @@ func E1SequentialDrop(o Options) *trace.Table {
 				}
 			}
 			// Advance the real system to the next round's start vector.
-			st := diffusion.NewContinuous(g, l)
+			st := diffusion.New(g, l)
 			st.Step()
-			l = st.Load.Vector().Clone()
+			l = st.Values()
 		}
 		if math.IsInf(minRatio, 1) {
 			minRatio = math.NaN()

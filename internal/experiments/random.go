@@ -108,7 +108,7 @@ func E9RandomPartners(o Options) *trace.Table {
 		init := workload.Continuous(workload.Spike, n, float64(n)*1000, nil)
 		var factors []float64
 		for k := 0; k < trials; k++ {
-			st := randpair.NewContinuous(init, rng)
+			st := randpair.New(init, rng)
 			phi0 := st.Potential()
 			st.Step()
 			factors = append(factors, st.Potential()/phi0)
@@ -116,7 +116,7 @@ func E9RandomPartners(o Options) *trace.Table {
 		meanFactor := stats.Summarize(factors).Mean
 
 		// Full convergence run to Φ ≤ e⁻¹ (c = 1).
-		st := randpair.NewContinuous(init, rng)
+		st := randpair.New(init, rng)
 		phi0 := st.Potential()
 		bound := 120 * math.Log(phi0)
 		rounds, _ := stepUntil(st, math.Exp(-1), int(bound)+1)
@@ -145,14 +145,14 @@ func E10RandomPartnersDiscrete(o Options) *trace.Table {
 		init := workload.Discrete(workload.Spike, n, int64(n)*100000, nil)
 		var factors []float64
 		for k := 0; k < trials; k++ {
-			st := randpair.NewDiscrete(init, rng)
+			st := randpair.New(init, rng)
 			phi0 := st.Potential()
 			st.Step()
 			factors = append(factors, st.Potential()/phi0)
 		}
 		meanFactor := stats.Summarize(factors).Mean
 
-		st := randpair.NewDiscrete(init, rng)
+		st := randpair.New(init, rng)
 		phi0 := st.Potential()
 		thr := randpair.DiscreteThreshold(n)
 		bound := 240 * math.Log(phi0/thr)

@@ -40,9 +40,9 @@ func E17ResidualScaling(o Options) *trace.Table {
 		lambda2 := 2.0 // closed form for Q_d
 		tokens := workload.Discrete(workload.Spike, g.N(), int64(g.N())*1_000_000, nil)
 
-		a1 := diffusion.NewDiscrete(g, tokens)
+		a1 := diffusion.New(g, tokens)
 		a1.Workers = o.RoundWorkers
-		for k := 0; k < horizon && !diffusion.DiscreteFixedPoint(g, a1.Load.Tokens()); k++ {
+		for k := 0; k < horizon && !diffusion.DiscreteFixedPoint(g, a1.Values()); k++ {
 			a1.Step()
 		}
 		fos := diffusion.NewDiscreteFirstOrder(g, tokens)
@@ -82,7 +82,7 @@ func E18ContractionRate(o Options) *trace.Table {
 		}
 
 		init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
-		st := diffusion.NewContinuous(g, init)
+		st := diffusion.New(g, init)
 		// Collect the whole positive trace, then fit the second half of it
 		// — past the transient, before the denormal floor. Fast-mixing
 		// graphs (K_n) reach machine zero in tens of rounds, so the window

@@ -160,7 +160,7 @@ func TestDiffusionRoutesOptimalFlow(t *testing.T) {
 		acc := NewAccumulator(g)
 		cur := l.Clone()
 		for round := 0; round < 20000; round++ {
-			flows := diffusion.RoundFlowsContinuous(g, cur)
+			flows := diffusion.RoundFlows(g, cur)
 			if len(flows) == 0 {
 				break
 			}

@@ -19,12 +19,12 @@ func TestUniformSpeedsReduceToAlgorithm1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1 := diffusion.NewContinuous(g, init)
+	a1 := diffusion.New(g, init)
 	for k := 0; k < 20; k++ {
 		h.Step()
 		a1.Step()
 	}
-	if !h.Load.Vector().ApproxEqual(a1.Load.Vector(), 1e-9) {
+	if !h.Load.Vector().ApproxEqual(a1.Values(), 1e-9) {
 		t.Fatal("unit speeds must reproduce Algorithm 1 exactly")
 	}
 }

@@ -3,11 +3,15 @@
 // paper's analysis tracks: the quadratic potential Φ(L) = Σ(ℓᵢ − ℓ̄)², the
 // discrepancy K = max ℓᵢ − min ℓᵢ, and the error vector e = L − ℓ̄·1.
 //
-// Two concrete representations exist: Continuous (float64 loads, arbitrary
-// splitting — the "ideal" model of §2.1) and Discrete (int64 token counts —
-// the model of §2.2 and §4.2). Both satisfy conservation: no algorithm in
-// this repository creates or destroys load, and the test suite enforces
-// this as a property.
+// A load vector is a []T for one Value type T: float64 loads (arbitrary
+// splitting — the "ideal" model of §2.1) or int64 token counts (the model
+// of §2.2 and §4.2). The balancing steppers hold a plain []T and measure
+// it with the generic Sum and Potential, whose op chains do not depend on
+// T beyond the conversion to float64; Continuous and Discrete wrap the two
+// vectors for callers that want the other statistics. Every
+// representation satisfies conservation: no algorithm in this repository
+// creates or destroys load, and the test suite enforces this as a
+// property.
 package load
 
 import (
@@ -16,6 +20,29 @@ import (
 
 	"repro/internal/matrix"
 )
+
+// Value is the element type of a load vector: float64 for continuous load,
+// int64 for indivisible tokens.
+type Value interface{ float64 | int64 }
+
+// Sum returns Σxᵢ, accumulated in T in index order.
+func Sum[T Value](x []T) T {
+	var s T
+	for _, v := range x {
+		s += v
+	}
+	return s
+}
+
+// Potential returns Φ = Σᵢ(xᵢ − x̄)² with x̄ = float64(Sum(x))/n, through
+// the compensated pass of PotentialAround. For float64 this is the op
+// chain of Continuous.Potential, for int64 that of Discrete.Potential.
+func Potential[T Value](x []T) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	return potentialAround(x, float64(Sum(x))/float64(len(x)))
+}
 
 // Continuous is a continuous (infinitely divisible) load distribution.
 type Continuous struct {
@@ -54,15 +81,13 @@ func (c *Continuous) Vector() matrix.Vector { return c.v }
 func (c *Continuous) Clone() *Continuous { return &Continuous{v: c.v.Clone()} }
 
 // Total returns Σℓᵢ.
-func (c *Continuous) Total() float64 { return c.v.Sum() }
+func (c *Continuous) Total() float64 { return Sum(c.v) }
 
 // Average returns ℓ̄ = Σℓᵢ/n.
 func (c *Continuous) Average() float64 { return c.v.Mean() }
 
 // Potential returns Φ(L) = Σᵢ(ℓᵢ − ℓ̄)².
-func (c *Continuous) Potential() float64 {
-	return PotentialAround(c.v, c.Average())
-}
+func (c *Continuous) Potential() float64 { return Potential(c.v) }
 
 // Discrepancy returns K = maxᵢℓᵢ − minᵢℓᵢ.
 func (c *Continuous) Discrepancy() float64 {
@@ -131,13 +156,7 @@ func (d *Discrete) Clone() *Discrete {
 }
 
 // Total returns Σℓᵢ.
-func (d *Discrete) Total() int64 {
-	var s int64
-	for _, x := range d.v {
-		s += x
-	}
-	return s
-}
+func (d *Discrete) Total() int64 { return Sum(d.v) }
 
 // Average returns ℓ̄ as a float64 (the discrete average need not be integer).
 func (d *Discrete) Average() float64 {
@@ -149,9 +168,7 @@ func (d *Discrete) Average() float64 {
 
 // Potential returns Φ(L) = Σᵢ(ℓᵢ − ℓ̄)², bit-identical to PotentialAround
 // over Float64s but without the n-float copy.
-func (d *Discrete) Potential() float64 {
-	return potentialAround(d.v, d.Average())
-}
+func (d *Discrete) Potential() float64 { return Potential(d.v) }
 
 // Discrepancy returns K = maxᵢℓᵢ − minᵢℓᵢ.
 func (d *Discrete) Discrepancy() int64 {
@@ -199,7 +216,7 @@ func PotentialAround(x matrix.Vector, c float64) float64 {
 // potentialAround is PotentialAround over float64 loads or int64 token
 // counts; each count converts to float64 exactly as Float64s would, and the
 // compensated op chain is the same for both.
-func potentialAround[S ~[]E, E float64 | int64](x S, c float64) float64 {
+func potentialAround[S ~[]E, E Value](x S, c float64) float64 {
 	var sum, comp float64
 	for _, v := range x {
 		d := float64(v) - c

@@ -40,20 +40,20 @@ type CoupledRun struct {
 // Couple runs the discrete Algorithm 1 and the idealized continuous chain
 // (same transfer rule, fractional flows) in lockstep for T rounds on g.
 func Couple(g *graph.G, initial []int64, T int) CoupledRun {
-	disc := diffusion.NewDiscrete(g, initial)
+	disc := diffusion.New(g, initial)
 	init := make([]float64, len(initial))
 	for i, v := range initial {
 		init[i] = float64(v)
 	}
-	ideal := diffusion.NewContinuous(g, init)
+	ideal := diffusion.New(g, init)
 
 	out := CoupledRun{Rounds: T}
 	dev := make(matrix.Vector, g.N())
 	for t := 0; t < T; t++ {
 		disc.Step()
 		ideal.Step()
-		dv := disc.Load.Tokens()
-		iv := ideal.Load.Vector()
+		dv := disc.Values()
+		iv := ideal.Values()
 		for i := range dev {
 			dev[i] = float64(dv[i]) - iv[i]
 		}
@@ -95,9 +95,9 @@ func PsiBoundShape(g *graph.G, mu float64) float64 {
 // IdealizedDiscrepancyAfter runs the idealized chain for T rounds and
 // returns the final discrepancy; a cheap helper for bound checks.
 func IdealizedDiscrepancyAfter(g *graph.G, initial []float64, T int) float64 {
-	st := diffusion.NewContinuous(g, initial)
+	st := diffusion.New(g, initial)
 	for t := 0; t < T; t++ {
 		st.Step()
 	}
-	return load.NewContinuous(st.Load.Vector()).Discrepancy()
+	return load.NewContinuous(st.Values()).Discrepancy()
 }

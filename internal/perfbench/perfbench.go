@@ -521,13 +521,13 @@ func stateChecksum(sys core.System) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	switch s := sys.(type) {
-	case core.DiscreteState:
-		for _, t := range s.LoadTokens() {
+	case core.Stepper[int64]:
+		for _, t := range s.Values() {
 			binary.LittleEndian.PutUint64(buf[:], uint64(t))
 			h.Write(buf[:])
 		}
-	case core.ContinuousState:
-		for _, v := range s.LoadVector() {
+	case core.Stepper[float64]:
+		for _, v := range s.Values() {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
 		}

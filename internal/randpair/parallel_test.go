@@ -18,13 +18,13 @@ func TestContinuousParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{2, 3, 17, 64, 101} {
 		for _, w := range []int{2, 3, 7, 16} {
 			init := workload.Continuous(workload.Spike, n, 1e6*float64(n), nil)
-			serial := NewContinuous(init, rand.New(rand.NewSource(9)))
-			par := NewContinuous(init, rand.New(rand.NewSource(9)))
+			serial := New(init, rand.New(rand.NewSource(9)))
+			par := New(init, rand.New(rand.NewSource(9)))
 			par.Workers = w
 			for r := 0; r < 60; r++ {
 				serial.Step()
 				par.Step()
-				sv, pv := serial.Load.Vector(), par.Load.Vector()
+				sv, pv := serial.Values(), par.Values()
 				for i := range sv {
 					if math.Float64bits(sv[i]) != math.Float64bits(pv[i]) {
 						t.Fatalf("n=%d workers=%d round %d node %d: %v != %v", n, w, r, i, pv[i], sv[i])
@@ -39,13 +39,13 @@ func TestDiscreteParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{2, 3, 17, 64, 101} {
 		for _, w := range []int{2, 3, 7, 16} {
 			init := workload.Discrete(workload.Spike, n, int64(n)*1_000_000, nil)
-			serial := NewDiscrete(init, rand.New(rand.NewSource(9)))
-			par := NewDiscrete(init, rand.New(rand.NewSource(9)))
+			serial := New(init, rand.New(rand.NewSource(9)))
+			par := New(init, rand.New(rand.NewSource(9)))
 			par.Workers = w
 			for r := 0; r < 60; r++ {
 				serial.Step()
 				par.Step()
-				st, pt := serial.Load.Tokens(), par.Load.Tokens()
+				st, pt := serial.Values(), par.Values()
 				for i := range st {
 					if st[i] != pt[i] {
 						t.Fatalf("n=%d workers=%d round %d node %d: %d != %d", n, w, r, i, pt[i], st[i])

@@ -9,6 +9,11 @@
 // are genuinely concurrent — the situation the paper's proof technique is
 // built for.
 //
+// Both models run on one type, Stepper[T], generic over float64 loads and
+// int64 tokens. The only per-type rule is the division in the transfer:
+// float division for float64, integer division (the floor of the
+// magnitude) for int64.
+//
 // The analysis quantities are exposed so the experiments can check them
 // directly: partner-degree statistics for Lemma 9, the per-round expected
 // drop factors 19/20 (Lemma 11) and 39/40 (Lemma 13), and the discrete
@@ -16,8 +21,8 @@
 package randpair
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/load"
 	"repro/internal/parallel"
@@ -88,15 +93,15 @@ const ContinuousDropBound = 19.0 / 20.0
 // above the threshold: E[Φᵗ⁺¹] ≤ (39/40)·Φᵗ.
 const DiscreteDropBound = 39.0 / 40.0
 
-// Continuous is the continuous Algorithm 2 stepper.
-type Continuous struct {
-	Load *load.Continuous
-	RNG  *rand.Rand
+// Stepper is the Algorithm 2 stepper over float64 loads (the continuous
+// model) or int64 tokens (the discrete model).
+type Stepper[T load.Value] struct {
+	RNG *rand.Rand
 	// Workers > 1 fans the transfer application over goroutines. Every
 	// transfer is computed from the round-start vector, and each node
 	// accumulates its incident transfers in global link order — the exact
-	// floating-point operation chain of the serial loop — so results are
-	// bit-identical for any value.
+	// operation chain of the serial loop — so results are bit-identical
+	// for any value.
 	Workers int
 
 	// LastLinks / LastDegrees expose the most recent round's structure for
@@ -104,8 +109,14 @@ type Continuous struct {
 	LastLinks   []Link
 	LastDegrees []int
 
-	inc   incidence
-	start []float64
+	loads []T
+	inc   incidence[T]
+	start []T
+}
+
+// New creates a stepper over a copy of the initial loads or tokens.
+func New[T load.Value](initial []T, rng *rand.Rand) *Stepper[T] {
+	return &Stepper[T]{RNG: rng, loads: slices.Clone(initial)}
 }
 
 // incidence is the reusable CSR scratch of a round's link multiset: for
@@ -113,16 +124,16 @@ type Continuous struct {
 // incident links, in global link order. Per-node accumulation over it
 // replays each node's serial mutation chain exactly (x − w ≡ x + (−w) in
 // IEEE arithmetic), which is what makes the parallel path bit-identical.
-type incidence struct {
+type incidence[T load.Value] struct {
 	off    []int
 	cursor []int
-	ent    []float64
+	ent    []T
 }
 
-// build fills the structure from the round's effective links: f(k) returns
-// link k's transfer magnitude (0 to skip) computed from round-start loads;
-// the signed entries land on both endpoints.
-func (inc *incidence) build(n int, links []Link, start []float64, deg []int, f func(i, j, d int) float64) {
+// build fills the structure from the round's effective links (those
+// between unequal round-start loads); each link's transfer lands on both
+// endpoints with opposite signs.
+func (inc *incidence[T]) build(n int, links []Link, start []T, deg []int) {
 	if cap(inc.off) < n+1 {
 		inc.off = make([]int, n+1)
 		inc.cursor = make([]int, n)
@@ -146,7 +157,7 @@ func (inc *incidence) build(n int, links []Link, start []float64, deg []int, f f
 	}
 	inc.off[n] = total
 	if cap(inc.ent) < total {
-		inc.ent = make([]float64, total)
+		inc.ent = make([]T, total)
 	}
 	inc.ent = inc.ent[:total]
 	for _, lk := range links {
@@ -155,14 +166,10 @@ func (inc *incidence) build(n int, links []Link, start []float64, deg []int, f f
 		if d == 0 || start[i] == start[j] {
 			continue
 		}
-		w := f(i, j, d)
-		// Match the serial loop exactly: the heavier endpoint sends w.
-		if start[i] > start[j] {
-			w = -w
-		}
-		inc.ent[inc.cursor[i]] = w
+		w := (start[i] - start[j]) / T(4*d) // as in Step's serial loop
+		inc.ent[inc.cursor[i]] = -w
 		inc.cursor[i]++
-		inc.ent[inc.cursor[j]] = -w
+		inc.ent[inc.cursor[j]] = w
 		inc.cursor[j]++
 	}
 }
@@ -176,36 +183,29 @@ func maxDeg(deg []int, lk Link) int {
 	return d
 }
 
-// NewContinuous creates a stepper over a copy of the initial loads.
-func NewContinuous(initial []float64, rng *rand.Rand) *Continuous {
-	return &Continuous{Load: load.NewContinuous(initial), RNG: rng}
-}
-
 // Step performs one round: draw links, then apply all transfers computed
-// from the round-start loads concurrently.
-func (c *Continuous) Step() {
-	n := c.Load.N()
+// from the round-start loads concurrently — (ℓᵢ−ℓⱼ)/(4·max(dᵢ,dⱼ)) in the
+// continuous model, its floor in tokens in the discrete one.
+func (s *Stepper[T]) Step() {
+	n := len(s.loads)
 	// Round scratch (links, degrees, the round-start snapshot) is recycled
 	// across rounds; at n = 2²⁰ the per-round garbage would otherwise
 	// dominate the actual balancing arithmetic.
-	c.LastLinks = appendRoundLinks(c.LastLinks, n, c.RNG)
-	links := c.LastLinks
-	c.LastDegrees = fillDegrees(c.LastDegrees, n, links)
-	deg := c.LastDegrees
-	v := c.Load.Vector()
-	if cap(c.start) < n {
-		c.start = make([]float64, n)
+	s.LastLinks = appendRoundLinks(s.LastLinks, n, s.RNG)
+	links := s.LastLinks
+	s.LastDegrees = fillDegrees(s.LastDegrees, n, links)
+	deg := s.LastDegrees
+	v := s.loads
+	if cap(s.start) < n {
+		s.start = make([]T, n)
 	}
-	start := c.start[:n]
+	start := s.start[:n]
 	copy(start, v)
-	workers := parallel.StepperWorkers(c.Workers)
+	workers := parallel.StepperWorkers(s.Workers)
 	if workers == 1 {
 		for _, lk := range links {
 			i, j := lk.From, lk.To
-			d := deg[i]
-			if deg[j] > d {
-				d = deg[j]
-			}
+			d := maxDeg(deg, lk)
 			if d == 0 {
 				continue
 			}
@@ -213,21 +213,21 @@ func (c *Continuous) Step() {
 			if diff == 0 {
 				continue
 			}
-			w := math.Abs(diff) / (4 * float64(d))
-			if diff > 0 {
-				v[i] -= w
-				v[j] += w
-			} else {
-				v[j] -= w
-				v[i] += w
-			}
+			// The transfer, signed from i's side, is the only per-type
+			// rule: float division for float64, integer division for
+			// int64 (truncation toward zero floors the magnitude). Both
+			// are sign-symmetric — (−x)/D = −(x/D), exactly — so i
+			// subtracting w and j adding it is bit-identical to "the
+			// heavier endpoint sends |diff|/D", with no abs and no sign
+			// branch: a − w ≡ a + (−w).
+			w := diff / T(4*d)
+			v[i] -= w
+			v[j] += w
 		}
 		return
 	}
-	c.inc.build(n, links, start, deg, func(i, j, d int) float64 {
-		return math.Abs(start[i]-start[j]) / (4 * float64(d))
-	})
-	inc := &c.inc
+	s.inc.build(n, links, start, deg)
+	inc := &s.inc
 	parallel.For(n, workers, func(i int) {
 		acc := start[i]
 		for k := inc.off[i]; k < inc.off[i+1]; k++ {
@@ -238,150 +238,11 @@ func (c *Continuous) Step() {
 }
 
 // Potential returns Φ of the current distribution.
-func (c *Continuous) Potential() float64 { return c.Load.Potential() }
+func (s *Stepper[T]) Potential() float64 { return load.Potential(s.loads) }
 
-// LoadVector returns the live load vector (implements core.ContinuousState).
-func (c *Continuous) LoadVector() []float64 { return c.Load.Vector() }
-
-// Discrete is the discrete Algorithm 2 stepper (floor transfers).
-type Discrete struct {
-	Load *load.Discrete
-	RNG  *rand.Rand
-	// Workers > 1 fans the transfer application over goroutines; token
-	// arithmetic is order-free, so results are identical for any value.
-	Workers int
-
-	LastLinks   []Link
-	LastDegrees []int
-
-	inc   incidence64
-	start []int64
-}
-
-// incidence64 is incidence for token transfers (zero-token links become 0
-// entries, which integer accumulation ignores).
-type incidence64 struct {
-	off    []int
-	cursor []int
-	ent    []int64
-}
-
-func (inc *incidence64) build(n int, links []Link, start []int64, deg []int) {
-	if cap(inc.off) < n+1 {
-		inc.off = make([]int, n+1)
-		inc.cursor = make([]int, n)
-	}
-	inc.off = inc.off[:n+1]
-	inc.cursor = inc.cursor[:n]
-	for i := range inc.cursor {
-		inc.cursor[i] = 0
-	}
-	for _, lk := range links {
-		if d := maxDeg(deg, lk); d != 0 && start[lk.From] != start[lk.To] {
-			inc.cursor[lk.From]++
-			inc.cursor[lk.To]++
-		}
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		inc.off[i] = total
-		total += inc.cursor[i]
-		inc.cursor[i] = inc.off[i]
-	}
-	inc.off[n] = total
-	if cap(inc.ent) < total {
-		inc.ent = make([]int64, total)
-	}
-	inc.ent = inc.ent[:total]
-	for _, lk := range links {
-		i, j := lk.From, lk.To
-		d := maxDeg(deg, lk)
-		if d == 0 || start[i] == start[j] {
-			continue
-		}
-		diff := start[i] - start[j]
-		abs := diff
-		if abs < 0 {
-			abs = -abs
-		}
-		t := abs / int64(4*d)
-		if diff > 0 {
-			t = -t
-		}
-		inc.ent[inc.cursor[i]] = t
-		inc.cursor[i]++
-		inc.ent[inc.cursor[j]] = -t
-		inc.cursor[j]++
-	}
-}
-
-// NewDiscrete creates a stepper over a copy of the initial token counts.
-func NewDiscrete(initial []int64, rng *rand.Rand) *Discrete {
-	return &Discrete{Load: load.NewDiscrete(initial), RNG: rng}
-}
-
-// Step performs one round with ⌊(ℓᵢ−ℓⱼ)/(4·max(dᵢ,dⱼ))⌋-token transfers.
-func (d *Discrete) Step() {
-	n := d.Load.N()
-	d.LastLinks = appendRoundLinks(d.LastLinks, n, d.RNG)
-	links := d.LastLinks
-	d.LastDegrees = fillDegrees(d.LastDegrees, n, links)
-	deg := d.LastDegrees
-	v := d.Load.Tokens()
-	if cap(d.start) < n {
-		d.start = make([]int64, n)
-	}
-	start := d.start[:n]
-	copy(start, v)
-	workers := parallel.StepperWorkers(d.Workers)
-	if workers == 1 {
-		for _, lk := range links {
-			i, j := lk.From, lk.To
-			dd := deg[i]
-			if deg[j] > dd {
-				dd = deg[j]
-			}
-			if dd == 0 {
-				continue
-			}
-			diff := start[i] - start[j]
-			if diff == 0 {
-				continue
-			}
-			abs := diff
-			if abs < 0 {
-				abs = -abs
-			}
-			t := abs / int64(4*dd)
-			if t == 0 {
-				continue
-			}
-			if diff > 0 {
-				v[i] -= t
-				v[j] += t
-			} else {
-				v[j] -= t
-				v[i] += t
-			}
-		}
-		return
-	}
-	d.inc.build(n, links, start, deg)
-	inc := &d.inc
-	parallel.For(n, workers, func(i int) {
-		acc := start[i]
-		for k := inc.off[i]; k < inc.off[i+1]; k++ {
-			acc += inc.ent[k]
-		}
-		v[i] = acc
-	})
-}
-
-// Potential returns Φ of the current distribution.
-func (d *Discrete) Potential() float64 { return d.Load.Potential() }
-
-// LoadTokens returns the live token counts (implements core.DiscreteState).
-func (d *Discrete) LoadTokens() []int64 { return d.Load.Tokens() }
+// Values returns the live loads or tokens (not a copy) — the core
+// injection hook.
+func (s *Stepper[T]) Values() []T { return s.loads }
 
 // PartnerDegreeProbe estimates, by Monte-Carlo over rounds, the Lemma 9
 // conditional probability Pr[max(dᵢ,dⱼ) ≤ 5 | (i,j) ∈ E]: the fraction of

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/load"
 	"repro/internal/workload"
 )
 
@@ -49,13 +50,13 @@ func TestLemma9ProbabilityExceedsHalf(t *testing.T) {
 func TestContinuousConserves(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	init := workload.Continuous(workload.Uniform, 64, 100, rng)
-	st := NewContinuous(init, rng)
-	before := st.Load.Total()
+	st := New(init, rng)
+	before := load.Sum(st.Values())
 	for i := 0; i < 100; i++ {
 		st.Step()
 	}
-	if math.Abs(st.Load.Total()-before) > 1e-7*(1+math.Abs(before)) {
-		t.Fatalf("total drifted: %v → %v", before, st.Load.Total())
+	if math.Abs(load.Sum(st.Values())-before) > 1e-7*(1+math.Abs(before)) {
+		t.Fatalf("total drifted: %v → %v", before, load.Sum(st.Values()))
 	}
 }
 
@@ -68,7 +69,7 @@ func TestContinuousLemma11ExpectedDrop(t *testing.T) {
 	const trials = 300
 	var sum float64
 	for k := 0; k < trials; k++ {
-		st := NewContinuous(init, rng)
+		st := New(init, rng)
 		phi0 := st.Potential()
 		st.Step()
 		sum += st.Potential() / phi0
@@ -84,7 +85,7 @@ func TestContinuousConvergesLogarithmically(t *testing.T) {
 	// rounds; 400 rounds is far beyond the expected ~40 for this instance.
 	rng := rand.New(rand.NewSource(5))
 	init := workload.Continuous(workload.Spike, 256, 1e6, nil)
-	st := NewContinuous(init, rng)
+	st := New(init, rng)
 	phi0 := st.Potential()
 	rounds := 0
 	for ; rounds < 400 && st.Potential() > 1e-6*phi0; rounds++ {
@@ -98,12 +99,12 @@ func TestContinuousConvergesLogarithmically(t *testing.T) {
 func TestDiscreteConserves(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	init := workload.Discrete(workload.PowerLaw, 100, 1_000_000, rng)
-	st := NewDiscrete(init, rng)
-	before := st.Load.Total()
+	st := New(init, rng)
+	before := load.Sum(st.Values())
 	for i := 0; i < 200; i++ {
 		st.Step()
 	}
-	if st.Load.Total() != before {
+	if load.Sum(st.Values()) != before {
 		t.Fatal("tokens not conserved")
 	}
 }
@@ -111,10 +112,10 @@ func TestDiscreteConserves(t *testing.T) {
 func TestDiscreteNoNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	init := workload.Discrete(workload.Spike, 50, 12345, nil)
-	st := NewDiscrete(init, rng)
+	st := New(init, rng)
 	for i := 0; i < 300; i++ {
 		st.Step()
-		for node, v := range st.Load.Tokens() {
+		for node, v := range st.Values() {
 			if v < 0 {
 				t.Fatalf("node %d negative at round %d", node, i)
 			}
@@ -132,7 +133,7 @@ func TestDiscreteLemma13DropAboveThreshold(t *testing.T) {
 	var sum float64
 	count := 0
 	for k := 0; k < trials; k++ {
-		st := NewDiscrete(init, rng)
+		st := New(init, rng)
 		phi0 := st.Potential()
 		if phi0 < DiscreteThreshold(n) {
 			t.Fatalf("test instance too small: Φ⁰ = %v", phi0)
@@ -151,7 +152,7 @@ func TestDiscreteTheorem14ReachesThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 128
 	init := workload.Discrete(workload.Spike, n, int64(n)*100000, nil)
-	st := NewDiscrete(init, rng)
+	st := New(init, rng)
 	thr := DiscreteThreshold(n)
 	phi0 := st.Potential()
 	// Theorem 14 bound with c = 1: T = 240·ln(Φ⁰/3200n).
@@ -178,14 +179,14 @@ func TestContinuousStepSanityProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		n := 4 + r.Intn(60)
 		init := workload.Continuous(workload.Uniform, n, 100, r)
-		st := NewContinuous(init, r)
-		before := st.Load.Total()
+		st := New(init, r)
+		before := load.Sum(st.Values())
 		st.Step()
-		if math.Abs(st.Load.Total()-before) > 1e-7*(1+math.Abs(before)) {
+		if math.Abs(load.Sum(st.Values())-before) > 1e-7*(1+math.Abs(before)) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if math.IsNaN(st.Load.At(i)) || st.Load.At(i) < -1e-9 {
+			if math.IsNaN(st.Values()[i]) || st.Values()[i] < -1e-9 {
 				return false
 			}
 		}

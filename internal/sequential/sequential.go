@@ -230,9 +230,9 @@ func MeasureGap(g *graph.G, l matrix.Vector, rng *rand.Rand) GapReport {
 	phi0 := load.PotentialAround(l, avg)
 
 	// Concurrent round.
-	step := diffusion.NewContinuous(g, l)
+	step := diffusion.New(g, l)
 	step.Step()
-	phiConc := load.PotentialAround(step.Load.Vector(), avg)
+	phiConc := load.PotentialAround(step.Values(), avg)
 
 	rt := Sequentialize(g, l, IncreasingWeight, rng)
 	phiGreedy := GreedyRound(g, l, IncreasingWeight, rng)

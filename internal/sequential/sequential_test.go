@@ -21,7 +21,7 @@ func TestSequentializeEndsAtConcurrentState(t *testing.T) {
 		l := matrix.Vector(workload.Continuous(workload.Uniform, g.N(), 100, rng))
 		rt := Sequentialize(g, l, IncreasingWeight, rng)
 
-		st := diffusion.NewContinuous(g, l)
+		st := diffusion.New(g, l)
 		phi0 := st.Potential()
 		st.Step()
 		concDrop := phi0 - st.Potential()
