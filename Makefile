@@ -1,7 +1,6 @@
 # The one copy of every CI check: each job in .github/workflows/ci.yml
 # provisions a runner and runs `make <target>`, and `make ci` runs them all,
-# so a green `make ci` means a green PR. Outside it: `make bench-gate` (CI's
-# bench-trajectory job; it needs a quiet machine) and the matrix-* jobs,
+# so a green `make ci` means a green PR. Outside it: the matrix-* jobs,
 # inline because only Actions can execute a matrix (`lbbench -grid ...
 # -spawn m` runs the same split locally). staticcheck is skipped when not
 # installed (CI pins it); ssh-smoke skips without passwordless `ssh
@@ -12,15 +11,18 @@ SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 .ONESHELL:
 
-.PHONY: build test vet fmt fmt-check staticcheck e2e-test bins bench perfbench bench-gate large-n-smoke round-smoke grid-smoke resume-smoke shard-merge-smoke orchestrator-smoke steal-smoke ssh-smoke scenario-smoke serve-smoke obs-smoke ci
+.PHONY: build test vet fmt fmt-check staticcheck e2e-test bins bench large-n-smoke round-smoke grid-smoke resume-smoke shard-merge-smoke orchestrator-smoke steal-smoke ssh-smoke scenario-smoke serve-smoke obs-smoke ci
 
 ci: build vet fmt-check staticcheck test e2e-test bench round-smoke grid-smoke large-n-smoke resume-smoke shard-merge-smoke orchestrator-smoke steal-smoke ssh-smoke scenario-smoke serve-smoke obs-smoke
 
 build:
 	$(GO) build ./...
 
+# The kernel checksum table is built !race (a minute under the detector),
+# so it gets its own plain run.
 test:
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run '^TestStateChecksumsMatchBaseline$$' ./internal/core/
 
 vet:
 	$(GO) vet ./...
@@ -47,24 +49,11 @@ bins:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... | tee /tmp/lbbench-bench-smoke.txt
 
-# The slow, honest measurement of the pinned trajectory grid: run it quiet.
-perfbench:
-	$(GO) build -o /tmp/perfbench ./cmd/perfbench
-	/tmp/perfbench -label current -out /tmp/bench-current.json
-
-# Gate against the committed baseline: a >25% normalized regression (or
-# shrunk coverage) fails, and so must a synthetically 2×-slower report.
-bench-gate: perfbench
-	/tmp/perfbench -diff -max-regress 0.25 BENCH_PR7.json /tmp/bench-current.json
-	jq '.rounds |= map(.ns_per_round *= 2)' /tmp/bench-current.json > /tmp/bench-regressed.json
-	code=0; /tmp/perfbench -diff -max-regress 0.25 BENCH_PR7.json /tmp/bench-regressed.json || code=$$?
-	[ $$code -eq 1 ] || { echo "injected 2x regression exited $$code, want 1" >&2; exit 1; }
-
-# Million-node gate: a 2^20-node hypercube diffusion cell plus a Lanczos λ₂
-# solve on the 2^20-node de Bruijn graph under a wall-clock budget, failing
-# if the dense eigensolver ran at all. Needs about 2 GB for a minute.
+# Million-node gate: TestLargeNSmoke steps a 2^20-node hypercube diffusion
+# cell and solves λ₂ of the 2^20-node de Bruijn graph by Lanczos within five
+# minutes, failing if the dense eigensolver ran at all. Needs about 2 GB.
 large-n-smoke:
-	$(GO) run ./cmd/perfbench -large-n-smoke -smoke-budget 5m
+	LB_LARGE_N=1 $(GO) test -count=1 -run '^TestLargeNSmoke$$' -v ./internal/core/
 
 # $(call signal_at,JOURNAL,LINES,SIGNAL,SHARD): once JOURNAL holds LINES
 # lines (or the background $pid exits), send SIGNAL to shard SHARD/3 of the

@@ -130,6 +130,29 @@ func BenchmarkDiffusionStepContinuousParallel(b *testing.B) {
 	}
 }
 
+// The hypercube pair times Algorithm 1 against first-order diffusion on the
+// same serial continuous 2¹⁴-node spike cell: ROADMAP's target is the first
+// within 1.5× of the second.
+func BenchmarkDiffusionStepHypercube(b *testing.B) {
+	g := graph.Hypercube(14)
+	st := diffusion.New(g, workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Step()
+	}
+}
+
+func BenchmarkFirstOrderStepHypercube(b *testing.B) {
+	g := graph.Hypercube(14)
+	st := diffusion.NewFirstOrder(g, workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Step()
+	}
+}
+
 func BenchmarkDiffusionStepDiscrete(b *testing.B) {
 	g := benchGraph()
 	init := workload.Discrete(workload.Spike, g.N(), 1_000_000_000, nil)

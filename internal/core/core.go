@@ -365,11 +365,11 @@ func build[T load.Value](cfg Config, g *graph.G, loads []T, rng *rand.Rand) (Ste
 }
 
 // NewSystem validates cfg's structural fields and constructs the configured
-// stepper without a Session around it — the entry point for harnesses
-// (notably internal/perfbench) that time bare Step calls themselves. The stepper starts from
-// a copy of cfg.Loads; Epsilon, MaxRounds and Scenario are ignored, and no
-// spectral bound is computed (SecondOrder still pays for its β through the
-// shared γ cache).
+// stepper without a Session around it — the entry point for callers that
+// drive bare Step calls themselves (the kernel checksum and million-node
+// tests). The stepper starts from a copy of cfg.Loads; Epsilon, MaxRounds
+// and Scenario are ignored, and no spectral bound is computed (SecondOrder
+// still pays for its β through the shared γ cache).
 func NewSystem(cfg Config) (System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -1,0 +1,68 @@
+package core
+
+import (
+	"os"
+	"testing"
+	"time"
+
+	"repro/internal/spectral"
+	"repro/internal/topoparse"
+	"repro/internal/workload"
+)
+
+// TestLargeNSmoke is the million-node check: it steps a 2²⁰-node hypercube
+// diffusion cell and solves λ₂ of the 2²⁰-node de Bruijn graph, a topology
+// with no closed form, so the solve must take the implicit Lanczos path. It
+// fails if the dense eigensolver ran at all (an n×n matrix at n = 2²⁰ is an
+// 8 TB allocation; the counter catches a dispatch regression long before an
+// OOM would), if the solve was not counted as Lanczos, or if the whole check
+// took longer than five minutes. It needs about 2 GB, so it runs only when
+// LB_LARGE_N is set: `make large-n-smoke`.
+func TestLargeNSmoke(t *testing.T) {
+	if os.Getenv("LB_LARGE_N") == "" {
+		t.Skip("set LB_LARGE_N=1 to run the million-node check (about 2 GB)")
+	}
+	const n, budget = 1 << 20, 5 * time.Minute
+	start := time.Now()
+	before := spectral.SolveStats()
+
+	g, err := topoparse.Build("hypercube", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil)
+	sys, err := NewSystem(Config{Graph: g, Algorithm: Diffusion, Loads: loads, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 9
+	stepStart := time.Now()
+	for r := 0; r < rounds; r++ {
+		sys.Step()
+	}
+	t.Logf("hypercube n=%d diffusion: %v/round over %d rounds", g.N(), time.Since(stepStart)/rounds, rounds)
+
+	db, err := topoparse.Build("debruijn", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := spectral.SolveStats()
+	solveStart := time.Now()
+	l2, err := spectral.Lambda2(db)
+	if err != nil {
+		t.Fatalf("λ₂(debruijn, n=%d): %v", db.N(), err)
+	}
+	after := spectral.SolveStats()
+	elapsed := time.Since(start)
+	t.Logf("λ₂(debruijn, n=%d) = %.6g in %v (total %v)", db.N(), l2, time.Since(solveStart).Round(time.Millisecond), elapsed.Round(time.Millisecond))
+
+	if d := after.Dense - before.Dense; d != 0 {
+		t.Errorf("dense eigensolver ran %d time(s) at n=%d: the spectral dispatch must never materialize matrices at this scale", d, n)
+	}
+	if after.Lanczos == mid.Lanczos || after.InversePower != mid.InversePower {
+		t.Errorf("λ₂(debruijn) was not solved by Lanczos: solve counts %+v before, %+v after", mid, after)
+	}
+	if elapsed > budget {
+		t.Errorf("took %v, budget %v", elapsed.Round(time.Millisecond), budget)
+	}
+}
