@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/hetero"
+	"repro/internal/load"
 	"repro/internal/workload"
 )
 
@@ -37,13 +38,13 @@ func main() {
 	}
 
 	init := workload.Continuous(workload.PowerLaw, g.N(), total/float64(g.N()), rng)
-	h, err := hetero.NewContinuous(g, init, speeds)
+	h, err := hetero.New(g, init, speeds)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("cluster : %s — %d fast (speed 4), %d slow (speed 1)\n", g, fast, g.N()-fast)
-	fmt.Printf("total   : %.4g load, skewed power-law arrival\n", h.Load.Total())
+	fmt.Printf("total   : %.4g load, skewed power-law arrival\n", load.Sum(h.Values()))
 	fmt.Printf("fair ω  : %.4g load per unit speed\n\n", h.Omega())
 
 	fmt.Printf("%-8s %-14s %-18s\n", "round", "Φ_c", "max rel deviation")
@@ -58,8 +59,8 @@ func main() {
 
 	omega := h.Omega()
 	fmt.Printf("converged in %d rounds\n", round)
-	fmt.Printf("fast node 0 load: %.4f (target %.4f)\n", h.Load.At(0), 4*omega)
-	fmt.Printf("slow node 1 load: %.4f (target %.4f)\n", h.Load.At(1), omega)
+	fmt.Printf("fast node 0 load: %.4f (target %.4f)\n", h.Values()[0], 4*omega)
+	fmt.Printf("slow node 1 load: %.4f (target %.4f)\n", h.Values()[1], omega)
 	fmt.Println("\nWith unit speeds this scheme is exactly the paper's Algorithm 1;")
 	fmt.Println("the speed-weighted potential Φ_c plays the role Φ plays in Theorem 4.")
 }

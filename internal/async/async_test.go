@@ -120,7 +120,7 @@ func TestDiscreteReachesDiameterDiscrepancy(t *testing.T) {
 			break
 		}
 	}
-	if k := load.NewDiscrete(d.Values()).Discrepancy(); k > bound {
+	if k := load.Discrepancy(d.Values()); k > bound {
 		t.Fatalf("discrepancy %d above diameter bound %d", k, bound)
 	}
 	// And adjacent differences must be ≤ 1 at the fixed point.

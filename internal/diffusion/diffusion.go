@@ -11,10 +11,16 @@
 // transfer is computed in float64 and converted to T, which is a no-op for
 // float64 and truncation toward zero for int64.
 //
-// The package also implements the classical comparators the paper discusses:
-// Cybenko's first-order scheme Lᵗ⁺¹ = M·Lᵗ with uniform diffusion factor
-// α = 1/(δ+1) [3], and the second-order scheme of Muthukrishnan, Ghosh and
-// Schultz [15] with momentum parameter β.
+// The package also implements the classical comparators the paper discusses,
+// each as one type that owns a plain load vector and exposes it through
+// Values: the first-order scheme Lᵗ⁺¹ = M·Lᵗ with uniform diffusion factor
+// α = 1/(δ+1), FirstOrder[T] — Cybenko's continuous scheme [3] over
+// float64, the floored scheme of Muthukrishnan, Ghosh and Schultz [15]
+// over int64 — the second-order scheme of [15] with momentum parameter β,
+// the Optimal Polynomial Scheme of [7], and a dense MatrixStepper
+// reference. Algorithm 1 and the first-order scheme both report through
+// FixedPoint when a round would move nothing, by the per-edge rule their
+// Step applies.
 //
 // All steppers are deterministic; one round reads the round-start load
 // vector and applies all edge flows computed from it, exactly matching the
@@ -158,6 +164,19 @@ func (s *Stepper[T]) Step() {
 	}
 	parallel.For(n, parallel.StepperWorkers(s.Workers), s.body)
 	copy(cur, s.next)
+}
+
+// FixedPoint reports whether a full round would move no load: every edge's
+// transfer, converted to T as Step converts it, is zero. For tokens this
+// detects the discrete model's termination exactly; float64 loads are
+// fixed only once every edge is balanced.
+func (s *Stepper[T]) FixedPoint() bool {
+	for _, e := range s.G.Edges() {
+		if T(EdgeWeight(s.G, e.U, e.V, float64(s.cur[e.U]), float64(s.cur[e.V]))) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Potential returns Φ of the current distribution.

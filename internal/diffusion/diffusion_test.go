@@ -66,7 +66,7 @@ func TestContinuousMatchesPaperDiffusionMatrix(t *testing.T) {
 	m := spectral.PaperDiffusionMatrix(g)
 	ms := NewMatrixStepper(m, init)
 	ms.Step()
-	if !matrix.Vector(st.Values()).ApproxEqual(ms.Load.Vector(), 1e-10) {
+	if !matrix.Vector(st.Values()).ApproxEqual(ms.Values(), 1e-10) {
 		t.Fatal("sparse step disagrees with matrix step")
 	}
 }
@@ -292,10 +292,9 @@ func TestLemma2LowerBoundProperty(t *testing.T) {
 		}
 		init := workload.Continuous(workload.Uniform, n, 50, r)
 		st := New(g, init)
-		l := load.NewContinuous(init)
 		var rhs float64
 		for _, e := range g.Edges() {
-			d := l.At(e.U) - l.At(e.V)
+			d := init[e.U] - init[e.V]
 			rhs += d * d
 		}
 		rhs /= 4 * float64(g.MaxDegree())

@@ -1,84 +1,6 @@
 package diffusion
 
-import (
-	"math"
-
-	"repro/internal/graph"
-	"repro/internal/load"
-	"repro/internal/parallel"
-)
-
-// DiscreteFirstOrder is the discrete first-order scheme of Muthukrishnan,
-// Ghosh and Schultz [15]: the continuous rule Lᵗ⁺¹ = M·Lᵗ with uniform
-// α = 1/(δ+1), rounded down to integral transfers — the heavier endpoint
-// of every edge sends ⌊α·(ℓᵢ−ℓⱼ)⌋ tokens.
-//
-// [15] show this scheme reduces the potential to O(δ²n²/ε²) in
-// O(log Φ⁰/(1−(1+ε)γ²)) steps; the paper's §3 claims its own Theorem 6
-// threshold (64δ³n/λ₂ — linear in n) is stronger than [15]'s
-// quadratic-in-n residual. Experiment E17 measures both residuals side by
-// side across n.
-type DiscreteFirstOrder struct {
-	G       *graph.G
-	Load    *load.Discrete
-	Alpha   float64
-	Workers int
-
-	next []int64
-}
-
-// NewDiscreteFirstOrder creates the scheme with α = 1/(δ+1).
-func NewDiscreteFirstOrder(g *graph.G, initial []int64) *DiscreteFirstOrder {
-	if len(initial) != g.N() {
-		panic("diffusion: initial token length mismatch")
-	}
-	return &DiscreteFirstOrder{
-		G:     g,
-		Load:  load.NewDiscrete(initial),
-		Alpha: 1 / float64(g.MaxDegree()+1),
-	}
-}
-
-// Step advances one synchronous round: for each edge the heavier endpoint
-// sends ⌊α·diff⌋ tokens, all flows computed from the round-start counts.
-func (d *DiscreteFirstOrder) Step() {
-	g, cur := d.G, d.Load.Tokens()
-	n := g.N()
-	if d.next == nil {
-		d.next = make([]int64, n)
-	}
-	alpha := d.Alpha
-	off, tgt := g.CSR()
-	parallel.For(n, parallel.StepperWorkers(d.Workers), func(i int) {
-		li := cur[i]
-		acc := li
-		for _, j := range tgt[off[i]:off[i+1]] {
-			lj := cur[j]
-			if li == lj {
-				continue
-			}
-			diff := li - lj
-			abs := diff
-			if abs < 0 {
-				abs = -abs
-			}
-			w := int64(math.Floor(alpha * float64(abs)))
-			if w == 0 {
-				continue
-			}
-			if diff > 0 {
-				acc -= w
-			} else {
-				acc += w
-			}
-		}
-		d.next[i] = acc
-	})
-	copy(cur, d.next)
-}
-
-// Potential returns Φ of the current distribution.
-func (d *DiscreteFirstOrder) Potential() float64 { return d.Load.Potential() }
+import "repro/internal/graph"
 
 // MGSResidualShape returns the residual-potential shape of [15]'s
 // Theorem 4 for comparison tables: δ²·n²/ε² with ε = 1 (the constant the
@@ -87,32 +9,4 @@ func MGSResidualShape(g *graph.G) float64 {
 	d := float64(g.MaxDegree())
 	n := float64(g.N())
 	return d * d * n * n
-}
-
-// FixedPoint reports whether a full round would move no token (used by the
-// residual experiments to detect termination exactly).
-func (d *DiscreteFirstOrder) FixedPoint() bool {
-	g, cur := d.G, d.Load.Tokens()
-	alpha := d.Alpha
-	for _, e := range g.Edges() {
-		diff := cur[e.U] - cur[e.V]
-		if diff < 0 {
-			diff = -diff
-		}
-		if int64(math.Floor(alpha*float64(diff))) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// DiscreteFixedPoint is the Algorithm 1 analogue of FixedPoint.
-func DiscreteFixedPoint(g *graph.G, tokens []int64) bool {
-	for _, e := range g.Edges() {
-		li, lj := float64(tokens[e.U]), float64(tokens[e.V])
-		if int64(EdgeWeight(g, e.U, e.V, li, lj)) != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -4,27 +4,28 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/spectral"
 	"repro/internal/workload"
 )
 
-func TestDiscreteFirstOrderConserves(t *testing.T) {
+func TestFirstOrderTokensConserve(t *testing.T) {
 	g := graph.Torus(4, 4)
 	init := workload.Discrete(workload.Spike, g.N(), 1_000_000, nil)
-	st := NewDiscreteFirstOrder(g, init)
-	before := st.Load.Total()
+	st := NewFirstOrder(g, init)
+	before := load.Sum(st.Values())
 	for k := 0; k < 200; k++ {
 		st.Step()
 	}
-	if st.Load.Total() != before {
+	if load.Sum(st.Values()) != before {
 		t.Fatal("tokens not conserved")
 	}
 }
 
-func TestDiscreteFirstOrderReachesFixedPoint(t *testing.T) {
+func TestFirstOrderTokensReachFixedPoint(t *testing.T) {
 	g := graph.Cycle(16)
 	init := workload.Discrete(workload.Spike, g.N(), 160_000, nil)
-	st := NewDiscreteFirstOrder(g, init)
+	st := NewFirstOrder(g, init)
 	for k := 0; k < 50000 && !st.FixedPoint(); k++ {
 		st.Step()
 	}
@@ -34,7 +35,7 @@ func TestDiscreteFirstOrderReachesFixedPoint(t *testing.T) {
 	// At the fixed point every edge difference is below 1/α = δ+1.
 	bound := int64(g.MaxDegree() + 1)
 	for _, e := range g.Edges() {
-		diff := st.Load.At(e.U) - st.Load.At(e.V)
+		diff := st.Values()[e.U] - st.Values()[e.V]
 		if diff < 0 {
 			diff = -diff
 		}
@@ -44,12 +45,12 @@ func TestDiscreteFirstOrderReachesFixedPoint(t *testing.T) {
 	}
 }
 
-func TestDiscreteFirstOrderResidualWithinMGSShape(t *testing.T) {
+func TestFirstOrderTokenResidualWithinMGSShape(t *testing.T) {
 	// The [15] guarantee: residual potential O(δ²n²) (ε = 1 shape). Run to
 	// fixed point and check the measured residual sits below the shape.
 	for _, g := range []*graph.G{graph.Cycle(16), graph.Torus(4, 4), graph.Hypercube(4)} {
 		init := workload.Discrete(workload.Spike, g.N(), 10_000_000, nil)
-		st := NewDiscreteFirstOrder(g, init)
+		st := NewFirstOrder(g, init)
 		for k := 0; k < 100000 && !st.FixedPoint(); k++ {
 			st.Step()
 		}
@@ -59,13 +60,19 @@ func TestDiscreteFirstOrderResidualWithinMGSShape(t *testing.T) {
 	}
 }
 
-func TestDiscreteFixedPointDetector(t *testing.T) {
+func TestFixedPointDetector(t *testing.T) {
 	g := graph.Path(4)
-	if !DiscreteFixedPoint(g, []int64{0, 1, 2, 3}) {
+	if !New(g, []int64{0, 1, 2, 3}).FixedPoint() {
 		t.Fatal("ramp must be a fixed point of Algorithm 1")
 	}
-	if DiscreteFixedPoint(g, []int64{100, 0, 0, 0}) {
+	if New(g, []int64{100, 0, 0, 0}).FixedPoint() {
 		t.Fatal("spike is not a fixed point")
+	}
+	if New(g, []float64{0, 1, 2, 3}).FixedPoint() {
+		t.Fatal("an unbalanced float64 ramp still moves load")
+	}
+	if !New(g, []float64{2, 2, 2, 2}).FixedPoint() {
+		t.Fatal("balanced loads must be a fixed point")
 	}
 }
 

@@ -3,10 +3,10 @@ package diffusion
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/load"
-	"repro/internal/matrix"
 	"repro/internal/spectral"
 )
 
@@ -24,12 +24,11 @@ import (
 // negative mid-run; OPS computes a balancing *flow*, not a process a
 // token-based system could execute directly).
 type OPS struct {
-	G    *graph.G
-	Load *load.Continuous
+	G *graph.G
 
-	eigs []float64 // distinct nonzero Laplacian eigenvalues, ascending
-	k    int
-	next matrix.Vector
+	eigs      []float64 // distinct nonzero Laplacian eigenvalues, ascending
+	k         int
+	cur, next []float64
 }
 
 // NewOPS computes the spectrum of g (dense solve — OPS is only meaningful
@@ -49,7 +48,7 @@ func NewOPS(g *graph.G, initial []float64) (*OPS, error) {
 	if len(distinct) == 0 {
 		return nil, fmt.Errorf("diffusion: OPS found no nonzero eigenvalues (n=%d)", g.N())
 	}
-	return &OPS{G: g, Load: load.NewContinuous(initial), eigs: stabilizedOrder(distinct)}, nil
+	return &OPS{G: g, eigs: stabilizedOrder(distinct), cur: slices.Clone(initial)}, nil
 }
 
 // stabilizedOrder picks the order in which the factors (I − L/λᵢ) are
@@ -117,10 +116,10 @@ func (o *OPS) Step() {
 	}
 	lam := o.eigs[o.k]
 	o.k++
-	cur := o.Load.Vector()
+	cur := o.cur
 	n := o.G.N()
 	if o.next == nil {
-		o.next = make(matrix.Vector, n)
+		o.next = make([]float64, n)
 	}
 	// next = cur − (1/λ)·L·cur, applied sparsely over the CSR rows.
 	off, tgt := o.G.CSR()
@@ -136,7 +135,10 @@ func (o *OPS) Step() {
 }
 
 // Potential returns Φ of the current distribution.
-func (o *OPS) Potential() float64 { return o.Load.Potential() }
+func (o *OPS) Potential() float64 { return load.Potential(o.cur) }
+
+// Values returns the live load vector.
+func (o *OPS) Values() []float64 { return o.cur }
 
 // distinctNonzero clusters an ascending eigenvalue list, dropping the zero
 // eigenvalue(s) and merging values within a relative tolerance — numeric

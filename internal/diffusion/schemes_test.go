@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/load"
+	"repro/internal/matrix"
 	"repro/internal/spectral"
 	"repro/internal/workload"
 )
@@ -20,7 +22,7 @@ func TestFirstOrderMatchesDiffusionMatrix(t *testing.T) {
 		fo.Step()
 		ms.Step()
 	}
-	if !fo.Load.Vector().ApproxEqual(ms.Load.Vector(), 1e-9) {
+	if !matrix.Vector(fo.Values()).ApproxEqual(ms.Values(), 1e-9) {
 		t.Fatal("sparse first-order disagrees with dense M·L")
 	}
 }
@@ -30,11 +32,11 @@ func TestFirstOrderConserves(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	init := workload.Continuous(workload.Exponential, g.N(), 20, rng)
 	fo := NewFirstOrder(g, init)
-	before := fo.Load.Total()
+	before := load.Sum(fo.Values())
 	for i := 0; i < 50; i++ {
 		fo.Step()
 	}
-	if math.Abs(fo.Load.Total()-before) > 1e-8*(1+math.Abs(before)) {
+	if math.Abs(load.Sum(fo.Values())-before) > 1e-8*(1+math.Abs(before)) {
 		t.Fatal("first-order must conserve load")
 	}
 }
@@ -85,11 +87,11 @@ func TestSecondOrderConserves(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	init := workload.Continuous(workload.Uniform, g.N(), 10, rng)
 	so := NewSecondOrder(g, init, 1.5)
-	before := so.Load.Total()
+	before := load.Sum(so.Values())
 	for i := 0; i < 60; i++ {
 		so.Step()
 	}
-	if math.Abs(so.Load.Total()-before) > 1e-8*(1+math.Abs(before)) {
+	if math.Abs(load.Sum(so.Values())-before) > 1e-8*(1+math.Abs(before)) {
 		t.Fatal("second-order must conserve load")
 	}
 }
@@ -117,7 +119,7 @@ func TestSecondOrderBetaOneIsFirstOrder(t *testing.T) {
 		fo.Step()
 		so.Step()
 	}
-	if !fo.Load.Vector().ApproxEqual(so.Load.Vector(), 1e-9) {
+	if !matrix.Vector(fo.Values()).ApproxEqual(so.Values(), 1e-9) {
 		t.Fatal("β=1 second order must reduce to first order")
 	}
 }

@@ -117,10 +117,10 @@ func TestDiscreteReachesSmallDiscrepancy(t *testing.T) {
 	// Mutual-proposal matchings on K_n are sparse (≈1/δ² per edge and
 	// round), so give the run a generous horizon; the fixed point has all
 	// pairwise differences ≤ 1, i.e. global discrepancy ≤ 1.
-	for i := 0; i < 5000 && load.NewDiscrete(st.Values()).Discrepancy() > 1; i++ {
+	for i := 0; i < 5000 && load.Discrepancy(st.Values()) > 1; i++ {
 		st.Step()
 	}
-	if k := load.NewDiscrete(st.Values()).Discrepancy(); k > 1 {
+	if k := load.Discrepancy(st.Values()); k > 1 {
 		t.Fatalf("discrepancy %d after 5000 rounds on K16", k)
 	}
 }

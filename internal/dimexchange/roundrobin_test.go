@@ -138,7 +138,7 @@ func TestRoundRobinDiscreteReachesSmallResidual(t *testing.T) {
 	}
 	// Discrete pairwise averaging on the hypercube gets within a few
 	// tokens per node of perfect balance.
-	if k := load.NewDiscrete(rr.Values()).Discrepancy(); k > int64(g.MaxDegree())+1 {
+	if k := load.Discrepancy(rr.Values()); k > int64(g.MaxDegree())+1 {
 		t.Fatalf("discrepancy %d", k)
 	}
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/md5"
+	"encoding/hex"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,5 +202,32 @@ func TestShardedExperimentRowsPartitionTheTable(t *testing.T) {
 		if seen[key] != 1 {
 			t.Fatalf("row %q appears %d times across shards, want exactly once", key, seen[key])
 		}
+	}
+}
+
+// quickCSVDigest is the md5 of `lbbench -exp all -quick -csv` (seed 1).
+const quickCSVDigest = "750c1213ca3150cf628db9045f0d7955"
+
+// TestQuickCSVDigest renders every registered experiment exactly as
+// `lbbench -exp all -quick -csv` prints it — Quick, Seed 1, CSV, in IDs()
+// order — and pins the md5 of the bytes, so any change to a kernel's
+// floating-point op chain or an experiment's output fails here. It runs
+// on amd64 only: other architectures may fuse the first-order scheme's
+// multiply-add into an FMA and print different digits.
+func TestQuickCSVDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest pinned on amd64, not %s", runtime.GOARCH)
+	}
+	h := md5.New()
+	o := Options{Seed: 1, Quick: true}
+	for _, id := range IDs() {
+		run, _ := Lookup(id)
+		if err := run(o).RenderCSV(h); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != quickCSVDigest {
+		t.Fatalf("lbbench -exp all -quick -csv md5 is %s, pinned %s; if the new output is intended, "+
+			"update quickCSVDigest and record the new digest in CHANGES.md", got, quickCSVDigest)
 	}
 }

@@ -177,7 +177,7 @@ func E4DiscreteConvergence(o Options) *trace.Table {
 // threshold the target exactly.
 func (o Options) discreteToThreshold(g *graph.G, lambda2 float64) (core.Result, float64) {
 	init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
-	bound := diffusion.DiscreteBound(g, lambda2, load.NewContinuous(init).Potential())
+	bound := diffusion.DiscreteBound(g, lambda2, load.Potential(init))
 	cfg := core.Config{Graph: g, Mode: core.Discrete, Loads: init, Epsilon: math.SmallestNonzeroFloat64}
 	return o.balance(cfg, int(bound)+1), diffusion.DiscreteThreshold(g, lambda2)
 }

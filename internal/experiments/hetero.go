@@ -48,7 +48,7 @@ func A6Heterogeneous(o Options) *trace.Table {
 			}
 		}
 		init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
-		h, err := hetero.NewContinuous(g, init, speeds)
+		h, err := hetero.New(g, init, speeds)
 		if err != nil {
 			return
 		}

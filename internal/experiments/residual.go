@@ -42,10 +42,10 @@ func E17ResidualScaling(o Options) *trace.Table {
 
 		a1 := diffusion.New(g, tokens)
 		a1.Workers = o.RoundWorkers
-		for k := 0; k < horizon && !diffusion.DiscreteFixedPoint(g, a1.Values()); k++ {
+		for k := 0; k < horizon && !a1.FixedPoint(); k++ {
 			a1.Step()
 		}
-		fos := diffusion.NewDiscreteFirstOrder(g, tokens)
+		fos := diffusion.NewFirstOrder(g, tokens)
 		fos.Workers = o.RoundWorkers
 		for k := 0; k < horizon && !fos.FixedPoint(); k++ {
 			fos.Step()

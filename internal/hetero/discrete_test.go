@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/workload"
 )
 
@@ -18,16 +19,16 @@ func TestDiscreteConservesTokens(t *testing.T) {
 	for i := range speeds {
 		speeds[i] = 0.5 + 3*rng.Float64()
 	}
-	h, err := NewDiscrete(g, init, speeds)
+	h, err := New(g, init, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.Load.Total()
+	before := load.Sum(h.Values())
 	for k := 0; k < 500; k++ {
 		h.Step()
 	}
-	if h.Load.Total() != before {
-		t.Fatalf("tokens not conserved: %d → %d", before, h.Load.Total())
+	if load.Sum(h.Values()) != before {
+		t.Fatalf("tokens not conserved: %d → %d", before, load.Sum(h.Values()))
 	}
 }
 
@@ -42,7 +43,7 @@ func TestDiscreteApproachesProportionalShare(t *testing.T) {
 		}
 	}
 	init := workload.Discrete(workload.Spike, g.N(), 1_600_000, nil)
-	h, err := NewDiscrete(g, init, speeds)
+	h, err := New(g, init, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestDiscreteApproachesProportionalShare(t *testing.T) {
 	omega := h.Omega()
 	maxDev := 0.0
 	for i, c := range h.Speeds {
-		if d := math.Abs(float64(h.Load.At(i))/c - omega); d > maxDev {
+		if d := math.Abs(float64(h.Values()[i])/c - omega); d > maxDev {
 			maxDev = d
 		}
 	}
@@ -67,8 +68,8 @@ func TestDiscreteApproachesProportionalShare(t *testing.T) {
 		t.Fatalf("normalized deviation %v above diameter bound %v", maxDev, bound)
 	}
 	// The fast nodes must carry clearly more than the slow ones.
-	if h.Load.At(0) < 2*h.Load.At(1) {
-		t.Fatalf("fast node %d vs slow node %d — proportionality lost", h.Load.At(0), h.Load.At(1))
+	if h.Values()[0] < 2*h.Values()[1] {
+		t.Fatalf("fast node %d vs slow node %d — proportionality lost", h.Values()[0], h.Values()[1])
 	}
 }
 
@@ -76,7 +77,7 @@ func TestDiscreteUnitSpeedsMatchAlgorithm1Residual(t *testing.T) {
 	// Unit speeds: the transfer rule coincides with discrete Algorithm 1.
 	g := graph.Cycle(12)
 	init := workload.Discrete(workload.Spike, g.N(), 120_000, nil)
-	h, err := NewDiscrete(g, init, UniformSpeeds(g.N()))
+	h, err := New(g, init, UniformSpeeds(g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +85,17 @@ func TestDiscreteUnitSpeedsMatchAlgorithm1Residual(t *testing.T) {
 		h.Step()
 	}
 	// The homogeneous Φ_c equals Φ at unit speeds.
-	if h.Potential() != h.Load.Potential() {
-		t.Fatalf("unit-speed Φ_c %v != Φ %v", h.Potential(), h.Load.Potential())
+	if h.Potential() != load.Potential(h.Values()) {
+		t.Fatalf("unit-speed Φ_c %v != Φ %v", h.Potential(), load.Potential(h.Values()))
 	}
 }
 
 func TestDiscreteValidation(t *testing.T) {
 	g := graph.Cycle(4)
-	if _, err := NewDiscrete(g, []int64{1}, UniformSpeeds(4)); err == nil {
+	if _, err := New(g, []int64{1}, UniformSpeeds(4)); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	if _, err := NewDiscrete(g, []int64{1, 1, 1, 1}, []float64{1, 1, 0, 1}); err == nil {
+	if _, err := New(g, []int64{1, 1, 1, 1}, []float64{1, 1, 0, 1}); err == nil {
 		t.Fatal("zero speed must error")
 	}
 }
@@ -111,18 +112,18 @@ func TestDiscreteConservationProperty(t *testing.T) {
 		for i := range speeds {
 			speeds[i] = 0.5 + 2*r.Float64()
 		}
-		h, err := NewDiscrete(g, init, speeds)
+		h, err := New(g, init, speeds)
 		if err != nil {
 			return false
 		}
-		before := h.Load.Total()
+		before := load.Sum(h.Values())
 		for k := 0; k < 8; k++ {
 			h.Step()
 			if h.Potential() < 0 {
 				return false
 			}
 		}
-		return h.Load.Total() == before
+		return load.Sum(h.Values()) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -12,29 +12,39 @@
 // which reduces exactly to Algorithm 1 when all speeds are 1, conserves
 // total load, and strictly decreases the speed-weighted potential
 // Φ_c(L) = Σᵢ cᵢ·(ℓᵢ/cᵢ − ω)², ω = Σℓ/Σc.
+//
+// One type, Stepper[T], runs the scheme over float64 loads and over int64
+// tokens. The transfer is always computed in float64 and converted to T,
+// which is a no-op for float64 and truncation toward zero for int64; that
+// conversion is the only per-type rule.
 package hetero
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/load"
 	"repro/internal/matrix"
 )
 
-// Continuous is the heterogeneous continuous diffusion stepper.
-type Continuous struct {
+// Stepper is the heterogeneous diffusion stepper over float64 loads or
+// int64 tokens. The token model is the continuous rule with every transfer
+// truncated toward zero to whole tokens — the [9]/[11] model of
+// indivisible unit-size tokens on heterogeneous nodes. Like the discrete
+// Algorithm 1 it cannot reach the exact proportional state; it stalls once
+// every edge's fractional transfer is below one token.
+type Stepper[T load.Value] struct {
 	G      *graph.G
-	Load   *load.Continuous
 	Speeds []float64
 
-	next matrix.Vector
+	cur, next []T
 }
 
-// NewContinuous validates the speeds (all > 0, one per node) and wraps a
-// copy of the initial loads.
-func NewContinuous(g *graph.G, initial, speeds []float64) (*Continuous, error) {
+// New validates the speeds (all > 0 and finite, one per node) and takes
+// copies of the speeds and the initial loads or tokens.
+func New[T load.Value](g *graph.G, initial []T, speeds []float64) (*Stepper[T], error) {
 	if len(initial) != g.N() || len(speeds) != g.N() {
 		return nil, fmt.Errorf("hetero: lengths loads=%d speeds=%d for n=%d", len(initial), len(speeds), g.N())
 	}
@@ -43,13 +53,12 @@ func NewContinuous(g *graph.G, initial, speeds []float64) (*Continuous, error) {
 			return nil, fmt.Errorf("hetero: invalid speed %v at node %d", c, i)
 		}
 	}
-	sp := append([]float64(nil), speeds...)
-	return &Continuous{G: g, Load: load.NewContinuous(initial), Speeds: sp}, nil
+	return &Stepper[T]{G: g, Speeds: slices.Clone(speeds), cur: slices.Clone(initial)}, nil
 }
 
-// EdgeTransfer returns the signed amount the scheme moves across (i, j)
-// for round-start loads li, lj: positive means i sends to j.
-func (h *Continuous) EdgeTransfer(i, j int, li, lj float64) float64 {
+// EdgeTransfer returns the signed amount the continuous scheme moves
+// across (i, j) for round-start loads li, lj: positive means i sends to j.
+func (h *Stepper[T]) EdgeTransfer(i, j int, li, lj float64) float64 {
 	ci, cj := h.Speeds[i], h.Speeds[j]
 	diff := li/ci - lj/cj
 	if diff == 0 {
@@ -66,46 +75,67 @@ func (h *Continuous) EdgeTransfer(i, j int, li, lj float64) float64 {
 	return diff * cmin / (4 * float64(di))
 }
 
+// transfer is the amount Step moves across (i, j): EdgeTransfer converted
+// to T, which is a no-op for float64 and truncation toward zero — whole
+// tokens — for int64. Both endpoints compute the same value, so
+// conservation is structural.
+func (h *Stepper[T]) transfer(i, j int) T {
+	return T(h.EdgeTransfer(i, j, float64(h.cur[i]), float64(h.cur[j])))
+}
+
 // Step advances one synchronous round. Like Algorithm 1, each node's next
 // load is a function of the round-start vector only.
-func (h *Continuous) Step() {
-	g, cur := h.G, h.Load.Vector()
-	n := g.N()
+func (h *Stepper[T]) Step() {
+	n := h.G.N()
 	if h.next == nil {
-		h.next = make(matrix.Vector, n)
+		h.next = make([]T, n)
 	}
 	for i := 0; i < n; i++ {
-		acc := cur[i]
-		for _, j := range g.Neighbors(i) {
-			acc -= h.EdgeTransfer(i, j, cur[i], cur[j])
+		acc := h.cur[i]
+		for _, j := range h.G.Neighbors(i) {
+			acc -= h.transfer(i, j)
 		}
 		h.next[i] = acc
 	}
-	copy(cur, h.next)
+	copy(h.cur, h.next)
 }
 
+// FixedPoint reports whether a full round would move no load: every
+// edge's transfer is zero. For tokens this detects the stall exactly.
+func (h *Stepper[T]) FixedPoint() bool {
+	for _, e := range h.G.Edges() {
+		if h.transfer(e.U, e.V) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Values returns the live loads or tokens (not a copy).
+func (h *Stepper[T]) Values() []T { return h.cur }
+
 // Omega returns the fair per-speed share ω = Σℓ/Σc.
-func (h *Continuous) Omega() float64 {
+func (h *Stepper[T]) Omega() float64 {
 	var sumC float64
 	for _, c := range h.Speeds {
 		sumC += c
 	}
-	return h.Load.Total() / sumC
+	return float64(load.Sum(h.cur)) / sumC
 }
 
 // Potential returns the speed-weighted potential Φ_c = Σ cᵢ(ℓᵢ/cᵢ − ω)².
-func (h *Continuous) Potential() float64 {
+func (h *Stepper[T]) Potential() float64 {
 	omega := h.Omega()
 	var s float64
 	for i, c := range h.Speeds {
-		d := h.Load.At(i)/c - omega
+		d := float64(h.cur[i])/c - omega
 		s += c * d * d
 	}
 	return s
 }
 
 // TargetLoads returns the proportional-fair target vector ℓᵢ* = cᵢ·ω.
-func (h *Continuous) TargetLoads() matrix.Vector {
+func (h *Stepper[T]) TargetLoads() matrix.Vector {
 	omega := h.Omega()
 	out := make(matrix.Vector, len(h.Speeds))
 	for i, c := range h.Speeds {
@@ -116,14 +146,14 @@ func (h *Continuous) TargetLoads() matrix.Vector {
 
 // MaxRelativeDeviation returns maxᵢ |ℓᵢ/cᵢ − ω| / ω (0 when ω = 0) — the
 // per-speed analogue of the discrepancy.
-func (h *Continuous) MaxRelativeDeviation() float64 {
+func (h *Stepper[T]) MaxRelativeDeviation() float64 {
 	omega := h.Omega()
 	if omega == 0 {
 		return 0
 	}
 	var m float64
 	for i, c := range h.Speeds {
-		if d := math.Abs(h.Load.At(i)/c-omega) / omega; d > m {
+		if d := math.Abs(float64(h.cur[i])/c-omega) / omega; d > m {
 			m = d
 		}
 	}

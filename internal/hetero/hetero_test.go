@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/diffusion"
 	"repro/internal/graph"
+	"repro/internal/load"
+	"repro/internal/matrix"
 	"repro/internal/workload"
 )
 
@@ -15,7 +17,7 @@ func TestUniformSpeedsReduceToAlgorithm1(t *testing.T) {
 	g := graph.Torus(4, 4)
 	rng := rand.New(rand.NewSource(1))
 	init := workload.Continuous(workload.Uniform, g.N(), 100, rng)
-	h, err := NewContinuous(g, init, UniformSpeeds(g.N()))
+	h, err := New(g, init, UniformSpeeds(g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func TestUniformSpeedsReduceToAlgorithm1(t *testing.T) {
 		h.Step()
 		a1.Step()
 	}
-	if !h.Load.Vector().ApproxEqual(a1.Values(), 1e-9) {
+	if !matrix.Vector(h.Values()).ApproxEqual(a1.Values(), 1e-9) {
 		t.Fatal("unit speeds must reproduce Algorithm 1 exactly")
 	}
 }
@@ -37,15 +39,15 @@ func TestConservation(t *testing.T) {
 	for i := range speeds {
 		speeds[i] = 0.5 + 3*rng.Float64()
 	}
-	h, err := NewContinuous(g, init, speeds)
+	h, err := New(g, init, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := h.Load.Total()
+	before := load.Sum(h.Values())
 	for k := 0; k < 200; k++ {
 		h.Step()
 	}
-	if math.Abs(h.Load.Total()-before) > 1e-8*(1+math.Abs(before)) {
+	if math.Abs(load.Sum(h.Values())-before) > 1e-8*(1+math.Abs(before)) {
 		t.Fatal("heterogeneous diffusion must conserve load")
 	}
 }
@@ -58,7 +60,7 @@ func TestPotentialMonotone(t *testing.T) {
 	for i := range speeds {
 		speeds[i] = 1 + 4*rng.Float64()
 	}
-	h, err := NewContinuous(g, init, speeds)
+	h, err := New(g, init, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestConvergesToProportionalShare(t *testing.T) {
 		}
 	}
 	init := workload.Continuous(workload.Spike, g.N(), 16000, nil)
-	h, err := NewContinuous(g, init, speeds)
+	h, err := New(g, init, speeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,36 +99,36 @@ func TestConvergesToProportionalShare(t *testing.T) {
 	}
 	target := h.TargetLoads()
 	for i := 0; i < g.N(); i++ {
-		if math.Abs(h.Load.At(i)-target[i]) > 1e-6*(1+target[i]) {
-			t.Fatalf("node %d: load %v, target %v", i, h.Load.At(i), target[i])
+		if math.Abs(h.Values()[i]-target[i]) > 1e-6*(1+target[i]) {
+			t.Fatalf("node %d: load %v, target %v", i, h.Values()[i], target[i])
 		}
 	}
 	// Sanity on the proportionality itself.
 	omega := h.Omega()
-	if math.Abs(h.Load.At(0)-4*omega) > 1e-6*(1+omega) {
-		t.Fatalf("fast node load %v, want %v", h.Load.At(0), 4*omega)
+	if math.Abs(h.Values()[0]-4*omega) > 1e-6*(1+omega) {
+		t.Fatalf("fast node load %v, want %v", h.Values()[0], 4*omega)
 	}
 }
 
 func TestValidation(t *testing.T) {
 	g := graph.Cycle(4)
-	if _, err := NewContinuous(g, []float64{1}, UniformSpeeds(4)); err == nil {
+	if _, err := New(g, []float64{1}, UniformSpeeds(4)); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	if _, err := NewContinuous(g, []float64{1, 1, 1, 1}, []float64{1, 0, 1, 1}); err == nil {
+	if _, err := New(g, []float64{1, 1, 1, 1}, []float64{1, 0, 1, 1}); err == nil {
 		t.Fatal("zero speed must error")
 	}
-	if _, err := NewContinuous(g, []float64{1, 1, 1, 1}, []float64{1, -2, 1, 1}); err == nil {
+	if _, err := New(g, []float64{1, 1, 1, 1}, []float64{1, -2, 1, 1}); err == nil {
 		t.Fatal("negative speed must error")
 	}
-	if _, err := NewContinuous(g, []float64{1, 1, 1, 1}, []float64{1, math.Inf(1), 1, 1}); err == nil {
+	if _, err := New(g, []float64{1, 1, 1, 1}, []float64{1, math.Inf(1), 1, 1}); err == nil {
 		t.Fatal("infinite speed must error")
 	}
 }
 
 func TestEdgeTransferAntisymmetry(t *testing.T) {
 	g := graph.Path(2)
-	h, err := NewContinuous(g, []float64{10, 2}, []float64{2, 1})
+	h, err := New(g, []float64{10, 2}, []float64{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +154,11 @@ func TestHeteroInvariantsProperty(t *testing.T) {
 		for i := range speeds {
 			speeds[i] = 0.25 + 4*r.Float64()
 		}
-		h, err := NewContinuous(g, init, speeds)
+		h, err := New(g, init, speeds)
 		if err != nil {
 			return false
 		}
-		before := h.Load.Total()
+		before := load.Sum(h.Values())
 		phi := h.Potential()
 		for k := 0; k < 10; k++ {
 			h.Step()
@@ -166,7 +168,7 @@ func TestHeteroInvariantsProperty(t *testing.T) {
 			}
 			phi = cur
 		}
-		return math.Abs(h.Load.Total()-before) < 1e-8*(1+math.Abs(before))
+		return math.Abs(load.Sum(h.Values())-before) < 1e-8*(1+math.Abs(before))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

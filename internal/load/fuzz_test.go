@@ -60,15 +60,17 @@ func FuzzMoveConservesAndHelps(f *testing.F) {
 		if hi < lo {
 			hi, lo = lo, hi
 		}
-		c := NewContinuous([]float64{hi, lo, (hi + lo) / 3})
-		total := c.Total()
-		phi := c.Potential()
-		c.Move(0, 1, (hi-lo)*frac)
-		if math.Abs(c.Total()-total) > 1e-6*(1+math.Abs(total)) {
-			t.Fatalf("total changed: %v → %v", total, c.Total())
+		x := []float64{hi, lo, (hi + lo) / 3}
+		total := Sum(x)
+		phi := Potential(x)
+		amount := (hi - lo) * frac
+		x[0] -= amount
+		x[1] += amount
+		if math.Abs(Sum(x)-total) > 1e-6*(1+math.Abs(total)) {
+			t.Fatalf("total changed: %v → %v", total, Sum(x))
 		}
-		if c.Potential() > phi*(1+1e-9)+1e-9 {
-			t.Fatalf("Φ rose: %v → %v", phi, c.Potential())
+		if Potential(x) > phi*(1+1e-9)+1e-9 {
+			t.Fatalf("Φ rose: %v → %v", phi, Potential(x))
 		}
 	})
 }

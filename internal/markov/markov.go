@@ -99,5 +99,5 @@ func IdealizedDiscrepancyAfter(g *graph.G, initial []float64, T int) float64 {
 	for t := 0; t < T; t++ {
 		st.Step()
 	}
-	return load.NewContinuous(st.Values()).Discrepancy()
+	return load.Discrepancy(st.Values())
 }

@@ -28,6 +28,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -256,8 +257,13 @@ func checkTracePath(path string) error {
 	return nil
 }
 
-// check validates one parameter value against its schema.
+// check validates one parameter value against its schema. NaN and ±Inf
+// are rejected first: NaN fails every comparison below, and an unbounded
+// max admits +Inf.
 func (d paramDef) check(k Kind, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("scenario: %s: %s %g must be finite", k, d.name, v)
+	}
 	if v < d.min {
 		return fmt.Errorf("scenario: %s: %s %g must be ≥ %g", k, d.name, v, d.min)
 	}

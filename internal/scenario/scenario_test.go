@@ -78,6 +78,8 @@ func TestParseRejects(t *testing.T) {
 		"", "wat", "static:1", "poisson-arrivals:0", "poisson-arrivals:x",
 		"bursty:1.5", "edge-churn:2", "bursty:8:0.5:9", "periodic-failures:0",
 		"trace", "trace:", "trace:a,b.jsonl", "trace:has space.jsonl",
+		"poisson-arrivals:nan", "poisson-arrivals:inf", "poisson-arrivals:+Inf",
+		"bursty:32:nan", "bursty:32:inf", "hotspot-drift:nan", "adversarial-respike:8:infinity",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted", in)
