@@ -124,15 +124,18 @@ resume-smoke: bins
 
 shard-merge-smoke orchestrator-smoke steal-smoke scenario-smoke: export LB_SPECCACHE_DIR = /tmp/lbbench-speccache
 
-# One command plans, spawns, supervises and merges: the -spawn 3 report and
-# the stream-agg render of its journals must match the single-process sweep
-# byte for byte, and a merge missing a shard must fail loudly.
+# One command plans, spawns, supervises and merges: the -spawn 3 report, the
+# -spawn 3 -stream-agg report and the stream-agg render of the journals must
+# match the single-process sweep byte for byte, and a merge missing a shard
+# must fail loudly.
 shard-merge-smoke: bins
 	/tmp/lbbench $(SWEEP_ARGS) > /tmp/lbbench-shard-full.csv
 	/tmp/lbbench $(SWEEP_ARGS) -stream-agg > /tmp/lbbench-shard-fullagg.csv
-	rm -rf /tmp/lbbench-sweep
+	rm -rf /tmp/lbbench-sweep /tmp/lbbench-aggsweep
 	/tmp/lbbench $(SWEEP_ARGS) -spawn 3 -out /tmp/lbbench-sweep > /tmp/lbbench-merged.csv
 	cmp /tmp/lbbench-shard-full.csv /tmp/lbbench-merged.csv
+	/tmp/lbbench $(SWEEP_ARGS) -spawn 3 -stream-agg -out /tmp/lbbench-aggsweep > /tmp/lbbench-spawnedagg.csv
+	cmp /tmp/lbbench-shard-fullagg.csv /tmp/lbbench-spawnedagg.csv
 	/tmp/lbbench $(SWEEP_ARGS) -merge $(call journals3,/tmp/lbbench-sweep) -stream-agg > /tmp/lbbench-mergedagg.csv
 	cmp /tmp/lbbench-shard-fullagg.csv /tmp/lbbench-mergedagg.csv
 	code=0; /tmp/lbbench $(SWEEP_ARGS) -merge /tmp/lbbench-sweep/shard-0.jsonl,/tmp/lbbench-sweep/shard-1.jsonl \
@@ -169,6 +172,10 @@ orchestrator-smoke: bins
 	expect 5 -grid -shard 5/3
 	expect 5 -grid -spawn -1 -out $$x
 	expect 2 -grid -shard banana
+	expect 4 -exp E1 -quick -csv -out $$x.jsonl -resume $$x.jsonl -stream-agg
+	expect 4 -exp E1 -quick -csv -out $$x.jsonl
+	expect 4 -exp E1 -quick -csv -stream-agg
+	expect 4 -merge a.jsonl,b.jsonl -stream-agg -out $$x.jsonl
 	test ! -e $$x -a ! -e $$x.jsonl
 
 # Work stealing under fire: SIGSTOP one shard subprocess mid-run, a wedged

@@ -91,7 +91,9 @@
 // tails the journals for shard-aware live progress on stderr (units
 // done/total per shard, ETA, stall warnings), restarts any shard that dies
 // with -resume against its own journal (capped retries, loudly reported),
-// and on completion merges the journals and renders the report to stdout —
+// and on completion hands the finished journals — the planned shards plus
+// any stolen sub-shards — to the -merge path above: stdout carries exactly
+// what -merge of those journals prints (with or without -stream-agg),
 // byte-identical to the single-process sweep. Interrupting the orchestrator
 // interrupts the children gracefully; re-running the same command resumes
 // every shard. -parallel applies per child. -launcher ssh|slurm runs the
@@ -103,8 +105,9 @@
 //
 // Exit codes: 0 success; 1 failed units or rendering; 2 usage/spec errors;
 // 3 interrupted or journal-close failure (resumable); 4 contradictory flag
-// combinations (e.g. -spawn with -shard, -resume without -out); 5 shard or
-// spawn counts out of range.
+// combinations (e.g. -spawn with -shard, -resume without -out, -out or
+// -stream-agg without -grid or -merge); 5 shard or spawn counts out of
+// range.
 package main
 
 import (
@@ -176,9 +179,17 @@ func main() {
 	// Contradictory flag combinations and nonsense counts are refused here,
 	// with their own exit codes, before any journal file could be created or
 	// truncated — a typo'd orchestration must never cost a partial journal.
-	if msg, code := checkFlagCombos(*grid, *spawn, *emitMatrix, *shard, *resume, *out, *merge, *units, *origin, launch); code != 0 {
+	if msg, code := checkFlagCombos(*grid, *spawn, *emitMatrix, *shard, *resume, *out, *merge, *units, *origin, output.StreamAgg, launch); code != 0 {
 		fmt.Fprintf(os.Stderr, "lbbench: %s\n", msg)
 		os.Exit(code)
+	}
+	// A typo'd -format must not cost a full sweep: reject it before running,
+	// not when rendering.
+	if *grid || *merge != "" {
+		if err := output.CheckFormat(); err != nil {
+			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
+			os.Exit(exitUsage)
+		}
 	}
 	shardI, shardM, err := cliflags.ParseShard(*shard)
 	if err != nil {
@@ -220,7 +231,7 @@ func main() {
 		format: output.Format, out: *out, resume: *resume,
 		shardI: shardI, shardM: shardM,
 		unitLo: unitLo, unitHi: unitHi, origin: *origin,
-		merge:     *merge,
+		merge:     cliflags.SplitList(*merge),
 		streamAgg: output.StreamAgg, gridSet: *grid,
 		tracer: tracer,
 	}
@@ -255,7 +266,7 @@ func main() {
 // checkFlagCombos rejects contradictory flag combinations (exitConflict)
 // and out-of-range counts (exitBadCount) up front. Returns code 0 when the
 // combination is coherent.
-func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge, units, origin string, launch *cliflags.Launch) (string, int) {
+func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge, units, origin string, streamAgg bool, launch *cliflags.Launch) (string, int) {
 	switch {
 	case spawn < 0:
 		return fmt.Sprintf("-spawn %d: shard count must be positive", spawn), exitBadCount
@@ -277,6 +288,10 @@ func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge
 		return fmt.Sprintf("unknown -emit-matrix %q (want github)", emitMatrix), exitUsage
 	case units != "" && !grid:
 		return "-units windows grid sweeps — pass -grid with the sweep's flags", exitConflict
+	case (out != "" || resume != "" || streamAgg) && !grid && merge == "":
+		return "-out, -resume and -stream-agg apply to grid sweeps — pass -grid with the sweep's flags, or -merge", exitConflict
+	case merge != "" && streamAgg && out != "":
+		return "-merge -stream-agg folds aggregates and journals nothing — drop -out, or drop -stream-agg to re-journal the merged cells", exitConflict
 	case origin != "" && out == "":
 		return "-origin annotates the -out journal's header — pass -out", exitConflict
 	case (launch.Launcher != "" && launch.Launcher != "local" || launch.Hosts != "" || launch.RemoteDir != "" || launch.StealAfter > 0) && spawn <= 0:
@@ -290,18 +305,12 @@ func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge
 }
 
 // runSpawn is the orchestrated path: plan the m-way split, then either
-// serialize it (-emit-matrix) or launch, supervise, steal, merge and
-// render.
+// serialize it (-emit-matrix) or launch, supervise and steal — and hand the
+// finished journal set to the -merge path, which renders the report.
 func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) int {
 	spec, err := f.grid.Spec()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-		return exitUsage
-	}
-	switch f.format {
-	case "table", "csv", "json":
-	default:
-		fmt.Fprintf(os.Stderr, "lbbench: unknown -format %q (want table, csv or json)\n", f.format)
 		return exitUsage
 	}
 	launchers, err := launch.Launchers()
@@ -314,7 +323,6 @@ func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) in
 		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 		return exitUsage
 	}
-	plan.Format = f.format
 	// The topologies must build before m processes each discover the same
 	// typo independently.
 	if err := core.ValidateGridSpec(plan.Spec); err != nil {
@@ -336,7 +344,6 @@ func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) in
 		return exitUsage
 	}
 	ctx, stop := signals.Graceful(context.Background())
-	defer stop()
 	sup := &orchestrator.Supervisor{
 		Plan:      plan,
 		Command:   []string{self},
@@ -345,10 +352,24 @@ func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) in
 		Log:       os.Stderr,
 		Tracer:    f.tracer,
 	}
-	code := sup.RunAndReport(ctx, f.streamAgg, os.Stdout)
-	if code == exitInterrupted {
+	err = sup.Run(ctx)
+	interrupted := ctx.Err() != nil
+	stop()
+	switch {
+	case err != nil && interrupted:
 		fmt.Fprintf(os.Stderr, "lbbench: interrupted — re-run the same -spawn command to resume every shard\n")
+		return exitInterrupted
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
+		return exitFailedUnits
 	}
+	// The merge is -merge of the journal set under the plan's grid: the
+	// supervised work is done, so the merge takes signals afresh.
+	f.merge, f.gridSet = sup.Journals(), true
+	f.out, f.resume = "", ""
+	mergeStart := f.tracer.Now()
+	code := runSweep(plan.Spec, f)
+	f.tracer.Complete("merge", "orchestrator", 0, mergeStart, map[string]any{"journals": len(f.merge)})
 	return code
 }
 
@@ -433,9 +454,11 @@ func printRegistries() {
 type gridFlags struct {
 	// grid is the shared dimension/run-parameter flag group (cliflags);
 	// grid.Spec() assembles the batch spec.
-	grid                       *cliflags.Grid
-	format, out, resume, merge string
-	shardI, shardM             int
+	grid                *cliflags.Grid
+	format, out, resume string
+	// merge are the -merge journal paths.
+	merge          []string
+	shardI, shardM int
 	// unitLo/unitHi are the parsed -units window (both zero when absent;
 	// unitHi zero for an unbounded tail).
 	unitLo, unitHi int
@@ -451,10 +474,7 @@ type gridFlags struct {
 }
 
 // runGrid expands and executes one declarative sweep through the batch
-// engine — restricted to its -shard slice, streaming cells to the -out
-// journal, replaying the -resume journal or the -merge'd shard journals —
-// and emits the aggregated report (classic, or streaming-only aggregates
-// with -stream-agg).
+// engine — restricted to its -shard slice and -units window — via runSweep.
 func runGrid(f gridFlags) int {
 	spec, err := f.grid.Spec()
 	if err != nil {
@@ -475,32 +495,28 @@ func runGrid(f gridFlags) int {
 			return 2
 		}
 	}
-	// A typo'd -format must not cost a full sweep: reject it before running,
-	// not when rendering.
-	switch f.format {
-	case "table", "csv", "json":
-	default:
-		fmt.Fprintf(os.Stderr, "lbbench: unknown -format %q (want table, csv or json)\n", f.format)
-		return 2
-	}
-	// -merge with -resume was refused up front (checkFlagCombos).
-	mergePaths := cliflags.SplitList(f.merge)
+	return runSweep(spec, f)
+}
 
+// runSweep runs spec — streaming cells to the -out journal, replaying the
+// -resume journal or the -merge'd shard journals — and emits the aggregated
+// report (classic, or streaming-only aggregates with -stream-agg).
+func runSweep(spec batch.Spec, f gridFlags) int {
 	// -merge -stream-agg is the pure render path: fold the shard journals'
 	// cells straight into the incremental aggregator and print the summary.
 	// Nothing runs, no cell materializes — memory is one buffered cell per
 	// journal plus the aggregates themselves.
-	if f.streamAgg && len(mergePaths) > 0 {
-		return renderMergedAggregates(spec, mergePaths, f)
+	if f.streamAgg && len(f.merge) > 0 {
+		return renderMergedAggregates(spec, f)
 	}
 
-	// The -resume/-merge journals are read fully before -out is opened, so
-	// resuming in place (-resume X -out X) reads the partial journal and
-	// then rewrites it complete.
+	// The -resume/-merge journals (never both: checkFlagCombos refuses it)
+	// are read fully before -out is opened, so resuming in place (-resume X
+	// -out X) reads the partial journal and then rewrites it complete.
 	var journal *batch.Journal
 	switch {
-	case len(mergePaths) > 0:
-		j, stats, err := batch.ReadMergedJournals(mergePaths...)
+	case len(f.merge) > 0:
+		j, stats, err := batch.ReadMergedJournals(f.merge...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 			return 2
@@ -569,7 +585,7 @@ func runGrid(f gridFlags) int {
 	// reports the same errors itself, so the topologies are not built twice
 	// for nothing.) Runs after the merge/resume reads so a header-derived
 	// spec is validated too.
-	if f.out != "" || f.resume != "" || len(mergePaths) > 0 || f.streamAgg {
+	if f.out != "" || f.resume != "" || len(f.merge) > 0 || f.streamAgg {
 		if err := core.ValidateGridSpec(spec); err != nil {
 			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 			return 2
@@ -579,7 +595,7 @@ func runGrid(f gridFlags) int {
 	var js *batch.JSONLSink
 	if f.out != "" {
 		var err error
-		if samePath(f.out, f.resume) || containsPath(mergePaths, f.out) {
+		if samePath(f.out, f.resume) || containsPath(f.merge, f.out) {
 			// Resume-in-place: the partial journal was fully read above, so
 			// truncating and rewriting it complete is the point.
 			js, err = batch.ReplaceJSONL(f.out)
@@ -700,9 +716,9 @@ func runGridStream(ctx context.Context, spec batch.Spec, journal *batch.Journal,
 
 // renderMergedAggregates is the -merge -stream-agg path: validate and fold
 // the shard journals into the aggregator and render, re-running nothing.
-func renderMergedAggregates(spec batch.Spec, paths []string, f gridFlags) int {
+func renderMergedAggregates(spec batch.Spec, f gridFlags) int {
 	agg := batch.NewAggSink()
-	stats, err := batch.MergeJournals(agg, paths...)
+	stats, err := batch.MergeJournals(agg, f.merge...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 		return 2

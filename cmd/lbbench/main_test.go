@@ -1,0 +1,66 @@
+package main
+
+import (
+	"testing"
+
+	"repro/internal/cliflags"
+)
+
+// TestCheckFlagCombos pins the flag-combination contract: every refused
+// combination exits with its own code before any journal is touched, and
+// the coherent ones pass.
+func TestCheckFlagCombos(t *testing.T) {
+	type flags struct {
+		grid                                                 bool
+		spawn                                                int
+		emitMatrix, shard, resume, out, merge, units, origin string
+		streamAgg                                            bool
+		launch                                               cliflags.Launch
+	}
+	cases := []struct {
+		name string
+		f    flags
+		want int
+	}{
+		{"experiments", flags{}, 0},
+		{"experiments shard", flags{shard: "0/3"}, 0},
+		{"grid", flags{grid: true}, 0},
+		{"grid journal", flags{grid: true, out: "x.jsonl"}, 0},
+		{"grid resume in place", flags{grid: true, resume: "x.jsonl", out: "x.jsonl"}, 0},
+		{"grid stream-agg journal", flags{grid: true, streamAgg: true, out: "x.jsonl"}, 0},
+		{"merge", flags{merge: "a.jsonl,b.jsonl"}, 0},
+		{"merge re-journal", flags{merge: "a.jsonl", out: "m.jsonl"}, 0},
+		{"merge stream-agg", flags{merge: "a.jsonl", streamAgg: true}, 0},
+		{"spawn", flags{grid: true, spawn: 3, out: "d"}, 0},
+		{"spawn stream-agg", flags{grid: true, spawn: 3, out: "d", streamAgg: true}, 0},
+		{"emit matrix", flags{grid: true, spawn: 3, emitMatrix: "github"}, 0},
+
+		{"experiments out", flags{out: "x.jsonl"}, exitConflict},
+		{"experiments resume", flags{resume: "x.jsonl", out: "x.jsonl"}, exitConflict},
+		{"experiments stream-agg", flags{streamAgg: true}, exitConflict},
+		{"merge stream-agg out", flags{merge: "a.jsonl", streamAgg: true, out: "m.jsonl"}, exitConflict},
+		{"experiments units", flags{units: "0:4"}, exitConflict},
+		{"resume without out", flags{grid: true, resume: "x.jsonl"}, exitConflict},
+		{"merge with resume", flags{grid: true, merge: "a.jsonl", resume: "x.jsonl", out: "x.jsonl"}, exitConflict},
+		{"origin without out", flags{grid: true, origin: "o"}, exitConflict},
+		{"spawn without grid", flags{spawn: 3, out: "d"}, exitConflict},
+		{"spawn shard", flags{grid: true, spawn: 3, shard: "0/3", out: "d"}, exitConflict},
+		{"spawn resume", flags{grid: true, spawn: 3, resume: "x.jsonl", out: "d"}, exitConflict},
+		{"spawn merge", flags{grid: true, spawn: 3, merge: "a.jsonl", out: "d"}, exitConflict},
+		{"spawn without out", flags{grid: true, spawn: 3}, exitConflict},
+		{"emit matrix without spawn", flags{grid: true, emitMatrix: "github"}, exitConflict},
+		{"steal without spawn", flags{grid: true, launch: cliflags.Launch{StealAfter: 1}}, exitConflict},
+		{"unknown matrix", flags{grid: true, spawn: 3, out: "d", emitMatrix: "slurm"}, exitUsage},
+		{"negative spawn", flags{grid: true, spawn: -1, out: "d"}, exitBadCount},
+	}
+	for _, c := range cases {
+		f := c.f
+		msg, code := checkFlagCombos(f.grid, f.spawn, f.emitMatrix, f.shard, f.resume, f.out, f.merge, f.units, f.origin, f.streamAgg, &f.launch)
+		if code != c.want {
+			t.Errorf("%s: exit %d (%q), want %d", c.name, code, msg, c.want)
+		}
+		if (code == 0) != (msg == "") {
+			t.Errorf("%s: exit %d with message %q", c.name, code, msg)
+		}
+	}
+}

@@ -2,10 +2,7 @@ package batch
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -39,9 +36,10 @@ type MergeStats struct {
 //     original per-shard files separately, or replay a concatenated journal
 //     through Resume, which orders by Key instead.
 //
-// A torn final line (shard killed mid-write) is tolerated exactly as
-// ReadJournal tolerates it: the remainder of that file is dropped and
-// counted, and the missing units simply stay missing — Resume re-runs them.
+// A torn final line (shard killed mid-write) or a corrupt one is tolerated
+// exactly as ReadJournal tolerates it — the same decoder reads both: the
+// remainder of that file is dropped and counted, and the missing units
+// simply stay missing — Resume re-runs them.
 func MergeJournals(sink Sink, paths ...string) (MergeStats, error) {
 	var stats MergeStats
 	if len(paths) == 0 {
@@ -109,7 +107,7 @@ func MergeJournals(sink Sink, paths ...string) (MergeStats, error) {
 		}
 	}
 	for _, s := range scanners {
-		stats.Dropped += s.dropped
+		stats.Dropped += s.jr.lost()
 	}
 	return stats, nil
 }
@@ -228,12 +226,11 @@ func equalStrings(a, b []string) bool {
 type journalScanner struct {
 	path    string
 	f       *os.File
-	br      *bufio.Reader
+	jr      journalReader
 	onSpec  func(Spec) error
 	cur     Cell
 	ok      bool
 	lastIdx int
-	dropped int
 }
 
 func openJournalScanner(path string, onSpec func(Spec) error) (*journalScanner, error) {
@@ -242,7 +239,7 @@ func openJournalScanner(path string, onSpec func(Spec) error) (*journalScanner, 
 		return nil, fmt.Errorf("batch: merge: %w", err)
 	}
 	return &journalScanner{
-		path: path, f: f, br: bufio.NewReader(f),
+		path: path, f: f, jr: journalReader{br: bufio.NewReader(f)},
 		onSpec: onSpec, lastIdx: -1,
 	}, nil
 }
@@ -255,56 +252,31 @@ func (s *journalScanner) close() {
 }
 
 // advance loads the file's next cell into cur (ok reports whether one is
-// available). Headers are forwarded inline; a corrupt/truncated line ends
-// the file with the remainder counted into dropped, exactly as ReadJournal
-// would have dropped it.
+// available). Headers are forwarded inline; corrupt lines and a torn tail
+// end the file exactly as they end ReadJournal.
 func (s *journalScanner) advance() error {
 	s.ok = false
 	for {
-		line, readErr := s.br.ReadBytes('\n')
-		if t := bytes.TrimSpace(line); len(t) > 0 {
-			header, cell, perr := parseJournalLine(t)
-			switch {
-			case perr != nil:
-				s.dropped++
-				s.dropped += countLines(s.br)
-				return nil
-			case header != nil:
-				if err := s.onSpec(*header.Spec); err != nil {
-					return err
-				}
-			default:
-				if cell.Index <= s.lastIdx {
-					return fmt.Errorf(
-						"batch: merge: journal %s is not in expansion order (index %d after %d) — "+
-							"was it hand-concatenated? pass the original per-shard journals separately",
-						s.path, cell.Index, s.lastIdx)
-				}
-				s.lastIdx = cell.Index
-				s.cur, s.ok = cell, true
-				return nil
+		header, cell, ok, err := s.jr.next()
+		switch {
+		case err != nil:
+			return fmt.Errorf("batch: merge: journal %s: %w", s.path, err)
+		case !ok:
+			return nil
+		case header != nil:
+			if err := s.onSpec(*header.Spec); err != nil {
+				return err
 			}
-		}
-		if readErr == io.EOF {
+		default:
+			if cell.Index <= s.lastIdx {
+				return fmt.Errorf(
+					"batch: merge: journal %s is not in expansion order (index %d after %d) — "+
+						"was it hand-concatenated? pass the original per-shard journals separately",
+					s.path, cell.Index, s.lastIdx)
+			}
+			s.lastIdx = cell.Index
+			s.cur, s.ok = cell, true
 			return nil
 		}
-		if readErr != nil {
-			return fmt.Errorf("batch: merge: journal %s: %w", s.path, readErr)
-		}
 	}
-}
-
-// parseJournalLine classifies one non-empty journal line. A header is
-// distinguishable by its "spec" key, which a cell line never has; a line
-// that decodes as neither reports an error (torn or corrupt).
-func parseJournalLine(t []byte) (*specHeader, Cell, error) {
-	var h specHeader
-	if json.Unmarshal(t, &h) == nil && h.Spec != nil {
-		return &h, Cell{}, nil
-	}
-	var c Cell
-	if err := json.Unmarshal(t, &c); err != nil {
-		return nil, Cell{}, err
-	}
-	return nil, c, nil
 }

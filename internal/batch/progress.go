@@ -30,14 +30,15 @@ type JournalProgress struct {
 	// has been journaled yet). Engine-written journals are in expansion
 	// order, so this is also the journal's final cell.
 	LastIndex int
-	// Torn reports an unparseable final line with no trailing newline — the
-	// signature of a write in progress (or cut short by a kill). A torn tail
-	// is not corruption: the scanner stops counting there and the next scan,
-	// or the resume path, picks it up.
+	// Torn reports a final line with no trailing newline — the signature of
+	// a write in progress (or cut short by a kill). A torn tail is not
+	// corruption: the next scan rereads it once the writer finishes the
+	// line. A one-shot read (ReadJournal, MergeJournals) counts it into its
+	// Dropped; here it is not.
 	Torn bool
-	// Dropped counts complete-but-undecodable lines (real corruption). Like
-	// ReadJournal, the scan stops at the first one; everything after it is
-	// unaccounted for.
+	// Dropped counts the first complete-but-undecodable line (real
+	// corruption) and every complete non-empty line after it; as in
+	// ReadJournal, no header or cell after that line is tallied.
 	Dropped int
 }
 
@@ -52,151 +53,80 @@ func (p JournalProgress) Done() bool {
 	return p.Cells >= p.Specs[0].OwnedUnitCount()
 }
 
-// ScanJournalProgress reads a JSONL journal and tallies its progress. Unlike
-// ReadJournal it keeps nothing per cell, so tailing a million-unit journal
-// every second costs one sequential read and O(1) memory. I/O failures are
-// the only errors; torn tails and corrupt lines are reported in the result.
-func ScanJournalProgress(r io.Reader) (JournalProgress, error) {
-	p := JournalProgress{LastIndex: -1}
-	br := bufio.NewReader(r)
-	for {
-		line, readErr := br.ReadBytes('\n')
-		if t := bytes.TrimSpace(line); len(t) > 0 {
-			header, c, perr := parseJournalLine(t)
-			switch {
-			case perr != nil:
-				// An unparseable tail with no newline is a write caught
-				// mid-flight, not corruption — report Torn and stop. A
-				// complete line that does not decode is corruption; count it
-				// and stop exactly where ReadJournal would.
-				if readErr == io.EOF && !bytes.HasSuffix(line, []byte("\n")) {
-					p.Torn = true
-					return p, nil
-				}
-				p.Dropped++
-				p.Dropped += countLines(br)
-				return p, nil
-			case header != nil:
-				p.Specs = append(p.Specs, *header.Spec)
-				p.Origins = append(p.Origins, header.Origin)
-			default:
-				p.Cells++
-				if c.Err != "" {
-					p.Failed++
-				}
-				if c.Index > p.LastIndex {
-					p.LastIndex = c.Index
-				}
-			}
-		}
-		if readErr == io.EOF {
-			return p, nil
-		}
-		if readErr != nil {
-			return p, fmt.Errorf("batch: journal: %w", readErr)
-		}
-	}
-}
-
-// ScanJournalProgressFile is ScanJournalProgress over the file at path. A
-// journal that does not exist yet — a shard that has not started, or was
-// killed before creating it — is zero progress, not an error.
-func ScanJournalProgressFile(path string) (JournalProgress, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return JournalProgress{LastIndex: -1}, nil
-	}
-	if err != nil {
-		return JournalProgress{}, fmt.Errorf("batch: journal: %w", err)
-	}
-	defer f.Close()
-	return ScanJournalProgress(f)
-}
-
 // JournalTailer tallies a journal that is being appended to, incrementally:
-// each Scan folds only the bytes added since the last one, so polling a
-// growing multi-gigabyte journal every second costs O(new data), not
-// O(file) — the supervisor's progress loop stays cheap for the sweep's
-// whole lifetime. It is a live-progress view, not the authoritative read
-// (that is ReadJournal/Resume): a complete-but-undecodable line is counted
-// into Dropped and skipped rather than ending the scan, and an unconsumed
-// tail with no newline is left for the next Scan to resolve (reported
-// Torn). A file that shrinks between scans — a ReplaceJSONL resume
-// rewriting it — resets the tally and re-reads from the start.
+// each Scan resumes the journal decoder at the end of the last complete
+// line and folds only the bytes added since, so polling a growing
+// multi-gigabyte journal every second costs O(new data), not O(file) — the
+// supervisor's progress loop stays cheap for the sweep's whole lifetime.
+// After every Scan the tally is exactly what one read of the whole file
+// would report: the same decoder applies the same rules (see ReadJournal),
+// and an unterminated tail is reported Torn and reread by the next Scan
+// once the writer finishes the line. A file rewritten between scans — a
+// ReplaceJSONL resume, which replaces cancelled cells with re-run ones —
+// resets the tally and is re-read from the start.
 type JournalTailer struct {
-	path   string
-	offset int64 // first byte not yet folded (start of the pending tail)
-	p      JournalProgress
+	path string
+	jr   journalReader
+	p    JournalProgress
 }
 
 // NewJournalTailer tails the journal at path (which need not exist yet).
 func NewJournalTailer(path string) *JournalTailer {
-	return &JournalTailer{path: path, p: JournalProgress{LastIndex: -1}}
+	t := &JournalTailer{path: path}
+	t.reset()
+	return t
+}
+
+func (t *JournalTailer) reset() {
+	t.jr, t.p = journalReader{}, JournalProgress{LastIndex: -1}
 }
 
 // Scan folds any bytes appended since the previous Scan and returns the
-// running tally. I/O failures are the only errors; a missing file is zero
-// progress.
+// running tally. I/O failures are the only errors; a journal that does not
+// exist yet — a task that has not started, or was killed before creating
+// it — is zero progress.
 func (t *JournalTailer) Scan() (JournalProgress, error) {
 	f, err := os.Open(t.path)
 	if os.IsNotExist(err) {
-		t.offset, t.p = 0, JournalProgress{LastIndex: -1}
+		t.reset()
 		return t.p, nil
 	}
 	if err != nil {
 		return t.p, fmt.Errorf("batch: journal: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
+	// The last line already folded must still be in place: a file that
+	// shrank or was rewritten since the previous Scan — a ReplaceJSONL
+	// resume, a fresh fetch of a remote journal — is re-read from the start.
+	if t.jr.off > 0 {
+		last := make([]byte, len(t.jr.last))
+		if _, err := f.ReadAt(last, t.jr.off-int64(len(last))); err != nil || !bytes.Equal(last, t.jr.last) {
+			t.reset()
+		}
+	}
+	if _, err := f.Seek(t.jr.off, io.SeekStart); err != nil {
 		return t.p, fmt.Errorf("batch: journal: %w", err)
 	}
-	if st.Size() < t.offset {
-		t.offset, t.p = 0, JournalProgress{LastIndex: -1}
-	}
-	if st.Size() == t.offset {
-		return t.p, nil
-	}
-	if _, err := f.Seek(t.offset, io.SeekStart); err != nil {
-		return t.p, fmt.Errorf("batch: journal: %w", err)
-	}
-	br := bufio.NewReader(f)
+	t.jr.br = bufio.NewReader(f)
 	for {
-		line, readErr := br.ReadBytes('\n')
-		if !bytes.HasSuffix(line, []byte("\n")) {
-			// The in-flight (or kill-torn) tail: leave it unconsumed so the
-			// next Scan rereads it once the writer finishes the line.
-			t.p.Torn = len(bytes.TrimSpace(line)) > 0
-			if readErr == io.EOF {
-				return t.p, nil
+		header, c, ok, err := t.jr.next()
+		switch {
+		case err != nil:
+			return t.p, fmt.Errorf("batch: journal: %w", err)
+		case !ok:
+			t.p.Torn, t.p.Dropped = t.jr.torn, t.jr.dropped
+			return t.p, nil
+		case header != nil:
+			t.p.Specs = append(t.p.Specs, *header.Spec)
+			t.p.Origins = append(t.p.Origins, header.Origin)
+		default:
+			t.p.Cells++
+			if c.Err != "" {
+				t.p.Failed++
 			}
-			return t.p, fmt.Errorf("batch: journal: %w", readErr)
-		}
-		t.offset += int64(len(line))
-		t.p.Torn = false
-		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
-			header, c, perr := parseJournalLine(trimmed)
-			switch {
-			case perr != nil:
-				t.p.Dropped++
-			case header != nil:
-				t.p.Specs = append(t.p.Specs, *header.Spec)
-				t.p.Origins = append(t.p.Origins, header.Origin)
-			default:
-				t.p.Cells++
-				if c.Err != "" {
-					t.p.Failed++
-				}
-				if c.Index > t.p.LastIndex {
-					t.p.LastIndex = c.Index
-				}
+			if c.Index > t.p.LastIndex {
+				t.p.LastIndex = c.Index
 			}
-		}
-		if readErr != nil {
-			if readErr == io.EOF {
-				return t.p, nil
-			}
-			return t.p, fmt.Errorf("batch: journal: %w", readErr)
 		}
 	}
 }

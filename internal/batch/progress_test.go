@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,12 +22,23 @@ func journalBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func TestScanJournalProgressComplete(t *testing.T) {
-	b := journalBytes(t)
-	p, err := batch.ScanJournalProgress(bytes.NewReader(b))
+// scanOnce writes b to a fresh file and tallies it with one tailer Scan —
+// the one-shot progress read.
+func scanOnce(t *testing.T, b []byte) batch.JournalProgress {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := batch.NewJournalTailer(path).Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+func TestScanJournalProgressComplete(t *testing.T) {
+	p := scanOnce(t, journalBytes(t))
 	want := okSpec().UnitCount()
 	if p.Cells != want || p.Failed != 0 || p.Torn || p.Dropped != 0 {
 		t.Fatalf("progress = %+v, want %d clean cells", p, want)
@@ -51,10 +63,7 @@ func TestScanJournalProgressTornTail(t *testing.T) {
 	// Keep the header and 5 cells, then half of the 6th cell's line.
 	torn := bytes.Join(lines[:6], nil)
 	torn = append(torn, lines[6][:len(lines[6])/2]...)
-	p, err := batch.ScanJournalProgress(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := scanOnce(t, torn)
 	if p.Cells != 5 || !p.Torn || p.Dropped != 0 {
 		t.Fatalf("progress = %+v, want 5 cells + torn tail", p)
 	}
@@ -70,10 +79,7 @@ func TestScanJournalProgressCorruptInterior(t *testing.T) {
 	b := journalBytes(t)
 	lines := bytes.SplitAfter(b, []byte("\n"))
 	lines[3] = []byte("{not json\n")
-	p, err := batch.ScanJournalProgress(bytes.NewReader(bytes.Join(lines, nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := scanOnce(t, bytes.Join(lines, nil))
 	if p.Cells != 2 || p.Torn {
 		t.Fatalf("progress = %+v, want 2 cells before the corruption", p)
 	}
@@ -92,10 +98,7 @@ func TestScanJournalProgressHeaderOnly(t *testing.T) {
 	if err := sink.Spec(spec); err != nil {
 		t.Fatal(err)
 	}
-	p, err := batch.ScanJournalProgress(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := scanOnce(t, buf.Bytes())
 	if p.Cells != 0 || p.LastIndex != -1 || p.Torn || p.Dropped != 0 || len(p.Specs) != 1 {
 		t.Fatalf("progress = %+v, want header-only", p)
 	}
@@ -113,11 +116,7 @@ func TestScanJournalProgressHeaderOnly(t *testing.T) {
 	if err := batch.NewJSONLSink(&buf).Spec(empty); err != nil {
 		t.Fatal(err)
 	}
-	p, err = batch.ScanJournalProgress(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Done() {
+	if p := scanOnce(t, buf.Bytes()); !p.Done() {
 		t.Fatalf("empty shard's header-only journal not Done: %+v", p)
 	}
 }
@@ -126,7 +125,7 @@ func TestScanJournalProgressHeaderOnly(t *testing.T) {
 // supervisor's stall detector leans on: no file yet means zero progress,
 // not an error.
 func TestScanJournalProgressFileMissing(t *testing.T) {
-	p, err := batch.ScanJournalProgressFile(filepath.Join(t.TempDir(), "nope.jsonl"))
+	p, err := batch.NewJournalTailer(filepath.Join(t.TempDir(), "nope.jsonl")).Scan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +148,11 @@ func TestScanJournalProgressWhileGrowing(t *testing.T) {
 	}
 	defer f.Close()
 
+	tailer := batch.NewJournalTailer(path)
 	wrote := 0 // complete cell lines on disk
 	check := func(torn bool) {
 		t.Helper()
-		p, err := batch.ScanJournalProgressFile(path)
+		p, err := tailer.Scan()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,16 +166,13 @@ func TestScanJournalProgressWhileGrowing(t *testing.T) {
 		if len(line) == 0 {
 			continue
 		}
-		// Write the first half, scan (torn unless the half is empty), then
-		// finish the line and scan again.
-		half := len(line) / 2
-		if _, err := f.Write(line[:half]); err != nil {
+		// Write all but the newline, scan (torn: a line counts only once its
+		// newline is in), then finish the line and scan again.
+		if _, err := f.Write(line[:len(line)-1]); err != nil {
 			t.Fatal(err)
 		}
-		if half > 0 {
-			check(true)
-		}
-		if _, err := f.Write(line[half:]); err != nil {
+		check(true)
+		if _, err := f.Write(line[len(line)-1:]); err != nil {
 			t.Fatal(err)
 		}
 		if i > 0 { // line 0 is the header
@@ -190,56 +187,69 @@ func TestScanJournalProgressWhileGrowing(t *testing.T) {
 
 // TestJournalTailerMatchesFullRescan appends a journal byte range by byte
 // range — including cuts mid-line — and checks the incremental tailer's
-// tally equals a from-scratch scan at every step. This is the supervisor's
-// cheap poll path: same numbers, O(new data) per Scan.
+// tally equals a from-scratch read at every step. This is the supervisor's
+// cheap poll path: same numbers, O(new data) per Scan. The journals carry
+// the shapes where readers used to disagree: a corrupt interior line
+// (everything from it on is dropped, including cells the tailer could
+// still parse) and an unterminated final line that decodes (torn, not a
+// cell).
 func TestJournalTailerMatchesFullRescan(t *testing.T) {
 	b := journalBytes(t)
-	path := filepath.Join(t.TempDir(), "tail.jsonl")
-	tailer := batch.NewJournalTailer(path)
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	unterminated := bytes.TrimSuffix(lines[len(lines)-2], []byte("\n"))
+	corrupt := append([][]byte(nil), lines...)
+	corrupt[4] = []byte("{not json\n")
+	journals := map[string][]byte{
+		"clean":              b,
+		"corrupt interior":   append(bytes.Join(corrupt, nil), unterminated...),
+		"unterminated final": append(bytes.Join(lines[:len(lines)-2], nil), unterminated...),
+	}
+	for name, b := range journals {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tail.jsonl")
+			tailer := batch.NewJournalTailer(path)
 
-	// Before the file exists: zero progress, no error.
-	p, err := tailer.Scan()
-	if err != nil || p.Cells != 0 || p.LastIndex != -1 {
-		t.Fatalf("pre-creation scan: %+v err=%v", p, err)
-	}
+			// Before the file exists: zero progress, no error.
+			p, err := tailer.Scan()
+			if err != nil || p.Cells != 0 || p.LastIndex != -1 {
+				t.Fatalf("pre-creation scan: %+v err=%v", p, err)
+			}
 
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	// Append in ragged 37-byte chunks so most scans land mid-line.
-	for start := 0; start < len(b); start += 37 {
-		end := start + 37
-		if end > len(b) {
-			end = len(b)
-		}
-		if _, err := f.Write(b[start:end]); err != nil {
-			t.Fatal(err)
-		}
-		got, err := tailer.Scan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := batch.ScanJournalProgressFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Torn && !want.Torn && want.Cells == got.Cells+1 {
-			// The cut landed exactly before a line's newline: the full
-			// rescan counts the parseable line (as ReadJournal would), the
-			// tailer waits for the newline. Both are right; the next chunk
-			// reconverges them.
-			continue
-		}
-		if got.Cells != want.Cells || got.Failed != want.Failed || got.Torn != want.Torn ||
-			got.LastIndex != want.LastIndex || len(got.Specs) != len(want.Specs) {
-			t.Fatalf("after %d bytes: tailer %+v != rescan %+v", end, got, want)
-		}
-	}
-	final, _ := tailer.Scan()
-	if final.Cells != okSpec().UnitCount() || final.Torn {
-		t.Fatalf("final tally: %+v", final)
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			// Append in ragged 37-byte chunks so most scans land mid-line.
+			for start := 0; start < len(b); start += 37 {
+				end := start + 37
+				if end > len(b) {
+					end = len(b)
+				}
+				if _, err := f.Write(b[start:end]); err != nil {
+					t.Fatal(err)
+				}
+				got, err := tailer.Scan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := scanOnce(t, b[:end]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("after %d bytes: tailer %+v != rescan %+v", end, got, want)
+				}
+				j, err := batch.ReadJournal(bytes.NewReader(b[:end]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lost := got.Dropped
+				if got.Torn {
+					lost++
+				}
+				if got.Cells != len(j.Cells) || len(got.Specs) != len(j.Specs) || lost != j.Dropped {
+					t.Fatalf("after %d bytes: tailer %+v disagrees with ReadJournal (%d cells, %d headers, %d dropped)",
+						end, got, len(j.Cells), len(j.Specs), j.Dropped)
+				}
+			}
+		})
 	}
 }
 
@@ -268,6 +278,23 @@ func TestJournalTailerResetsOnRewrite(t *testing.T) {
 	}
 	if p.Cells != 3 || len(p.Specs) != 1 {
 		t.Fatalf("post-rewrite tally not reset: %+v", p)
+	}
+
+	// Rewrite longer: a resume replaces the cancelled third cell with its
+	// re-run and appends the rest, growing the file past the tailer's offset
+	// without ever shrinking it below.
+	cancelled := bytes.Replace(lines[3], []byte("}\n"), []byte(`,"error":"context canceled"}`+"\n"), 1)
+	if err := os.WriteFile(path, append(bytes.Join(lines[:3], nil), cancelled...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := tailer.Scan(); err != nil || p.Cells != 3 || p.Failed != 1 {
+		t.Fatalf("cancelled-tail scan: %+v err=%v", p, err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := tailer.Scan(); err != nil || !reflect.DeepEqual(p, scanOnce(t, b)) {
+		t.Fatalf("post-resume tally %+v (err %v), want %+v", p, err, scanOnce(t, b))
 	}
 }
 
@@ -312,8 +339,7 @@ func TestReplaceJSONLTruncates(t *testing.T) {
 	if bytes.Contains(b, []byte("old partial")) {
 		t.Fatal("ReplaceJSONL did not truncate")
 	}
-	p, err := batch.ScanJournalProgress(bytes.NewReader(b))
-	if err != nil || len(p.Specs) != 1 {
-		t.Fatalf("rewritten journal unreadable: %+v err=%v", p, err)
+	if p := scanOnce(t, b); len(p.Specs) != 1 {
+		t.Fatalf("rewritten journal unreadable: %+v", p)
 	}
 }

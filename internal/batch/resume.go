@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -30,54 +31,109 @@ type Journal struct {
 // followed by one Cell per line. A sweep killed mid-write can leave a torn
 // final line, and a corrupt byte invalidates everything after it (there is
 // no resynchronization point inside a line) — so parsing stops at the first
-// undecodable line and the remainder is discarded into Dropped; Resume
-// simply re-runs the units those lines would have covered, which is the
-// safe direction. err reports I/O failures only.
+// undecodable line, and the remainder, like a torn tail, is discarded into
+// Dropped; Resume simply re-runs the units those lines would have covered,
+// which is the safe direction. err reports I/O failures only.
 func ReadJournal(r io.Reader) (*Journal, error) {
 	j := &Journal{}
-	br := bufio.NewReader(r)
+	jr := journalReader{br: bufio.NewReader(r)}
 	for {
-		line, readErr := br.ReadBytes('\n')
-		if t := bytes.TrimSpace(line); len(t) > 0 {
-			// Headers are recognized anywhere, not just on line one:
-			// concatenated shard journals carry one per shard, and every one
-			// of them must reach CheckSpec (a mid-file header misread as a
-			// Cell would both bypass the parameter check and inject a
-			// phantom zero-value cell).
-			header, c, perr := parseJournalLine(t)
-			switch {
-			case perr != nil:
-				j.Dropped++
-				j.Dropped += countLines(br)
-				return j, nil
-			case header != nil:
-				j.Specs = append(j.Specs, *header.Spec)
-				j.Origins = append(j.Origins, header.Origin)
-			default:
-				j.Cells = append(j.Cells, c)
-			}
-		}
-		if readErr == io.EOF {
+		header, c, ok, err := jr.next()
+		switch {
+		case err != nil:
+			return j, fmt.Errorf("batch: journal: %w", err)
+		case !ok:
+			j.Dropped = jr.lost()
 			return j, nil
-		}
-		if readErr != nil {
-			return j, fmt.Errorf("batch: journal: %w", readErr)
+		case header != nil:
+			j.Specs = append(j.Specs, *header.Spec)
+			j.Origins = append(j.Origins, header.Origin)
+		default:
+			j.Cells = append(j.Cells, c)
 		}
 	}
 }
 
-// countLines drains r and counts its remaining non-empty lines.
-func countLines(br *bufio.Reader) int {
-	n := 0
+// journalReader is the one decoder of the journal line format; ReadJournal,
+// MergeJournals and JournalTailer all pull records through it, so every
+// reader agrees on what a journal holds:
+//   - blank lines are skipped;
+//   - a line is a record only once its newline has been read — an
+//     unterminated final line is a torn tail (a write in flight, or cut
+//     short by a kill), left unconsumed;
+//   - the first complete line that fails to decode ends the read, and it
+//     and every later non-empty line count as dropped.
+//
+// Headers are recognized anywhere, not just on line one: concatenated
+// shard journals carry one per shard, and every one of them must reach the
+// spec checks (a mid-file header misread as a Cell would both bypass the
+// parameter check and inject a phantom zero-value cell).
+type journalReader struct {
+	br *bufio.Reader
+	// off is the byte offset just past last, the last complete line: where
+	// a read resumed over the grown file picks up.
+	off  int64
+	last []byte
+	// corrupt is set once a complete line failed to decode; dropped counts
+	// that line and every complete non-empty line after it.
+	corrupt bool
+	dropped int
+	// torn reports that the input read so far ends in an unterminated
+	// non-empty line.
+	torn bool
+}
+
+// next returns the next record: a spec header (header non-nil) or a cell.
+// ok is false once the input is exhausted; err reports I/O failures only.
+func (r *journalReader) next() (header *specHeader, c Cell, ok bool, err error) {
 	for {
-		line, err := br.ReadBytes('\n')
-		if len(bytes.TrimSpace(line)) > 0 {
-			n++
+		line, readErr := r.br.ReadBytes('\n')
+		if readErr != nil {
+			r.torn = len(bytes.TrimSpace(line)) > 0
+			if readErr == io.EOF {
+				readErr = nil
+			}
+			return nil, Cell{}, false, readErr
 		}
-		if err != nil {
-			return n
+		r.off += int64(len(line))
+		r.last = line
+		t := bytes.TrimSpace(line)
+		if len(t) == 0 {
+			continue
 		}
+		if !r.corrupt {
+			h, cell, perr := parseJournalLine(t)
+			if perr == nil {
+				return h, cell, true, nil
+			}
+			r.corrupt = true
+		}
+		r.dropped++
 	}
+}
+
+// lost is what a one-shot read discards: the dropped lines plus a torn
+// tail, which no later write will complete.
+func (r *journalReader) lost() int {
+	if r.torn {
+		return r.dropped + 1
+	}
+	return r.dropped
+}
+
+// parseJournalLine classifies one non-empty journal line. A header is
+// distinguishable by its "spec" key, which a cell line never has; a line
+// that decodes as neither reports an error.
+func parseJournalLine(t []byte) (*specHeader, Cell, error) {
+	var h specHeader
+	if json.Unmarshal(t, &h) == nil && h.Spec != nil {
+		return &h, Cell{}, nil
+	}
+	var c Cell
+	if err := json.Unmarshal(t, &c); err != nil {
+		return nil, Cell{}, err
+	}
+	return nil, c, nil
 }
 
 // CheckSpec verifies every run-parameter header recorded in the journal

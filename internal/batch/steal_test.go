@@ -289,12 +289,8 @@ func TestJournalOriginProvenance(t *testing.T) {
 	if len(j.Origins) != 1 || j.Origins[0] != "ssh:host1:s0:attempt2" {
 		t.Fatalf("ReadJournal origins = %v", j.Origins)
 	}
-	p, err := batch.ScanJournalProgress(bytes.NewReader(annotated.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Origins) != 1 || p.Origins[0] != "ssh:host1:s0:attempt2" {
-		t.Fatalf("ScanJournalProgress origins = %v", p.Origins)
+	if p := scanOnce(t, annotated.Bytes()); len(p.Origins) != 1 || p.Origins[0] != "ssh:host1:s0:attempt2" {
+		t.Fatalf("JournalTailer origins = %v", p.Origins)
 	}
 	jp, err := batch.ReadJournal(bytes.NewReader(plain.Bytes()))
 	if err != nil {
@@ -323,10 +319,7 @@ func TestJournalTailerPartialFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := batch.ScanJournalProgress(bytes.NewReader(final))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := scanOnce(t, final)
 
 	local := filepath.Join(dir, "fetched.jsonl")
 	fetch := func(n int) {
@@ -452,10 +445,7 @@ func TestRangedJournalHeaderRoundTrip(t *testing.T) {
 			t.Fatalf("ranged header lacks %s: %s", want, header)
 		}
 	}
-	p, err := batch.ScanJournalProgress(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := scanOnce(t, buf.Bytes())
 	if p.Cells != ranged.OwnedUnitCount() || !p.Done() {
 		t.Fatalf("ranged journal: %d cells, done=%v, want %d cells done", p.Cells, p.Done(), ranged.OwnedUnitCount())
 	}
@@ -506,7 +496,7 @@ func TestEmptyRangedShardJournalsHeaderOnly(t *testing.T) {
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "empty.jsonl"), filepath.Join(dir, "rest.jsonl")
 	runJournal(t, empty, a, "")
-	p, err := batch.ScanJournalProgressFile(a)
+	p, err := batch.NewJournalTailer(a).Scan()
 	if err != nil {
 		t.Fatal(err)
 	}

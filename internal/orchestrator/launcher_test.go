@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"bytes"
 	"context"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -169,23 +168,23 @@ func TestSupervisorStealsFromStalledTask(t *testing.T) {
 	// The journal set is victim + thieves + the healthy shard; the thieves
 	// carry provenance in their headers.
 	var thieves []string
-	for _, path := range s.finalJournals {
+	for _, path := range s.Journals() {
 		if strings.Contains(filepath.Base(path), "-steal-") {
 			thieves = append(thieves, path)
 		}
 	}
 	if len(thieves) == 0 {
-		t.Fatalf("no stolen journals in the final set %v", s.finalJournals)
+		t.Fatalf("no stolen journals in the final set %v", s.Journals())
 	}
 	for _, path := range thieves {
-		pr, err := batch.ScanJournalProgressFile(path)
+		pr, err := batch.NewJournalTailer(path).Scan()
 		if err != nil || len(pr.Origins) == 0 || pr.Origins[0] != "steal:s0" {
 			t.Fatalf("stolen journal %s origin = %v (err %v), want steal:s0", path, pr.Origins, err)
 		}
 	}
 
 	// Acceptance: the merge over the stolen journal set renders the same
-	// bytes a single-process sweep does.
+	// bytes a single-process sweep does, with nothing left to re-run.
 	full, err := core.GridRun(context.Background(), p.Spec)
 	if err != nil {
 		t.Fatal(err)
@@ -194,12 +193,22 @@ func TestSupervisorStealsFromStalledTask(t *testing.T) {
 	if err := full.RenderCSV(&want); err != nil {
 		t.Fatal(err)
 	}
-	failed, err := p.MergeReportFrom(context.Background(), s.finalJournals, "csv", false, &got, io.Discard)
+	journal, stats, err := batch.ReadMergedJournals(s.Journals()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed != 0 {
-		t.Fatalf("%d failed units", failed)
+	if stats.Cells != p.TotalUnits() || stats.Dropped != 0 {
+		t.Fatalf("merged %d of %d units (%d lines dropped)", stats.Cells, p.TotalUnits(), stats.Dropped)
+	}
+	merged, err := core.GridRun(context.Background(), p.Spec, core.GridResume(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Failed() != 0 {
+		t.Fatalf("%d failed units", merged.Failed())
+	}
+	if err := merged.RenderCSV(&got); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("stolen merge differs from single-process sweep:\n--- merged\n%s\n--- full\n%s", got.String(), want.String())

@@ -1,11 +1,14 @@
 // Package orchestrator turns the sharding primitives (Spec.Shard, JSONL
-// shard journals, MergeJournals) into an actual multi-process system: it
-// plans a shard split for a grid spec, spawns and supervises the m local
-// shard subprocesses (restarting dead ones against their own journals),
-// tails the journals for shard-aware live progress, and merges the finished
-// journals into a final report byte-identical to a single-process sweep.
-// The same plan serializes as a GitHub Actions matrix, so the exact split
-// the orchestrator runs locally is what CI runs as matrix jobs.
+// shard journals) into an actual multi-process system: it plans a shard
+// split for a grid spec, spawns and supervises the shard subprocesses
+// (restarting dead ones against their own journals, stealing from stalled
+// ones), tails the journals for shard-aware live progress, and hands back
+// the finished journal set (Supervisor.Journals). It does not merge them:
+// the caller does, through batch.MergeJournals — lbbench -spawn runs the
+// same path as lbbench -merge, so the report is byte-identical to a
+// single-process sweep. The same plan serializes as a GitHub Actions
+// matrix, so the exact split the orchestrator runs locally is what CI runs
+// as matrix jobs.
 package orchestrator
 
 import (
@@ -41,11 +44,6 @@ type Plan struct {
 	// Dir is the output directory holding the per-shard journals (and the
 	// supervisor's per-shard stderr logs).
 	Dir string
-	// Format is the final report's render format ("table", "csv", "json").
-	// It never reaches the shard children (their stdout is discarded; the
-	// journal is the product) — only the merge step the emitted scripts end
-	// with. Empty means the CLI default.
-	Format string
 	// Shards are the m planned shards, in index order.
 	Shards []Shard
 }
@@ -170,16 +168,6 @@ func (p *Plan) TaskArgs(t *Task, resume bool) []string {
 		args = append(args, "-resume", t.Journal)
 	}
 	return append(args, "-out", t.Journal)
-}
-
-// JournalPaths lists the per-shard journals in shard order — the argument
-// to MergeJournals once every shard is done.
-func (p *Plan) JournalPaths() []string {
-	paths := make([]string, len(p.Shards))
-	for i, sh := range p.Shards {
-		paths[i] = sh.Journal
-	}
-	return paths
 }
 
 func joinSeeds(seeds []int64) string {

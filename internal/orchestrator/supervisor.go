@@ -72,16 +72,21 @@ type Supervisor struct {
 	// Log stays readable.
 	Log io.Writer
 	// Tracer, when non-nil, records the fleet's task lifecycle as spans:
-	// one complete span per attempt (launch → exit) on a per-task row,
-	// instant events for stalls, steals and restarts, and the final merge
-	// as its own span. Out-of-band like all telemetry — journals and the
-	// rendered report are unaffected. Nil is the no-op default.
+	// one complete span per attempt (launch → exit) on a per-task row and
+	// instant events for stalls, steals and restarts. Out-of-band like all
+	// telemetry — journals are unaffected. Nil is the no-op default.
 	Tracer *obs.Tracer
 
-	// finalJournals is the journal set Run actually produced — the planned
-	// shards plus any stolen sub-shards — for RunAndReport's merge.
-	finalJournals []string
+	// journals is the journal set Run produced (see Journals).
+	journals []string
 }
+
+// Journals is the journal set the last Run produced — the planned shards
+// plus any stolen sub-shards, in task order — ready for the merge.
+// Stolen journals carry the same global unit indices the victim would have
+// written, so merging them is indistinguishable from merging an
+// uninterrupted run's shards.
+func (s *Supervisor) Journals() []string { return s.journals }
 
 // schedState is a task's scheduling state inside the supervise loop.
 type schedState int
@@ -220,12 +225,12 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	fmt.Fprintf(log, "orchestrator: %s\n", r.tr.summary())
 	_ = s.Tracer.Flush()
 
-	s.finalJournals = nil
+	s.journals = nil
 	for _, t := range r.tasks {
 		// A steal victim killed before it created its journal contributes
 		// nothing; every other task's journal is part of the merge.
 		if journalExists(t.Journal) {
-			s.finalJournals = append(s.finalJournals, t.Journal)
+			s.journals = append(s.journals, t.Journal)
 		}
 	}
 
@@ -398,7 +403,7 @@ func (r *run) handleExit(t *task, waitErr error) {
 	if err := t.launcher.FetchJournal(t.Task); err != nil {
 		r.logf("task %s: %v", t.Label, err)
 	}
-	p, _ := batch.ScanJournalProgressFile(t.Journal)
+	p, _ := t.tailer.Scan()
 	now := time.Now()
 	r.tr.observe(t.tr, p, now)
 	if r.s.Tracer.Enabled() {
@@ -567,53 +572,6 @@ func (r *run) carve(v *task, p batch.JournalProgress) int {
 		start += cnt
 	}
 	return k
-}
-
-// RunAndReport is the whole pipeline behind `lbbench -spawn`: supervise the
-// plan's tasks, then — when every journal is in — merge and render the
-// final report (the plan's Format) to stdout. The journal set is whatever
-// Run produced: the planned shards plus any stolen sub-shards. The return
-// value is a process exit code, the contract lbbench documents: 0 success;
-// 1 failed tasks or failed units (the figure has holes); 2 merge/render
-// failure; 3 interrupted, with every journal left resumable by re-running
-// the same command.
-func (s *Supervisor) RunAndReport(ctx context.Context, streamAgg bool, stdout io.Writer) int {
-	log := s.Log
-	if log == nil {
-		log = os.Stderr
-	}
-	if err := s.Run(ctx); err != nil {
-		if ctx.Err() != nil {
-			return 3
-		}
-		fmt.Fprintf(log, "orchestrator: %v\n", err)
-		return 1
-	}
-	format := s.Plan.Format
-	if format == "" {
-		format = "table"
-	}
-	paths := s.finalJournals
-	if len(paths) == 0 {
-		paths = s.Plan.JournalPaths()
-	}
-	// A fresh context: the signal context may fire during the (local,
-	// cheap) gap re-run without invalidating the already-supervised work.
-	mergeStart := s.Tracer.Now()
-	failed, err := s.Plan.MergeReportFrom(context.Background(), paths, format, streamAgg, stdout, log)
-	if s.Tracer.Enabled() {
-		s.Tracer.Complete("merge", "orchestrator", 0, mergeStart, map[string]any{"journals": len(paths)})
-		_ = s.Tracer.Flush()
-	}
-	if err != nil {
-		fmt.Fprintf(log, "orchestrator: %v\n", err)
-		return 2
-	}
-	if failed > 0 {
-		fmt.Fprintf(log, "orchestrator: %d unit(s) failed — the figure has holes\n", failed)
-		return 1
-	}
-	return 0
 }
 
 func journalExists(path string) bool {

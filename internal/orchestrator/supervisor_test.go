@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/core"
 )
 
 // stubCommand writes a /bin/sh script the supervisor can spawn in place of
@@ -299,5 +300,52 @@ func TestTrackerSummary(t *testing.T) {
 	want := "task summary: s0 restarts=0 stolen=2, s1 restarts=2 stolen=0, s0.1 restarts=0 stolen=0"
 	if got != want {
 		t.Fatalf("summary = %q, want %q", got, want)
+	}
+}
+
+// writePlanJournals runs every shard of the plan through the real engine,
+// journaling exactly as the spawned subprocesses would.
+func writePlanJournals(t *testing.T, p *Plan) {
+	t.Helper()
+	for _, sh := range p.Shards {
+		sink, err := batch.CreateJSONL(sh.Journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.GridRun(context.Background(), p.Spec, core.GridShard(sh.Index, sh.Count), core.GridSink(sink)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSupervisorDoesNotRestartCompleteShard: a child that exits non-zero
+// with a COMPLETE journal ran every unit (some just failed) — restarting
+// would re-run the same deterministic failures, so the supervisor must hand
+// the journal straight to the merge instead. (lbbench exits 1 when the
+// figure has holes; that is not a crash.)
+func TestSupervisorDoesNotRestartCompleteShard(t *testing.T) {
+	p, err := NewPlan(testSpec(), 2, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writePlanJournals(t, p) // complete journals already on disk
+	var log bytes.Buffer
+	s := &Supervisor{
+		Plan:    p,
+		Command: stubCommand(t, "exit 1"), // "figure has holes" exit
+		Policy:  Policy{MaxRetries: -1, Interval: 10 * time.Millisecond},
+		Log:     &log,
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatalf("Run treated a complete shard as a crash: %v\nlog:\n%s", err, log.String())
+	}
+	if strings.Contains(log.String(), "restarting with -resume") {
+		t.Fatalf("complete shard was restarted:\n%s", log.String())
+	}
+	if !strings.Contains(log.String(), "not restarting") {
+		t.Fatalf("complete-journal exit not reported:\n%s", log.String())
 	}
 }
