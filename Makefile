@@ -200,6 +200,7 @@ steal-smoke: bins
 		grep -q "reassigned to .* stolen sub-shard" /tmp/lbbench-steal.log
 		ls /tmp/lbbench-stealsweep/shard-1-steal-*.jsonl
 		head -1 /tmp/lbbench-stealsweep/shard-1-steal-1.jsonl | grep -q '"origin":"steal:s1"'
+		grep "task summary:" /tmp/lbbench-steal.log | tail -1 | grep -q "task summary:.* s1 restarts=0 stolen=[1-9]"
 	fi
 
 # The ssh launcher against real ssh: two slots on localhost, merged

@@ -338,15 +338,9 @@ func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) in
 		return 0
 	}
 
-	self, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbbench: cannot locate own binary to spawn shards: %v\n", err)
-		return exitUsage
-	}
 	ctx, stop := signals.Graceful(context.Background())
 	sup := &orchestrator.Supervisor{
 		Plan:      plan,
-		Command:   []string{self},
 		Launchers: launchers,
 		Policy:    launch.Policy(),
 		Log:       os.Stderr,

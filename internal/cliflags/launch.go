@@ -3,6 +3,7 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/orchestrator"
@@ -46,10 +47,9 @@ func (l *Launch) Policy() orchestrator.Policy {
 	}
 }
 
-// Launchers builds the launcher fleet the flags describe. Nil for the
-// default local backend (the supervisor builds its own unbounded
-// LocalLauncher over its Command, keeping that path behavior-identical to
-// the pre-Launcher orchestrator).
+// Launchers builds the launcher fleet the flags describe. The local
+// backend spawns the running binary itself, so a -spawn parent and its
+// shard children are always the same lbbench.
 func (l *Launch) Launchers() ([]orchestrator.Launcher, error) {
 	switch l.Launcher {
 	case "", "local":
@@ -59,7 +59,11 @@ func (l *Launch) Launchers() ([]orchestrator.Launcher, error) {
 		if l.RemoteDir != "" {
 			return nil, fmt.Errorf("-remote-dir needs -launcher ssh")
 		}
-		return nil, nil
+		self, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("cannot locate own binary to spawn shards: %v", err)
+		}
+		return []orchestrator.Launcher{&orchestrator.LocalLauncher{Command: []string{self}}}, nil
 	case "ssh":
 		hosts := SplitList(l.Hosts)
 		if len(hosts) == 0 {

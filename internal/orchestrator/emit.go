@@ -23,19 +23,19 @@ type matrixEntry struct {
 // `{"include":[...]}` — the shape `strategy: matrix: ${{ fromJSON(...) }}`
 // consumes, and single-line so a setup job can pass it through
 // $GITHUB_OUTPUT verbatim. Each entry's `args` are the complete lbbench
-// flags for that shard; the job template only prefixes the binary. The
-// split is the exact one the supervisor would run locally — same shard
-// assignment, same journal layout.
+// flags for that shard (TaskArgs of the plan's task); the job template only
+// prefixes the binary. The split is the exact one the supervisor would run
+// locally — same tasks, same command lines, same journal layout.
 func (p *Plan) EmitGitHub(w io.Writer) error {
-	entries := make([]matrixEntry, len(p.Shards))
-	for i, sh := range p.Shards {
+	entries := make([]matrixEntry, len(p.Tasks))
+	for i, t := range p.Tasks {
 		entries[i] = matrixEntry{
-			Index:   sh.Index,
-			Count:   sh.Count,
-			Shard:   fmt.Sprintf("%d/%d", sh.Index, sh.Count),
-			Journal: sh.Journal,
-			Units:   sh.Units,
-			Args:    strings.Join(p.ShardArgs(i, false), " "),
+			Index:   t.Shard.Index,
+			Count:   t.Shard.Count,
+			Shard:   fmt.Sprintf("%d/%d", t.Shard.Index, t.Shard.Count),
+			Journal: t.Journal,
+			Units:   t.Units,
+			Args:    strings.Join(p.TaskArgs(t, false), " "),
 		}
 	}
 	b, err := json.Marshal(struct {

@@ -76,25 +76,22 @@ type Launcher interface {
 // stderrPath is where a task's stderr accumulates across attempts.
 func stderrPath(t *Task) string { return t.Journal + ".stderr" }
 
-// LocalLauncher runs attempts as local subprocesses — the pre-Launcher
-// orchestrator's exec path, behavior-identical: stdout discarded (the
-// journal is the product), stderr appended to the task's .stderr file,
-// cancellation delivered as SIGINT (the graceful path that journals the
-// cancellation and fsyncs) escalating to SIGKILL after WaitDelay.
+// LocalLauncher runs attempts as local subprocesses, all at once (its
+// slots are unbounded): stdout discarded (the journal is the product),
+// stderr appended to the task's .stderr file, cancellation delivered as
+// SIGINT (the graceful path that journals the cancellation and fsyncs)
+// escalating to SIGKILL after WaitDelay.
 type LocalLauncher struct {
 	// Command is the argv prefix spawning one attempt when the task's
 	// flags are appended — typically the lbbench binary. Required.
 	Command []string
-	// Width caps concurrent attempts; <= 0 means one per task (the classic
-	// all-shards-at-once supervise).
-	Width int
 }
 
 // Name implements Launcher.
 func (l *LocalLauncher) Name() string { return "local" }
 
-// Slots implements Launcher.
-func (l *LocalLauncher) Slots() int { return l.Width }
+// Slots implements Launcher: unbounded.
+func (l *LocalLauncher) Slots() int { return 0 }
 
 // Launch implements Launcher.
 func (l *LocalLauncher) Launch(ctx context.Context, t *Task, args []string) (Handle, error) {

@@ -14,7 +14,8 @@ import (
 // each running the per-shard lbbench command line, submitted and polled by
 // the supervisor, so stalls and steals work on a cluster too. It assumes the
 // cluster shares the plan's output directory (the standard Slurm setup), so
-// journals appear in place and FetchJournal is a no-op.
+// journals appear in place and FetchJournal is a no-op. Jobs in flight are
+// unbounded: the queue is the scheduler's problem.
 type SlurmLauncher struct {
 	// Sbatch/Squeue/Scancel are the control argv prefixes; empty means
 	// {"sbatch", "--parsable"}, {"squeue", "-h", "-j"}, {"scancel"}.
@@ -23,9 +24,6 @@ type SlurmLauncher struct {
 	// Remote is the lbbench invocation inside the job; empty means
 	// "lbbench".
 	Remote string
-	// Width caps jobs in flight; <= 0 means unbounded — the queue is the
-	// scheduler's problem.
-	Width int
 	// Poll is the squeue cadence Wait watches the job at; <= 0 means 10s.
 	Poll time.Duration
 }
@@ -68,8 +66,8 @@ func (l *SlurmLauncher) poll() time.Duration {
 // Name implements Launcher.
 func (l *SlurmLauncher) Name() string { return "slurm" }
 
-// Slots implements Launcher.
-func (l *SlurmLauncher) Slots() int { return l.Width }
+// Slots implements Launcher: unbounded.
+func (l *SlurmLauncher) Slots() int { return 0 }
 
 // slurmHandle is the submitted job, identified by the id sbatch printed.
 type slurmHandle struct {

@@ -39,7 +39,9 @@ func shellJoin(args []string) string {
 // The remote side needs only lbbench on PATH (or Remote pointing at it) and
 // a POSIX sh; no agent or daemon. Attempts record their remote pid in
 // <journal>.pid so Signal can reach the process even though the local
-// handle is just the ssh client.
+// handle is just the ssh client. Each launcher runs one attempt at a time —
+// remote slots are the scarce resource stealing exists to fill — so a host
+// gets more slots by appearing more than once in the fleet.
 type SSHLauncher struct {
 	// Host is the ssh destination (host, user@host, or an ssh_config
 	// alias). Required.
@@ -57,10 +59,6 @@ type SSHLauncher struct {
 	// over the very path the remote attempt is appending to would replace
 	// the writer's inode and freeze its visible progress.
 	RemoteDir string
-	// Width caps concurrent attempts on this host; <= 0 means 1 — remote
-	// slots are the scarce resource stealing exists to fill, so they
-	// default conservative.
-	Width int
 }
 
 // remoteJournal is where t's journal lives on the remote side.
@@ -88,13 +86,8 @@ func (l *SSHLauncher) remote() string {
 // Name implements Launcher.
 func (l *SSHLauncher) Name() string { return "ssh:" + l.Host }
 
-// Slots implements Launcher.
-func (l *SSHLauncher) Slots() int {
-	if l.Width <= 0 {
-		return 1
-	}
-	return l.Width
-}
+// Slots implements Launcher: one attempt per launcher.
+func (l *SSHLauncher) Slots() int { return 1 }
 
 // sshHandle ties the local ssh client to the task whose remote pid file
 // Signal must consult.

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,20 +17,25 @@ import (
 )
 
 // TestTaskArgsWholeShardMatchesShardArgs: a whole-shard task without origin
-// must spawn the exact command line the pre-Launcher supervisor did — that
-// equality is what keeps plain local supervision byte-identical across the
-// Launcher refactor.
+// spawns exactly the classic shard command line — grid flags, -shard i/m,
+// -resume only on a restart, -out last — with no window or provenance
+// flags, so plain local supervision and the CI matrix run the same argv.
 func TestTaskArgsWholeShardMatchesShardArgs(t *testing.T) {
 	p, err := NewPlan(testSpec(), 2, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, resume := range []bool{false, true} {
-		for i, task := range p.Tasks() {
+		for i, task := range p.Tasks {
 			got := p.TaskArgs(task, resume)
-			want := p.ShardArgs(i, resume)
+			j := filepath.Join("d", fmt.Sprintf("shard-%d.jsonl", i))
+			want := append(p.GridArgs(), "-shard", fmt.Sprintf("%d/2", i))
+			if resume {
+				want = append(want, "-resume", j)
+			}
+			want = append(want, "-out", j)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("TaskArgs(s%d, resume=%v) = %v, want ShardArgs %v", i, resume, got, want)
+				t.Fatalf("TaskArgs(s%d, resume=%v) = %v, want %v", i, resume, got, want)
 			}
 		}
 	}
@@ -44,7 +50,7 @@ func TestTaskArgsWindowAndOrigin(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := &Task{
-		Shard:   p.Shards[0],
+		Shard:   p.Tasks[0].Shard,
 		Lo:      2,
 		Hi:      6,
 		Journal: filepath.Join("d", "shard-0-steal-1.jsonl"),

@@ -1,14 +1,15 @@
 // Package orchestrator turns the sharding primitives (Spec.Shard, JSONL
 // shard journals) into an actual multi-process system: it plans a shard
-// split for a grid spec, spawns and supervises the shard subprocesses
-// (restarting dead ones against their own journals, stealing from stalled
-// ones), tails the journals for shard-aware live progress, and hands back
-// the finished journal set (Supervisor.Journals). It does not merge them:
-// the caller does, through batch.MergeJournals — lbbench -spawn runs the
-// same path as lbbench -merge, so the report is byte-identical to a
-// single-process sweep. The same plan serializes as a GitHub Actions
-// matrix, so the exact split the orchestrator runs locally is what CI runs
-// as matrix jobs.
+// split for a grid spec as one Task per shard, spawns and supervises the
+// tasks through the Launchers it is given (restarting dead ones against
+// their own journals, stealing from stalled ones), tails the journals for
+// task-aware live progress, and hands back the finished journal set
+// (Supervisor.Journals). It does not merge them: the caller does, through
+// batch.MergeJournals — lbbench -spawn runs the same path as lbbench
+// -merge, so the report is byte-identical to a single-process sweep. The
+// same plan serializes as a GitHub Actions matrix whose entries carry each
+// task's exact command line (Plan.TaskArgs), so the split the orchestrator
+// runs locally is what CI runs as matrix jobs.
 package orchestrator
 
 import (
@@ -20,18 +21,10 @@ import (
 	"repro/internal/batch"
 )
 
-// Shard is one planned slice of the sweep: which units it owns and where it
-// journals them.
+// Shard names one planned slice of the sweep: the units with expansion
+// index ≡ Index mod Count.
 type Shard struct {
-	// Index/Count name the slice (units with expansion index ≡ Index mod
-	// Count).
 	Index, Count int
-	// Journal is the shard's JSONL journal path, under the plan's Dir.
-	Journal string
-	// Units is how many units the shard owns — the denominator of its
-	// progress display. Zero for empty shards (m > unit count), which
-	// journal a lone header and merge cleanly.
-	Units int
 }
 
 // Plan is a fully-resolved multi-process sweep: the grid, the m-way shard
@@ -44,8 +37,12 @@ type Plan struct {
 	// Dir is the output directory holding the per-shard journals (and the
 	// supervisor's per-shard stderr logs).
 	Dir string
-	// Shards are the m planned shards, in index order.
-	Shards []Shard
+	// Tasks are the m whole-shard tasks, in shard order, labeled
+	// s0..s{m-1}, each journaling to shard-i.jsonl under Dir. Empty shards
+	// (m > unit count) own zero units, journal a lone header and merge
+	// cleanly. The supervisor starts from this list and appends stolen
+	// sub-shards to its own copy at run time.
+	Tasks []*Task
 }
 
 // NewPlan validates spec, splits it m ways and lays the journals out under
@@ -69,11 +66,11 @@ func NewPlan(spec batch.Spec, m int, dir string) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Shards = append(p.Shards, Shard{
-			Index:   i,
-			Count:   m,
+		p.Tasks = append(p.Tasks, &Task{
+			Shard:   Shard{Index: i, Count: m},
 			Journal: filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", i)),
 			Units:   sharded.OwnedUnitCount(),
+			Label:   fmt.Sprintf("s%d", i),
 		})
 	}
 	return p, nil
@@ -118,40 +115,11 @@ func (p *Plan) GridArgs() []string {
 	return args
 }
 
-// ShardArgs are the flags for one shard's fresh run: the grid, its slice,
-// its journal. When resume is true the shard restarts against its own
-// journal (the supervisor's retry path, and the orchestrator's own
-// restart-after-crash path).
-func (p *Plan) ShardArgs(i int, resume bool) []string {
-	sh := p.Shards[i]
-	args := append(p.GridArgs(), "-shard", fmt.Sprintf("%d/%d", sh.Index, sh.Count))
-	if resume {
-		args = append(args, "-resume", sh.Journal)
-	}
-	return append(args, "-out", sh.Journal)
-}
-
-// Tasks builds the initial task list the supervisor schedules: one
-// whole-shard task per planned shard, labeled s0..s{m-1}. Steals append to
-// this list at run time; it is the starting point, not the final shape.
-func (p *Plan) Tasks() []*Task {
-	tasks := make([]*Task, len(p.Shards))
-	for i, sh := range p.Shards {
-		tasks[i] = &Task{
-			Shard:   sh,
-			Journal: sh.Journal,
-			Units:   sh.Units,
-			Label:   fmt.Sprintf("s%d", sh.Index),
-		}
-	}
-	return tasks
-}
-
 // TaskArgs are the lbbench flags for one attempt of t: the grid, the
 // shard slice, the unit window when the task is a stolen sub-range, its
-// provenance tag, and its journal. A whole-shard task without origin
-// produces exactly the classic ShardArgs flag list, so the local launcher
-// path spawns byte-identical command lines to the pre-Launcher supervisor.
+// provenance tag, and its journal. A whole-shard task without origin gets
+// the classic shard flag list (grid, -shard i/m, -out), which is also what
+// each CI matrix entry runs.
 func (p *Plan) TaskArgs(t *Task, resume bool) []string {
 	args := append(p.GridArgs(), "-shard", fmt.Sprintf("%d/%d", t.Shard.Index, t.Shard.Count))
 	if t.Lo > 0 || t.Hi > 0 {

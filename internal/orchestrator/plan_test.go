@@ -30,14 +30,17 @@ func TestNewPlanSplitsExhaustively(t *testing.T) {
 		t.Fatalf("TotalUnits = %d, want 8", p.TotalUnits())
 	}
 	sum := 0
-	for i, sh := range p.Shards {
-		if sh.Index != i || sh.Count != 3 {
-			t.Fatalf("shard %d mislabeled: %+v", i, sh)
+	for i, pt := range p.Tasks {
+		if pt.Shard != (Shard{Index: i, Count: 3}) || pt.Label != "s"+strconv.Itoa(i) {
+			t.Fatalf("task %d mislabeled: %+v", i, pt)
 		}
-		if want := filepath.Join("out", "shard-"+strconv.Itoa(i)+".jsonl"); sh.Journal != want {
-			t.Fatalf("shard %d journal = %q, want %q", i, sh.Journal, want)
+		if pt.Lo != 0 || pt.Hi != 0 || pt.Origin != "" {
+			t.Fatalf("task %d is not a whole planned shard: %+v", i, pt)
 		}
-		sum += sh.Units
+		if want := filepath.Join("out", "shard-"+strconv.Itoa(i)+".jsonl"); pt.Journal != want {
+			t.Fatalf("shard %d journal = %q, want %q", i, pt.Journal, want)
+		}
+		sum += pt.Units
 	}
 	if sum != 8 {
 		t.Fatalf("shard unit counts sum to %d, want 8", sum)
@@ -52,8 +55,8 @@ func TestNewPlanEmptyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := 0
-	for _, sh := range p.Shards {
-		if sh.Units == 0 {
+	for _, pt := range p.Tasks {
+		if pt.Units == 0 {
 			empty++
 		}
 	}
@@ -80,7 +83,7 @@ func TestNewPlanRejects(t *testing.T) {
 	}
 }
 
-// TestShardArgsRoundTrip: the planned flags must reproduce the spec's
+// TestShardArgsRoundTrip: a planned shard's flags must reproduce the spec's
 // effective values exactly — floats included — or the children would sweep
 // a subtly different grid than the merge validates against.
 func TestShardArgsRoundTrip(t *testing.T) {
@@ -93,7 +96,7 @@ func TestShardArgsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := p.ShardArgs(1, false)
+	args := p.TaskArgs(p.Tasks[1], false)
 	get := func(flag string) string {
 		for i, a := range args {
 			if a == flag && i+1 < len(args) {
@@ -118,7 +121,7 @@ func TestShardArgsRoundTrip(t *testing.T) {
 	if strings.Contains(strings.Join(args, " "), "-resume") {
 		t.Fatalf("fresh args carry -resume: %v", args)
 	}
-	resumed := strings.Join(p.ShardArgs(1, true), " ")
+	resumed := strings.Join(p.TaskArgs(p.Tasks[1], true), " ")
 	if !strings.Contains(resumed, "-resume "+filepath.Join("d", "shard-1.jsonl")) {
 		t.Fatalf("resume args missing -resume: %v", resumed)
 	}

@@ -25,12 +25,13 @@ type Policy struct {
 	// stealing, which keeps the local supervise path behavior-identical to
 	// the pre-Launcher orchestrator.
 	StealAfter time.Duration
-	// FetchInterval throttles Launcher.FetchJournal during the poll loop
-	// (default 5s): remote backends pay a round trip per fetch, so journals
-	// are pulled home at this cadence while the local tail scan still runs
-	// every Interval. Task exits always fetch immediately.
-	FetchInterval time.Duration
 }
+
+// fetchInterval throttles Launcher.FetchJournal during the poll loop:
+// remote backends pay a round trip per fetch, so journals are pulled home
+// at this cadence while the local tail scan still runs every
+// Policy.Interval. Task exits always fetch immediately.
+const fetchInterval = 5 * time.Second
 
 // withDefaults resolves the documented defaults without mutating p.
 func (p Policy) withDefaults() Policy {
@@ -42,9 +43,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.StallAfter <= 0 {
 		p.StallAfter = 60 * time.Second
-	}
-	if p.FetchInterval <= 0 {
-		p.FetchInterval = 5 * time.Second
 	}
 	return p
 }

@@ -35,14 +35,13 @@ func countSteal(backend string) {
 }
 
 // Supervisor executes a Plan across one or more Launchers — local
-// subprocesses by default (all sharing the inherited environment; point
+// subprocesses (all sharing the inherited environment; point
 // LB_SPECCACHE_DIR at a directory first and the children share
-// eigensolves), ssh hosts or a Slurm queue when configured — supervised
-// until every task's journal is complete. A task that dies — crash, OOM
-// kill, SIGKILL, lost host — is restarted with -resume against its own
-// journal, up to Policy.MaxRetries times, with every restart reported
-// loudly; the journals make restarts cheap (only the dead task's missing
-// units re-run). While tasks run, the supervisor tails their journals
+// eigensolves), ssh hosts or a Slurm queue — supervised until every task's
+// journal is complete. A task that dies — crash, OOM kill, SIGKILL, lost
+// host — is restarted with -resume against its own journal, up to
+// Policy.MaxRetries times, with every restart reported loudly; the journals
+// make restarts cheap (only the dead task's missing units re-run). While tasks run, the supervisor tails their journals
 // (fetching them home first on remote backends) and renders task-aware
 // progress to Log.
 //
@@ -55,13 +54,9 @@ func countSteal(backend string) {
 // sweep.
 type Supervisor struct {
 	Plan *Plan
-	// Command is the argv prefix spawning one task attempt when the task's
-	// flags are appended — typically the lbbench binary. Used to build the
-	// default local launcher; ignored when Launchers is set.
-	Command []string
-	// Launchers are the execution backends, tried in order when scheduling.
-	// Empty means one unbounded LocalLauncher over Command — the classic
-	// local supervise, behavior-identical to the pre-Launcher orchestrator.
+	// Launchers are the execution backends, tried in order when scheduling;
+	// at least one is required. A lone LocalLauncher runs every task at
+	// once — the classic local supervise.
 	Launchers []Launcher
 	// Policy is the restart/stall/steal policy; the zero value selects the
 	// documented defaults (3 retries, 1s poll, 60s stall warning, stealing
@@ -88,7 +83,7 @@ type Supervisor struct {
 // uninterrupted run's shards.
 func (s *Supervisor) Journals() []string { return s.journals }
 
-// schedState is a task's scheduling state inside the supervise loop.
+// schedState is a task's lifecycle inside the supervise loop.
 type schedState int
 
 const (
@@ -97,14 +92,17 @@ const (
 	schedStealing // killed on purpose; waiting for the exit to carve it
 	schedDone
 	schedFailed
+	schedStolen // carved as a steal victim; its remaining units reassigned
 )
 
-// task is the supervisor's live view of one schedulable Task.
+// task is the supervisor's live view of one schedulable Task: scheduling
+// state plus the journal-tail bookkeeping the progress line, the stall
+// warning and the steal trigger read.
 type task struct {
 	*Task
-	tr        int // tracker index
 	state     schedState
 	attempt   int // restarts consumed
+	carved    int // sub-shards stolen out of this task
 	gen       int // steal generation: 0 planned, 1 stolen, 2 re-stolen (cap)
 	launcher  Launcher
 	handle    Handle
@@ -112,8 +110,37 @@ type task struct {
 	lastFetch time.Time
 	err       error
 
-	tid          int64 // trace row (tracker index + 1; 0 is the merge/root row)
+	progress   batch.JournalProgress // latest journal scan
+	lastChange time.Time             // when progress last moved
+	stallSeen  bool                  // a stall warning was already printed for this episode
+
+	tid          int64 // trace row (task index + 1; 0 is the merge/root row)
 	attemptStart int64 // µs on the tracer clock when the running attempt launched
+}
+
+// observe folds the task's latest journal scan. Progress is measured in
+// complete cells; a torn tail or a header landing also counts as movement
+// (the task is alive and writing, just mid-line).
+func (t *task) observe(p batch.JournalProgress, now time.Time) {
+	moved := p.Cells != t.progress.Cells ||
+		len(p.Specs) != len(t.progress.Specs) ||
+		p.Torn != t.progress.Torn
+	t.progress = p
+	if moved {
+		t.lastChange = now
+		t.stallSeen = false
+	}
+}
+
+// checkStall reports whether the task just crossed the stall threshold —
+// the never-writes / wedged-child signal. Each stall episode is reported
+// once; new movement rearms it.
+func (t *task) checkStall(now time.Time, threshold time.Duration) bool {
+	if !t.stallSeen && now.Sub(t.lastChange) >= threshold {
+		t.stallSeen = true
+		return true
+	}
+	return false
 }
 
 // exitEvent is one attempt's Wait result, posted to the supervise loop.
@@ -131,7 +158,8 @@ type run struct {
 	pol       Policy
 	log       io.Writer
 	launchers []Launcher
-	tr        *tracker
+	start     time.Time
+	total     int // the plan's unit count: the fixed progress denominator
 	tasks     []*task
 	used      map[Launcher]int // running attempts per launcher
 	stealSeq  map[int]int      // stolen-journal sequence per shard index
@@ -147,10 +175,7 @@ type run struct {
 func (s *Supervisor) Run(ctx context.Context) error {
 	launchers := s.Launchers
 	if len(launchers) == 0 {
-		if len(s.Command) == 0 {
-			return fmt.Errorf("orchestrator: no command to spawn shards with")
-		}
-		launchers = []Launcher{&LocalLauncher{Command: s.Command}}
+		return fmt.Errorf("orchestrator: no launchers to spawn shards with")
 	}
 	log := s.Log
 	if log == nil {
@@ -167,17 +192,18 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		pol:       s.Policy.withDefaults(),
 		log:       log,
 		launchers: launchers,
-		tr:        newTracker(s.Plan.TotalUnits(), time.Now()),
+		start:     time.Now(),
+		total:     s.Plan.TotalUnits(),
 		used:      make(map[Launcher]int),
 		stealSeq:  make(map[int]int),
 		exits:     make(chan exitEvent),
 	}
-	for _, pt := range s.Plan.Tasks() {
-		r.addTask(pt, 0)
+	for _, pt := range s.Plan.Tasks {
+		r.addTask(pt, 0, r.start)
 	}
 
 	fmt.Fprintf(log, "orchestrator: %d shards x %d units, journals under %s\n",
-		len(s.Plan.Shards), s.Plan.TotalUnits(), s.Plan.Dir)
+		len(s.Plan.Tasks), r.total, s.Plan.Dir)
 	if len(launchers) > 1 || launchers[0].Name() != "local" {
 		names := make([]string, len(launchers))
 		for i, l := range launchers {
@@ -218,11 +244,11 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	now := time.Now()
 	for _, t := range r.tasks {
 		if p, err := t.tailer.Scan(); err == nil {
-			r.tr.observe(t.tr, p, now)
+			t.observe(p, now)
 		}
 	}
-	fmt.Fprintf(log, "orchestrator: %s\n", r.tr.render(now))
-	fmt.Fprintf(log, "orchestrator: %s\n", r.tr.summary())
+	fmt.Fprintf(log, "orchestrator: %s\n", r.render(now))
+	fmt.Fprintf(log, "orchestrator: %s\n", r.summary())
 	_ = s.Tracer.Flush()
 
 	s.journals = nil
@@ -251,15 +277,15 @@ func (r *run) logf(format string, args ...any) {
 	fmt.Fprintf(r.log, "orchestrator: "+format+"\n", args...)
 }
 
-// addTask registers t with the tracker and the task list.
-func (r *run) addTask(t *Task, gen int) *task {
+// addTask appends t to the task list, its journal idle since now.
+func (r *run) addTask(t *Task, gen int, now time.Time) *task {
 	tt := &task{
-		Task:   t,
-		tr:     r.tr.add(t.Label, t.Units, time.Now()),
-		gen:    gen,
-		tailer: batch.NewJournalTailer(t.Journal),
+		Task:       t,
+		gen:        gen,
+		tailer:     batch.NewJournalTailer(t.Journal),
+		lastChange: now,
+		tid:        int64(len(r.tasks)) + 1,
 	}
-	tt.tid = int64(tt.tr) + 1
 	r.s.Tracer.ThreadName(tt.tid, t.Label)
 	r.tasks = append(r.tasks, tt)
 	return tt
@@ -344,7 +370,6 @@ func (r *run) failPending() {
 		if t.state == schedPending {
 			t.state = schedFailed
 			t.err = r.ctx.Err()
-			r.tr.setPhase(t.tr, phaseFailed)
 		}
 	}
 }
@@ -357,41 +382,124 @@ func (r *run) poll() {
 		if t.state != schedRunning && t.state != schedStealing {
 			continue
 		}
-		if now.Sub(t.lastFetch) >= r.pol.FetchInterval {
+		if now.Sub(t.lastFetch) >= fetchInterval {
 			t.lastFetch = now
 			if err := t.launcher.FetchJournal(t.Task); err != nil {
 				r.logf("task %s: %v", t.Label, err)
 			}
 		}
 		if p, err := t.tailer.Scan(); err == nil {
-			r.tr.observe(t.tr, p, now)
+			t.observe(p, now)
 		}
 	}
 	for _, t := range r.tasks {
 		if t.state != schedRunning {
 			continue
 		}
-		if r.pol.StealAfter > 0 && t.gen < maxGen && r.tr.idleFor(t.tr, now) >= r.pol.StealAfter {
+		if r.pol.StealAfter > 0 && t.gen < maxGen && now.Sub(t.lastChange) >= r.pol.StealAfter {
 			r.logf("task %s stalled for %s — killing it to steal its remaining units", t.Label, r.pol.StealAfter)
 			r.s.Tracer.Instant("steal-kill", "orchestrator", t.tid, map[string]any{"task": t.Label})
 			if err := t.launcher.Signal(t.handle, syscall.SIGKILL); err != nil {
 				r.logf("task %s: kill: %v", t.Label, err)
-				r.tr.touch(t.tr, now) // rearm instead of hammering every tick
+				t.lastChange = now // rearm instead of hammering every tick
 				continue
 			}
 			t.state = schedStealing
 			continue
 		}
-		if r.tr.checkStall(t.tr, now, r.pol.StallAfter) {
+		if t.checkStall(now, r.pol.StallAfter) {
 			countStall(t.launcher.Name())
 			r.s.Tracer.Instant("stall", "orchestrator", t.tid, map[string]any{"task": t.Label})
 			r.logf("task %s looks stalled: journal %s unchanged for %s", t.Label, t.Journal, r.pol.StallAfter)
 		}
 	}
-	if line := r.tr.render(now); line != r.lastLine {
+	if line := r.render(now); line != r.lastLine {
 		r.lastLine = line
 		fmt.Fprintf(r.log, "orchestrator: %s\n", line)
 	}
+}
+
+// done counts cells journaled across all tasks. Steal windows are disjoint
+// (a thief starts past the last cell its victim journaled), so the sum
+// never double-counts a unit.
+func (r *run) done() int {
+	n := 0
+	for _, t := range r.tasks {
+		n += t.progress.Cells
+	}
+	return n
+}
+
+// eta extrapolates the remaining wall time from the completion rate
+// observed so far (zero until the first cell lands; zero again when
+// everything is done).
+func (r *run) eta(now time.Time) time.Duration {
+	done := r.done()
+	elapsed := now.Sub(r.start)
+	if done <= 0 || elapsed <= 0 || done >= r.total {
+		return 0
+	}
+	return time.Duration(r.total-done) * (elapsed / time.Duration(done))
+}
+
+// render is the one-line progress display: per-task done/total with
+// restart and state markers, the global fold over the plan's fixed unit
+// total (so the percentage never moves backwards when work is reassigned),
+// the steal count, and the ETA.
+func (r *run) render(now time.Time) string {
+	var b strings.Builder
+	steals := 0
+	for i, t := range r.tasks {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		units := t.Units
+		if t.state == schedStolen {
+			units = t.progress.Cells
+		}
+		fmt.Fprintf(&b, "%s %d/%d", t.Label, t.progress.Cells, units)
+		if t.attempt > 0 {
+			fmt.Fprintf(&b, " (r%d)", t.attempt)
+		}
+		switch t.state {
+		case schedFailed:
+			b.WriteString(" FAILED")
+		case schedDone:
+			b.WriteString(" ok")
+		case schedStolen:
+			b.WriteString(" stolen")
+			steals++
+		}
+	}
+	done := r.done()
+	pct := 0
+	if r.total > 0 {
+		pct = 100 * done / r.total
+	}
+	fmt.Fprintf(&b, " | %d/%d units (%d%%)", done, r.total, pct)
+	if steals > 0 {
+		fmt.Fprintf(&b, " steals %d", steals)
+	}
+	if eta := r.eta(now); eta > 0 {
+		fmt.Fprintf(&b, " eta %s", eta.Round(time.Second))
+	}
+	return b.String()
+}
+
+// summary is the post-mortem line printed once after the supervise loop:
+// every task with its cumulative restart and steal counts, so "which shard
+// was restarted, which was carved, and how often" is answered by the log
+// itself instead of by grepping journal origin headers.
+func (r *run) summary() string {
+	var b strings.Builder
+	b.WriteString("task summary:")
+	for i, t := range r.tasks {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s restarts=%d stolen=%d", t.Label, t.attempt, t.carved)
+	}
+	return b.String()
 }
 
 // handleExit settles one attempt: fetch the journal one last time, judge
@@ -404,8 +512,7 @@ func (r *run) handleExit(t *task, waitErr error) {
 		r.logf("task %s: %v", t.Label, err)
 	}
 	p, _ := t.tailer.Scan()
-	now := time.Now()
-	r.tr.observe(t.tr, p, now)
+	t.observe(p, time.Now())
 	if r.s.Tracer.Enabled() {
 		status := "ok"
 		if waitErr != nil {
@@ -422,11 +529,7 @@ func (r *run) handleExit(t *task, waitErr error) {
 		// journal keeps its prefix of cells — the merge uses it — and the
 		// thieves own everything past its last complete cell.
 		k := r.carve(t, p)
-		r.tr.markStolen(t.tr)
-		r.tr.recordCarve(t.tr, k)
-		countSteal(t.launcher.Name())
-		r.s.Tracer.Instant("steal", "orchestrator", t.tid, map[string]any{"task": t.Label, "sub_shards": k})
-		t.state = schedDone
+		r.steal(t, k)
 		if k > 0 {
 			r.logf("task %s killed at %d/%d units — remaining units reassigned to %d stolen sub-shard(s)",
 				t.Label, p.Cells, t.Units, k)
@@ -440,7 +543,6 @@ func (r *run) handleExit(t *task, waitErr error) {
 	done := p.Done()
 	if waitErr == nil && done {
 		t.state = schedDone
-		r.tr.setPhase(t.tr, phaseDone)
 		return
 	}
 	if waitErr != nil && done {
@@ -450,7 +552,6 @@ func (r *run) handleExit(t *task, waitErr error) {
 		// instead hand the journal to the merge, which reports the failed
 		// units exactly as a single-process sweep would.
 		t.state = schedDone
-		r.tr.setPhase(t.tr, phaseDone)
 		r.logf("task %s exited non-zero (%v) but its journal is complete (%d unit(s) failed) — not restarting; the merge will report them",
 			t.Label, waitErr, p.Failed)
 		return
@@ -464,7 +565,6 @@ func (r *run) handleExit(t *task, waitErr error) {
 	if r.ctx.Err() != nil {
 		t.state = schedFailed
 		t.err = r.ctx.Err()
-		r.tr.setPhase(t.tr, phaseFailed)
 		r.logf("task %s interrupted", t.Label)
 		return
 	}
@@ -474,11 +574,7 @@ func (r *run) handleExit(t *task, waitErr error) {
 			// bad; reassigning the remaining range elsewhere is the elastic
 			// alternative to failing the sweep.
 			if k := r.carve(t, p); k > 0 {
-				r.tr.markStolen(t.tr)
-				r.tr.recordCarve(t.tr, k)
-				countSteal(t.launcher.Name())
-				r.s.Tracer.Instant("steal", "orchestrator", t.tid, map[string]any{"task": t.Label, "sub_shards": k})
-				t.state = schedDone
+				r.steal(t, k)
 				r.logf("task %s died past its retry cap (%v) at %d/%d units — remaining units reassigned to %d stolen sub-shard(s)",
 					t.Label, waitErr, p.Cells, t.Units, k)
 				return
@@ -486,18 +582,27 @@ func (r *run) handleExit(t *task, waitErr error) {
 		}
 		t.state = schedFailed
 		t.err = fmt.Errorf("orchestrator: task %s failed after %d restart(s): %w", t.Label, t.attempt, waitErr)
-		r.tr.setPhase(t.tr, phaseFailed)
 		r.logf("task %s FAILED permanently after %d restart(s): %v — journal %s holds %d/%d units; see %s",
 			t.Label, t.attempt, waitErr, t.Journal, p.Cells, t.Units, stderrPath(t.Task))
 		return
 	}
 	t.attempt++
 	t.state = schedPending
-	r.tr.addRestart(t.tr)
 	countRestart(t.launcher.Name())
 	r.s.Tracer.Instant("restart", "orchestrator", t.tid, map[string]any{"task": t.Label, "attempt": t.attempt})
 	r.logf("task %s died (%v) with %d/%d units journaled — restarting with -resume (attempt %d/%d)",
 		t.Label, waitErr, p.Cells, t.Units, t.attempt, r.pol.MaxRetries)
+}
+
+// steal retires victim t once carve minted k sub-shards from it (k may be
+// zero when its journal finished first): whatever it journaled stays
+// counted, and its progress denominator shrinks to exactly that — the rest
+// now belongs to the thieves.
+func (r *run) steal(t *task, k int) {
+	t.state = schedStolen
+	t.carved += k
+	countSteal(t.launcher.Name())
+	r.s.Tracer.Instant("steal", "orchestrator", t.tid, map[string]any{"task": t.Label, "sub_shards": k})
 }
 
 const (
@@ -533,8 +638,8 @@ func (r *run) carve(v *task, p batch.JournalProgress) int {
 	// class; then how many of them remain below the window's end.
 	first := split + ((idx-split)%m+m)%m
 	hi := v.Hi
-	if total := r.s.Plan.TotalUnits(); hi == 0 || hi > total {
-		hi = total
+	if hi == 0 || hi > r.total {
+		hi = r.total
 	}
 	if first >= hi {
 		return 0
@@ -568,7 +673,7 @@ func (r *run) carve(v *task, p batch.JournalProgress) int {
 			Units:   cnt,
 			Label:   fmt.Sprintf("%s.%d", v.Label, seq),
 			Origin:  "steal:" + v.Label,
-		}, v.gen+1)
+		}, v.gen+1, time.Now())
 		start += cnt
 	}
 	return k

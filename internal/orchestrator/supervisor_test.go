@@ -43,11 +43,11 @@ func TestSupervisorRestartsDeadShardWithResume(t *testing.T) {
 	var log bytes.Buffer
 	s := &Supervisor{
 		Plan: p,
-		Command: stubCommand(t, lastArg+`
+		Launchers: []Launcher{&LocalLauncher{Command: stubCommand(t, lastArg+`
 case "$*" in
   *-resume*) echo '{"spec":{}}' > "$j"; exit 0 ;;
   *) : > "$j"; echo "simulated crash" >&2; exit 7 ;;
-esac`),
+esac`)}},
 		// Negative retries = the default cap of 3.
 		Policy: Policy{MaxRetries: -1, Interval: 10 * time.Millisecond},
 		Log:    &log,
@@ -61,10 +61,10 @@ esac`),
 	}
 	// Both shards needed exactly one restart; the stderr files hold the
 	// crash output across attempts.
-	for _, sh := range p.Shards {
-		b, err := os.ReadFile(sh.Journal + ".stderr")
+	for _, pt := range p.Tasks {
+		b, err := os.ReadFile(pt.Journal + ".stderr")
 		if err != nil || !strings.Contains(string(b), "simulated crash") {
-			t.Fatalf("shard %d stderr log missing crash output: %v %q", sh.Index, err, b)
+			t.Fatalf("shard %d stderr log missing crash output: %v %q", pt.Shard.Index, err, b)
 		}
 	}
 }
@@ -78,10 +78,10 @@ func TestSupervisorRetriesAreCapped(t *testing.T) {
 	}
 	var log bytes.Buffer
 	s := &Supervisor{
-		Plan:    p,
-		Command: stubCommand(t, "exit 9"),
-		Policy:  Policy{MaxRetries: 2, Interval: 10 * time.Millisecond},
-		Log:     &log,
+		Plan:      p,
+		Launchers: []Launcher{&LocalLauncher{Command: stubCommand(t, "exit 9")}},
+		Policy:    Policy{MaxRetries: 2, Interval: 10 * time.Millisecond},
+		Log:       &log,
 	}
 	err = s.Run(context.Background())
 	if err == nil {
@@ -111,7 +111,7 @@ func TestSupervisorFirstAttemptResumesExistingJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(p.Shards[0].Journal, []byte("{}\n"), 0o644); err != nil {
+	if err := os.WriteFile(p.Tasks[0].Journal, []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := &Supervisor{
@@ -120,8 +120,8 @@ func TestSupervisorFirstAttemptResumesExistingJournal(t *testing.T) {
 		// existing journal would be the O_EXCL failure this test guards
 		// against. The journal it leaves behind must be complete — the
 		// supervisor judges tasks by what they journaled, not exit codes.
-		Command: stubCommand(t, lastArg+`
-case "$*" in *-resume*) echo '{"spec":{}}' > "$j"; exit 0 ;; *) exit 3 ;; esac`),
+		Launchers: []Launcher{&LocalLauncher{Command: stubCommand(t, lastArg+`
+case "$*" in *-resume*) echo '{"spec":{}}' > "$j"; exit 0 ;; *) exit 3 ;; esac`)}},
 		Log:    &bytes.Buffer{},
 		Policy: Policy{Interval: 10 * time.Millisecond},
 	}
@@ -140,10 +140,10 @@ func TestSupervisorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var log bytes.Buffer
 	s := &Supervisor{
-		Plan:    p,
-		Command: stubCommand(t, "exec sleep 30"),
-		Log:     &log,
-		Policy:  Policy{Interval: 10 * time.Millisecond},
+		Plan:      p,
+		Launchers: []Launcher{&LocalLauncher{Command: stubCommand(t, "exec sleep 30")}},
+		Log:       &log,
+		Policy:    Policy{Interval: 10 * time.Millisecond},
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
@@ -162,68 +162,67 @@ func TestSupervisorCancellation(t *testing.T) {
 	}
 }
 
-// trackerOf builds a tracker holding the plan's initial task list, the way
-// the supervisor does at startup.
-func trackerOf(t *testing.T, p *Plan, t0 time.Time) *tracker {
-	t.Helper()
-	tr := newTracker(p.TotalUnits(), t0)
-	for _, pt := range p.Tasks() {
-		tr.add(pt.Label, pt.Units, t0)
+// runOf builds a supervise-loop run holding the plan's initial task list,
+// the way Run does at startup, without launching anything.
+func runOf(p *Plan, t0 time.Time) *run {
+	r := &run{s: &Supervisor{Plan: p}, start: t0, total: p.TotalUnits()}
+	for _, pt := range p.Tasks {
+		r.addTask(pt, 0, t0)
 	}
-	return tr
+	return r
 }
 
-// TestTrackerStallDetection drives the pure tracker: a running task whose
-// journal stops moving is flagged once per episode, and movement rearms it.
-// (Done and stolen tasks never reach checkStall — the supervisor only polls
-// running ones.)
+// TestTrackerStallDetection drives the task's journal-tail bookkeeping
+// directly: a running task whose journal stops moving is flagged once per
+// episode, and movement rearms it. (Done and stolen tasks never reach
+// checkStall — the supervisor only polls running ones.)
 func TestTrackerStallDetection(t *testing.T) {
 	p, err := NewPlan(testSpec(), 2, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Unix(1000, 0)
-	tr := trackerOf(t, p, t0)
+	r := runOf(p, t0)
 	threshold := 30 * time.Second
 
 	// Task 1 writes, task 0 never does.
-	tr.observe(1, scanOf(3), t0.Add(10*time.Second))
+	r.tasks[1].observe(scanOf(3), t0.Add(10*time.Second))
 	for i := 0; i < 2; i++ {
-		if tr.checkStall(i, t0.Add(20*time.Second), threshold) {
+		if r.tasks[i].checkStall(t0.Add(20*time.Second), threshold) {
 			t.Fatalf("task %d stall flagged too early", i)
 		}
 	}
-	if !tr.checkStall(0, t0.Add(31*time.Second), threshold) {
+	if !r.tasks[0].checkStall(t0.Add(31*time.Second), threshold) {
 		t.Fatal("task 0 quiet past the threshold was not flagged")
 	}
-	if tr.checkStall(1, t0.Add(31*time.Second), threshold) {
+	if r.tasks[1].checkStall(t0.Add(31*time.Second), threshold) {
 		t.Fatal("task 1 flagged only 21s after its last write")
 	}
 	// Task 0's episode is reported once; task 1 (quiet since t0+10s) now
 	// crosses the threshold itself.
-	if tr.checkStall(0, t0.Add(40*time.Second), threshold) {
+	if r.tasks[0].checkStall(t0.Add(40*time.Second), threshold) {
 		t.Fatal("task 0's stall episode was reported twice")
 	}
-	if !tr.checkStall(1, t0.Add(40*time.Second), threshold) {
+	if !r.tasks[1].checkStall(t0.Add(40*time.Second), threshold) {
 		t.Fatal("task 1 quiet past the threshold was not flagged")
 	}
 	// Movement rearms: task 0 finally writes, goes quiet again, and is
 	// flagged a second time; task 1's episode stays reported.
-	tr.observe(0, scanOf(1), t0.Add(45*time.Second))
-	if !tr.checkStall(0, t0.Add(80*time.Second), threshold) {
+	r.tasks[0].observe(scanOf(1), t0.Add(45*time.Second))
+	if !r.tasks[0].checkStall(t0.Add(80*time.Second), threshold) {
 		t.Fatal("task 0 not re-flagged after movement rearmed its episode")
 	}
-	if tr.checkStall(1, t0.Add(80*time.Second), threshold) {
+	if r.tasks[1].checkStall(t0.Add(80*time.Second), threshold) {
 		t.Fatal("task 1's old episode re-reported")
 	}
-	// idleFor feeds the steal trigger: task 1 has sat since t0+10s.
-	if got := tr.idleFor(1, t0.Add(80*time.Second)); got != 70*time.Second {
-		t.Fatalf("idleFor = %v, want 70s", got)
+	// The idle time feeds the steal trigger: task 1 has sat since t0+10s.
+	if got := t0.Add(80 * time.Second).Sub(r.tasks[1].lastChange); got != 70*time.Second {
+		t.Fatalf("idle for %v, want 70s", got)
 	}
-	// touch rearms the idle clock without claiming progress.
-	tr.touch(1, t0.Add(80*time.Second))
-	if got := tr.idleFor(1, t0.Add(85*time.Second)); got != 5*time.Second {
-		t.Fatalf("idleFor after touch = %v, want 5s", got)
+	// A failed steal kill rearms the idle clock without claiming progress.
+	r.tasks[1].lastChange = t0.Add(80 * time.Second)
+	if got := t0.Add(85 * time.Second).Sub(r.tasks[1].lastChange); got != 5*time.Second {
+		t.Fatalf("idle after rearm for %v, want 5s", got)
 	}
 }
 
@@ -235,16 +234,16 @@ func TestTrackerETA(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Unix(1000, 0)
-	tr := trackerOf(t, p, t0)
-	if tr.eta(t0.Add(time.Minute)) != 0 {
+	r := runOf(p, t0)
+	if r.eta(t0.Add(time.Minute)) != 0 {
 		t.Fatal("ETA before any progress should be unknown (0)")
 	}
 	// 2 units in 10s → 6 remaining at 5s/unit = 30s.
-	tr.observe(0, scanOf(2), t0.Add(10*time.Second))
-	if got := tr.eta(t0.Add(10 * time.Second)); got != 30*time.Second {
+	r.tasks[0].observe(scanOf(2), t0.Add(10*time.Second))
+	if got := r.eta(t0.Add(10 * time.Second)); got != 30*time.Second {
 		t.Fatalf("eta = %v, want 30s", got)
 	}
-	line := tr.render(t0.Add(10 * time.Second))
+	line := r.render(t0.Add(10 * time.Second))
 	for _, want := range []string{"s0 2/", "2/8 units (25%)", "eta 30s"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("render %q missing %q", line, want)
@@ -261,13 +260,13 @@ func TestTrackerSteals(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Unix(1000, 0)
-	tr := trackerOf(t, p, t0)
-	tr.observe(0, scanOf(1), t0.Add(10*time.Second))
-	tr.markStolen(0)
-	thief := tr.add("s0.1", 3, t0.Add(11*time.Second))
-	tr.observe(thief, scanOf(3), t0.Add(20*time.Second))
-	tr.setPhase(thief, phaseDone)
-	line := tr.render(t0.Add(20 * time.Second))
+	r := runOf(p, t0)
+	r.tasks[0].observe(scanOf(1), t0.Add(10*time.Second))
+	r.tasks[0].state = schedStolen
+	thief := r.addTask(&Task{Label: "s0.1", Units: 3}, 1, t0.Add(11*time.Second))
+	thief.observe(scanOf(3), t0.Add(20*time.Second))
+	thief.state = schedDone
+	line := r.render(t0.Add(20 * time.Second))
 	for _, want := range []string{"s0 1/1 stolen", "s0.1 3/3 ok", "4/8 units (50%)", "steals 1"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("render %q missing %q", line, want)
@@ -290,13 +289,12 @@ func TestTrackerSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Unix(1000, 0)
-	tr := trackerOf(t, p, t0)
-	tr.addRestart(1)
-	tr.addRestart(1)
-	tr.recordCarve(0, 2)
-	tr.markStolen(0)
-	tr.add("s0.1", 3, t0)
-	got := tr.summary()
+	r := runOf(p, t0)
+	r.tasks[1].attempt += 2
+	r.tasks[0].carved += 2
+	r.tasks[0].state = schedStolen
+	r.addTask(&Task{Label: "s0.1", Units: 3}, 1, t0)
+	got := r.summary()
 	want := "task summary: s0 restarts=0 stolen=2, s1 restarts=2 stolen=0, s0.1 restarts=0 stolen=0"
 	if got != want {
 		t.Fatalf("summary = %q, want %q", got, want)
@@ -307,12 +305,12 @@ func TestTrackerSummary(t *testing.T) {
 // journaling exactly as the spawned subprocesses would.
 func writePlanJournals(t *testing.T, p *Plan) {
 	t.Helper()
-	for _, sh := range p.Shards {
-		sink, err := batch.CreateJSONL(sh.Journal)
+	for _, pt := range p.Tasks {
+		sink, err := batch.CreateJSONL(pt.Journal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.GridRun(context.Background(), p.Spec, core.GridShard(sh.Index, sh.Count), core.GridSink(sink)); err != nil {
+		if _, err := core.GridRun(context.Background(), p.Spec, core.GridShard(pt.Shard.Index, pt.Shard.Count), core.GridSink(sink)); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Close(); err != nil {
@@ -334,10 +332,10 @@ func TestSupervisorDoesNotRestartCompleteShard(t *testing.T) {
 	writePlanJournals(t, p) // complete journals already on disk
 	var log bytes.Buffer
 	s := &Supervisor{
-		Plan:    p,
-		Command: stubCommand(t, "exit 1"), // "figure has holes" exit
-		Policy:  Policy{MaxRetries: -1, Interval: 10 * time.Millisecond},
-		Log:     &log,
+		Plan:      p,
+		Launchers: []Launcher{&LocalLauncher{Command: stubCommand(t, "exit 1")}}, // "figure has holes" exit
+		Policy:    Policy{MaxRetries: -1, Interval: 10 * time.Millisecond},
+		Log:       &log,
 	}
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatalf("Run treated a complete shard as a crash: %v\nlog:\n%s", err, log.String())

@@ -1,8 +1,8 @@
 // Package parallel provides the goroutine-parallel execution primitives the
-// simulator uses: a bounded worker pool, a blocked parallel-for over index
-// ranges, and per-goroutine deterministic RNG streams (so that parallel
-// randomized algorithms remain reproducible from a single seed regardless
-// of scheduling).
+// simulator uses: a parallel-for over index ranges, the round-level worker
+// count convention, and deterministic child-seed derivation (so that
+// parallel randomized runs remain reproducible from a single seed
+// regardless of scheduling).
 package parallel
 
 import (
@@ -103,81 +103,4 @@ func ForDynamic(n, workers int, body func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ForBlocks runs body(lo, hi) over contiguous blocks of [0, n) in parallel.
-// Useful when the body wants to keep per-block accumulators.
-func ForBlocks(n, workers int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	block := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * block
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// Pool is a reusable fixed-size worker pool for heterogeneous tasks.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	once  sync.Once
-}
-
-// NewPool starts a pool with the given number of workers (GOMAXPROCS if
-// ≤ 0). Close must be called to release the workers.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{tasks: make(chan func(), workers*2)}
-	for i := 0; i < workers; i++ {
-		go func() {
-			for t := range p.tasks {
-				t()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit schedules a task. It may block if the queue is full.
-func (p *Pool) Submit(task func()) {
-	p.wg.Add(1)
-	p.tasks <- task
-}
-
-// Wait blocks until every submitted task has completed.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Close waits for outstanding tasks and stops the workers. The pool must
-// not be used afterwards.
-func (p *Pool) Close() {
-	p.wg.Wait()
-	p.once.Do(func() { close(p.tasks) })
 }

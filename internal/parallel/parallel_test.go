@@ -30,86 +30,6 @@ func TestForEmpty(t *testing.T) {
 	}
 }
 
-func TestForBlocksCoversRangeOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		n := 57
-		seen := make([]int32, n)
-		ForBlocks(n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&seen[i], 1)
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d covered %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count int32
-	for i := 0; i < 100; i++ {
-		p.Submit(func() { atomic.AddInt32(&count, 1) })
-	}
-	p.Wait()
-	if count != 100 {
-		t.Fatalf("ran %d tasks, want 100", count)
-	}
-}
-
-func TestPoolReuseAfterWait(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	var count int32
-	p.Submit(func() { atomic.AddInt32(&count, 1) })
-	p.Wait()
-	p.Submit(func() { atomic.AddInt32(&count, 1) })
-	p.Wait()
-	if count != 2 {
-		t.Fatalf("count %d", count)
-	}
-}
-
-func TestShardedRNGDeterminism(t *testing.T) {
-	a := NewShardedRNG(42, 4)
-	b := NewShardedRNG(42, 4)
-	for s := 0; s < 4; s++ {
-		for k := 0; k < 10; k++ {
-			if a.Shard(s).Int63() != b.Shard(s).Int63() {
-				t.Fatalf("shard %d diverged", s)
-			}
-		}
-	}
-}
-
-func TestShardedRNGIndependence(t *testing.T) {
-	r := NewShardedRNG(42, 2)
-	x, y := r.Shard(0).Int63(), r.Shard(1).Int63()
-	if x == y {
-		t.Fatal("shards produced identical first draw (suspicious)")
-	}
-}
-
-func TestShardedRNGWrapsIndex(t *testing.T) {
-	r := NewShardedRNG(1, 3)
-	if r.Shard(3) != r.Shard(0) {
-		t.Fatal("shard index must wrap")
-	}
-	if r.Shards() != 3 {
-		t.Fatal("shard count")
-	}
-}
-
-func TestShardedRNGMinimumOneShard(t *testing.T) {
-	r := NewShardedRNG(1, 0)
-	if r.Shards() != 1 {
-		t.Fatal("must default to one shard")
-	}
-}
-
 func TestDeriveSeedDistinct(t *testing.T) {
 	seen := map[int64]bool{}
 	for i := 0; i < 100; i++ {

@@ -1,41 +1,5 @@
 package parallel
 
-import (
-	"math/rand"
-)
-
-// ShardedRNG provides one independent deterministic random stream per shard
-// (typically per worker goroutine or per node). Streams are derived from a
-// single seed by SplitMix64 expansion, so the whole simulation is
-// reproducible from one integer regardless of goroutine interleaving, and
-// no locking is needed as long as each shard is used by one goroutine at a
-// time.
-type ShardedRNG struct {
-	streams []*rand.Rand
-}
-
-// NewShardedRNG creates shards independent streams derived from seed.
-func NewShardedRNG(seed int64, shards int) *ShardedRNG {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &ShardedRNG{streams: make([]*rand.Rand, shards)}
-	x := uint64(seed)
-	for i := range s.streams {
-		x = splitmix64(&x)
-		s.streams[i] = rand.New(rand.NewSource(int64(x)))
-	}
-	return s
-}
-
-// Shard returns the RNG for shard i (mod the shard count).
-func (s *ShardedRNG) Shard(i int) *rand.Rand {
-	return s.streams[i%len(s.streams)]
-}
-
-// Shards returns the number of independent streams.
-func (s *ShardedRNG) Shards() int { return len(s.streams) }
-
 // splitmix64 advances the state and returns the next output of the
 // SplitMix64 generator; the standard way to expand one seed into many.
 func splitmix64(state *uint64) uint64 {
@@ -47,8 +11,8 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // DeriveSeed deterministically derives the i-th child seed from a parent
-// seed; used where a full ShardedRNG is overkill (e.g. seeding one
-// experiment repetition).
+// seed by one SplitMix64 step over the parent mixed with i, so distinct
+// children get well-separated seeds (e.g. one per experiment repetition).
 func DeriveSeed(parent int64, i int) int64 {
 	x := uint64(parent) ^ (uint64(i)+1)*0x9e3779b97f4a7c15
 	return int64(splitmix64(&x))

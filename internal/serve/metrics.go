@@ -13,6 +13,8 @@ var (
 		"Balancing rounds committed.")
 	mArrivals = obs.Default().Counter("lbserved_arrivals_total",
 		"Arrival events injected (replay + HTTP).")
+	mArrivalsRejected = obs.Default().Counter("lbserved_arrivals_rejected_total",
+		"HTTP arrivals refused (429) because the arrival queue was full.")
 	mLoadInjected = obs.Default().Gauge("lbserved_load_injected",
 		"Cumulative load injected into the session.")
 	mPhi = obs.Default().Gauge("lbserved_phi",

@@ -309,9 +309,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxPending bounds the HTTP arrivals queued between two rounds. A paced
+// round loop drains the queue once per round, so without a bound a client
+// could queue arrivals faster than rounds consume them, without limit.
+var maxPending = 1 << 20
+
 // handleArrive queues arrivals for the next round. The body is one JSON
 // object {"node":i,"amt":x} or an array of them; amounts must be positive
-// and finite, nodes in range. During drain ingest is refused with 503.
+// and finite, nodes in range. During drain ingest is refused with 503. A
+// request that would push the queue past maxPending is refused whole with
+// 429, so an accepted request's "queued" count is always exact.
 func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
@@ -353,6 +360,14 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining"})
+		return
+	}
+	if len(s.pending)+len(reqs) > maxPending {
+		queued := len(s.pending)
+		s.mu.Unlock()
+		mArrivalsRejected.Add(uint64(len(reqs)))
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{
+			"error": fmt.Sprintf("arrival queue full: %d queued + %d arriving exceeds %d; retry after the next round", queued, len(reqs), maxPending)})
 		return
 	}
 	for _, a := range reqs {

@@ -16,7 +16,7 @@ import (
 	"repro/internal/scenario"
 )
 
-func testConfig(t *testing.T) core.Config {
+func testConfig(t testing.TB) core.Config {
 	t.Helper()
 	g := graph.Torus(4, 4)
 	return core.Config{
@@ -236,6 +236,71 @@ func TestHandlerIngest(t *testing.T) {
 	resp.Body.Close()
 	if !health.OK || health.Round != 1 {
 		t.Fatalf("healthz = %+v", health)
+	}
+}
+
+// TestArriveQueueBound: once the arrival queue is full, a request that
+// would overflow it is refused whole with a 429 and a JSON error, counted
+// in lbserved_arrivals_rejected_total, and leaves the queue untouched; a
+// round drains the queue and /arrive accepts again.
+func TestArriveQueueBound(t *testing.T) {
+	old := maxPending
+	maxPending = 4
+	t.Cleanup(func() { maxPending = old })
+	srv, err := New(Options{Config: testConfig(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/arrive", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, doc
+	}
+	three := `[{"node":0,"amt":1},{"node":1,"amt":1},{"node":2,"amt":1}]`
+	if code, doc := post(three); code != http.StatusAccepted || doc["queued"] != 3.0 {
+		t.Fatalf("first batch: status %d %v, want 202 queued 3", code, doc)
+	}
+	rejected := mArrivalsRejected.Value()
+	code, doc := post(`[{"node":3,"amt":1},{"node":4,"amt":1}]`)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("overflowing batch: status %d, want 429", code)
+	}
+	if msg, _ := doc["error"].(string); !strings.Contains(msg, "arrival queue full") {
+		t.Fatalf("429 body %v lacks the queue-full error", doc)
+	}
+	if got := mArrivalsRejected.Value() - rejected; got != 2 {
+		t.Fatalf("lbserved_arrivals_rejected_total grew by %d, want 2", got)
+	}
+	if p := srv.Metrics().Pending; p != 3 {
+		t.Fatalf("pending %d after a refused request, want 3", p)
+	}
+	// Filling the queue exactly is still accepted; one more is not.
+	if code, _ := post(`{"node":5,"amt":1}`); code != http.StatusAccepted {
+		t.Fatalf("arrival filling the queue: status %d, want 202", code)
+	}
+	if code, _ := post(`{"node":6,"amt":1}`); code != http.StatusTooManyRequests {
+		t.Fatalf("arrival past a full queue: status %d, want 429", code)
+	}
+
+	if _, err := srv.StepRound(); err != nil {
+		t.Fatal(err)
+	}
+	if code, doc := post(three); code != http.StatusAccepted || doc["queued"] != 3.0 {
+		t.Fatalf("after a round drained the queue: status %d %v, want 202 queued 3", code, doc)
+	}
+	if m := srv.Metrics(); m.ArrivalsTotal != 4 || m.Pending != 3 {
+		t.Fatalf("arrivals_total %d pending %d, want 4 and 3", m.ArrivalsTotal, m.Pending)
 	}
 }
 
