@@ -18,11 +18,11 @@ ci: build vet fmt-check staticcheck test e2e-test bench round-smoke grid-smoke l
 build:
 	$(GO) build ./...
 
-# The kernel checksum table is built !race (a minute under the detector),
-# so it gets its own plain run.
+# The kernel checksum table and the examples are built !race (minutes under
+# the detector), so they get their own plain run.
 test:
 	$(GO) test -race ./...
-	$(GO) test -count=1 -run '^TestStateChecksumsMatchBaseline$$' ./internal/core/
+	$(GO) test -count=1 -run '^(TestStateChecksumsMatchBaseline|Example_.*)$$' . ./internal/core/
 
 vet:
 	$(GO) vet ./...

@@ -1,5 +1,5 @@
 // Package repro's root benchmark suite: one testing.B target per experiment
-// in DESIGN.md §5 (each regenerates its table in quick mode), plus
+// that `lbbench -list` names (each regenerates its table in quick mode), plus
 // micro-benchmarks of the primitives that dominate the harness' runtime
 // (round steppers, eigensolvers, sequentialization).
 //

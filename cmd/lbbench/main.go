@@ -1,7 +1,7 @@
 // Command lbbench regenerates the paper-reproduction experiment tables and
 // runs declarative sweep grids through the parallel batch engine.
 //
-// Experiment mode (one table per experiment of DESIGN.md §5):
+// Experiment mode (one table per experiment that -list names):
 //
 //	lbbench -exp all            # run every experiment (E1–E19, A1–A8)
 //	lbbench -exp E3,E4          # run selected experiments

@@ -95,6 +95,3 @@ func (s *Stepper[T]) Potential() float64 { return load.Potential(s.loads) }
 
 // Values returns the live loads or tokens (not a copy).
 func (s *Stepper[T]) Values() []T { return s.loads }
-
-// Ticks returns the number of edge activations so far.
-func (s *Stepper[T]) Ticks() int { return s.tick }

@@ -1,7 +1,6 @@
 package ballsbins
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -60,32 +59,5 @@ func TestMaxLoadTracksTheory(t *testing.T) {
 	approx := ExpectedMaxLoadApprox(n)
 	if mean < approx || mean > 4*approx {
 		t.Fatalf("mean max load %v outside [%v, %v]", mean, approx, 4*approx)
-	}
-}
-
-func TestCollisionProbabilityMatchesTailBound(t *testing.T) {
-	// Lemma 9's calculation: Pr[Binomial(n−1, 1/n) ≥ 5] < (e/5)⁵ ≈ 0.045.
-	rng := rand.New(rand.NewSource(5))
-	n := 256
-	p := CollisionProbability(n, 4, 4000, rng) // strictly more than 4 ⇒ ≥ 5
-	bound := BinomialTailBound(n, 1/float64(n), 5)
-	if p > bound*1.5 { // Monte-Carlo slack
-		t.Fatalf("measured tail %v exceeds bound %v", p, bound)
-	}
-}
-
-func TestBinomialTailBoundLemma9Constants(t *testing.T) {
-	// The paper's two constants: (e/5)⁵ < 0.05 and (e/4)⁴ < 0.25.
-	if b := math.Pow(math.E/5, 5); b >= 0.05 {
-		t.Fatalf("(e/5)⁵ = %v", b)
-	}
-	if b := math.Pow(math.E/4, 4); b >= 0.25 {
-		t.Fatalf("(e/4)⁴ = %v", b)
-	}
-	// BinomialTailBound with p = 1/n reproduces (e/k)^k.
-	got := BinomialTailBound(100, 0.01, 5)
-	want := math.Pow(math.E/5, 5)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("bound %v, want %v", got, want)
 	}
 }

@@ -231,15 +231,6 @@ func (u Unit) CellKey() string {
 	return k
 }
 
-// ScenarioName is the display form of the unit's scenario: "static" for
-// the legacy empty encoding, the canonical string otherwise.
-func (u Unit) ScenarioName() string {
-	if u.Scenario == "" {
-		return "static"
-	}
-	return u.Scenario
-}
-
 // ScenarioSeed is the unit's scenario RNG root — stream 2 of the unit's
 // key-derived seed sequence (0 is the workload draw, 1 the algorithm), so
 // a scenario's randomness never perturbs the other streams and is

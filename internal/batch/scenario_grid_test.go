@@ -47,9 +47,9 @@ func TestExpandScenarioDimension(t *testing.T) {
 		}
 		keys[u.Key()] = true
 		segs := strings.Split(u.Key(), "/")
-		switch u.ScenarioName() {
-		case "static":
-			if u.Scenario != "" || len(segs) != 5 {
+		switch u.Scenario {
+		case "":
+			if len(segs) != 5 {
 				t.Fatalf("static unit key %q not in legacy form", u.Key())
 			}
 		case "adversarial-respike:8:0.5", "poisson-arrivals:0.05":
@@ -57,7 +57,7 @@ func TestExpandScenarioDimension(t *testing.T) {
 				t.Fatalf("scenario unit key %q does not carry its canonical scenario", u.Key())
 			}
 		default:
-			t.Fatalf("unexpected scenario %q", u.ScenarioName())
+			t.Fatalf("unexpected scenario %q", u.Scenario)
 		}
 	}
 }
@@ -331,7 +331,7 @@ func TestScenarioSeedsAreScenarioSpecific(t *testing.T) {
 	for _, u := range units {
 		if u.Topology == "cycle" && u.Algorithm == "diffusion" && u.Mode == "continuous" &&
 			u.WorkloadName == "spike" && u.Seed == 1 {
-			byScenario[u.ScenarioName()] = u
+			byScenario[u.Scenario] = u
 		}
 	}
 	if len(byScenario) != 3 {
@@ -355,9 +355,9 @@ func TestScenarioSeedsAreScenarioSpecific(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lu := range legacyUnits {
-		if lu.Key() == byScenario["static"].Key() {
+		if lu.Key() == byScenario[""].Key() {
 			return // same key ⇒ same seedBase ⇒ same streams
 		}
 	}
-	t.Fatalf("static unit key %q not found in scenario-free expansion", byScenario["static"].Key())
+	t.Fatalf("static unit key %q not found in scenario-free expansion", byScenario[""].Key())
 }

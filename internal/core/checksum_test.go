@@ -14,7 +14,7 @@ import (
 
 // stateChecksumBaseline pins the final load state of one fixed work profile
 // per topology × algorithm × mode × n: a spike of 1e6·n on node 0, seed 1,
-// one serial stepper from NewSystem, 1 + clamp(2²²/n, 64, 4096) Steps, then
+// one serial stepper from newSystem, 1 + clamp(2²²/n, 64, 4096) Steps, then
 // FNV-64a over the Float64bits (continuous) or token values (discrete). Any
 // change to a kernel's operation order, rounding or RNG draw order moves
 // them.
@@ -85,7 +85,7 @@ func TestStateChecksumsMatchBaseline(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s: no pinned checksum", key)
 					}
-					sys, err := NewSystem(Config{Graph: g, Algorithm: algo, Mode: mode, Loads: loads, Seed: 1, Workers: 1})
+					sys, err := newSystem(Config{Graph: g, Algorithm: algo, Mode: mode, Loads: loads, Seed: 1, Workers: 1})
 					if err != nil {
 						t.Fatal(err)
 					}

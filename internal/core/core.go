@@ -216,8 +216,8 @@ type Result struct {
 // Validate rejects configurations Balance cannot run: a missing graph, a
 // load vector of the wrong length or with non-finite/negative entries, an
 // Epsilon outside (0,1) (≤ 0 means "use the default" and is accepted), and
-// algorithm/mode combinations that do not exist. Balance, NewSystem, Open
-// and lbserved all gate on this one method, so a bad config is rejected
+// algorithm/mode combinations that do not exist. Balance, Open and
+// lbserved all gate on this one method, so a bad config is rejected
 // identically everywhere.
 func (cfg Config) Validate() error {
 	if cfg.Graph == nil {
@@ -308,11 +308,11 @@ type Stepper[T load.Value] interface {
 }
 
 // buildSystemOn constructs the requested stepper on an explicit graph and
-// load vector with an explicit RNG — the factory Open, NewSystem and
-// SwapGraph share; SwapGraph uses it to rebuild a stepper when the active
-// graph changes mid-run. Its persistent rng keeps a randomized algorithm's
-// draw stream continuous across rebuilds, so a run's randomness does not
-// restart with each churn.
+// load vector with an explicit RNG — the factory Open and SwapGraph share;
+// SwapGraph uses it to rebuild a stepper when the active graph changes
+// mid-run. Its persistent rng keeps a randomized algorithm's draw stream
+// continuous across rebuilds, so a run's randomness does not restart with
+// each churn.
 // spectra supplies the second-order scheme's γ: the shared process-wide
 // cache for graphs that recur across units, a run-local cache for the
 // transient per-round subgraphs a churn scenario draws (which would
@@ -362,20 +362,6 @@ func build[T load.Value](cfg Config, g *graph.G, loads []T, rng *rand.Rand) (Ste
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", cfg.Algorithm)
 	}
-}
-
-// NewSystem validates cfg's structural fields and constructs the configured
-// stepper without a Session around it — the entry point for callers that
-// drive bare Step calls themselves (the kernel checksum and million-node
-// tests). The stepper starts from a copy of cfg.Loads; Epsilon, MaxRounds
-// and Scenario are ignored, and no spectral bound is computed (SecondOrder
-// still pays for its β through the shared γ cache).
-func NewSystem(cfg Config) (System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	return buildSystemOn(cfg, cfg.Graph, cfg.Loads, rand.New(rand.NewSource(cfg.Seed)), speccache.Shared())
 }
 
 // SpikeLoads places the whole load on node 0 — the canonical hard start.

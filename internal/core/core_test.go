@@ -2,12 +2,28 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/speccache"
 	"repro/internal/workload"
 )
+
+// newSystem validates cfg's structural fields and constructs the configured
+// stepper without a Session around it, for the tests that drive bare Step
+// calls themselves (the kernel checksum, round-worker and million-node
+// tests). The stepper starts from a copy of cfg.Loads; Epsilon, MaxRounds
+// and Scenario are ignored, and no spectral bound is computed (SecondOrder
+// still pays for its β through the shared γ cache).
+func newSystem(cfg Config) (System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	return buildSystemOn(cfg, cfg.Graph, cfg.Loads, rand.New(rand.NewSource(cfg.Seed)), speccache.Shared())
+}
 
 func TestBalanceDiffusionContinuous(t *testing.T) {
 	g := graph.Torus(4, 4)

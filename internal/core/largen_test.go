@@ -31,7 +31,7 @@ func TestLargeNSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	loads := workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil)
-	sys, err := NewSystem(Config{Graph: g, Algorithm: Diffusion, Loads: loads, Seed: 1, Workers: 1})
+	sys, err := newSystem(Config{Graph: g, Algorithm: Diffusion, Loads: loads, Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

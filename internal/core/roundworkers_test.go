@@ -88,7 +88,7 @@ func TestRoundWorkersByteIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%s", am.Algo, modeName(am.Mode)), func(t *testing.T) {
 			var ref [][]uint64 // per-round bits of the serial run
 			for _, w := range counts {
-				sys, err := NewSystem(Config{
+				sys, err := newSystem(Config{
 					Graph:     g,
 					Algorithm: am.Algo,
 					Mode:      am.Mode,

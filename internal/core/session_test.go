@@ -167,7 +167,7 @@ func TestSessionProtocolErrors(t *testing.T) {
 }
 
 // TestValidateMatchesEntrypoints: Config.Validate must reject exactly what
-// Balance and NewSystem reject — one gate, identical everywhere.
+// Balance and Open reject — one gate, identical everywhere.
 func TestValidateMatchesEntrypoints(t *testing.T) {
 	g := graph.Cycle(4)
 	bad := []Config{
@@ -183,9 +183,6 @@ func TestValidateMatchesEntrypoints(t *testing.T) {
 		}
 		if _, err := Balance(cfg); err == nil {
 			t.Errorf("case %d: Balance accepted", i)
-		}
-		if _, err := NewSystem(cfg); err == nil {
-			t.Errorf("case %d: NewSystem accepted", i)
 		}
 		if _, err := Open(cfg); err == nil {
 			t.Errorf("case %d: Open accepted", i)

@@ -53,6 +53,7 @@ func matchingPartners(partner []int, n int, m []graph.Edge) []int {
 
 // RandomMatching draws a random matching of g into a fresh slice; see
 // matcher.draw for the procedure.
+// Test-only: TestRandomMatching*, TestMatchingInclusionProbabilityLowerBound, BenchmarkRandomMatching.
 func RandomMatching(g *graph.G, rng *rand.Rand) []graph.Edge {
 	var mt matcher
 	return mt.draw(g, rng)
@@ -250,19 +251,3 @@ func (s *Stepper[T]) Potential() float64 { return load.Potential(s.loads) }
 // Values returns the live loads or tokens (not a copy) — the core
 // injection hook.
 func (s *Stepper[T]) Values() []T { return s.loads }
-
-// IsMatching reports whether the edge set m is a matching of g (edges of g,
-// pairwise disjoint endpoints). Exposed for tests and assertions.
-func IsMatching(g *graph.G, m []graph.Edge) bool {
-	used := make(map[int]bool, 2*len(m))
-	for _, e := range m {
-		if !g.HasEdge(e.U, e.V) {
-			return false
-		}
-		if used[e.U] || used[e.V] {
-			return false
-		}
-		used[e.U], used[e.V] = true, true
-	}
-	return true
-}

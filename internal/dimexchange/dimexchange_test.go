@@ -16,7 +16,7 @@ func TestRandomMatchingIsMatching(t *testing.T) {
 	for _, g := range []*graph.G{graph.Cycle(10), graph.Torus(4, 4), graph.Complete(9), graph.Star(7)} {
 		for trial := 0; trial < 50; trial++ {
 			m := RandomMatching(g, rng)
-			if !IsMatching(g, m) {
+			if !isMatching(g, m) {
 				t.Fatalf("%s: invalid matching %v", g.Name(), m)
 			}
 		}
@@ -142,13 +142,13 @@ func TestDiscreteNoNegative(t *testing.T) {
 
 func TestIsMatchingRejects(t *testing.T) {
 	g := graph.Cycle(6)
-	if IsMatching(g, []graph.Edge{{U: 0, V: 3}}) {
+	if isMatching(g, []graph.Edge{{U: 0, V: 3}}) {
 		t.Fatal("non-edge accepted")
 	}
-	if IsMatching(g, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}) {
+	if isMatching(g, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}) {
 		t.Fatal("overlapping endpoints accepted")
 	}
-	if !IsMatching(g, nil) {
+	if !isMatching(g, nil) {
 		t.Fatal("empty matching must be valid")
 	}
 }
@@ -181,4 +181,20 @@ func TestMatchedPairsBalanceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// isMatching reports whether the edge set m is a matching of g (edges of g,
+// pairwise disjoint endpoints).
+func isMatching(g *graph.G, m []graph.Edge) bool {
+	used := make(map[int]bool, 2*len(m))
+	for _, e := range m {
+		if !g.HasEdge(e.U, e.V) {
+			return false
+		}
+		if used[e.U] || used[e.V] {
+			return false
+		}
+		used[e.U], used[e.V] = true, true
+	}
+	return true
 }

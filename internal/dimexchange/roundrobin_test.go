@@ -35,7 +35,7 @@ func TestColorClassesAreMatchings(t *testing.T) {
 	g := graph.Torus(4, 5)
 	colors, num := graph.EdgeColoring(g)
 	for _, class := range graph.ColorClasses(g, colors, num) {
-		if !IsMatching(g, class) {
+		if !isMatching(g, class) {
 			t.Fatal("color class is not a matching")
 		}
 	}
@@ -50,7 +50,7 @@ func TestHypercubeDimensionClasses(t *testing.T) {
 	g := graph.Hypercube(d)
 	total := 0
 	for _, class := range classes {
-		if !IsMatching(g, class) {
+		if !isMatching(g, class) {
 			t.Fatal("dimension class is not a matching")
 		}
 		if len(class) != g.N()/2 {

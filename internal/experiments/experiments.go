@@ -1,10 +1,10 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment row of DESIGN.md §5, each regenerating the series that
-// validates a theorem or lemma of the paper (or a comparison the paper
-// makes against prior work). Every experiment returns a trace.Table whose
-// rows pair the measured quantity with the paper's bound, so "who wins, by
-// roughly what factor" can be read off directly; EXPERIMENTS.md records a
-// reference run.
+// experiment in the registry that `lbbench -list` prints, each regenerating
+// the series that validates a theorem or lemma of the paper (or a comparison
+// the paper makes against prior work). Every experiment returns a
+// trace.Table whose rows pair the measured quantity with the paper's bound,
+// so "who wins, by roughly what factor" can be read off directly; the
+// README's "Experiment tables" section shows how to run them.
 //
 // All experiments are deterministic given Options.Seed. Options.Quick
 // shrinks sweeps for use inside testing.B benchmarks.

@@ -10,7 +10,8 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// DESIGN.md promises E1–E14 and A1–A3 (E8/E14 live in random.go).
+	// The registry `lbbench -list` prints: E1–E19 and A1–A8 (E8/E14 live
+	// in random.go).
 	want := []string{
 		"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
 		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",

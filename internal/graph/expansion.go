@@ -71,21 +71,6 @@ func ExpansionBounds(g *G, lambda2 float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// CutSize returns |E(S, S̄)| for the node subset S given as a membership
-// slice of length n.
-func CutSize(g *G, inS []bool) int {
-	if len(inS) != g.N() {
-		panic("graph: CutSize membership length mismatch")
-	}
-	cut := 0
-	for _, e := range g.Edges() {
-		if inS[e.U] != inS[e.V] {
-			cut++
-		}
-	}
-	return cut
-}
-
 // Diameter returns the graph diameter (longest shortest path) via BFS from
 // every node, or −1 if the graph is disconnected or empty.
 func Diameter(g *G) int {

@@ -84,20 +84,3 @@ func TestExpansionBoundsBracketExact(t *testing.T) {
 		}
 	}
 }
-
-func TestCutSize(t *testing.T) {
-	g := Cycle(6)
-	inS := []bool{true, true, true, false, false, false}
-	if got := CutSize(g, inS); got != 2 {
-		t.Fatalf("cut size %d, want 2", got)
-	}
-}
-
-func TestCutSizeLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CutSize(Cycle(4), []bool{true})
-}

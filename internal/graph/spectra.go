@@ -96,6 +96,7 @@ func CompleteBipartiteLambda2(a, b int) float64 {
 func PetersenLambda2() float64 { return 2 }
 
 // PathSpectrum returns all n Laplacian eigenvalues of the path, ascending.
+// Test-only: TestSpectrumLengthsAndOrder, TestEigenSymMatchesPathSpectrum.
 func PathSpectrum(n int) []float64 {
 	out := make([]float64, n)
 	for k := 0; k < n; k++ {
@@ -105,6 +106,7 @@ func PathSpectrum(n int) []float64 {
 }
 
 // CycleSpectrum returns all n Laplacian eigenvalues of the cycle, ascending.
+// Test-only: TestSpectrumLengthsAndOrder, TestEigenSymMatchesCycleSpectrum.
 func CycleSpectrum(n int) []float64 {
 	vals := make([]float64, n)
 	for k := 0; k < n; k++ {
@@ -117,6 +119,7 @@ func CycleSpectrum(n int) []float64 {
 
 // HypercubeSpectrum returns all 2^d Laplacian eigenvalues of the hypercube,
 // ascending: eigenvalue 2k with multiplicity C(d, k).
+// Test-only: TestSpectrumLengthsAndOrder, TestEigenSymMatchesHypercubeSpectrum.
 func HypercubeSpectrum(d int) []float64 {
 	n := 1 << uint(d)
 	out := make([]float64, 0, n)

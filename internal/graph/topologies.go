@@ -49,6 +49,7 @@ func Star(n int) *G {
 }
 
 // CompleteBipartite returns K_{a,b} with parts {0..a−1} and {a..a+b−1}.
+// Test-only: TestCompleteBipartite, TestKnownLambda2Matching, TestLambda2ClosedForms.
 func CompleteBipartite(a, b int) *G {
 	bld := NewBuilder(fmt.Sprintf("K(%d,%d)", a, b), a+b)
 	for i := 0; i < a; i++ {
@@ -251,6 +252,7 @@ func RandomRegular(n, d int, rng *rand.Rand) *G {
 
 // ErdosRenyi returns G(n, p): each of the n(n−1)/2 possible edges is present
 // independently with probability p.
+// Test-only: the random-graph *Property tests of six packages.
 func ErdosRenyi(n int, p float64, rng *rand.Rand) *G {
 	b := NewBuilder(fmt.Sprintf("gnp(%d,%.3f)", n, p), n)
 	for i := 0; i < n; i++ {
@@ -261,27 +263,4 @@ func ErdosRenyi(n int, p float64, rng *rand.Rand) *G {
 		}
 	}
 	return b.MustFinish()
-}
-
-// StandardSuite returns the fixed-topology families the experiment harness
-// sweeps over, at a size close to n (exact for path/cycle, rounded for
-// torus/hypercube). Randomized families are excluded; they are seeded
-// separately by the harness.
-func StandardSuite(n int) []*G {
-	side := 3
-	for side*side < n {
-		side++
-	}
-	d := 1
-	for 1<<uint(d) < n {
-		d++
-	}
-	return []*G{
-		Path(n),
-		Cycle(n),
-		Torus(side, side),
-		Hypercube(d),
-		DeBruijn(d),
-		Complete(n),
-	}
 }

@@ -11,8 +11,8 @@ func TestTorus3D(t *testing.T) {
 	if g.N() != 60 {
 		t.Fatalf("n=%d", g.N())
 	}
-	if d, ok := g.IsRegular(); !ok || d != 6 {
-		t.Fatalf("3-D torus must be 6-regular, got %d/%v", d, ok)
+	if lo, hi := degreeRange(g); lo != 6 || hi != 6 {
+		t.Fatalf("3-D torus must be 6-regular, got degrees %d..%d", lo, hi)
 	}
 	if g.M() != 3*60/2*2 { // 3 edges added per node, each counted once: m = 3n
 		t.Fatalf("m=%d, want %d", g.M(), 3*60)
@@ -26,7 +26,7 @@ func TestTorus3DLambda2MatchesDense(t *testing.T) {
 	// Verify the closed form against the generic eigensolver via the
 	// Laplacian spectrum of a small instance.
 	g := Torus3D(3, 3, 4)
-	want := Torus3DLambda2(3, 3, 4)
+	want := CycleLambda2(4) // the longest dimension's cycle sets λ₂
 	// Dense solve through the public Laplacian (keep this package free of
 	// a spectral import by checking the Rayleigh quotient of the known
 	// eigenvector instead: the slowest mode lives on the longest cycle).
@@ -68,8 +68,8 @@ func TestCubeConnectedCycles(t *testing.T) {
 	if g.N() != 24 {
 		t.Fatalf("n=%d, want 24", g.N())
 	}
-	if d, ok := g.IsRegular(); !ok || d != 3 {
-		t.Fatalf("CCC must be 3-regular, got %d/%v", d, ok)
+	if lo, hi := degreeRange(g); lo != 3 || hi != 3 {
+		t.Fatalf("CCC must be 3-regular, got degrees %d..%d", lo, hi)
 	}
 	if !g.IsConnected() {
 		t.Fatal("CCC must be connected")
@@ -98,8 +98,8 @@ func TestSmallWorldNoRewire(t *testing.T) {
 	g := SmallWorld(20, 2, 0, rng)
 	// p=0: the ring lattice with 2 chords per node: 2-regular per chord
 	// class → 4-regular, m = 2n.
-	if d, ok := g.IsRegular(); !ok || d != 4 {
-		t.Fatalf("lattice must be 4-regular, got %d/%v", d, ok)
+	if lo, hi := degreeRange(g); lo != 4 || hi != 4 {
+		t.Fatalf("lattice must be 4-regular, got degrees %d..%d", lo, hi)
 	}
 	if g.M() != 40 {
 		t.Fatalf("m=%d", g.M())

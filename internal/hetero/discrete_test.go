@@ -47,10 +47,10 @@ func TestDiscreteApproachesProportionalShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 20000 && !h.FixedPoint(); k++ {
+	for k := 0; k < 20000 && !fixedPoint(h); k++ {
 		h.Step()
 	}
-	if !h.FixedPoint() {
+	if !fixedPoint(h) {
 		t.Fatal("no fixed point reached")
 	}
 	// At the fixed point, normalized loads should sit close to ω: each
@@ -77,11 +77,11 @@ func TestDiscreteUnitSpeedsMatchAlgorithm1Residual(t *testing.T) {
 	// Unit speeds: the transfer rule coincides with discrete Algorithm 1.
 	g := graph.Cycle(12)
 	init := workload.Discrete(workload.Spike, g.N(), 120_000, nil)
-	h, err := New(g, init, UniformSpeeds(g.N()))
+	h, err := New(g, init, uniformSpeeds(g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 20000 && !h.FixedPoint(); k++ {
+	for k := 0; k < 20000 && !fixedPoint(h); k++ {
 		h.Step()
 	}
 	// The homogeneous Φ_c equals Φ at unit speeds.
@@ -92,7 +92,7 @@ func TestDiscreteUnitSpeedsMatchAlgorithm1Residual(t *testing.T) {
 
 func TestDiscreteValidation(t *testing.T) {
 	g := graph.Cycle(4)
-	if _, err := New(g, []int64{1}, UniformSpeeds(4)); err == nil {
+	if _, err := New(g, []int64{1}, uniformSpeeds(4)); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 	if _, err := New(g, []int64{1, 1, 1, 1}, []float64{1, 1, 0, 1}); err == nil {

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/load"
-	"repro/internal/matrix"
 )
 
 // Stepper is the heterogeneous diffusion stepper over float64 loads or
@@ -100,17 +99,6 @@ func (h *Stepper[T]) Step() {
 	copy(h.cur, h.next)
 }
 
-// FixedPoint reports whether a full round would move no load: every
-// edge's transfer is zero. For tokens this detects the stall exactly.
-func (h *Stepper[T]) FixedPoint() bool {
-	for _, e := range h.G.Edges() {
-		if h.transfer(e.U, e.V) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Values returns the live loads or tokens (not a copy).
 func (h *Stepper[T]) Values() []T { return h.cur }
 
@@ -134,16 +122,6 @@ func (h *Stepper[T]) Potential() float64 {
 	return s
 }
 
-// TargetLoads returns the proportional-fair target vector ℓᵢ* = cᵢ·ω.
-func (h *Stepper[T]) TargetLoads() matrix.Vector {
-	omega := h.Omega()
-	out := make(matrix.Vector, len(h.Speeds))
-	for i, c := range h.Speeds {
-		out[i] = c * omega
-	}
-	return out
-}
-
 // MaxRelativeDeviation returns maxᵢ |ℓᵢ/cᵢ − ω| / ω (0 when ω = 0) — the
 // per-speed analogue of the discrepancy.
 func (h *Stepper[T]) MaxRelativeDeviation() float64 {
@@ -158,13 +136,4 @@ func (h *Stepper[T]) MaxRelativeDeviation() float64 {
 		}
 	}
 	return m
-}
-
-// UniformSpeeds returns an all-ones speed vector (the homogeneous case).
-func UniformSpeeds(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
 }

@@ -17,7 +17,7 @@ func TestUniformSpeedsReduceToAlgorithm1(t *testing.T) {
 	g := graph.Torus(4, 4)
 	rng := rand.New(rand.NewSource(1))
 	init := workload.Continuous(workload.Uniform, g.N(), 100, rng)
-	h, err := New(g, init, UniformSpeeds(g.N()))
+	h, err := New(g, init, uniformSpeeds(g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestConvergesToProportionalShare(t *testing.T) {
 	if dev := h.MaxRelativeDeviation(); dev > 1e-9 {
 		t.Fatalf("relative deviation %v after 5000 rounds", dev)
 	}
-	target := h.TargetLoads()
+	target := targetLoads(h)
 	for i := 0; i < g.N(); i++ {
 		if math.Abs(h.Values()[i]-target[i]) > 1e-6*(1+target[i]) {
 			t.Fatalf("node %d: load %v, target %v", i, h.Values()[i], target[i])
@@ -112,7 +112,7 @@ func TestConvergesToProportionalShare(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	g := graph.Cycle(4)
-	if _, err := New(g, []float64{1}, UniformSpeeds(4)); err == nil {
+	if _, err := New(g, []float64{1}, uniformSpeeds(4)); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 	if _, err := New(g, []float64{1, 1, 1, 1}, []float64{1, 0, 1, 1}); err == nil {
@@ -173,4 +173,34 @@ func TestHeteroInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// uniformSpeeds returns an all-ones speed vector (the homogeneous case).
+func uniformSpeeds(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
+}
+
+// targetLoads returns the proportional-fair target vector ℓᵢ* = cᵢ·ω.
+func targetLoads[T load.Value](h *Stepper[T]) matrix.Vector {
+	omega := h.Omega()
+	out := make(matrix.Vector, len(h.Speeds))
+	for i, c := range h.Speeds {
+		out[i] = c * omega
+	}
+	return out
+}
+
+// fixedPoint reports whether a full round would move no load: every
+// edge's transfer is zero. For tokens this detects the stall exactly.
+func fixedPoint[T load.Value](h *Stepper[T]) bool {
+	for _, e := range h.G.Edges() {
+		if h.transfer(e.U, e.V) != 0 {
+			return false
+		}
+	}
+	return true
 }

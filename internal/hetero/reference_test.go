@@ -117,7 +117,7 @@ func (h *refDiscrete) FixedPoint() bool {
 // uniform (the Algorithm 1 case) or mixed: a 1/4 skew, where the min(cᵢ, cⱼ)
 // factor and the normalized difference both matter, and random speeds in
 // [0.5, 3.5) that make every transfer a non-trivial float. The token leg
-// also checks FixedPoint against the retired detector each round.
+// also checks fixedPoint against the retired detector each round.
 func TestRoundMatchesReference(t *testing.T) {
 	const rounds = 300
 	rng := rand.New(rand.NewSource(5))
@@ -131,7 +131,7 @@ func TestRoundMatchesReference(t *testing.T) {
 		speedSets := []struct {
 			name   string
 			speeds []float64
-		}{{"uniform", UniformSpeeds(n)}, {"skew", skew}, {"random", random}}
+		}{{"uniform", uniformSpeeds(n)}, {"skew", skew}, {"random", random}}
 		starts := []struct {
 			name   string
 			loads  []float64
@@ -168,8 +168,8 @@ func TestRoundMatchesReference(t *testing.T) {
 								t.Fatalf("discrete round %d node %d: %d tokens, reference %d", r, i, v, rd.Load[i])
 							}
 						}
-						if got, want := d.FixedPoint(), rd.FixedPoint(); got != want {
-							t.Fatalf("round %d: FixedPoint = %v, reference %v", r, got, want)
+						if got, want := fixedPoint(d), rd.FixedPoint(); got != want {
+							t.Fatalf("round %d: fixedPoint = %v, reference %v", r, got, want)
 						}
 					}
 				})

@@ -39,6 +39,7 @@ func Potential[T Value](x []T) float64 {
 }
 
 // Discrepancy returns K = maxᵢxᵢ − minᵢxᵢ, and 0 for an empty vector.
+// Test-only: the load, async and dimexchange discrepancy tests.
 func Discrepancy[T Value](x []T) T {
 	if len(x) == 0 {
 		return 0

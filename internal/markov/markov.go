@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/diffusion"
 	"repro/internal/graph"
-	"repro/internal/load"
 	"repro/internal/matrix"
 )
 
@@ -72,16 +71,6 @@ func Couple(g *graph.G, initial []int64, T int) CoupledRun {
 	return out
 }
 
-// RSWRoundBound returns the [16] idealized-chain round count
-// r = (2/µ)·ln(K·n²/x) sufficient to reduce an initial discrepancy K to x,
-// for eigenvalue gap µ = 1 − γ.
-func RSWRoundBound(mu float64, K float64, n int, x float64) float64 {
-	if mu <= 0 || K <= 0 || x <= 0 {
-		return math.Inf(1)
-	}
-	return 2 / mu * math.Log(K*float64(n)*float64(n)/x)
-}
-
 // PsiBoundShape returns the [16] divergence-bound shape δ·ln(n)/µ that E13
 // compares the measured Ψ against (the theorem hides a constant; the
 // experiment reports the ratio, which should stay bounded as n grows).
@@ -90,14 +79,4 @@ func PsiBoundShape(g *graph.G, mu float64) float64 {
 		return math.Inf(1)
 	}
 	return float64(g.MaxDegree()) * math.Log(float64(g.N())) / mu
-}
-
-// IdealizedDiscrepancyAfter runs the idealized chain for T rounds and
-// returns the final discrepancy; a cheap helper for bound checks.
-func IdealizedDiscrepancyAfter(g *graph.G, initial []float64, T int) float64 {
-	st := diffusion.New(g, initial)
-	for t := 0; t < T; t++ {
-		st.Step()
-	}
-	return load.Discrepancy(st.Values())
 }

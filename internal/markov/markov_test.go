@@ -58,17 +58,6 @@ func TestCoupleBalancedStartStaysCoupled(t *testing.T) {
 	}
 }
 
-func TestRSWRoundBound(t *testing.T) {
-	r := RSWRoundBound(0.5, 100, 10, 1)
-	want := 2 / 0.5 * math.Log(100*100)
-	if math.Abs(r-want) > 1e-9 {
-		t.Fatalf("bound %v, want %v", r, want)
-	}
-	if !math.IsInf(RSWRoundBound(0, 100, 10, 1), 1) {
-		t.Fatal("µ=0 must give +Inf")
-	}
-}
-
 func TestPsiBoundShapeGrowsSlowly(t *testing.T) {
 	// For the hypercube family, δ = log₂ n and µ is constant-ish; the
 	// bound shape must grow like polylog(n).
@@ -101,15 +90,5 @@ func TestPsiMeasuredVsBoundShape(t *testing.T) {
 	ratio := run.LocalDivergence / shape
 	if math.IsNaN(ratio) || ratio <= 0 {
 		t.Fatalf("ratio %v", ratio)
-	}
-}
-
-func TestIdealizedDiscrepancyAfterDecreases(t *testing.T) {
-	g := graph.Torus(4, 4)
-	init := workload.Continuous(workload.Spike, g.N(), 1000, nil)
-	d10 := IdealizedDiscrepancyAfter(g, init, 10)
-	d100 := IdealizedDiscrepancyAfter(g, init, 100)
-	if d100 >= d10 {
-		t.Fatalf("discrepancy not decreasing: %v then %v", d10, d100)
 	}
 }

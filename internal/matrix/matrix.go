@@ -33,6 +33,7 @@ func NewDense(rows, cols int) *Dense {
 
 // NewDenseFrom builds a matrix from a slice of rows. All rows must have the
 // same length. The data is copied.
+// Test-only: the matrix tests and spectral's TestEigenSym* fixtures.
 func NewDenseFrom(rows [][]float64) (*Dense, error) {
 	r := len(rows)
 	if r == 0 {
@@ -76,28 +77,10 @@ func (m *Dense) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add adds v to the element at (i, j).
-func (m *Dense) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Dense) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("matrix: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
 	}
-}
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) Vector {
-	out := make(Vector, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// RawRow returns row i as a shared slice (no copy). Callers must not resize.
-func (m *Dense) RawRow(i int) []float64 {
-	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
 // Clone returns a deep copy.
@@ -107,72 +90,8 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Dense) Transpose() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
-// Scale multiplies every entry by s, in place, and returns m.
-func (m *Dense) Scale(s float64) *Dense {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Dense) AddMat(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// SubMat returns m − b as a new matrix.
-func (m *Dense) SubMat(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Mul returns m·b as a new matrix.
-func (m *Dense) Mul(b *Dense) (*Dense, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewDense(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out, nil
-}
-
 // MulVec computes m·x into a new vector.
+// Test-only: TestMulVec*, TestEigenSymKnown2x2, TestLaplacianApplyMatchesDense.
 func (m *Dense) MulVec(x Vector) (Vector, error) {
 	if m.cols != len(x) {
 		return nil, fmt.Errorf("%w: %dx%d * vec(%d)", ErrDimension, m.rows, m.cols, len(x))
@@ -213,15 +132,6 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// FrobeniusNorm returns sqrt(ΣΣ m[i][j]²).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbs returns the largest absolute entry.
 func (m *Dense) MaxAbs() float64 {
 	var s float64
@@ -235,6 +145,7 @@ func (m *Dense) MaxAbs() float64 {
 
 // RowSums returns the vector of row sums. For a stochastic matrix every
 // entry is 1.
+// Test-only: TestRowSums, TestLaplacianStructure, Test*DiffusionMatrixProperties.
 func (m *Dense) RowSums() Vector {
 	out := make(Vector, m.rows)
 	for i := 0; i < m.rows; i++ {

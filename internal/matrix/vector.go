@@ -3,15 +3,11 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Vector is a dense float64 vector. It is a named slice type so that the
 // numeric helpers read naturally at call sites (x.Dot(y), x.Norm2(), …).
 type Vector []float64
-
-// NewVector allocates a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
 
 // Clone returns a copy of x.
 func (x Vector) Clone() Vector {
@@ -89,28 +85,6 @@ func (x Vector) Mean() float64 {
 	return x.Sum() / float64(len(x))
 }
 
-// Min returns the smallest entry; +Inf for the empty vector.
-func (x Vector) Min() float64 {
-	m := math.Inf(1)
-	for _, v := range x {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest entry; −Inf for the empty vector.
-func (x Vector) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range x {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Scale multiplies every entry by s in place and returns x.
 func (x Vector) Scale(s float64) Vector {
 	for i := range x {
@@ -128,18 +102,6 @@ func (x Vector) AddScaled(s float64, y Vector) Vector {
 		x[i] += s * y[i]
 	}
 	return x
-}
-
-// Sub returns x − y as a new vector.
-func (x Vector) Sub(y Vector) Vector {
-	if len(x) != len(y) {
-		panic("matrix: Sub length mismatch")
-	}
-	out := make(Vector, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
 }
 
 // Normalize scales x to unit Euclidean norm in place and returns the
@@ -163,13 +125,6 @@ func (x Vector) ProjectOut(u Vector) {
 	x.AddScaled(-x.Dot(u)/uu, u)
 }
 
-// Sorted returns an ascending copy of x.
-func (x Vector) Sorted() Vector {
-	out := x.Clone()
-	sort.Float64s(out)
-	return out
-}
-
 // Fill sets every entry to v and returns x.
 func (x Vector) Fill(v float64) Vector {
 	for i := range x {
@@ -179,6 +134,7 @@ func (x Vector) Fill(v float64) Vector {
 }
 
 // ApproxEqual reports whether x and y agree entrywise within tol.
+// Test-only: the matrix, diffusion, hetero and spectral matrix-oracle tests.
 func (x Vector) ApproxEqual(y Vector, tol float64) bool {
 	if len(x) != len(y) {
 		return false

@@ -57,15 +57,9 @@ func TestSumMeanMinMax(t *testing.T) {
 	if x.Mean() != 2 {
 		t.Fatalf("Mean = %v", x.Mean())
 	}
-	if x.Min() != -1 || x.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", x.Min(), x.Max())
-	}
 	var empty Vector
 	if empty.Mean() != 0 {
 		t.Fatal("empty mean should be 0")
-	}
-	if !math.IsInf(empty.Min(), 1) || !math.IsInf(empty.Max(), -1) {
-		t.Fatal("empty min/max conventions violated")
 	}
 }
 
@@ -78,10 +72,6 @@ func TestScaleAddScaledSub(t *testing.T) {
 	x.AddScaled(2, Vector{1, 1})
 	if x[0] != 5 || x[1] != 8 {
 		t.Fatalf("AddScaled: %v", x)
-	}
-	d := x.Sub(Vector{5, 8})
-	if d[0] != 0 || d[1] != 0 {
-		t.Fatalf("Sub: %v", d)
 	}
 }
 
@@ -117,13 +107,6 @@ func TestProjectOut(t *testing.T) {
 
 func TestSortedAndClone(t *testing.T) {
 	x := Vector{3, 1, 2}
-	s := x.Sorted()
-	if s[0] != 1 || s[1] != 2 || s[2] != 3 {
-		t.Fatalf("Sorted: %v", s)
-	}
-	if x[0] != 3 {
-		t.Fatal("Sorted must not mutate receiver")
-	}
 	c := x.Clone()
 	c[0] = 99
 	if x[0] != 3 {
@@ -132,7 +115,7 @@ func TestSortedAndClone(t *testing.T) {
 }
 
 func TestFillAndApproxEqual(t *testing.T) {
-	x := NewVector(3).Fill(7)
+	x := make(Vector, 3).Fill(7)
 	if x[2] != 7 {
 		t.Fatalf("Fill: %v", x)
 	}

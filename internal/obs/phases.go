@@ -63,6 +63,7 @@ func (p *Phases) Duration(phase Phase) time.Duration {
 }
 
 // Count returns how many times phase was observed.
+// Test-only: TestNilTracerNoops, TestPhasesAccumulate, TestSessionPhasesAccounting.
 func (p *Phases) Count(phase Phase) int64 {
 	if p == nil {
 		return 0
@@ -71,6 +72,7 @@ func (p *Phases) Count(phase Phase) int64 {
 }
 
 // Total returns the sum over all phases.
+// Test-only: TestNilTracerNoops, TestPhasesAccumulate, TestSessionPhasesAccounting.
 func (p *Phases) Total() time.Duration {
 	if p == nil {
 		return 0

@@ -172,16 +172,6 @@ func (t *Tracer) ReleaseTID(id int64) {
 	t.tidMu.Unlock()
 }
 
-// Err returns the first write or marshal error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Flush drains the buffer without closing.
 func (t *Tracer) Flush() error {
 	if t == nil {

@@ -24,7 +24,7 @@ func TestNilTracerNoops(t *testing.T) {
 		t.Fatalf("nil AcquireTID = %d, want 0", id)
 	}
 	tr.ReleaseTID(0)
-	if err := tr.Err(); err != nil {
+	if err := tracerErr(tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -167,7 +167,7 @@ func TestTracerStickyError(t *testing.T) {
 	tr := NewTracer(failWriter{})
 	tr.Instant("x", "c", 0, nil)
 	tr.Flush()
-	if tr.Err() == nil {
+	if tracerErr(tr) == nil {
 		t.Fatal("expected sticky error")
 	}
 	// Further emits must not panic.
@@ -177,3 +177,13 @@ func TestTracerStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, os.ErrClosed }
+
+// tracerErr returns t's first write or marshal error, if any.
+func tracerErr(t *Tracer) error {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
+}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -42,4 +43,47 @@ func FuzzParseStringRoundTrip(f *testing.F) {
 			t.Fatalf("canonical %q of %q prints as %q after re-parsing", canon, s, again)
 		}
 	})
+}
+
+// FuzzReadTrace fuzzes the JSONL arrival trace that trace:<file> scenarios
+// and lbserved -replay read: whenever ReadTrace accepts an input, writing
+// its events through NewTraceWriter and reading them back gives the same
+// events, and rewriting that canonical output reproduces it byte for byte.
+// The seed corpus (testdata/fuzz) covers blank lines, CRLF line ends,
+// decreasing rounds, non-positive and overflowing amounts, and a line past
+// the 1 MiB scanner limit.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte(`{"k":0,"node":5,"amt":12500}` + "\n" + `{"k":4,"node":0,"amt":800}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		canon := writeEvents(t, events)
+		again, err := ReadTrace(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("rewrite of %q does not read back: %v", data, err)
+		}
+		if !reflect.DeepEqual(again, events) {
+			t.Fatalf("rewrite of %q reads back as %+v, want %+v", data, again, events)
+		}
+		if b := writeEvents(t, again); !bytes.Equal(b, canon) {
+			t.Fatalf("canonical trace %q rewrites as %q", canon, b)
+		}
+	})
+}
+
+// writeEvents encodes events through a TraceWriter.
+func writeEvents(t *testing.T, events []Event) []byte {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	for _, e := range events {
+		if err := tw.Append(e); err != nil {
+			t.Fatalf("Append(%+v) of an accepted event: %v", e, err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

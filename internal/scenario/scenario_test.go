@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -15,7 +16,7 @@ import (
 // constant — adding a generator without registering it fails here, not at
 // sweep time.
 func TestRegistryRoundTrip(t *testing.T) {
-	err := VerifyRegistry(int(kindCount),
+	err := verifyRegistry(int(kindCount),
 		func(i int) string { return Kind(i).String() },
 		func(s string) (int, error) {
 			k, err := ParseKind(s)
@@ -30,7 +31,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 // workload registry — the two registries share one exhaustiveness
 // invariant and now share one test for it.
 func TestWorkloadRegistryRoundTrip(t *testing.T) {
-	err := VerifyRegistry(len(workload.AllKinds()),
+	err := verifyRegistry(len(workload.AllKinds()),
 		func(i int) string { return workload.Kind(i).String() },
 		func(s string) (int, error) {
 			k, err := workload.ParseKind(s)
@@ -39,6 +40,32 @@ func TestWorkloadRegistryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("workload registry: %v", err)
 	}
+}
+
+// verifyRegistry checks a kind registry for the two tests above: every kind
+// index in [0, n) must stringify to a real name (not the "Kind(i)" fallback,
+// which means a constant was added without a String case), the name must
+// parse back to the same index, and index n itself must hit the fallback
+// (which means the registry's count sentinel covers every declared
+// constant). Returns the first violation.
+func verifyRegistry(n int, name func(i int) string, parse func(s string) (int, error)) error {
+	for i := 0; i < n; i++ {
+		s := name(i)
+		if strings.Contains(s, "(") {
+			return fmt.Errorf("kind %d has no registered name (String() = %q)", i, s)
+		}
+		j, err := parse(s)
+		if err != nil {
+			return fmt.Errorf("kind %d (%q) does not parse back: %v", i, s, err)
+		}
+		if j != i {
+			return fmt.Errorf("kind %d (%q) parses to %d", i, s, j)
+		}
+	}
+	if s := name(n); !strings.Contains(s, "(") {
+		return fmt.Errorf("kind %d (%q) is named but not counted by the registry sentinel", n, s)
+	}
+	return nil
 }
 
 // TestParseCanonicalRoundTrip: Parse∘String is the identity, defaults

@@ -98,10 +98,9 @@ func ReadTrace(r io.Reader) ([]Event, error) {
 // same validity and round ordering ReadTrace demands — whatever it writes
 // is a valid trace:<file> scenario. Not safe for concurrent use.
 type TraceWriter struct {
-	w     *bufio.Writer
-	c     io.Closer
-	last  int
-	count int
+	w    *bufio.Writer
+	c    io.Closer
+	last int
 }
 
 // NewTraceWriter writes events to w; the caller owns w's lifecycle (Flush
@@ -141,12 +140,8 @@ func (tw *TraceWriter) Append(e Event) error {
 		return err
 	}
 	tw.last = e.Round
-	tw.count++
 	return nil
 }
-
-// Count returns the number of events written.
-func (tw *TraceWriter) Count() int { return tw.count }
 
 // Flush pushes buffered events to the underlying writer.
 func (tw *TraceWriter) Flush() error { return tw.w.Flush() }

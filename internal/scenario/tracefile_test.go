@@ -31,9 +31,6 @@ func TestTraceRoundTripBytes(t *testing.T) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if tw.Count() != len(events) {
-		t.Fatalf("Count = %d, want %d", tw.Count(), len(events))
-	}
 
 	got, err := ReadTrace(bytes.NewReader(first.Bytes()))
 	if err != nil {

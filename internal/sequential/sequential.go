@@ -98,13 +98,6 @@ func (rt RoundTrace) Lemma1Violations() int {
 	return v
 }
 
-// Lemma2Holds reports whether the round's total drop meets the Lemma 2
-// lower bound.
-func (rt RoundTrace) Lemma2Holds() bool {
-	const slack = 1e-9
-	return rt.TotalDrop() >= rt.Lemma2RHS-slack*(1+rt.Lemma2RHS)
-}
-
 // Sequentialize performs the sequentialized version of one continuous
 // Algorithm 1 round on graph g from load vector l (not modified), using the
 // given activation order. rng is only consulted for RandomOrder.

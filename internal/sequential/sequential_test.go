@@ -55,7 +55,7 @@ func TestLemma2HoldsIncreasingOrder(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			l := matrix.Vector(workload.Continuous(workload.Exponential, g.N(), 100, rng))
 			rt := Sequentialize(g, l, IncreasingWeight, rng)
-			if !rt.Lemma2Holds() {
+			if !lemma2Holds(rt) {
 				t.Fatalf("%s: round drop %v below Lemma 2 bound %v", g.Name(), rt.TotalDrop(), rt.Lemma2RHS)
 			}
 		}
@@ -194,4 +194,11 @@ func matrixPotential(l matrix.Vector) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// lemma2Holds reports whether the round's total drop meets the Lemma 2
+// lower bound.
+func lemma2Holds(rt RoundTrace) bool {
+	const slack = 1e-9
+	return rt.TotalDrop() >= rt.Lemma2RHS-slack*(1+rt.Lemma2RHS)
 }

@@ -386,16 +386,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// URL returns the server's base URL once Run is listening ("" before).
-func (s *Server) URL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.addr == nil {
-		return ""
-	}
-	return "http://" + s.addr.String()
-}
-
 // Run serves HTTP and paces the round loop until ctx is cancelled, then
 // drains: ingest stops (503), the loop free-runs until Φ reaches the drain
 // target (ε·peak, or the session target if higher) or the drain budget is

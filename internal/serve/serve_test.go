@@ -321,13 +321,13 @@ func TestRunDrains(t *testing.T) {
 	go func() { done <- srv.Run(ctx) }()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.URL() == "" {
+	for serverURL(srv) == "" {
 		if time.Now().After(deadline) {
 			t.Fatal("server never started listening")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, err := http.Post(srv.URL()+"/arrive", "application/json", strings.NewReader(`{"node":5,"amt":2000}`))
+	resp, err := http.Post(serverURL(srv)+"/arrive", "application/json", strings.NewReader(`{"node":5,"amt":2000}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,4 +371,14 @@ func TestReplayValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("accepted a replay event beyond the graph")
 	}
+}
+
+// serverURL returns s's base URL once Run is listening ("" before).
+func serverURL(s *Server) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.addr == nil {
+		return ""
+	}
+	return "http://" + s.addr.String()
 }

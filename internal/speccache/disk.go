@@ -59,9 +59,6 @@ func (c *Cache) SetDiskDir(dir string) error {
 	return nil
 }
 
-// SetDiskDir is Shared().SetDiskDir.
-func SetDiskDir(dir string) error { return shared.SetDiskDir(dir) }
-
 // spillDir snapshots the spill directory ("" = disabled).
 func (c *Cache) spillDir() string {
 	c.mu.Lock()

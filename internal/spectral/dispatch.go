@@ -14,7 +14,7 @@ import (
 // million-node graphs.
 
 // SolveCounts is a snapshot of how many spectral solves each path served
-// since process start (or the last ResetSolveCounts).
+// since process start.
 type SolveCounts struct {
 	ClosedForm   uint64 // analytic formula from internal/graph/spectra.go
 	Dense        uint64 // Householder + implicit QL on the materialized matrix
@@ -37,15 +37,6 @@ func SolveStats() SolveCounts {
 		Lanczos:      solveLanczos.Load(),
 		InversePower: solveInversePower.Load(),
 	}
-}
-
-// ResetSolveCounts zeroes the solve-path counters; intended for tests and
-// smoke gates that assert on the delta of a single computation.
-func ResetSolveCounts() {
-	solveClosedForm.Store(0)
-	solveDense.Store(0)
-	solveLanczos.Store(0)
-	solveInversePower.Store(0)
 }
 
 // gammaFromLaplacian evaluates γ of a diffusion matrix of the exact form

@@ -153,7 +153,7 @@ func TestLanczosMatchesDenseOnUnstructuredGraphs(t *testing.T) {
 // graphs take the dense solver, and unrecognized graphs beyond denseCutoff
 // take Lanczos — with the counters recording each.
 func TestSolveCountersTrackDispatch(t *testing.T) {
-	ResetSolveCounts()
+	resetSolveCounts()
 	if _, err := Lambda2(graph.Hypercube(12)); err != nil { // n=4096 > denseCutoff, still closed form
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSolveCountersTrackDispatch(t *testing.T) {
 		t.Fatalf("hypercube(12): counters %+v, want exactly one closed-form solve", s)
 	}
 
-	ResetSolveCounts()
+	resetSolveCounts()
 	if _, err := Lambda2(graph.DeBruijn(5)); err != nil { // n=32 ≤ denseCutoff
 		t.Fatal(err)
 	}
@@ -169,11 +169,20 @@ func TestSolveCountersTrackDispatch(t *testing.T) {
 		t.Fatalf("debruijn(5): counters %+v, want exactly one dense solve", s)
 	}
 
-	ResetSolveCounts()
+	resetSolveCounts()
 	if _, err := Lambda2(graph.DeBruijn(10)); err != nil { // n=1024 > denseCutoff, no closed form
 		t.Fatal(err)
 	}
 	if s := SolveStats(); s.Dense != 0 || s.ClosedForm != 0 || s.Lanczos+s.InversePower != 1 {
 		t.Fatalf("debruijn(10): counters %+v, want one iterative solve and no dense", s)
 	}
+}
+
+// resetSolveCounts zeroes the solve-path counters, so a test can assert on
+// the delta of a single computation.
+func resetSolveCounts() {
+	solveClosedForm.Store(0)
+	solveDense.Store(0)
+	solveLanczos.Store(0)
+	solveInversePower.Store(0)
 }

@@ -12,6 +12,7 @@ import (
 // Householder+QL path but numerically very robust and completely
 // independent of it, so the test suite uses the two as mutual checks.
 // The input is not modified.
+// Test-only: TestJacobiMatchesQL, TestJacobiCompleteDegenerate, root TestLambda2SolverAgreement.
 func JacobiEigen(a *matrix.Dense) ([]float64, error) {
 	n := a.Rows()
 	if a.Cols() != n {

@@ -50,6 +50,7 @@ func Lambda2(g *graph.G) (float64, error) {
 
 // MustLambda2 is Lambda2 that panics on error; for use with graphs known to
 // be valid by construction.
+// Test-only: root, diffusion and speccache tests and Example_clustersim.
 func MustLambda2(g *graph.G) float64 {
 	v, err := Lambda2(g)
 	if err != nil {

@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics, quantiles, normal-approximation
-// confidence intervals, histograms, and least-squares fits used to estimate
-// empirical convergence rates from potential traces.
+// harness needs: summary statistics and the least-squares fits used to
+// estimate empirical convergence rates from potential traces.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds the usual moments of a sample.
@@ -49,48 +47,10 @@ func Summarize(xs []float64) Summary {
 // Stddev returns the sample standard deviation.
 func (s Summary) Stddev() float64 { return math.Sqrt(s.Variance) }
 
-// StderrMean returns the standard error of the mean.
-func (s Summary) StderrMean() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.Stddev() / math.Sqrt(float64(s.N))
-}
-
-// CI95 returns a normal-approximation 95% confidence interval for the mean.
-func (s Summary) CI95() (lo, hi float64) {
-	h := 1.96 * s.StderrMean()
-	return s.Mean - h, s.Mean + h
-}
-
 // String implements fmt.Stringer.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g", s.N, s.Mean, s.Stddev(), s.Min, s.Max)
 }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. Panics on an empty sample.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile q=%v out of [0,1]", q))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 0.5 quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // LinearFit fits y ≈ a + b·x by ordinary least squares and returns the
 // intercept a, slope b, and the coefficient of determination R².
@@ -146,46 +106,4 @@ func GeometricDecayRate(series []float64) float64 {
 	}
 	_, slope, _ := LinearFit(xs, ys)
 	return math.Exp(slope)
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of xs with nbins bins. Empty samples and
-// constant samples produce a single bin containing everything.
-func NewHistogram(xs []float64, nbins int) Histogram {
-	if nbins < 1 {
-		nbins = 1
-	}
-	s := Summarize(xs)
-	h := Histogram{Min: s.Min, Max: s.Max, Counts: make([]int, nbins)}
-	if s.N == 0 {
-		return h
-	}
-	width := (s.Max - s.Min) / float64(nbins)
-	for _, x := range xs {
-		var b int
-		if width > 0 {
-			b = int((x - s.Min) / width)
-			if b >= nbins {
-				b = nbins - 1
-			}
-		}
-		h.Counts[b]++
-	}
-	return h
-}
-
-// Mode returns the index of the fullest bin.
-func (h Histogram) Mode() int {
-	best, bestC := 0, -1
-	for i, c := range h.Counts {
-		if c > bestC {
-			best, bestC = i, c
-		}
-	}
-	return best
 }

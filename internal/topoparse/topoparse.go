@@ -1,7 +1,7 @@
 // Package topoparse turns command-line topology descriptions into graphs.
-// It is shared by cmd/lbsim, cmd/graphinfo and the examples so that every
-// binary accepts the same names, and it is unit-tested here once instead of
-// per-binary.
+// It is shared by the batch engine and every binary that takes a topology
+// name, so they all accept the same names, and it is unit-tested here once
+// instead of per-binary.
 //
 // Accepted forms (n is the requested approximate node count; families with
 // rigid sizes round up):
@@ -12,6 +12,8 @@ package topoparse
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 
@@ -68,27 +70,27 @@ func Build(name string, n int, seed int64) (*graph.G, error) {
 		}
 		return graph.Cycle(n), nil
 	case "grid", "mesh":
-		side := 1
-		for side*side < n {
-			side++
+		side, err := roundUp("grid", n, max(1, root(n, 2)), 4, square)
+		if err != nil {
+			return nil, err
 		}
 		return graph.Grid(side, side), nil
 	case "torus":
-		side := 3
-		for side*side < n {
-			side++
+		side, err := roundUp("torus", n, max(3, root(n, 2)), 4, square)
+		if err != nil {
+			return nil, err
 		}
 		return graph.Torus(side, side), nil
 	case "hypercube":
-		d := 0
-		for 1<<uint(d) < n {
-			d++
+		d, err := roundUp("hypercube", n, 0, 63, pow2) // degree d < 63
+		if err != nil {
+			return nil, err
 		}
 		return graph.Hypercube(d), nil
 	case "debruijn":
-		d := 1
-		for 1<<uint(d) < n {
-			d++
+		d, err := roundUp("debruijn", n, 1, 4, pow2)
+		if err != nil {
+			return nil, err
 		}
 		return graph.DeBruijn(d), nil
 	case "complete", "clique":
@@ -99,9 +101,12 @@ func Build(name string, n int, seed int64) (*graph.G, error) {
 		}
 		return graph.Star(n), nil
 	case "tree", "bintree":
-		levels := 1
-		for (1<<uint(levels))-1 < n {
-			levels++
+		levels, err := roundUp("tree", n, 1, 3, func(l int) (int, bool) {
+			p, ok := pow2(l)
+			return p - 1, ok
+		})
+		if err != nil {
+			return nil, err
 		}
 		return graph.BinaryTree(levels), nil
 	case "random-regular", "regular":
@@ -116,21 +121,24 @@ func Build(name string, n int, seed int64) (*graph.G, error) {
 	case "petersen":
 		return graph.Petersen(), nil
 	case "torus3d":
-		side := 3
-		for side*side*side < n {
-			side++
+		side, err := roundUp("torus3d", n, max(3, root(n, 3)), 6, func(s int) (int, bool) {
+			s2, ok := square(s)
+			return mul(s2, s, ok)
+		})
+		if err != nil {
+			return nil, err
 		}
 		return graph.Torus3D(side, side, side), nil
 	case "ccc":
-		d := 3
-		for d*(1<<uint(d)) < n {
-			d++
+		d, err := roundUp("ccc", n, 3, 3, dTimesPow2)
+		if err != nil {
+			return nil, err
 		}
 		return graph.CubeConnectedCycles(d), nil
 	case "butterfly":
-		d := 3
-		for d*(1<<uint(d)) < n {
-			d++
+		d, err := roundUp("butterfly", n, 3, 4, dTimesPow2)
+		if err != nil {
+			return nil, err
 		}
 		return graph.Butterfly(d), nil
 	case "smallworld":
@@ -159,4 +167,44 @@ func Build(name string, n int, seed int64) (*graph.G, error) {
 	default:
 		return nil, fmt.Errorf("topoparse: unknown topology %q (accepted: %s)", name, strings.Join(Names(), " "))
 	}
+}
+
+// roundUp returns the least k ≥ from whose family has size(k) ≥ n nodes;
+// from must not exceed that k. size grows with k and reports false once it
+// overflows int. roundUp returns an error when the family outgrows int
+// before reaching n, counting size(k)·degree too: degree bounds the family's
+// node degrees, so the product bounds the adjacency entries the builder
+// stores. Unchecked, a shift wraps and the search never ends.
+func roundUp(family string, n, from, degree int, size func(k int) (int, bool)) (int, error) {
+	for k := from; ; k++ {
+		s, ok := size(k)
+		if _, fits := mul(s, degree, ok); !fits {
+			return 0, fmt.Errorf("topoparse: %s at n=%d overflows int", family, n)
+		}
+		if s >= n {
+			return k, nil
+		}
+	}
+}
+
+// root returns a start for the search of the least s with s^k ≥ n: one
+// below the floating-point k-th root, so it never overshoots the answer.
+func root(n, k int) int { return int(math.Pow(float64(n), 1/float64(k))) - 1 }
+
+// mul returns a·b for a, b ≥ 0 and whether it fits in an int, given that a
+// did (ok).
+func mul(a, b int, ok bool) (int, bool) {
+	if !ok || (a > 0 && b > math.MaxInt/a) {
+		return 0, false
+	}
+	return a * b, true
+}
+
+func square(s int) (int, bool) { return mul(s, s, true) }
+
+func pow2(d int) (int, bool) { return 1 << d, d < bits.UintSize-1 }
+
+func dTimesPow2(d int) (int, bool) {
+	p, ok := pow2(d)
+	return mul(d, p, ok)
 }

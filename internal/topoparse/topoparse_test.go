@@ -71,6 +71,15 @@ func TestBuildErrors(t *testing.T) {
 		{"random-regular", 3},
 		{"barbell", 3},
 		{"lollipop", 2},
+		// Rounded up, these families no longer fit in an int.
+		{"grid", 1<<62 + 1},
+		{"torus", 1<<62 + 1},
+		{"torus3d", 1<<62 + 1},
+		{"hypercube", 1<<62 + 1},
+		{"debruijn", 1<<62 + 1},
+		{"tree", 1<<62 + 1},
+		{"ccc", 1<<62 + 1},
+		{"butterfly", 1<<62 + 1},
 	}
 	for _, c := range cases {
 		if _, err := Build(c.name, c.n, 1); err == nil {
