@@ -176,6 +176,11 @@ orchestrator-smoke: bins
 	expect 4 -exp E1 -quick -csv -out $$x.jsonl
 	expect 4 -exp E1 -quick -csv -stream-agg
 	expect 4 -merge a.jsonl,b.jsonl -stream-agg -out $$x.jsonl
+	expect 2 -grid -eps NaN -out $$x.jsonl
+	expect 2 -grid -scale Inf -out $$x.jsonl
+	expect 4 -explain torus/diffusion/continuous/spike/s1 -grid -out $$x.jsonl
+	expect 2 -explain torus/diffusion/continuous/spike/s01
+	expect 1 -explain torus/firstorder/discrete/spike/s1
 	test ! -e $$x -a ! -e $$x.jsonl
 
 # Work stealing under fire: SIGSTOP one shard subprocess mid-run, a wedged

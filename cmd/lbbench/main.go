@@ -103,6 +103,14 @@
 // matrix include-list instead of running it, so the exact local split is
 // what CI executes.
 //
+// One unit, by the key a sweep's error column or -trace-out span prints:
+//
+//	lbbench -explain torus/diffusion/discrete/spike/s1 -n 64
+//
+// runs it through the sweep's own code under -n, -scale, -eps and -rounds,
+// and prints the graph's spectra, the run against its paper bound and the
+// Φ trace as round,phi CSV. A failing unit prints its cell's error.
+//
 // Exit codes: 0 success; 1 failed units or rendering; 2 usage/spec errors;
 // 3 interrupted or journal-close failure (resumable); 4 contradictory flag
 // combinations (e.g. -spawn with -shard, -resume without -out, -out or
@@ -152,6 +160,7 @@ func main() {
 		list  = flag.Bool("list", false, "list registered experiments, topologies, algorithms, modes, workloads and scenarios, then exit")
 
 		grid    = flag.Bool("grid", false, "run a declarative sweep grid instead of the experiment tables")
+		explain = flag.String("explain", "", "run the one sweep unit this key names (topology/algorithm/mode/workload/s<seed>[/scenario], as sweep errors and -trace-out spans print it) under -n, -scale, -eps, -rounds and -round-workers, and print its spectra, summary and Φ trace")
 		gridDef = cliflags.RegisterGrid(flag.CommandLine)
 		output  = cliflags.RegisterOutput(flag.CommandLine)
 
@@ -175,6 +184,16 @@ func main() {
 	if *list {
 		printRegistries()
 		return
+	}
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if *explain != "" && explainIgnored[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		fmt.Fprintf(os.Stderr, "lbbench: -explain runs one unit and ignores %s\n", strings.Join(ignored, ", "))
+		os.Exit(exitConflict)
 	}
 	// Contradictory flag combinations and nonsense counts are refused here,
 	// with their own exit codes, before any journal file could be created or
@@ -237,6 +256,14 @@ func main() {
 	}
 	var code int
 	switch {
+	case *explain != "":
+		spec, err := gridDef.Spec()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
+			code = exitUsage
+			break
+		}
+		code = runExplain(spec, *explain, tracer)
 	case *spawn > 0:
 		code = runSpawn(gf, *spawn, *emitMatrix, launch)
 	case *grid || *merge != "":

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"context"
+	"math"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/cliflags"
+	"repro/internal/core"
 )
 
 // TestCheckFlagCombos pins the flag-combination contract: every refused
@@ -62,5 +66,64 @@ func TestCheckFlagCombos(t *testing.T) {
 		if (code == 0) != (msg == "") {
 			t.Errorf("%s: exit %d with message %q", c.name, code, msg)
 		}
+	}
+}
+
+// TestExplainMatchesSweep runs a grid through core.GridRun and explains
+// every cell by its key under the same run parameters: a failed cell must
+// give the same error, and any other cell the same Outcome bit for bit,
+// with a Φ trace that starts at PhiStart and ends at PhiEnd.
+func TestExplainMatchesSweep(t *testing.T) {
+	var algos []string
+	for _, a := range core.AlgorithmDescriptions() {
+		algos = append(algos, a[0])
+	}
+	spec := batch.Spec{
+		Topologies: []string{"torus"},
+		Algorithms: algos,
+		Modes:      []string{"continuous", "discrete"},
+		Workloads:  []string{"spike", "uniform"},
+		Scenarios:  []string{"static", "poisson-arrivals", "edge-churn", "adversarial-respike"},
+		Seeds:      []int64{1, 2},
+		N:          16,
+		MaxRounds:  64,
+	}
+	rep, err := core.GridRun(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, c := range rep.Cells {
+		key := c.Unit.Key()
+		es, u, g, err := explainUnit(spec, key)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		loads, algoSeed := u.Inputs(g.N(), es.Scale)
+		res, err := core.RunUnit(es, u, g, loads, algoSeed, nil)
+		if c.Err != "" || err != nil {
+			if err == nil || err.Error() != c.Err {
+				t.Errorf("%s: explain error %v, sweep error %q", key, err, c.Err)
+			}
+			failed++
+			continue
+		}
+		o := c.Outcome
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if res.Rounds != o.Rounds || res.Converged != o.Converged || res.BoundName != o.BoundName ||
+			res.RebalanceRounds != o.RebalanceRounds || !same(res.PhiStart, o.PhiStart) ||
+			!same(res.PhiEnd, o.PhiEnd) || !same(res.Bound, o.Bound) ||
+			!same(res.PeakPhi, o.PeakPhi) || !same(res.SteadyRMS, o.SteadyRMS) {
+			t.Errorf("%s: explain %+v, sweep %+v", key, res, o)
+			continue
+		}
+		if len(res.Trace) != res.Rounds+1 || res.Trace[0] != res.PhiStart || res.Trace[res.Rounds] != res.PhiEnd {
+			t.Errorf("%s: trace of %d points for %d rounds, Φ %v → %v", key, len(res.Trace), res.Rounds, res.PhiStart, res.PhiEnd)
+		}
+	}
+	// firstorder and secondorder run continuous only: their 32 discrete
+	// cells fail.
+	if len(rep.Cells) != 192 || failed != 32 {
+		t.Errorf("%d cells, %d failed; want 192 cells, 32 failed", len(rep.Cells), failed)
 	}
 }

@@ -34,6 +34,8 @@ package batch
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"strings"
 
 	"repro/internal/parallel"
@@ -239,6 +241,16 @@ func (u Unit) ScenarioSeed() int64 {
 	return parallel.DeriveSeed(u.seedBase(), 2)
 }
 
+// Inputs returns the unit's initial loads on n nodes at magnitude scale and
+// its algorithm seed: streams 0 and 1 of its key-derived seed sequence, so
+// a cell's numbers survive the grid growing around it. The sweep and
+// lbbench -explain both start a unit from here.
+func (u Unit) Inputs(n int, scale float64) (loads []float64, algoSeed int64) {
+	base := u.seedBase()
+	loads = workload.Continuous(u.Workload, n, scale, rand.New(rand.NewSource(parallel.DeriveSeed(base, 0))))
+	return loads, parallel.DeriveSeed(base, 1)
+}
+
 // seedBase hashes the unit key into the root of its private seed sequence.
 func (u Unit) seedBase() int64 {
 	h := fnv.New64a()
@@ -246,9 +258,10 @@ func (u Unit) seedBase() int64 {
 	return int64(h.Sum64())
 }
 
-// Validate checks spec without running anything: every dimension must be
-// non-empty and duplicate-free after normalization, modes and workloads must
-// parse, and the seed list must not repeat — the same up-front rejection
+// Validate checks spec without running anything: Scale and Epsilon must be
+// finite and Epsilon below 1, every dimension must be non-empty and
+// duplicate-free after normalization, modes and workloads must parse, and
+// the seed list must not repeat — the same up-front rejection
 // Expand applies, exposed so CLIs can fail fast (before truncating a journal
 // file) instead of expanding to a zero-unit or duplicated sweep.
 func (s Spec) Validate() error {
@@ -260,6 +273,13 @@ func (s Spec) Validate() error {
 // list in deterministic nested order (topology, algorithm, mode, workload,
 // scenario, seed — the last dimension varying fastest).
 func Expand(spec Spec) ([]Unit, error) {
+	// Before the defaults, which would replace a −Inf as they do 0.
+	switch {
+	case math.IsNaN(spec.Scale) || math.IsInf(spec.Scale, 0):
+		return nil, fmt.Errorf("batch: scale %v must be finite", spec.Scale)
+	case math.IsNaN(spec.Epsilon) || math.IsInf(spec.Epsilon, 0) || spec.Epsilon >= 1:
+		return nil, fmt.Errorf("batch: epsilon %v must be finite and below 1", spec.Epsilon)
+	}
 	spec = spec.withDefaults()
 	if err := spec.validShard(); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -240,6 +241,12 @@ func TestSpecValidate(t *testing.T) {
 		{"blank entry", func(s *batch.Spec) { s.Modes = []string{"continuous", "  "} }, "empty mode"},
 		{"duplicate seeds", func(s *batch.Spec) { s.Seeds = []int64{1, 2, 1} }, "duplicate seed"},
 		{"duplicate topology", func(s *batch.Spec) { s.Topologies = []string{"cycle", " CYCLE "} }, "duplicate topology"},
+		{"NaN scale", func(s *batch.Spec) { s.Scale = math.NaN() }, "scale"},
+		{"infinite scale", func(s *batch.Spec) { s.Scale = math.Inf(1) }, "scale"},
+		{"negative infinite scale", func(s *batch.Spec) { s.Scale = math.Inf(-1) }, "scale"},
+		{"NaN epsilon", func(s *batch.Spec) { s.Epsilon = math.NaN() }, "epsilon"},
+		{"negative infinite epsilon", func(s *batch.Spec) { s.Epsilon = math.Inf(-1) }, "epsilon"},
+		{"epsilon one", func(s *batch.Spec) { s.Epsilon = 1 }, "epsilon"},
 	}
 	for _, tc := range cases {
 		spec := okSpec()

@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/topoparse"
-	"repro/internal/workload"
 )
 
 // ForEach runs body(i, rng) for every i in [0, n) across at most workers
@@ -245,13 +244,7 @@ func execUnit(ctx context.Context, spec Spec, u Unit, g *graph.G, run RunFunc, r
 			unitsFailed.Inc()
 		}
 	}()
-	// Both streams hang off the unit key, not the grid position, so a
-	// cell's numbers survive the grid growing around it.
-	base := u.seedBase()
-	loads := workload.Continuous(u.Workload, g.N(),
-		spec.Scale, rand.New(rand.NewSource(parallel.DeriveSeed(base, 0))))
-	algoSeed := parallel.DeriveSeed(base, 1)
-
+	loads, algoSeed := u.Inputs(g.N(), spec.Scale)
 	unitStart := time.Now()
 	out, err := run(u, g, loads, algoSeed)
 	c.Outcome = out

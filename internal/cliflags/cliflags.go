@@ -1,10 +1,10 @@
 // Package cliflags centralizes the lb* CLIs' flag surfaces — the sweep
 // grid's dimensions and run parameters, the report output knobs, the
-// orchestrator's launcher/policy flags (lbbench -spawn), the telemetry and
-// round-worker flags lbserved shares, and the parsers behind them (seed
-// lists, -round-workers, -shard i/m, -units lo:hi). One registration point
-// means a shared flag has one help string and one parser, instead of
-// drifting copies.
+// orchestrator's launcher/policy flags (lbbench -spawn), lbbench's
+// telemetry and profiling flags, the -round-workers flag lbserved shares,
+// and the parsers behind them (seed lists, -round-workers, -shard i/m,
+// -units lo:hi). One registration point means a shared flag has one help
+// string and one parser, instead of drifting copies.
 package cliflags
 
 import (

@@ -7,9 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Obs holds the shared telemetry flag values — one definition presented by
-// lbbench and lbserved, so the observability surface (and its help
-// text) cannot drift between the CLIs.
+// Obs holds lbbench's telemetry flag values: the -telemetry debug listener
+// and the -trace-out span tracer. (lbserved registers its own -telemetry.)
 type Obs struct {
 	// Telemetry is the debug listener address ("" = off).
 	Telemetry string

@@ -215,7 +215,8 @@ type Result struct {
 
 // Validate rejects configurations Balance cannot run: a missing graph, a
 // load vector of the wrong length or with non-finite/negative entries, an
-// Epsilon outside (0,1) (≤ 0 means "use the default" and is accepted), and
+// Epsilon outside (0,1) (a finite ≤ 0 means "use the default" and is
+// accepted; NaN and ±Inf are not), and
 // algorithm/mode combinations that do not exist. Balance, Open and
 // lbserved all gate on this one method, so a bad config is rejected
 // identically everywhere.
@@ -227,7 +228,7 @@ func (cfg Config) Validate() error {
 	if len(cfg.Loads) != n {
 		return fmt.Errorf("core: %d loads for %d nodes", len(cfg.Loads), n)
 	}
-	if cfg.Epsilon >= 1 {
+	if cfg.Epsilon >= 1 || math.IsNaN(cfg.Epsilon) || math.IsInf(cfg.Epsilon, 0) {
 		return fmt.Errorf("core: Epsilon %v must be in (0,1)", cfg.Epsilon)
 	}
 	for i, v := range cfg.Loads {
@@ -365,6 +366,8 @@ func build[T load.Value](cfg Config, g *graph.G, loads []T, rng *rand.Rand) (Ste
 }
 
 // SpikeLoads places the whole load on node 0 — the canonical hard start.
+// Test-only: core's Balance, Session, scenario and round-worker tests,
+// the root integration tests and Example_quickstart.
 func SpikeLoads(n int, total float64) []float64 {
 	v := make([]float64, n)
 	if n > 0 {

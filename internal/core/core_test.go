@@ -205,6 +205,9 @@ func TestBalanceValidation(t *testing.T) {
 		{Graph: g, Loads: []float64{1, 2, 3, math.NaN()}},
 		{Graph: g, Loads: []float64{1, 2, 3, -4}},
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: 2},
+		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: math.NaN()},
+		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: math.Inf(1)},
+		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: math.Inf(-1)},
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Algorithm: FirstOrder, Mode: Discrete},
 	}
 	for i, cfg := range cases {

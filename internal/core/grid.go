@@ -101,7 +101,20 @@ func GridRun(ctx context.Context, spec batch.Spec, opts ...GridOption) (*batch.R
 	if err := validateGridSpec(spec); err != nil {
 		return nil, err
 	}
-	run := balanceRunFunc(spec, o.tracer)
+	run := func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
+		res, err := RunUnit(spec, u, g, loads, algoSeed, o.tracer)
+		return batch.Outcome{
+			Rounds:          res.Rounds,
+			Converged:       res.Converged,
+			PhiStart:        res.PhiStart,
+			PhiEnd:          res.PhiEnd,
+			Bound:           res.Bound,
+			BoundName:       res.BoundName,
+			PeakPhi:         res.PeakPhi,
+			SteadyRMS:       res.SteadyRMS,
+			RebalanceRounds: res.RebalanceRounds,
+		}, err
+	}
 	var sweepStart int64
 	if o.tracer.Enabled() {
 		o.tracer.ThreadName(0, "sweep")
@@ -154,69 +167,56 @@ func validateGridSpec(spec batch.Spec) error {
 	return nil
 }
 
-// balanceRunFunc adapts Balance to the engine's RunFunc. The round-level
-// worker width is resolved from the spec's hybrid split once, up front —
-// every unit's stepper fans its node loops that wide (results are
-// byte-identical for any width, so this is purely a scheduling choice).
-// With a non-nil tracer each executed unit emits a complete span (on a
-// leased tid, so concurrent units render as separate rows) with synthetic
-// child spans for the session phases; with the nil default the Config
-// carries a nil Phases and the unit runs with zero telemetry cost.
-func balanceRunFunc(spec batch.Spec, tracer *obs.Tracer) batch.RunFunc {
-	_, roundWorkers := spec.WorkerSplit()
-	return func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
-		alg, err := ParseAlgorithm(u.Algorithm)
-		if err != nil {
-			return batch.Outcome{}, err
-		}
-		mode := Continuous
-		if u.Mode == "discrete" {
-			mode = Discrete
-		}
-		var phases *obs.Phases
-		var tid, unitStart int64
-		if tracer.Enabled() {
-			phases = &obs.Phases{}
-			tid = tracer.AcquireTID()
-			unitStart = tracer.Now()
-		}
-		res, err := Balance(Config{
-			Graph:        g,
-			Algorithm:    alg,
-			Mode:         mode,
-			Loads:        loads,
-			Epsilon:      spec.Epsilon,
-			MaxRounds:    spec.MaxRounds,
-			Seed:         nonZeroSeed(algoSeed),
-			Workers:      roundWorkers,
-			Scenario:     u.ScenarioSpec,
-			ScenarioSeed: nonZeroSeed(u.ScenarioSeed()),
-			Phases:       phases,
-		})
-		if tracer.Enabled() {
-			args := map[string]any{
-				"unit": u.Index, "n": g.N(), "seed": u.Seed,
-				"rounds": res.Rounds,
-			}
-			tracer.Complete(u.Key(), "unit", tid, unitStart, args)
-			phases.EmitSpans(tracer, tid, unitStart)
-			tracer.ReleaseTID(tid)
-		}
-		if err != nil {
-			return batch.Outcome{}, fmt.Errorf("%s: %w", u.Key(), err)
-		}
-		return batch.Outcome{
-			Rounds:          res.Rounds,
-			Converged:       res.Converged,
-			PhiStart:        res.PhiStart,
-			PhiEnd:          res.PhiEnd,
-			Bound:           res.Bound,
-			BoundName:       res.BoundName,
-			PeakPhi:         res.PeakPhi,
-			SteadyRMS:       res.SteadyRMS,
-			RebalanceRounds: res.RebalanceRounds,
-		}, nil
+// RunUnit runs unit u of spec through Balance on g from the loads and
+// algorithm seed batch.Unit.Inputs derives: the one Config behind every
+// sweep cell and lbbench -explain, whose errors carry the unit key. The
+// round-level worker width comes from the spec's hybrid split (results are
+// byte-identical for any width). With a non-nil tracer the unit emits a
+// complete span on a leased tid, with synthetic child spans for the session
+// phases; with the nil default the unit runs with zero telemetry cost.
+func RunUnit(spec batch.Spec, u batch.Unit, g *graph.G, loads []float64, algoSeed int64, tracer *obs.Tracer) (Result, error) {
+	alg, err := ParseAlgorithm(u.Algorithm)
+	if err != nil {
+		return Result{}, err
 	}
+	mode := Continuous
+	if u.Mode == "discrete" {
+		mode = Discrete
+	}
+	_, roundWorkers := spec.WorkerSplit()
+	var phases *obs.Phases
+	var tid, unitStart int64
+	if tracer.Enabled() {
+		phases = &obs.Phases{}
+		tid = tracer.AcquireTID()
+		unitStart = tracer.Now()
+	}
+	res, err := Balance(Config{
+		Graph:        g,
+		Algorithm:    alg,
+		Mode:         mode,
+		Loads:        loads,
+		Epsilon:      spec.Epsilon,
+		MaxRounds:    spec.MaxRounds,
+		Seed:         nonZeroSeed(algoSeed),
+		Workers:      roundWorkers,
+		Scenario:     u.ScenarioSpec,
+		ScenarioSeed: nonZeroSeed(u.ScenarioSeed()),
+		Phases:       phases,
+	})
+	if tracer.Enabled() {
+		args := map[string]any{
+			"unit": u.Index, "n": g.N(), "seed": u.Seed,
+			"rounds": res.Rounds,
+		}
+		tracer.Complete(u.Key(), "unit", tid, unitStart, args)
+		phases.EmitSpans(tracer, tid, unitStart)
+		tracer.ReleaseTID(tid)
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("%s: %w", u.Key(), err)
+	}
+	return res, nil
 }
 
 // nonZeroSeed keeps a derived seed out of Balance's "0 means default"

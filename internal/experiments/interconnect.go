@@ -20,8 +20,8 @@ func init() {
 // families beyond the paper's usual suspects: 3-D torus, cube-connected
 // cycles, wrapped butterfly, Watts–Strogatz small world, random geometric
 // graph and a random 4-regular expander. λ₂ comes from the numeric
-// solvers (no closed forms here except the 3-D torus, which doubles as a
-// solver check).
+// solvers: none of these families has a closed form in the spectral
+// dispatch.
 func E19Interconnects(o Options) *trace.Table {
 	t := trace.NewTable("E19 — Theorems 4 & 6 on modern interconnects (spike start, ε = 1e-4)",
 		"graph", "n", "δ", "λ₂", "cont. rounds", "T4 bound", "T4 ratio", "disc. rounds", "T6 bound", "T6 ratio")

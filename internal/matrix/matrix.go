@@ -91,7 +91,8 @@ func (m *Dense) Clone() *Dense {
 }
 
 // MulVec computes m·x into a new vector.
-// Test-only: TestMulVec*, TestEigenSymKnown2x2, TestLaplacianApplyMatchesDense.
+// Test-only: TestMulVec*, TestEigenSymKnown2x2 and spectral's
+// TestLaplacianApplyMatchesDense, the dense oracle for LaplacianOperator.
 func (m *Dense) MulVec(x Vector) (Vector, error) {
 	if m.cols != len(x) {
 		return nil, fmt.Errorf("%w: %dx%d * vec(%d)", ErrDimension, m.rows, m.cols, len(x))

@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -37,11 +38,12 @@ func Lambda2InversePower(g *graph.G, seed int64) (float64, error) {
 		return 0, fmt.Errorf("spectral: degenerate start vector")
 	}
 
+	lap := LaplacianOperator(g)
 	lx := make(matrix.Vector, n)
 	const maxOuter = 200
 	prev := 0.0
 	for outer := 0; outer < maxOuter; outer++ {
-		x, err := cgSolveLaplacian(g, v, ones)
+		x, err := cgSolveLaplacian(g, lap, v, ones)
 		if err != nil {
 			return 0, err
 		}
@@ -49,9 +51,9 @@ func Lambda2InversePower(g *graph.G, seed int64) (float64, error) {
 		if x.Normalize() == 0 {
 			return 0, fmt.Errorf("spectral: inverse iteration collapsed")
 		}
-		LaplacianApply(g, lx, x)
+		lap(lx, x)
 		rq := x.Dot(lx)
-		if outer > 2 && absf(rq-prev) <= 1e-11*(1+rq) {
+		if outer > 2 && math.Abs(rq-prev) <= 1e-11*(1+rq) {
 			return rq, nil
 		}
 		prev = rq
@@ -77,7 +79,7 @@ func SolveLaplacian(g *graph.G, b matrix.Vector) (matrix.Vector, error) {
 	ones := make(matrix.Vector, g.N()).Fill(1)
 	rhs := b.Clone()
 	rhs.ProjectOut(ones)
-	x, err := cgSolveLaplacian(g, rhs, ones)
+	x, err := cgSolveLaplacian(g, LaplacianOperator(g), rhs, ones)
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +87,11 @@ func SolveLaplacian(g *graph.G, b matrix.Vector) (matrix.Vector, error) {
 	return x, nil
 }
 
-// cgSolveLaplacian solves L·x = b for the Laplacian of g by conjugate
-// gradients, where b must be orthogonal to the all-ones kernel (the system
-// is then consistent). Iterates are re-projected onto 1⊥ periodically to
-// suppress kernel drift from rounding.
-func cgSolveLaplacian(g *graph.G, b, ones matrix.Vector) (matrix.Vector, error) {
+// cgSolveLaplacian solves L·x = b by conjugate gradients, where lap is
+// g's LaplacianOperator and b must be orthogonal to the all-ones kernel
+// (the system is then consistent). Iterates are re-projected onto 1⊥
+// periodically to suppress kernel drift from rounding.
+func cgSolveLaplacian(g *graph.G, lap Operator, b, ones matrix.Vector) (matrix.Vector, error) {
 	n := g.N()
 	x := make(matrix.Vector, n)
 	r := b.Clone()
@@ -110,7 +112,7 @@ func cgSolveLaplacian(g *graph.G, b, ones matrix.Vector) (matrix.Vector, error) 
 		if rr == 0 || r.Norm2() <= tol {
 			return x, nil
 		}
-		LaplacianApply(g, ap, p)
+		lap(ap, p)
 		pap := p.Dot(ap)
 		if pap <= 0 {
 			// p has drifted into the kernel; re-project and restart descent.
@@ -136,11 +138,4 @@ func cgSolveLaplacian(g *graph.G, b, ones matrix.Vector) (matrix.Vector, error) 
 		return x, nil // loose but usable; eigenvalue readout tolerates it
 	}
 	return nil, fmt.Errorf("spectral: CG did not converge on %s (residual %.3g)", g.Name(), r.Norm2()/bNorm)
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

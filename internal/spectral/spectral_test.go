@@ -206,7 +206,7 @@ func TestLaplacianApplyMatchesDense(t *testing.T) {
 	}
 	want, _ := l.MulVec(x)
 	got := make(matrix.Vector, g.N())
-	LaplacianApply(g, got, x)
+	LaplacianOperator(g)(got, x)
 	if !got.ApproxEqual(want, 1e-10) {
 		t.Fatal("sparse Laplacian apply disagrees with dense")
 	}

@@ -142,8 +142,8 @@ func Build(name string, n int, seed int64) (*graph.G, error) {
 		}
 		return graph.Butterfly(d), nil
 	case "smallworld":
-		if n < 5 {
-			return nil, fmt.Errorf("topoparse: smallworld needs n ≥ 5, got %d", n)
+		if n < 6 { // k = 2 neighbours a side needs k < n/2
+			return nil, fmt.Errorf("topoparse: smallworld needs n ≥ 6, got %d", n)
 		}
 		return graph.SmallWorld(n, 2, 0.1, rand.New(rand.NewSource(seed))), nil
 	case "rgg":

@@ -71,6 +71,7 @@ func TestBuildErrors(t *testing.T) {
 		{"random-regular", 3},
 		{"barbell", 3},
 		{"lollipop", 2},
+		{"smallworld", 5},
 		// Rounded up, these families no longer fit in an int.
 		{"grid", 1<<62 + 1},
 		{"torus", 1<<62 + 1},

@@ -1,7 +1,6 @@
-// Package trace records experiment series and renders them as aligned text
-// tables or CSV. The experiment harness (cmd/lbbench) uses it to print the
-// "rows the paper reports" — one Table per experiment, one Row per
-// parameter combination.
+// Package trace renders experiment tables as aligned text or CSV. The
+// experiment harness (cmd/lbbench) uses it to print the "rows the paper
+// reports" — one Table per experiment, one Row per parameter combination.
 package trace
 
 import (
@@ -121,51 +120,6 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	writeRow(t.Header)
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// Series is a named sequence of (x, y) points, e.g. a potential trace.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// RenderSeries writes one or more series as a wide CSV with a shared x
-// column (rows are truncated to the shortest series).
-func RenderSeries(w io.Writer, series ...*Series) error {
-	if len(series) == 0 {
-		return nil
-	}
-	minLen := series[0].Len()
-	for _, s := range series[1:] {
-		if s.Len() < minLen {
-			minLen = s.Len()
-		}
-	}
-	var b strings.Builder
-	b.WriteString("x")
-	for _, s := range series {
-		b.WriteByte(',')
-		b.WriteString(s.Name)
-	}
-	b.WriteByte('\n')
-	for i := 0; i < minLen; i++ {
-		fmt.Fprintf(&b, "%g", series[0].X[i])
-		for _, s := range series {
-			fmt.Fprintf(&b, ",%g", s.Y[i])
-		}
-		b.WriteByte('\n')
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -57,37 +57,6 @@ func TestRenderCSVQuoting(t *testing.T) {
 	}
 }
 
-func TestSeriesAppendAndRender(t *testing.T) {
-	s1 := &Series{Name: "phi"}
-	s2 := &Series{Name: "bound"}
-	for i := 0; i < 3; i++ {
-		s1.Append(float64(i), float64(10-i))
-		s2.Append(float64(i), float64(20-i))
-	}
-	s2.Append(3, 0) // longer series must be truncated to the shortest
-	var b strings.Builder
-	if err := RenderSeries(&b, s1, s2); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "x,phi,bound\n") {
-		t.Fatalf("header wrong: %s", out)
-	}
-	if strings.Count(out, "\n") != 4 {
-		t.Fatalf("want 4 lines, got %q", out)
-	}
-}
-
-func TestRenderSeriesEmpty(t *testing.T) {
-	var b strings.Builder
-	if err := RenderSeries(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Fatal("no series must render nothing")
-	}
-}
-
 func TestAddRowfFloatFormatting(t *testing.T) {
 	tb := NewTable("", "v")
 	tb.AddRowf(3.14159265)
