@@ -132,7 +132,9 @@ func BenchmarkDiffusionStepContinuousParallel(b *testing.B) {
 
 // The hypercube pair times Algorithm 1 against first-order diffusion on the
 // same serial continuous 2¹⁴-node spike cell: ROADMAP's target is the first
-// within 1.5× of the second.
+// within 1.5× of the second. The hypercube is regular, so Algorithm 1 runs
+// its constant-divisor round body here; BenchmarkDiffusionStepDeBruijn
+// times the general body on the same cell.
 func BenchmarkDiffusionStepHypercube(b *testing.B) {
 	g := graph.Hypercube(14)
 	st := diffusion.New(g, workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil))
@@ -146,6 +148,16 @@ func BenchmarkDiffusionStepHypercube(b *testing.B) {
 func BenchmarkFirstOrderStepHypercube(b *testing.B) {
 	g := graph.Hypercube(14)
 	st := diffusion.NewFirstOrder(g, workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Step()
+	}
+}
+
+func BenchmarkDiffusionStepDeBruijn(b *testing.B) {
+	g := graph.DeBruijn(14)
+	st := diffusion.New(g, workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

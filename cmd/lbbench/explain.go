@@ -88,16 +88,46 @@ func runExplain(base batch.Spec, key string, tracer *obs.Tracer) int {
 // printExplain writes the unit's report: the spectral quantities the
 // paper's bounds are stated in (the exact expansion and the whole Laplacian
 // spectrum too when n ≤ graph.MaxExactExpansionN), the run's summary
-// against its bound, and its Φ trajectory as round,phi CSV.
+// against its bound, and its Φ trajectory as round,phi CSV. Below two
+// nodes λ₂ is undefined, so the spectral block is that one line, and the
+// run — zero rounds, as its sweep cell records it — is still reported.
 func printExplain(w io.Writer, spec batch.Spec, u batch.Unit, g *graph.G, res core.Result) error {
-	rep, err := spectral.Analyze(g)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "unit         : %s\n", u.Key())
 	fmt.Fprintf(w, "graph        : %s\n", g)
 	fmt.Fprintf(w, "connected    : %v\n", g.IsConnected())
 	fmt.Fprintf(w, "diameter     : %d\n", graph.Diameter(g))
+	if g.N() < 2 {
+		fmt.Fprintln(w, "λ₂           : undefined (n < 2)")
+	} else if err := printSpectra(w, spec, g); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "algorithm    : %s (%s)\n", res.Algorithm, res.Mode)
+	fmt.Fprintf(w, "workload     : %s, scale %.4g\n", u.WorkloadName, spec.Scale)
+	fmt.Fprintf(w, "Φ            : %.6g → %.6g (ε target %g)\n", res.PhiStart, res.PhiEnd, spec.Epsilon)
+	fmt.Fprintf(w, "rounds       : %d (converged: %v)\n", res.Rounds, res.Converged)
+	if res.Bound > 0 {
+		fmt.Fprintf(w, "paper bound  : %.1f rounds (%s) — measured/bound = %.3f\n",
+			res.Bound, res.BoundName, float64(res.Rounds)/res.Bound)
+	}
+	if u.Scenario != "" {
+		fmt.Fprintf(w, "scenario     : peak Φ %.6g, steady RMS %.6g, rebalanced in %d rounds\n",
+			res.PeakPhi, res.SteadyRMS, res.RebalanceRounds)
+	}
+
+	fmt.Fprintln(w, "\nround,phi")
+	for t, phi := range res.Trace {
+		fmt.Fprintf(w, "%d,%s\n", t, strconv.FormatFloat(phi, 'g', -1, 64))
+	}
+	return nil
+}
+
+// printSpectra writes the spectral block of a graph with n ≥ 2.
+func printSpectra(w io.Writer, spec batch.Spec, g *graph.G) error {
+	rep, err := spectral.Analyze(g)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "λ₂           : %.8g (%s)\n", rep.Lambda2, rep.Method)
 	if cf, ok := graph.KnownLambda2(g); ok {
 		fmt.Fprintf(w, "λ₂ closed    : %.8g (Δ = %.2g)\n", cf, math.Abs(cf-rep.Lambda2))
@@ -123,24 +153,6 @@ func printExplain(w io.Writer, spec batch.Spec, u batch.Unit, g *graph.G, res co
 		for i, v := range vals {
 			fmt.Fprintf(w, "  λ_%-3d = %.8g\n", i+1, v)
 		}
-	}
-
-	fmt.Fprintf(w, "algorithm    : %s (%s)\n", res.Algorithm, res.Mode)
-	fmt.Fprintf(w, "workload     : %s, scale %.4g\n", u.WorkloadName, spec.Scale)
-	fmt.Fprintf(w, "Φ            : %.6g → %.6g (ε target %g)\n", res.PhiStart, res.PhiEnd, spec.Epsilon)
-	fmt.Fprintf(w, "rounds       : %d (converged: %v)\n", res.Rounds, res.Converged)
-	if res.Bound > 0 {
-		fmt.Fprintf(w, "paper bound  : %.1f rounds (%s) — measured/bound = %.3f\n",
-			res.Bound, res.BoundName, float64(res.Rounds)/res.Bound)
-	}
-	if u.Scenario != "" {
-		fmt.Fprintf(w, "scenario     : peak Φ %.6g, steady RMS %.6g, rebalanced in %d rounds\n",
-			res.PeakPhi, res.SteadyRMS, res.RebalanceRounds)
-	}
-
-	fmt.Fprintln(w, "\nround,phi")
-	for t, phi := range res.Trace {
-		fmt.Fprintf(w, "%d,%s\n", t, strconv.FormatFloat(phi, 'g', -1, 64))
 	}
 	return nil
 }

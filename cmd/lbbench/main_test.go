@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/batch"
@@ -69,61 +71,93 @@ func TestCheckFlagCombos(t *testing.T) {
 	}
 }
 
-// TestExplainMatchesSweep runs a grid through core.GridRun and explains
+// TestExplainMatchesSweep runs grids through core.GridRun and explains
 // every cell by its key under the same run parameters: a failed cell must
 // give the same error, and any other cell the same Outcome bit for bit,
-// with a Φ trace that starts at PhiStart and ends at PhiEnd.
+// with a Φ trace that starts at PhiStart and ends at PhiEnd, and a report
+// whose summary states the cell's rounds. The second grid is n = 1, where
+// λ₂ is undefined but the sweep still runs its cells (zero rounds,
+// converged): explain must report them with a one-line spectral block.
 func TestExplainMatchesSweep(t *testing.T) {
 	var algos []string
 	for _, a := range core.AlgorithmDescriptions() {
 		algos = append(algos, a[0])
 	}
-	spec := batch.Spec{
-		Topologies: []string{"torus"},
-		Algorithms: algos,
-		Modes:      []string{"continuous", "discrete"},
-		Workloads:  []string{"spike", "uniform"},
-		Scenarios:  []string{"static", "poisson-arrivals", "edge-churn", "adversarial-respike"},
-		Seeds:      []int64{1, 2},
-		N:          16,
-		MaxRounds:  64,
-	}
-	rep, err := core.GridRun(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, c := range rep.Cells {
-		key := c.Unit.Key()
-		es, u, g, err := explainUnit(spec, key)
+	for _, tc := range []struct {
+		spec          batch.Spec
+		cells, failed int
+	}{
+		// firstorder and secondorder run continuous only: their 32
+		// discrete cells fail.
+		{batch.Spec{
+			Topologies: []string{"torus"},
+			Algorithms: algos,
+			Modes:      []string{"continuous", "discrete"},
+			Workloads:  []string{"spike", "uniform"},
+			Scenarios:  []string{"static", "poisson-arrivals", "edge-churn", "adversarial-respike"},
+			Seeds:      []int64{1, 2},
+			N:          16,
+			MaxRounds:  64,
+		}, 192, 32},
+		{batch.Spec{
+			Topologies: []string{"hypercube", "path"},
+			Algorithms: []string{"diffusion"},
+			Modes:      []string{"continuous", "discrete"},
+			Workloads:  []string{"spike"},
+			Seeds:      []int64{1},
+			N:          1,
+		}, 4, 0},
+	} {
+		spec := tc.spec
+		rep, err := core.GridRun(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("%s: %v", key, err)
+			t.Fatal(err)
 		}
-		loads, algoSeed := u.Inputs(g.N(), es.Scale)
-		res, err := core.RunUnit(es, u, g, loads, algoSeed, nil)
-		if c.Err != "" || err != nil {
-			if err == nil || err.Error() != c.Err {
-				t.Errorf("%s: explain error %v, sweep error %q", key, err, c.Err)
+		failed := 0
+		for _, c := range rep.Cells {
+			key := c.Unit.Key()
+			es, u, g, err := explainUnit(spec, key)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
-			failed++
-			continue
+			loads, algoSeed := u.Inputs(g.N(), es.Scale)
+			res, err := core.RunUnit(es, u, g, loads, algoSeed, nil)
+			if c.Err != "" || err != nil {
+				if err == nil || err.Error() != c.Err {
+					t.Errorf("%s: explain error %v, sweep error %q", key, err, c.Err)
+				}
+				failed++
+				continue
+			}
+			o := c.Outcome
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if res.Rounds != o.Rounds || res.Converged != o.Converged || res.BoundName != o.BoundName ||
+				res.RebalanceRounds != o.RebalanceRounds || !same(res.PhiStart, o.PhiStart) ||
+				!same(res.PhiEnd, o.PhiEnd) || !same(res.Bound, o.Bound) ||
+				!same(res.PeakPhi, o.PeakPhi) || !same(res.SteadyRMS, o.SteadyRMS) {
+				t.Errorf("%s: explain %+v, sweep %+v", key, res, o)
+				continue
+			}
+			if len(res.Trace) != res.Rounds+1 || res.Trace[0] != res.PhiStart || res.Trace[res.Rounds] != res.PhiEnd {
+				t.Errorf("%s: trace of %d points for %d rounds, Φ %v → %v", key, len(res.Trace), res.Rounds, res.PhiStart, res.PhiEnd)
+			}
+			var out strings.Builder
+			if err := printExplain(&out, es, u, g, res); err != nil {
+				t.Errorf("%s: report: %v", key, err)
+				continue
+			}
+			want := []string{fmt.Sprintf("rounds       : %d (converged: %v)\n", o.Rounds, o.Converged)}
+			if g.N() < 2 {
+				want = append(want, "λ₂           : undefined (n < 2)\n")
+			}
+			for _, line := range want {
+				if !strings.Contains(out.String(), line) {
+					t.Errorf("%s: report lacks %q:\n%s", key, line, out.String())
+				}
+			}
 		}
-		o := c.Outcome
-		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-		if res.Rounds != o.Rounds || res.Converged != o.Converged || res.BoundName != o.BoundName ||
-			res.RebalanceRounds != o.RebalanceRounds || !same(res.PhiStart, o.PhiStart) ||
-			!same(res.PhiEnd, o.PhiEnd) || !same(res.Bound, o.Bound) ||
-			!same(res.PeakPhi, o.PeakPhi) || !same(res.SteadyRMS, o.SteadyRMS) {
-			t.Errorf("%s: explain %+v, sweep %+v", key, res, o)
-			continue
+		if len(rep.Cells) != tc.cells || failed != tc.failed {
+			t.Errorf("%d cells, %d failed; want %d cells, %d failed", len(rep.Cells), failed, tc.cells, tc.failed)
 		}
-		if len(res.Trace) != res.Rounds+1 || res.Trace[0] != res.PhiStart || res.Trace[res.Rounds] != res.PhiEnd {
-			t.Errorf("%s: trace of %d points for %d rounds, Φ %v → %v", key, len(res.Trace), res.Rounds, res.PhiStart, res.PhiEnd)
-		}
-	}
-	// firstorder and secondorder run continuous only: their 32 discrete
-	// cells fail.
-	if len(rep.Cells) != 192 || failed != 32 {
-		t.Errorf("%d cells, %d failed; want 192 cells, 32 failed", len(rep.Cells), failed)
 	}
 }

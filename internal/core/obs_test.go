@@ -146,25 +146,34 @@ func TestGridResumeSkipsUnitSpans(t *testing.T) {
 // A regression here means instrumentation leaked into the hot path (e.g. a
 // time.Time escaping, or an unconditional map for span args), a stepper
 // builds a closure per round, or a Potential copies the load vector.
+// The torus is regular, so its Diffusion rows gate Algorithm 1's
+// constant-divisor round body; the de Bruijn rows gate its general body.
 func TestSessionHotLoopZeroAllocs(t *testing.T) {
-	g := graph.Torus(4, 4)
+	torus := graph.Torus(4, 4)
 	cases := []struct {
 		algo Algorithm
 		mode Mode
+		g    *graph.G // nil: the torus
 	}{
-		{Diffusion, Continuous},
-		{Diffusion, Discrete},
-		{DimensionExchange, Continuous},
-		{DimensionExchange, Discrete},
-		{RandomPartners, Continuous},
-		{RandomPartners, Discrete},
-		{RoundRobinExchange, Continuous},
-		{RoundRobinExchange, Discrete},
-		{FirstOrder, Continuous},
-		{SecondOrder, Continuous},
+		{Diffusion, Continuous, nil},
+		{Diffusion, Discrete, nil},
+		{Diffusion, Continuous, graph.DeBruijn(4)},
+		{Diffusion, Discrete, graph.DeBruijn(4)},
+		{DimensionExchange, Continuous, nil},
+		{DimensionExchange, Discrete, nil},
+		{RandomPartners, Continuous, nil},
+		{RandomPartners, Discrete, nil},
+		{RoundRobinExchange, Continuous, nil},
+		{RoundRobinExchange, Discrete, nil},
+		{FirstOrder, Continuous, nil},
+		{SecondOrder, Continuous, nil},
 	}
 	for _, tc := range cases {
-		t.Run(tc.algo.String()+"/"+tc.mode.String(), func(t *testing.T) {
+		g, name := torus, tc.algo.String()+"/"+tc.mode.String()
+		if tc.g != nil {
+			g, name = tc.g, name+"/irregular"
+		}
+		t.Run(name, func(t *testing.T) {
 			s, err := Open(Config{
 				Graph:     g,
 				Algorithm: tc.algo,

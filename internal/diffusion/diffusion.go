@@ -112,10 +112,26 @@ func New[T load.Value](g *graph.G, initial []T) *Stepper[T] {
 // discrete model every edge moves ⌊|ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ))⌋ tokens; both
 // endpoints compute the same flow from the same round-start counts, so
 // the node-parallel formulation remains exact.
+//
+// The first Step builds one of two round bodies, by g.IsRegular(), and
+// every later Step reuses it. On a δ-regular graph max(dᵢ, dⱼ) = δ on every
+// edge, so regularBody divides by the one constant D = 4δ and skips the
+// per-edge gather of both endpoint degrees. Any other graph — star, path,
+// tree, de Bruijn, every churned subgraph — takes the general body, which
+// gathers max(dᵢ, dⱼ) per edge. Both bodies run the same IEEE operations on
+// the same operands in the same neighbour order (the divisor is
+// 4·float64(δ) either way), so the choice leaves every load and token
+// bit-identical.
 func (s *Stepper[T]) Step() {
 	g, cur := s.G, s.cur
 	n := g.N()
-	if s.body == nil {
+	switch {
+	case s.body != nil:
+		// Built by an earlier Step.
+	case g.IsRegular():
+		s.next = make([]T, n)
+		s.body = regularBody(g, cur, s.next)
+	default:
 		s.next = make([]T, n)
 		// The round body scans the CSR rows — one contiguous index stream —
 		// instead of pointer-chasing per-node slices. Neighbour order and the
@@ -164,6 +180,26 @@ func (s *Stepper[T]) Step() {
 	}
 	parallel.For(n, parallel.StepperWorkers(s.Workers), s.body)
 	copy(cur, s.next)
+}
+
+// regularBody is Step's round body on a δ-regular graph: the general body
+// with the divisor 4·max(dᵢ, dⱼ) hoisted out as D = 4δ. The signed update
+// and the ℓᵢ == ℓⱼ skip are the general body's, for the reasons given there.
+func regularBody[T load.Value](g *graph.G, cur, next []T) func(i int) {
+	off, tgt := g.CSR()
+	D := 4 * float64(g.MaxDegree())
+	return func(i int) {
+		li := cur[i]
+		acc := li
+		for _, j := range tgt[off[i]:off[i+1]] {
+			lj := cur[j]
+			if li == lj {
+				continue
+			}
+			acc += T((float64(lj) - float64(li)) / D)
+		}
+		next[i] = acc
+	}
 }
 
 // FixedPoint reports whether a full round would move no load: every edge's

@@ -408,16 +408,41 @@ func checkRoundMatchesReference(t *testing.T, round int, c *Stepper[float64], wa
 	}
 }
 
-// TestRoundMatchesReference pins the branch-free Algorithm 1 kernel to the
-// abs-and-branch oracle for 200 rounds, serial and round-parallel. The
-// hypercube and torus are regular; on the star every row but the centre's
-// takes its divisor from the neighbour's degree, and de Bruijn's degrees
-// (2 to 4) vary from edge to edge. A spike over zeros keeps many
-// neighbours exactly equal, so the ℓᵢ == ℓⱼ skip is exercised; uniform
-// noise exercises both signs on every row.
+// TestRoundMatchesReference pins both branch-free Algorithm 1 round bodies
+// to the abs-and-branch oracle for 200 rounds, serial and round-parallel.
+// The regular rows take Step's constant-divisor body: the hypercubes (δ = 6
+// and the odd δ = 5), the torus, cycle, complete graph, Petersen graph
+// (4δ = 12, a divisor that rounds) and a random 3-regular graph. The
+// irregular rows take the general body: on the star every row but the
+// centre's takes its divisor from the neighbour's degree, de Bruijn's
+// degrees (2 to 4) vary from edge to edge, and the hypercube with one edge
+// dropped is the churn shape, a regular graph made irregular. Each row
+// asserts which body it takes. A spike over zeros keeps many neighbours
+// exactly equal, so the ℓᵢ == ℓⱼ skip is exercised; uniform noise
+// exercises both signs on every row.
 func TestRoundMatchesReference(t *testing.T) {
 	const rounds = 200
-	for _, g := range []*graph.G{graph.Hypercube(6), graph.Torus(8, 8), graph.Star(33), graph.DeBruijn(6)} {
+	h6 := graph.Hypercube(6)
+	cut := h6.Edges()[0]
+	for _, c := range []struct {
+		g       *graph.G
+		regular bool
+	}{
+		{h6, true},
+		{graph.Hypercube(5), true},
+		{graph.Torus(8, 8), true},
+		{graph.Cycle(7), true},
+		{graph.Complete(9), true},
+		{graph.Petersen(), true},
+		{graph.RandomRegular(64, 3, rand.New(rand.NewSource(5))), true},
+		{graph.Star(33), false},
+		{graph.DeBruijn(6), false},
+		{h6.Subgraph("hypercube(6)-e", func(e graph.Edge) bool { return e != cut }), false},
+	} {
+		g := c.g
+		if g.IsRegular() != c.regular {
+			t.Fatalf("%s: IsRegular() = %v, want %v", g, g.IsRegular(), c.regular)
+		}
 		n := g.N()
 		rng := rand.New(rand.NewSource(7))
 		starts := []struct {

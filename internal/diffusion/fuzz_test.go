@@ -69,12 +69,15 @@ func FuzzDiscreteRoundConserves(f *testing.F) {
 }
 
 // FuzzRoundMatchesReference fuzzes one branch-free Algorithm 1 round
-// against the abs-and-branch oracle on Star(6) and Torus(3,3). Each 8-byte
-// word of the input is one node's state, read as float64 bits for the
-// continuous round and as an int64 token count for the discrete one
-// (missing words are zero). Load vectors holding a NaN skip the
-// continuous check: the two forms may disagree on a NaN's sign bit, and
-// no stepper is ever given a NaN load.
+// against the abs-and-branch oracle on Star(6), which takes Step's general
+// body, and on Torus(3,3) and the Petersen graph, which take its regular
+// body: 4δ = 16 on the torus is a power of two, so only the Petersen
+// graph's 4δ = 12 makes the regular body divide by a constant that rounds.
+// Each 8-byte word of the input is one node's state, read as float64 bits
+// for the continuous round and as an int64 token count for the discrete
+// one (missing words are zero). Load vectors holding a NaN skip the
+// continuous check: the two forms may disagree on a NaN's sign bit, and no
+// stepper is ever given a NaN load.
 func FuzzRoundMatchesReference(f *testing.F) {
 	words := func(ws ...uint64) []byte {
 		b := make([]byte, 8*len(ws))
@@ -88,7 +91,7 @@ func FuzzRoundMatchesReference(f *testing.F) {
 	f.Add(words(math.Float64bits(3.5), math.Float64bits(-2.25), math.Float64bits(1e-310),
 		math.Float64bits(math.Inf(1)), math.Float64bits(7), math.Float64bits(7), 1, 1<<63, 42))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, g := range []*graph.G{graph.Star(6), graph.Torus(3, 3)} {
+		for _, g := range []*graph.G{graph.Star(6), graph.Torus(3, 3), graph.Petersen()} {
 			loads, tokens := make([]float64, g.N()), make([]int64, g.N())
 			hasNaN := false
 			for i := range loads {

@@ -204,6 +204,12 @@ func (g *G) MaxDegree() int {
 	return max
 }
 
+// IsRegular reports whether every node has degree δ = MaxDegree(): the
+// handshake sum 2·M() reaches N()·δ only then. The empty and edgeless
+// graphs are 0-regular. Algorithm 1 keys its constant-divisor round body
+// on it (diffusion.Stepper.Step).
+func (g *G) IsRegular() bool { return 2*g.M() == g.N()*g.MaxDegree() }
+
 // Fingerprint returns a stable 64-bit structural hash of the graph: its
 // name, node count and full edge set. Two graphs with the same fingerprint
 // are interchangeable for caching purposes — internal/speccache keys its

@@ -278,6 +278,32 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
+func TestIsRegular(t *testing.T) {
+	h6 := Hypercube(6)
+	cut := h6.Edges()[0]
+	for _, c := range []struct {
+		g    *G
+		want bool
+	}{
+		{Hypercube(6), true},
+		{Torus(4, 5), true},
+		{Cycle(7), true},
+		{Complete(9), true},
+		{Petersen(), true},
+		{RandomRegular(64, 3, rand.New(rand.NewSource(1))), true},
+		{NewBuilder("edgeless", 4).MustFinish(), true},
+		{Star(16), false},
+		{Path(8), false},
+		{BinaryTree(4), false},
+		{DeBruijn(4), false},
+		{h6.Subgraph("hypercube(6)-e", func(e Edge) bool { return e != cut }), false},
+	} {
+		if got := c.g.IsRegular(); got != c.want {
+			t.Errorf("%s: IsRegular() = %v, want %v", c.g, got, c.want)
+		}
+	}
+}
+
 func TestIsConnectedEdgeCases(t *testing.T) {
 	if !NewBuilder("empty", 0).MustFinish().IsConnected() {
 		t.Fatal("empty graph connected by convention")
