@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -99,6 +100,10 @@ func run() int {
 		roundWorkers = runtime.GOMAXPROCS(0)
 	}
 
+	if !(*hz >= 0) || math.IsInf(*hz, 1) {
+		fmt.Fprintf(os.Stderr, "lbserved: bad -hz %v (want a finite rate ≥ 0; 0 free-runs)\n", *hz)
+		return exitUsage
+	}
 	factor, err := parseSpeedup(*speedup)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
@@ -106,8 +111,12 @@ func run() int {
 	}
 	interval := time.Duration(0)
 	if *hz > 0 {
-		rps := *hz * factor
-		interval = time.Duration(float64(time.Second) / rps)
+		ns := float64(time.Second) / (*hz * factor)
+		if !(ns < math.MaxInt64) {
+			fmt.Fprintf(os.Stderr, "lbserved: -hz %v at -speedup %s is slower than one round per 292 years\n", *hz, *speedup)
+			return exitUsage
+		}
+		interval = time.Duration(ns)
 		if interval < time.Microsecond {
 			interval = 0 // effectively free-running
 		}
@@ -224,11 +233,11 @@ func run() int {
 	return exitOK
 }
 
-// parseSpeedup accepts "100x", "2.5x" or a bare number.
+// parseSpeedup accepts "100x", "2.5x" or a bare number: finite and > 0.
 func parseSpeedup(s string) (float64, error) {
 	trimmed := strings.TrimSuffix(strings.TrimSpace(strings.ToLower(s)), "x")
 	v, err := strconv.ParseFloat(trimmed, 64)
-	if err != nil || v <= 0 {
+	if err != nil || !(v > 0) || math.IsInf(v, 1) {
 		return 0, fmt.Errorf("bad -speedup %q (want e.g. 100x)", s)
 	}
 	return v, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,17 +16,25 @@ import (
 )
 
 // TestGridTracedByteIdentical: tracing is strictly out-of-band — a sharded
-// sweep run with a live tracer must produce journals and a report
-// byte-identical to the untraced run, while the trace itself carries one
-// sweep span and one span per unit.
+// sweep run with a live tracer, shared by the default pool's concurrent
+// workers or held by one, must produce journals and a report byte-identical
+// to the untraced run, while the trace itself carries one sweep span and one
+// span per unit; on one worker the unit spans cover ≥ 0.9 of the sweep span.
 func TestGridTracedByteIdentical(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testGridTraced(t, workers) })
+	}
+}
+
+func testGridTraced(t *testing.T, workers int) {
 	spec := batch.Spec{
 		Topologies: []string{"cycle", "star"},
 		Algorithms: []string{"diffusion", "dimexchange"},
 		Modes:      []string{"continuous"},
 		Workloads:  []string{"spike"},
 		Seeds:      []int64{1, 2},
-		N:          16,
+		N:          128,
+		Workers:    workers,
 	}
 	dir := t.TempDir()
 
@@ -77,7 +86,12 @@ func TestGridTracedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sweeps, units int
+	dur := map[string]int64{}
 	for _, e := range events {
+		dur[e.Cat] += e.Dur
+		if e.Ph == "X" && (e.Ts < 0 || e.Dur < 1 || e.Name == "") {
+			t.Errorf("malformed span %+v", e)
+		}
 		switch e.Cat {
 		case "sweep":
 			sweeps++
@@ -91,6 +105,9 @@ func TestGridTracedByteIdentical(t *testing.T) {
 	}
 	if units != wantUnits {
 		t.Errorf("trace has %d unit spans, want %d", units, wantUnits)
+	}
+	if workers == 1 && float64(dur["unit"]) < 0.9*float64(dur["sweep"]) {
+		t.Errorf("unit spans cover %dµs of the %dµs sweep span, want ≥ 0.9", dur["unit"], dur["sweep"])
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"repro/internal/batch"
@@ -17,19 +15,9 @@ import (
 
 // roundWorkerCounts are the worker counts every stepper must be
 // byte-identical across: serial, even, odd-and-larger-than-most-chunks,
-// and whatever this machine has. LB_TEST_ROUND_WORKERS appends an extra
-// count, so CI can stress a specific width (e.g. 8) under -race without a
-// code change.
-func roundWorkerCounts(t *testing.T) []int {
-	counts := []int{1, 2, 7, runtime.NumCPU()}
-	if s := os.Getenv("LB_TEST_ROUND_WORKERS"); s != "" {
-		w, err := strconv.Atoi(s)
-		if err != nil || w < 1 {
-			t.Fatalf("bad LB_TEST_ROUND_WORKERS=%q: want a positive worker count", s)
-		}
-		counts = append(counts, w)
-	}
-	return counts
+// eight, and whatever this machine has.
+func roundWorkerCounts() []int {
+	return []int{1, 2, 7, 8, runtime.NumCPU()}
 }
 
 // algorithmModes enumerates every supported algorithm×mode combination —
@@ -82,7 +70,7 @@ func loadBits(t *testing.T, sys System, mode Mode) []uint64 {
 // must execute the same floating-point operations in the same order.
 func TestRoundWorkersByteIdentity(t *testing.T) {
 	g := graph.Torus(8, 8)
-	counts := roundWorkerCounts(t)
+	counts := roundWorkerCounts()
 	const rounds = 50
 	for _, am := range algorithmModes() {
 		t.Run(fmt.Sprintf("%s-%s", am.Algo, modeName(am.Mode)), func(t *testing.T) {
@@ -139,7 +127,7 @@ func TestRoundWorkersScenarioByteIdentity(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s-%s", scn, am.Algo, modeName(am.Mode)), func(t *testing.T) {
 				var ref Result
 				var have bool
-				for _, w := range roundWorkerCounts(t) {
+				for _, w := range roundWorkerCounts() {
 					res, err := Balance(Config{
 						Graph:     g,
 						Algorithm: am.Algo,
@@ -181,7 +169,7 @@ func TestRoundWorkersScenarioByteIdentity(t *testing.T) {
 // w1-vs-w8 determinism check one level down: an entire grid sweep —
 // including dynamic-scenario units — serializes to byte-identical JSON
 // whether the steppers inside ran serial or fanned out over 7 round
-// workers (and regardless of how the two levels are combined).
+// workers (and regardless of how the two levels are combined, auto included).
 func TestGridReportRoundWorkersByteIdentity(t *testing.T) {
 	spec := batch.Spec{
 		Topologies: []string{"cycle", "torus", "hypercube"},
@@ -195,7 +183,7 @@ func TestGridReportRoundWorkersByteIdentity(t *testing.T) {
 		MaxRounds:  80,
 	}
 	var ref []byte
-	for _, combo := range []struct{ w, rw int }{{1, 1}, {1, 7}, {2, 3}} {
+	for _, combo := range []struct{ w, rw int }{{1, 1}, {1, 7}, {2, 3}, {2, -1}} {
 		spec.Workers, spec.RoundWorkers = combo.w, combo.rw
 		rep, err := GridRun(context.Background(), spec)
 		if err != nil {

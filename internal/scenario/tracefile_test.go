@@ -12,8 +12,8 @@ import (
 )
 
 // TestTraceRoundTripBytes: write → read → rewrite must reproduce the file
-// byte-for-byte. This is the invariant CI's serve-smoke leans on when it
-// cmp's a re-recorded trace against the committed one.
+// byte-for-byte. This is the invariant cmd/lbbench's TestBinaries leans on
+// when it compares a re-recorded trace with the committed one.
 func TestTraceRoundTripBytes(t *testing.T) {
 	events := []Event{
 		{Round: 0, Node: 3, Amount: 5000},

@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -381,4 +383,47 @@ func serverURL(s *Server) string {
 		return ""
 	}
 	return "http://" + s.addr.String()
+}
+
+// TestPrometheusExposition: after a few rounds every registry series sits
+// under its own # HELP and # TYPE header (a histogram's as _bucket, _sum,
+// _count), and the round counter and backlog histogram (+Inf) are there.
+func TestPrometheusExposition(t *testing.T) {
+	srv, err := New(Options{Config: testConfig(t), Replay: testTrace(t)})
+	for i := 0; err == nil && i < 5; i++ {
+		_, err = srv.StepRound()
+	}
+	var buf strings.Builder
+	if err == nil {
+		err = obs.Default().WritePrometheus(&buf)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := buf.String()
+	var help, family, kind string
+	for _, line := range strings.Split(strings.TrimSuffix(prom, "\n"), "\n") {
+		f := strings.Fields(line)
+		name, _, _ := strings.Cut(f[0], "{")
+		if kind == "histogram" {
+			name = regexp.MustCompile(`_(bucket|sum|count)$`).ReplaceAllString(name, "")
+		}
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			help = f[2]
+		case strings.HasPrefix(line, "# TYPE "):
+			family, kind = f[2], f[3]
+			if help != family {
+				t.Errorf("# TYPE %s without its # HELP", family)
+			}
+		case name != family:
+			t.Errorf("series %q outside its header (under %q)", line, family)
+		}
+	}
+	for _, want := range []string{"\n# TYPE lbserved_rounds_total counter\n", "\n# TYPE lbserved_backlog_depth histogram\n",
+		"\nlbserved_backlog_depth_bucket{le=\"+Inf\"} "} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
 }
