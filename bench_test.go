@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diffusion"
 	"repro/internal/dimexchange"
+	"repro/internal/dynamic"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/randpair"
@@ -162,6 +163,19 @@ func BenchmarkDiffusionStepDeBruijn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Step()
+	}
+}
+
+// BenchmarkRandomSubgraphsNext times one churn draw: the random subgraph a
+// §5 dynamic run swaps in every round, on the e2ebench churn workload's base
+// graph (random 4-regular, n = 4096) keeping 90% of the edges.
+func BenchmarkRandomSubgraphsNext(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	seq := &dynamic.RandomSubgraphs{Base: graph.RandomRegular(4096, 4, rng), KeepProb: 0.9, RNG: rng}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq.Next(i)
 	}
 }
 

@@ -214,12 +214,12 @@ type Result struct {
 }
 
 // Validate rejects configurations Balance cannot run: a missing graph, a
-// load vector of the wrong length or with non-finite/negative entries, an
-// Epsilon outside (0,1) (a finite ≤ 0 means "use the default" and is
-// accepted; NaN and ±Inf are not), and
-// algorithm/mode combinations that do not exist. Balance, Open and
-// lbserved all gate on this one method, so a bad config is rejected
-// identically everywhere.
+// load vector of the wrong length or with non-finite/negative entries, a
+// discrete load whose truncated total does not fit in int64, an Epsilon
+// outside (0,1) (a finite ≤ 0 means "use the default" and is accepted; NaN
+// and ±Inf are not), and algorithm/mode combinations that do not exist.
+// Balance, Open and lbserved all gate on this one method, so a bad config
+// is rejected identically everywhere.
 func (cfg Config) Validate() error {
 	if cfg.Graph == nil {
 		return errors.New("core: Config.Graph is required")
@@ -231,9 +231,16 @@ func (cfg Config) Validate() error {
 	if cfg.Epsilon >= 1 || math.IsNaN(cfg.Epsilon) || math.IsInf(cfg.Epsilon, 0) {
 		return fmt.Errorf("core: Epsilon %v must be in (0,1)", cfg.Epsilon)
 	}
+	var tokens int64
 	for i, v := range cfg.Loads {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("core: invalid load %v at node %d", v, i)
+		}
+		if cfg.Mode == Discrete {
+			if v >= 1<<63 || tokens > math.MaxInt64-int64(v) {
+				return fmt.Errorf("core: discrete load total overflows int64 at node %d", i)
+			}
+			tokens += int64(v)
 		}
 	}
 	if (cfg.Algorithm == FirstOrder || cfg.Algorithm == SecondOrder) && cfg.Mode == Discrete {

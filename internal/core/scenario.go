@@ -60,9 +60,7 @@ func runScenario(s *Session) (Result, error) {
 
 // currentLoads returns the stepper's live load state as a float vector:
 // the continuous vector itself (no copy — callers treat it as read-only),
-// or a float view of the token counts. Token counts of any realistic
-// magnitude are exact in float64, so the view round-trips losslessly into
-// the next stepper build.
+// or a float view of the token counts (exact below 2⁵³ tokens per node).
 func currentLoads(sys System) []float64 {
 	st, ok := sys.(Stepper[int64])
 	if !ok {

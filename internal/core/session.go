@@ -280,7 +280,15 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	if s.phases.Enabled() {
 		t0 = time.Now()
 	}
-	sys, err := buildSystemOn(s.cfg, g, currentLoads(s.sys), s.algoRNG, spectra)
+	var sys System
+	var err error
+	if tok, ok := s.sys.(Stepper[int64]); ok {
+		// Tokens go to the new stepper as they are (it copies them): a
+		// float64 round trip would create or destroy tokens above 2⁵³.
+		sys, err = build(s.cfg, g, tok.Values(), s.algoRNG)
+	} else {
+		sys, err = buildSystemOn(s.cfg, g, currentLoads(s.sys), s.algoRNG, spectra)
+	}
 	if s.phases.Enabled() {
 		s.phases.Observe(obs.PhaseGraphSwap, time.Since(t0))
 	}

@@ -176,6 +176,8 @@ func TestValidateMatchesEntrypoints(t *testing.T) {
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: 2},
 		{Graph: g, Loads: []float64{1, -2, 3, 4}},
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Algorithm: FirstOrder, Mode: Discrete},
+		{Graph: g, Loads: []float64{1e19, 0, 0, 0}, Mode: Discrete},
+		{Graph: g, Loads: []float64{1 << 62, 1 << 62, 0, 0}, Mode: Discrete},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -188,9 +190,52 @@ func TestValidateMatchesEntrypoints(t *testing.T) {
 			t.Errorf("case %d: Open accepted", i)
 		}
 	}
-	good := Config{Graph: g, Loads: []float64{4, 0, 0, 0}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("Validate rejected a good config: %v", err)
+	for i, good := range []Config{
+		{Graph: g, Loads: []float64{4, 0, 0, 0}},
+		{Graph: g, Loads: []float64{1e19, 0, 0, 0}},
+		{Graph: g, Loads: []float64{1<<63 - 1024, 1023.9, 0, 0}, Mode: Discrete},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("good case %d: Validate rejected: %v", i, err)
+		}
+	}
+}
+
+// TestSwapGraphConservesLargeTokenCounts: SwapGraph hands a discrete
+// stepper's tokens to the next stepper as they are, so an edge-churn run
+// conserves 2⁶⁰ tokens exactly; a float64 round trip loses some above 2⁵³.
+func TestSwapGraphConservesLargeTokenCounts(t *testing.T) {
+	sc, err := scenario.Parse("edge-churn:0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Hypercube(4)
+	const total = 1 << 60
+	s, err := Open(Config{Graph: g, Mode: Discrete, Loads: SpikeLoads(g.N(), total), Scenario: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sc.New(g, total, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 50; k++ {
+		if err := s.SwapGraph(inst.Graph(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, x := range s.sys.(Stepper[int64]).Values() {
+			sum += x
+		}
+		if sum != total {
+			t.Fatalf("round %d: %d tokens, want %d (%+d)", k+1, sum, int64(total), sum-total)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -32,6 +33,31 @@ func TestRandomSubgraphsKeepNone(t *testing.T) {
 	seq := &RandomSubgraphs{Base: base, KeepProb: 0, RNG: rng}
 	if g := seq.Next(0); g.M() != 0 {
 		t.Fatal("KeepProb=0 kept edges")
+	}
+}
+
+// TestRandomSubgraphsDrawStream: each Next consumes exactly Base.M()
+// Float64 draws, one per base edge in Edges() order, and keeps the edges
+// whose draw is below KeepProb. This fixed stream is what keeps churn
+// trajectories byte-identical however Subgraph builds its graph.
+func TestRandomSubgraphsDrawStream(t *testing.T) {
+	base := graph.RandomRegular(64, 4, rand.New(rand.NewSource(7)))
+	seq := &RandomSubgraphs{Base: base, KeepProb: 0.5, RNG: rand.New(rand.NewSource(9))}
+	replay := rand.New(rand.NewSource(9))
+	for k := 0; k < 5; k++ {
+		g := seq.Next(k)
+		var want []graph.Edge
+		for _, e := range base.Edges() {
+			if replay.Float64() < seq.KeepProb {
+				want = append(want, e)
+			}
+		}
+		if !slices.Equal(g.Edges(), want) {
+			t.Fatalf("round %d: kept %d edges, replay keeps %d", k, g.M(), len(want))
+		}
+		if got, next := seq.RNG.Int63(), replay.Int63(); got != next {
+			t.Fatalf("round %d: RNG out of step with a replay advanced by M() = %d draws", k, base.M())
+		}
 	}
 }
 

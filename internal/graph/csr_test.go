@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +66,70 @@ func TestCSRSingletonAndEdgeless(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if off[i] != 0 {
 			t.Fatalf("edgeless: offset[%d] = %d, want 0", i, off[i])
+		}
+	}
+}
+
+// TestSubgraphMatchesBuilder: Subgraph cuts the kept edges straight from
+// the base's sorted edge list, and must build the same graph a Builder
+// does from those edges: edge list, both CSR arrays, degrees, regularity
+// and fingerprint. Every Neighbors row is capped at its length.
+func TestSubgraphMatchesBuilder(t *testing.T) {
+	bases := []*G{
+		Hypercube(5),
+		Torus(6, 7),
+		RandomRegular(50, 3, rand.New(rand.NewSource(11))),
+		Star(17),
+		DeBruijn(5),
+	}
+	rules := []struct {
+		name string
+		keep func() func(Edge) bool
+	}{
+		{"all", func() func(Edge) bool { return func(Edge) bool { return true } }},
+		{"none", func() func(Edge) bool { return func(Edge) bool { return false } }},
+		{"coin", func() func(Edge) bool {
+			rng := rand.New(rand.NewSource(5))
+			return func(Edge) bool { return rng.Float64() < 0.5 }
+		}},
+		{"drop-node-0", func() func(Edge) bool { return func(e Edge) bool { return e.U != 0 } }},
+	}
+	for _, base := range bases {
+		for _, r := range rules {
+			name := base.Name() + "/" + r.name
+			sub := base.Subgraph(name, r.keep())
+			keep := r.keep()
+			b := NewBuilder(name, base.N())
+			for _, e := range base.Edges() {
+				if keep(e) {
+					b.AddEdge(e.U, e.V)
+				}
+			}
+			want := b.MustFinish()
+
+			if !slices.Equal(sub.Edges(), want.Edges()) {
+				t.Fatalf("%s: edges differ from the Builder's", name)
+			}
+			subOff, subTgt := sub.CSR()
+			wantOff, wantTgt := want.CSR()
+			if !slices.Equal(subOff, wantOff) || !slices.Equal(subTgt, wantTgt) {
+				t.Fatalf("%s: CSR differs from the Builder's", name)
+			}
+			for i := 0; i < sub.N(); i++ {
+				if sub.Degree(i) != want.Degree(i) {
+					t.Fatalf("%s: node %d degree %d, Builder %d", name, i, sub.Degree(i), want.Degree(i))
+				}
+				if nb := sub.Neighbors(i); cap(nb) != len(nb) {
+					t.Fatalf("%s: node %d Neighbors len %d cap %d", name, i, len(nb), cap(nb))
+				}
+			}
+			if sub.MaxDegree() != want.MaxDegree() || sub.IsRegular() != want.IsRegular() {
+				t.Fatalf("%s: δ %d regular %v, Builder δ %d regular %v", name,
+					sub.MaxDegree(), sub.IsRegular(), want.MaxDegree(), want.IsRegular())
+			}
+			if sub.Fingerprint() != want.Fingerprint() {
+				t.Fatalf("%s: fingerprint differs from the Builder's", name)
+			}
 		}
 	}
 }

@@ -37,20 +37,17 @@ func (e Edge) Canonical() Edge {
 
 // G is an immutable simple undirected graph with nodes 0..n−1.
 //
-// Besides the per-node neighbour slices, every graph carries a flat CSR
-// (compressed sparse row) view of its adjacency — a single offsets array and
-// a single targets array — built once in Finish. The CSR view is the layout
-// the per-round stepper hot loops scan: one contiguous stream instead of n
-// pointer-chased slices, which is what keeps a million-node round
-// cache-friendly. The neighbour slices are row views into the same targets
-// array, so the two representations share one backing allocation. See CSR
-// for the layout contract.
+// A graph holds its sorted edge list and one flat CSR (compressed sparse
+// row) adjacency — a single offsets array and a single targets array —
+// and nothing else: there are no per-node neighbour slices. Neighbors(i) is
+// a view of CSR row i and Degree(i) is the row's length. The CSR layout is
+// what the per-round stepper hot loops scan: one contiguous stream instead
+// of n pointer-chased slices, which keeps a million-node round
+// cache-friendly. See CSR for the layout contract.
 type G struct {
 	name  string
 	n     int
-	adj   [][]int // sorted neighbour lists (views into csrTgt)
-	edges []Edge  // canonical, sorted lexicographically
-	deg   []int
+	edges []Edge // canonical, sorted lexicographically
 
 	csrOff []int // len n+1; node i's neighbours at csrTgt[csrOff[i]:csrOff[i+1]]
 	csrTgt []int // len 2m; ascending within each node's range
@@ -109,45 +106,44 @@ func (b *Builder) Finish() (*G, error) {
 	}
 	slices.Sort(b.packed)
 	b.packed = slices.Compact(b.packed)
-	m := len(b.packed)
-	g := &G{name: b.name, n: b.n, deg: make([]int, b.n)}
-	g.edges = make([]Edge, m)
+	edges := make([]Edge, len(b.packed))
 	for k, p := range b.packed {
-		u, v := int(p>>32), int(uint32(p))
-		g.edges[k] = Edge{U: u, V: v}
-		g.deg[u]++
-		g.deg[v]++
+		edges[k] = Edge{U: int(p >> 32), V: int(uint32(p))}
 	}
+	return fromEdges(b.name, b.n, edges), nil
+}
 
-	// CSR offsets by prefix sum, then a single placement pass. Iterating the
-	// sorted edge list places each node's smaller neighbours (from edges
-	// where it is V, ascending by U) before its larger ones (from its own U
-	// block, ascending by V), so every row comes out ascending without a
-	// per-node sort.
-	g.csrOff = make([]int, b.n+1)
-	total := 0
-	for i, d := range g.deg {
-		g.csrOff[i] = total
-		total += d
+// fromEdges builds the graph on n nodes over edges, which must be
+// canonical, sorted and duplicate-free; the graph keeps the slice.
+//
+// Offsets and targets share one allocation. The CSR is degree counts into
+// csrOff[i+1], a prefix sum, and one placement pass that uses csrOff[i] as
+// row i's cursor (leaving it at the row's end, so one shift restores the
+// offsets). Iterating the sorted edge list places each node's smaller
+// neighbours (from edges where it is V, ascending by U) before its larger
+// ones (from its own U block, ascending by V), so every row comes out
+// ascending without a per-node sort.
+func fromEdges(name string, n int, edges []Edge) *G {
+	csr := make([]int, n+1+2*len(edges))
+	off, tgt := csr[:n+1:n+1], csr[n+1:]
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
 	}
-	g.csrOff[b.n] = total
-	g.csrTgt = make([]int, total)
-	cursor := make([]int, b.n)
-	copy(cursor, g.csrOff[:b.n])
-	for _, e := range g.edges {
-		g.csrTgt[cursor[e.U]] = e.V
-		cursor[e.U]++
-		g.csrTgt[cursor[e.V]] = e.U
-		cursor[e.V]++
+	sum := 0
+	for i := range off {
+		sum += off[i]
+		off[i] = sum
 	}
-
-	// The neighbour slices are capped row views into the CSR targets, so the
-	// slice API shares the one backing allocation instead of copying it.
-	g.adj = make([][]int, b.n)
-	for i := 0; i < b.n; i++ {
-		g.adj[i] = g.csrTgt[g.csrOff[i]:g.csrOff[i+1]:g.csrOff[i+1]]
+	for _, e := range edges {
+		tgt[off[e.U]] = e.V
+		off[e.U]++
+		tgt[off[e.V]] = e.U
+		off[e.V]++
 	}
-	return g, nil
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return &G{name: name, n: n, edges: edges, csrOff: off, csrTgt: tgt}
 }
 
 // MustFinish is Finish that panics on error; used by the topology
@@ -172,9 +168,11 @@ func (g *G) M() int { return len(g.edges) }
 // Edges returns the canonical edge list. Callers must not mutate it.
 func (g *G) Edges() []Edge { return g.edges }
 
-// Neighbors returns the sorted neighbour list of node i. Callers must not
-// mutate it.
-func (g *G) Neighbors(i int) []int { return g.adj[i] }
+// Neighbors returns the sorted neighbour list of node i: CSR row i, capped
+// so an append cannot run into row i+1. Callers must not mutate it.
+func (g *G) Neighbors(i int) []int {
+	return g.csrTgt[g.csrOff[i]:g.csrOff[i+1]:g.csrOff[i+1]]
+}
 
 // CSR returns the flat compressed-sparse-row adjacency view: node i's
 // neighbours are targets[offsets[i]:offsets[i+1]], ascending, and
@@ -186,22 +184,20 @@ func (g *G) Neighbors(i int) []int { return g.adj[i] }
 //   - each row lists the same neighbours, in the same ascending order, as
 //     Neighbors(i) — a loop converted from Neighbors to CSR therefore
 //     replays the exact serial IEEE operation chain and stays bit-identical;
-//   - Neighbors(i) is a capped view of targets[offsets[i]:offsets[i+1]], so
-//     the two representations alias one backing array.
+//   - Neighbors(i) is a capped view of targets[offsets[i]:offsets[i+1]], not
+//     a copy.
 func (g *G) CSR() (offsets, targets []int) { return g.csrOff, g.csrTgt }
 
 // Degree returns the degree of node i.
-func (g *G) Degree(i int) int { return g.deg[i] }
+func (g *G) Degree(i int) int { return g.csrOff[i+1] - g.csrOff[i] }
 
 // MaxDegree returns δ = maxᵢ deg(i); 0 for the empty graph.
 func (g *G) MaxDegree() int {
-	max := 0
-	for _, d := range g.deg {
-		if d > max {
-			max = d
-		}
+	delta := 0
+	for i := 0; i < g.n; i++ {
+		delta = max(delta, g.Degree(i))
 	}
-	return max
+	return delta
 }
 
 // IsRegular reports whether every node has degree δ = MaxDegree(): the
@@ -240,7 +236,7 @@ func (g *G) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
 	}
-	a := g.adj[u]
+	a := g.Neighbors(u)
 	k := sort.SearchInts(a, v)
 	return k < len(a) && a[k] == v
 }
@@ -258,7 +254,7 @@ func (g *G) IsConnected() bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if !seen[v] {
 				seen[v] = true
 				count++
@@ -275,8 +271,8 @@ func (g *G) IsConnected() bool {
 // in the paper.
 func (g *G) Laplacian() *matrix.Dense {
 	l := matrix.NewDense(g.n, g.n)
-	for i, d := range g.deg {
-		l.Set(i, i, float64(d))
+	for i := 0; i < g.n; i++ {
+		l.Set(i, i, float64(g.Degree(i)))
 	}
 	for _, e := range g.edges {
 		l.Set(e.U, e.V, -1)
@@ -286,15 +282,18 @@ func (g *G) Laplacian() *matrix.Dense {
 }
 
 // Subgraph returns the graph on the same node set containing only the edges
-// for which keep returns true. Used by the dynamic-network generators.
+// for which keep returns true. keep is called exactly once per edge, in
+// Edges() order, which is what keeps the dynamic-network generators' RNG
+// streams fixed. The kept edges are already canonical and sorted, so they
+// go straight to the CSR constructor.
 func (g *G) Subgraph(name string, keep func(Edge) bool) *G {
-	b := NewBuilder(name, g.n)
+	edges := make([]Edge, 0, len(g.edges))
 	for _, e := range g.edges {
 		if keep(e) {
-			b.AddEdge(e.U, e.V)
+			edges = append(edges, e)
 		}
 	}
-	return b.MustFinish()
+	return fromEdges(name, g.n, edges)
 }
 
 // String implements fmt.Stringer.
