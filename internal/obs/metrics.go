@@ -61,14 +61,64 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram: cumulative-style exposition over
 // explicit upper bounds, an implicit +Inf bucket, and an exact sum/count.
-// Observe is a binary search plus two atomic adds (three with the CAS'd
-// float sum) — cheap enough to run per round in a live daemon.
+// Observe is a table lookup plus two atomic adds (three with the CAS'd
+// float sum); ObserveAll folds a whole vector with one atomic add per
+// non-empty bucket — cheap enough to run per round in a live daemon.
 type Histogram struct {
-	bounds  []float64 // sorted upper bounds, +Inf excluded
+	bounds []float64 // sorted upper bounds, +Inf excluded
+	// expLo and start map a finite v ≥ 0 to where its bucket search
+	// begins: start[0] serves binary exponents below expLo (zero, and
+	// anything under the smallest positive bound's octave), start[j] the
+	// exponent expLo+j-1, and the last entry every exponent above the
+	// largest finite bound's. Spanning only the bounds' exponents keeps
+	// the table small: 20 entries for ExpBuckets(1, 2, 18).
+	expLo   int
+	start   []int32
 	counts  []atomic.Uint64
 	inf     atomic.Uint64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
+}
+
+// newHistogram returns a histogram over the sorted upper bounds b.
+func newHistogram(b []float64) *Histogram {
+	lo, hi := -1, -1 // exponent fields of the smallest and largest finite positive bound
+	for _, v := range b {
+		if v > 0 && !math.IsInf(v, 1) {
+			if e := expField(v); lo < 0 {
+				lo, hi = e, e
+			} else {
+				hi = e
+			}
+		}
+	}
+	h := &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)), expLo: lo}
+	h.start = append(h.start, int32(sort.SearchFloat64s(b, 0)))
+	if lo >= 0 {
+		// The least value with exponent field e is 2^(e-1023), or +0 for
+		// e = 0; e = 2047 gives +Inf.
+		for e := lo; e <= hi+1; e++ {
+			h.start = append(h.start, int32(sort.SearchFloat64s(b, math.Float64frombits(uint64(e)<<52))))
+		}
+	}
+	return h
+}
+
+// expField returns the biased binary exponent of v, sign excluded.
+func expField(v float64) int { return int(math.Float64bits(v) >> 52 & 0x7ff) }
+
+// bucket returns the index of the first bound ≥ v, len(bounds) for the
+// +Inf bucket: sort.SearchFloat64s(bounds, v), by way of the exponent
+// table and a forward scan within v's octave.
+func (h *Histogram) bucket(v float64) int {
+	if !(v >= 0) { // negative or NaN
+		return sort.SearchFloat64s(h.bounds, v)
+	}
+	i := int(h.start[min(max(expField(v)-h.expLo+1, 0), len(h.start)-1)])
+	for i < len(h.bounds) && h.bounds[i] < v {
+		i++
+	}
+	return i
 }
 
 // Observe records one sample.
@@ -76,9 +126,8 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	// First bucket whose bound is ≥ v (buckets are cumulative upper bounds).
-	i := sort.SearchFloat64s(h.bounds, v)
-	if i < len(h.bounds) {
+	// Buckets are cumulative upper bounds.
+	if i := h.bucket(v); i < len(h.bounds) {
 		h.counts[i].Add(1)
 	} else {
 		h.inf.Add(1)
@@ -89,6 +138,44 @@ func (h *Histogram) Observe(v float64) {
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
+		}
+	}
+}
+
+// ObserveAll records every sample of vs. Buckets, Count and Sum end up
+// exactly as after calling Observe on each value in order (the sum is
+// accumulated in slice order from the stored sum), but with one atomic
+// add per non-empty bucket. It does not allocate for up to 64 bounds.
+func (h *Histogram) ObserveAll(vs []float64) {
+	if h == nil || len(vs) == 0 {
+		return
+	}
+	var local [65]uint64
+	tally := local[:]
+	if len(h.bounds) >= len(local) {
+		tally = make([]uint64, len(h.bounds)+1)
+	}
+	old := h.sumBits.Load()
+	sum := math.Float64frombits(old)
+	for _, v := range vs {
+		tally[h.bucket(v)]++
+		sum += v
+	}
+	for i := range h.bounds {
+		if tally[i] != 0 {
+			h.counts[i].Add(tally[i])
+		}
+	}
+	if c := tally[len(h.bounds)]; c != 0 {
+		h.inf.Add(c)
+	}
+	h.count.Add(uint64(len(vs)))
+	for !h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
+		// Another observer moved the sum: redo the fold on its value.
+		old = h.sumBits.Load()
+		sum = math.Float64frombits(old)
+		for _, v := range vs {
+			sum += v
 		}
 	}
 }
@@ -251,7 +338,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	sort.Float64s(b)
-	s := &series{labels: labels, hist: &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b))}}
+	s := &series{labels: labels, hist: newHistogram(b)}
 	f.series = append(f.series, s)
 	return s.hist
 }

@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +90,126 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// checkHistogram asserts that the bucket lookup over bounds agrees with
+// sort.SearchFloat64s on every value of vs, and that ObserveAll leaves the
+// bucket counts, Count and Sum bit-identical to looping Observe, both from
+// an empty histogram and from one already holding a sum. A NaN or
+// infinite sample pins every later sum to NaN or ±Inf, so the samples of
+// moderate size get a comparison of their own.
+func checkHistogram(t *testing.T, bounds, vs []float64) {
+	t.Helper()
+	h := newHistogram(bounds)
+	var moderate []float64
+	for _, v := range vs {
+		if got, want := h.bucket(v), sort.SearchFloat64s(bounds, v); got != want {
+			t.Fatalf("bounds %v: bucket(%v) = %d, want %d", bounds, v, got, want)
+		}
+		if math.Abs(v) < 1e300 {
+			moderate = append(moderate, v)
+		}
+	}
+	for _, sample := range [][]float64{vs, moderate} {
+		one, all := newHistogram(bounds), newHistogram(bounds)
+		for pass := 0; pass < 2; pass++ {
+			for _, v := range sample {
+				one.Observe(v)
+			}
+			all.ObserveAll(sample)
+			for i := range bounds {
+				if a, b := one.counts[i].Load(), all.counts[i].Load(); a != b {
+					t.Fatalf("bounds %v, pass %d: bucket %d holds %d after ObserveAll, %d after Observe", bounds, pass, i, b, a)
+				}
+			}
+			if a, b := one.inf.Load(), all.inf.Load(); a != b {
+				t.Fatalf("bounds %v, pass %d: +Inf bucket holds %d after ObserveAll, %d after Observe", bounds, pass, b, a)
+			}
+			if one.Count() != all.Count() {
+				t.Fatalf("pass %d: Count %d after ObserveAll, %d after Observe", pass, all.Count(), one.Count())
+			}
+			if a, b := math.Float64bits(one.Sum()), math.Float64bits(all.Sum()); a != b {
+				t.Fatalf("pass %d: Sum %v (%#x) after ObserveAll, %v (%#x) after Observe", pass, all.Sum(), b, one.Sum(), a)
+			}
+		}
+	}
+}
+
+// TestHistogramBucket: the exponent-table bucket lookup is
+// sort.SearchFloat64s on negative, subnormal, duplicated, infinite and NaN
+// bounds, at every bound, its neighbours, ±0, subnormals, ±Inf and NaN;
+// ObserveAll matches looping Observe bit for bit and does not allocate.
+func TestHistogramBucket(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	boundSets := [][]float64{
+		ExpBuckets(1, 2, 18),
+		ExpBuckets(1e-4, 4, 14),
+		ExpBuckets(1e-6, 4, 14),
+		ExpBuckets(0.001, 10, 64),
+		ExpBuckets(1, 1.01, 300),
+		{-1e300, -1, -sub, 0, sub, 1e-310, 2.2250738585072014e-308, 1, 1e300},
+		{-3, -2, -1},
+		{math.Copysign(0, -1), 0, 0, 1, 1, 1, 2},
+		{sub, 2 * sub, 3 * sub},
+		{0.5, 0.75, 1, math.Inf(1)},
+		{math.MaxFloat64},
+		{math.NaN(), 1, 2},
+		{0},
+		nil,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, bounds := range boundSets {
+		bounds = append([]float64(nil), bounds...)
+		sort.Float64s(bounds)
+		vs := []float64{0, math.Copysign(0, -1), sub, -sub, 3 * sub, 1e-310, 2.2250738585072014e-308,
+			math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, 1, 1.5, 1e6}
+		for _, b := range bounds {
+			vs = append(vs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)), -b)
+		}
+		for i := 0; i < 200; i++ {
+			vs = append(vs, math.Ldexp(rng.Float64(), rng.Intn(80)-40), -rng.ExpFloat64())
+		}
+		checkHistogram(t, bounds, vs)
+	}
+
+	h := newHistogram(ExpBuckets(1, 2, 64))
+	vs := make([]float64, 1024)
+	for i := range vs {
+		vs[i] = 1000 * rng.Float64()
+	}
+	if a := testing.AllocsPerRun(10, func() { h.ObserveAll(vs) }); a != 0 {
+		t.Fatalf("ObserveAll with 64 bounds: %v allocations per call, want 0", a)
+	}
+}
+
+// floatsOf decodes b as little-endian float64 bit patterns (at most max).
+func floatsOf(b []byte, max int) []float64 {
+	var out []float64
+	for len(b) >= 8 && len(out) < max {
+		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		b = b[8:]
+	}
+	return out
+}
+
+// FuzzHistogramBucket: checkHistogram on arbitrary sorted bounds and
+// values, each given as raw float64 bit patterns.
+func FuzzHistogramBucket(f *testing.F) {
+	enc := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(enc(ExpBuckets(1, 2, 18)...), enc(0, 1, 1.5, 1000, 1e9, math.NaN()))
+	f.Add(enc(-1, 0, math.SmallestNonzeroFloat64, 1e-310, 1), enc(math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0.5, math.Inf(1)))
+	f.Add(enc(0, 0, math.Inf(1)), enc(math.Inf(-1), 0, 1e308))
+	f.Fuzz(func(t *testing.T, rawBounds, rawValues []byte) {
+		bounds := floatsOf(rawBounds, 128)
+		sort.Float64s(bounds)
+		checkHistogram(t, bounds, floatsOf(rawValues, 256))
+	})
+}
+
 func TestCollectFuncs(t *testing.T) {
 	r := NewRegistry()
 	n := 7.0
@@ -165,5 +289,20 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i&1023) / 100)
+	}
+}
+
+// BenchmarkHistogramObserveAll folds one round of lbserved's backlog
+// histogram: 2¹⁴ depths around 1000 into its 18 exponential buckets.
+func BenchmarkHistogramObserveAll(b *testing.B) {
+	h := newHistogram(ExpBuckets(1, 2, 18))
+	rng := rand.New(rand.NewSource(1))
+	vs := make([]float64, 1<<14)
+	for i := range vs {
+		vs[i] = 1000 * rng.Float64()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		h.ObserveAll(vs)
 	}
 }

@@ -39,16 +39,16 @@ func FuzzArriveBody(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		srv.mu.Lock()
-		before := slices.Clone(srv.pending)
-		srv.mu.Unlock()
+		srv.in.mu.Lock()
+		before := slices.Clone(srv.in.pending)
+		srv.in.mu.Unlock()
 
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/arrive", bytes.NewReader(body)))
 
-		srv.mu.Lock()
-		after := slices.Clone(srv.pending)
-		srv.mu.Unlock()
+		srv.in.mu.Lock()
+		after := slices.Clone(srv.in.pending)
+		srv.in.mu.Unlock()
 		if rec.Code != http.StatusAccepted {
 			if rec.Code < 400 || rec.Code > 499 {
 				t.Fatalf("status %d for %q, want 202 or 4xx", rec.Code, body)

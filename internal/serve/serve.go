@@ -8,13 +8,18 @@
 // the batch grid — the bridge between "production" traffic and the
 // paper's reproducible experiments.
 //
-// Concurrency model: one goroutine (Run's round loop) owns the session;
-// HTTP handlers only append to the pending arrival queue and read
-// metrics, both under a single mutex held for O(1) or O(n)-copy work —
-// never across a balancing round's floating-point chain. Arrivals are
-// injected mid-round (after the round's transfers, before the potential
-// is observed), exactly where the scenario engine injects, which is what
-// makes recorded traces replay exactly.
+// Concurrency model: two locks. The session lock (Server.mu) is held by
+// the round for its whole floating-point chain — Step, Inject, Commit,
+// recording and the metrics fold — and by the readers of the live session
+// (Metrics, drain, Close), so a GET /metrics waits at most one round. The
+// ingest lock (ingest.mu) guards only the pending arrival queue, the
+// draining flag and the round the queue will land in; POST /arrive and
+// /healthz take it alone, for O(1) work per arrival, and never wait
+// across a round. Each round takes the ingest lock once, to swap the
+// queue for an empty spare the server owns (lock order: session, then
+// ingest). Arrivals are injected mid-round (after the round's transfers,
+// before the potential is observed), exactly where the scenario engine
+// injects, which is what makes recorded traces replay exactly.
 package serve
 
 import (
@@ -25,8 +30,8 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -67,11 +72,13 @@ type Options struct {
 type Server struct {
 	opts Options
 
-	mu       sync.Mutex
-	sess     *core.Session
-	pending  []scenario.Arrival
-	draining bool
-	cursor   int // next Replay event to inject
+	mu     sync.Mutex // the session lock: held across each round
+	sess   *core.Session
+	in     ingest
+	spare  []scenario.Arrival // last round's queue, handed back empty at the next swap
+	batch  []scenario.Arrival // the round's arrivals: due replay events, then the queue
+	cursor int                // next Replay event to inject
+	rounds atomic.Int64       // committed rounds, for /healthz
 
 	arrivalsTotal int64
 	loadInjected  float64
@@ -80,6 +87,15 @@ type Server struct {
 	start         time.Time
 
 	addr net.Addr // set once Run is listening
+}
+
+// ingest is the state POST /arrive touches, under its own lock so that a
+// handler never waits for a round in progress.
+type ingest struct {
+	mu       sync.Mutex
+	pending  []scenario.Arrival
+	draining bool
+	landing  int // the round index that will inject pending
 }
 
 // Backlog summarizes the per-node queue depths.
@@ -154,8 +170,13 @@ func (s *Server) StepRound() (float64, error) {
 	defer s.mu.Unlock()
 
 	k := s.sess.Rounds() // this round's scenario index
-	var arrivals []scenario.Arrival
-	if !s.draining {
+	s.in.mu.Lock()
+	queued, draining := s.in.pending, s.in.draining
+	s.in.pending, s.in.landing = s.spare[:0], k+1
+	s.in.mu.Unlock()
+
+	arrivals := s.batch[:0]
+	if !draining {
 		for s.cursor < len(s.opts.Replay) && s.opts.Replay[s.cursor].Round <= k {
 			if e := s.opts.Replay[s.cursor]; e.Round == k {
 				arrivals = append(arrivals, scenario.Arrival{Node: e.Node, Amount: e.Amount})
@@ -163,8 +184,8 @@ func (s *Server) StepRound() (float64, error) {
 			s.cursor++
 		}
 	}
-	arrivals = append(arrivals, s.pending...)
-	s.pending = s.pending[:0]
+	arrivals = append(arrivals, queued...)
+	s.batch, s.spare = arrivals, queued
 
 	if err := s.sess.Step(); err != nil {
 		return 0, err
@@ -188,6 +209,7 @@ func (s *Server) StepRound() (float64, error) {
 	s.arrivalsTotal += int64(len(arrivals))
 	s.loadInjected += total
 	observeRound(phi, len(arrivals), total, s.sess.Loads())
+	s.rounds.Store(int64(k + 1))
 	if len(s.roundTimes) < cap(s.roundTimes) {
 		s.roundTimes = append(s.roundTimes, time.Now())
 	} else {
@@ -202,6 +224,9 @@ func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
 	sm := s.sess.Metrics()
 	loads := s.sess.Snapshot()
+	s.in.mu.Lock()
+	pending, draining := len(s.in.pending), s.in.draining
+	s.in.mu.Unlock()
 	m := Metrics{
 		Round:           sm.Rounds,
 		Phi:             sm.Phi,
@@ -214,19 +239,21 @@ func (s *Server) Metrics() Metrics {
 		RoundsPerSec:    s.roundsPerSecLocked(),
 		ArrivalsTotal:   s.arrivalsTotal,
 		LoadInjected:    s.loadInjected,
-		Pending:         len(s.pending),
+		Pending:         pending,
 		ReplayPending:   len(s.opts.Replay) - s.cursor,
-		Draining:        s.draining,
+		Draining:        draining,
 		UptimeSec:       time.Since(s.start).Seconds(),
 	}
 	s.mu.Unlock()
 
-	// The O(n log n) percentile work happens outside the lock, on the
-	// snapshot copy.
-	m.Backlog = backlog(loads)
+	// The O(n) quantile selection happens outside the lock, on the
+	// snapshot copy; a served node vector keeps its order, so selection
+	// then reorders a second copy.
 	if len(loads) <= 1024 {
 		m.Nodes = loads
+		loads = append([]float64(nil), loads...)
 	}
+	m.Backlog = backlog(loads)
 	return m
 }
 
@@ -254,31 +281,66 @@ func (s *Server) roundsPerSecLocked() float64 {
 	return float64(k-1) / span
 }
 
-// backlog computes the queue-depth summary of one load snapshot.
+// backlog computes the queue-depth summary of one load snapshot. It
+// reorders loads: the quantiles are selected in place, each the value the
+// sorted vector holds at that rank.
 func backlog(loads []float64) Backlog {
-	if len(loads) == 0 {
+	n := len(loads)
+	if n == 0 {
 		return Backlog{}
 	}
-	sorted := make([]float64, len(loads))
-	copy(sorted, loads)
-	sort.Float64s(sorted)
 	var sum float64
-	for _, v := range sorted {
+	for _, v := range loads {
 		sum += v
 	}
-	pick := func(q float64) float64 {
-		idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
+	rank := func(q float64) int { return max(int(math.Ceil(q*float64(n)))-1, 0) }
+	// Select from the top rank down: each selection leaves every smaller
+	// rank in the prefix before it, so the next one searches only that.
+	r99, r90, r50 := rank(0.99), rank(0.90), rank(0.50)
+	selectRank(loads, r99)
+	selectRank(loads[:r99+1], r90)
+	selectRank(loads[:r90+1], r50)
+	top := loads[r99]
+	for _, v := range loads[r99+1:] {
+		if less(top, v) {
+			top = v
 		}
-		return sorted[idx]
 	}
-	return Backlog{
-		Mean: sum / float64(len(sorted)),
-		P50:  pick(0.50),
-		P90:  pick(0.90),
-		P99:  pick(0.99),
-		Max:  sorted[len(sorted)-1],
+	return Backlog{Mean: sum / float64(n), P50: loads[r50], P90: loads[r90], P99: loads[r99], Max: top}
+}
+
+// less orders floats as sort.Float64s does: NaN first.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectRank reorders a so that a[k] holds the value sort.Float64s would
+// put there, with no larger value before it and no smaller one after
+// (Hoare's selection: the nth_element of C++).
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		p := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for less(a[i], p) {
+				i++
+			}
+			for less(p, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
 	}
 }
 
@@ -300,9 +362,10 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Metrics())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		round, draining := s.sess.Rounds(), s.draining
-		s.mu.Unlock()
+		s.in.mu.Lock()
+		draining := s.in.draining
+		s.in.mu.Unlock()
+		round := s.rounds.Load()
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "round": round, "draining": draining})
 	})
 	obs.RegisterDebug(mux, obs.Default())
@@ -356,25 +419,25 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	s.in.mu.Lock()
+	if s.in.draining {
+		s.in.mu.Unlock()
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining"})
 		return
 	}
-	if len(s.pending)+len(reqs) > maxPending {
-		queued := len(s.pending)
-		s.mu.Unlock()
+	if len(s.in.pending)+len(reqs) > maxPending {
+		queued := len(s.in.pending)
+		s.in.mu.Unlock()
 		mArrivalsRejected.Add(uint64(len(reqs)))
 		writeJSON(w, http.StatusTooManyRequests, map[string]string{
 			"error": fmt.Sprintf("arrival queue full: %d queued + %d arriving exceeds %d; retry after the next round", queued, len(reqs), maxPending)})
 		return
 	}
 	for _, a := range reqs {
-		s.pending = append(s.pending, scenario.Arrival{Node: a.Node, Amount: a.Amount})
+		s.in.pending = append(s.in.pending, scenario.Arrival{Node: a.Node, Amount: a.Amount})
 	}
-	round := s.sess.Rounds()
-	s.mu.Unlock()
+	round := s.in.landing
+	s.in.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, map[string]any{"queued": len(reqs), "round": round})
 }
 
@@ -460,7 +523,9 @@ func (s *Server) Run(ctx context.Context) error {
 // queued before the drain began are still injected — they were accepted.
 func (s *Server) drain() error {
 	s.mu.Lock()
-	s.draining = true
+	s.in.mu.Lock()
+	s.in.draining = true
+	s.in.mu.Unlock()
 	eps := s.sess.Config().Epsilon
 	target := eps * s.sess.Metrics().PeakPhi
 	if t := s.sess.Target(); t > target {

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,8 +208,12 @@ func TestHandlerIngest(t *testing.T) {
 		}
 	}
 
+	observed := mBacklog.Count()
 	if _, err := srv.StepRound(); err != nil {
 		t.Fatal(err)
+	}
+	if got := mBacklog.Count() - observed; got != 16 {
+		t.Fatalf("a round observed %d backlog depths, want one per node (16)", got)
 	}
 	var m Metrics
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -424,6 +434,159 @@ func TestPrometheusExposition(t *testing.T) {
 		"\nlbserved_backlog_depth_bucket{le=\"+Inf\"} "} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("exposition lacks %q", want)
+		}
+	}
+}
+
+// TestArriveRoundIsInjectionRound: while the round loop free-runs, every
+// 202's "round" names the round that injects the arrival — the round the
+// recording files it under. Each arrival carries a distinct amount, so
+// the recording identifies it. The graph is large enough (2¹² nodes) that
+// most requests land while a round is in progress.
+func TestArriveRoundIsInjectionRound(t *testing.T) {
+	const posters, requests = 4, 60
+	var recorded bytes.Buffer
+	rec := scenario.NewTraceWriter(&recorded)
+	cfg := testConfig(t)
+	cfg.Graph = graph.Hypercube(12)
+	cfg.Loads = make([]float64, cfg.Graph.N())
+	srv, err := New(Options{Config: cfg, Record: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var stop atomic.Bool
+	looped := make(chan error, 1)
+	go func() {
+		for !stop.Load() {
+			if _, err := srv.StepRound(); err != nil {
+				looped <- err
+				return
+			}
+		}
+		looped <- nil
+	}()
+
+	reported := make([]map[float64]int, posters) // amount → the 202's round
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		reported[p] = make(map[float64]int)
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for r := 0; r < requests; r++ {
+				a := float64(2*(p*requests+r) + 1) // this request's amounts: a and a+1
+				body := fmt.Sprintf(`[{"node":%d,"amt":%v},{"node":%d,"amt":%v}]`, r%16, a, (r+p)%16, a+1)
+				resp, err := http.Post(ts.URL+"/arrive", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var doc struct {
+					Round int `json:"round"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&doc)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted {
+					t.Errorf("POST %s: status %d, %v", body, resp.StatusCode, err)
+					return
+				}
+				reported[p][a], reported[p][a+1] = doc.Round, doc.Round
+			}
+		}(p)
+	}
+	wg.Wait()
+	stop.Store(true)
+	if err := <-looped; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.StepRound(); err != nil { // land what the loop left queued
+		t.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := scenario.ReadTrace(&recorded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := make(map[float64]int, len(events))
+	for _, e := range events {
+		landed[e.Amount] = e.Round
+	}
+	want := 2 * posters * requests
+	if len(events) != want || len(landed) != want {
+		t.Fatalf("recording holds %d events (%d distinct amounts), want %d", len(events), len(landed), want)
+	}
+	rounds := make(map[int]bool)
+	for _, byAmount := range reported {
+		for a, round := range byAmount {
+			if landed[a] != round {
+				t.Fatalf("arrival %v: 202 reported round %d, recorded at round %d", a, round, landed[a])
+			}
+			rounds[round] = true
+		}
+	}
+	t.Logf("%d arrivals landed across %d rounds", want, len(rounds))
+}
+
+// TestBacklogMatchesSortedPick: the selected P50/P90/P99/Max are the
+// values the sorted snapshot holds at those ranks, on random vectors with
+// many ties, and the mean is the node-order mean.
+func TestBacklogMatchesSortedPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(3000)
+		distinct := 1 + rng.Intn(2*n)
+		loads := make([]float64, n)
+		for i := range loads {
+			loads[i] = float64(rng.Intn(distinct)) * 0.5
+		}
+		var sum float64
+		for _, v := range loads {
+			sum += v
+		}
+		sorted := slices.Clone(loads)
+		slices.Sort(sorted)
+		pick := func(q float64) float64 { return sorted[max(int(math.Ceil(q*float64(n)))-1, 0)] }
+		want := Backlog{Mean: sum / float64(n), P50: pick(0.50), P90: pick(0.90), P99: pick(0.99), Max: sorted[n-1]}
+		if got := backlog(loads); got != want {
+			t.Fatalf("n=%d, %d distinct: backlog %+v, want %+v", n, distinct, got, want)
+		}
+		slices.Sort(loads)
+		if !slices.Equal(loads, sorted) {
+			t.Fatalf("n=%d: selection changed the multiset of loads", n)
+		}
+	}
+}
+
+// BenchmarkStepRound times one served round of continuous Algorithm 1 on
+// the 2¹⁴-node hypercube: Step, Inject (nothing queued), Commit and the
+// registry fold of every node's depth.
+func BenchmarkStepRound(b *testing.B) {
+	g := graph.Hypercube(14)
+	rng := rand.New(rand.NewSource(1))
+	loads := make([]float64, g.N())
+	for i := range loads {
+		loads[i] = 1000 * rng.Float64()
+	}
+	srv, err := New(Options{Config: core.Config{
+		Graph:     g,
+		Algorithm: core.Diffusion,
+		Mode:      core.Continuous,
+		Loads:     loads,
+		Epsilon:   1e-6,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := srv.StepRound(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
