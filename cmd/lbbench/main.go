@@ -71,8 +71,7 @@
 // own journal (-shard 2/3 -resume s2.jsonl -out s2.jsonl). -merge validates
 // the per-shard journals (same grid, no overlapping units) and reassembles
 // them into a report byte-identical to a single-process sweep, re-running
-// any units still missing. -shard also applies to experiment mode: each
-// shard process emits its owned subset of every experiment's rows.
+// any units still missing.
 //
 // -stream-agg switches to streaming-only aggregation: per-grid-cell
 // aggregates and per-dimension marginals are folded incrementally as cells
@@ -96,12 +95,11 @@
 // what -merge of those journals prints (with or without -stream-agg),
 // byte-identical to the single-process sweep. Interrupting the orchestrator
 // interrupts the children gracefully; re-running the same command resumes
-// every shard. -parallel applies per child. -launcher ssh|slurm runs the
-// attempts on remote hosts or a Slurm queue under the same supervision,
-// and -steal-after re-splits a stalled shard's unstarted units onto idle
-// slots. -emit-matrix github prints the planned split as a GitHub Actions
-// matrix include-list instead of running it, so the exact local split is
-// what CI executes.
+// every shard. -parallel applies per child. -launcher ssh runs the
+// attempts on remote hosts under the same supervision, and -steal-after
+// re-splits a stalled shard's unstarted units onto idle slots. -emit-matrix
+// github prints the planned split as a GitHub Actions matrix include-list
+// instead of running it, so the exact local split is what CI executes.
 //
 // One unit, by the key a sweep's error column or -trace-out span prints:
 //
@@ -113,9 +111,9 @@
 //
 // Exit codes: 0 success; 1 failed units or rendering; 2 usage/spec errors;
 // 3 interrupted or journal-close failure (resumable); 4 contradictory flag
-// combinations (e.g. -spawn with -shard, -resume without -out, -out or
-// -stream-agg without -grid or -merge); 5 shard or spawn counts out of
-// range.
+// combinations (e.g. -spawn with -shard, -resume without -out, -out,
+// -shard or -stream-agg without -grid or -merge); 5 shard or spawn counts
+// out of range.
 package main
 
 import (
@@ -166,7 +164,7 @@ func main() {
 
 		out        = flag.String("out", "", "grid: stream finished cells to this JSONL journal (a directory with -spawn; resumable with -resume)")
 		resume     = flag.String("resume", "", "grid: replay completed cells from this JSONL journal, re-run only the rest (requires -out)")
-		shard      = flag.String("shard", "", "run only shard i of m, format i/m (grid sweeps and experiment sweeps)")
+		shard      = flag.String("shard", "", "grid: run only shard i of m, format i/m")
 		units      = flag.String("units", "", "grid: restrict the run to the half-open unit window lo:hi of the expansion ('lo:' for the unbounded tail) — composes with -shard; how the work-stealing supervisor assigns stolen sub-ranges")
 		origin     = flag.String("origin", "", "grid: record this provenance string in the -out journal's header (the supervisor tags stolen sub-range journals)")
 		merge      = flag.String("merge", "", "grid: comma-separated per-shard JSONL journals to merge into one report (instead of -resume)")
@@ -273,7 +271,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lbbench: -round-workers auto needs a grid shape to tune from — pass a number in experiment mode")
 			os.Exit(exitUsage)
 		}
-		code = runExperiments(*exp, *seed, *quick, *csv, gridDef.Parallel, rw, shardI, shardM)
+		code = runExperiments(*exp, *seed, *quick, *csv, gridDef.Parallel, rw)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
@@ -315,8 +313,8 @@ func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge
 		return fmt.Sprintf("unknown -emit-matrix %q (want github)", emitMatrix), exitUsage
 	case units != "" && !grid:
 		return "-units windows grid sweeps — pass -grid with the sweep's flags", exitConflict
-	case (out != "" || resume != "" || streamAgg) && !grid && merge == "":
-		return "-out, -resume and -stream-agg apply to grid sweeps — pass -grid with the sweep's flags, or -merge", exitConflict
+	case (out != "" || resume != "" || shard != "" || streamAgg) && !grid && merge == "":
+		return "-out, -resume, -shard and -stream-agg apply to grid sweeps — pass -grid with the sweep's flags, or -merge", exitConflict
 	case merge != "" && streamAgg && out != "":
 		return "-merge -stream-agg folds aggregates and journals nothing — drop -out, or drop -stream-agg to re-journal the merged cells", exitConflict
 	case origin != "" && out == "":
@@ -395,7 +393,7 @@ func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) in
 }
 
 // runExperiments is the classic per-experiment table mode.
-func runExperiments(exp string, seed int64, quick, csv bool, workers, roundWorkers, shardI, shardM int) int {
+func runExperiments(exp string, seed int64, quick, csv bool, workers, roundWorkers int) int {
 	var ids []string
 	if exp == "all" {
 		ids = experiments.IDs()
@@ -417,10 +415,7 @@ func runExperiments(exp string, seed int64, quick, csv bool, workers, roundWorke
 		return 2
 	}
 
-	opts := experiments.Options{
-		Seed: seed, Quick: quick, Workers: workers, RoundWorkers: roundWorkers,
-		ShardIndex: shardI, ShardCount: shardM,
-	}
+	opts := experiments.Options{Seed: seed, Quick: quick, Workers: workers, RoundWorkers: roundWorkers}
 	for _, id := range ids {
 		runner, _ := experiments.Lookup(id)
 		start := time.Now()

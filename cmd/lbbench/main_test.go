@@ -29,7 +29,6 @@ func TestCheckFlagCombos(t *testing.T) {
 		want int
 	}{
 		{"experiments", flags{}, 0},
-		{"experiments shard", flags{shard: "0/3"}, 0},
 		{"grid", flags{grid: true}, 0},
 		{"grid journal", flags{grid: true, out: "x.jsonl"}, 0},
 		{"grid resume in place", flags{grid: true, resume: "x.jsonl", out: "x.jsonl"}, 0},
@@ -44,6 +43,7 @@ func TestCheckFlagCombos(t *testing.T) {
 		{"experiments out", flags{out: "x.jsonl"}, exitConflict},
 		{"experiments resume", flags{resume: "x.jsonl", out: "x.jsonl"}, exitConflict},
 		{"experiments stream-agg", flags{streamAgg: true}, exitConflict},
+		{"experiments shard", flags{shard: "0/3"}, exitConflict},
 		{"merge stream-agg out", flags{merge: "a.jsonl", streamAgg: true, out: "m.jsonl"}, exitConflict},
 		{"experiments units", flags{units: "0:4"}, exitConflict},
 		{"resume without out", flags{grid: true, resume: "x.jsonl"}, exitConflict},
@@ -71,6 +71,25 @@ func TestCheckFlagCombos(t *testing.T) {
 	}
 }
 
+// explainGrid is a 16-node torus grid over every algorithm, both modes and
+// four scenarios: 192 cells, each a key -explain must accept.
+func explainGrid() batch.Spec {
+	var algos []string
+	for _, a := range core.AlgorithmDescriptions() {
+		algos = append(algos, a[0])
+	}
+	return batch.Spec{
+		Topologies: []string{"torus"},
+		Algorithms: algos,
+		Modes:      []string{"continuous", "discrete"},
+		Workloads:  []string{"spike", "uniform"},
+		Scenarios:  []string{"static", "poisson-arrivals", "edge-churn", "adversarial-respike"},
+		Seeds:      []int64{1, 2},
+		N:          16,
+		MaxRounds:  64,
+	}
+}
+
 // TestExplainMatchesSweep runs grids through core.GridRun and explains
 // every cell by its key under the same run parameters: a failed cell must
 // give the same error, and any other cell the same Outcome bit for bit,
@@ -79,26 +98,13 @@ func TestCheckFlagCombos(t *testing.T) {
 // λ₂ is undefined but the sweep still runs its cells (zero rounds,
 // converged): explain must report them with a one-line spectral block.
 func TestExplainMatchesSweep(t *testing.T) {
-	var algos []string
-	for _, a := range core.AlgorithmDescriptions() {
-		algos = append(algos, a[0])
-	}
 	for _, tc := range []struct {
 		spec          batch.Spec
 		cells, failed int
 	}{
 		// firstorder and secondorder run continuous only: their 32
 		// discrete cells fail.
-		{batch.Spec{
-			Topologies: []string{"torus"},
-			Algorithms: algos,
-			Modes:      []string{"continuous", "discrete"},
-			Workloads:  []string{"spike", "uniform"},
-			Scenarios:  []string{"static", "poisson-arrivals", "edge-churn", "adversarial-respike"},
-			Seeds:      []int64{1, 2},
-			N:          16,
-			MaxRounds:  64,
-		}, 192, 32},
+		{explainGrid(), 192, 32},
 		{batch.Spec{
 			Topologies: []string{"hypercube", "path"},
 			Algorithms: []string{"diffusion"},

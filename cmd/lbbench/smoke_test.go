@@ -223,6 +223,8 @@ func TestBinaries(t *testing.T) {
 			"lbbench -grid -shard banana -out " + x:                                exitUsage,
 			"lbbench -grid -eps NaN -out " + x:                                     exitUsage,
 			"lbbench -grid -scale Inf -out " + x:                                   exitUsage,
+			"lbbench -exp E1 -quick -shard 0/3":                                    exitConflict,
+			"lbbench -grid -spawn 2 -launcher slurm -out " + x:                     exitUsage,
 			"lbbench -explain torus/diffusion/continuous/spike/s1 -grid -out " + x: exitConflict,
 			"lbbench -explain torus/diffusion/continuous/spike/s01":                exitUsage,
 			"lbbench -explain torus/firstorder/discrete/spike/s1":                  exitFailedUnits,

@@ -123,16 +123,6 @@ func (s Spec) Shard(i, m int) (Spec, error) {
 	return s, nil
 }
 
-// ShardOwns reports whether expansion index idx belongs to shard i of m —
-// the single assignment rule shared by the engine's unit filter and every
-// other harness (the experiments suite) that fans work out by index.
-func ShardOwns(idx, i, m int) bool {
-	if m <= 1 {
-		return true
-	}
-	return idx%m == i
-}
-
 // Range returns a copy of s restricted to expansion indices in the
 // half-open window [lo, hi); hi == 0 leaves the upper end unbounded. The
 // window composes with the shard fields: a ranged shard owns the indices
@@ -158,7 +148,7 @@ func (s Spec) Owns(idx int) bool {
 	if idx < s.UnitLo || (s.UnitHi > 0 && idx >= s.UnitHi) {
 		return false
 	}
-	return ShardOwns(idx, s.ShardIndex, s.ShardCount)
+	return s.ShardCount <= 1 || idx%s.ShardCount == s.ShardIndex
 }
 
 // WithDefaults returns s with the documented defaults filled in — the spec

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -258,31 +257,6 @@ func TestSpecValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-func TestForEachDeterministicRNGStreams(t *testing.T) {
-	draw := func(workers int) []int64 {
-		out := make([]int64, 32)
-		batch.ForEach(context.Background(), len(out), workers, 99, func(i int, rng *rand.Rand) error {
-			out[i] = rng.Int63()
-			return nil
-		})
-		return out
-	}
-	serial := draw(1)
-	pooled := draw(8)
-	for i := range serial {
-		if serial[i] != pooled[i] {
-			t.Fatalf("stream %d differs between worker counts", i)
-		}
-	}
-	distinct := map[int64]bool{}
-	for _, v := range serial {
-		distinct[v] = true
-	}
-	if len(distinct) != len(serial) {
-		t.Fatal("per-index RNG streams are not independent")
 	}
 }
 

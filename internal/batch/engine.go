@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -13,41 +12,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/topoparse"
 )
-
-// ForEach runs body(i, rng) for every i in [0, n) across at most workers
-// goroutines (GOMAXPROCS when ≤ 0), handing indices out dynamically so
-// wildly uneven unit costs cannot idle the pool. Each index gets its own
-// deterministic RNG stream derived from seed, so results are identical for
-// any worker count. A body that panics is captured as that index's error; a
-// context cancellation marks every not-yet-started index with ctx.Err().
-// Either way the remaining units keep the pool draining — one bad unit
-// never wedges the run. The returned slice has one entry per index (nil on
-// success).
-func ForEach(ctx context.Context, n, workers int, seed int64, body func(i int, rng *rand.Rand) error) []error {
-	return forEach(ctx, n, workers, func(i int) error {
-		return body(i, rand.New(rand.NewSource(parallel.DeriveSeed(seed, i))))
-	})
-}
-
-// forEach is ForEach without the per-index RNG, for callers (the grid
-// runner) that derive their own streams and should not pay for an unused
-// generator per unit.
-func forEach(ctx context.Context, n, workers int, body func(i int) error) []error {
-	errs := make([]error, n)
-	parallel.ForDynamic(n, workers, func(i int) {
-		if ctx != nil && ctx.Err() != nil {
-			errs[i] = ctx.Err()
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("batch: unit %d panicked: %v", i, r)
-			}
-		}()
-		errs[i] = body(i)
-	})
-	return errs
-}
 
 // Outcome is what a RunFunc reports for one completed unit.
 type Outcome struct {

@@ -95,7 +95,7 @@ func TestShardDisjointExhaustive6D(t *testing.T) {
 			}
 			count := 0
 			for _, u := range all {
-				if batch.ShardOwns(u.Index, i, m) {
+				if sharded.Owns(u.Index) {
 					if prev, dup := owner[u.Index]; dup {
 						t.Fatalf("m=%d: unit %d owned by shards %d and %d", m, u.Index, prev, i)
 					}

@@ -70,10 +70,16 @@ func TestShardOwnershipDisjointExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []int{1, 2, 3, 5, len(units), len(units) + 31} {
+		shards := make([]batch.Spec, m)
+		for i := range shards {
+			if shards[i], err = okSpec().Shard(i, m); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for idx := range units {
 			owners := 0
-			for i := 0; i < m; i++ {
-				if batch.ShardOwns(idx, i, m) {
+			for _, s := range shards {
+				if s.Owns(idx) {
 					owners++
 				}
 			}
@@ -172,7 +178,7 @@ func TestShardedResumeAfterKill(t *testing.T) {
 	}
 	shardRep, err := batch.Resume(context.Background(), sharded, func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
 		calls.Add(1)
-		if !batch.ShardOwns(u.Index, 1, m) {
+		if !sharded.Owns(u.Index) {
 			t.Errorf("resumed shard ran foreign unit %d", u.Index)
 		}
 		return fakeRun(u, g, loads, algoSeed)

@@ -11,13 +11,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
-	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -28,25 +27,16 @@ type Options struct {
 	// Quick shrinks parameter sweeps (fewer sizes, fewer repetitions) so a
 	// run finishes in benchmark-friendly time.
 	Quick bool
-	// Workers is the batch-engine pool width used to fan an experiment's
-	// parameter sweep out across goroutines (≤ 0 selects GOMAXPROCS).
-	// Results are identical for any value: every sweep cell draws from its
-	// own RNG stream derived from Seed and the cell index.
+	// Workers is the pool width used to fan an experiment's parameter
+	// sweep out across goroutines (≤ 0 selects GOMAXPROCS). Results are
+	// identical for any value: every sweep cell draws from its own RNG
+	// stream derived from Seed and the cell index.
 	Workers int
 	// RoundWorkers is the round-level worker count handed to the runs an
 	// experiment drives through core (≤ 0 means serial rounds). Like
 	// Workers it is a pure scheduling knob: tables are byte-identical for
 	// any value.
 	RoundWorkers int
-	// ShardIndex/ShardCount restrict every sweep to the cells this process
-	// owns, under the batch engine's assignment rule (cell i runs iff
-	// i % ShardCount == ShardIndex). Foreign cells never run and their rows
-	// are omitted, so m processes running the same experiment with shards
-	// 0..m-1 emit disjoint row subsets that together form the full table —
-	// the experiment-harness face of sharded sweeps. ShardCount ≤ 1 means
-	// unsharded. Cell RNG streams derive from the cell index alone, so a
-	// cell's row is bit-identical whether computed sharded or not.
-	ShardIndex, ShardCount int
 }
 
 func (o Options) seed() int64 {
@@ -56,25 +46,15 @@ func (o Options) seed() int64 {
 	return o.Seed
 }
 
-// sweep fans body(i, rng) over every cell index in [0, n) through the batch
-// engine's worker pool. Each cell gets an independent deterministic RNG
-// stream, so tables no longer depend on a shared generator's visit order —
-// or on Workers. Callers collect per-cell row values inside body and emit
-// them in index order afterwards; a cell panic is re-raised here once the
-// rest of the sweep has drained.
+// sweep fans body(i, rng) over every cell index in [0, n) across Workers
+// goroutines. Each cell gets an independent deterministic RNG stream
+// derived from Seed and i, so tables do not depend on a shared generator's
+// visit order — or on Workers. Callers collect per-cell row values inside
+// body and emit them in index order afterwards.
 func (o Options) sweep(n int, body func(i int, rng *rand.Rand)) {
-	errs := batch.ForEach(context.Background(), n, o.Workers, o.seed(), func(i int, rng *rand.Rand) error {
-		if !batch.ShardOwns(i, o.ShardIndex, o.ShardCount) {
-			return nil // another shard's cell: its process computes the row
-		}
-		body(i, rng)
-		return nil
+	parallel.ForDynamic(n, o.Workers, func(i int) {
+		body(i, rand.New(rand.NewSource(parallel.DeriveSeed(o.seed(), i))))
 	})
-	for _, err := range errs {
-		if err != nil {
-			panic(err)
-		}
-	}
 }
 
 // balance runs cfg through core.Balance — the Session every grid sweep and

@@ -170,42 +170,6 @@ func TestA2IncreasingOrderCleanQuick(t *testing.T) {
 	}
 }
 
-// TestShardedExperimentRowsPartitionTheTable: m shard processes running the
-// same experiment must emit disjoint row subsets whose union — in order —
-// is exactly the unsharded table, with every owned row bit-identical (cell
-// RNG streams derive from the cell index, not from which process ran it).
-func TestShardedExperimentRowsPartitionTheTable(t *testing.T) {
-	r, ok := Lookup("E1")
-	if !ok {
-		t.Fatal("E1 missing")
-	}
-	full := r(Options{Seed: 42, Quick: true})
-
-	const m = 3
-	var gathered [][]string
-	for i := 0; i < m; i++ {
-		part := r(Options{Seed: 42, Quick: true, ShardIndex: i, ShardCount: m})
-		if len(part.Rows) >= len(full.Rows) {
-			t.Fatalf("shard %d emitted %d rows — no restriction applied", i, len(part.Rows))
-		}
-		gathered = append(gathered, part.Rows...)
-	}
-	if len(gathered) != len(full.Rows) {
-		t.Fatalf("shards emitted %d rows total, want %d", len(gathered), len(full.Rows))
-	}
-	// Each full row must appear exactly once across shards, byte-identical.
-	seen := map[string]int{}
-	for _, row := range gathered {
-		seen[strings.Join(row, "|")]++
-	}
-	for _, row := range full.Rows {
-		key := strings.Join(row, "|")
-		if seen[key] != 1 {
-			t.Fatalf("row %q appears %d times across shards, want exactly once", key, seen[key])
-		}
-	}
-}
-
 // quickCSVDigest is the md5 of `lbbench -exp all -quick -csv` (seed 1).
 const quickCSVDigest = "750c1213ca3150cf628db9045f0d7955"
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -327,7 +328,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // Histogram returns the registered histogram for (name, labels) with the
 // given upper bounds, creating it on first use (the bounds of an existing
-// series are kept).
+// series are kept). NaN, +Inf and repeated bounds are dropped: each would
+// expose a bad or duplicate le series beside the implicit +Inf bucket.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -335,10 +337,14 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if s := f.find(labels); s != nil {
 		return s.hist
 	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
+	b := make([]float64, 0, len(bounds))
+	for _, v := range bounds {
+		if !math.IsNaN(v) && !math.IsInf(v, 1) {
+			b = append(b, v)
+		}
+	}
 	sort.Float64s(b)
-	s := &series{labels: labels, hist: newHistogram(b)}
+	s := &series{labels: labels, hist: newHistogram(slices.Compact(b))}
 	f.series = append(f.series, s)
 	return s.hist
 }

@@ -90,6 +90,27 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramRegistrationBounds: a repeated, +Inf or NaN bound at
+// registration exposes neither a duplicate nor a NaN le series — exactly
+// one bucket line per distinct finite bound, plus the one +Inf bucket.
+func TestHistogramRegistrationBounds(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("x", "X.", []float64{1, 1, math.Inf(1), math.NaN()}).Observe(5)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if got := strings.Count(out, "x_bucket"); got != 2 {
+		t.Errorf("%d bucket lines, want 2:\n%s", got, out)
+	}
+	for _, want := range []string{`x_bucket{le="1"} 0` + "\n", `x_bucket{le="+Inf"} 1` + "\n"} {
+		if got := strings.Count(out, want); got != 1 {
+			t.Errorf("%q appears %d times, want once:\n%s", want, got, out)
+		}
+	}
+}
+
 // checkHistogram asserts that the bucket lookup over bounds agrees with
 // sort.SearchFloat64s on every value of vs, and that ObserveAll leaves the
 // bucket counts, Count and Sum bit-identical to looping Observe, both from

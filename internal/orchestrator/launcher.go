@@ -41,7 +41,7 @@ type Task struct {
 type Handle any
 
 // Launcher is one execution backend for shard attempts — local
-// subprocesses, ssh to a remote host, a Slurm queue. The supervisor
+// subprocesses or ssh to a remote host. The supervisor
 // schedules tasks onto launchers up to their slot capacity, waits for
 // attempts in their own goroutines, and periodically fetches journals home
 // so the one journal-tail progress protocol drives every backend.
@@ -55,7 +55,7 @@ type Handle any
 // scanners tolerate.
 type Launcher interface {
 	// Name identifies the backend instance in logs and provenance
-	// ("local", "ssh:host1", "slurm").
+	// ("local", "ssh:host1").
 	Name() string
 	// Slots is how many attempts this launcher runs concurrently; <= 0
 	// means unbounded.

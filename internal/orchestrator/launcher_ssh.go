@@ -13,7 +13,7 @@ import (
 
 // shellQuote quotes s for POSIX sh when it needs it (grid flag values are
 // alphanumeric lists, so mostly it does not — the quoting is for paths).
-// The ssh and Slurm launchers both hand lbbench argv to a remote shell.
+// The ssh launcher hands lbbench argv to a remote shell.
 func shellQuote(s string) string {
 	if s != "" && !strings.ContainsAny(s, " \t\n'\"\\$&|;<>()*?[]#~`{}!") {
 		return s

@@ -361,63 +361,6 @@ func TestSSHLauncherSignalKillsByRemotePid(t *testing.T) {
 	}
 }
 
-// TestSlurmLauncher drives the submit/poll/cancel protocol against stub
-// sbatch/squeue/scancel: the job id round-trips from --parsable output to
-// scancel, Wait returns when the job leaves the queue, and non-kill signals
-// go through scancel -s.
-func TestSlurmLauncher(t *testing.T) {
-	dir := t.TempDir()
-	record := func(name, extra string) []string {
-		return stubCommand(t, `printf '%s\n' "$*" > `+shellQuote(filepath.Join(dir, name))+`
-`+extra)
-	}
-	l := &SlurmLauncher{
-		Sbatch: record("sbatch.args", `echo "42;cluster"`),
-		// First poll: still in the queue. Later polls: gone.
-		Squeue: record("squeue.args", `marker=`+shellQuote(filepath.Join(dir, "polled"))+`
-if [ ! -f "$marker" ]; then touch "$marker"; echo "42 lb-s0 RUNNING"; fi`),
-		Scancel: record("scancel.args", ""),
-		Remote:  "lbbench",
-		Poll:    10 * time.Millisecond,
-	}
-	task := &Task{Journal: filepath.Join(dir, "shard-0.jsonl"), Label: "s0"}
-	h, err := l.Launch(context.Background(), task, []string{"-shard", "0/2", "-out", task.Journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbatch, err := os.ReadFile(filepath.Join(dir, "sbatch.args"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"--job-name lb-s0", "--error " + task.Journal + ".stderr", "lbbench -shard 0/2"} {
-		if !strings.Contains(string(sbatch), want) {
-			t.Fatalf("sbatch args %q missing %q", sbatch, want)
-		}
-	}
-	if err := l.Signal(h, syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := os.ReadFile(filepath.Join(dir, "scancel.args")); strings.TrimSpace(string(b)) != "-s 2 42" {
-		t.Fatalf("scancel args %q, want '-s 2 42'", b)
-	}
-	if err := l.Signal(h, syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := os.ReadFile(filepath.Join(dir, "scancel.args")); strings.TrimSpace(string(b)) != "42" {
-		t.Fatalf("plain-kill scancel args %q, want '42'", b)
-	}
-	done := make(chan error, 1)
-	go func() { done <- l.Wait(h) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Wait did not return after the job left the queue")
-	}
-}
-
 func TestShellQuote(t *testing.T) {
 	cases := map[string]string{
 		"plain":        "plain",

@@ -14,10 +14,6 @@ type Policy struct {
 	MaxRetries int
 	// Interval is the journal poll period (default 1s).
 	Interval time.Duration
-	// StallAfter is how long a running task's journal may sit unchanged
-	// before a stall warning (default 60s). Warnings are per stall episode,
-	// not per poll.
-	StallAfter time.Duration
 	// StealAfter enables work stealing: a running task whose journal has
 	// not moved for this long is declared dead weight — the supervisor
 	// kills it, carves its unstarted unit range into sub-shards and
@@ -26,6 +22,10 @@ type Policy struct {
 	// the pre-Launcher orchestrator.
 	StealAfter time.Duration
 }
+
+// stallWarnAfter is how long a running task's journal may sit unchanged
+// before a stall warning. Warnings are per stall episode, not per poll.
+const stallWarnAfter = 60 * time.Second
 
 // fetchInterval throttles Launcher.FetchJournal during the poll loop:
 // remote backends pay a round trip per fetch, so journals are pulled home
@@ -40,9 +40,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Interval <= 0 {
 		p.Interval = time.Second
-	}
-	if p.StallAfter <= 0 {
-		p.StallAfter = 60 * time.Second
 	}
 	return p
 }

@@ -37,13 +37,13 @@ func countSteal(backend string) {
 // Supervisor executes a Plan across one or more Launchers — local
 // subprocesses (all sharing the inherited environment; point
 // LB_SPECCACHE_DIR at a directory first and the children share
-// eigensolves), ssh hosts or a Slurm queue — supervised until every task's
-// journal is complete. A task that dies — crash, OOM kill, SIGKILL, lost
-// host — is restarted with -resume against its own journal, up to
-// Policy.MaxRetries times, with every restart reported loudly; the journals
-// make restarts cheap (only the dead task's missing units re-run). While tasks run, the supervisor tails their journals
-// (fetching them home first on remote backends) and renders task-aware
-// progress to Log.
+// eigensolves) or ssh hosts — supervised until every task's journal is
+// complete. A task that dies — crash, OOM kill, SIGKILL, lost host — is
+// restarted with -resume against its own journal, up to Policy.MaxRetries
+// times, with every restart reported loudly; the journals make restarts
+// cheap (only the dead task's missing units re-run). While tasks run, the
+// supervisor tails their journals (fetching them home first on remote
+// backends) and renders task-aware progress to Log.
 //
 // With Policy.StealAfter set the supervisor is elastic: a task whose
 // journal stops moving for that long, or that dies past its retry cap, has
@@ -407,10 +407,10 @@ func (r *run) poll() {
 			t.state = schedStealing
 			continue
 		}
-		if t.checkStall(now, r.pol.StallAfter) {
+		if t.checkStall(now, stallWarnAfter) {
 			countStall(t.launcher.Name())
 			r.s.Tracer.Instant("stall", "orchestrator", t.tid, map[string]any{"task": t.Label})
-			r.logf("task %s looks stalled: journal %s unchanged for %s", t.Label, t.Journal, r.pol.StallAfter)
+			r.logf("task %s looks stalled: journal %s unchanged for %s", t.Label, t.Journal, stallWarnAfter)
 		}
 	}
 	if line := r.render(now); line != r.lastLine {
@@ -557,9 +557,9 @@ func (r *run) handleExit(t *task, waitErr error) {
 		return
 	}
 	if waitErr == nil {
-		// A clean exit that left the journal short — a Slurm job that was
-		// preempted, a child killed in a way its launcher cannot see. The
-		// journal is the ground truth; treat it as a death.
+		// A clean exit that left the journal short — a child killed in a way
+		// its launcher cannot see. The journal is the ground truth; treat it
+		// as a death.
 		waitErr = fmt.Errorf("exited with an incomplete journal (%d/%d units)", p.Cells, t.Units)
 	}
 	if r.ctx.Err() != nil {
