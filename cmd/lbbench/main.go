@@ -22,11 +22,11 @@
 // The grid expands to topologies × algorithms × modes × workloads ×
 // scenarios × seeds run units, executes them across -parallel workers with
 // per-unit deterministic RNG streams, and emits one aggregated report
-// (table, csv or json). -round-workers {n|auto} additionally fans each
-// unit's rounds over n goroutines inside the stepper (node-level
-// parallelism — the lever for few huge cells, where unit fan-out cannot
-// help); auto splits GOMAXPROCS between the two levels from the grid
-// shape. Output is identical for any -parallel or -round-workers value.
+// (table, csv or json). When a grid has fewer units than cores and at
+// least batch.RoundParallelMinN nodes, the spare cores fan each unit's
+// rounds out inside the stepper (node-level parallelism — the lever for
+// few huge cells, where unit fan-out cannot help). Output is identical for
+// any -parallel value and any such split.
 //
 // Scenario sweeps (time-varying arrivals, adversarial spikes, topology
 // churn as a grid dimension):
@@ -158,7 +158,7 @@ func main() {
 		list  = flag.Bool("list", false, "list registered experiments, topologies, algorithms, modes, workloads and scenarios, then exit")
 
 		grid    = flag.Bool("grid", false, "run a declarative sweep grid instead of the experiment tables")
-		explain = flag.String("explain", "", "run the one sweep unit this key names (topology/algorithm/mode/workload/s<seed>[/scenario], as sweep errors and -trace-out spans print it) under -n, -scale, -eps, -rounds and -round-workers, and print its spectra, summary and Φ trace")
+		explain = flag.String("explain", "", "run the one sweep unit this key names (topology/algorithm/mode/workload/s<seed>[/scenario], as sweep errors and -trace-out spans print it) under -n, -scale, -eps and -rounds, and print its spectra, summary and Φ trace")
 		gridDef = cliflags.RegisterGrid(flag.CommandLine)
 		output  = cliflags.RegisterOutput(flag.CommandLine)
 
@@ -222,11 +222,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 		os.Exit(exitUsage)
 	}
-	rw, err := cliflags.ParseRoundWorkers(gridDef.RoundWorkers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-		os.Exit(exitUsage)
-	}
 	// Telemetry and profiling wrap the whole run. All of it is out-of-band —
 	// spans and profiles never touch stdout or a journal, so traced and
 	// untraced runs emit byte-identical reports.
@@ -267,11 +262,7 @@ func main() {
 	case *grid || *merge != "":
 		code = runGrid(gf)
 	default:
-		if rw < 0 {
-			fmt.Fprintln(os.Stderr, "lbbench: -round-workers auto needs a grid shape to tune from — pass a number in experiment mode")
-			os.Exit(exitUsage)
-		}
-		code = runExperiments(*exp, *seed, *quick, *csv, gridDef.Parallel, rw)
+		code = runExperiments(*exp, *seed, *quick, *csv, gridDef.Parallel)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
@@ -393,7 +384,7 @@ func runSpawn(f gridFlags, m int, emitMatrix string, launch *cliflags.Launch) in
 }
 
 // runExperiments is the classic per-experiment table mode.
-func runExperiments(exp string, seed int64, quick, csv bool, workers, roundWorkers int) int {
+func runExperiments(exp string, seed int64, quick, csv bool, workers int) int {
 	var ids []string
 	if exp == "all" {
 		ids = experiments.IDs()
@@ -415,7 +406,7 @@ func runExperiments(exp string, seed int64, quick, csv bool, workers, roundWorke
 		return 2
 	}
 
-	opts := experiments.Options{Seed: seed, Quick: quick, Workers: workers, RoundWorkers: roundWorkers}
+	opts := experiments.Options{Seed: seed, Quick: quick, Workers: workers}
 	for _, id := range ids {
 		runner, _ := experiments.Lookup(id)
 		start := time.Now()
@@ -557,7 +548,6 @@ func runSweep(spec batch.Spec, f gridFlags) int {
 			hdr.ShardIndex, hdr.ShardCount = 0, 0
 			hdr.UnitLo, hdr.UnitHi = 0, 0
 			hdr.Workers = f.grid.Parallel
-			hdr.RoundWorkers, _ = cliflags.ParseRoundWorkers(f.grid.RoundWorkers)
 			if f.shardM > 0 {
 				if hdr, err = hdr.Shard(f.shardI, f.shardM); err != nil {
 					fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)

@@ -223,6 +223,10 @@ func TestBinaries(t *testing.T) {
 			"lbbench -grid -shard banana -out " + x:                                exitUsage,
 			"lbbench -grid -eps NaN -out " + x:                                     exitUsage,
 			"lbbench -grid -scale Inf -out " + x:                                   exitUsage,
+			"lbbench -grid -n -16 -out " + x:                                       exitUsage,
+			"lbbench -grid -scale -1 -out " + x:                                    exitUsage,
+			"lbbench -grid -rounds -5 -out " + x:                                   exitUsage,
+			"lbbench -grid -round-workers 2 -out " + x:                             exitUsage,
 			"lbbench -exp E1 -quick -shard 0/3":                                    exitConflict,
 			"lbbench -grid -spawn 2 -launcher slurm -out " + x:                     exitUsage,
 			"lbbench -explain torus/diffusion/continuous/spike/s1 -grid -out " + x: exitConflict,
@@ -232,6 +236,8 @@ func TestBinaries(t *testing.T) {
 			"lbserved -addr 127.0.0.1:-1 -hz NaN":                                  exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -hz -5":                                   exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -hz 1e-10":                                exitUsage,
+			"lbserved -addr 127.0.0.1:-1 -n -5":                                    exitUsage,
+			"lbserved -addr 127.0.0.1:-1 -round-workers 2":                         exitUsage,
 		} {
 			if _, stderr, code := run(t, strings.Fields(argv)...); code != want {
 				t.Errorf("%s: exit %d, want %d (%s)", argv, code, want, stderr)

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -82,23 +81,10 @@ func run() int {
 		drainRounds  = fs.Int("drain-rounds", 4096, "graceful-drain round budget")
 		telemetry    = fs.String("telemetry", "", "serve /metrics/prom and /debug/pprof/* on a second listener at this address (they are also on -addr; empty = off)")
 	)
-	var roundWorkersFlag string
-	cliflags.RegisterRoundWorkers(fs, &roundWorkersFlag)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return exitUsage
 	}
 	logger := log.New(os.Stderr, "lbserved: ", log.LstdFlags)
-
-	// The daemon runs one hot session, so "auto" means the round loop gets
-	// every core — there is no unit-level fan-out to share them with.
-	roundWorkers, err := cliflags.ParseRoundWorkers(roundWorkersFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-		return exitUsage
-	}
-	if roundWorkers < 0 {
-		roundWorkers = runtime.GOMAXPROCS(0)
-	}
 
 	if !(*hz >= 0) || math.IsInf(*hz, 1) {
 		fmt.Fprintf(os.Stderr, "lbserved: bad -hz %v (want a finite rate ≥ 0; 0 free-runs)\n", *hz)
@@ -131,6 +117,10 @@ func run() int {
 		return exitUsage
 	}
 	g := graphs[strings.ToLower(strings.TrimSpace(*topo))]
+	// The daemon's one session is a one-unit sweep: the tuner keeps its
+	// rounds serial below batch.RoundParallelMinN nodes and gives them
+	// every core above it.
+	_, roundWorkers := batch.TuneWorkers(1, g.N(), runtime.GOMAXPROCS(0))
 
 	alg, err := core.ParseAlgorithm(*algo)
 	if err != nil {

@@ -93,17 +93,9 @@ type Spec struct {
 	// are recorded in journal headers like the shard fields.
 	UnitLo int `json:"unit_lo,omitempty"`
 	UnitHi int `json:"unit_hi,omitempty"`
-	// Workers sets the unit-level pool width (≤ 0 selects GOMAXPROCS). It
-	// affects scheduling only: results are identical for any value.
+	// Workers sets the unit-level pool width (≤ 0 lets WorkerSplit pick
+	// it). It affects scheduling only: results are identical for any value.
 	Workers int `json:"-"`
-	// RoundWorkers is the round-level worker count inside every unit's
-	// stepper: 0 (the default) runs rounds serially, > 0 pins that many
-	// workers per unit, < 0 asks the auto-tuner to split GOMAXPROCS
-	// between unit-level and round-level fan-out from the grid shape (see
-	// WorkerSplit). Like Workers it affects scheduling only — results are
-	// byte-identical for any value — so it is excluded from journal
-	// headers and grid-identity checks.
-	RoundWorkers int `json:"-"`
 }
 
 // Shard returns a copy of s restricted to shard i of m. The assignment
@@ -259,16 +251,29 @@ func (s Spec) Validate() error {
 	return err
 }
 
+// validParams rejects run parameters the defaults would otherwise paper
+// over: withDefaults replaces a −Inf or a negative count as it does 0, so
+// these checks run first. Zero keeps its "default" meaning.
+func (s Spec) validParams() error {
+	switch {
+	case math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale < 0:
+		return fmt.Errorf("batch: scale %v must be finite and ≥ 0 (0 = default)", s.Scale)
+	case math.IsNaN(s.Epsilon) || math.IsInf(s.Epsilon, 0) || s.Epsilon >= 1:
+		return fmt.Errorf("batch: epsilon %v must be finite and below 1", s.Epsilon)
+	case s.N < 0:
+		return fmt.Errorf("batch: node count %d must be ≥ 0 (0 = default)", s.N)
+	case s.MaxRounds < 0:
+		return fmt.Errorf("batch: round cap %d must be ≥ 0 (0 = default)", s.MaxRounds)
+	}
+	return nil
+}
+
 // Expand validates spec and produces the exhaustive, duplicate-free unit
 // list in deterministic nested order (topology, algorithm, mode, workload,
 // scenario, seed — the last dimension varying fastest).
 func Expand(spec Spec) ([]Unit, error) {
-	// Before the defaults, which would replace a −Inf as they do 0.
-	switch {
-	case math.IsNaN(spec.Scale) || math.IsInf(spec.Scale, 0):
-		return nil, fmt.Errorf("batch: scale %v must be finite", spec.Scale)
-	case math.IsNaN(spec.Epsilon) || math.IsInf(spec.Epsilon, 0) || spec.Epsilon >= 1:
-		return nil, fmt.Errorf("batch: epsilon %v must be finite and below 1", spec.Epsilon)
+	if err := spec.validParams(); err != nil {
+		return nil, err
 	}
 	spec = spec.withDefaults()
 	if err := spec.validShard(); err != nil {

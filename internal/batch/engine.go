@@ -93,8 +93,8 @@ func runSink(ctx context.Context, spec Spec, run RunFunc, sink Sink, replay map[
 		cells = make([]Cell, len(units))
 	}
 	// The unit pool width comes from the resolved hybrid split, so a
-	// round-parallel sweep (RoundWorkers auto, few huge cells) narrows the
-	// pool instead of stacking both levels of fan-out.
+	// round-parallel sweep (few huge cells) narrows the pool instead of
+	// stacking both levels of fan-out.
 	unitWorkers, _ := spec.WorkerSplit()
 	var seq *sequencer
 	if sink != nil {
@@ -162,6 +162,9 @@ var builtGraphs sync.Map // "name|n" → *graph.G
 // to side effects (truncating a journal file) without paying for the
 // construction twice.
 func BuildGraphs(spec Spec) (map[string]*graph.G, error) {
+	if err := spec.validParams(); err != nil {
+		return nil, err
+	}
 	spec = spec.withDefaults()
 	names, err := normalize("topology", spec.Topologies)
 	if err != nil {

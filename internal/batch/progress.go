@@ -19,9 +19,6 @@ type JournalProgress struct {
 	// empty shard, or a shard killed before its first cell — has Specs but
 	// zero Cells.
 	Specs []Spec
-	// Origins are the provenance strings recorded alongside the headers,
-	// parallel to Specs ("" for headers written without one).
-	Origins []string
 	// Cells counts the complete, decodable cell lines; Failed how many of
 	// them carry an error (failed or cancelled units).
 	Cells  int
@@ -118,7 +115,6 @@ func (t *JournalTailer) Scan() (JournalProgress, error) {
 			return t.p, nil
 		case header != nil:
 			t.p.Specs = append(t.p.Specs, *header.Spec)
-			t.p.Origins = append(t.p.Origins, header.Origin)
 		default:
 			t.p.Cells++
 			if c.Err != "" {

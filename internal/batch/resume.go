@@ -18,9 +18,6 @@ type Journal struct {
 	// concatenated, empty for headerless journals. Resume uses them to
 	// refuse journals whose run parameters don't match the resuming spec.
 	Specs []Spec
-	// Origins are the provenance strings recorded alongside the headers,
-	// parallel to Specs ("" for headers written without one).
-	Origins []string
 	// Cells are the recovered cells, in journal order.
 	Cells []Cell
 	// Dropped counts the non-empty lines discarded as corrupt/truncated.
@@ -47,7 +44,6 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 			return j, nil
 		case header != nil:
 			j.Specs = append(j.Specs, *header.Spec)
-			j.Origins = append(j.Origins, header.Origin)
 		default:
 			j.Cells = append(j.Cells, c)
 		}

@@ -255,8 +255,8 @@ func TestMergeRejectsOverlappingStolenRanges(t *testing.T) {
 	}
 }
 
-// TestJournalOriginProvenance: a sink's Origin lands in the header, reads
-// back through every scan path, and never perturbs identity — an
+// TestJournalOriginProvenance: a sink's Origin lands in the header, every
+// scan path reads past it, and it never perturbs identity — an
 // origin-free journal keeps its exact legacy bytes, and journals that
 // differ only in origin still merge.
 func TestJournalOriginProvenance(t *testing.T) {
@@ -282,22 +282,13 @@ func TestJournalOriginProvenance(t *testing.T) {
 		t.Fatal("origin annotation leaked past the header line")
 	}
 
+	// Every scan path still reads the annotated line as the spec header.
 	j, err := batch.ReadJournal(bytes.NewReader(annotated.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(j.Specs) != 1 || j.Dropped != 0 {
+		t.Fatalf("ReadJournal: %d specs, %d dropped, err %v", len(j.Specs), j.Dropped, err)
 	}
-	if len(j.Origins) != 1 || j.Origins[0] != "ssh:host1:s0:attempt2" {
-		t.Fatalf("ReadJournal origins = %v", j.Origins)
-	}
-	if p := scanOnce(t, annotated.Bytes()); len(p.Origins) != 1 || p.Origins[0] != "ssh:host1:s0:attempt2" {
-		t.Fatalf("JournalTailer origins = %v", p.Origins)
-	}
-	jp, err := batch.ReadJournal(bytes.NewReader(plain.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jp.Origins) != 1 || jp.Origins[0] != "" {
-		t.Fatalf("plain journal origins = %v", jp.Origins)
+	if p := scanOnce(t, annotated.Bytes()); len(p.Specs) != 1 || p.Dropped != 0 {
+		t.Fatalf("JournalTailer: %d specs, %d dropped", len(p.Specs), p.Dropped)
 	}
 }
 
@@ -365,8 +356,8 @@ func TestJournalTailerPartialFetch(t *testing.T) {
 	if p.Cells != want.Cells || p.LastIndex != want.LastIndex || p.Torn || p.Dropped != 0 {
 		t.Fatalf("converged tally %+v, want %+v", p, want)
 	}
-	if len(p.Specs) != 1 || p.Origins[0] != "ssh:host1:s0" {
-		t.Fatalf("tailer header tally: specs=%d origins=%v", len(p.Specs), p.Origins)
+	if len(p.Specs) != 1 {
+		t.Fatalf("tailer header tally: specs=%d", len(p.Specs))
 	}
 	if !p.Done() {
 		t.Fatal("complete fetched journal not Done")
@@ -414,8 +405,15 @@ func TestJournalTailerShrinkResetAfterSteal(t *testing.T) {
 	if p.Cells != stolen.OwnedUnitCount() {
 		t.Fatalf("post-steal tally %d cells, want %d — shrink did not reset", p.Cells, stolen.OwnedUnitCount())
 	}
-	if len(p.Specs) != 1 || p.Specs[0].UnitLo != 50 || p.Origins[0] != "local:s1-steal-1" {
-		t.Fatalf("post-steal header tally: %+v origins=%v", p.Specs, p.Origins)
+	if len(p.Specs) != 1 || p.Specs[0].UnitLo != 50 {
+		t.Fatalf("post-steal header tally: %+v", p.Specs)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if header, _, _ := bytes.Cut(data, []byte("\n")); !bytes.Contains(header, []byte(`"origin":"local:s1-steal-1"`)) {
+		t.Fatalf("rewritten journal's header lacks the thief's origin: %s", header)
 	}
 	if !p.Done() {
 		t.Fatal("rewritten sub-range journal not Done against its own header")

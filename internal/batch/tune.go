@@ -38,31 +38,19 @@ func TuneWorkers(units, n, procs int) (unitWorkers, roundWorkers int) {
 // WorkerSplit resolves the spec's effective (unit-level, round-level)
 // worker widths — the single place both the engine's pool and the run
 // body's stepper configuration read, so the two levels never claim the
-// machine twice. RoundWorkers ≥ 0 is explicit (0 means serial rounds);
-// RoundWorkers < 0 engages TuneWorkers on the spec's own shard-owned unit
-// count and node size, with an explicit Workers width taking precedence
-// over the tuner's unit split.
+// machine twice. TuneWorkers picks both from the spec's own shard-owned
+// unit count and node size; an explicit Workers width takes precedence
+// for the pool, and the rounds get the cores it leaves over (serial below
+// RoundParallelMinN nodes).
 func (s Spec) WorkerSplit() (unitWorkers, roundWorkers int) {
 	s = s.withDefaults()
 	procs := runtime.GOMAXPROCS(0)
-	if s.RoundWorkers >= 0 {
-		unitWorkers = s.Workers
-		if unitWorkers <= 0 {
-			unitWorkers = procs
-		}
-		roundWorkers = s.RoundWorkers
-		if roundWorkers < 1 {
-			roundWorkers = 1
-		}
-		return unitWorkers, roundWorkers
+	if s.Workers <= 0 {
+		return TuneWorkers(s.OwnedUnitCount(), s.N, procs)
 	}
-	unitWorkers, roundWorkers = TuneWorkers(s.OwnedUnitCount(), s.N, procs)
-	if s.Workers > 0 {
-		unitWorkers = s.Workers
-		roundWorkers = procs / unitWorkers
-		if roundWorkers < 1 || s.N < RoundParallelMinN {
-			roundWorkers = 1
-		}
+	roundWorkers = procs / s.Workers
+	if roundWorkers < 1 || s.N < RoundParallelMinN {
+		roundWorkers = 1
 	}
-	return unitWorkers, roundWorkers
+	return s.Workers, roundWorkers
 }

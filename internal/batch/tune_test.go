@@ -1,6 +1,9 @@
 package batch
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestTuneWorkers(t *testing.T) {
 	cases := []struct {
@@ -52,7 +55,8 @@ func TestTuneWorkersNeverOversubscribes(t *testing.T) {
 	}
 }
 
-func TestWorkerSplitExplicitRoundWorkers(t *testing.T) {
+func TestWorkerSplitExplicitWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	spec := Spec{
 		Topologies: []string{"torus"},
 		Algorithms: []string{"diffusion"},
@@ -63,35 +67,37 @@ func TestWorkerSplitExplicitRoundWorkers(t *testing.T) {
 		Workers:    3,
 	}
 
-	// Default (RoundWorkers 0): steppers stay serial, pool width honored.
+	// Small n: the pool width is honored and the steppers stay serial.
 	u, r := spec.WorkerSplit()
 	if u != 3 || r != 1 {
-		t.Fatalf("default split = (%d, %d), want (3, 1)", u, r)
+		t.Fatalf("n=64 split = (%d, %d), want (3, 1)", u, r)
 	}
 
-	// Pinned: both knobs pass through untouched.
-	spec.RoundWorkers = 5
-	if u, r = spec.WorkerSplit(); u != 3 || r != 5 {
-		t.Fatalf("pinned split = (%d, %d), want (3, 5)", u, r)
+	// Big n: the pool width is still honored, and the rounds get the
+	// cores it leaves over.
+	spec.N, spec.Workers = RoundParallelMinN, 2
+	if u, r = spec.WorkerSplit(); u != 2 || r != 4 {
+		t.Fatalf("n=%d split at GOMAXPROCS 8 = (%d, %d), want (2, 4)", spec.N, u, r)
 	}
 }
 
 func TestWorkerSplitAutoTunes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	spec := Spec{
-		Topologies:   []string{"torus"},
-		Algorithms:   []string{"diffusion"},
-		Modes:        []string{"continuous"},
-		Workloads:    []string{"spike"},
-		N:            64,
-		Seeds:        []int64{1, 2, 3},
-		RoundWorkers: -1,
+		Topologies: []string{"torus"},
+		Algorithms: []string{"diffusion"},
+		Modes:      []string{"continuous"},
+		Workloads:  []string{"spike"},
+		N:          64,
+		Seeds:      []int64{1, 2, 3},
 	}
-	// Small n: auto must refuse round fan-out whatever the unit count.
-	u, r := spec.WorkerSplit()
-	if r != 1 {
-		t.Fatalf("auto split on n=64 gave %d round workers, want 1", r)
+	// Small n: the tuner refuses round fan-out whatever the unit count.
+	if u, r := spec.WorkerSplit(); u != 3 || r != 1 {
+		t.Fatalf("n=64 split = (%d, %d), want (3, 1)", u, r)
 	}
-	if u < 1 {
-		t.Fatalf("auto split gave %d unit workers", u)
+	// Big n, fewer units than cores: the spare cores go to the rounds.
+	spec.N = RoundParallelMinN
+	if u, r := spec.WorkerSplit(); u != 3 || r != 2 {
+		t.Fatalf("n=%d split at GOMAXPROCS 8 = (%d, %d), want (3, 2)", spec.N, u, r)
 	}
 }

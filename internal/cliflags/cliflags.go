@@ -1,10 +1,10 @@
-// Package cliflags centralizes the lb* CLIs' flag surfaces — the sweep
-// grid's dimensions and run parameters, the report output knobs, the
-// orchestrator's launcher/policy flags (lbbench -spawn), lbbench's
-// telemetry and profiling flags, the -round-workers flag lbserved shares,
-// and the parsers behind them (seed lists, -round-workers, -shard i/m,
-// -units lo:hi). One registration point means a shared flag has one help
-// string and one parser, instead of drifting copies.
+// Package cliflags holds lbbench's flag surfaces — the sweep grid's
+// dimensions and run parameters, the report output knobs, the
+// orchestrator's launcher/policy flags (-spawn), the telemetry and
+// profiling flags, and the parsers behind them (seed lists, -shard i/m,
+// -units lo:hi). Grid mode, -explain and the -spawn orchestrator read the
+// same registrations, so a flag they share has one help string and one
+// parser, instead of drifting copies.
 package cliflags
 
 import (
@@ -36,19 +36,6 @@ func ParseSeeds(s string) ([]int64, error) {
 		out = append(out, x)
 	}
 	return out, nil
-}
-
-// ParseRoundWorkers parses a -round-workers value: a non-negative worker
-// count, or "auto" (encoded as −1) for the batch auto-tuner's split.
-func ParseRoundWorkers(s string) (int, error) {
-	if strings.EqualFold(strings.TrimSpace(s), "auto") {
-		return -1, nil
-	}
-	w, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil || w < 0 {
-		return 0, fmt.Errorf("bad -round-workers %q (want a non-negative count, or 'auto')", s)
-	}
-	return w, nil
 }
 
 // ErrShardRange marks a -shard value that parsed but names an impossible

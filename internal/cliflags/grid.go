@@ -14,7 +14,6 @@ type Grid struct {
 	Seeds                                 string
 	Scale, Eps                            float64
 	Rounds, Parallel                      int
-	RoundWorkers                          string
 }
 
 // RegisterGrid registers the sweep grid's dimension and run-parameter flags
@@ -32,42 +31,29 @@ func RegisterGrid(fs *flag.FlagSet) *Grid {
 	fs.Float64Var(&g.Scale, "scale", 1e6, "grid: load magnitude")
 	fs.Float64Var(&g.Eps, "eps", 1e-3, "grid: convergence target Φ ≤ ε·Φ⁰")
 	fs.IntVar(&g.Rounds, "rounds", 0, "grid: round cap per unit (0 = theorem-derived default)")
-	fs.IntVar(&g.Parallel, "parallel", 0, "worker-pool width for sweeps (0 = GOMAXPROCS)")
-	RegisterRoundWorkers(fs, &g.RoundWorkers)
+	fs.IntVar(&g.Parallel, "parallel", 0, "worker-pool width for sweeps (0 = GOMAXPROCS; a grid with fewer units than cores gives the spare ones to its rounds)")
 	return g
 }
 
-// RegisterRoundWorkers registers the one -round-workers flag every lb* CLI
-// presents (lbbench through RegisterGrid, lbserved directly):
-// parse the value with ParseRoundWorkers.
-func RegisterRoundWorkers(fs *flag.FlagSet, v *string) {
-	fs.StringVar(v, "round-workers", "1", "round-level workers inside every stepper's node loops: a number, or 'auto' to fan out over all cores (grid sweeps split GOMAXPROCS between unit- and round-level work from the grid shape; results are byte-identical for any value)")
-}
-
-// Spec assembles the batch spec the parsed flags describe. Seed-list and
-// round-workers parse errors surface here, after flag.Parse.
+// Spec assembles the batch spec the parsed flags describe. Seed-list
+// parse errors surface here, after flag.Parse.
 func (g *Grid) Spec() (batch.Spec, error) {
 	seeds, err := ParseSeeds(g.Seeds)
 	if err != nil {
 		return batch.Spec{}, err
 	}
-	rw, err := ParseRoundWorkers(g.RoundWorkers)
-	if err != nil {
-		return batch.Spec{}, err
-	}
 	return batch.Spec{
-		Topologies:   SplitList(g.Topos),
-		Algorithms:   SplitList(g.Algos),
-		Modes:        SplitList(g.Modes),
-		Workloads:    SplitList(g.Loads),
-		Scenarios:    SplitList(g.Scenarios),
-		Seeds:        seeds,
-		N:            g.N,
-		Scale:        g.Scale,
-		Epsilon:      g.Eps,
-		MaxRounds:    g.Rounds,
-		Workers:      g.Parallel,
-		RoundWorkers: rw,
+		Topologies: SplitList(g.Topos),
+		Algorithms: SplitList(g.Algos),
+		Modes:      SplitList(g.Modes),
+		Workloads:  SplitList(g.Loads),
+		Scenarios:  SplitList(g.Scenarios),
+		Seeds:      seeds,
+		N:          g.N,
+		Scale:      g.Scale,
+		Epsilon:    g.Eps,
+		MaxRounds:  g.Rounds,
+		Workers:    g.Parallel,
 	}, nil
 }
 

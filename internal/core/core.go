@@ -153,7 +153,7 @@ type Config struct {
 	// node/pair loops over this many goroutines (default 1 = serial;
 	// results are byte-identical for any value). It is a per-run knob,
 	// distinct from the batch engine's unit-level pool width — see
-	// batch.Spec.RoundWorkers for how grid sweeps split GOMAXPROCS
+	// batch.Spec.WorkerSplit for how grid sweeps split GOMAXPROCS
 	// between the two levels.
 	Workers int
 	// Scenario drives time-varying arrivals and topology churn between

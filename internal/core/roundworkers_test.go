@@ -168,29 +168,34 @@ func TestRoundWorkersScenarioByteIdentity(t *testing.T) {
 // TestGridReportRoundWorkersByteIdentity mirrors the engine's unit-level
 // w1-vs-w8 determinism check one level down: an entire grid sweep —
 // including dynamic-scenario units — serializes to byte-identical JSON
-// whether the steppers inside ran serial or fanned out over 7 round
-// workers (and regardless of how the two levels are combined, auto included).
+// whether the tuner kept the steppers serial (GOMAXPROCS 1) or fanned them
+// out over 8 or 4 round workers beside a unit pool of 1 or 2.
 func TestGridReportRoundWorkersByteIdentity(t *testing.T) {
 	spec := batch.Spec{
-		Topologies: []string{"cycle", "torus", "hypercube"},
+		Topologies: []string{"torus", "hypercube"},
 		Algorithms: []string{"diffusion", "dimexchange", "randpair", "roundrobin"},
 		Modes:      []string{"continuous", "discrete"},
 		Workloads:  []string{"spike"},
 		Scenarios:  []string{"static", "edge-churn:0.2"},
-		N:          32,
-		Seeds:      []int64{1, 2},
+		N:          batch.RoundParallelMinN,
+		Seeds:      []int64{1},
 		Epsilon:    1e-2,
-		MaxRounds:  80,
+		MaxRounds:  8,
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ref []byte
-	for _, combo := range []struct{ w, rw int }{{1, 1}, {1, 7}, {2, 3}, {2, -1}} {
-		spec.Workers, spec.RoundWorkers = combo.w, combo.rw
+	for _, combo := range []struct{ procs, w, rw int }{{1, 1, 1}, {8, 1, 8}, {8, 2, 4}} {
+		runtime.GOMAXPROCS(combo.procs)
+		spec.Workers = combo.w
+		if _, rw := spec.WorkerSplit(); rw != combo.rw {
+			t.Fatalf("%+v: WorkerSplit gives %d round workers", combo, rw)
+		}
 		rep, err := GridRun(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Failed() > 0 {
-			t.Fatalf("workers=%v: %d units failed", combo, rep.Failed())
+			t.Fatalf("%+v: %d units failed", combo, rep.Failed())
 		}
 		data, err := json.Marshal(rep.Cells)
 		if err != nil {
@@ -201,7 +206,7 @@ func TestGridReportRoundWorkersByteIdentity(t *testing.T) {
 			continue
 		}
 		if string(data) != string(ref) {
-			t.Fatalf("workers=%+v: grid report differs from the serial sweep", combo)
+			t.Fatalf("%+v: grid report differs from the serial sweep", combo)
 		}
 	}
 }

@@ -38,13 +38,13 @@ func E11VsDimensionExchange(o Options) *trace.Table {
 	o.sweep(len(rows), func(i int, rng *rand.Rand) {
 		g := suite[i]
 		cfg := core.Config{Graph: g, Loads: workload.Continuous(workload.Spike, g.N(), 1e8, nil), Epsilon: eps}
-		diffRounds := o.roundsTo(cfg, maxRounds)
+		diffRounds := roundsTo(cfg, maxRounds)
 
 		var dimRounds []float64
 		cfg.Algorithm = core.DimensionExchange
 		for k := 0; k < reps; k++ {
 			cfg.Seed = rng.Int63()
-			dimRounds = append(dimRounds, float64(o.roundsTo(cfg, maxRounds)))
+			dimRounds = append(dimRounds, float64(roundsTo(cfg, maxRounds)))
 		}
 		s := stats.Summarize(dimRounds)
 		speedup := s.Mean / float64(diffRounds)
@@ -72,16 +72,16 @@ func E12VsFirstSecondOrder(o Options) *trace.Table {
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		g := suite[i]
 		cfg := core.Config{Graph: g, Loads: workload.Continuous(workload.Spike, g.N(), 1e8, nil), Epsilon: eps}
-		a1 := o.roundsTo(cfg, maxRounds)
+		a1 := roundsTo(cfg, maxRounds)
 		cfg.Algorithm = core.FirstOrder
-		fo := o.roundsTo(cfg, maxRounds)
+		fo := roundsTo(cfg, maxRounds)
 
 		gamma := math.NaN()
 		so := maxRounds + 1
 		if gm, err := speccache.Gamma(g); err == nil {
 			gamma = gm
 			cfg.Algorithm = core.SecondOrder
-			so = o.roundsTo(cfg, maxRounds)
+			so = roundsTo(cfg, maxRounds)
 		}
 		rows[i] = row{g.Name(), a1, fo, so, gamma}
 	})

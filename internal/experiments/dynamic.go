@@ -79,9 +79,9 @@ type dynamicRun struct {
 // a run-local speccache: sequences that revisit graphs pay for each
 // distinct one once, and the one-shot graphs of a churning sequence die
 // with the run instead of filling the process-wide cache.
-func (o Options) runDynamic(base *graph.G, seq dynamic.Sequence, mode core.Mode, target float64, maxRounds int) dynamicRun {
+func runDynamic(base *graph.G, seq dynamic.Sequence, mode core.Mode, target float64, maxRounds int) dynamicRun {
 	init := workload.Continuous(workload.Spike, base.N(), 1e9, nil)
-	s, err := core.Open(core.Config{Graph: base, Mode: mode, Loads: init, Workers: o.RoundWorkers})
+	s, err := core.Open(core.Config{Graph: base, Mode: mode, Loads: init})
 	if err != nil {
 		panic(err)
 	}
@@ -133,7 +133,7 @@ func E5DynamicContinuous(o Options) *trace.Table {
 	rows := make([]row, len(scenarios))
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		sc := scenarios[i]
-		res := o.runDynamic(base, sc.build(), core.Continuous, target, maxRounds)
+		res := runDynamic(base, sc.build(), core.Continuous, target, maxRounds)
 		bound := math.NaN()
 		ratio := math.NaN()
 		if res.ak > 0 {
@@ -169,9 +169,9 @@ func E6DynamicDiscrete(o Options) *trace.Table {
 		if maxRounds < pilotRounds {
 			pilotRounds = maxRounds
 		}
-		pilot := o.runDynamic(base, sc.build(), core.Discrete, 0, pilotRounds)
+		pilot := runDynamic(base, sc.build(), core.Discrete, 0, pilotRounds)
 		phiStar := dynamic.Theorem8Threshold(base.N(), pilot.stats)
-		res := o.runDynamic(base, sc.build(), core.Discrete, phiStar, maxRounds)
+		res := runDynamic(base, sc.build(), core.Discrete, phiStar, maxRounds)
 		bound := math.NaN()
 		ratio := math.NaN()
 		if res.ak > 0 && res.PhiStart > phiStar {

@@ -32,11 +32,6 @@ type Options struct {
 	// identical for any value: every sweep cell draws from its own RNG
 	// stream derived from Seed and the cell index.
 	Workers int
-	// RoundWorkers is the round-level worker count handed to the runs an
-	// experiment drives through core (≤ 0 means serial rounds). Like
-	// Workers it is a pure scheduling knob: tables are byte-identical for
-	// any value.
-	RoundWorkers int
 }
 
 func (o Options) seed() int64 {
@@ -58,11 +53,12 @@ func (o Options) sweep(n int, body func(i int, rng *rand.Rand)) {
 }
 
 // balance runs cfg through core.Balance — the Session every grid sweep and
-// lbserved also run on — capped at maxRounds rounds, on o.RoundWorkers
-// round workers. The experiments build their configurations themselves, so
-// a rejected one is a programming error.
-func (o Options) balance(cfg core.Config, maxRounds int) core.Result {
-	cfg.MaxRounds, cfg.Workers = maxRounds, o.RoundWorkers
+// lbserved also run on — capped at maxRounds rounds, with serial rounds:
+// every graph the tables step is far below batch.RoundParallelMinN. The
+// experiments build their configurations themselves, so a rejected one is
+// a programming error.
+func balance(cfg core.Config, maxRounds int) core.Result {
+	cfg.MaxRounds = maxRounds
 	res, err := core.Balance(cfg)
 	if err != nil {
 		panic(err)
@@ -73,8 +69,8 @@ func (o Options) balance(cfg core.Config, maxRounds int) core.Result {
 // roundsTo is balance reduced to the comparison tables' round count:
 // the rounds taken to reach the target, or maxRounds+1 when the cap was hit
 // first.
-func (o Options) roundsTo(cfg core.Config, maxRounds int) int {
-	if res := o.balance(cfg, maxRounds); res.Converged {
+func roundsTo(cfg core.Config, maxRounds int) int {
+	if res := balance(cfg, maxRounds); res.Converged {
 		return res.Rounds
 	}
 	return maxRounds + 1

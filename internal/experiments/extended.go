@@ -171,9 +171,9 @@ func A4OPSComparison(o Options) *trace.Table {
 			ops.Step()
 		}
 		cfg := core.Config{Graph: g, Loads: init, Epsilon: eps}
-		a1 := o.roundsTo(cfg, horizon)
+		a1 := roundsTo(cfg, horizon)
 		cfg.Algorithm = core.FirstOrder
-		fo := o.roundsTo(cfg, horizon)
+		fo := roundsTo(cfg, horizon)
 		rows[i] = row{g.Name(), ops.Rounds(), ops.Potential(), a1, fo}
 	})
 	emit(t, rows)
@@ -197,7 +197,7 @@ func A5SyncVsAsync(o Options) *trace.Table {
 	o.sweep(len(rows), func(i int, rng *rand.Rand) {
 		g := suite[i]
 		init := workload.Continuous(workload.Spike, g.N(), 1e6, nil)
-		sync := o.roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, horizon)
+		sync := roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, horizon)
 		asyncU := roundsToFraction(
 			async.New(g, init, async.UniformRandom, rand.New(rand.NewSource(rng.Int63()))), eps, horizon)
 		asyncR := roundsToFraction(

@@ -139,7 +139,7 @@ func E3ContinuousConvergence(o Options) *trace.Table {
 		lambda2 := speccache.MustLambda2(g)
 		init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
 		bound := diffusion.ContinuousBound(g, lambda2, eps)
-		rounds := o.roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, int(bound)+1)
+		rounds := roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, int(bound)+1)
 		rows[i] = row{g.Name(), lambda2, g.MaxDegree(), eps, rounds, bound, float64(rounds) / bound}
 	})
 	emit(t, rows)
@@ -158,7 +158,7 @@ func E4DiscreteConvergence(o Options) *trace.Table {
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		g := suite[i]
 		lambda2 := speccache.MustLambda2(g)
-		res, thr := o.discreteToThreshold(g, lambda2)
+		res, thr := discreteToThreshold(g, lambda2)
 		ratio := math.NaN()
 		if res.Bound > 0 {
 			ratio = float64(res.Rounds) / res.Bound
@@ -175,11 +175,11 @@ func E4DiscreteConvergence(o Options) *trace.Table {
 // round bound + 1. The Session raises a discrete run's target to that
 // threshold whenever ε·Φ⁰ lies below it, so a vanishing ε makes the
 // threshold the target exactly.
-func (o Options) discreteToThreshold(g *graph.G, lambda2 float64) (core.Result, float64) {
+func discreteToThreshold(g *graph.G, lambda2 float64) (core.Result, float64) {
 	init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
 	bound := diffusion.DiscreteBound(g, lambda2, load.Potential(init))
 	cfg := core.Config{Graph: g, Mode: core.Discrete, Loads: init, Epsilon: math.SmallestNonzeroFloat64}
-	return o.balance(cfg, int(bound)+1), diffusion.DiscreteThreshold(g, lambda2)
+	return balance(cfg, int(bound)+1), diffusion.DiscreteThreshold(g, lambda2)
 }
 
 // A1DiffusionFactor ablates the paper's transfer rule 1/(4·max(dᵢ,dⱼ))

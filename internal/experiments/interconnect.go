@@ -53,10 +53,10 @@ func E19Interconnects(o Options) *trace.Table {
 		// Continuous / Theorem 4.
 		init := workload.Continuous(workload.Spike, g.N(), 1e9, nil)
 		contBound := diffusion.ContinuousBound(g, lambda2, eps)
-		contRounds := o.roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, int(contBound)+1)
+		contRounds := roundsTo(core.Config{Graph: g, Loads: init, Epsilon: eps}, int(contBound)+1)
 
 		// Discrete / Theorem 6.
-		res, _ := o.discreteToThreshold(g, lambda2)
+		res, _ := discreteToThreshold(g, lambda2)
 		discRatio := math.NaN()
 		if res.Bound > 0 {
 			discRatio = float64(res.Rounds) / res.Bound

@@ -41,12 +41,10 @@ func E17ResidualScaling(o Options) *trace.Table {
 		tokens := workload.Discrete(workload.Spike, g.N(), int64(g.N())*1_000_000, nil)
 
 		a1 := diffusion.New(g, tokens)
-		a1.Workers = o.RoundWorkers
 		for k := 0; k < horizon && !a1.FixedPoint(); k++ {
 			a1.Step()
 		}
 		fos := diffusion.NewFirstOrder(g, tokens)
-		fos.Workers = o.RoundWorkers
 		for k := 0; k < horizon && !fos.FixedPoint(); k++ {
 			fos.Step()
 		}

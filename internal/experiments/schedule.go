@@ -44,7 +44,7 @@ func A8MatchingSchedule(o Options) *trace.Table {
 		cfg := core.Config{Graph: g, Algorithm: core.DimensionExchange, Loads: init, Epsilon: eps}
 		for k := 0; k < reps; k++ {
 			cfg.Seed = rng.Int63()
-			rnd = append(rnd, float64(o.roundsTo(cfg, horizon)))
+			rnd = append(rnd, float64(roundsTo(cfg, horizon)))
 		}
 		s := stats.Summarize(rnd)
 		rows[i] = row{g.Name(), rr.Sweep(), rrRounds, formatMeanSD(s), s.Mean / float64(rrRounds)}

@@ -103,15 +103,6 @@ func (p *Plan) GridArgs() []string {
 	if s.Workers > 0 {
 		args = append(args, "-parallel", strconv.Itoa(s.Workers))
 	}
-	// Round workers are a pure scheduling knob (results are byte-identical
-	// for any value), but the children should run the split the plan was
-	// made with; "auto" re-tunes per child against its own shard's shape.
-	switch {
-	case s.RoundWorkers < 0:
-		args = append(args, "-round-workers", "auto")
-	case s.RoundWorkers > 1:
-		args = append(args, "-round-workers", strconv.Itoa(s.RoundWorkers))
-	}
 	return args
 }
 

@@ -126,36 +126,3 @@ func TestShardArgsRoundTrip(t *testing.T) {
 		t.Fatalf("resume args missing -resume: %v", resumed)
 	}
 }
-
-// TestGridArgsRoundWorkers: the children must run the round-level split
-// the plan was made with — a pinned count passes through, auto re-tunes
-// per child, and the serial default stays off the command line (older
-// lbbench binaries would reject the unknown flag).
-func TestGridArgsRoundWorkers(t *testing.T) {
-	for _, c := range []struct {
-		rw   int
-		want string // "" = flag absent
-	}{
-		{0, ""},
-		{1, ""},
-		{6, "6"},
-		{-1, "auto"},
-	} {
-		spec := testSpec()
-		spec.RoundWorkers = c.rw
-		p, err := NewPlan(spec, 2, "d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		args := p.GridArgs()
-		got := ""
-		for i, a := range args {
-			if a == "-round-workers" && i+1 < len(args) {
-				got = args[i+1]
-			}
-		}
-		if got != c.want {
-			t.Fatalf("RoundWorkers=%d: -round-workers %q in %v, want %q", c.rw, got, args, c.want)
-		}
-	}
-}
