@@ -129,8 +129,8 @@ func printSpectra(w io.Writer, spec batch.Spec, g *graph.G) error {
 		return err
 	}
 	fmt.Fprintf(w, "λ₂           : %.8g (%s)\n", rep.Lambda2, rep.Method)
-	if cf, ok := graph.KnownLambda2(g); ok {
-		fmt.Fprintf(w, "λ₂ closed    : %.8g (Δ = %.2g)\n", cf, math.Abs(cf-rep.Lambda2))
+	if cf, ok := g.ClosedForm(); ok {
+		fmt.Fprintf(w, "λ₂ closed    : %.8g (Δ = %.2g)\n", cf.Lambda2, math.Abs(cf.Lambda2-rep.Lambda2))
 	}
 	if !math.IsNaN(rep.LambdaMax) {
 		fmt.Fprintf(w, "λ_max        : %.8g\n", rep.LambdaMax)

@@ -166,7 +166,6 @@ func main() {
 		resume     = flag.String("resume", "", "grid: replay completed cells from this JSONL journal, re-run only the rest (requires -out)")
 		shard      = flag.String("shard", "", "grid: run only shard i of m, format i/m")
 		units      = flag.String("units", "", "grid: restrict the run to the half-open unit window lo:hi of the expansion ('lo:' for the unbounded tail) — composes with -shard; how the work-stealing supervisor assigns stolen sub-ranges")
-		origin     = flag.String("origin", "", "grid: record this provenance string in the -out journal's header (the supervisor tags stolen sub-range journals)")
 		merge      = flag.String("merge", "", "grid: comma-separated per-shard JSONL journals to merge into one report (instead of -resume)")
 		cacheStats = flag.Bool("cache-stats", false, "print shared spectral-cache statistics to stderr on exit")
 
@@ -196,7 +195,7 @@ func main() {
 	// Contradictory flag combinations and nonsense counts are refused here,
 	// with their own exit codes, before any journal file could be created or
 	// truncated — a typo'd orchestration must never cost a partial journal.
-	if msg, code := checkFlagCombos(*grid, *spawn, *emitMatrix, *shard, *resume, *out, *merge, *units, *origin, output.StreamAgg, launch); code != 0 {
+	if msg, code := checkFlagCombos(*grid, *spawn, *emitMatrix, *shard, *resume, *out, *merge, *units, output.StreamAgg, launch); code != 0 {
 		fmt.Fprintf(os.Stderr, "lbbench: %s\n", msg)
 		os.Exit(code)
 	}
@@ -242,7 +241,7 @@ func main() {
 		grid:   gridDef,
 		format: output.Format, out: *out, resume: *resume,
 		shardI: shardI, shardM: shardM,
-		unitLo: unitLo, unitHi: unitHi, origin: *origin,
+		unitLo: unitLo, unitHi: unitHi,
 		merge:     cliflags.SplitList(*merge),
 		streamAgg: output.StreamAgg, gridSet: *grid,
 		tracer: tracer,
@@ -282,7 +281,7 @@ func main() {
 // checkFlagCombos rejects contradictory flag combinations (exitConflict)
 // and out-of-range counts (exitBadCount) up front. Returns code 0 when the
 // combination is coherent.
-func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge, units, origin string, streamAgg bool, launch *cliflags.Launch) (string, int) {
+func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge, units string, streamAgg bool, launch *cliflags.Launch) (string, int) {
 	switch {
 	case spawn < 0:
 		return fmt.Sprintf("-spawn %d: shard count must be positive", spawn), exitBadCount
@@ -308,8 +307,6 @@ func checkFlagCombos(grid bool, spawn int, emitMatrix, shard, resume, out, merge
 		return "-out, -resume, -shard and -stream-agg apply to grid sweeps — pass -grid with the sweep's flags, or -merge", exitConflict
 	case merge != "" && streamAgg && out != "":
 		return "-merge -stream-agg folds aggregates and journals nothing — drop -out, or drop -stream-agg to re-journal the merged cells", exitConflict
-	case origin != "" && out == "":
-		return "-origin annotates the -out journal's header — pass -out", exitConflict
 	case (launch.Launcher != "" && launch.Launcher != "local" || launch.Hosts != "" || launch.RemoteDir != "" || launch.StealAfter > 0) && spawn <= 0:
 		return "-launcher/-hosts/-remote-dir/-steal-after configure the orchestrator — pass -spawn m", exitConflict
 	case resume != "" && out == "":
@@ -469,9 +466,7 @@ type gridFlags struct {
 	// unitLo/unitHi are the parsed -units window (both zero when absent;
 	// unitHi zero for an unbounded tail).
 	unitLo, unitHi int
-	// origin is the -origin provenance string for the -out journal header.
-	origin    string
-	streamAgg bool
+	streamAgg      bool
 	// tracer records the sweep's spans when -trace-out is set (nil = off).
 	tracer *obs.Tracer
 	// gridSet records whether -grid was given explicitly (a bare -merge
@@ -614,9 +609,6 @@ func runSweep(spec batch.Spec, f gridFlags) int {
 			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
 			return 2
 		}
-		// Provenance lands in the journal's spec header (omitted when empty,
-		// keeping un-tagged journals byte-identical to older ones).
-		js.Origin = f.origin
 		// Error paths below exit non-zero anyway; the success paths close
 		// explicitly so a failed fsync can fail the run.
 		defer js.Close()

@@ -17,11 +17,11 @@ import (
 // the coherent ones pass.
 func TestCheckFlagCombos(t *testing.T) {
 	type flags struct {
-		grid                                                 bool
-		spawn                                                int
-		emitMatrix, shard, resume, out, merge, units, origin string
-		streamAgg                                            bool
-		launch                                               cliflags.Launch
+		grid                                         bool
+		spawn                                        int
+		emitMatrix, shard, resume, out, merge, units string
+		streamAgg                                    bool
+		launch                                       cliflags.Launch
 	}
 	cases := []struct {
 		name string
@@ -48,7 +48,6 @@ func TestCheckFlagCombos(t *testing.T) {
 		{"experiments units", flags{units: "0:4"}, exitConflict},
 		{"resume without out", flags{grid: true, resume: "x.jsonl"}, exitConflict},
 		{"merge with resume", flags{grid: true, merge: "a.jsonl", resume: "x.jsonl", out: "x.jsonl"}, exitConflict},
-		{"origin without out", flags{grid: true, origin: "o"}, exitConflict},
 		{"spawn without grid", flags{spawn: 3, out: "d"}, exitConflict},
 		{"spawn shard", flags{grid: true, spawn: 3, shard: "0/3", out: "d"}, exitConflict},
 		{"spawn resume", flags{grid: true, spawn: 3, resume: "x.jsonl", out: "d"}, exitConflict},
@@ -61,7 +60,7 @@ func TestCheckFlagCombos(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := c.f
-		msg, code := checkFlagCombos(f.grid, f.spawn, f.emitMatrix, f.shard, f.resume, f.out, f.merge, f.units, f.origin, f.streamAgg, &f.launch)
+		msg, code := checkFlagCombos(f.grid, f.spawn, f.emitMatrix, f.shard, f.resume, f.out, f.merge, f.units, f.streamAgg, &f.launch)
 		if code != c.want {
 			t.Errorf("%s: exit %d (%q), want %d", c.name, code, msg, c.want)
 		}

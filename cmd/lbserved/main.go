@@ -77,8 +77,8 @@ func run() int {
 		replayPath   = fs.String("replay", "", "arrival trace to replay (JSONL, see -record)")
 		speedup      = fs.String("speedup", "1x", "replay speed-up factor, e.g. 100x: multiplies -hz")
 		recordPath   = fs.String("record", "", "record every injected arrival to this JSONL trace (replayable via -replay or lbbench -scenarios trace:<file>)")
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain wall-clock budget")
-		drainRounds  = fs.Int("drain-rounds", 4096, "graceful-drain round budget")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain wall-clock budget (≥ 0; 0 means 30s)")
+		drainRounds  = fs.Int("drain-rounds", 4096, "graceful-drain round budget (≥ 0; 0 means 4096)")
 		telemetry    = fs.String("telemetry", "", "serve /metrics/prom and /debug/pprof/* on a second listener at this address (they are also on -addr; empty = off)")
 	)
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -88,6 +88,10 @@ func run() int {
 
 	if !(*hz >= 0) || math.IsInf(*hz, 1) {
 		fmt.Fprintf(os.Stderr, "lbserved: bad -hz %v (want a finite rate ≥ 0; 0 free-runs)\n", *hz)
+		return exitUsage
+	}
+	if *drainRounds < 0 || *drainTimeout < 0 {
+		fmt.Fprintf(os.Stderr, "lbserved: -drain-rounds %d and -drain-timeout %v must be ≥ 0 (0 = default)\n", *drainRounds, *drainTimeout)
 		return exitUsage
 	}
 	factor, err := parseSpeedup(*speedup)

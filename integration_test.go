@@ -131,7 +131,7 @@ func TestLambda2SolverAgreement(t *testing.T) {
 	// spectrum), implicit Lanczos, inverse-power CG, and the closed form.
 	for _, g := range []*graph.G{graph.Cycle(40), graph.Torus(5, 5), graph.Hypercube(5)} {
 		dense := spectral.MustLambda2(g)
-		closed, ok := graph.KnownLambda2(g)
+		cf, ok := g.ClosedForm()
 		if !ok {
 			t.Fatalf("%s: no closed form", g.Name())
 		}
@@ -151,7 +151,7 @@ func TestLambda2SolverAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, v := range map[string]float64{
-			"closed": closed, "lanczos": lan, "invpower": inv, "jacobi": jac[1],
+			"closed": cf.Lambda2, "lanczos": lan, "invpower": inv, "jacobi": jac[1],
 		} {
 			if math.Abs(v-dense) > 1e-6*(1+dense) {
 				t.Fatalf("%s: %s λ₂ %v disagrees with dense %v", g.Name(), name, v, dense)

@@ -240,8 +240,8 @@ func (u Unit) seedBase() int64 {
 	return int64(h.Sum64())
 }
 
-// Validate checks spec without running anything: Scale and Epsilon must be
-// finite and Epsilon below 1, every dimension must be non-empty and
+// Validate checks spec without running anything: N, Scale and MaxRounds
+// must be finite and ≥ 0 and Epsilon in [0, 1), every dimension must be non-empty and
 // duplicate-free after normalization, modes and workloads must parse, and
 // the seed list must not repeat — the same up-front rejection
 // Expand applies, exposed so CLIs can fail fast (before truncating a journal
@@ -252,14 +252,14 @@ func (s Spec) Validate() error {
 }
 
 // validParams rejects run parameters the defaults would otherwise paper
-// over: withDefaults replaces a −Inf or a negative count as it does 0, so
-// these checks run first. Zero keeps its "default" meaning.
+// over: withDefaults replaces a negative ε or count as it does 0, so these
+// checks run first. Zero keeps its "default" meaning.
 func (s Spec) validParams() error {
 	switch {
 	case math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) || s.Scale < 0:
 		return fmt.Errorf("batch: scale %v must be finite and ≥ 0 (0 = default)", s.Scale)
-	case math.IsNaN(s.Epsilon) || math.IsInf(s.Epsilon, 0) || s.Epsilon >= 1:
-		return fmt.Errorf("batch: epsilon %v must be finite and below 1", s.Epsilon)
+	case math.IsNaN(s.Epsilon) || s.Epsilon < 0 || s.Epsilon >= 1:
+		return fmt.Errorf("batch: epsilon %v must be in [0, 1) (0 = default)", s.Epsilon)
 	case s.N < 0:
 		return fmt.Errorf("batch: node count %d must be ≥ 0 (0 = default)", s.N)
 	case s.MaxRounds < 0:

@@ -245,6 +245,7 @@ func TestSpecValidate(t *testing.T) {
 		{"negative infinite scale", func(s *batch.Spec) { s.Scale = math.Inf(-1) }, "scale"},
 		{"NaN epsilon", func(s *batch.Spec) { s.Epsilon = math.NaN() }, "epsilon"},
 		{"negative infinite epsilon", func(s *batch.Spec) { s.Epsilon = math.Inf(-1) }, "epsilon"},
+		{"negative epsilon", func(s *batch.Spec) { s.Epsilon = -1 }, "epsilon"},
 		{"epsilon one", func(s *batch.Spec) { s.Epsilon = 1 }, "epsilon"},
 	}
 	for _, tc := range cases {

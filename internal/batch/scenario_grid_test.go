@@ -219,7 +219,8 @@ func TestMergeRefusesScenarioMismatch(t *testing.T) {
 // byte-identical to a fresh sweep's. This is the static-defaults
 // compatibility contract: old journals keep working, and new static
 // journals are byte-compatible with old readers because static cells
-// never emit a scenario key.
+// never emit a scenario key. The legacy header also carries the "origin"
+// provenance key older supervisors wrote; readers ignore it.
 func TestOldJournalCompat(t *testing.T) {
 	spec := okSpec() // scenario-free: defaults to ["static"]
 	full, err := batch.Resume(context.Background(), spec, fakeRun, nil, nil)
@@ -255,13 +256,15 @@ func TestOldJournalCompat(t *testing.T) {
 
 	// Handcraft the legacy journal: the header marshals a spec whose
 	// Scenarios field is nil (as an old binary would have written — no
-	// "scenarios" key), each cell marshals without a "scenario" key.
+	// "scenarios" key) plus an origin tag, each cell marshals without a
+	// "scenario" key.
 	legacyHeader := spec.WithDefaults()
 	legacyHeader.Scenarios = nil
 	var legacy bytes.Buffer
 	hdr, err := json.Marshal(struct {
-		Spec batch.Spec `json:"spec"`
-	}{Spec: legacyHeader})
+		Spec   batch.Spec `json:"spec"`
+		Origin string     `json:"origin"`
+	}{Spec: legacyHeader, Origin: "steal:s1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +293,15 @@ func TestOldJournalCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(journal.Cells) != len(full.Cells) || journal.Dropped != 0 {
-		t.Fatalf("legacy journal read back %d cells (%d dropped), want %d",
-			len(journal.Cells), journal.Dropped, len(full.Cells))
+	if len(journal.Cells) != len(full.Cells) || journal.Dropped != 0 || len(journal.Specs) != 1 {
+		t.Fatalf("legacy journal read back %d cells (%d dropped, %d headers), want %d",
+			len(journal.Cells), journal.Dropped, len(journal.Specs), len(full.Cells))
+	}
+	if merged, _, err := batch.ReadMergedJournals(path); err != nil || len(merged.Cells) != len(full.Cells) {
+		t.Fatalf("legacy journal merge: %v", err)
+	}
+	if p := scanOnce(t, legacy.Bytes()); p.Cells != len(full.Cells) || len(p.Specs) != 1 || !p.Done() {
+		t.Fatalf("JournalTailer on the legacy journal: %+v", p)
 	}
 	explicit := spec
 	explicit.Scenarios = []string{"static"}

@@ -44,13 +44,6 @@ type SpecWriter interface {
 type JSONLSink struct {
 	w      io.Writer
 	closer io.Closer
-	// Origin, when non-empty, is recorded in the journal's spec header as
-	// provenance — which launcher/host/attempt produced this journal. It is
-	// ignored by every identity check (resume, merge, progress), exists
-	// purely for humans and supervisors reading the file back, and is
-	// omitted entirely when unset, so unannotated journals keep their exact
-	// legacy bytes.
-	Origin string
 }
 
 // NewJSONLSink streams cells to w. Close does not close w.
@@ -91,15 +84,11 @@ func ReplaceJSONL(path string) (*JSONLSink, error) {
 }
 
 // specHeader is the journal's first line: the spec the cells were produced
-// under, plus optional provenance. Cells never carry a "spec" key, so the
-// reader can tell the two line shapes apart without a format version.
+// under. Cells never carry a "spec" key, so the reader can tell the two
+// line shapes apart without a format version. Unknown header keys, such as
+// the "origin" older journals carry, are ignored.
 type specHeader struct {
 	Spec *Spec `json:"spec"`
-	// Origin records which executor produced the journal (e.g.
-	// "local:s1:attempt2", "ssh:host1:s3-steal-1"). Absent when unset;
-	// readers that predate it ignore unknown keys, so annotated journals
-	// stay backward-readable.
-	Origin string `json:"origin,omitempty"`
 }
 
 // Spec writes the journal header line (implements SpecWriter). An
@@ -108,7 +97,7 @@ type specHeader struct {
 // engine versions and golden-journal comparisons keep holding.
 func (s *JSONLSink) Spec(spec Spec) error {
 	spec = spec.headerCanonical()
-	b, err := json.Marshal(specHeader{Spec: &spec, Origin: s.Origin})
+	b, err := json.Marshal(specHeader{Spec: &spec})
 	if err != nil {
 		return fmt.Errorf("batch: journal: marshal spec: %w", err)
 	}

@@ -117,13 +117,12 @@ func TestRangeCarveDisjointExhaustive(t *testing.T) {
 }
 
 // runJournal runs spec into a fresh JSONL journal at path.
-func runJournal(t *testing.T, spec batch.Spec, path, origin string) {
+func runJournal(t *testing.T, spec batch.Spec, path string) {
 	t.Helper()
 	sink, err := batch.CreateJSONL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.Origin = origin
 	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, sink); err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +180,11 @@ func TestMergeAcrossStolenSubRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runJournal(t, s0, paths[0], "")
-	runJournal(t, victim, paths[1], "local:s1")
-	runJournal(t, thiefA, paths[2], "local:s1-steal-1")
-	runJournal(t, thiefB, paths[3], "local:s1-steal-2")
-	runJournal(t, s2, paths[4], "")
+	runJournal(t, s0, paths[0])
+	runJournal(t, victim, paths[1])
+	runJournal(t, thiefA, paths[2])
+	runJournal(t, thiefB, paths[3])
+	runJournal(t, s2, paths[4])
 
 	journal, stats, err := batch.ReadMergedJournals(paths...)
 	if err != nil {
@@ -248,47 +247,10 @@ func TestMergeRejectsOverlappingStolenRanges(t *testing.T) {
 	}
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "victim.jsonl"), filepath.Join(dir, "thief.jsonl")
-	runJournal(t, victim, a, "")
-	runJournal(t, thief, b, "")
+	runJournal(t, victim, a)
+	runJournal(t, thief, b)
 	if _, _, err := batch.ReadMergedJournals(a, b); err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Fatalf("overlapping stolen ranges accepted: %v", err)
-	}
-}
-
-// TestJournalOriginProvenance: a sink's Origin lands in the header, every
-// scan path reads past it, and it never perturbs identity — an
-// origin-free journal keeps its exact legacy bytes, and journals that
-// differ only in origin still merge.
-func TestJournalOriginProvenance(t *testing.T) {
-	spec := okSpec()
-	var plain, annotated bytes.Buffer
-	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, batch.NewJSONLSink(&plain)); err != nil {
-		t.Fatal(err)
-	}
-	sink := batch.NewJSONLSink(&annotated)
-	sink.Origin = "ssh:host1:s0:attempt2"
-	if _, err := batch.Resume(context.Background(), spec, fakeRun, nil, sink); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(plain.Bytes(), []byte("origin")) {
-		t.Fatal("origin-free journal mentions origin — legacy bytes changed")
-	}
-	header := annotated.Bytes()[:bytes.IndexByte(annotated.Bytes(), '\n')]
-	if !bytes.Contains(header, []byte(`"origin":"ssh:host1:s0:attempt2"`)) {
-		t.Fatalf("annotated header lacks origin: %s", header)
-	}
-	// Beyond line one the journals are byte-identical.
-	if !bytes.Equal(plain.Bytes()[bytes.IndexByte(plain.Bytes(), '\n'):], annotated.Bytes()[bytes.IndexByte(annotated.Bytes(), '\n'):]) {
-		t.Fatal("origin annotation leaked past the header line")
-	}
-
-	// Every scan path still reads the annotated line as the spec header.
-	j, err := batch.ReadJournal(bytes.NewReader(annotated.Bytes()))
-	if err != nil || len(j.Specs) != 1 || j.Dropped != 0 {
-		t.Fatalf("ReadJournal: %d specs, %d dropped, err %v", len(j.Specs), j.Dropped, err)
-	}
-	if p := scanOnce(t, annotated.Bytes()); len(p.Specs) != 1 || p.Dropped != 0 {
-		t.Fatalf("JournalTailer: %d specs, %d dropped", len(p.Specs), p.Dropped)
 	}
 }
 
@@ -305,7 +267,7 @@ func TestJournalTailerPartialFetch(t *testing.T) {
 	}
 	dir := t.TempDir()
 	remote := filepath.Join(dir, "remote.jsonl")
-	runJournal(t, shard, remote, "ssh:host1:s0")
+	runJournal(t, shard, remote)
 	final, err := os.ReadFile(remote)
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +338,7 @@ func TestJournalTailerShrinkResetAfterSteal(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s1.jsonl")
-	runJournal(t, shard1, path, "local:s1")
+	runJournal(t, shard1, path)
 
 	tailer := batch.NewJournalTailer(path)
 	p, err := tailer.Scan()
@@ -396,7 +358,7 @@ func TestJournalTailerShrinkResetAfterSteal(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	runJournal(t, stolen, path, "local:s1-steal-1")
+	runJournal(t, stolen, path)
 
 	p, err = tailer.Scan()
 	if err != nil {
@@ -407,13 +369,6 @@ func TestJournalTailerShrinkResetAfterSteal(t *testing.T) {
 	}
 	if len(p.Specs) != 1 || p.Specs[0].UnitLo != 50 {
 		t.Fatalf("post-steal header tally: %+v", p.Specs)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if header, _, _ := bytes.Cut(data, []byte("\n")); !bytes.Contains(header, []byte(`"origin":"local:s1-steal-1"`)) {
-		t.Fatalf("rewritten journal's header lacks the thief's origin: %s", header)
 	}
 	if !p.Done() {
 		t.Fatal("rewritten sub-range journal not Done against its own header")
@@ -493,7 +448,7 @@ func TestEmptyRangedShardJournalsHeaderOnly(t *testing.T) {
 	}
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "empty.jsonl"), filepath.Join(dir, "rest.jsonl")
-	runJournal(t, empty, a, "")
+	runJournal(t, empty, a)
 	p, err := batch.NewJournalTailer(a).Scan()
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +460,7 @@ func TestEmptyRangedShardJournalsHeaderOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runJournal(t, head, b, "")
+	runJournal(t, head, b)
 	if _, stats, err := batch.ReadMergedJournals(a, b); err != nil || stats.Cells != shard.OwnedUnitCount() {
 		t.Fatalf("merge with empty ranged journal: %+v, %v", stats, err)
 	}

@@ -216,8 +216,8 @@ type Result struct {
 // Validate rejects configurations Balance cannot run: a missing graph, a
 // load vector of the wrong length or with non-finite/negative entries, a
 // discrete load whose truncated total does not fit in int64, an Epsilon
-// outside (0,1) (a finite ≤ 0 means "use the default" and is accepted; NaN
-// and ±Inf are not), and algorithm/mode combinations that do not exist.
+// outside (0,1) other than 0, which means "use the default", and
+// algorithm/mode combinations that do not exist.
 // Balance, Open and lbserved all gate on this one method, so a bad config
 // is rejected identically everywhere.
 func (cfg Config) Validate() error {
@@ -228,8 +228,8 @@ func (cfg Config) Validate() error {
 	if len(cfg.Loads) != n {
 		return fmt.Errorf("core: %d loads for %d nodes", len(cfg.Loads), n)
 	}
-	if cfg.Epsilon >= 1 || math.IsNaN(cfg.Epsilon) || math.IsInf(cfg.Epsilon, 0) {
-		return fmt.Errorf("core: Epsilon %v must be in (0,1)", cfg.Epsilon)
+	if cfg.Epsilon < 0 || cfg.Epsilon >= 1 || math.IsNaN(cfg.Epsilon) {
+		return fmt.Errorf("core: Epsilon %v must be in (0,1), or 0 for the default", cfg.Epsilon)
 	}
 	var tokens int64
 	for i, v := range cfg.Loads {

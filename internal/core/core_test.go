@@ -208,6 +208,7 @@ func TestBalanceValidation(t *testing.T) {
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: math.NaN()},
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: math.Inf(1)},
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: math.Inf(-1)},
+		{Graph: g, Loads: []float64{1, 2, 3, 4}, Epsilon: -0.5},
 		{Graph: g, Loads: []float64{1, 2, 3, 4}, Algorithm: FirstOrder, Mode: Discrete},
 	}
 	for i, cfg := range cases {

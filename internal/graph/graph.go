@@ -37,9 +37,10 @@ func (e Edge) Canonical() Edge {
 
 // G is an immutable simple undirected graph with nodes 0..n−1.
 //
-// A graph holds its sorted edge list and one flat CSR (compressed sparse
-// row) adjacency — a single offsets array and a single targets array —
-// and nothing else: there are no per-node neighbour slices. Neighbors(i) is
+// A graph holds its sorted edge list, one flat CSR (compressed sparse row)
+// adjacency — a single offsets array and a single targets array — and, when
+// a family constructor built it, that family's ClosedForm spectra. There
+// are no per-node neighbour slices. Neighbors(i) is
 // a view of CSR row i and Degree(i) is the row's length. The CSR layout is
 // what the per-round stepper hot loops scan: one contiguous stream instead
 // of n pointer-chased slices, which keeps a million-node round
@@ -51,6 +52,8 @@ type G struct {
 
 	csrOff []int // len n+1; node i's neighbours at csrTgt[csrOff[i]:csrOff[i+1]]
 	csrTgt []int // len 2m; ascending within each node's range
+
+	closed *ClosedForm // nil unless a family constructor recorded one
 
 	fpOnce sync.Once
 	fp     uint64
@@ -156,7 +159,8 @@ func (b *Builder) MustFinish() *G {
 	return g
 }
 
-// Name returns the human-readable topology name, e.g. "torus(8x8)".
+// Name returns the human-readable topology name, e.g. "torus(8x8)". It is
+// for display only: nothing is derived from it.
 func (g *G) Name() string { return g.name }
 
 // N returns the number of nodes.

@@ -81,13 +81,17 @@ func GridLambda2(rows, cols int) float64 {
 }
 
 // CompleteBipartiteLambda2 returns λ₂ of K_{a,b} with a ≤ b, which is
-// min(a, b) (spectrum {0, a^(b−1), b^(a−1), a+b}).
+// min(a, b) (spectrum {0, a^(b−1), b^(a−1), a+b}), except for the single
+// edge K_{1,1}, whose spectrum is {0, 2}.
 func CompleteBipartiteLambda2(a, b int) float64 {
 	if a > b {
 		a, b = b, a
 	}
-	if a < 1 {
+	switch {
+	case a < 1:
 		return 0
+	case b == 1:
+		return 2
 	}
 	return float64(a)
 }
@@ -201,153 +205,45 @@ func CompleteBipartiteLambdaMax(a, b int) float64 {
 // graph: 5 (spectrum {0, 2⁵, 5⁴}).
 func PetersenLambdaMax() float64 { return 5 }
 
-// family identifies one closed-form topology family instance parsed from a
-// graph's name and verified against its actual node and edge counts.
-type family struct {
-	kind string // "path", "cycle", "complete", "star", "hypercube", "torus", "grid", "K", "petersen"
-	a, b int
+// ClosedForm is a topology family's analytic Laplacian data, recorded on
+// the graph by the family's constructor (Path, Cycle, Complete, Star,
+// CompleteBipartite, Grid, Torus, Hypercube, Petersen). With λ₂ and λ_max
+// known, γ of any diffusion matrix of the exact form M = I − c·L is
+// max(|1 − cλ₂|, |1 − cλ_max|), so the spectral layer needs no
+// decomposition.
+type ClosedForm struct {
+	Lambda2, LambdaMax float64
+	// EdgeScale is c when the paper's diffusion matrix is exactly
+	// M_P = I − c·L, that is when 1/(4·max(dᵢ,dⱼ)) takes the same value on
+	// every edge: every regular family, and path, star and K(a,b), whose
+	// edges all see the maximum degree δ, so c = 1/(4δ). It is 0 for the
+	// mesh, whose corner, border and interior edges mix scales, and for
+	// edgeless graphs.
+	EdgeScale float64
 }
 
-// knownFamily parses g's name against the constructor naming scheme and
-// cross-checks the node and edge counts the named family implies. The
-// structural check is what makes name-based dispatch safe: a churned
-// subgraph, or any hand-built graph wearing a registry name, has a
-// different edge count and falls through to the numeric solvers.
-func knownFamily(g *G) (family, bool) {
-	var a, b int
-	var f family
-	var wantN, wantM int
-	switch {
-	case scan1(g.Name(), "path(%d)", &a) && a >= 1:
-		f, wantN, wantM = family{kind: "path", a: a}, a, a-1
-	case scan1(g.Name(), "cycle(%d)", &a) && a >= 3:
-		f, wantN, wantM = family{kind: "cycle", a: a}, a, a
-	case scan1(g.Name(), "complete(%d)", &a) && a >= 1:
-		f, wantN, wantM = family{kind: "complete", a: a}, a, a*(a-1)/2
-	case scan1(g.Name(), "star(%d)", &a) && a >= 1:
-		f, wantN, wantM = family{kind: "star", a: a}, a, a-1
-	case scan1(g.Name(), "hypercube(%d)", &a) && a >= 0 && a <= 30:
-		f, wantN, wantM = family{kind: "hypercube", a: a}, 1<<uint(a), a*(1<<uint(a))/2
-	case scan2(g.Name(), "torus(%dx%d)", &a, &b) && a >= 3 && b >= 3:
-		f, wantN, wantM = family{kind: "torus", a: a, b: b}, a*b, 2*a*b
-	case scan2(g.Name(), "grid(%dx%d)", &a, &b) && a >= 1 && b >= 1:
-		f, wantN, wantM = family{kind: "grid", a: a, b: b}, a*b, a*(b-1)+b*(a-1)
-	case scan2(g.Name(), "K(%d,%d)", &a, &b) && a >= 1 && b >= 1:
-		f, wantN, wantM = family{kind: "K", a: a, b: b}, a+b, a*b
-	case g.Name() == "petersen":
-		f, wantN, wantM = family{kind: "petersen"}, 10, 15
-	default:
-		return family{}, false
+// ClosedForm returns the closed form the graph's family constructor
+// recorded. Graphs from NewBuilder or Subgraph carry none, whatever their
+// name says.
+func (g *G) ClosedForm() (ClosedForm, bool) {
+	if g.closed == nil {
+		return ClosedForm{}, false
 	}
-	if g.N() != wantN || g.M() != wantM {
-		return family{}, false
-	}
-	return f, true
+	return *g.closed, true
 }
 
-// KnownLambda2 returns the closed-form λ₂ for graphs produced by the
-// constructors in this package, matching on Name() and verifying the node
-// and edge counts. ok is false for families without a closed form (random
-// graphs, trees, barbells, …) and for graphs whose structure does not match
-// their name.
-func KnownLambda2(g *G) (lambda2 float64, ok bool) {
-	f, ok := knownFamily(g)
-	if !ok {
-		return 0, false
+// withClosedForm records λ₂ and λ_max on a nonempty g, plus the edge scale
+// 1/(4δ) when uniformScale holds and g has edges.
+func (g *G) withClosedForm(lambda2, lambdaMax float64, uniformScale bool) *G {
+	if g.N() == 0 {
+		return g
 	}
-	switch f.kind {
-	case "path":
-		return PathLambda2(f.a), true
-	case "cycle":
-		return CycleLambda2(f.a), true
-	case "complete":
-		return CompleteLambda2(f.a), true
-	case "star":
-		return StarLambda2(f.a), true
-	case "hypercube":
-		return HypercubeLambda2(f.a), true
-	case "torus":
-		return TorusLambda2(f.a, f.b), true
-	case "grid":
-		return GridLambda2(f.a, f.b), true
-	case "K":
-		return CompleteBipartiteLambda2(f.a, f.b), true
-	case "petersen":
-		return PetersenLambda2(), true
+	cf := &ClosedForm{Lambda2: lambda2, LambdaMax: lambdaMax}
+	if uniformScale && g.M() > 0 {
+		cf.EdgeScale = 1 / (4 * float64(g.MaxDegree()))
 	}
-	return 0, false
-}
-
-// KnownLambdaMax returns the closed-form largest Laplacian eigenvalue for
-// the same families KnownLambda2 covers. Together the two let the spectral
-// layer evaluate γ of the uniform diffusion matrix M = I − L/(δ+1) without
-// any decomposition: γ = max(|1 − αλ₂|, |1 − αλ_max|).
-func KnownLambdaMax(g *G) (lambdaMax float64, ok bool) {
-	f, ok := knownFamily(g)
-	if !ok {
-		return 0, false
-	}
-	switch f.kind {
-	case "path":
-		return PathLambdaMax(f.a), true
-	case "cycle":
-		return CycleLambdaMax(f.a), true
-	case "complete":
-		return CompleteLambdaMax(f.a), true
-	case "star":
-		return StarLambdaMax(f.a), true
-	case "hypercube":
-		return HypercubeLambdaMax(f.a), true
-	case "torus":
-		return TorusLambdaMax(f.a, f.b), true
-	case "grid":
-		return GridLambdaMax(f.a, f.b), true
-	case "K":
-		return CompleteBipartiteLambdaMax(f.a, f.b), true
-	case "petersen":
-		return PetersenLambdaMax(), true
-	}
-	return 0, false
-}
-
-// KnownPaperEdgeScale returns c when the paper's diffusion matrix of g is
-// exactly M_P = I − c·L — that is, when 1/(4·max(dᵢ,dⱼ)) takes the same
-// value c on every edge. That holds for every regular family and for the
-// irregular families whose edges all see the same maximum endpoint degree
-// (path, star, complete bipartite); it fails for the mesh, whose corner,
-// border and interior edges mix scales. With λ₂ and λ_max known, γ_P =
-// max(|1 − cλ₂|, |1 − cλ_max|) in closed form.
-func KnownPaperEdgeScale(g *G) (c float64, ok bool) {
-	f, ok := knownFamily(g)
-	if !ok || g.M() == 0 {
-		return 0, false
-	}
-	switch f.kind {
-	case "path":
-		if f.a == 2 {
-			return 1.0 / 4, true
-		}
-		return 1.0 / 8, true
-	case "cycle":
-		return 1.0 / 8, true
-	case "complete":
-		return 1 / (4 * float64(f.a-1)), true
-	case "star":
-		return 1 / (4 * float64(f.a-1)), true
-	case "hypercube":
-		return 1 / (4 * float64(f.a)), true
-	case "torus":
-		return 1.0 / 16, true
-	case "K":
-		m := f.a
-		if f.b > m {
-			m = f.b
-		}
-		return 1 / (4 * float64(m)), true
-	case "petersen":
-		return 1.0 / 12, true
-	}
-	return 0, false
+	g.closed = cf
+	return g
 }
 
 func sortFloat64s(v []float64) {
@@ -362,24 +258,4 @@ func sortFloat64s(v []float64) {
 		}
 		v[j+1] = x
 	}
-}
-
-func scan1(s, format string, a *int) bool {
-	var got int
-	n, err := sscanfStrict(s, format, &got)
-	if err != nil || n != 1 {
-		return false
-	}
-	*a = got
-	return true
-}
-
-func scan2(s, format string, a, b *int) bool {
-	var g1, g2 int
-	n, err := sscanfStrict(s, format, &g1, &g2)
-	if err != nil || n != 2 {
-		return false
-	}
-	*a, *b = g1, g2
-	return true
 }

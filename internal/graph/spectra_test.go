@@ -109,31 +109,33 @@ func TestKnownLambda2Matching(t *testing.T) {
 		{Petersen(), 2},
 	}
 	for _, c := range cases {
-		got, ok := KnownLambda2(c.g)
+		cf, ok := c.g.ClosedForm()
 		if !ok {
-			t.Fatalf("%s: no closed form found", c.g.Name())
+			t.Fatalf("%s: no closed form recorded", c.g.Name())
 		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("%s: %v want %v", c.g.Name(), got, c.want)
+		if math.Abs(cf.Lambda2-c.want) > 1e-12 {
+			t.Fatalf("%s: %v want %v", c.g.Name(), cf.Lambda2, c.want)
 		}
 	}
 }
 
+// TestKnownLambda2Unknown: only the family constructors record a closed
+// form. Other families, and graphs from NewBuilder or Subgraph, carry none
+// even when their name and edge count match a family's.
 func TestKnownLambda2Unknown(t *testing.T) {
-	if _, ok := KnownLambda2(Barbell(3)); ok {
-		t.Fatal("barbell must have no closed form")
+	c4 := NewBuilder("cycle(4)", 4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}} {
+		c4.AddEdge(e[0], e[1])
 	}
-	if _, ok := KnownLambda2(BinaryTree(3)); ok {
-		t.Fatal("binary tree must have no closed form")
-	}
-}
-
-func TestSscanfStrictRejectsTrailing(t *testing.T) {
-	var a int
-	if _, err := sscanfStrict("path(8)x", "path(%d)", &a); err == nil {
-		t.Fatal("trailing content must be rejected")
-	}
-	if _, err := sscanfStrict("path(8)", "path(%d)", &a); err != nil || a != 8 {
-		t.Fatalf("exact match failed: %v a=%d", err, a)
+	for _, g := range []*G{
+		Barbell(3),
+		BinaryTree(3),
+		c4.MustFinish(),
+		Cycle(4).Subgraph("cycle(4)", func(Edge) bool { return true }),
+		Path(0), Complete(0), Star(0), Grid(0, 3), CompleteBipartite(0, 3),
+	} {
+		if _, ok := g.ClosedForm(); ok {
+			t.Fatalf("%s (n=%d m=%d) must have no closed form", g.Name(), g.N(), g.M())
+		}
 	}
 }

@@ -13,7 +13,7 @@ func Path(n int) *G {
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(i, i+1)
 	}
-	return b.MustFinish()
+	return b.MustFinish().withClosedForm(PathLambda2(n), PathLambdaMax(n), true)
 }
 
 // Cycle returns the cycle (ring) on n nodes. Requires n ≥ 3.
@@ -25,7 +25,7 @@ func Cycle(n int) *G {
 	for i := 0; i < n; i++ {
 		b.AddEdge(i, (i+1)%n)
 	}
-	return b.MustFinish()
+	return b.MustFinish().withClosedForm(CycleLambda2(n), CycleLambdaMax(n), true)
 }
 
 // Complete returns the complete graph K_n.
@@ -36,7 +36,7 @@ func Complete(n int) *G {
 			b.AddEdge(i, j)
 		}
 	}
-	return b.MustFinish()
+	return b.MustFinish().withClosedForm(CompleteLambda2(n), CompleteLambdaMax(n), true)
 }
 
 // Star returns the star K_{1,n−1} with node 0 as the centre.
@@ -45,11 +45,12 @@ func Star(n int) *G {
 	for i := 1; i < n; i++ {
 		b.AddEdge(0, i)
 	}
-	return b.MustFinish()
+	return b.MustFinish().withClosedForm(StarLambda2(n), StarLambdaMax(n), true)
 }
 
 // CompleteBipartite returns K_{a,b} with parts {0..a−1} and {a..a+b−1}.
-// Test-only: TestCompleteBipartite, TestKnownLambda2Matching, TestLambda2ClosedForms.
+// Test-only: TestCompleteBipartite, TestKnownLambda2Matching,
+// TestClosedFormRecorded and TestLambda2ClosedForms.
 func CompleteBipartite(a, b int) *G {
 	bld := NewBuilder(fmt.Sprintf("K(%d,%d)", a, b), a+b)
 	for i := 0; i < a; i++ {
@@ -57,7 +58,11 @@ func CompleteBipartite(a, b int) *G {
 			bld.AddEdge(i, a+j)
 		}
 	}
-	return bld.MustFinish()
+	g := bld.MustFinish()
+	if a < 1 || b < 1 {
+		return g
+	}
+	return g.withClosedForm(CompleteBipartiteLambda2(a, b), CompleteBipartiteLambdaMax(a, b), true)
 }
 
 // Grid returns the rows×cols 2-D mesh (no wraparound).
@@ -74,7 +79,11 @@ func Grid(rows, cols int) *G {
 			}
 		}
 	}
-	return b.MustFinish()
+	g := b.MustFinish()
+	if rows < 1 || cols < 1 {
+		return g
+	}
+	return g.withClosedForm(GridLambda2(rows, cols), GridLambdaMax(rows, cols), false)
 }
 
 // Torus returns the rows×cols 2-D torus (mesh with wraparound). Both
@@ -91,7 +100,7 @@ func Torus(rows, cols int) *G {
 			b.AddEdge(id(r, c), id((r+1)%rows, c))
 		}
 	}
-	return b.MustFinish()
+	return b.MustFinish().withClosedForm(TorusLambda2(rows, cols), TorusLambdaMax(rows, cols), true)
 }
 
 // Hypercube returns the d-dimensional hypercube on 2^d nodes. Nodes are
@@ -110,7 +119,7 @@ func Hypercube(d int) *G {
 			}
 		}
 	}
-	return b.MustFinish()
+	return b.MustFinish().withClosedForm(HypercubeLambda2(d), HypercubeLambdaMax(d), true)
 }
 
 // DeBruijn returns the undirected de Bruijn graph on 2^d nodes: node u is
@@ -163,7 +172,7 @@ func Petersen() *G {
 		b.AddEdge(5+i, 5+(i+2)%5) // inner pentagram
 		b.AddEdge(i, 5+i)         // spokes
 	}
-	return b.MustFinish()
+	return b.MustFinish().withClosedForm(PetersenLambda2(), PetersenLambdaMax(), true)
 }
 
 // Barbell returns two K_k cliques joined by a single bridge edge. Its λ₂ is

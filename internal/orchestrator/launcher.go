@@ -29,10 +29,6 @@ type Task struct {
 	// Label is the display name ("s1" for a planned shard, "s1.2" for the
 	// second sub-shard stolen from it).
 	Label string
-	// Origin, when non-empty, annotates the task's journal header with
-	// provenance (-origin). The supervisor sets it on stolen tasks only, so
-	// plain local supervision keeps its exact legacy journal bytes.
-	Origin string
 }
 
 // Handle identifies one running attempt to the Launcher that started it.
@@ -54,8 +50,7 @@ type Handle any
 // result is a prefix with at most a torn tail, exactly what the journal
 // scanners tolerate.
 type Launcher interface {
-	// Name identifies the backend instance in logs and provenance
-	// ("local", "ssh:host1").
+	// Name identifies the backend instance in logs ("local", "ssh:host1").
 	Name() string
 	// Slots is how many attempts this launcher runs concurrently; <= 0
 	// means unbounded.

@@ -107,10 +107,9 @@ func (p *Plan) GridArgs() []string {
 }
 
 // TaskArgs are the lbbench flags for one attempt of t: the grid, the
-// shard slice, the unit window when the task is a stolen sub-range, its
-// provenance tag, and its journal. A whole-shard task without origin gets
-// the classic shard flag list (grid, -shard i/m, -out), which is also what
-// each CI matrix entry runs.
+// shard slice, the unit window when the task is a stolen sub-range, and its
+// journal. A whole-shard task gets the classic shard flag list (grid,
+// -shard i/m, -out), which is also what each CI matrix entry runs.
 func (p *Plan) TaskArgs(t *Task, resume bool) []string {
 	args := append(p.GridArgs(), "-shard", fmt.Sprintf("%d/%d", t.Shard.Index, t.Shard.Count))
 	if t.Lo > 0 || t.Hi > 0 {
@@ -119,9 +118,6 @@ func (p *Plan) TaskArgs(t *Task, resume bool) []string {
 		} else {
 			args = append(args, "-units", fmt.Sprintf("%d:", t.Lo))
 		}
-	}
-	if t.Origin != "" {
-		args = append(args, "-origin", t.Origin)
 	}
 	if resume {
 		args = append(args, "-resume", t.Journal)

@@ -34,7 +34,7 @@ func TestNewPlanSplitsExhaustively(t *testing.T) {
 		if pt.Shard != (Shard{Index: i, Count: 3}) || pt.Label != "s"+strconv.Itoa(i) {
 			t.Fatalf("task %d mislabeled: %+v", i, pt)
 		}
-		if pt.Lo != 0 || pt.Hi != 0 || pt.Origin != "" {
+		if pt.Lo != 0 || pt.Hi != 0 {
 			t.Fatalf("task %d is not a whole planned shard: %+v", i, pt)
 		}
 		if want := filepath.Join("out", "shard-"+strconv.Itoa(i)+".jsonl"); pt.Journal != want {

@@ -488,8 +488,7 @@ func (r *run) render(now time.Time) string {
 
 // summary is the post-mortem line printed once after the supervise loop:
 // every task with its cumulative restart and steal counts, so "which shard
-// was restarted, which was carved, and how often" is answered by the log
-// itself instead of by grepping journal origin headers.
+// was restarted, which was carved, and how often" is answered by the log.
 func (r *run) summary() string {
 	var b strings.Builder
 	b.WriteString("task summary:")
@@ -619,8 +618,7 @@ const (
 
 // carve splits task v's unstarted unit range into up to maxCarve contiguous
 // sub-windows sized to the idle launcher capacity and enqueues them as
-// fresh tasks (fresh retry budget, provenance recorded in their journal
-// headers). Journals are contiguous prefixes of a task's owned units, so
+// fresh tasks (fresh retry budget). Journals are contiguous prefixes of a task's owned units, so
 // everything past the last journaled cell is exactly the work nobody has
 // done: the carved windows and the victim's journal tile v's range with no
 // gap and no overlap, which is what keeps the final merge byte-identical.
@@ -672,7 +670,6 @@ func (r *run) carve(v *task, p batch.JournalProgress) int {
 			Journal: filepath.Join(r.s.Plan.Dir, fmt.Sprintf("shard-%d-steal-%d.jsonl", idx, seq)),
 			Units:   cnt,
 			Label:   fmt.Sprintf("%s.%d", v.Label, seq),
-			Origin:  "steal:" + v.Label,
 		}, v.gen+1, time.Now())
 		start += cnt
 	}

@@ -16,7 +16,7 @@ import (
 // SolveCounts is a snapshot of how many spectral solves each path served
 // since process start.
 type SolveCounts struct {
-	ClosedForm   uint64 // analytic formula from internal/graph/spectra.go
+	ClosedForm   uint64 // the constructor-recorded graph.ClosedForm
 	Dense        uint64 // Householder + implicit QL on the materialized matrix
 	Lanczos      uint64 // implicit CSR Lanczos, residual gate met
 	InversePower uint64 // CG-based inverse power (Lanczos fallback)
@@ -62,9 +62,9 @@ func LambdaMaxOf(g *graph.G) (float64, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("spectral: λ_max undefined for the empty graph")
 	}
-	if lm, ok := graph.KnownLambdaMax(g); ok {
+	if cf, ok := g.ClosedForm(); ok {
 		solveClosedForm.Add(1)
-		return lm, nil
+		return cf.LambdaMax, nil
 	}
 	if n <= denseCutoff {
 		solveDense.Add(1)
@@ -95,11 +95,9 @@ func GammaOf(g *graph.G) (float64, error) {
 		return 0, fmt.Errorf("spectral: γ undefined for n=%d", n)
 	}
 	alpha := 1 / float64(g.MaxDegree()+1)
-	if l2, ok := graph.KnownLambda2(g); ok {
-		if lm, ok2 := graph.KnownLambdaMax(g); ok2 {
-			solveClosedForm.Add(1)
-			return gammaFromLaplacian(alpha, l2, lm), nil
-		}
+	if cf, ok := g.ClosedForm(); ok {
+		solveClosedForm.Add(1)
+		return gammaFromLaplacian(alpha, cf.Lambda2, cf.LambdaMax), nil
 	}
 	if n <= denseCutoff {
 		solveDense.Add(1)
@@ -140,13 +138,9 @@ func PaperGammaOf(g *graph.G) (float64, error) {
 	if n < 2 {
 		return 0, fmt.Errorf("spectral: γ_P undefined for n=%d", n)
 	}
-	if c, ok := graph.KnownPaperEdgeScale(g); ok {
-		l2, ok2 := graph.KnownLambda2(g)
-		lm, ok3 := graph.KnownLambdaMax(g)
-		if ok2 && ok3 {
-			solveClosedForm.Add(1)
-			return gammaFromLaplacian(c, l2, lm), nil
-		}
+	if cf, ok := g.ClosedForm(); ok && cf.EdgeScale != 0 {
+		solveClosedForm.Add(1)
+		return gammaFromLaplacian(cf.EdgeScale, cf.Lambda2, cf.LambdaMax), nil
 	}
 	if n <= denseCutoff {
 		solveDense.Add(1)

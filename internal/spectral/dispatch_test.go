@@ -26,17 +26,17 @@ func registryGraphs(t *testing.T, n int) map[string]*graph.G {
 }
 
 // TestClosedFormLambda2MatchesDense is the dispatch-safety property: for
-// every registry topology whose λ₂ the closed-form layer claims to know,
-// the claimed value must match the dense Laplacian spectrum to 1e-9. A
-// wrong formula — or a name-recognition bug matching the wrong family —
-// fails here before it can poison every large-n solve.
+// every registry topology whose constructor recorded a closed form, the
+// recorded λ₂ must match the dense Laplacian spectrum to 1e-9. A wrong
+// formula fails here before it can poison every large-n solve.
 func TestClosedFormLambda2MatchesDense(t *testing.T) {
 	covered := 0
 	for name, g := range registryGraphs(t, 24) {
-		l2, ok := graph.KnownLambda2(g)
+		cf, ok := g.ClosedForm()
 		if !ok {
 			continue
 		}
+		l2 := cf.Lambda2
 		covered++
 		vals, err := LaplacianSpectrum(g)
 		if err != nil {
@@ -54,15 +54,110 @@ func TestClosedFormLambda2MatchesDense(t *testing.T) {
 	}
 }
 
+// TestClosedFormRecorded covers every family constructor at a few sizes,
+// edge cases included: each recorded λ₂ and λ_max is bit-identical to the
+// family's formula helpers and, for n ≤ 64, matches the dense spectrum.
+// EdgeScale is the paper's edge weight 1/(4·max(dᵢ,dⱼ)) on every edge, and
+// 0 for the mesh and for edgeless graphs.
+func TestClosedFormRecorded(t *testing.T) {
+	type tc struct {
+		g              *graph.G
+		lambda2, lmax  float64
+		uniformWeights bool
+	}
+	var cases []tc
+	for _, n := range []int{1, 2, 3, 8, 33} {
+		cases = append(cases,
+			tc{graph.Path(n), graph.PathLambda2(n), graph.PathLambdaMax(n), true},
+			tc{graph.Complete(n), graph.CompleteLambda2(n), graph.CompleteLambdaMax(n), true},
+			tc{graph.Star(n), graph.StarLambda2(n), graph.StarLambdaMax(n), true})
+	}
+	for _, n := range []int{3, 4, 7, 64} {
+		cases = append(cases, tc{graph.Cycle(n), graph.CycleLambda2(n), graph.CycleLambdaMax(n), true})
+	}
+	for _, d := range []int{0, 1, 2, 5, 6} {
+		cases = append(cases, tc{graph.Hypercube(d), graph.HypercubeLambda2(d), graph.HypercubeLambdaMax(d), true})
+	}
+	for _, rc := range [][2]int{{1, 1}, {1, 5}, {2, 2}, {3, 7}, {8, 8}} {
+		r, c := rc[0], rc[1]
+		cases = append(cases, tc{graph.Grid(r, c), graph.GridLambda2(r, c), graph.GridLambdaMax(r, c), false})
+	}
+	for _, rc := range [][2]int{{3, 3}, {3, 5}, {4, 6}, {8, 8}} {
+		r, c := rc[0], rc[1]
+		cases = append(cases, tc{graph.Torus(r, c), graph.TorusLambda2(r, c), graph.TorusLambdaMax(r, c), true})
+	}
+	for _, ab := range [][2]int{{1, 1}, {1, 4}, {2, 7}, {5, 3}} {
+		a, b := ab[0], ab[1]
+		cases = append(cases, tc{graph.CompleteBipartite(a, b), graph.CompleteBipartiteLambda2(a, b), graph.CompleteBipartiteLambdaMax(a, b), true})
+	}
+	cases = append(cases, tc{graph.Petersen(), graph.PetersenLambda2(), graph.PetersenLambdaMax(), true})
+
+	for _, c := range cases {
+		g := c.g
+		cf, ok := g.ClosedForm()
+		if !ok {
+			t.Fatalf("%s: no closed form recorded", g.Name())
+		}
+		if cf.Lambda2 != c.lambda2 || cf.LambdaMax != c.lmax {
+			t.Fatalf("%s: recorded (λ₂, λ_max) = (%v, %v), helpers give (%v, %v)", g.Name(), cf.Lambda2, cf.LambdaMax, c.lambda2, c.lmax)
+		}
+		wantScale := 0.0
+		if c.uniformWeights && g.M() > 0 {
+			for _, e := range g.Edges() {
+				w := 1 / (4 * float64(max(g.Degree(e.U), g.Degree(e.V))))
+				if wantScale != 0 && w != wantScale {
+					t.Fatalf("%s: paper edge weights mix %v and %v", g.Name(), w, wantScale)
+				}
+				wantScale = w
+			}
+		}
+		if cf.EdgeScale != wantScale {
+			t.Fatalf("%s: EdgeScale = %v, want %v", g.Name(), cf.EdgeScale, wantScale)
+		}
+		if g.N() > 64 {
+			continue
+		}
+		vals, err := LaplacianSpectrum(g)
+		if err != nil {
+			t.Fatalf("%s: dense spectrum: %v", g.Name(), err)
+		}
+		if g.N() >= 2 && math.Abs(cf.Lambda2-vals[1]) > 1e-9 {
+			t.Errorf("%s: recorded λ₂ = %.15g, dense = %.15g", g.Name(), cf.Lambda2, vals[1])
+		}
+		if math.Abs(cf.LambdaMax-vals[len(vals)-1]) > 1e-9 {
+			t.Errorf("%s: recorded λ_max = %.15g, dense = %.15g", g.Name(), cf.LambdaMax, vals[len(vals)-1])
+		}
+	}
+}
+
+// TestMislabeledGraphTakesNumericPath: a paw graph (a triangle with one
+// pendant edge) built as "cycle(4)" has the 4-cycle's node and edge counts,
+// but its Laplacian spectrum is 0, 1, 3, 4, so λ₂ = 1, not the cycle's 2.
+// A graph's name must not pick its solver.
+func TestMislabeledGraphTakesNumericPath(t *testing.T) {
+	b := graph.NewBuilder("cycle(4)", 4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	got, err := Lambda2(b.MustFinish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got-1) > 1e-12 {
+		t.Fatalf("paw graph named cycle(4): λ₂ = %v, want 1", got)
+	}
+}
+
 // TestClosedFormLambdaMaxMatchesDense is the same property for the top of
 // the spectrum, which the closed-form γ depends on just as much as λ₂.
 func TestClosedFormLambdaMaxMatchesDense(t *testing.T) {
 	covered := 0
 	for name, g := range registryGraphs(t, 24) {
-		lmax, ok := graph.KnownLambdaMax(g)
+		cf, ok := g.ClosedForm()
 		if !ok {
 			continue
 		}
+		lmax := cf.LambdaMax
 		covered++
 		vals, err := LaplacianSpectrum(g)
 		if err != nil {

@@ -13,8 +13,8 @@ import (
 const denseCutoff = 400
 
 // Lambda2 returns λ₂, the second-smallest eigenvalue of the Laplacian of g
-// (its algebraic connectivity). Routing, cheapest first: the closed-form
-// table in internal/graph/spectra.go for recognized topology families, the
+// (its algebraic connectivity). Routing, cheapest first: the closed form a
+// family constructor recorded on g (graph.ClosedForm), the
 // dense Householder+QL solver below the cutoff, implicit CSR Lanczos above
 // it, and the CG-based inverse-power path when the Lanczos residual gate
 // does not converge (tiny-gap families). The graph must have at least 2
@@ -28,9 +28,9 @@ func Lambda2(g *graph.G) (float64, error) {
 	if !g.IsConnected() {
 		return 0, nil
 	}
-	if l2, ok := graph.KnownLambda2(g); ok {
+	if cf, ok := g.ClosedForm(); ok {
 		solveClosedForm.Add(1)
-		return l2, nil
+		return cf.Lambda2, nil
 	}
 	if n <= denseCutoff {
 		solveDense.Add(1)
@@ -178,7 +178,7 @@ func Analyze(g *graph.G) (Report, error) {
 	}
 	r.Lambda2 = l2
 	r.ExpansionLo, r.ExpansionHi = graph.ExpansionBounds(g, l2)
-	_, r.Exact = graph.KnownLambda2(g)
+	_, r.Exact = g.ClosedForm()
 	r.Exact = r.Exact || g.N() <= denseCutoff
 	r.LambdaMax, r.Gamma = math.NaN(), math.NaN()
 	lm, err := LambdaMaxOf(g)
