@@ -132,12 +132,8 @@ func printSpectra(w io.Writer, spec batch.Spec, g *graph.G) error {
 	if cf, ok := g.ClosedForm(); ok {
 		fmt.Fprintf(w, "λ₂ closed    : %.8g (Δ = %.2g)\n", cf.Lambda2, math.Abs(cf.Lambda2-rep.Lambda2))
 	}
-	if !math.IsNaN(rep.LambdaMax) {
-		fmt.Fprintf(w, "λ_max        : %.8g\n", rep.LambdaMax)
-	}
-	if !math.IsNaN(rep.Gamma) {
-		fmt.Fprintf(w, "γ (α=1/(δ+1)): %.8g  (eigen gap µ = %.6g)\n", rep.Gamma, 1-rep.Gamma)
-	}
+	fmt.Fprintf(w, "λ_max        : %.8g\n", rep.LambdaMax)
+	fmt.Fprintf(w, "γ (α=1/(δ+1)): %.8g  (eigen gap µ = %.6g)\n", rep.Gamma, 1-rep.Gamma)
 	fmt.Fprintf(w, "expansion    : Cheeger bounds [%.6g, %.6g]\n", rep.ExpansionLo, rep.ExpansionHi)
 	if rep.Lambda2 > 0 {
 		fmt.Fprintf(w, "Theorem 4    : T(ε=%g) = %.1f rounds\n", spec.Epsilon, diffusion.ContinuousBound(g, rep.Lambda2, spec.Epsilon))

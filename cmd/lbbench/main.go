@@ -192,6 +192,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lbbench: -explain runs one unit and ignores %s\n", strings.Join(ignored, ", "))
 		os.Exit(exitConflict)
 	}
+	// A negative pool width or retry cap is a typo, not a request for the
+	// default: GOMAXPROCS is -parallel 0, and -retries 0 never restarts.
+	if gridDef.Parallel < 0 || launch.Retries < 0 {
+		fmt.Fprintf(os.Stderr, "lbbench: -parallel %d and -retries %d must be ≥ 0\n", gridDef.Parallel, launch.Retries)
+		os.Exit(exitUsage)
+	}
 	// Contradictory flag combinations and nonsense counts are refused here,
 	// with their own exit codes, before any journal file could be created or
 	// truncated — a typo'd orchestration must never cost a partial journal.

@@ -225,6 +225,9 @@ func TestBinaries(t *testing.T) {
 			"lbbench -grid -scale -1 -out " + x:                                    exitUsage,
 			"lbbench -grid -rounds -5 -out " + x:                                   exitUsage,
 			"lbbench -grid -round-workers 2 -out " + x:                             exitUsage,
+			"lbbench -grid -parallel -3 -out " + x:                                 exitUsage,
+			"lbbench -exp E1 -quick -parallel -2":                                  exitUsage,
+			"lbbench -grid -spawn 2 -retries -1 -out " + x:                         exitUsage,
 			"lbbench -exp E1 -quick -shard 0/3":                                    exitConflict,
 			"lbbench -grid -spawn 2 -launcher slurm -out " + x:                     exitUsage,
 			"lbbench -explain torus/diffusion/continuous/spike/s1 -grid -out " + x: exitConflict,
@@ -286,13 +289,13 @@ func TestBinaries(t *testing.T) {
 
 const miniTrace = "../../testdata/mini-trace.jsonl" // 24 arrivals
 
-// serve starts lbserved replaying the mini-trace at 100×, waits until
-// /metrics counts all its arrivals, and returns the daemon and the base URLs
-// its log announces for the ingest and -telemetry listeners.
+// serve starts lbserved replaying the mini-trace at 5000 rounds a second,
+// waits until /metrics counts all its arrivals, and returns the daemon and
+// the base URLs its log announces for the ingest and -telemetry listeners.
 func serve(t *testing.T, args ...string) (p *proc, ingest, debug string) {
 	t.Helper()
 	p = start(t, append([]string{"lbserved", "-addr", "127.0.0.1:0", "-telemetry", "127.0.0.1:0",
-		"-replay", miniTrace, "-speedup", "100x"}, args...)...)
+		"-replay", miniTrace, "-hz", "5000"}, args...)...)
 	urls := map[string]string{}
 	p.waitFor(t, "the listen log lines", func() bool {
 		for _, m := range regexp.MustCompile(`(listening|telemetry:).* on (http://\S+)`).FindAllStringSubmatch(readFile(p.log), -1) {

@@ -15,9 +15,9 @@
 // /debug/pprof/* on a second (typically loopback-only) address as well, so
 // ingest and observability can sit behind different firewalls.
 //
-// Replay a captured trace at 100× real time, re-recording what lands:
+// Replay a captured trace at 5000 rounds a second, re-recording what lands:
 //
-//	lbserved -topo torus -n 64 -replay trace.jsonl -speedup 100x \
+//	lbserved -topo torus -n 64 -replay trace.jsonl -hz 5000 \
 //	         -record replayed.jsonl -addr :8080
 //
 // On SIGINT/SIGTERM the daemon drains: ingest stops (503), the round loop
@@ -40,7 +40,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -75,7 +74,6 @@ func run() int {
 		addr         = fs.String("addr", ":8080", "HTTP listen address (\":0\" picks a free port)")
 		hz           = fs.Float64("hz", 50, "balancing rounds per second (0 free-runs as fast as the hardware allows)")
 		replayPath   = fs.String("replay", "", "arrival trace to replay (JSONL, see -record)")
-		speedup      = fs.String("speedup", "1x", "replay speed-up factor, e.g. 100x: multiplies -hz")
 		recordPath   = fs.String("record", "", "record every injected arrival to this JSONL trace (replayable via -replay or lbbench -scenarios trace:<file>)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain wall-clock budget (≥ 0; 0 means 30s)")
 		drainRounds  = fs.Int("drain-rounds", 4096, "graceful-drain round budget (≥ 0; 0 means 4096)")
@@ -94,16 +92,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "lbserved: -drain-rounds %d and -drain-timeout %v must be ≥ 0 (0 = default)\n", *drainRounds, *drainTimeout)
 		return exitUsage
 	}
-	factor, err := parseSpeedup(*speedup)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-		return exitUsage
-	}
 	interval := time.Duration(0)
 	if *hz > 0 {
-		ns := float64(time.Second) / (*hz * factor)
+		ns := float64(time.Second) / *hz
 		if !(ns < math.MaxInt64) {
-			fmt.Fprintf(os.Stderr, "lbserved: -hz %v at -speedup %s is slower than one round per 292 years\n", *hz, *speedup)
+			fmt.Fprintf(os.Stderr, "lbserved: -hz %v is slower than one round per 292 years\n", *hz)
 			return exitUsage
 		}
 		interval = time.Duration(ns)
@@ -172,8 +165,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
 			return exitUsage
 		}
-		logger.Printf("replaying %d events from %s at %s (effective interval %v)",
-			len(replay), *replayPath, *speedup, interval)
+		logger.Printf("replaying %d events from %s (round interval %v)",
+			len(replay), *replayPath, interval)
 	}
 
 	var record *scenario.TraceWriter
@@ -225,14 +218,4 @@ func run() int {
 	logger.Printf("done: %d rounds, Φ %.6g → %.6g (peak %.6g, %d arrivals, %.6g load ingested)",
 		m.Round, m.PhiStart, m.Phi, m.PeakPhi, m.ArrivalsTotal, m.LoadInjected)
 	return exitOK
-}
-
-// parseSpeedup accepts "100x", "2.5x" or a bare number: finite and > 0.
-func parseSpeedup(s string) (float64, error) {
-	trimmed := strings.TrimSuffix(strings.TrimSpace(strings.ToLower(s)), "x")
-	v, err := strconv.ParseFloat(trimmed, 64)
-	if err != nil || !(v > 0) || math.IsInf(v, 1) {
-		return 0, fmt.Errorf("bad -speedup %q (want e.g. 100x)", s)
-	}
-	return v, nil
 }

@@ -44,8 +44,12 @@ func runScenario(s *Session) (Result, error) {
 		if err := s.Step(); err != nil {
 			return Result{}, err
 		}
-		if _, err := s.Inject(inst.Arrivals(k, s.Loads())); err != nil {
-			return Result{}, err
+		// An arrival-free scenario has nothing to inject, and s.Loads() would
+		// copy a discrete run's tokens into a fresh vector every round.
+		if !inst.ArrivalFree() {
+			if _, err := s.Inject(inst.Arrivals(k, s.Loads())); err != nil {
+				return Result{}, err
+			}
 		}
 		phi, err := s.Commit()
 		if err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -208,5 +210,56 @@ func TestBalanceStaticScenarioIsByteIdenticalToNoScenario(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("explicit static scenario changed the run:\n%+v\nvs\n%+v", r2, r1)
+	}
+}
+
+// TestChurnBalanceAllocatesOnlyItsSessionCalls: a discrete edge-churn
+// Balance run allocates no more than the Open, SwapGraph, Step, Commit and
+// Close calls it makes. An arrival-free scenario has nothing to inject, so
+// the loop must not build the float view of the tokens that Session.Loads
+// allocates for a discrete run: that would be one allocation per round.
+func TestChurnBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
+	const rounds = 256
+	g := graph.Torus(16, 16)
+	cfg := Config{
+		Graph:        g,
+		Algorithm:    Diffusion,
+		Mode:         Discrete,
+		Loads:        SpikeLoads(g.N(), 1e9),
+		Epsilon:      1e-12, // far from reached within the horizon
+		MaxRounds:    rounds,
+		Scenario:     mustScenario(t, "edge-churn:0.1"),
+		ScenarioSeed: 3,
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if r, err := Balance(cfg); err != nil || r.Rounds != rounds {
+			panic(fmt.Sprintf("Balance: %d rounds, %v", r.Rounds, err))
+		}
+	})
+	want := testing.AllocsPerRun(3, func() {
+		s, err := Open(cfg)
+		if err != nil {
+			panic(err)
+		}
+		inst, err := cfg.Scenario.New(g, 1e9, rand.New(rand.NewSource(cfg.ScenarioSeed)))
+		if err != nil {
+			panic(err)
+		}
+		for k := 0; k < rounds; k++ {
+			if err := s.SwapGraph(inst.Graph(k)); err != nil {
+				panic(err)
+			}
+			if err := s.Step(); err != nil {
+				panic(err)
+			}
+			if _, err := s.Commit(); err != nil {
+				panic(err)
+			}
+		}
+		s.Close()
+	})
+	// The counts wobble by a few runtime allocations from run to run.
+	if got > want+rounds/8 {
+		t.Fatalf("a %d-round Balance run allocates %v times, its session calls %v", rounds, got, want)
 	}
 }

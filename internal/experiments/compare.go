@@ -105,7 +105,8 @@ func E13LocalDivergence(o Options) *trace.Table {
 	rows := make([]row, len(suite))
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		g := suite[i]
-		mu, err := speccache.PaperEigenGap(g)
+		gp, err := speccache.PaperGamma(g)
+		mu := 1 - gp
 		if err != nil || mu <= 0 {
 			return
 		}

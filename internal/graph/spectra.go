@@ -213,13 +213,6 @@ func PetersenLambdaMax() float64 { return 5 }
 // decomposition.
 type ClosedForm struct {
 	Lambda2, LambdaMax float64
-	// EdgeScale is c when the paper's diffusion matrix is exactly
-	// M_P = I − c·L, that is when 1/(4·max(dᵢ,dⱼ)) takes the same value on
-	// every edge: every regular family, and path, star and K(a,b), whose
-	// edges all see the maximum degree δ, so c = 1/(4δ). It is 0 for the
-	// mesh, whose corner, border and interior edges mix scales, and for
-	// edgeless graphs.
-	EdgeScale float64
 }
 
 // ClosedForm returns the closed form the graph's family constructor
@@ -232,17 +225,11 @@ func (g *G) ClosedForm() (ClosedForm, bool) {
 	return *g.closed, true
 }
 
-// withClosedForm records λ₂ and λ_max on a nonempty g, plus the edge scale
-// 1/(4δ) when uniformScale holds and g has edges.
-func (g *G) withClosedForm(lambda2, lambdaMax float64, uniformScale bool) *G {
-	if g.N() == 0 {
-		return g
+// withClosedForm records λ₂ and λ_max on a nonempty g.
+func (g *G) withClosedForm(lambda2, lambdaMax float64) *G {
+	if g.N() > 0 {
+		g.closed = &ClosedForm{Lambda2: lambda2, LambdaMax: lambdaMax}
 	}
-	cf := &ClosedForm{Lambda2: lambda2, LambdaMax: lambdaMax}
-	if uniformScale && g.M() > 0 {
-		cf.EdgeScale = 1 / (4 * float64(g.MaxDegree()))
-	}
-	g.closed = cf
 	return g
 }
 

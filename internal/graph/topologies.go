@@ -13,7 +13,7 @@ func Path(n int) *G {
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(i, i+1)
 	}
-	return b.MustFinish().withClosedForm(PathLambda2(n), PathLambdaMax(n), true)
+	return b.MustFinish().withClosedForm(PathLambda2(n), PathLambdaMax(n))
 }
 
 // Cycle returns the cycle (ring) on n nodes. Requires n ≥ 3.
@@ -25,7 +25,7 @@ func Cycle(n int) *G {
 	for i := 0; i < n; i++ {
 		b.AddEdge(i, (i+1)%n)
 	}
-	return b.MustFinish().withClosedForm(CycleLambda2(n), CycleLambdaMax(n), true)
+	return b.MustFinish().withClosedForm(CycleLambda2(n), CycleLambdaMax(n))
 }
 
 // Complete returns the complete graph K_n.
@@ -36,7 +36,7 @@ func Complete(n int) *G {
 			b.AddEdge(i, j)
 		}
 	}
-	return b.MustFinish().withClosedForm(CompleteLambda2(n), CompleteLambdaMax(n), true)
+	return b.MustFinish().withClosedForm(CompleteLambda2(n), CompleteLambdaMax(n))
 }
 
 // Star returns the star K_{1,n−1} with node 0 as the centre.
@@ -45,7 +45,7 @@ func Star(n int) *G {
 	for i := 1; i < n; i++ {
 		b.AddEdge(0, i)
 	}
-	return b.MustFinish().withClosedForm(StarLambda2(n), StarLambdaMax(n), true)
+	return b.MustFinish().withClosedForm(StarLambda2(n), StarLambdaMax(n))
 }
 
 // CompleteBipartite returns K_{a,b} with parts {0..a−1} and {a..a+b−1}.
@@ -62,7 +62,7 @@ func CompleteBipartite(a, b int) *G {
 	if a < 1 || b < 1 {
 		return g
 	}
-	return g.withClosedForm(CompleteBipartiteLambda2(a, b), CompleteBipartiteLambdaMax(a, b), true)
+	return g.withClosedForm(CompleteBipartiteLambda2(a, b), CompleteBipartiteLambdaMax(a, b))
 }
 
 // Grid returns the rows×cols 2-D mesh (no wraparound).
@@ -83,7 +83,7 @@ func Grid(rows, cols int) *G {
 	if rows < 1 || cols < 1 {
 		return g
 	}
-	return g.withClosedForm(GridLambda2(rows, cols), GridLambdaMax(rows, cols), false)
+	return g.withClosedForm(GridLambda2(rows, cols), GridLambdaMax(rows, cols))
 }
 
 // Torus returns the rows×cols 2-D torus (mesh with wraparound). Both
@@ -100,7 +100,7 @@ func Torus(rows, cols int) *G {
 			b.AddEdge(id(r, c), id((r+1)%rows, c))
 		}
 	}
-	return b.MustFinish().withClosedForm(TorusLambda2(rows, cols), TorusLambdaMax(rows, cols), true)
+	return b.MustFinish().withClosedForm(TorusLambda2(rows, cols), TorusLambdaMax(rows, cols))
 }
 
 // Hypercube returns the d-dimensional hypercube on 2^d nodes. Nodes are
@@ -119,7 +119,7 @@ func Hypercube(d int) *G {
 			}
 		}
 	}
-	return b.MustFinish().withClosedForm(HypercubeLambda2(d), HypercubeLambdaMax(d), true)
+	return b.MustFinish().withClosedForm(HypercubeLambda2(d), HypercubeLambdaMax(d))
 }
 
 // DeBruijn returns the undirected de Bruijn graph on 2^d nodes: node u is
@@ -172,7 +172,7 @@ func Petersen() *G {
 		b.AddEdge(5+i, 5+(i+2)%5) // inner pentagram
 		b.AddEdge(i, 5+i)         // spokes
 	}
-	return b.MustFinish().withClosedForm(PetersenLambda2(), PetersenLambdaMax(), true)
+	return b.MustFinish().withClosedForm(PetersenLambda2(), PetersenLambdaMax())
 }
 
 // Barbell returns two K_k cliques joined by a single bridge edge. Its λ₂ is

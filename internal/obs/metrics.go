@@ -13,7 +13,8 @@ import (
 
 // Label is one constant name=value pair attached to a metric at
 // registration. Labels distinguish series within a family (the same metric
-// name) — e.g. speccache_computes_total{quantity="lambda2"} vs {"gamma"}.
+// name) — e.g. speccache_computes_total{quantity="laplacian"} vs
+// {"paper_gamma"}.
 type Label struct {
 	Key, Value string
 }

@@ -7,10 +7,9 @@ import "time"
 // the Supervisor.
 type Policy struct {
 	// MaxRetries caps how many times one task is restarted after dying: 0
-	// means never restart (fail fast on the first death), negative selects
-	// the default of 3. The cap is per task: one flaky shard cannot consume
-	// the whole budget of a healthy sweep, and a stolen sub-shard gets a
-	// fresh budget of its own.
+	// means never restart (fail fast on the first death). The cap is per
+	// task: one flaky shard cannot consume the whole budget of a healthy
+	// sweep, and a stolen sub-shard gets a fresh budget of its own.
 	MaxRetries int
 	// Interval is the journal poll period (default 1s).
 	Interval time.Duration
@@ -35,9 +34,6 @@ const fetchInterval = 5 * time.Second
 
 // withDefaults resolves the documented defaults without mutating p.
 func (p Policy) withDefaults() Policy {
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 3
-	}
 	if p.Interval <= 0 {
 		p.Interval = time.Second
 	}

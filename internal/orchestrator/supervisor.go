@@ -58,9 +58,8 @@ type Supervisor struct {
 	// at least one is required. A lone LocalLauncher runs every task at
 	// once — the classic local supervise.
 	Launchers []Launcher
-	// Policy is the restart/stall/steal policy; the zero value selects the
-	// documented defaults (3 retries, 1s poll, 60s stall warning, stealing
-	// off).
+	// Policy is the restart/stall/steal policy; the zero value means no
+	// restarts, a 1s poll, a 60s stall warning and stealing off.
 	Policy Policy
 	// Log receives progress lines and supervision events (default
 	// os.Stderr). Child stderr goes to per-task files under Plan.Dir, so

@@ -48,8 +48,7 @@ case "$*" in
   *-resume*) echo '{"spec":{}}' > "$j"; exit 0 ;;
   *) : > "$j"; echo "simulated crash" >&2; exit 7 ;;
 esac`)}},
-		// Negative retries = the default cap of 3.
-		Policy: Policy{MaxRetries: -1, Interval: 10 * time.Millisecond},
+		Policy: Policy{MaxRetries: 3, Interval: 10 * time.Millisecond},
 		Log:    &log,
 	}
 	if err := s.Run(context.Background()); err != nil {
@@ -334,7 +333,7 @@ func TestSupervisorDoesNotRestartCompleteShard(t *testing.T) {
 	s := &Supervisor{
 		Plan:      p,
 		Launchers: []Launcher{&LocalLauncher{Command: stubCommand(t, "exit 1")}}, // "figure has holes" exit
-		Policy:    Policy{MaxRetries: -1, Interval: 10 * time.Millisecond},
+		Policy:    Policy{MaxRetries: 3, Interval: 10 * time.Millisecond},
 		Log:       &log,
 	}
 	if err := s.Run(context.Background()); err != nil {

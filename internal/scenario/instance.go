@@ -20,7 +20,8 @@ type Arrival struct {
 // round loop must call Graph(k) and then Arrivals(k, …) exactly once per
 // round, for k = 0, 1, 2, … in order — the instance draws from its RNG at
 // call time, so out-of-order or repeated calls would change the
-// realization. Instances are not safe for concurrent use; a grid run
+// realization. An ArrivalFree instance's Arrivals is always empty and
+// draws nothing, so the loop may skip it. Instances are not safe for concurrent use; a grid run
 // creates one per unit from the unit's own seed stream.
 type Instance struct {
 	graphAt  func(k int) *graph.G

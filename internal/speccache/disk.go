@@ -7,9 +7,10 @@ import (
 	"path/filepath"
 )
 
-// Disk spill: the scalar quantities (λ₂, γ, γ_P) are pure functions of the
-// graph fingerprint, so they can be shared across processes through small
-// JSON files — one per fingerprint — in a spill directory. This is what
+// Disk spill: the Laplacian record (λ₂, λ_max) and the non-uniform γ_P are
+// pure functions of the graph fingerprint, so they can be shared across
+// processes through small JSON files — one per fingerprint — in a spill
+// directory. This is what
 // keeps m shard processes of one sharded sweep from each paying the same
 // O(n³) eigensolves: the first process to need a quantity computes and
 // writes it, the rest load it.
@@ -71,46 +72,53 @@ func diskFileName(dir string, fp uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("spec-%016x.json", fp))
 }
 
-// diskKey names a quantity inside the entry file (ASCII, stable across
-// versions — these strings are the on-disk format).
-func (q quantity) diskKey() string {
+// diskKeys names a quantity's values inside the entry file, in order
+// (ASCII, stable across versions — these strings are the on-disk format).
+// Flows are not spilled.
+func (q quantity) diskKeys() []string {
 	switch q {
-	case qLambda2:
-		return "lambda2"
-	case qGamma:
-		return "gamma"
+	case qLaplacian:
+		return []string{"lambda2", "lambda_max"}
 	case qPaperGamma:
-		return "gamma_paper"
-	case qPaperGap:
-		return "paper_gap"
+		return []string{"gamma_paper"}
 	}
-	return ""
+	return nil
 }
 
-// diskLoad tries to read quantity q of fingerprint fp from the spill.
-func (c *Cache) diskLoad(q quantity, fp uint64) (float64, bool) {
+// diskLoad tries to read quantity q of fingerprint fp from the spill. It
+// misses unless every one of q's keys is present, so an entry that holds
+// only some of them (say, λ₂ without λ_max) recomputes.
+func (c *Cache) diskLoad(q quantity, fp uint64) ([]float64, bool) {
 	dir := c.spillDir()
-	if dir == "" || q.diskKey() == "" {
-		return 0, false
+	if dir == "" {
+		return nil, false
 	}
 	raw, err := os.ReadFile(diskFileName(dir, fp))
 	if err != nil {
-		return 0, false
+		return nil, false
 	}
 	entry := map[string]float64{}
 	if json.Unmarshal(raw, &entry) != nil {
-		return 0, false // torn or corrupt entry: recompute, don't fail
+		return nil, false // torn or corrupt entry: recompute, don't fail
 	}
-	v, ok := entry[q.diskKey()]
-	return v, ok
+	keys := q.diskKeys()
+	vals := make([]float64, len(keys))
+	for i, k := range keys {
+		v, ok := entry[k]
+		if !ok {
+			return nil, false
+		}
+		vals[i] = v
+	}
+	return vals, true
 }
 
-// diskSave merges quantity q of fingerprint fp into the spill entry,
-// atomically (temp file + rename). Failures are silent: the value is
+// diskSave merges quantity q's values for fingerprint fp into the spill
+// entry, atomically (temp file + rename). Failures are silent: the value is
 // already memoized in memory, and the next process simply recomputes.
-func (c *Cache) diskSave(q quantity, fp uint64, val float64) {
+func (c *Cache) diskSave(q quantity, fp uint64, vals []float64) {
 	dir := c.spillDir()
-	if dir == "" || q.diskKey() == "" {
+	if dir == "" {
 		return
 	}
 	path := diskFileName(dir, fp)
@@ -120,7 +128,9 @@ func (c *Cache) diskSave(q quantity, fp uint64, val float64) {
 		// a corrupt existing entry is simply overwritten.
 		_ = json.Unmarshal(raw, &entry)
 	}
-	entry[q.diskKey()] = val
+	for i, k := range q.diskKeys() {
+		entry[k] = vals[i]
+	}
 	raw, err := json.Marshal(entry)
 	if err != nil {
 		return

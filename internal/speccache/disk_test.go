@@ -1,6 +1,7 @@
 package speccache_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +27,7 @@ func TestDiskSpillSharesAcrossCaches(t *testing.T) {
 	if _, err := c1.Gamma(g); err != nil {
 		t.Fatal(err)
 	}
-	if s := c1.Stats().Lambda2; s.Computes != 1 || s.DiskHits != 0 {
+	if s := c1.Stats().Laplacian; s.Computes != 1 || s.DiskHits != 0 {
 		t.Fatalf("first process stats %+v, want 1 compute", s)
 	}
 	entries, err := os.ReadDir(dir)
@@ -41,16 +42,12 @@ func TestDiskSpillSharesAcrossCaches(t *testing.T) {
 	if got := c2.MustLambda2(g); got != want {
 		t.Fatalf("disk-loaded λ₂ %v differs from computed %v", got, want)
 	}
-	// Both quantities spilled by c1 — including γ, merged into the same
-	// fingerprint file — load without a single eigensolve.
+	// γ derives from the same record: it loads without a single eigensolve.
 	if _, err := c2.Gamma(g); err != nil {
 		t.Fatal(err)
 	}
-	if s := c2.Stats().Lambda2; s.Computes != 0 || s.DiskHits != 1 {
-		t.Fatalf("second process λ₂ stats %+v, want a pure disk hit", s)
-	}
-	if s := c2.Stats().Gamma; s.Computes != 0 || s.DiskHits != 1 {
-		t.Fatalf("second process γ stats %+v, want a pure disk hit", s)
+	if s := c2.Stats().Laplacian; s.Computes != 0 || s.DiskHits != 1 || s.Hits != 1 {
+		t.Fatalf("second process Laplacian stats %+v, want a disk hit, then a memory hit", s)
 	}
 	// Values loaded from disk must round-trip bit-exactly (the spill is
 	// JSON, and float64s survive Go's JSON encoding exactly).
@@ -63,43 +60,82 @@ func TestDiskSpillSharesAcrossCaches(t *testing.T) {
 	}
 }
 
-// TestDiskSpillPaperEigenGapRoundTrips: µ_P = 1 − γ_P is a first-class
-// spilled quantity (it used to fall outside diskKey's switch and silently
-// never hit disk) — a second cache on the same directory must load it
-// bit-exactly without recomputing either it or the γ_P it derives from.
-func TestDiskSpillPaperEigenGapRoundTrips(t *testing.T) {
+// TestDiskSpillPaperGammaRoundTrips: γ_P of a graph whose paper weights
+// mix (the mesh) is spilled under its own key, and a uniform-weight graph's
+// γ_P derives from the spilled Laplacian record — a second cache on the
+// same directory must load both bit-exactly without recomputing either.
+func TestDiskSpillPaperGammaRoundTrips(t *testing.T) {
 	dir := t.TempDir()
-	g := graph.Torus(6, 6)
+	mesh, torus := graph.Grid(6, 6), graph.Torus(6, 6)
 
 	c1 := speccache.New()
 	if err := c1.SetDiskDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	want, err := c1.PaperEigenGap(g)
-	if err != nil {
-		t.Fatal(err)
+	var want [2]float64
+	for i, g := range []*graph.G{mesh, torus} {
+		v, err := c1.PaperGamma(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v
 	}
-	if s := c1.Stats().PaperGap; s.Computes != 1 {
-		t.Fatalf("first process µ_P stats %+v, want 1 compute", s)
+	if s := c1.Stats(); s.PaperGamma.Computes != 1 || s.Laplacian.Computes != 1 {
+		t.Fatalf("first process stats %+v, want one γ_P solve (mesh) and one Laplacian record (torus)", s)
 	}
 
 	c2 := speccache.New()
 	if err := c2.SetDiskDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.PaperEigenGap(g)
+	for i, g := range []*graph.G{mesh, torus} {
+		got, err := c2.PaperGamma(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[i] {
+			t.Fatalf("%s: disk-loaded γ_P %v differs from computed %v", g.Name(), got, want[i])
+		}
+	}
+	if s := c2.Stats(); s.PaperGamma.Computes != 0 || s.PaperGamma.DiskHits != 1 ||
+		s.Laplacian.Computes != 0 || s.Laplacian.DiskHits != 1 {
+		t.Fatalf("second process stats %+v, want pure disk hits", s)
+	}
+}
+
+// TestDiskSpillOlderEntryRecomputes: an entry spilled before the Laplacian
+// record carried λ_max holds only "lambda2" (and "gamma"). Loading it would
+// leave λ_max = 0 and a wrong γ, so the record must recompute and merge
+// λ_max into the entry.
+func TestDiskSpillOlderEntryRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.DeBruijn(5)
+	l2 := spectral.MustLambda2(g)
+	want, err := spectral.GammaOf(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("spec-%016x.json", g.Fingerprint()))
+	if err := os.WriteFile(path, []byte(fmt.Sprintf(`{"gamma":%v,"lambda2":%v}`, want, l2)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := speccache.New()
+	if err := c.SetDiskDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Gamma(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("disk-loaded µ_P %v differs from computed %v", got, want)
+		t.Fatalf("γ from an older spill entry = %v, want %v", got, want)
 	}
-	if s := c2.Stats().PaperGap; s.Computes != 0 || s.DiskHits != 1 {
-		t.Fatalf("second process µ_P stats %+v, want a pure disk hit", s)
+	if s := c.Stats().Laplacian; s.Computes != 1 || s.DiskHits != 0 {
+		t.Fatalf("older entry counted as a disk hit: %+v", s)
 	}
-	// The derived gap must load without dragging γ_P through a recompute.
-	if s := c2.Stats().PaperGamma; s.Computes != 0 {
-		t.Fatalf("µ_P disk hit still recomputed γ_P: %+v", s)
+	if raw := readFile(t, path); !strings.Contains(raw, `"lambda_max":`) {
+		t.Fatalf("recompute did not merge λ_max into the entry: %s", raw)
 	}
 }
 
@@ -130,7 +166,7 @@ func TestDiskSpillCorruptEntryRecomputes(t *testing.T) {
 	if got := c.MustLambda2(g); got != want {
 		t.Fatalf("recomputed λ₂ %v differs from original %v", got, want)
 	}
-	if s := c.Stats().Lambda2; s.Computes != 1 || s.DiskHits != 0 {
+	if s := c.Stats().Laplacian; s.Computes != 1 || s.DiskHits != 0 {
 		t.Fatalf("corrupt entry was counted as a disk hit: %+v", s)
 	}
 	// The recompute healed the entry on disk for the next process.
@@ -139,7 +175,7 @@ func TestDiskSpillCorruptEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c3.MustLambda2(g)
-	if s := c3.Stats().Lambda2; s.DiskHits != 1 {
+	if s := c3.Stats().Laplacian; s.DiskHits != 1 {
 		t.Fatalf("healed entry not served from disk: %+v", s)
 	}
 }
@@ -149,7 +185,16 @@ func TestDiskSpillCorruptEntryRecomputes(t *testing.T) {
 func TestDiskSpillDisabledByDefault(t *testing.T) {
 	c := speccache.New()
 	c.MustLambda2(graph.Cycle(12))
-	if s := c.Stats().Lambda2; s.DiskHits != 0 || s.Computes != 1 {
+	if s := c.Stats().Laplacian; s.DiskHits != 0 || s.Computes != 1 {
 		t.Fatalf("memory-only cache produced disk traffic: %+v", s)
 	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }

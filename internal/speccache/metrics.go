@@ -13,10 +13,8 @@ import (
 func init() {
 	reg := obs.Default()
 	promName := map[quantity]string{
-		qLambda2:    "lambda2",
-		qGamma:      "gamma",
+		qLaplacian:  "laplacian",
 		qPaperGamma: "paper_gamma",
-		qPaperGap:   "paper_gap",
 		qFlow:       "optflow",
 	}
 	for q := quantity(0); q < numQuantities; q++ {

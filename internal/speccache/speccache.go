@@ -1,8 +1,11 @@
 // Package speccache memoizes the expensive per-topology spectral quantities
-// the rest of the system keeps asking for: λ₂ (the algebraic connectivity
-// behind every convergence bound), γ of the uniform diffusion matrix (the
-// second-order scheme's acceleration input), γ of the paper's diffusion
-// matrix, and the ℓ₂-minimal balancing flow of a load vector.
+// the rest of the system keeps asking for. It keeps one Laplacian record per
+// graph (spectral.LaplacianExtremes: λ₂, the algebraic connectivity behind
+// every convergence bound, and λ_max), from which γ of the uniform diffusion
+// matrix (the second-order scheme's acceleration input) and, where the
+// paper's edge weight is uniform, γ of the paper's diffusion matrix follow.
+// It also keeps γ_P where those weights mix, and the ℓ₂-minimal balancing
+// flow of a load vector.
 //
 // All of these are pure functions of the graph (plus, for flows, the load
 // vector), and all of them cost an eigendecomposition or a Laplacian solve —
@@ -39,31 +42,14 @@ import (
 type quantity int
 
 const (
-	qLambda2 quantity = iota
-	qGamma
+	qLaplacian quantity = iota
 	qPaperGamma
-	qPaperGap
 	qFlow
 	numQuantities
 )
 
-func (q quantity) String() string {
-	switch q {
-	case qLambda2:
-		return "λ₂"
-	case qGamma:
-		return "γ"
-	case qPaperGamma:
-		return "γ_P"
-	case qPaperGap:
-		return "µ_P"
-	case qFlow:
-		return "optflow"
-	}
-	return fmt.Sprintf("quantity(%d)", int(q))
-}
-
-// scalarKey identifies one memoized scalar: which quantity, of which graph.
+// scalarKey identifies one memoized value list: which quantity, of which
+// graph.
 type scalarKey struct {
 	q  quantity
 	fp uint64
@@ -75,11 +61,12 @@ type flowKey struct {
 	loads uint64
 }
 
-// scalarEntry carries one value; once deduplicates concurrent first
-// computations without holding the cache lock during the eigensolve.
+// scalarEntry carries one quantity's values (its diskKeys, in order); once
+// deduplicates concurrent first computations without holding the cache
+// lock during the eigensolve.
 type scalarEntry struct {
 	once sync.Once
-	val  float64
+	val  []float64
 	err  error
 }
 
@@ -121,8 +108,8 @@ var shared = New()
 // Shared returns the process-wide cache.
 func Shared() *Cache { return shared }
 
-// scalar runs the common memoization path for one scalar quantity.
-func (c *Cache) scalar(q quantity, g *graph.G, compute func() (float64, error)) (float64, error) {
+// scalar runs the common memoization path for one spilled quantity.
+func (c *Cache) scalar(q quantity, g *graph.G, compute func() ([]float64, error)) ([]float64, error) {
 	c.lookups[q].Add(1)
 	key := scalarKey{q: q, fp: g.Fingerprint()}
 	c.mu.Lock()
@@ -149,10 +136,24 @@ func (c *Cache) scalar(q quantity, g *graph.G, compute func() (float64, error)) 
 	return e.val, e.err
 }
 
-// Lambda2 returns the memoized algebraic connectivity of g (via
-// spectral.Lambda2 on a miss).
+// laplacian returns g's memoized Laplacian record (via
+// spectral.LaplacianExtremes on a miss). Only λ₂ and λ_max are kept.
+func (c *Cache) laplacian(g *graph.G) (spectral.Laplacian, error) {
+	v, err := c.scalar(qLaplacian, g, func() ([]float64, error) {
+		r, err := spectral.LaplacianExtremes(g)
+		return []float64{r.Lambda2, r.LambdaMax}, err
+	})
+	if err != nil {
+		return spectral.Laplacian{}, err
+	}
+	return spectral.Laplacian{Lambda2: v[0], LambdaMax: v[1]}, nil
+}
+
+// Lambda2 returns the memoized algebraic connectivity of g, from its
+// Laplacian record.
 func (c *Cache) Lambda2(g *graph.G) (float64, error) {
-	return c.scalar(qLambda2, g, func() (float64, error) { return spectral.Lambda2(g) })
+	r, err := c.laplacian(g)
+	return r.Lambda2, err
 }
 
 // MustLambda2 is Lambda2 that panics on error; for graphs valid by
@@ -165,39 +166,37 @@ func (c *Cache) MustLambda2(g *graph.G) float64 {
 	return v
 }
 
-// Gamma returns the memoized second-largest eigenvalue magnitude of the
-// uniform diffusion matrix of g — the quantity behind the second-order
-// scheme's optimal β. Computed through spectral.GammaOf, so structured
-// families take the closed form and large graphs the implicit Lanczos path
-// without ever materializing the matrix.
+// Gamma returns the second-largest eigenvalue magnitude of the uniform
+// diffusion matrix M = I − L/(δ+1) of g — the quantity behind the
+// second-order scheme's optimal β — derived from g's Laplacian record.
 func (c *Cache) Gamma(g *graph.G) (float64, error) {
-	return c.scalar(qGamma, g, func() (float64, error) {
-		return spectral.GammaOf(g)
-	})
+	r, err := c.laplacian(g)
+	if err != nil {
+		return 0, err
+	}
+	return r.Gamma(spectral.DiffusionAlpha(g)), nil
 }
 
-// PaperGamma returns the memoized second-largest eigenvalue magnitude of
-// the paper's diffusion matrix (transfer rule 1/(4·max(dᵢ,dⱼ))), through
-// spectral.PaperGammaOf's closed-form/dense/Lanczos routing.
+// PaperGamma returns the second-largest eigenvalue magnitude of the paper's
+// diffusion matrix (transfer rule 1/(4·max(dᵢ,dⱼ))): derived from g's
+// Laplacian record when that weight is one uniform c
+// (spectral.PaperEdgeScale), else memoized from spectral.PaperGammaOf.
 func (c *Cache) PaperGamma(g *graph.G) (float64, error) {
-	return c.scalar(qPaperGamma, g, func() (float64, error) {
-		return spectral.PaperGammaOf(g)
-	})
-}
-
-// PaperEigenGap returns µ = 1 − γ_P for the paper's diffusion matrix. It is
-// a first-class cached quantity with its own disk-spill key: deriving it on
-// the fly from PaperGamma would be nearly free in memory, but making it a
-// quantity of its own means a shard process that only ever asks for the gap
-// still shares the value across the fleet through the spill.
-func (c *Cache) PaperEigenGap(g *graph.G) (float64, error) {
-	return c.scalar(qPaperGap, g, func() (float64, error) {
-		gp, err := c.PaperGamma(g)
+	if scale := spectral.PaperEdgeScale(g); scale != 0 {
+		r, err := c.laplacian(g)
 		if err != nil {
 			return 0, err
 		}
-		return 1 - gp, nil
+		return r.Gamma(scale), nil
+	}
+	v, err := c.scalar(qPaperGamma, g, func() ([]float64, error) {
+		gp, err := spectral.PaperGammaOf(g)
+		return []float64{gp}, err
 	})
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
 }
 
 // OptimalFlow returns the memoized ℓ₂-minimal balancing flow of load vector
@@ -274,10 +273,10 @@ type QuantityStats struct {
 // behind the cache misses. The large-n smoke gate asserts Solves.Dense == 0
 // on million-node runs through this field.
 type Stats struct {
-	Lambda2     QuantityStats
-	Gamma       QuantityStats
+	// Laplacian counts the Laplacian records behind Lambda2, Gamma and
+	// uniform-weight PaperGamma lookups; PaperGamma counts the rest.
+	Laplacian   QuantityStats
 	PaperGamma  QuantityStats
-	PaperGap    QuantityStats
 	OptimalFlow QuantityStats
 	Solves      spectral.SolveCounts
 }
@@ -289,16 +288,14 @@ func (c *Cache) Stats() Stats {
 		return QuantityStats{Computes: computes, Hits: lookups - computes - disk, DiskHits: disk}
 	}
 	return Stats{
-		Lambda2:     snap(qLambda2),
-		Gamma:       snap(qGamma),
+		Laplacian:   snap(qLaplacian),
 		PaperGamma:  snap(qPaperGamma),
-		PaperGap:    snap(qPaperGap),
 		OptimalFlow: snap(qFlow),
 		Solves:      spectral.SolveStats(),
 	}
 }
 
-// String renders the snapshot as one human-readable line.
+// String renders the cache traffic as one human-readable line.
 func (s Stats) String() string {
 	part := func(name string, q QuantityStats) string {
 		if q.DiskHits > 0 {
@@ -306,11 +303,8 @@ func (s Stats) String() string {
 		}
 		return fmt.Sprintf("%s %d computed/%d hits", name, q.Computes, q.Hits)
 	}
-	return part("λ₂", s.Lambda2) + ", " + part("γ", s.Gamma) + ", " +
-		part("γ_P", s.PaperGamma) + ", " + part("µ_P", s.PaperGap) + ", " +
-		part("optflow", s.OptimalFlow) + fmt.Sprintf(
-		", solves: %d closed-form/%d dense/%d lanczos/%d invpower",
-		s.Solves.ClosedForm, s.Solves.Dense, s.Solves.Lanczos, s.Solves.InversePower)
+	return part("λ₂/λ_max", s.Laplacian) + ", " + part("γ_P", s.PaperGamma) + ", " +
+		part("optflow", s.OptimalFlow)
 }
 
 // Package-level helpers against the shared cache, so hot call sites read as
@@ -327,9 +321,6 @@ func Gamma(g *graph.G) (float64, error) { return shared.Gamma(g) }
 
 // PaperGamma is Shared().PaperGamma.
 func PaperGamma(g *graph.G) (float64, error) { return shared.PaperGamma(g) }
-
-// PaperEigenGap is Shared().PaperEigenGap.
-func PaperEigenGap(g *graph.G) (float64, error) { return shared.PaperEigenGap(g) }
 
 // OptimalFlow is Shared().OptimalFlow.
 func OptimalFlow(g *graph.G, l matrix.Vector) (*flow.EdgeFlow, error) {

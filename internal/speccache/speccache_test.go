@@ -39,7 +39,7 @@ func TestLambda2ComputedExactlyOnceUnderConcurrency(t *testing.T) {
 			t.Fatalf("caller %d got %v, want %v", i, v, want)
 		}
 	}
-	s := c.Stats().Lambda2
+	s := c.Stats().Laplacian
 	if s.Computes != 1 {
 		t.Fatalf("λ₂ computed %d times, want exactly 1", s.Computes)
 	}
@@ -49,10 +49,11 @@ func TestLambda2ComputedExactlyOnceUnderConcurrency(t *testing.T) {
 }
 
 // TestValuesMatchSpectralExactly: the cache must be a pure memoization —
-// cached values bit-equal to direct spectral calls.
+// cached values bit-equal to direct spectral calls. The grid's paper
+// weights mix, so its γ_P takes the memoized solve; the others derive it.
 func TestValuesMatchSpectralExactly(t *testing.T) {
 	c := speccache.New()
-	for _, g := range []*graph.G{graph.Cycle(24), graph.Hypercube(4), graph.Star(16)} {
+	for _, g := range []*graph.G{graph.Cycle(24), graph.Hypercube(4), graph.Star(16), graph.Grid(4, 5)} {
 		if got, want := c.MustLambda2(g), spectral.MustLambda2(g); got != want {
 			t.Fatalf("%s: λ₂ %v != %v", g.Name(), got, want)
 		}
@@ -71,13 +72,12 @@ func TestValuesMatchSpectralExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mu, err := c.PaperEigenGap(g)
-		if err != nil {
-			t.Fatal(err)
+		if want, err = spectral.PaperGammaOf(g); err != nil || gp != want {
+			t.Fatalf("%s: γ_P %v != %v (%v)", g.Name(), gp, want, err)
 		}
-		if mu != 1-gp {
-			t.Fatalf("%s: eigengap %v != 1-γ_P %v", g.Name(), mu, 1-gp)
-		}
+	}
+	if s := c.Stats(); s.Laplacian.Computes != 4 || s.PaperGamma.Computes != 1 {
+		t.Fatalf("stats %+v, want 4 Laplacian records and one γ_P solve", s)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestSameNameDifferentEdgesDoNotCollide(t *testing.T) {
 	if math.Abs(l1-2) > 1e-9 || math.Abs(l2-1) > 1e-9 {
 		t.Fatalf("same-name graphs shared a cache entry: got %v and %v", l1, l2)
 	}
-	if s := c.Stats().Lambda2; s.Computes != 2 {
+	if s := c.Stats().Laplacian; s.Computes != 2 {
 		t.Fatalf("computed %d λ₂ values, want 2 distinct entries", s.Computes)
 	}
 }
@@ -154,11 +154,11 @@ func TestResetClearsEverything(t *testing.T) {
 	g := graph.Cycle(12)
 	c.MustLambda2(g)
 	c.Reset()
-	if s := c.Stats().Lambda2; s.Computes != 0 || s.Hits != 0 {
+	if s := c.Stats().Laplacian; s.Computes != 0 || s.Hits != 0 {
 		t.Fatalf("stats survived Reset: %+v", s)
 	}
 	c.MustLambda2(g)
-	if s := c.Stats().Lambda2; s.Computes != 1 {
+	if s := c.Stats().Laplacian; s.Computes != 1 {
 		t.Fatalf("post-Reset lookup did not recompute: %+v", s)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Solve-path accounting. Every λ₂/λ_max/γ/γ_P computation records which
-// solver actually ran, so callers (speccache stats, the large-n smoke gate
-// in CI) can assert that the dense O(n³) pipeline is never invoked on
+// Solve-path accounting. Every Laplacian record and every non-uniform γ_P
+// records which solver actually ran, so callers (speccache stats, the
+// large-n smoke gate in CI) can assert that the dense O(n³) pipeline is never invoked on
 // million-node graphs.
 
 // SolveCounts is a snapshot of how many spectral solves each path served
@@ -39,108 +39,137 @@ func SolveStats() SolveCounts {
 	}
 }
 
-// gammaFromLaplacian evaluates γ of a diffusion matrix of the exact form
-// M = I − c·L from the extremal nonzero Laplacian eigenvalues: in the
-// complement of the stationary all-ones vector the eigenvalues of M are
-// 1 − c·λ for λ over the nonzero Laplacian spectrum, so the second-largest
-// magnitude is max(|1 − c·λ₂|, |1 − c·λ_max|).
-func gammaFromLaplacian(c, lambda2, lambdaMax float64) float64 {
-	g := math.Abs(1 - c*lambda2)
-	if a := math.Abs(1 - c*lambdaMax); a > g {
+// The paths a Laplacian record names: which solve produced its λ₂.
+const (
+	PathClosedForm   = "closed form"          // the constructor-recorded graph.ClosedForm
+	PathDense        = "dense Householder+QL" // n ≤ denseCutoff
+	PathLanczos      = "implicit Lanczos"     // residual gate met
+	PathInversePower = "inverse-power CG"     // Lanczos did not converge
+	PathDisconnected = "disconnected"         // λ₂ = 0 without a solve
+)
+
+// Laplacian is one solve's record of the extreme nonzero-spectrum
+// eigenvalues of a graph's Laplacian. Every spectral quantity the system
+// uses except the non-uniform γ_P is a function of it: the paper's bounds
+// take λ₂, and γ of any diffusion matrix M = I − c·L is r.Gamma(c).
+type Laplacian struct {
+	Lambda2, LambdaMax float64
+	Path               string // which solve produced λ₂: one of the Path constants
+}
+
+// LaplacianExtremes returns λ₂ and λ_max of g from one solve, cheapest
+// first: the closed form a family constructor recorded on g
+// (graph.ClosedForm), one dense Householder+QL decomposition of L for
+// n ≤ denseCutoff, one implicit Lanczos run above it, and, when the
+// Lanczos residual gate does not converge (tiny-gap families), CG inverse
+// power for λ₂ with the Lanczos Ritz value kept as λ_max (the top of the
+// spectrum converges fast, from below). A disconnected graph has λ₂ = 0
+// exactly, whatever the solve returns at the bottom; its λ_max still comes
+// from the solve. The counter of the solver that ran is bumped once.
+func LaplacianExtremes(g *graph.G) (Laplacian, error) {
+	n := g.N()
+	if n < 2 {
+		return Laplacian{}, fmt.Errorf("spectral: λ₂ undefined for n=%d", n)
+	}
+	if cf, ok := g.ClosedForm(); ok {
+		solveClosedForm.Add(1)
+		return Laplacian{cf.Lambda2, cf.LambdaMax, PathClosedForm}, nil
+	}
+	var r Laplacian
+	connected := g.IsConnected()
+	if n <= denseCutoff {
+		solveDense.Add(1)
+		vals, err := EigenvaluesSym(g.Laplacian())
+		if err != nil {
+			return r, err
+		}
+		r = Laplacian{vals[1], vals[n-1], PathDense}
+	} else {
+		l2, lmax, ok, err := LaplacianExtremal(g, 1)
+		if err != nil {
+			return r, err
+		}
+		r = Laplacian{l2, lmax, PathLanczos}
+		if ok || !connected {
+			solveLanczos.Add(1)
+		} else {
+			solveInversePower.Add(1)
+			if r.Lambda2, err = Lambda2InversePower(g, 1); err != nil {
+				return r, err
+			}
+			r.Path = PathInversePower
+		}
+	}
+	if !connected {
+		r.Lambda2, r.Path = 0, PathDisconnected
+	}
+	return r, nil
+}
+
+// Gamma returns γ, the second-largest eigenvalue magnitude, of the
+// diffusion matrix M = I − c·L: in the complement of the stationary
+// all-ones vector the eigenvalues of M are 1 − c·λ for λ over the nonzero
+// Laplacian spectrum, so γ = max(|1 − c·λ₂|, |1 − c·λ_max|).
+func (r Laplacian) Gamma(c float64) float64 {
+	g := math.Abs(1 - c*r.Lambda2)
+	if a := math.Abs(1 - c*r.LambdaMax); a > g {
 		g = a
 	}
 	return g
 }
 
-// LambdaMaxOf returns the largest Laplacian eigenvalue of g, routed the
-// same way as Lambda2: closed form, then dense below the cutoff, then
-// implicit Lanczos. The top of the spectrum converges fast under Lanczos,
-// so the unconverged Ritz estimate is still returned (it approaches λ_max
-// from below) rather than failing.
-func LambdaMaxOf(g *graph.G) (float64, error) {
-	n := g.N()
-	if n < 1 {
-		return 0, fmt.Errorf("spectral: λ_max undefined for the empty graph")
-	}
-	if cf, ok := g.ClosedForm(); ok {
-		solveClosedForm.Add(1)
-		return cf.LambdaMax, nil
-	}
-	if n <= denseCutoff {
-		solveDense.Add(1)
-		vals, err := EigenvaluesSym(g.Laplacian())
-		if err != nil {
-			return 0, err
-		}
-		return vals[n-1], nil
-	}
-	_, hi, _, err := ExtremalEigs(n, LaplacianOperator(g), nil, 1)
+// GammaOf returns γ of Cybenko's uniform diffusion matrix
+// M = I − L/(δ+1) for g, derived from its Laplacian record.
+func GammaOf(g *graph.G) (float64, error) {
+	r, err := LaplacianExtremes(g)
 	if err != nil {
 		return 0, err
 	}
-	solveLanczos.Add(1)
-	return hi, nil
+	return r.Gamma(DiffusionAlpha(g)), nil
 }
 
-// GammaOf returns γ — the second-largest eigenvalue magnitude — of
-// Cybenko's uniform diffusion matrix M = I − L/(δ+1) for g, without
-// materializing M for large graphs. Routing: closed form where the
-// Laplacian extremes are known analytically (M = I − αL exactly, for every
-// graph), dense below the cutoff, implicit Lanczos above it, and on
-// non-convergence the exact M = I − αL identity with λ₂ from the CG-based
-// inverse-power path.
-func GammaOf(g *graph.G) (float64, error) {
-	n := g.N()
-	if n < 2 {
-		return 0, fmt.Errorf("spectral: γ undefined for n=%d", n)
+// PaperEdgeScale returns c when the paper's edge weight 1/(4·max(dᵢ,dⱼ))
+// is the same on every edge of g, so that its diffusion matrix is exactly
+// M_P = I − c·L: then every edge touches a node of maximum degree δ and
+// c = 1/(4δ). That holds on every regular graph, and on paths, stars,
+// K(a,b) and complete binary trees. It returns 0 when the weights mix (the
+// mesh, de Bruijn graphs, barbells) and for edgeless graphs.
+func PaperEdgeScale(g *graph.G) float64 {
+	delta := g.MaxDegree()
+	if delta == 0 {
+		return 0
 	}
-	alpha := 1 / float64(g.MaxDegree()+1)
-	if cf, ok := g.ClosedForm(); ok {
-		solveClosedForm.Add(1)
-		return gammaFromLaplacian(alpha, cf.Lambda2, cf.LambdaMax), nil
+	off, tgt := g.CSR()
+	for i := 0; i+1 < len(off); i++ {
+		if off[i+1]-off[i] == delta {
+			continue
+		}
+		for _, j := range tgt[off[i]:off[i+1]] {
+			if off[j+1]-off[j] != delta {
+				return 0
+			}
+		}
 	}
-	if n <= denseCutoff {
-		solveDense.Add(1)
-		return Gamma(DiffusionMatrix(g))
-	}
-	gm, ok, err := GammaLanczos(g, UniformDiffusionOperator(g), 1)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		solveLanczos.Add(1)
-		return gm, nil
-	}
-	// Tiny-gap graph: the 1 − αλ₂ end of M's spectrum did not settle. λ₂
-	// itself is still reachable by inverse power in O(n) memory, and the
-	// |1 − αλ_max| end is bounded strictly below 1 for α = 1/(δ+1), so the
-	// identity value dominates; keep the Ritz estimate as a floor.
-	solveInversePower.Add(1)
-	l2, err := Lambda2InversePower(g, 1)
-	if err != nil {
-		return 0, err
-	}
-	if hi := math.Abs(1 - alpha*l2); hi > gm {
-		gm = hi
-	}
-	return gm, nil
+	return 1 / (4 * float64(delta))
 }
 
 // PaperGammaOf returns γ_P, the second-largest eigenvalue magnitude of the
-// paper's diffusion matrix (transfer rule 1/(4·max(dᵢ,dⱼ))). Routing:
-// closed form for families whose edge weight is a uniform c (then
-// M_P = I − cL exactly), dense below the cutoff, implicit Lanczos above it.
-// On non-convergence the best Ritz estimate is returned: γ_P only feeds
-// reporting bounds, and the hard cases are exactly the tiny-gap families
-// where γ_P ≈ 1 − c·λ₂ is already pinned by the λ₂ fallback path.
+// paper's diffusion matrix (transfer rule 1/(4·max(dᵢ,dⱼ))). With a
+// uniform edge weight c (PaperEdgeScale) it is derived from the Laplacian
+// record; otherwise it takes a solve of its own: dense below the cutoff,
+// implicit Lanczos above it. On non-convergence the best Ritz estimate is
+// returned: γ_P only feeds reporting bounds.
 func PaperGammaOf(g *graph.G) (float64, error) {
 	n := g.N()
 	if n < 2 {
 		return 0, fmt.Errorf("spectral: γ_P undefined for n=%d", n)
 	}
-	if cf, ok := g.ClosedForm(); ok && cf.EdgeScale != 0 {
-		solveClosedForm.Add(1)
-		return gammaFromLaplacian(cf.EdgeScale, cf.Lambda2, cf.LambdaMax), nil
+	if c := PaperEdgeScale(g); c != 0 {
+		r, err := LaplacianExtremes(g)
+		if err != nil {
+			return 0, err
+		}
+		return r.Gamma(c), nil
 	}
 	if n <= denseCutoff {
 		solveDense.Add(1)

@@ -57,40 +57,37 @@ func TestClosedFormLambda2MatchesDense(t *testing.T) {
 // TestClosedFormRecorded covers every family constructor at a few sizes,
 // edge cases included: each recorded λ₂ and λ_max is bit-identical to the
 // family's formula helpers and, for n ≤ 64, matches the dense spectrum.
-// EdgeScale is the paper's edge weight 1/(4·max(dᵢ,dⱼ)) on every edge, and
-// 0 for the mesh and for edgeless graphs.
 func TestClosedFormRecorded(t *testing.T) {
 	type tc struct {
-		g              *graph.G
-		lambda2, lmax  float64
-		uniformWeights bool
+		g             *graph.G
+		lambda2, lmax float64
 	}
 	var cases []tc
 	for _, n := range []int{1, 2, 3, 8, 33} {
 		cases = append(cases,
-			tc{graph.Path(n), graph.PathLambda2(n), graph.PathLambdaMax(n), true},
-			tc{graph.Complete(n), graph.CompleteLambda2(n), graph.CompleteLambdaMax(n), true},
-			tc{graph.Star(n), graph.StarLambda2(n), graph.StarLambdaMax(n), true})
+			tc{graph.Path(n), graph.PathLambda2(n), graph.PathLambdaMax(n)},
+			tc{graph.Complete(n), graph.CompleteLambda2(n), graph.CompleteLambdaMax(n)},
+			tc{graph.Star(n), graph.StarLambda2(n), graph.StarLambdaMax(n)})
 	}
 	for _, n := range []int{3, 4, 7, 64} {
-		cases = append(cases, tc{graph.Cycle(n), graph.CycleLambda2(n), graph.CycleLambdaMax(n), true})
+		cases = append(cases, tc{graph.Cycle(n), graph.CycleLambda2(n), graph.CycleLambdaMax(n)})
 	}
 	for _, d := range []int{0, 1, 2, 5, 6} {
-		cases = append(cases, tc{graph.Hypercube(d), graph.HypercubeLambda2(d), graph.HypercubeLambdaMax(d), true})
+		cases = append(cases, tc{graph.Hypercube(d), graph.HypercubeLambda2(d), graph.HypercubeLambdaMax(d)})
 	}
 	for _, rc := range [][2]int{{1, 1}, {1, 5}, {2, 2}, {3, 7}, {8, 8}} {
 		r, c := rc[0], rc[1]
-		cases = append(cases, tc{graph.Grid(r, c), graph.GridLambda2(r, c), graph.GridLambdaMax(r, c), false})
+		cases = append(cases, tc{graph.Grid(r, c), graph.GridLambda2(r, c), graph.GridLambdaMax(r, c)})
 	}
 	for _, rc := range [][2]int{{3, 3}, {3, 5}, {4, 6}, {8, 8}} {
 		r, c := rc[0], rc[1]
-		cases = append(cases, tc{graph.Torus(r, c), graph.TorusLambda2(r, c), graph.TorusLambdaMax(r, c), true})
+		cases = append(cases, tc{graph.Torus(r, c), graph.TorusLambda2(r, c), graph.TorusLambdaMax(r, c)})
 	}
 	for _, ab := range [][2]int{{1, 1}, {1, 4}, {2, 7}, {5, 3}} {
 		a, b := ab[0], ab[1]
-		cases = append(cases, tc{graph.CompleteBipartite(a, b), graph.CompleteBipartiteLambda2(a, b), graph.CompleteBipartiteLambdaMax(a, b), true})
+		cases = append(cases, tc{graph.CompleteBipartite(a, b), graph.CompleteBipartiteLambda2(a, b), graph.CompleteBipartiteLambdaMax(a, b)})
 	}
-	cases = append(cases, tc{graph.Petersen(), graph.PetersenLambda2(), graph.PetersenLambdaMax(), true})
+	cases = append(cases, tc{graph.Petersen(), graph.PetersenLambda2(), graph.PetersenLambdaMax()})
 
 	for _, c := range cases {
 		g := c.g
@@ -100,19 +97,6 @@ func TestClosedFormRecorded(t *testing.T) {
 		}
 		if cf.Lambda2 != c.lambda2 || cf.LambdaMax != c.lmax {
 			t.Fatalf("%s: recorded (λ₂, λ_max) = (%v, %v), helpers give (%v, %v)", g.Name(), cf.Lambda2, cf.LambdaMax, c.lambda2, c.lmax)
-		}
-		wantScale := 0.0
-		if c.uniformWeights && g.M() > 0 {
-			for _, e := range g.Edges() {
-				w := 1 / (4 * float64(max(g.Degree(e.U), g.Degree(e.V))))
-				if wantScale != 0 && w != wantScale {
-					t.Fatalf("%s: paper edge weights mix %v and %v", g.Name(), w, wantScale)
-				}
-				wantScale = w
-			}
-		}
-		if cf.EdgeScale != wantScale {
-			t.Fatalf("%s: EdgeScale = %v, want %v", g.Name(), cf.EdgeScale, wantScale)
 		}
 		if g.N() > 64 {
 			continue
@@ -270,6 +254,78 @@ func TestSolveCountersTrackDispatch(t *testing.T) {
 	}
 	if s := SolveStats(); s.Dense != 0 || s.ClosedForm != 0 || s.Lanczos+s.InversePower != 1 {
 		t.Fatalf("debruijn(10): counters %+v, want one iterative solve and no dense", s)
+	}
+}
+
+// TestAnalyzeNamesSolvePaths: the report names the solve that produced λ₂
+// from the Laplacian record itself, so a disconnected graph, which needs
+// no solve for λ₂, is named as such rather than by the counters.
+func TestAnalyzeNamesSolvePaths(t *testing.T) {
+	twoTriangles := graph.NewBuilder("two triangles", 6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
+		twoTriangles.AddEdge(e[0], e[1])
+	}
+	for _, c := range []struct {
+		g    *graph.G
+		want string
+	}{
+		{graph.Hypercube(12), PathClosedForm},
+		{graph.DeBruijn(5), PathDense},
+		{graph.DeBruijn(9), PathLanczos},
+		{twoTriangles.MustFinish(), PathDisconnected},
+	} {
+		r, err := Analyze(c.g)
+		if err != nil {
+			t.Fatalf("%s: %v", c.g.Name(), err)
+		}
+		if r.Method != c.want {
+			t.Errorf("%s: Method = %q, want %q", c.g.Name(), r.Method, c.want)
+		}
+		if c.want == PathDisconnected && (r.Lambda2 != 0 || math.Abs(r.LambdaMax-3) > 1e-12 || r.Gamma != 1) {
+			t.Errorf("two triangles: λ₂ = %v, λ_max = %v, γ = %v; want 0, 3, 1", r.Lambda2, r.LambdaMax, r.Gamma)
+		}
+	}
+}
+
+// TestPaperEdgeScale: the scale is 1/(4δ) exactly when every edge's paper
+// weight 1/(4·max(dᵢ,dⱼ)) is that one value, which the test checks edge by
+// edge, and 0 otherwise.
+func TestPaperEdgeScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		g       *graph.G
+		uniform bool
+	}{
+		{graph.Path(2), true},
+		{graph.Path(9), true},
+		{graph.Star(7), true},
+		{graph.CompleteBipartite(2, 5), true},
+		{graph.CompleteBipartite(3, 3), true},
+		{graph.Grid(1, 5), true}, // a path
+		{graph.Grid(2, 2), true}, // a 4-cycle
+		{graph.Grid(3, 4), false},
+		{graph.Grid(8, 8), false},
+		{graph.RandomRegular(50, 4, rng), true},
+		{graph.Path(1), false},
+		{graph.NewBuilder("edgeless", 5).MustFinish(), false},
+		{graph.BinaryTree(4), true}, // every edge touches a degree-3 node
+		{graph.DeBruijn(5), false},
+		{graph.Barbell(8), false},
+	} {
+		g, want := c.g, 0.0
+		weights := map[float64]bool{}
+		for _, e := range g.Edges() {
+			weights[1/(4*float64(max(g.Degree(e.U), g.Degree(e.V))))] = true
+		}
+		if (len(weights) == 1) != c.uniform {
+			t.Fatalf("%s: %d distinct paper weights, but the case says uniform = %v", g.Name(), len(weights), c.uniform)
+		}
+		if c.uniform {
+			want = 1 / (4 * float64(g.MaxDegree()))
+		}
+		if got := PaperEdgeScale(g); got != want {
+			t.Errorf("%s: PaperEdgeScale = %v, want %v", g.Name(), got, want)
+		}
 	}
 }
 

@@ -45,23 +45,6 @@ func LaplacianOperator(g *graph.G) Operator {
 	}
 }
 
-// UniformDiffusionOperator returns Cybenko's diffusion matrix
-// M = I − α·L with α = 1/(δ+1) as an implicit CSR matvec.
-func UniformDiffusionOperator(g *graph.G) Operator {
-	alpha := 1 / float64(g.MaxDegree()+1)
-	off, tgt := g.CSR()
-	return func(dst, x matrix.Vector) {
-		for i := range dst {
-			xi := x[i]
-			s := xi
-			for _, j := range tgt[off[i]:off[i+1]] {
-				s += alpha * (x[j] - xi)
-			}
-			dst[i] = s
-		}
-	}
-}
-
 // PaperDiffusionOperator returns the paper's diffusion matrix — transfer
 // rule m_ij = 1/(4·max(dᵢ,dⱼ)) — as an implicit CSR matvec.
 func PaperDiffusionOperator(g *graph.G) Operator {
@@ -104,24 +87,19 @@ const lanczosTol = 1e-8
 
 // ExtremalEigs computes the smallest and largest eigenvalues of the
 // symmetric operator op on ℝⁿ restricted to the orthogonal complement of
-// deflate (pass nil to run on the full space). It is the shared engine
-// behind the large-graph λ₂/λ_max/γ paths. ok reports whether the residual
-// gate was met; when false, min and max carry the best available Ritz
-// estimates and the caller decides whether to fall back.
-func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, max float64, ok bool, err error) {
-	if n < 1 {
-		return 0, 0, false, fmt.Errorf("spectral: ExtremalEigs needs n ≥ 1, got %d", n)
-	}
-	steps := lanczosMaxSteps
-	if deflate != nil && steps > n-1 {
-		steps = n - 1
-	}
-	if deflate == nil && steps > n {
-		steps = n
+// the constant vector. It is the shared engine behind the large-graph
+// Laplacian record and γ_P. ok reports whether the residual gate was met;
+// when false, min and max carry the best available Ritz estimates and the
+// caller decides whether to fall back.
+func ExtremalEigs(n int, op Operator, seed int64) (min, max float64, ok bool, err error) {
+	steps := n - 1
+	if steps > lanczosMaxSteps {
+		steps = lanczosMaxSteps
 	}
 	if steps < 1 {
 		return 0, 0, false, fmt.Errorf("spectral: deflated space is empty for n=%d", n)
 	}
+	deflate := make(matrix.Vector, n).Fill(1)
 
 	// Deterministic pseudo-random start, deflated and normalized.
 	v := make(matrix.Vector, n)
@@ -130,9 +108,7 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 		s = s*6364136223846793005 + 1442695040888963407
 		v[i] = float64(int64(s>>11))/float64(1<<52) - 0.5
 	}
-	if deflate != nil {
-		v.ProjectOut(deflate)
-	}
+	v.ProjectOut(deflate)
 	if v.Normalize() == 0 {
 		return 0, 0, false, fmt.Errorf("spectral: degenerate Lanczos start")
 	}
@@ -185,9 +161,7 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 		}
 		// Full reorthogonalization against the deflated direction and the
 		// whole basis keeps the Krylov space numerically orthogonal.
-		if deflate != nil {
-			w.ProjectOut(deflate)
-		}
+		w.ProjectOut(deflate)
 		for _, b := range basis {
 			w.AddScaled(-w.Dot(b), b)
 		}
@@ -224,18 +198,16 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 }
 
 // LaplacianExtremal computes (λ₂, λ_max) of the Laplacian of g via implicit
-// Lanczos in the complement of the all-ones kernel. g must be connected.
-// ok reports whether the residual gate converged.
+// Lanczos in the complement of the all-ones kernel. ok reports whether the
+// residual gate converged. On a disconnected g the kernel is larger than
+// the all-ones vector, so λ₂ comes out ≈ 0 and rarely converges; λ_max is
+// still the top Ritz value.
 func LaplacianExtremal(g *graph.G, seed int64) (lambda2, lambdaMax float64, ok bool, err error) {
 	n := g.N()
 	if n < 2 {
 		return 0, 0, false, fmt.Errorf("spectral: λ₂ undefined for n=%d", n)
 	}
-	if !g.IsConnected() {
-		return 0, 0, false, fmt.Errorf("spectral: graph %s is disconnected (λ₂ = 0)", g.Name())
-	}
-	ones := make(matrix.Vector, n).Fill(1)
-	lo, hi, ok, err := ExtremalEigs(n, LaplacianOperator(g), ones, seed)
+	lo, hi, ok, err := ExtremalEigs(n, LaplacianOperator(g), seed)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -254,8 +226,7 @@ func GammaLanczos(g *graph.G, op Operator, seed int64) (float64, bool, error) {
 	if n < 2 {
 		return 0, false, fmt.Errorf("spectral: γ undefined for n=%d", n)
 	}
-	ones := make(matrix.Vector, n).Fill(1)
-	lo, hi, ok, err := ExtremalEigs(n, op, ones, seed)
+	lo, hi, ok, err := ExtremalEigs(n, op, seed)
 	if err != nil {
 		return 0, false, err
 	}

@@ -13,39 +13,12 @@ import (
 const denseCutoff = 400
 
 // Lambda2 returns λ₂, the second-smallest eigenvalue of the Laplacian of g
-// (its algebraic connectivity). Routing, cheapest first: the closed form a
-// family constructor recorded on g (graph.ClosedForm), the
-// dense Householder+QL solver below the cutoff, implicit CSR Lanczos above
-// it, and the CG-based inverse-power path when the Lanczos residual gate
-// does not converge (tiny-gap families). The graph must have at least 2
-// nodes and be connected (otherwise λ₂ = 0 and the convergence bounds of
-// the paper are vacuous).
+// (its algebraic connectivity), from g's Laplacian record (see
+// LaplacianExtremes). The graph must have at least 2 nodes; a disconnected
+// graph has λ₂ = 0, and the convergence bounds of the paper are vacuous.
 func Lambda2(g *graph.G) (float64, error) {
-	n := g.N()
-	if n < 2 {
-		return 0, fmt.Errorf("spectral: λ₂ undefined for n=%d", n)
-	}
-	if !g.IsConnected() {
-		return 0, nil
-	}
-	if cf, ok := g.ClosedForm(); ok {
-		solveClosedForm.Add(1)
-		return cf.Lambda2, nil
-	}
-	if n <= denseCutoff {
-		solveDense.Add(1)
-		vals, err := EigenvaluesSym(g.Laplacian())
-		if err != nil {
-			return 0, err
-		}
-		return vals[1], nil
-	}
-	if l2, _, ok, err := LaplacianExtremal(g, 1); err == nil && ok {
-		solveLanczos.Add(1)
-		return l2, nil
-	}
-	solveInversePower.Add(1)
-	return Lambda2InversePower(g, 1)
+	r, err := LaplacianExtremes(g)
+	return r.Lambda2, err
 }
 
 // MustLambda2 is Lambda2 that panics on error; for use with graphs known to
@@ -73,9 +46,12 @@ func LaplacianSpectrum(g *graph.G) ([]float64, error) {
 // M is symmetric, doubly stochastic, and L∞-contractive; the continuous
 // first-order scheme is exactly Lᵗ⁺¹ = M·Lᵗ.
 func DiffusionMatrix(g *graph.G) *matrix.Dense {
-	alpha := 1 / float64(g.MaxDegree()+1)
+	alpha := DiffusionAlpha(g)
 	return WeightedDiffusionMatrix(g, func(i, j int) float64 { return alpha })
 }
+
+// DiffusionAlpha returns Cybenko's uniform diffusion factor α = 1/(δ+1).
+func DiffusionAlpha(g *graph.G) float64 { return 1 / float64(g.MaxDegree()+1) }
 
 // PaperDiffusionMatrix builds the diffusion matrix matching Algorithm 1's
 // transfer rule: m_ij = 1/(4·max(dᵢ, dⱼ)). In the continuous case one round
@@ -146,52 +122,21 @@ type Report struct {
 	N, M, Delta int
 	Lambda2     float64 // algebraic connectivity
 	LambdaMax   float64 // largest Laplacian eigenvalue
-	Gamma       float64 // 2nd-largest |eigenvalue| of the uniform diffusion matrix (NaN for n < 2)
+	Gamma       float64 // 2nd-largest |eigenvalue| of the uniform diffusion matrix
 	ExpansionLo float64 // Cheeger lower bound λ₂/2
 	ExpansionHi float64 // Cheeger upper bound sqrt(2δλ₂)
-	Exact       bool    // λ₂ from a closed form or dense solve (true) or an iterative path (false)
-	Method      string  // which dispatch path produced λ₂ (see SolveStats)
+	Method      string  // the Laplacian record's Path: which solve produced λ₂
 }
 
-// Analyze computes a Report for g. All quantities are filled at every size
-// now that λ_max and γ route through the closed-form and implicit-Lanczos
-// paths; Exact records whether λ₂ came from an exact solver and Method
-// names the dispatch path that actually ran.
+// Analyze computes a Report for g (n ≥ 2) from one Laplacian record.
 func Analyze(g *graph.G) (Report, error) {
 	r := Report{Name: g.Name(), N: g.N(), M: g.M(), Delta: g.MaxDegree()}
-	before := SolveStats()
-	l2, err := Lambda2(g)
+	lap, err := LaplacianExtremes(g)
 	if err != nil {
 		return r, err
 	}
-	switch after := SolveStats(); {
-	case after.ClosedForm > before.ClosedForm:
-		r.Method = "closed form"
-	case after.Dense > before.Dense:
-		r.Method = "dense Householder+QL"
-	case after.Lanczos > before.Lanczos:
-		r.Method = "implicit Lanczos"
-	case after.InversePower > before.InversePower:
-		r.Method = "inverse-power CG"
-	default:
-		r.Method = "cached"
-	}
-	r.Lambda2 = l2
-	r.ExpansionLo, r.ExpansionHi = graph.ExpansionBounds(g, l2)
-	_, r.Exact = g.ClosedForm()
-	r.Exact = r.Exact || g.N() <= denseCutoff
-	r.LambdaMax, r.Gamma = math.NaN(), math.NaN()
-	lm, err := LambdaMaxOf(g)
-	if err != nil {
-		return r, err
-	}
-	r.LambdaMax = lm
-	if g.N() >= 2 {
-		gm, err := GammaOf(g)
-		if err != nil {
-			return r, err
-		}
-		r.Gamma = gm
-	}
+	r.Lambda2, r.LambdaMax, r.Method = lap.Lambda2, lap.LambdaMax, lap.Path
+	r.Gamma = lap.Gamma(DiffusionAlpha(g))
+	r.ExpansionLo, r.ExpansionHi = graph.ExpansionBounds(g, lap.Lambda2)
 	return r, nil
 }

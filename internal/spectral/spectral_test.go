@@ -303,8 +303,8 @@ func TestAnalyzeReport(t *testing.T) {
 	if math.Abs(r.Lambda2-graph.TorusLambda2(4, 4)) > 1e-7 {
 		t.Fatalf("λ₂ = %v", r.Lambda2)
 	}
-	if !r.Exact || math.IsNaN(r.Gamma) {
-		t.Fatalf("dense path should fill γ: %+v", r)
+	if r.Method != PathClosedForm || math.IsNaN(r.Gamma) {
+		t.Fatalf("closed-form path should fill γ: %+v", r)
 	}
 	if r.ExpansionLo > r.ExpansionHi {
 		t.Fatal("Cheeger bounds inverted")
