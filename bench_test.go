@@ -240,7 +240,7 @@ func BenchmarkLambda2InversePower(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := spectral.Lambda2InversePower(g, int64(i+1)); err != nil {
+		if _, err := spectral.Lambda2InversePower(g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -135,14 +135,14 @@ func TestLambda2SolverAgreement(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no closed form", g.Name())
 		}
-		lan, _, ok, err := spectral.LaplacianExtremal(g, 3)
+		lan, _, ok, err := spectral.LaplacianExtremal(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			t.Fatalf("%s: Lanczos did not converge", g.Name())
 		}
-		inv, err := spectral.Lambda2InversePower(g, 3)
+		inv, err := spectral.Lambda2InversePower(g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,6 +33,7 @@ import (
 	"repro/internal/randpair"
 	"repro/internal/scenario"
 	"repro/internal/speccache"
+	"repro/internal/spectral"
 )
 
 // Algorithm selects the balancing scheme.
@@ -321,19 +322,22 @@ type Stepper[T load.Value] interface {
 // mid-run. Its persistent rng keeps a randomized algorithm's draw stream
 // continuous across rebuilds, so a run's randomness does not restart with
 // each churn.
-// spectra supplies the second-order scheme's γ: the shared process-wide
-// cache for graphs that recur across units, a run-local cache for the
-// transient per-round subgraphs a churn scenario draws (which would
-// otherwise each cost an eigensolve entry in — and disk spill from — the
-// shared cache, never to be looked up again).
-func buildSystemOn(cfg Config, g *graph.G, loads []float64, rng *rand.Rand, spectra *speccache.Cache) (System, error) {
+// The second-order scheme's γ of the configured graph, which recurs across
+// units, comes through the process-wide speccache. Any other graph is a
+// churned subgraph that a session activates at most once, so its γ is
+// solved directly: a cache entry (or disk spill) would never be read again.
+func buildSystemOn(cfg Config, g *graph.G, loads []float64, rng *rand.Rand) (System, error) {
 	switch {
 	case cfg.Algorithm == FirstOrder:
 		st := diffusion.NewFirstOrder(g, loads)
 		st.Workers = cfg.Workers
 		return st, nil
 	case cfg.Algorithm == SecondOrder:
-		gamma, err := spectra.Gamma(g)
+		gammaOf := spectral.GammaOf
+		if g == cfg.Graph {
+			gammaOf = speccache.Gamma
+		}
+		gamma, err := gammaOf(g)
 		if err != nil {
 			return nil, fmt.Errorf("core: γ for second-order β: %w", err)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/speccache"
 	"repro/internal/workload"
 )
 
@@ -22,7 +21,7 @@ func newSystem(cfg Config) (System, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return buildSystemOn(cfg, cfg.Graph, cfg.Loads, rand.New(rand.NewSource(cfg.Seed)), speccache.Shared())
+	return buildSystemOn(cfg, cfg.Graph, cfg.Loads, rand.New(rand.NewSource(cfg.Seed)))
 }
 
 func TestBalanceDiffusionContinuous(t *testing.T) {

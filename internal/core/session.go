@@ -41,16 +41,13 @@ import (
 // always done, so a trace recorded from a live session replays
 // byte-identically through the grid.
 type Session struct {
-	cfg  Config
-	base *graph.G // cfg.Graph; SwapGraph may activate others
-	g    *graph.G // the active graph
-	sys  System
+	cfg Config
+	g   *graph.G // the active graph: cfg.Graph until SwapGraph activates another
+	sys System
 
 	// algoRNG persists across SwapGraph rebuilds so a randomized
-	// algorithm's draw stream never restarts mid-run; runSpectra keeps
-	// churned one-shot subgraphs out of the process-wide speccache.
-	algoRNG    *rand.Rand
-	runSpectra *speccache.Cache
+	// algorithm's draw stream never restarts mid-run.
+	algoRNG *rand.Rand
 
 	lambda2   float64
 	bound     float64
@@ -105,10 +102,8 @@ func Open(cfg Config) (*Session, error) {
 
 	s := &Session{
 		cfg:        cfg,
-		base:       cfg.Graph,
 		g:          cfg.Graph,
 		algoRNG:    rand.New(rand.NewSource(cfg.Seed)),
-		runSpectra: speccache.New(),
 		rebalanced: -1,
 		phases:     cfg.Phases,
 	}
@@ -133,7 +128,7 @@ func Open(cfg Config) (*Session, error) {
 		s.lambda2 = l2
 	}
 
-	sys, err := buildSystemOn(cfg, cfg.Graph, cfg.Loads, s.algoRNG, speccache.Shared())
+	sys, err := buildSystemOn(cfg, cfg.Graph, cfg.Loads, s.algoRNG)
 	if err != nil {
 		return nil, err
 	}
@@ -255,10 +250,8 @@ func (s *Session) Inject(arrivals []scenario.Arrival) (float64, error) {
 
 // SwapGraph activates g, rebuilding the stepper on the current loads with
 // the persistent algorithm RNG. A no-op when g is already active; only
-// legal between rounds. The base graph's spectra go through the shared
-// cache (it recurs across every unit of its topology); churned per-round
-// graphs use a cache that dies with the session, so one-shot subgraphs
-// never pollute — or spill to disk from — the process-wide cache.
+// legal between rounds. Only the configured graph's spectra go through the
+// process-wide cache (see buildSystemOn).
 func (s *Session) SwapGraph(g *graph.G) error {
 	if s.closed {
 		return errSessionClosed
@@ -272,10 +265,6 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	if g == s.g {
 		return nil
 	}
-	spectra := s.runSpectra
-	if g == s.base {
-		spectra = speccache.Shared()
-	}
 	var t0 time.Time
 	if s.phases.Enabled() {
 		t0 = time.Now()
@@ -287,7 +276,7 @@ func (s *Session) SwapGraph(g *graph.G) error {
 		// float64 round trip would create or destroy tokens above 2⁵³.
 		sys, err = build(s.cfg, g, tok.Values(), s.algoRNG)
 	} else {
-		sys, err = buildSystemOn(s.cfg, g, currentLoads(s.sys), s.algoRNG, spectra)
+		sys, err = buildSystemOn(s.cfg, g, currentLoads(s.sys), s.algoRNG)
 	}
 	if s.phases.Enabled() {
 		s.phases.Observe(obs.PhaseGraphSwap, time.Since(t0))
@@ -361,7 +350,7 @@ func (s *Session) Metrics() SessionMetrics {
 		Lambda2:         s.lambda2,
 		Bound:           s.bound,
 		BoundName:       s.boundName,
-		SteadyRMS:       steadyRMS(s.trace, s.base.N()),
+		SteadyRMS:       steadyRMS(s.trace, s.cfg.Graph.N()),
 		RebalanceRounds: -1,
 	}
 	if s.rebalanced >= 0 {
@@ -385,7 +374,7 @@ func (s *Session) Close() Result {
 		PhiEnd:    s.Phi(),
 		Trace:     s.trace,
 		Lambda2:   s.lambda2,
-		Delta:     s.base.MaxDegree(),
+		Delta:     s.cfg.Graph.MaxDegree(),
 	}
 	if s.cfg.Scenario.IsStatic() {
 		res.Bound = s.bound
@@ -396,7 +385,7 @@ func (s *Session) Close() Result {
 	if s.rebalanced >= 0 {
 		res.RebalanceRounds = s.rebalanced - s.lastEvent
 	}
-	res.SteadyRMS = steadyRMS(s.trace, s.base.N())
+	res.SteadyRMS = steadyRMS(s.trace, s.cfg.Graph.N())
 	return res
 }
 

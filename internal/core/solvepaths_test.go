@@ -1,5 +1,3 @@
-//go:build !race
-
 package core
 
 import (
@@ -17,9 +15,7 @@ import (
 // algorithms that need spectra (diffusion for λ₂, secondorder for γ too)
 // solves each graph's Laplacian once. The nine family constructors' graphs
 // (eight topology names) take their closed form; the other ten take one
-// dense solve at n = 64 and one Lanczos run at n = 512. The lollipop's
-// Lanczos run nears the 256-step cap, which takes about a minute under the
-// race detector, so this file is built without it.
+// dense solve at n = 64 and one Lanczos run at n = 512.
 func TestGridSolvePaths(t *testing.T) {
 	cache := speccache.Shared()
 	if err := cache.SetDiskDir(""); err != nil {

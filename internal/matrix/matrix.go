@@ -50,15 +50,6 @@ func NewDenseFrom(rows [][]float64) (*Dense, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -91,8 +82,8 @@ func (m *Dense) Clone() *Dense {
 }
 
 // MulVec computes m·x into a new vector.
-// Test-only: TestMulVec*, TestEigenSymKnown2x2 and spectral's
-// TestLaplacianApplyMatchesDense, the dense oracle for LaplacianOperator.
+// Test-only: TestMulVec* and spectral's TestLaplacianApplyMatchesDense,
+// the dense oracle for LaplacianOperator.
 func (m *Dense) MulVec(x Vector) (Vector, error) {
 	if m.cols != len(x) {
 		return nil, fmt.Errorf("%w: %dx%d * vec(%d)", ErrDimension, m.rows, m.cols, len(x))

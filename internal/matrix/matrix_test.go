@@ -46,21 +46,6 @@ func TestNewDenseFromEmpty(t *testing.T) {
 	}
 }
 
-func TestIdentity(t *testing.T) {
-	id := Identity(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if id.At(i, j) != want {
-				t.Fatalf("I[%d][%d] = %v", i, j, id.At(i, j))
-			}
-		}
-	}
-}
-
 func TestSetAddAt(t *testing.T) {
 	m := NewDense(2, 2)
 	m.Set(0, 1, 5)

@@ -85,7 +85,7 @@ func LaplacianExtremes(g *graph.G) (Laplacian, error) {
 		}
 		r = Laplacian{vals[1], vals[n-1], PathDense}
 	} else {
-		l2, lmax, ok, err := LaplacianExtremal(g, 1)
+		l2, lmax, ok, err := LaplacianExtremal(g)
 		if err != nil {
 			return r, err
 		}
@@ -94,7 +94,7 @@ func LaplacianExtremes(g *graph.G) (Laplacian, error) {
 			solveLanczos.Add(1)
 		} else {
 			solveInversePower.Add(1)
-			if r.Lambda2, err = Lambda2InversePower(g, 1); err != nil {
+			if r.Lambda2, err = Lambda2InversePower(g); err != nil {
 				return r, err
 			}
 			r.Path = PathInversePower
@@ -175,7 +175,7 @@ func PaperGammaOf(g *graph.G) (float64, error) {
 		solveDense.Add(1)
 		return Gamma(PaperDiffusionMatrix(g))
 	}
-	gm, _, err := GammaLanczos(g, PaperDiffusionOperator(g), 1)
+	gm, err := GammaLanczos(g, PaperDiffusionOperator(g))
 	if err != nil {
 		return 0, err
 	}

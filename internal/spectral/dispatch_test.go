@@ -211,7 +211,7 @@ func TestLanczosMatchesDenseOnUnstructuredGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dense spectrum: %v", g.Name(), err)
 		}
-		l2, lmax, ok, err := LaplacianExtremal(g, 1)
+		l2, lmax, ok, err := LaplacianExtremal(g)
 		if err != nil {
 			t.Fatalf("%s: Lanczos: %v", g.Name(), err)
 		}

@@ -17,7 +17,7 @@ import (
 // n, which is what makes this the method of choice for large graphs with
 // tiny spectral gaps (cycles, paths, barbells) where plain Lanczos on the
 // shifted operator stalls.
-func Lambda2InversePower(g *graph.G, seed int64) (float64, error) {
+func Lambda2InversePower(g *graph.G) (float64, error) {
 	n := g.N()
 	if n < 2 {
 		return 0, fmt.Errorf("spectral: λ₂ undefined for n=%d", n)
@@ -28,7 +28,7 @@ func Lambda2InversePower(g *graph.G, seed int64) (float64, error) {
 
 	ones := make(matrix.Vector, n).Fill(1)
 	v := make(matrix.Vector, n)
-	s := uint64(seed)*6364136223846793005 + 1442695040888963407
+	s := uint64(6364136223846793005 + 1442695040888963407)
 	for i := range v {
 		s = s*6364136223846793005 + 1442695040888963407
 		v[i] = float64(int64(s>>11))/float64(1<<52) - 0.5

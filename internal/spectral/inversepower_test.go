@@ -22,7 +22,7 @@ func TestLambda2InversePowerMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inv, err := Lambda2InversePower(g, 99)
+		inv, err := Lambda2InversePower(g)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
@@ -34,7 +34,7 @@ func TestLambda2InversePowerMatchesDense(t *testing.T) {
 
 func TestLambda2InversePowerLargePath(t *testing.T) {
 	n := 1500
-	got, err := Lambda2InversePower(graph.Path(n), 7)
+	got, err := Lambda2InversePower(graph.Path(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,22 +48,22 @@ func TestLambda2InversePowerRejectsDisconnected(t *testing.T) {
 	b := graph.NewBuilder("disc", 4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	if _, err := Lambda2InversePower(b.MustFinish(), 1); err == nil {
+	if _, err := Lambda2InversePower(b.MustFinish()); err == nil {
 		t.Fatal("expected error for disconnected graph")
 	}
 }
 
 func TestLambda2InversePowerDeterministic(t *testing.T) {
 	g := graph.Torus(8, 8)
-	a, err := Lambda2InversePower(g, 5)
+	a, err := Lambda2InversePower(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Lambda2InversePower(g, 5)
+	b, err := Lambda2InversePower(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatalf("same seed must reproduce: %v vs %v", a, b)
+		t.Fatalf("two runs must agree: %v vs %v", a, b)
 	}
 }

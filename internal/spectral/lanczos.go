@@ -91,7 +91,7 @@ const lanczosTol = 1e-8
 // Laplacian record and γ_P. ok reports whether the residual gate was met;
 // when false, min and max carry the best available Ritz estimates and the
 // caller decides whether to fall back.
-func ExtremalEigs(n int, op Operator, seed int64) (min, max float64, ok bool, err error) {
+func ExtremalEigs(n int, op Operator) (min, max float64, ok bool, err error) {
 	steps := n - 1
 	if steps > lanczosMaxSteps {
 		steps = lanczosMaxSteps
@@ -103,7 +103,7 @@ func ExtremalEigs(n int, op Operator, seed int64) (min, max float64, ok bool, er
 
 	// Deterministic pseudo-random start, deflated and normalized.
 	v := make(matrix.Vector, n)
-	s := uint64(seed)*2862933555777941757 + 3037000493
+	s := uint64(2862933555777941757 + 3037000493)
 	for i := range v {
 		s = s*6364136223846793005 + 1442695040888963407
 		v[i] = float64(int64(s>>11))/float64(1<<52) - 0.5
@@ -121,13 +121,14 @@ func ExtremalEigs(n int, op Operator, seed int64) (min, max float64, ok bool, er
 	ritz := func() (float64, float64, float64, float64, error) {
 		// Diagonalize the current tridiagonal projection and read off the
 		// extremal Ritz values with their residual bounds |β_k·s_k| (s the
-		// eigenvector of T, k its last row).
+		// eigenvector of T, k its last row: the only row QL rotates).
 		m := len(alpha)
 		t := Tridiagonal{D: append([]float64(nil), alpha...), E: make([]float64, m)}
 		for k := 0; k+1 < m; k++ {
 			t.E[k+1] = beta[k]
 		}
-		z := matrix.Identity(m)
+		z := make([]float64, m)
+		z[m-1] = 1
 		if err := QLImplicit(t, z); err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -144,8 +145,8 @@ func ExtremalEigs(n int, op Operator, seed int64) (min, max float64, ok bool, er
 				hi = c
 			}
 		}
-		resLo := math.Abs(bLast * z.At(m-1, lo))
-		resHi := math.Abs(bLast * z.At(m-1, hi))
+		resLo := math.Abs(bLast * z[lo])
+		resHi := math.Abs(bLast * z[hi])
 		return t.D[lo], t.D[hi], resLo, resHi, nil
 	}
 
@@ -202,12 +203,12 @@ func ExtremalEigs(n int, op Operator, seed int64) (min, max float64, ok bool, er
 // residual gate converged. On a disconnected g the kernel is larger than
 // the all-ones vector, so λ₂ comes out ≈ 0 and rarely converges; λ_max is
 // still the top Ritz value.
-func LaplacianExtremal(g *graph.G, seed int64) (lambda2, lambdaMax float64, ok bool, err error) {
+func LaplacianExtremal(g *graph.G) (lambda2, lambdaMax float64, ok bool, err error) {
 	n := g.N()
 	if n < 2 {
 		return 0, 0, false, fmt.Errorf("spectral: λ₂ undefined for n=%d", n)
 	}
-	lo, hi, ok, err := ExtremalEigs(n, LaplacianOperator(g), seed)
+	lo, hi, ok, err := ExtremalEigs(n, LaplacianOperator(g))
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -220,19 +221,20 @@ func LaplacianExtremal(g *graph.G, seed int64) (lambda2, lambdaMax float64, ok b
 // GammaLanczos computes γ — the second-largest eigenvalue magnitude — of an
 // implicit diffusion matrix whose stationary eigenvector is the constant
 // vector: Lanczos in the 1⊥ complement returns the extremal remaining
-// eigenvalues (θ_min, θ_max), and γ = max(|θ_min|, |θ_max|).
-func GammaLanczos(g *graph.G, op Operator, seed int64) (float64, bool, error) {
+// eigenvalues (θ_min, θ_max), and γ = max(|θ_min|, |θ_max|). When the
+// residual gate is not met, γ comes from the best Ritz estimates.
+func GammaLanczos(g *graph.G, op Operator) (float64, error) {
 	n := g.N()
 	if n < 2 {
-		return 0, false, fmt.Errorf("spectral: γ undefined for n=%d", n)
+		return 0, fmt.Errorf("spectral: γ undefined for n=%d", n)
 	}
-	lo, hi, ok, err := ExtremalEigs(n, op, seed)
+	lo, hi, _, err := ExtremalEigs(n, op)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	gamma := math.Abs(hi)
 	if a := math.Abs(lo); a > gamma {
 		gamma = a
 	}
-	return gamma, ok, nil
+	return gamma, nil
 }

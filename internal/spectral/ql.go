@@ -20,10 +20,11 @@ const maxQLIterationsPerEigenvalue = 30
 
 // QLImplicit diagonalizes a symmetric tridiagonal matrix in place using the
 // QL algorithm with implicit shifts. On return t.D holds the eigenvalues
-// (unsorted). If z is non-nil it must be the orthogonal matrix accumulated
-// by Householder (or the identity for a genuinely tridiagonal input); its
-// columns are rotated into the corresponding eigenvectors.
-func QLImplicit(t Tridiagonal, z *matrix.Dense) error {
+// (unsorted). If z is non-nil it must hold one row of the identity, of
+// length len(t.D); it is rotated into that row of the eigenvector matrix,
+// so z[c] becomes the row's entry in the eigenvector of t.D[c]. Lanczos
+// passes the last row, which is all its residual bounds read.
+func QLImplicit(t Tridiagonal, z []float64) error {
 	n := len(t.D)
 	if n == 0 {
 		return nil
@@ -88,11 +89,9 @@ func QLImplicit(t Tridiagonal, z *matrix.Dense) error {
 				d[i+1] = g + p
 				g = c*r - b
 				if z != nil {
-					for k := 0; k < z.Rows(); k++ {
-						f := z.At(k, i+1)
-						z.Set(k, i+1, s*z.At(k, i)+c*f)
-						z.Set(k, i, c*z.At(k, i)-s*f)
-					}
+					f := z[i+1]
+					z[i+1] = s*z[i] + c*f
+					z[i] = c*z[i] - s*f
 				}
 			}
 			if r == 0 && m-1 >= l {
@@ -106,47 +105,18 @@ func QLImplicit(t Tridiagonal, z *matrix.Dense) error {
 	return nil
 }
 
-// EigenSym computes all eigenvalues (ascending) of the symmetric matrix a,
-// and the matching eigenvectors as the columns of the returned matrix when
-// wantVectors is set. The input is not modified.
-func EigenSym(a *matrix.Dense, wantVectors bool) ([]float64, *matrix.Dense, error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		panic("spectral: EigenSym requires a square matrix")
-	}
-	if !a.IsSymmetric(symTol(a)) {
-		return nil, nil, errors.New("spectral: EigenSym requires a symmetric matrix")
-	}
-	t, z := Householder(a, wantVectors)
-	if err := QLImplicit(t, z); err != nil {
-		return nil, nil, err
-	}
-	vals := t.D
-	if !wantVectors {
-		sort.Float64s(vals)
-		return vals, nil, nil
-	}
-	// Sort eigenpairs ascending by value.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return vals[idx[i]] < vals[idx[j]] })
-	sortedVals := make([]float64, n)
-	vecs := matrix.NewDense(n, n)
-	for newCol, oldCol := range idx {
-		sortedVals[newCol] = vals[oldCol]
-		for r := 0; r < n; r++ {
-			vecs.Set(r, newCol, z.At(r, oldCol))
-		}
-	}
-	return sortedVals, vecs, nil
-}
-
-// EigenvaluesSym is EigenSym without eigenvectors.
+// EigenvaluesSym computes all eigenvalues (ascending) of the symmetric
+// matrix a. The input is not modified.
 func EigenvaluesSym(a *matrix.Dense) ([]float64, error) {
-	vals, _, err := EigenSym(a, false)
-	return vals, err
+	if !a.IsSymmetric(symTol(a)) {
+		return nil, errors.New("spectral: EigenvaluesSym requires a square symmetric matrix")
+	}
+	t := Householder(a)
+	if err := QLImplicit(t, nil); err != nil {
+		return nil, err
+	}
+	sort.Float64s(t.D)
+	return t.D, nil
 }
 
 // symTol picks a symmetry tolerance proportional to the matrix magnitude.

@@ -3,17 +3,22 @@
 // second-smallest eigenvalue of the graph Laplacian (the algebraic
 // connectivity), or γ, the second-largest eigenvalue of the diffusion
 // matrix. The Go ecosystem has no stdlib eigensolver, so this package
-// implements the classic dense pipeline from scratch:
+// implements them from scratch, computing eigenvalues only:
 //
 //   - Householder reduction of a symmetric matrix to tridiagonal form
 //     (tridiag.go),
-//   - the implicit-shift QL iteration on the tridiagonal matrix (ql.go),
+//   - the implicit-shift QL iteration on the tridiagonal matrix, and the
+//     dense EigenvaluesSym built from the two (ql.go),
 //   - a cyclic Jacobi solver used to cross-validate the QL path (jacobi.go),
-//   - Lanczos / deflated power iteration for extremal eigenvalues of large
-//     sparse Laplacians (iterative.go),
+//   - implicit Lanczos for the extremal eigenvalues of large sparse
+//     operators (lanczos.go) and CG inverse power for λ₂ when Lanczos does
+//     not converge (inversepower.go),
+//   - LaplacianExtremes, the one routing of a graph's Laplacian solve
+//     (closed form, dense, Lanczos, inverse power) with its solve counters,
+//     and the γ values derived from it (dispatch.go),
 //
-// together with graph-facing conveniences: Lambda2, DiffusionMatrix, Gamma
-// (spectral.go).
+// together with graph-facing conveniences: Lambda2, DiffusionMatrix, Gamma,
+// Analyze (spectral.go).
 //
 // The dense algorithms follow the standard EISPACK/"Numerical Recipes"
 // formulations (tred2/tql2); this is an independent reimplementation with
@@ -34,21 +39,17 @@ type Tridiagonal struct {
 }
 
 // Householder reduces the symmetric matrix a to tridiagonal form using
-// Householder reflections, returning the tridiagonal matrix and, if
-// wantVectors is set, the accumulated orthogonal transform Q such that
-// a = Q·T·Qᵀ. The input matrix is not modified.
-func Householder(a *matrix.Dense, wantVectors bool) (Tridiagonal, *matrix.Dense) {
+// Householder reflections (tred2 without the transform accumulation). The
+// input matrix is not modified.
+func Householder(a *matrix.Dense) Tridiagonal {
 	n := a.Rows()
 	if a.Cols() != n {
 		panic("spectral: Householder requires a square matrix")
 	}
 	if n == 0 {
-		if wantVectors {
-			return Tridiagonal{D: nil, E: nil}, matrix.NewDense(0, 0)
-		}
-		return Tridiagonal{D: nil, E: nil}, nil
+		return Tridiagonal{}
 	}
-	// Work on a copy; z accumulates the transform in place (tred2 layout).
+	// Work on a copy: the reflections overwrite its lower triangle.
 	z := a.Clone()
 	d := make([]float64, n)
 	e := make([]float64, n)
@@ -77,9 +78,6 @@ func Householder(a *matrix.Dense, wantVectors bool) (Tridiagonal, *matrix.Dense)
 				z.Set(i, l, f-g)
 				var fSum float64
 				for j := 0; j <= l; j++ {
-					if wantVectors {
-						z.Set(j, i, z.At(i, j)/h)
-					}
 					g = 0
 					for k := 0; k <= j; k++ {
 						g += z.At(j, k) * z.At(i, k)
@@ -103,39 +101,10 @@ func Householder(a *matrix.Dense, wantVectors bool) (Tridiagonal, *matrix.Dense)
 		} else {
 			e[i] = z.At(i, l)
 		}
-		d[i] = h
-	}
-	if wantVectors {
-		d[0] = 0
 	}
 	e[0] = 0
-
-	for i := 0; i < n; i++ {
-		if wantVectors {
-			l := i - 1
-			if d[i] != 0 {
-				for j := 0; j <= l; j++ {
-					var g float64
-					for k := 0; k <= l; k++ {
-						g += z.At(i, k) * z.At(k, j)
-					}
-					for k := 0; k <= l; k++ {
-						z.Set(k, j, z.At(k, j)-g*z.At(k, i))
-					}
-				}
-			}
-			d[i] = z.At(i, i)
-			z.Set(i, i, 1)
-			for j := 0; j <= l; j++ {
-				z.Set(j, i, 0)
-				z.Set(i, j, 0)
-			}
-		} else {
-			d[i] = z.At(i, i)
-		}
+	for i := range d {
+		d[i] = z.At(i, i)
 	}
-	if !wantVectors {
-		z = nil
-	}
-	return Tridiagonal{D: d, E: e}, z
+	return Tridiagonal{D: d, E: e}
 }
