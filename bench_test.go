@@ -166,6 +166,24 @@ func BenchmarkDiffusionStepDeBruijn(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphBuild times building the e2ebench cell and churn
+// workloads' base graphs through graph.Builder: the edge generation, the
+// sort of the packed keys and the CSR placement.
+func BenchmarkGraphBuild(b *testing.B) {
+	b.Run("hypercube14", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			graph.Hypercube(14)
+		}
+	})
+	b.Run("random-regular4096", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			graph.RandomRegular(4096, 4, rand.New(rand.NewSource(1)))
+		}
+	})
+}
+
 // BenchmarkRandomSubgraphsNext times one churn draw: the random subgraph a
 // §5 dynamic run swaps in every round, on the e2ebench churn workload's base
 // graph (random 4-regular, n = 4096) keeping 90% of the edges.

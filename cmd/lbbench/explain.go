@@ -106,6 +106,9 @@ func printExplain(w io.Writer, spec batch.Spec, u batch.Unit, g *graph.G, res co
 	fmt.Fprintf(w, "workload     : %s, scale %.4g\n", u.WorkloadName, spec.Scale)
 	fmt.Fprintf(w, "Φ            : %.6g → %.6g (ε target %g)\n", res.PhiStart, res.PhiEnd, spec.Epsilon)
 	fmt.Fprintf(w, "rounds       : %d (converged: %v)\n", res.Rounds, res.Converged)
+	if res.Reason == core.ReasonDisconnected {
+		fmt.Fprintln(w, "stopped      : disconnected (the paper's bounds need a connected graph; no rounds run)")
+	}
 	if res.Bound > 0 {
 		fmt.Fprintf(w, "paper bound  : %.1f rounds (%s) — measured/bound = %.3f\n",
 			res.Bound, res.BoundName, float64(res.Rounds)/res.Bound)

@@ -136,7 +136,7 @@ func TestExplainMatchesSweep(t *testing.T) {
 			}
 			o := c.Outcome
 			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-			if res.Rounds != o.Rounds || res.Converged != o.Converged || res.BoundName != o.BoundName ||
+			if res.Rounds != o.Rounds || res.Converged != o.Converged || res.BoundName != o.BoundName || res.Reason != o.Reason ||
 				res.RebalanceRounds != o.RebalanceRounds || !same(res.PhiStart, o.PhiStart) ||
 				!same(res.PhiEnd, o.PhiEnd) || !same(res.Bound, o.Bound) ||
 				!same(res.PeakPhi, o.PeakPhi) || !same(res.SteadyRMS, o.SteadyRMS) {
@@ -163,6 +163,87 @@ func TestExplainMatchesSweep(t *testing.T) {
 		}
 		if len(rep.Cells) != tc.cells || failed != tc.failed {
 			t.Errorf("%d cells, %d failed; want %d cells, %d failed", len(rep.Cells), failed, tc.cells, tc.failed)
+		}
+	}
+}
+
+// TestDisconnectedCellsEndAtOnce: topoparse's rgg does not redraw until
+// connected, and at n = 20, 24 and 32 the sweep's rgg is disconnected. Every
+// static cell on it, except randpair's (which ignores the edges), ends
+// before round 1, unconverged, with the reason "disconnected": in the
+// sweep's cells, in its journal lines (and only on those lines) and in
+// -explain's report. A scenario cell on the same graph still runs.
+func TestDisconnectedCellsEndAtOnce(t *testing.T) {
+	for _, n := range []int{20, 24, 32} {
+		spec := batch.Spec{
+			Topologies: []string{"rgg"},
+			Algorithms: []string{"diffusion", "dimexchange", "randpair", "firstorder", "secondorder", "roundrobin"},
+			Modes:      []string{"continuous", "discrete"},
+			Workloads:  []string{"spike", "uniform"},
+			Scenarios:  []string{"static", "edge-churn:0.1"},
+			Seeds:      []int64{1, 2},
+			N:          n,
+			MaxRounds:  64,
+		}
+		var journal strings.Builder
+		rep, err := core.GridRun(context.Background(), spec, core.GridSink(batch.NewJSONLSink(&journal)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(journal.String()), "\n")[1:] // after the spec header
+		if len(lines) != len(rep.Cells) {
+			t.Fatalf("n=%d: %d journal lines for %d cells", n, len(lines), len(rep.Cells))
+		}
+		stopped := 0
+		for i, c := range rep.Cells {
+			key := c.Unit.Key()
+			if c.Err != "" {
+				continue // firstorder and secondorder run continuous only
+			}
+			_, _, g, err := explainUnit(spec, key)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if g.IsConnected() {
+				t.Fatalf("n=%d: the sweep's rgg is connected; pick a disconnected size", n)
+			}
+			want := c.Scenario == "" && c.Algorithm != "randpair"
+			tagged := strings.Contains(lines[i], `"reason":"disconnected"`)
+			if want != (c.Reason == core.ReasonDisconnected) || want != tagged {
+				t.Errorf("%s: reason %q, journal tagged %v; want stopped %v", key, c.Reason, tagged, want)
+				continue
+			}
+			if !want {
+				if c.Rounds == 0 {
+					t.Errorf("%s: ran no rounds", key)
+				}
+				continue
+			}
+			stopped++
+			if c.Rounds != 0 || c.Converged || c.Bound != 0 {
+				t.Errorf("%s: %d rounds, converged %v, bound %v; want 0, false, 0", key, c.Rounds, c.Converged, c.Bound)
+			}
+			es, u, g, _ := explainUnit(spec, key)
+			loads, algoSeed := u.Inputs(g.N(), es.Scale)
+			res, err := core.RunUnit(es, u, g, loads, algoSeed, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			var out strings.Builder
+			if err := printExplain(&out, es, u, g, res); err != nil {
+				t.Fatalf("%s: report: %v", key, err)
+			}
+			for _, line := range []string{"rounds       : 0 (converged: false)\n", "stopped      : disconnected"} {
+				if !strings.Contains(out.String(), line) {
+					t.Errorf("%s: report lacks %q:\n%s", key, line, out.String())
+				}
+			}
+		}
+		// Static cells that stop: diffusion, dimexchange and roundrobin in
+		// both modes plus firstorder and secondorder continuous, × 2
+		// workloads × 2 seeds.
+		if stopped != 32 {
+			t.Errorf("n=%d: %d cells stopped as disconnected, want 32", n, stopped)
 		}
 	}
 }

@@ -36,6 +36,11 @@ type Outcome struct {
 	PeakPhi         float64 `json:"peak_phi,omitempty"`
 	SteadyRMS       float64 `json:"steady_rms,omitempty"`
 	RebalanceRounds int     `json:"rebalance_rounds,omitempty"`
+	// Reason says why a unit stopped short of its target before its round
+	// cap ("disconnected": a static unit on a disconnected graph runs no
+	// rounds). Omitted when empty, so only those cells' journal lines
+	// carry it.
+	Reason string `json:"reason,omitempty"`
 }
 
 // RunFunc executes one run unit on graph g from the given initial loads.

@@ -198,6 +198,9 @@ func (r *Report) Table() *trace.Table {
 		"rounds", "converged", "bound", "rounds/bound", "rms disc.", "wall", "error")
 	for _, c := range r.Cells {
 		bound, ratio := "-", "-"
+		if c.Reason != "" {
+			bound = c.Reason
+		}
 		if c.Bound > 0 {
 			bound = fmt.Sprintf("%.4g", c.Bound)
 			ratio = fmt.Sprintf("%.4g", c.BoundRatio)

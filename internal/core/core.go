@@ -131,8 +131,10 @@ func (m Mode) String() string {
 
 // Config describes one balancing run.
 type Config struct {
-	// Graph is the topology. Required; must be connected for the spectral
-	// bounds to be meaningful.
+	// Graph is the topology. Required. The paper's theorems need it
+	// connected: a static run on a disconnected graph ends before round 1
+	// with Result.Reason ReasonDisconnected, except under RandomPartners,
+	// which ignores the edges.
 	Graph *graph.G
 	// Algorithm selects the scheme (default Diffusion).
 	Algorithm Algorithm
@@ -146,7 +148,8 @@ type Config struct {
 	// Default 1e-3.
 	Epsilon float64
 	// MaxRounds caps the run (default: 16× the relevant theorem bound, or
-	// 10⁶ when no bound applies).
+	// 10⁶ when no bound applies). A static run on a disconnected graph
+	// runs no rounds whatever the cap.
 	MaxRounds int
 	// Seed drives the randomized algorithms (default 1).
 	Seed int64
@@ -212,7 +215,17 @@ type Result struct {
 	PeakPhi         float64
 	SteadyRMS       float64
 	RebalanceRounds int
+	// Reason says why a static run stopped short of its target before its
+	// round cap: ReasonDisconnected, or "" for every other run.
+	Reason string
 }
+
+// ReasonDisconnected is the Result.Reason of a static run on a
+// disconnected graph. The paper states its theorems for connected graphs:
+// with λ₂ = 0 there is no bound to run to, and the components' averages
+// differ, so Φ cannot reach ε·Φ⁰. Such a run ends before round 1,
+// unconverged.
+const ReasonDisconnected = "disconnected"
 
 // Validate rejects configurations Balance cannot run: a missing graph, a
 // load vector of the wrong length or with non-finite/negative entries, a

@@ -113,6 +113,7 @@ func GridRun(ctx context.Context, spec batch.Spec, opts ...GridOption) (*batch.R
 			PeakPhi:         res.PeakPhi,
 			SteadyRMS:       res.SteadyRMS,
 			RebalanceRounds: res.RebalanceRounds,
+			Reason:          res.Reason,
 		}, err
 	}
 	var sweepStart int64

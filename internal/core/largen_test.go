@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,19 +17,34 @@ import (
 // fails if the dense eigensolver ran at all (an n×n matrix at n = 2²⁰ is an
 // 8 TB allocation; the counter catches a dispatch regression long before an
 // OOM would), if the solve was not counted as Lanczos, or if the whole check
-// took longer than five minutes. It needs about 2 GB, so it runs only when
+// took longer than five minutes, or if the hypercube holds more heap than
+// its CSR, 8·(n+1) + 16·m bytes (176 MB), plus 10%. Its peak is the de
+// Bruijn Lanczos basis, about 1.6 GB resident, so it runs only when
 // LB_LARGE_N is set: `make large-n-smoke`.
 func TestLargeNSmoke(t *testing.T) {
 	if os.Getenv("LB_LARGE_N") == "" {
-		t.Skip("set LB_LARGE_N=1 to run the million-node check (about 2 GB)")
+		t.Skip("set LB_LARGE_N=1 to run the million-node check (about 1.6 GB)")
 	}
 	const n, budget = 1 << 20, 5 * time.Minute
 	start := time.Now()
 	before := spectral.SolveStats()
 
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heapBefore := ms.HeapAlloc
 	g, err := topoparse.Build("hypercube", n, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	held := int64(ms.HeapAlloc) - int64(heapBefore)
+	csr := int64(8*(g.N()+1) + 16*g.M())
+	t.Logf("hypercube n=%d m=%d: HeapAlloc %.1f MB, %.1f MB held by the graph (CSR %.1f MB)",
+		g.N(), g.M(), float64(ms.HeapAlloc)/1e6, float64(held)/1e6, float64(csr)/1e6)
+	if held > csr+csr/10 {
+		t.Errorf("the graph holds %d bytes, more than its CSR's %d + 10%%", held, csr)
 	}
 	loads := workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil)
 	sys, err := newSystem(Config{Graph: g, Algorithm: Diffusion, Loads: loads, Seed: 1, Workers: 1})

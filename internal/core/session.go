@@ -49,10 +49,11 @@ type Session struct {
 	// algorithm's draw stream never restarts mid-run.
 	algoRNG *rand.Rand
 
-	lambda2   float64
-	bound     float64
-	boundName string
-	target    float64
+	lambda2      float64
+	disconnected bool // static run on a disconnected graph: Horizon is 0
+	bound        float64
+	boundName    string
+	target       float64
 
 	rounds   int
 	trace    []float64
@@ -111,9 +112,14 @@ func Open(cfg Config) (*Session, error) {
 	// Spectral inputs for the bounds (skipped for RandomPartners, whose
 	// bounds are topology-free). λ₂ comes through the shared speccache,
 	// so repeated runs on the same topology — every unit of a grid sweep
-	// — pay for the eigensolve once per process.
+	// — pay for the eigensolve once per process. A disconnected graph has
+	// λ₂ = 0 and no theorem: a static run on it ends before round 1.
 	n := cfg.Graph.N()
-	if cfg.Algorithm != RandomPartners && cfg.Graph.IsConnected() && n >= 2 {
+	switch {
+	case cfg.Algorithm == RandomPartners || n < 2:
+	case !cfg.Graph.IsConnected():
+		s.disconnected = cfg.Scenario.IsStatic()
+	default:
 		var t0 time.Time
 		if s.phases.Enabled() {
 			t0 = time.Now()
@@ -186,10 +192,14 @@ func (s *Session) Phi() float64 { return s.trace[len(s.trace)-1] }
 // threshold where the theorems demand one.
 func (s *Session) Target() float64 { return s.target }
 
-// Horizon returns the resolved round cap: cfg.MaxRounds when positive,
-// otherwise 16× the theorem bound + 64 (10⁶ when no bound applies) for
-// static runs or scenario.DefaultHorizon for scenario runs.
+// Horizon returns the resolved round cap: 0 for a static run on a
+// disconnected graph (see ReasonDisconnected), otherwise cfg.MaxRounds when
+// positive, otherwise 16× the theorem bound + 64 (10⁶ when no bound
+// applies) for static runs or scenario.DefaultHorizon for scenario runs.
 func (s *Session) Horizon() int {
+	if s.disconnected {
+		return 0
+	}
 	if s.cfg.MaxRounds > 0 {
 		return s.cfg.MaxRounds
 	}
@@ -379,6 +389,9 @@ func (s *Session) Close() Result {
 	if s.cfg.Scenario.IsStatic() {
 		res.Bound = s.bound
 		res.BoundName = s.boundName
+		if s.disconnected && !res.Converged {
+			res.Reason = ReasonDisconnected
+		}
 		return res
 	}
 	res.PeakPhi = s.peak

@@ -7,14 +7,14 @@
 // Graphs are simple (no self loops, no multi-edges) and immutable once
 // built; every algorithm in this repository treats the topology as
 // read-only, which is what makes the steppers' goroutine-parallel round
-// executors (internal/parallel) safe without locks.
+// executors (internal/parallel) safe without locks. A graph stores one
+// adjacency, its CSR; the sorted edge list that flows, colourings and the
+// sequential models index is built on first use (Edges).
 package graph
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"sync"
@@ -37,23 +37,27 @@ func (e Edge) Canonical() Edge {
 
 // G is an immutable simple undirected graph with nodes 0..n−1.
 //
-// A graph holds its sorted edge list, one flat CSR (compressed sparse row)
-// adjacency — a single offsets array and a single targets array — and, when
+// A graph's one resident adjacency is a flat CSR (compressed sparse row)
+// layout — a single offsets array and a single targets array — plus, when
 // a family constructor built it, that family's ClosedForm spectra. There
-// are no per-node neighbour slices. Neighbors(i) is
-// a view of CSR row i and Degree(i) is the row's length. The CSR layout is
-// what the per-round stepper hot loops scan: one contiguous stream instead
-// of n pointer-chased slices, which keeps a million-node round
-// cache-friendly. See CSR for the layout contract.
+// are no per-node neighbour slices: Neighbors(i) is a view of CSR row i
+// and Degree(i) is the row's length. The CSR layout is what the per-round
+// stepper hot loops, the Lanczos operators and the matchers scan: one
+// contiguous stream instead of n pointer-chased slices, which keeps a
+// million-node round cache-friendly. See CSR for the layout contract.
+// The sorted edge list is built from the CSR on the first Edges call, so
+// only graphs whose callers read it hold it.
 type G struct {
-	name  string
-	n     int
-	edges []Edge // canonical, sorted lexicographically
+	name string
+	n    int
 
 	csrOff []int // len n+1; node i's neighbours at csrTgt[csrOff[i]:csrOff[i+1]]
 	csrTgt []int // len 2m; ascending within each node's range
 
 	closed *ClosedForm // nil unless a family constructor recorded one
+
+	edgesOnce sync.Once
+	edges     []Edge // canonical, sorted lexicographically; nil until Edges
 
 	fpOnce sync.Once
 	fp     uint64
@@ -102,51 +106,58 @@ func (b *Builder) AddEdge(u, v int) {
 	b.packed = append(b.packed, uint64(u)<<32|uint64(v))
 }
 
-// Finish validates and freezes the graph.
+// Finish validates and freezes the graph. The sorted, compacted keys place
+// the CSR directly; offsets and targets share one allocation.
 func (b *Builder) Finish() (*G, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	slices.Sort(b.packed)
 	b.packed = slices.Compact(b.packed)
-	edges := make([]Edge, len(b.packed))
-	for k, p := range b.packed {
-		edges[k] = Edge{U: int(p >> 32), V: int(uint32(p))}
+	csr := make([]int, b.n+1+2*len(b.packed))
+	off, tgt := csr[:b.n+1:b.n+1], csr[b.n+1:]
+	for _, p := range b.packed {
+		off[p>>32+1]++
+		off[uint32(p)+1]++
 	}
-	return fromEdges(b.name, b.n, edges), nil
+	startRows(off)
+	for _, p := range b.packed {
+		place(off, tgt, int(p>>32), int(uint32(p)))
+	}
+	return sealCSR(b.name, b.n, off, tgt), nil
 }
 
-// fromEdges builds the graph on n nodes over edges, which must be
-// canonical, sorted and duplicate-free; the graph keeps the slice.
+// startRows turns the degree counts in off[1:] into row starts.
 //
-// Offsets and targets share one allocation. The CSR is degree counts into
-// csrOff[i+1], a prefix sum, and one placement pass that uses csrOff[i] as
-// row i's cursor (leaving it at the row's end, so one shift restores the
-// offsets). Iterating the sorted edge list places each node's smaller
+// Finish and Subgraph build a CSR in two passes over a sorted canonical
+// edge list: degree counts into off[i+1], startRows, then a place pass
+// that uses off[i] as row i's cursor (leaving it at the row's end, so
+// sealCSR shifts it back). Placing in sorted order puts each node's smaller
 // neighbours (from edges where it is V, ascending by U) before its larger
 // ones (from its own U block, ascending by V), so every row comes out
 // ascending without a per-node sort.
-func fromEdges(name string, n int, edges []Edge) *G {
-	csr := make([]int, n+1+2*len(edges))
-	off, tgt := csr[:n+1:n+1], csr[n+1:]
-	for _, e := range edges {
-		off[e.U+1]++
-		off[e.V+1]++
-	}
+func startRows(off []int) {
 	sum := 0
 	for i := range off {
 		sum += off[i]
 		off[i] = sum
 	}
-	for _, e := range edges {
-		tgt[off[e.U]] = e.V
-		off[e.U]++
-		tgt[off[e.V]] = e.U
-		off[e.V]++
-	}
+}
+
+// place writes edge {u, v} into both endpoints' rows at their cursors.
+func place(off, tgt []int, u, v int) {
+	tgt[off[u]] = v
+	off[u]++
+	tgt[off[v]] = u
+	off[v]++
+}
+
+// sealCSR restores the row starts from the placement cursors and freezes
+// the graph.
+func sealCSR(name string, n int, off, tgt []int) *G {
 	copy(off[1:], off[:n])
 	off[0] = 0
-	return &G{name: name, n: n, edges: edges, csrOff: off, csrTgt: tgt}
+	return &G{name: name, n: n, csrOff: off, csrTgt: tgt}
 }
 
 // MustFinish is Finish that panics on error; used by the topology
@@ -167,10 +178,25 @@ func (g *G) Name() string { return g.name }
 func (g *G) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *G) M() int { return len(g.edges) }
+func (g *G) M() int { return g.csrOff[g.n] / 2 }
 
-// Edges returns the canonical edge list. Callers must not mutate it.
-func (g *G) Edges() []Edge { return g.edges }
+// Edges returns the canonical edge list, sorted lexicographically: the
+// CSR's upper triangle (row i, neighbours j > i). The first call builds it
+// and the graph keeps it; callers must not mutate it.
+func (g *G) Edges() []Edge {
+	g.edgesOnce.Do(func() {
+		edges := make([]Edge, 0, g.M())
+		for u := 0; u < g.n; u++ {
+			for _, v := range g.Neighbors(u) {
+				if v > u {
+					edges = append(edges, Edge{U: u, V: v})
+				}
+			}
+		}
+		g.edges = edges
+	})
+	return g.edges
+}
 
 // Neighbors returns the sorted neighbour list of node i: CSR row i, capped
 // so an append cannot run into row i+1. Callers must not mutate it.
@@ -211,7 +237,9 @@ func (g *G) MaxDegree() int {
 func (g *G) IsRegular() bool { return 2*g.M() == g.N()*g.MaxDegree() }
 
 // Fingerprint returns a stable 64-bit structural hash of the graph: its
-// name, node count and full edge set. Two graphs with the same fingerprint
+// name, node count (8 bytes, little-endian) and full edge set (U and V as
+// 4 bytes each), FNV-1a-hashed in Edges() order straight off the CSR
+// without building the list. Two graphs with the same fingerprint
 // are interchangeable for caching purposes — internal/speccache keys its
 // memoized spectral quantities (λ₂, γ, optimal flows) on it, so randomized
 // families with colliding names but different edge sets never share an
@@ -219,19 +247,39 @@ func (g *G) IsRegular() bool { return 2*g.M() == g.N()*g.MaxDegree() }
 // immutable after Finish).
 func (g *G) Fingerprint() uint64 {
 	g.fpOnce.Do(func() {
-		h := fnv.New64a()
-		h.Write([]byte(g.name))
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(g.n))
-		h.Write(buf[:])
-		for _, e := range g.edges {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
-			binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
-			h.Write(buf[:])
+		h := uint64(fnvOffset)
+		for i := 0; i < len(g.name); i++ {
+			h = (h ^ uint64(g.name[i])) * fnvPrime
 		}
-		g.fp = h.Sum64()
+		h = fnvWord(h, uint64(g.n))
+		for u := 0; u < g.n; u++ {
+			for _, v := range g.Neighbors(u) {
+				if v > u {
+					h = fnvWord(h, uint64(uint32(u))|uint64(uint32(v))<<32)
+				}
+			}
+		}
+		g.fp = h
 	})
 	return g.fp
+}
+
+// FNV-1a, 64-bit (hash/fnv's New64a), folded in place: the hash is a
+// serial chain of multiplies, and calling Write through the hash.Hash64
+// interface per edge, or staging edges in a buffer, puts the CSR walk on
+// that chain instead of beside it.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvWord folds the eight little-endian bytes of x into the FNV-1a state h.
+func fnvWord(h, x uint64) uint64 {
+	for k := 0; k < 8; k++ {
+		h = (h ^ x&0xff) * fnvPrime
+		x >>= 8
+	}
+	return h
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -277,10 +325,9 @@ func (g *G) Laplacian() *matrix.Dense {
 	l := matrix.NewDense(g.n, g.n)
 	for i := 0; i < g.n; i++ {
 		l.Set(i, i, float64(g.Degree(i)))
-	}
-	for _, e := range g.edges {
-		l.Set(e.U, e.V, -1)
-		l.Set(e.V, e.U, -1)
+		for _, j := range g.Neighbors(i) {
+			l.Set(i, j, -1)
+		}
 	}
 	return l
 }
@@ -288,16 +335,31 @@ func (g *G) Laplacian() *matrix.Dense {
 // Subgraph returns the graph on the same node set containing only the edges
 // for which keep returns true. keep is called exactly once per edge, in
 // Edges() order, which is what keeps the dynamic-network generators' RNG
-// streams fixed. The kept edges are already canonical and sorted, so they
-// go straight to the CSR constructor.
+// streams fixed; Subgraph builds the base's edge list if it has none. One
+// pass records keep's answers in a mask and counts the kept degrees; a
+// second pass places the kept edges, already canonical and sorted, straight
+// into the new CSR. No edge list is built for the subgraph.
 func (g *G) Subgraph(name string, keep func(Edge) bool) *G {
-	edges := make([]Edge, 0, len(g.edges))
-	for _, e := range g.edges {
+	edges := g.Edges()
+	kept := make([]bool, len(edges))
+	off := make([]int, g.n+1)
+	m := 0
+	for k, e := range edges {
 		if keep(e) {
-			edges = append(edges, e)
+			kept[k] = true
+			off[e.U+1]++
+			off[e.V+1]++
+			m++
 		}
 	}
-	return fromEdges(name, g.n, edges)
+	tgt := make([]int, 2*m)
+	startRows(off)
+	for k, e := range edges {
+		if kept[k] {
+			place(off, tgt, e.U, e.V)
+		}
+	}
+	return sealCSR(name, g.n, off, tgt)
 }
 
 // String implements fmt.Stringer.
