@@ -56,7 +56,8 @@ bench:
 # Million-node gate: TestLargeNSmoke steps a 2^20-node hypercube diffusion
 # cell and solves λ₂ of the 2^20-node de Bruijn graph by Lanczos within five
 # minutes, failing if the dense eigensolver ran at all or if the hypercube
-# holds more than its CSR + 10%. Peaks at about 1.6 GB resident.
+# holds more than its CSR (92.3 MB; 92.2 MB measured) + 10%. Peaks at about
+# 1.6 GB resident.
 large-n-smoke:
 	LB_LARGE_N=1 $(GO) test -count=1 -run '^TestLargeNSmoke$$' -v ./internal/core/
 

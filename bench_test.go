@@ -146,6 +146,32 @@ func BenchmarkDiffusionStepHypercube(b *testing.B) {
 	}
 }
 
+// BenchmarkDiffusionStepHypercube14 times one serial continuous Algorithm 1
+// round of the e2ebench cell workload: the 2¹⁴-node hypercube, whose 2m
+// CSR targets (0.9 MB) outgrow the 1024-node torus's L1-resident ones,
+// started from uniform noise plus a spike of 1000·n. Every 93 rounds, the
+// length of such a cell to ε = 1e-6, the loads restart, so every timed
+// round is one a cell runs.
+func BenchmarkDiffusionStepHypercube14(b *testing.B) {
+	const cellRounds = 93
+	g := graph.Hypercube(14)
+	rng := rand.New(rand.NewSource(1))
+	start := make([]float64, g.N())
+	for i := range start {
+		start[i] = rng.Float64()
+	}
+	start[rng.Intn(g.N())] += 1000 * float64(g.N())
+	st := diffusion.New(g, start)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%cellRounds == 0 {
+			copy(st.Values(), start)
+		}
+		st.Step()
+	}
+}
+
 func BenchmarkFirstOrderStepHypercube(b *testing.B) {
 	g := graph.Hypercube(14)
 	st := diffusion.NewFirstOrder(g, workload.Continuous(workload.Spike, g.N(), 1e6*float64(g.N()), nil))

@@ -18,7 +18,8 @@ import (
 // 8 TB allocation; the counter catches a dispatch regression long before an
 // OOM would), if the solve was not counted as Lanczos, or if the whole check
 // took longer than five minutes, or if the hypercube holds more heap than
-// its CSR, 8·(n+1) + 16·m bytes (176 MB), plus 10%. Its peak is the de
+// its CSR, 8·(n+1) int offsets plus 2m int32 targets = 8·(n+1) + 8·m bytes
+// (92 MB), plus 10%. Its peak is the de
 // Bruijn Lanczos basis, about 1.6 GB resident, so it runs only when
 // LB_LARGE_N is set: `make large-n-smoke`.
 func TestLargeNSmoke(t *testing.T) {
@@ -40,7 +41,7 @@ func TestLargeNSmoke(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	held := int64(ms.HeapAlloc) - int64(heapBefore)
-	csr := int64(8*(g.N()+1) + 16*g.M())
+	csr := int64(8*(g.N()+1) + 8*g.M())
 	t.Logf("hypercube n=%d m=%d: HeapAlloc %.1f MB, %.1f MB held by the graph (CSR %.1f MB)",
 		g.N(), g.M(), float64(ms.HeapAlloc)/1e6, float64(held)/1e6, float64(csr)/1e6)
 	if held > csr+csr/10 {

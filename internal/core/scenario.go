@@ -45,7 +45,7 @@ func runScenario(s *Session) (Result, error) {
 			return Result{}, err
 		}
 		// An arrival-free scenario has nothing to inject, and s.Loads() would
-		// copy a discrete run's tokens into a fresh vector every round.
+		// copy a discrete run's tokens into the session's float view.
 		if !inst.ArrivalFree() {
 			if _, err := s.Inject(inst.Arrivals(k, s.Loads())); err != nil {
 				return Result{}, err
@@ -60,22 +60,6 @@ func runScenario(s *Session) (Result, error) {
 		}
 	}
 	return s.Close(), nil
-}
-
-// currentLoads returns the stepper's live load state as a float vector:
-// the continuous vector itself (no copy — callers treat it as read-only),
-// or a float view of the token counts (exact below 2⁵³ tokens per node).
-func currentLoads(sys System) []float64 {
-	st, ok := sys.(Stepper[int64])
-	if !ok {
-		return sys.(Stepper[float64]).Values()
-	}
-	tok := st.Values()
-	out := make([]float64, len(tok))
-	for i, x := range tok {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 // injectInto lands the arrivals in the stepper's live load state,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/batch"
@@ -217,7 +218,7 @@ func TestBalanceStaticScenarioIsByteIdenticalToNoScenario(t *testing.T) {
 // Balance run allocates no more than the Open, SwapGraph, Step, Commit and
 // Close calls it makes. An arrival-free scenario has nothing to inject, so
 // the loop must not build the float view of the tokens that Session.Loads
-// allocates for a discrete run: that would be one allocation per round.
+// refreshes for a discrete run: that would be one copy per round.
 func TestChurnBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
 	const rounds = 256
 	g := graph.Torus(16, 16)
@@ -261,5 +262,52 @@ func TestChurnBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
 	// The counts wobble by a few runtime allocations from run to run.
 	if got > want+rounds/8 {
 		t.Fatalf("a %d-round Balance run allocates %v times, its session calls %v", rounds, got, want)
+	}
+}
+
+// TestDiscreteLoadsViewAllocatesNothing: in a discrete poisson-arrivals
+// run, Session.Loads refreshes one float view of the tokens in place. Only
+// the first call allocates it; every later round's view is the same
+// backing array, allocates nothing and matches the copying Snapshot.
+func TestDiscreteLoadsViewAllocatesNothing(t *testing.T) {
+	g := graph.Torus(16, 16)
+	cfg := Config{
+		Graph:     g,
+		Algorithm: Diffusion,
+		Mode:      Discrete,
+		Loads:     SpikeLoads(g.N(), 1e9),
+		MaxRounds: 32,
+		Scenario:  mustScenario(t, "poisson-arrivals"),
+	}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cfg.Scenario.New(g, 1e9, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *float64
+	for k := 0; k < s.Horizon(); k++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		var loads []float64
+		allocs := testing.AllocsPerRun(1, func() { loads = s.Loads() })
+		if k == 0 {
+			first = &loads[0]
+		}
+		if allocs != 0 || &loads[0] != first {
+			t.Fatalf("round %d: Loads allocates %v times (view moved: %t)", k, allocs, &loads[0] != first)
+		}
+		if want := s.Snapshot(); !slices.Equal(loads, want) {
+			t.Fatalf("round %d: Loads view differs from Snapshot", k)
+		}
+		if _, err := s.Inject(inst.Arrivals(k, loads)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

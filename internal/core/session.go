@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/diffusion"
@@ -58,8 +59,9 @@ type Session struct {
 	rounds   int
 	trace    []float64
 	peak     float64
-	injected float64 // load landed since the last Commit
-	midRound bool    // Step taken, Commit pending
+	injected float64   // load landed since the last Commit
+	midRound bool      // Step taken, Commit pending
+	view     []float64 // a token session's float view of its loads (Loads)
 
 	lastEvent  int // round index of the most recent load injection
 	rebalanced int // first round with Φ ≤ target since lastEvent; -1 while above
@@ -286,7 +288,7 @@ func (s *Session) SwapGraph(g *graph.G) error {
 		// float64 round trip would create or destroy tokens above 2⁵³.
 		sys, err = build(s.cfg, g, tok.Values(), s.algoRNG)
 	} else {
-		sys, err = buildSystemOn(s.cfg, g, currentLoads(s.sys), s.algoRNG)
+		sys, err = buildSystemOn(s.cfg, g, s.sys.(Stepper[float64]).Values(), s.algoRNG)
 	}
 	if s.phases.Enabled() {
 		s.phases.Observe(obs.PhaseGraphSwap, time.Since(t0))
@@ -333,19 +335,35 @@ func (s *Session) Commit() (float64, error) {
 }
 
 // Loads returns the stepper's live load state as a float vector: the
-// continuous vector itself (no copy — treat as read-only), or a fresh
-// float view of the token counts. This is the view scenario arrival
-// processes observe.
+// continuous vector itself (no copy — treat as read-only), or the
+// session's one float view of the token counts, refreshed by this call.
+// Either is valid only until the next Step, Inject or SwapGraph; Snapshot
+// is the copy to retain. This is the view scenario arrival processes
+// observe.
 func (s *Session) Loads() []float64 {
-	return currentLoads(s.sys)
+	if tok, ok := s.sys.(Stepper[int64]); ok {
+		s.view = floatView(s.view, tok.Values())
+		return s.view
+	}
+	return s.sys.(Stepper[float64]).Values()
 }
 
 // Snapshot returns a copy of the per-node load state, safe to retain.
 func (s *Session) Snapshot() []float64 {
-	live := currentLoads(s.sys)
-	out := make([]float64, len(live))
-	copy(out, live)
-	return out
+	if tok, ok := s.sys.(Stepper[int64]); ok {
+		return floatView(nil, tok.Values())
+	}
+	return slices.Clone(s.sys.(Stepper[float64]).Values())
+}
+
+// floatView writes the token counts into buf as floats (exact below 2⁵³
+// tokens per node), growing it only when it is too short, and returns it.
+func floatView(buf []float64, tok []int64) []float64 {
+	buf = slices.Grow(buf[:0], len(tok))[:len(tok)]
+	for i, x := range tok {
+		buf[i] = float64(x)
+	}
+	return buf
 }
 
 // Metrics returns a point-in-time view of the session.

@@ -92,7 +92,7 @@ func (mt *matcher) draw(g *graph.G, rng *rand.Rand) []graph.Edge {
 			proposal[i] = -1
 			continue
 		}
-		proposal[i] = tgt[off[i]+rng.Intn(deg)]
+		proposal[i] = int(tgt[off[i]+rng.Intn(deg)])
 	}
 	m := mt.edges[:0]
 	for i := 0; i < n; i++ {

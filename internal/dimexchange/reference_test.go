@@ -28,7 +28,7 @@ func refRandomMatching(g *graph.G, rng *rand.Rand) []graph.Edge {
 			proposal[i] = -1
 			continue
 		}
-		proposal[i] = tgt[off[i]+rng.Intn(deg)]
+		proposal[i] = int(tgt[off[i]+rng.Intn(deg)])
 	}
 	matched := make([]bool, n)
 	var m []graph.Edge

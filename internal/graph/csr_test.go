@@ -40,7 +40,7 @@ func TestCSRLayoutContract(t *testing.T) {
 				t.Fatalf("%s: node %d row length %d, Neighbors %d, Degree %d", g.Name(), i, len(row), len(nbrs), g.Degree(i))
 			}
 			for k, v := range row {
-				if int(v) != nbrs[k] {
+				if v != nbrs[k] {
 					t.Fatalf("%s: node %d position %d: CSR %d, Neighbors %d", g.Name(), i, k, v, nbrs[k])
 				}
 				if k > 0 && row[k-1] >= v {

@@ -93,7 +93,7 @@ func Diameter(g *G) int {
 			for _, v := range g.Neighbors(u) {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
-					queue = append(queue, v)
+					queue = append(queue, int(v))
 				}
 			}
 		}

@@ -8,15 +8,16 @@
 // built; every algorithm in this repository treats the topology as
 // read-only, which is what makes the steppers' goroutine-parallel round
 // executors (internal/parallel) safe without locks. A graph stores one
-// adjacency, its CSR; the sorted edge list that flows, colourings and the
-// sequential models index is built on first use (Edges).
+// adjacency, its CSR, with 32-bit neighbour ids, so a graph has at most
+// MaxNodes = 2³¹−1 nodes; the sorted edge list that flows, colourings and
+// the sequential models index is built on first use (Edges).
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/matrix"
@@ -35,24 +36,25 @@ func (e Edge) Canonical() Edge {
 	return e
 }
 
-// G is an immutable simple undirected graph with nodes 0..n−1.
+// G is an immutable simple undirected graph with nodes 0..n−1, n ≤ MaxNodes.
 //
 // A graph's one resident adjacency is a flat CSR (compressed sparse row)
-// layout — a single offsets array and a single targets array — plus, when
-// a family constructor built it, that family's ClosedForm spectra. There
-// are no per-node neighbour slices: Neighbors(i) is a view of CSR row i
-// and Degree(i) is the row's length. The CSR layout is what the per-round
-// stepper hot loops, the Lanczos operators and the matchers scan: one
-// contiguous stream instead of n pointer-chased slices, which keeps a
-// million-node round cache-friendly. See CSR for the layout contract.
+// layout — a single int offsets array and a single int32 targets array,
+// the stream every round reads in full — plus, when a family constructor
+// built it, that family's ClosedForm spectra. There are no per-node
+// neighbour slices: Neighbors(i) is a view of CSR row i and Degree(i) is
+// the row's length. The CSR layout is what the per-round stepper hot
+// loops, the Lanczos operators and the matchers scan: one contiguous
+// stream instead of n pointer-chased slices, which keeps a million-node
+// round cache-friendly. See CSR for the layout contract.
 // The sorted edge list is built from the CSR on the first Edges call, so
 // only graphs whose callers read it hold it.
 type G struct {
 	name string
 	n    int
 
-	csrOff []int // len n+1; node i's neighbours at csrTgt[csrOff[i]:csrOff[i+1]]
-	csrTgt []int // len 2m; ascending within each node's range
+	csrOff []int   // len n+1; node i's neighbours at csrTgt[csrOff[i]:csrOff[i+1]]
+	csrTgt []int32 // len 2m; ascending within each node's range
 
 	closed *ClosedForm // nil unless a family constructor recorded one
 
@@ -77,11 +79,20 @@ type Builder struct {
 	err    error
 }
 
-// NewBuilder starts a builder for a graph with n nodes.
+// MaxNodes is the largest node count a graph can have: the CSR stores
+// neighbour ids as int32, and Builder packs an edge's endpoints into one
+// 64-bit key.
+const MaxNodes = math.MaxInt32
+
+// NewBuilder starts a builder for a graph with n nodes. A negative n or one
+// above MaxNodes is a sticky error that Finish reports.
 func NewBuilder(name string, n int) *Builder {
 	b := &Builder{name: name, n: n}
-	if n < 0 {
+	switch {
+	case n < 0:
 		b.err = errors.New("graph: negative node count")
+	case n > MaxNodes:
+		b.err = fmt.Errorf("graph: %d nodes exceed the limit of %d", n, MaxNodes)
 	}
 	return b
 }
@@ -107,22 +118,21 @@ func (b *Builder) AddEdge(u, v int) {
 }
 
 // Finish validates and freezes the graph. The sorted, compacted keys place
-// the CSR directly; offsets and targets share one allocation.
+// the CSR directly.
 func (b *Builder) Finish() (*G, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	slices.Sort(b.packed)
 	b.packed = slices.Compact(b.packed)
-	csr := make([]int, b.n+1+2*len(b.packed))
-	off, tgt := csr[:b.n+1:b.n+1], csr[b.n+1:]
+	off, tgt := make([]int, b.n+1), make([]int32, 2*len(b.packed))
 	for _, p := range b.packed {
 		off[p>>32+1]++
 		off[uint32(p)+1]++
 	}
 	startRows(off)
 	for _, p := range b.packed {
-		place(off, tgt, int(p>>32), int(uint32(p)))
+		place(off, tgt, int32(p>>32), int32(uint32(p)))
 	}
 	return sealCSR(b.name, b.n, off, tgt), nil
 }
@@ -145,7 +155,7 @@ func startRows(off []int) {
 }
 
 // place writes edge {u, v} into both endpoints' rows at their cursors.
-func place(off, tgt []int, u, v int) {
+func place(off []int, tgt []int32, u, v int32) {
 	tgt[off[u]] = v
 	off[u]++
 	tgt[off[v]] = u
@@ -154,7 +164,7 @@ func place(off, tgt []int, u, v int) {
 
 // sealCSR restores the row starts from the placement cursors and freezes
 // the graph.
-func sealCSR(name string, n int, off, tgt []int) *G {
+func sealCSR(name string, n int, off []int, tgt []int32) *G {
 	copy(off[1:], off[:n])
 	off[0] = 0
 	return &G{name: name, n: n, csrOff: off, csrTgt: tgt}
@@ -188,8 +198,8 @@ func (g *G) Edges() []Edge {
 		edges := make([]Edge, 0, g.M())
 		for u := 0; u < g.n; u++ {
 			for _, v := range g.Neighbors(u) {
-				if v > u {
-					edges = append(edges, Edge{U: u, V: v})
+				if int(v) > u {
+					edges = append(edges, Edge{U: u, V: int(v)})
 				}
 			}
 		}
@@ -198,9 +208,10 @@ func (g *G) Edges() []Edge {
 	return g.edges
 }
 
-// Neighbors returns the sorted neighbour list of node i: CSR row i, capped
-// so an append cannot run into row i+1. Callers must not mutate it.
-func (g *G) Neighbors(i int) []int {
+// Neighbors returns the sorted neighbour ids of node i, as int32 like the
+// CSR targets: CSR row i, capped so an append cannot run into row i+1.
+// Callers must not mutate it.
+func (g *G) Neighbors(i int) []int32 {
 	return g.csrTgt[g.csrOff[i]:g.csrOff[i+1]:g.csrOff[i+1]]
 }
 
@@ -210,13 +221,16 @@ func (g *G) Neighbors(i int) []int {
 // graph and must not be mutated.
 //
 // Layout contract (steppers depend on every clause):
+//   - targets holds neighbour ids as int32, half the bytes of int, since
+//     every round streams the whole array; N() ≤ MaxNodes (2³¹−1) makes
+//     every id fit. Offsets stay int, so 2·M() has no limit of its own;
 //   - offsets has length N()+1 with offsets[0] = 0 and offsets[N()] = 2·M();
 //   - each row lists the same neighbours, in the same ascending order, as
 //     Neighbors(i) — a loop converted from Neighbors to CSR therefore
 //     replays the exact serial IEEE operation chain and stays bit-identical;
 //   - Neighbors(i) is a capped view of targets[offsets[i]:offsets[i+1]], not
 //     a copy.
-func (g *G) CSR() (offsets, targets []int) { return g.csrOff, g.csrTgt }
+func (g *G) CSR() (offsets []int, targets []int32) { return g.csrOff, g.csrTgt }
 
 // Degree returns the degree of node i.
 func (g *G) Degree(i int) int { return g.csrOff[i+1] - g.csrOff[i] }
@@ -254,7 +268,7 @@ func (g *G) Fingerprint() uint64 {
 		h = fnvWord(h, uint64(g.n))
 		for u := 0; u < g.n; u++ {
 			for _, v := range g.Neighbors(u) {
-				if v > u {
+				if int(v) > u {
 					h = fnvWord(h, uint64(uint32(u))|uint64(uint32(v))<<32)
 				}
 			}
@@ -288,9 +302,8 @@ func (g *G) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
 	}
-	a := g.Neighbors(u)
-	k := sort.SearchInts(a, v)
-	return k < len(a) && a[k] == v
+	_, found := slices.BinarySearch(g.Neighbors(u), int32(v))
+	return found
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
@@ -310,7 +323,7 @@ func (g *G) IsConnected() bool {
 			if !seen[v] {
 				seen[v] = true
 				count++
-				stack = append(stack, v)
+				stack = append(stack, int(v))
 			}
 		}
 	}
@@ -326,7 +339,7 @@ func (g *G) Laplacian() *matrix.Dense {
 	for i := 0; i < g.n; i++ {
 		l.Set(i, i, float64(g.Degree(i)))
 		for _, j := range g.Neighbors(i) {
-			l.Set(i, j, -1)
+			l.Set(i, int(j), -1)
 		}
 	}
 	return l
@@ -352,11 +365,11 @@ func (g *G) Subgraph(name string, keep func(Edge) bool) *G {
 			m++
 		}
 	}
-	tgt := make([]int, 2*m)
+	tgt := make([]int32, 2*m)
 	startRows(off)
 	for k, e := range edges {
 		if kept[k] {
-			place(off, tgt, e.U, e.V)
+			place(off, tgt, int32(e.U), int32(e.V))
 		}
 	}
 	return sealCSR(name, g.n, off, tgt)

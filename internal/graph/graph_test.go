@@ -42,6 +42,26 @@ func TestBuilderRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsTooManyNodes: a node count above MaxNodes, whose ids
+// would not fit the CSR's int32 targets or the packed edge keys, is a
+// sticky error that Finish returns before it allocates anything, while
+// MaxNodes itself is accepted. No graph of that size is built.
+func TestBuilderRejectsTooManyNodes(t *testing.T) {
+	if b := NewBuilder("t", MaxNodes); b.err != nil {
+		t.Fatalf("NewBuilder(MaxNodes): %v", b.err)
+	}
+	n := MaxNodes
+	n++ // a variable, so the test still compiles where int is 32 bits
+	b := NewBuilder("t", n)
+	b.AddEdge(0, 1)
+	if len(b.packed) != 0 {
+		t.Fatal("AddEdge recorded an edge after the node-count error")
+	}
+	if _, err := b.Finish(); err == nil {
+		t.Fatalf("Finish accepted n = %d > MaxNodes", n)
+	}
+}
+
 func TestBuilderDeduplicates(t *testing.T) {
 	b := NewBuilder("t", 2)
 	b.AddEdge(0, 1)
@@ -349,7 +369,7 @@ func TestNeighborConsistencyProperty(t *testing.T) {
 		count := 0
 		for i := 0; i < n; i++ {
 			for _, j := range g.Neighbors(i) {
-				if !g.HasEdge(i, j) {
+				if !g.HasEdge(i, int(j)) {
 					return false
 				}
 				count++

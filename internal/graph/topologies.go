@@ -218,20 +218,24 @@ func RandomRegular(n, d int, rng *rand.Rand) *G {
 	if d < 1 || d >= n || n*d%2 != 0 {
 		panic(fmt.Sprintf("graph: invalid random regular parameters n=%d d=%d", n, d))
 	}
+	// A 4-regular pairing is simple with probability ≈ e^(−15/4), so most
+	// builds take dozens of attempts; each one refills the same half-edge
+	// list and clears the same edge set. The list is refilled in full before
+	// every shuffle, so the RNG stream, and the graph, are those of a fresh
+	// list.
+	stubs := make([]int, n*d)
+	seen := make(map[Edge]struct{}, n*d/2)
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000 {
 			panic("graph: random regular pairing failed to produce a simple graph")
 		}
 		// Half-edge list: node i appears d times.
-		stubs := make([]int, 0, n*d)
-		for i := 0; i < n; i++ {
-			for k := 0; k < d; k++ {
-				stubs = append(stubs, i)
-			}
+		for i := range stubs {
+			stubs[i] = i / d
 		}
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 		ok := true
-		seen := make(map[Edge]struct{}, n*d/2)
+		clear(seen)
 		for i := 0; i < len(stubs); i += 2 {
 			u, v := stubs[i], stubs[i+1]
 			if u == v {

@@ -92,7 +92,7 @@ func (h *Stepper[T]) Step() {
 	for i := 0; i < n; i++ {
 		acc := h.cur[i]
 		for _, j := range h.G.Neighbors(i) {
-			acc -= h.transfer(i, j)
+			acc -= h.transfer(i, int(j))
 		}
 		h.next[i] = acc
 	}

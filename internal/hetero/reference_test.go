@@ -49,7 +49,7 @@ func (h *refContinuous) Step() {
 	for i := 0; i < n; i++ {
 		acc := cur[i]
 		for _, j := range g.Neighbors(i) {
-			acc -= h.EdgeTransfer(i, j, cur[i], cur[j])
+			acc -= h.EdgeTransfer(i, int(j), cur[i], cur[j])
 		}
 		h.next[i] = acc
 	}
@@ -73,7 +73,7 @@ func (h *refDiscrete) Step() {
 	for i := 0; i < n; i++ {
 		acc := cur[i]
 		for _, j := range g.Neighbors(i) {
-			acc -= h.transfer(i, j, cur[i], cur[j])
+			acc -= h.transfer(i, int(j), cur[i], cur[j])
 		}
 		h.next[i] = acc
 	}

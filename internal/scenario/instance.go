@@ -107,7 +107,7 @@ func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (*Instance, error)
 		return &Instance{graphAt: static, arrivals: func(k int, _ []float64) []Arrival {
 			if k > 0 && k%period == 0 {
 				if nb := base.Neighbors(hot); len(nb) > 0 {
-					hot = nb[rng.Intn(len(nb))]
+					hot = int(nb[rng.Intn(len(nb))])
 				}
 			}
 			return []Arrival{{Node: hot, Amount: amount}}

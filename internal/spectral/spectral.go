@@ -75,7 +75,8 @@ func WeightedDiffusionMatrix(g *graph.G, alpha func(i, j int) float64) *matrix.D
 	m := matrix.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		var off float64
-		for _, j := range g.Neighbors(i) {
+		for _, v := range g.Neighbors(i) {
+			j := int(v)
 			a := alpha(i, j)
 			m.Set(i, j, a)
 			off += a
