@@ -123,6 +123,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -602,7 +603,7 @@ func runSweep(spec batch.Spec, f gridFlags) int {
 	var js *batch.JSONLSink
 	if f.out != "" {
 		var err error
-		if samePath(f.out, f.resume) || containsPath(f.merge, f.out) {
+		if samePath(f.out, f.resume) || slices.ContainsFunc(f.merge, func(m string) bool { return samePath(m, f.out) }) {
 			// Resume-in-place: the partial journal was fully read above, so
 			// truncating and rewriting it complete is the point.
 			js, err = batch.ReplaceJSONL(f.out)
@@ -789,14 +790,4 @@ func samePath(a, b string) bool {
 		return filepath.Clean(a) == filepath.Clean(b)
 	}
 	return aa == bb
-}
-
-// containsPath reports whether list has an entry naming the same file as s.
-func containsPath(list []string, s string) bool {
-	for _, v := range list {
-		if samePath(v, s) {
-			return true
-		}
-	}
-	return false
 }

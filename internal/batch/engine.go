@@ -21,8 +21,11 @@ type Outcome struct {
 	// PhiStart and PhiEnd bracket the potential trajectory.
 	PhiStart float64 `json:"phi_start"`
 	PhiEnd   float64 `json:"phi_end"`
-	// Bound is the paper's round bound for this configuration (0 when no
-	// theorem applies) and BoundName the theorem behind it.
+	// Bound is the paper's round bound for this configuration and
+	// BoundName the theorem behind it: Theorem 4 (diffusion, continuous),
+	// Theorem 6 (diffusion, discrete), the Theorem 12 or 14 shape for
+	// randpair. 0 and "" when no theorem applies, as for every scenario
+	// run: the one-shot theorems say nothing under ongoing arrivals.
 	Bound     float64 `json:"bound,omitempty"`
 	BoundName string  `json:"bound_name,omitempty"`
 	// Scenario metrics, populated by non-static scenario runs only (all

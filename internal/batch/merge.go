@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"slices"
 )
 
 // MergeStats summarizes one merge pass.
@@ -176,7 +177,7 @@ func SameGrid(a, b Spec) error {
 		if err != nil {
 			return err
 		}
-		if !equalStrings(an, bn) {
+		if !slices.Equal(an, bn) {
 			return fmt.Errorf("%s dimensions differ (%v vs %v) — these journals index different grids; "+
 				"merge only shards of one sweep, or concatenate and replay through -resume (which matches by Key)", d.name, an, bn)
 		}
@@ -192,31 +193,14 @@ func SameGrid(a, b Spec) error {
 	if err != nil {
 		return err
 	}
-	if !equalStrings(as, bs) {
+	if !slices.Equal(as, bs) {
 		return fmt.Errorf("scenario dimensions differ (%v vs %v) — these journals index different grids; "+
 			"merge only shards of one sweep, or concatenate and replay through -resume (which matches by Key)", as, bs)
 	}
-	if len(a.Seeds) != len(b.Seeds) {
+	if !slices.Equal(a.Seeds, b.Seeds) {
 		return fmt.Errorf("seed lists differ (%v vs %v)", a.Seeds, b.Seeds)
 	}
-	for i := range a.Seeds {
-		if a.Seeds[i] != b.Seeds[i] {
-			return fmt.Errorf("seed lists differ (%v vs %v)", a.Seeds, b.Seeds)
-		}
-	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // journalScanner pulls one journal file cell by cell for the k-way merge,

@@ -24,7 +24,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
+	"repro/internal/batch"
 	"repro/internal/diffusion"
 	"repro/internal/dimexchange"
 	"repro/internal/graph"
@@ -59,53 +61,38 @@ const (
 	RoundRobinExchange
 )
 
+// algorithms is Algorithm's name table, indexed by Algorithm: the String
+// name, which ParseAlgorithm accepts, and the one-line -list description.
+var algorithms = [...][2]string{
+	Diffusion:          {"diffusion", "the paper's Algorithm 1: balance with every neighbour, (ℓᵢ−ℓⱼ)/(4·max(dᵢ,dⱼ))"},
+	DimensionExchange:  {"dimexchange", "random-matching dimension exchange (the [12] baseline)"},
+	RandomPartners:     {"randpair", "the paper's Algorithm 2: uniformly random partners, topology-free"},
+	FirstOrder:         {"firstorder", "Cybenko's first-order scheme Lᵗ⁺¹ = M·Lᵗ (continuous only)"},
+	SecondOrder:        {"secondorder", "β-accelerated second-order scheme of [15] (continuous only)"},
+	RoundRobinExchange: {"roundrobin", "deterministic dimension exchange on an edge-coloring schedule"},
+}
+
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
-	switch a {
-	case Diffusion:
-		return "diffusion"
-	case DimensionExchange:
-		return "dimexchange"
-	case RandomPartners:
-		return "randpair"
-	case FirstOrder:
-		return "firstorder"
-	case SecondOrder:
-		return "secondorder"
-	case RoundRobinExchange:
-		return "roundrobin"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+	if a >= 0 && int(a) < len(algorithms) {
+		return algorithms[a][0]
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // AlgorithmDescriptions returns each algorithm name and a one-line
 // description, in declaration order — the -list surface.
-func AlgorithmDescriptions() [][2]string {
-	return [][2]string{
-		{"diffusion", "the paper's Algorithm 1: balance with every neighbour, (ℓᵢ−ℓⱼ)/(4·max(dᵢ,dⱼ))"},
-		{"dimexchange", "random-matching dimension exchange (the [12] baseline)"},
-		{"randpair", "the paper's Algorithm 2: uniformly random partners, topology-free"},
-		{"firstorder", "Cybenko's first-order scheme Lᵗ⁺¹ = M·Lᵗ (continuous only)"},
-		{"secondorder", "β-accelerated second-order scheme of [15] (continuous only)"},
-		{"roundrobin", "deterministic dimension exchange on an edge-coloring schedule"},
-	}
-}
+func AlgorithmDescriptions() [][2]string { return slices.Clone(algorithms[:]) }
 
 // ModeDescriptions returns each load-model name and a one-line
 // description — the -list surface.
-func ModeDescriptions() [][2]string {
-	return [][2]string{
-		{"continuous", "arbitrarily divisible load (the ideal model of §2.1)"},
-		{"discrete", "indivisible tokens with floor transfers (§2.2/§4.2)"},
-	}
-}
+func ModeDescriptions() [][2]string { return slices.Clone(modes[:]) }
 
 // ParseAlgorithm converts a CLI name into an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range []Algorithm{Diffusion, DimensionExchange, RandomPartners, FirstOrder, SecondOrder, RoundRobinExchange} {
-		if a.String() == s {
-			return a, nil
+	for a, d := range algorithms {
+		if d[0] == s {
+			return Algorithm(a), nil
 		}
 	}
 	return 0, fmt.Errorf("core: unknown algorithm %q", s)
@@ -121,12 +108,20 @@ const (
 	Discrete
 )
 
-// String implements fmt.Stringer.
+// modes is Mode's name table, indexed by Mode: the String name and the
+// one-line -list description.
+var modes = [...][2]string{
+	Continuous: {"continuous", "arbitrarily divisible load (the ideal model of §2.1)"},
+	Discrete:   {"discrete", "indivisible tokens with floor transfers (§2.2/§4.2)"},
+}
+
+// String implements fmt.Stringer. Every Mode but Discrete runs as, and
+// reads as, continuous.
 func (m Mode) String() string {
 	if m == Discrete {
-		return "discrete"
+		return modes[Discrete][0]
 	}
-	return "continuous"
+	return modes[Continuous][0]
 }
 
 // Config describes one balancing run.
@@ -182,42 +177,21 @@ type Config struct {
 	Phases *obs.Phases
 }
 
-// Result reports a completed run.
+// Result reports a run: Close's sealed record, or Metrics' live view of
+// a session between rounds. The embedded batch.Outcome is the part a
+// sweep journals (rounds, Φ⁰ → Φᵉⁿᵈ, convergence, the theorem bound, the
+// scenario metrics and Reason); the rest is not journaled.
 type Result struct {
+	batch.Outcome
 	// Algorithm and Mode echo the configuration.
 	Algorithm Algorithm
 	Mode      Mode
-	// Rounds actually executed, and whether the target was reached.
-	Rounds    int
-	Converged bool
-	// PhiStart and PhiEnd bracket the run; Trace is the full Φ trajectory
-	// (entry t is Φ after round t).
-	PhiStart, PhiEnd float64
-	Trace            []float64
+	// Trace is the full Φ trajectory (entry t is Φ after round t).
+	Trace []float64
 	// Lambda2 and Delta are the spectral inputs of the paper's bounds
 	// (Lambda2 is 0 when not computed, e.g. for RandomPartners).
 	Lambda2 float64
 	Delta   int
-	// Bound is the paper's round bound for this configuration: Theorem 4
-	// (Diffusion/Continuous), Theorem 6 (Diffusion/Discrete), Theorem 12
-	// or 14 shape for RandomPartners; 0 when no bound applies (the
-	// one-shot theorems never apply to runs with ongoing arrivals, so
-	// scenario runs always report 0).
-	Bound float64
-	// BoundName names the theorem behind Bound ("" when none).
-	BoundName string
-	// Scenario metrics, populated by non-static scenario runs only:
-	// PeakPhi is the largest Φ observed (peak backlog), SteadyRMS the mean
-	// RMS discrepancy over the final quarter of rounds (steady state under
-	// ongoing arrivals), RebalanceRounds the rounds the system needed
-	// after the last load injection to get back under the target (0 when
-	// it never did — see Converged).
-	PeakPhi         float64
-	SteadyRMS       float64
-	RebalanceRounds int
-	// Reason says why a static run stopped short of its target before its
-	// round cap: ReasonDisconnected, or "" for every other run.
-	Reason string
 }
 
 // ReasonDisconnected is the Result.Reason of a static run on a

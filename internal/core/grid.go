@@ -103,18 +103,7 @@ func GridRun(ctx context.Context, spec batch.Spec, opts ...GridOption) (*batch.R
 	}
 	run := func(u batch.Unit, g *graph.G, loads []float64, algoSeed int64) (batch.Outcome, error) {
 		res, err := RunUnit(spec, u, g, loads, algoSeed, o.tracer)
-		return batch.Outcome{
-			Rounds:          res.Rounds,
-			Converged:       res.Converged,
-			PhiStart:        res.PhiStart,
-			PhiEnd:          res.PhiEnd,
-			Bound:           res.Bound,
-			BoundName:       res.BoundName,
-			PeakPhi:         res.PeakPhi,
-			SteadyRMS:       res.SteadyRMS,
-			RebalanceRounds: res.RebalanceRounds,
-			Reason:          res.Reason,
-		}, err
+		return res.Outcome, err
 	}
 	var sweepStart int64
 	if o.tracer.Enabled() {

@@ -6,8 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"time"
 
+	"repro/internal/batch"
 	"repro/internal/diffusion"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -72,24 +72,6 @@ type Session struct {
 	phases *obs.Phases
 }
 
-// SessionMetrics is a point-in-time view of a live session — the numbers
-// lbserved serves from /metrics. All fields mirror their Result
-// counterparts; RebalanceRounds is -1 while the system is still above the
-// target since the last injection.
-type SessionMetrics struct {
-	Rounds          int
-	Phi             float64
-	PhiStart        float64
-	PeakPhi         float64
-	Target          float64
-	Converged       bool
-	Lambda2         float64
-	Bound           float64
-	BoundName       string
-	SteadyRMS       float64
-	RebalanceRounds int
-}
-
 var errSessionClosed = errors.New("core: session is closed")
 
 // Open validates cfg, fills its defaults, computes the spectral inputs and
@@ -122,14 +104,9 @@ func Open(cfg Config) (*Session, error) {
 	case !cfg.Graph.IsConnected():
 		s.disconnected = cfg.Scenario.IsStatic()
 	default:
-		var t0 time.Time
-		if s.phases.Enabled() {
-			t0 = time.Now()
-		}
+		t0 := s.phases.Start()
 		l2, err := speccache.Lambda2(cfg.Graph)
-		if s.phases.Enabled() {
-			s.phases.Observe(obs.PhaseSpectra, time.Since(t0))
-		}
+		s.phases.Stop(obs.PhaseSpectra, t0)
 		if err != nil {
 			return nil, fmt.Errorf("core: λ₂: %w", err)
 		}
@@ -224,13 +201,9 @@ func (s *Session) Step() error {
 	if s.midRound {
 		return errors.New("core: Step called twice without Commit")
 	}
-	if s.phases.Enabled() {
-		t0 := time.Now()
-		s.sys.Step()
-		s.phases.Observe(obs.PhaseStep, time.Since(t0))
-	} else {
-		s.sys.Step()
-	}
+	t0 := s.phases.Start()
+	s.sys.Step()
+	s.phases.Stop(obs.PhaseStep, t0)
 	s.midRound = true
 	return nil
 }
@@ -248,14 +221,9 @@ func (s *Session) Inject(arrivals []scenario.Arrival) (float64, error) {
 	if !s.midRound {
 		return 0, errors.New("core: Inject outside a round (call Step first)")
 	}
-	var t0 time.Time
-	if s.phases.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := s.phases.Start()
 	total := injectInto(s.sys, arrivals)
-	if s.phases.Enabled() {
-		s.phases.Observe(obs.PhaseInject, time.Since(t0))
-	}
+	s.phases.Stop(obs.PhaseInject, t0)
 	s.injected += total
 	return total, nil
 }
@@ -277,10 +245,7 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	if g == s.g {
 		return nil
 	}
-	var t0 time.Time
-	if s.phases.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := s.phases.Start()
 	var sys System
 	var err error
 	if tok, ok := s.sys.(Stepper[int64]); ok {
@@ -290,9 +255,7 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	} else {
 		sys, err = buildSystemOn(s.cfg, g, s.sys.(Stepper[float64]).Values(), s.algoRNG)
 	}
-	if s.phases.Enabled() {
-		s.phases.Observe(obs.PhaseGraphSwap, time.Since(t0))
-	}
+	s.phases.Stop(obs.PhaseGraphSwap, t0)
 	if err != nil {
 		return err
 	}
@@ -310,14 +273,9 @@ func (s *Session) Commit() (float64, error) {
 	if !s.midRound {
 		return 0, errors.New("core: Commit without Step")
 	}
-	var t0 time.Time
-	if s.phases.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := s.phases.Start()
 	phi := s.sys.Potential()
-	if s.phases.Enabled() {
-		s.phases.Observe(obs.PhaseCommit, time.Since(t0))
-	}
+	s.phases.Stop(obs.PhaseCommit, t0)
 	s.rounds++
 	s.trace = append(s.trace, phi)
 	if phi > s.peak {
@@ -366,57 +324,51 @@ func floatView(buf []float64, tok []int64) []float64 {
 	return buf
 }
 
-// Metrics returns a point-in-time view of the session.
-func (s *Session) Metrics() SessionMetrics {
-	m := SessionMetrics{
-		Rounds:          s.rounds,
-		Phi:             s.Phi(),
-		PhiStart:        s.trace[0],
-		PeakPhi:         s.peak,
-		Target:          s.target,
-		Converged:       s.Phi() <= s.target,
-		Lambda2:         s.lambda2,
-		Bound:           s.bound,
-		BoundName:       s.boundName,
-		SteadyRMS:       steadyRMS(s.trace, s.cfg.Graph.N()),
-		RebalanceRounds: -1,
-	}
-	if s.rebalanced >= 0 {
-		m.RebalanceRounds = s.rebalanced - s.lastEvent
-	}
-	return m
-}
-
-// Close seals the session and reports the run in Balance's Result form.
-// The theorem bound is reported for static sessions; the scenario metrics
-// (PeakPhi, SteadyRMS, RebalanceRounds) for scenario sessions — matching
-// what Balance has always reported for each kind of run.
-func (s *Session) Close() Result {
-	s.closed = true
+// Metrics returns the live Result as of the last Commit: the theorem
+// bound and the scenario metrics both, with RebalanceRounds -1 while Φ has
+// stayed above the target since the last injection. Trace is the session's
+// own trajectory, valid until the next Commit. lbserved serves this record
+// from /metrics.
+func (s *Session) Metrics() Result {
 	res := Result{
+		Outcome: batch.Outcome{
+			Rounds:          s.rounds,
+			Converged:       s.Phi() <= s.target,
+			PhiStart:        s.trace[0],
+			PhiEnd:          s.Phi(),
+			Bound:           s.bound,
+			BoundName:       s.boundName,
+			PeakPhi:         s.peak,
+			SteadyRMS:       steadyRMS(s.trace, s.cfg.Graph.N()),
+			RebalanceRounds: -1,
+		},
 		Algorithm: s.cfg.Algorithm,
 		Mode:      s.cfg.Mode,
-		Rounds:    s.rounds,
-		Converged: s.Phi() <= s.target,
-		PhiStart:  s.trace[0],
-		PhiEnd:    s.Phi(),
 		Trace:     s.trace,
 		Lambda2:   s.lambda2,
 		Delta:     s.cfg.Graph.MaxDegree(),
 	}
-	if s.cfg.Scenario.IsStatic() {
-		res.Bound = s.bound
-		res.BoundName = s.boundName
-		if s.disconnected && !res.Converged {
-			res.Reason = ReasonDisconnected
-		}
-		return res
-	}
-	res.PeakPhi = s.peak
 	if s.rebalanced >= 0 {
 		res.RebalanceRounds = s.rebalanced - s.lastEvent
 	}
-	res.SteadyRMS = steadyRMS(s.trace, s.cfg.Graph.N())
+	if s.disconnected && !res.Converged {
+		res.Reason = ReasonDisconnected
+	}
+	return res
+}
+
+// Close seals the session and reports the run: Metrics, less what
+// Balance has never reported for its kind of run. A static session's
+// Result drops the scenario metrics (PeakPhi, SteadyRMS, RebalanceRounds);
+// a scenario session has no theorem bound to drop. RebalanceRounds is 0
+// when Φ never got back under the target.
+func (s *Session) Close() Result {
+	s.closed = true
+	res := s.Metrics()
+	if s.cfg.Scenario.IsStatic() {
+		res.PeakPhi, res.SteadyRMS, res.RebalanceRounds = 0, 0, 0
+	}
+	res.RebalanceRounds = max(res.RebalanceRounds, 0)
 	return res
 }
 

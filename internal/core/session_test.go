@@ -46,9 +46,16 @@ func TestSessionMatchesBalanceStatic(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			live := s.Metrics()
 			got := s.Close()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("session drive diverges from Balance:\n got %+v\nwant %+v", got, want)
+			}
+			if live.PeakPhi < live.PhiStart {
+				t.Fatalf("live view's peak Φ is below Φ⁰: %+v", live.Outcome)
+			}
+			if want := sealed(live, true); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Close is not the live view, sealed:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
@@ -60,6 +67,7 @@ func TestSessionMatchesBalanceStatic(t *testing.T) {
 // arrival-bearing, adversarial and churn scenarios in both modes.
 func TestSessionMatchesBalanceScenario(t *testing.T) {
 	g := graph.Torus(4, 4)
+	aboveAtClose := 0 // cases whose live RebalanceRounds is -1 at Close
 	for _, tc := range []struct {
 		scenario string
 		algo     Algorithm
@@ -122,12 +130,36 @@ func TestSessionMatchesBalanceScenario(t *testing.T) {
 					break
 				}
 			}
+			live := s.Metrics()
 			got := s.Close()
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("session scenario drive diverges from Balance:\n got %+v\nwant %+v", got, want)
 			}
+			if live.Bound != 0 || live.BoundName != "" {
+				t.Fatalf("scenario session reports a theorem bound: %+v", live.Outcome)
+			}
+			if live.RebalanceRounds < 0 {
+				aboveAtClose++
+			}
+			if want := sealed(live, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Close is not the live view, sealed:\n got %+v\nwant %+v", got, want)
+			}
 		})
 	}
+	if aboveAtClose == 0 {
+		t.Error("no case closed above its target: Close's -1 → 0 went unchecked")
+	}
+}
+
+// sealed is what Close must report after the live view m: m itself, less
+// the scenario metrics of a static session, with a RebalanceRounds of -1
+// (still above the target) reported as 0.
+func sealed(m Result, static bool) Result {
+	if static {
+		m.PeakPhi, m.SteadyRMS, m.RebalanceRounds = 0, 0, 0
+	}
+	m.RebalanceRounds = max(m.RebalanceRounds, 0)
+	return m
 }
 
 // TestSessionProtocolErrors: the state machine must reject out-of-order

@@ -34,16 +34,29 @@ func (p Phase) String() string {
 // Phases accumulates per-phase wall time for one session. It is owned by a
 // single unit's goroutine (the batch engine runs each cell on one worker),
 // so the adds are plain, not atomic. The nil *Phases is a valid no-op
-// receiver, and call sites gate their time.Now() pairs behind Enabled() so
-// a disabled run pays nothing.
+// receiver: a timed section is t0 := p.Start(); …; p.Stop(phase, t0), and
+// with p nil neither call reads the clock, so a disabled run pays nothing.
 type Phases struct {
 	ns    [numPhases]int64
 	count [numPhases]int64
 }
 
-// Enabled reports whether timings are being collected; callers skip the
-// clock reads entirely when false.
-func (p *Phases) Enabled() bool { return p != nil }
+// Start returns the time a timed section begins: now, or the zero Time
+// without a clock read when p is nil.
+func (p *Phases) Start() time.Time {
+	if p == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// Stop adds one occurrence of phase that began at t0 (from Start).
+func (p *Phases) Stop(phase Phase, t0 time.Time) {
+	if p == nil {
+		return
+	}
+	p.Observe(phase, time.Since(t0))
+}
 
 // Observe adds one timed occurrence of phase.
 func (p *Phases) Observe(phase Phase, d time.Duration) {

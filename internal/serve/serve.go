@@ -222,20 +222,20 @@ func (s *Server) StepRound() (float64, error) {
 // Metrics returns the current metrics document.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
-	sm := s.sess.Metrics()
+	res := s.sess.Metrics()
 	loads := s.sess.Snapshot()
 	s.in.mu.Lock()
 	pending, draining := len(s.in.pending), s.in.draining
 	s.in.mu.Unlock()
 	m := Metrics{
-		Round:           sm.Rounds,
-		Phi:             sm.Phi,
-		PhiStart:        sm.PhiStart,
-		PeakPhi:         sm.PeakPhi,
-		Target:          sm.Target,
-		Converged:       sm.Converged,
-		RebalanceRounds: sm.RebalanceRounds,
-		SteadyRMS:       sm.SteadyRMS,
+		Round:           res.Rounds,
+		Phi:             res.PhiEnd,
+		PhiStart:        res.PhiStart,
+		PeakPhi:         res.PeakPhi,
+		Target:          s.sess.Target(),
+		Converged:       res.Converged,
+		RebalanceRounds: res.RebalanceRounds,
+		SteadyRMS:       res.SteadyRMS,
 		RoundsPerSec:    s.roundsPerSecLocked(),
 		ArrivalsTotal:   s.arrivalsTotal,
 		LoadInjected:    s.loadInjected,
@@ -526,12 +526,9 @@ func (s *Server) drain() error {
 	s.in.mu.Lock()
 	s.in.draining = true
 	s.in.mu.Unlock()
-	eps := s.sess.Config().Epsilon
-	target := eps * s.sess.Metrics().PeakPhi
-	if t := s.sess.Target(); t > target {
-		target = t
-	}
-	phi := s.sess.Phi()
+	res := s.sess.Metrics()
+	target := max(s.sess.Config().Epsilon*res.PeakPhi, s.sess.Target())
+	phi := res.PhiEnd
 	s.mu.Unlock()
 
 	s.logf("draining: Φ %.6g → target %.6g (≤ %d rounds, ≤ %v)",

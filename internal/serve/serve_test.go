@@ -590,3 +590,80 @@ func BenchmarkStepRound(b *testing.B) {
 		}
 	}
 }
+
+// TestMetricsDocumentTracksSession pins the GET /metrics document to the
+// session behind it across an injection: rebalance_rounds reads −1 from the
+// round an arrival lands until Φ is back under the target, then the rounds
+// that took, and phi, phi_start, peak_phi, target, converged and steady_rms
+// are the session's own values every round.
+func TestMetricsDocumentTracksSession(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Loads = core.SpikeLoads(cfg.Graph.N(), 1000)
+	cfg.Epsilon = 0.05
+	srv, err := New(Options{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	n := float64(cfg.Graph.N())
+	trace := []float64{srv.sess.Phi()}
+	target := srv.sess.Target()
+	injectedAt, backAt := 0, -1
+	var sawAbove, sawBack bool
+	for round := 1; round <= 64 && !sawBack; round++ {
+		// Inject once, a few rounds after the start has balanced.
+		if backAt >= 0 && injectedAt == 0 && round > backAt+2 {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/arrive", strings.NewReader(`{"node":5,"amt":800}`)))
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("round %d: POST /arrive status %d", round, rec.Code)
+			}
+			injectedAt, backAt = round, -1
+		}
+		phi, err := srv.StepRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace = append(trace, phi)
+		if backAt < 0 && phi <= target && round != injectedAt {
+			backAt = round
+			sawBack = injectedAt > 0
+		}
+		wantRebalance := -1
+		if backAt >= 0 {
+			wantRebalance = backAt - injectedAt
+		} else if injectedAt > 0 {
+			sawAbove = true
+		}
+		q := max(len(trace)/4, 1)
+		var rms float64
+		for _, p := range trace[len(trace)-q:] {
+			rms += math.Sqrt(p / n)
+		}
+		want := map[string]any{
+			"round":            float64(round),
+			"phi":              srv.sess.Phi(),
+			"phi_start":        trace[0],
+			"peak_phi":         slices.Max(trace),
+			"target":           target,
+			"converged":        phi <= target,
+			"rebalance_rounds": float64(wantRebalance),
+			"steady_rms":       rms / float64(q),
+		}
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var doc map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("round %d: /metrics: %v", round, err)
+		}
+		for k, v := range want {
+			if doc[k] != v {
+				t.Fatalf("round %d: /metrics %s = %v, want %v", round, k, doc[k], v)
+			}
+		}
+	}
+	if injectedAt == 0 || !sawAbove || !sawBack {
+		t.Fatalf("drive never covered inject → above target → back under (injected at %d, back at %d)", injectedAt, backAt)
+	}
+}

@@ -15,44 +15,47 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
 )
 
+// topologies is the name table: each accepted name, in display order, and
+// its one-line -list description.
+var topologies = [...][2]string{
+	{"path", "path (line) graph"},
+	{"cycle", "ring of n nodes"},
+	{"grid", "2-D mesh (no wraparound), side ⌈√n⌉"},
+	{"torus", "2-D torus (wraparound grid)"},
+	{"torus3d", "3-D torus"},
+	{"hypercube", "d-dimensional hypercube, n rounded to 2^d"},
+	{"debruijn", "binary de Bruijn graph"},
+	{"ccc", "cube-connected cycles"},
+	{"butterfly", "wrapped butterfly network"},
+	{"complete", "complete graph (clique)"},
+	{"star", "one hub, n−1 leaves"},
+	{"tree", "complete binary tree"},
+	{"random-regular", "random 4-regular graph (seeded)"},
+	{"petersen", "the Petersen graph (n fixed at 10)"},
+	{"barbell", "two cliques joined by one edge"},
+	{"lollipop", "clique with a path tail"},
+	{"smallworld", "Watts–Strogatz small world (seeded)"},
+	{"rgg", "random geometric graph above the connectivity radius (seeded)"},
+}
+
 // Names lists the accepted topology names in display order.
 func Names() []string {
-	return []string{
-		"path", "cycle", "grid", "torus", "torus3d", "hypercube", "debruijn",
-		"ccc", "butterfly", "complete", "star", "tree", "random-regular",
-		"petersen", "barbell", "lollipop", "smallworld", "rgg",
+	out := make([]string, len(topologies))
+	for i, t := range topologies {
+		out[i] = t[0]
 	}
+	return out
 }
 
 // Descriptions returns each accepted name and a one-line description, in
 // display order — the -list surface.
-func Descriptions() [][2]string {
-	return [][2]string{
-		{"path", "path (line) graph"},
-		{"cycle", "ring of n nodes"},
-		{"grid", "2-D mesh (no wraparound), side ⌈√n⌉"},
-		{"torus", "2-D torus (wraparound grid)"},
-		{"torus3d", "3-D torus"},
-		{"hypercube", "d-dimensional hypercube, n rounded to 2^d"},
-		{"debruijn", "binary de Bruijn graph"},
-		{"ccc", "cube-connected cycles"},
-		{"butterfly", "wrapped butterfly network"},
-		{"complete", "complete graph (clique)"},
-		{"star", "one hub, n−1 leaves"},
-		{"tree", "complete binary tree"},
-		{"random-regular", "random 4-regular graph (seeded)"},
-		{"petersen", "the Petersen graph (n fixed at 10)"},
-		{"barbell", "two cliques joined by one edge"},
-		{"lollipop", "clique with a path tail"},
-		{"smallworld", "Watts–Strogatz small world (seeded)"},
-		{"rgg", "random geometric graph above the connectivity radius (seeded)"},
-	}
-}
+func Descriptions() [][2]string { return slices.Clone(topologies[:]) }
 
 // Build constructs the named topology at (approximately) n nodes. Families
 // indexed by a side/dimension round n up to the next valid size. seed feeds

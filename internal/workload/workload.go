@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Kind enumerates the built-in initial distributions.
@@ -36,32 +37,30 @@ const (
 	Flat
 
 	// kindCount counts the kinds above. A new Kind constant must be
-	// inserted before it (and given a String case), or the registry
+	// inserted before it (and given a kinds entry), or the registry
 	// round-trip test — shared with internal/scenario's — fails: an
 	// unregistered generator should fail in tests, not at sweep time.
 	kindCount
 )
 
+// kinds is Kind's name table, indexed by Kind: the String name, which
+// ParseKind accepts, and the one-line -list description.
+var kinds = [kindCount][2]string{
+	Spike:       {"spike", "entire load on node 0 (the canonical hard start)"},
+	Uniform:     {"uniform", "i.i.d. uniform loads in [0, scale)"},
+	Bimodal:     {"bimodal", "half the nodes loaded, half empty"},
+	Exponential: {"exponential", "i.i.d. Exp(1)·scale loads (heavy-ish tail)"},
+	PowerLaw:    {"powerlaw", "Pareto(α=1.5) loads, capped (skewed job sizes)"},
+	LinearRamp:  {"ramp", "linear ramp ℓᵢ = i·scale/n (the paper's path example)"},
+	Flat:        {"flat", "every node at scale (already balanced, Φ = 0)"},
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case Spike:
-		return "spike"
-	case Uniform:
-		return "uniform"
-	case Bimodal:
-		return "bimodal"
-	case Exponential:
-		return "exponential"
-	case PowerLaw:
-		return "powerlaw"
-	case LinearRamp:
-		return "ramp"
-	case Flat:
-		return "flat"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= 0 && k < kindCount {
+		return kinds[k][0]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // AllKinds lists every generator, in the order the harness sweeps them. It
@@ -77,23 +76,13 @@ func AllKinds() []Kind {
 
 // Descriptions returns each kind's name and a one-line description, in
 // sweep order — the -list surface.
-func Descriptions() [][2]string {
-	return [][2]string{
-		{"spike", "entire load on node 0 (the canonical hard start)"},
-		{"uniform", "i.i.d. uniform loads in [0, scale)"},
-		{"bimodal", "half the nodes loaded, half empty"},
-		{"exponential", "i.i.d. Exp(1)·scale loads (heavy-ish tail)"},
-		{"powerlaw", "Pareto(α=1.5) loads, capped (skewed job sizes)"},
-		{"ramp", "linear ramp ℓᵢ = i·scale/n (the paper's path example)"},
-		{"flat", "every node at scale (already balanced, Φ = 0)"},
-	}
-}
+func Descriptions() [][2]string { return slices.Clone(kinds[:]) }
 
 // ParseKind converts a CLI name (as produced by Kind.String) into a Kind.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range AllKinds() {
-		if k.String() == s {
-			return k, nil
+	for k, d := range kinds {
+		if d[0] == s {
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("workload: unknown kind %q", s)
@@ -138,7 +127,7 @@ func Continuous(kind Kind, n int, scale float64, rng *rand.Rand) []float64 {
 		}
 	case LinearRamp:
 		for i := range out {
-			out[i] = float64(i) * scale / float64(maxInt(n, 1))
+			out[i] = float64(i) * scale / float64(max(n, 1))
 		}
 	case Flat:
 		for i := range out {
@@ -258,11 +247,4 @@ func rebalanceTotal(v []int64, delta int64, rng *rand.Rand) {
 			return // nothing left to remove; vector is all zeros
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
