@@ -11,9 +11,9 @@ SHELL := /bin/bash
 .SHELLFLAGS := -eo pipefail -c
 .ONESHELL:
 
-.PHONY: build test vet fmt fmt-check staticcheck e2e-test bins bench large-n-smoke ssh-smoke ci
+.PHONY: build test vet fmt fmt-check staticcheck e2e-test exp-digest bins bench large-n-smoke ssh-smoke ci
 
-ci: build vet fmt-check staticcheck test e2e-test bench large-n-smoke ssh-smoke
+ci: build vet fmt-check staticcheck test e2e-test exp-digest bench large-n-smoke ssh-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,31 @@ staticcheck:
 # e2ebench has its own go.mod, so `go build ./...` never compiles it.
 e2e-test:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+# Every experiment table, bit for bit: `lbbench -exp all -csv` runs twice
+# under one fresh speccache spill directory, cold (every Laplacian record
+# computed and spilled) and warm (every record loaded from disk), and both
+# stdouts must hash to EXP_MD5. Pinned on amd64 only, as TestQuickCSVDigest
+# is: other architectures may fuse multiply-adds. About 1 min on 2 vCPUs.
+EXP_MD5 = 58666a118d2a858b7e476c6543793186
+
+exp-digest:
+	if [ "$$($(GO) env GOARCH)" != amd64 ]; then
+		echo "exp-digest is pinned on amd64, not $$($(GO) env GOARCH) — skipping" >&2; exit 0
+	fi
+	dir=$$(mktemp -d)
+	trap 'rm -rf "$$dir"' EXIT
+	$(GO) build -o "$$dir/lbbench" ./cmd/lbbench
+	for pass in cold warm; do
+		sum=$$(LB_SPECCACHE_DIR="$$dir/spill" "$$dir/lbbench" -exp all -csv -cache-stats 2> "$$dir/$$pass.err" | md5sum | cut -d' ' -f1)
+		grep speccache "$$dir/$$pass.err"
+		if [ "$$sum" != $(EXP_MD5) ]; then
+			echo "exp-digest: $$pass spill: stdout md5 $$sum, want $(EXP_MD5)" >&2; exit 1
+		fi
+	done
+	if ! grep -q "λ₂/λ_max 0 computed/" "$$dir/warm.err"; then
+		echo "exp-digest: the warm pass recomputed records it should have loaded from the spill" >&2; exit 1
+	fi
 
 # The binaries ssh-smoke drives.
 bins:

@@ -226,6 +226,7 @@ func TestBinaries(t *testing.T) {
 			"lbbench -grid -rounds -5 -out " + x:                                   exitUsage,
 			"lbbench -grid -round-workers 2 -out " + x:                             exitUsage,
 			"lbbench -grid -parallel -3 -out " + x:                                 exitUsage,
+			"lbbench -grid -modes tokens -out " + x:                                exitUsage,
 			"lbbench -exp E1 -quick -parallel -2":                                  exitUsage,
 			"lbbench -grid -spawn 2 -retries -1 -out " + x:                         exitUsage,
 			"lbbench -exp E1 -quick -shard 0/3":                                    exitConflict,
@@ -238,6 +239,7 @@ func TestBinaries(t *testing.T) {
 			"lbserved -addr 127.0.0.1:-1 -hz -5":                                   exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -hz 1e-10":                                exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -n -5":                                    exitUsage,
+			"lbserved -addr 127.0.0.1:-1 -mode tokens":                             exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -eps -1":                                  exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -drain-rounds -1":                         exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -drain-timeout -1s":                       exitUsage,

@@ -124,13 +124,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
 		return exitUsage
 	}
-	md := core.Continuous
-	switch *mode {
-	case "continuous":
-	case "discrete":
-		md = core.Discrete
-	default:
-		fmt.Fprintf(os.Stderr, "lbserved: unknown mode %q (continuous or discrete)\n", *mode)
+	md, err := core.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
 		return exitUsage
 	}
 

@@ -307,6 +307,9 @@ func Expand(spec Spec) ([]Unit, error) {
 	if err != nil {
 		return nil, err
 	}
+	// core.ParseMode owns the mode names, but batch cannot import core (core
+	// imports batch), and -merge reads journal headers through Expand
+	// without going through core: this check is what guards them.
 	for _, m := range modes {
 		if m != "continuous" && m != "discrete" {
 			return nil, fmt.Errorf("batch: unknown mode %q (want continuous or discrete)", m)

@@ -124,6 +124,16 @@ func (m Mode) String() string {
 	return modes[Continuous][0]
 }
 
+// ParseMode converts a CLI name into a Mode.
+func ParseMode(s string) (Mode, error) {
+	for m, d := range modes {
+		if d[0] == s {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown mode %q", s)
+}
+
 // Config describes one balancing run.
 type Config struct {
 	// Graph is the topology. Required. The paper's theorems need it

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/batch"
 	"repro/internal/graph"
@@ -154,6 +155,12 @@ func validateGridSpec(spec batch.Spec) error {
 			return err
 		}
 	}
+	for _, name := range spec.Modes {
+		// Expand lowercases mode names, so " Discrete" runs as discrete.
+		if _, err := ParseMode(strings.ToLower(strings.TrimSpace(name))); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -169,9 +176,9 @@ func RunUnit(spec batch.Spec, u batch.Unit, g *graph.G, loads []float64, algoSee
 	if err != nil {
 		return Result{}, err
 	}
-	mode := Continuous
-	if u.Mode == "discrete" {
-		mode = Discrete
+	mode, err := ParseMode(u.Mode)
+	if err != nil {
+		return Result{}, err
 	}
 	_, roundWorkers := spec.WorkerSplit()
 	var phases *obs.Phases

@@ -51,6 +51,7 @@ type Session struct {
 	algoRNG *rand.Rand
 
 	lambda2      float64
+	delta        int  // cfg.Graph's maximum degree, for Result.Delta
 	disconnected bool // static run on a disconnected graph: Horizon is 0
 	bound        float64
 	boundName    string
@@ -89,6 +90,7 @@ func Open(cfg Config) (*Session, error) {
 		cfg:        cfg,
 		g:          cfg.Graph,
 		algoRNG:    rand.New(rand.NewSource(cfg.Seed)),
+		delta:      cfg.Graph.MaxDegree(),
 		rebalanced: -1,
 		phases:     cfg.Phases,
 	}
@@ -346,7 +348,7 @@ func (s *Session) Metrics() Result {
 		Mode:      s.cfg.Mode,
 		Trace:     s.trace,
 		Lambda2:   s.lambda2,
-		Delta:     s.cfg.Graph.MaxDegree(),
+		Delta:     s.delta,
 	}
 	if s.rebalanced >= 0 {
 		res.RebalanceRounds = s.rebalanced - s.lastEvent

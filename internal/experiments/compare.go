@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/markov"
 	"repro/internal/speccache"
+	"repro/internal/spectral"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -105,7 +106,7 @@ func E13LocalDivergence(o Options) *trace.Table {
 	rows := make([]row, len(suite))
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		g := suite[i]
-		gp, err := speccache.PaperGamma(g)
+		gp, err := spectral.PaperGammaOf(g)
 		mu := 1 - gp
 		if err != nil || mu <= 0 {
 			return

@@ -12,7 +12,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/matrix"
 	"repro/internal/randpair"
-	"repro/internal/speccache"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -40,7 +39,7 @@ func E15FlowOptimality(o Options) *trace.Table {
 	o.sweep(len(rows), func(i int, _ *rand.Rand) {
 		g := suite[i]
 		l := matrix.Vector(workload.Continuous(workload.Spike, g.N(), 1e6, nil))
-		opt, err := speccache.OptimalFlow(g, l)
+		opt, err := flow.Optimal(g, l)
 		if err != nil {
 			return
 		}
@@ -84,9 +83,8 @@ func E16CommunicationCost(o Options) *trace.Table {
 	}
 	suite := fixedSuite(o.Quick)
 	// The optimal-flow L1 depends only on the topology (same spike start for
-	// every scheme): the speccache runs one Laplacian solve per graph —
-	// shared with E15's per-topology solve, which uses the same spike load —
-	// and the three scheme cells of each topology hit it.
+	// every scheme); each scheme cell solves it afresh, one Laplacian solve
+	// on a suite graph, small next to the run it is compared with.
 	schemes := []string{"diffusion", "dimexchange", "randpair"}
 	rows := make([]row, len(suite)*len(schemes))
 	o.sweep(len(rows), func(ci int, rng *rand.Rand) {
@@ -95,7 +93,7 @@ func E16CommunicationCost(o Options) *trace.Table {
 		phi0 := potentialOf(l)
 		target := eps * phi0
 		optL1 := math.NaN()
-		if opt, err := speccache.OptimalFlow(g, l); err == nil {
+		if opt, err := flow.Optimal(g, l); err == nil {
 			optL1 = opt.L1()
 		}
 

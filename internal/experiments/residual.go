@@ -7,6 +7,7 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/graph"
 	"repro/internal/speccache"
+	"repro/internal/spectral"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -75,7 +76,7 @@ func E18ContractionRate(o Options) *trace.Table {
 		guarantee := 1 - lambda2/(4*float64(g.MaxDegree()))
 
 		gammaP := math.NaN()
-		if gp, err := speccache.PaperGamma(g); err == nil {
+		if gp, err := spectral.PaperGammaOf(g); err == nil {
 			gammaP = gp * gp
 		}
 

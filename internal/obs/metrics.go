@@ -13,8 +13,7 @@ import (
 
 // Label is one constant name=value pair attached to a metric at
 // registration. Labels distinguish series within a family (the same metric
-// name) — e.g. speccache_computes_total{quantity="laplacian"} vs
-// {"paper_gamma"}.
+// name) — e.g. spectral_solves_total{path="dense"} vs {path="lanczos"}.
 type Label struct {
 	Key, Value string
 }

@@ -5,29 +5,26 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/spectral"
 )
 
-// Disk spill: the Laplacian record (λ₂, λ_max) and the non-uniform γ_P are
-// pure functions of the graph fingerprint, so they can be shared across
-// processes through small JSON files — one per fingerprint — in a spill
-// directory. This is what
+// Disk spill: the Laplacian record (λ₂, λ_max) is a pure function of the
+// graph fingerprint, so it can be shared across processes through small
+// JSON files — one per fingerprint — in a spill directory. This is what
 // keeps m shard processes of one sharded sweep from each paying the same
-// O(n³) eigensolves: the first process to need a quantity computes and
+// O(n³) eigensolves: the first process to need a record computes and
 // writes it, the rest load it.
 //
-// The spill is strictly a second cache level below the in-memory maps: a
-// scalar is looked up in memory first, then on disk, and only then computed
+// The spill is strictly a second cache level below the in-memory map: a
+// record is looked up in memory first, then on disk, and only then computed
 // (and written back). Disk failures of any kind — unreadable directory,
 // corrupt or torn file, failed write — degrade silently to a recompute;
 // the cache never turns an I/O problem into a wrong or missing result.
 // Writes go through a temp file plus rename, so concurrent shard processes
 // can share a directory without ever observing a half-written entry (they
-// may both compute the same value once and race the rename — last writer
-// wins with an identical payload, since the quantities are deterministic).
-//
-// Optimal flows are not spilled: they are keyed on the load vector as well
-// as the graph, so cross-process reuse is rare, and their payload is O(m)
-// edges rather than one float.
+// may both compute the same record once and race the rename — last writer
+// wins with an identical payload, since the record is deterministic).
 //
 // The shared cache enables the spill automatically when the
 // LB_SPECCACHE_DIR environment variable names a directory (created if
@@ -72,66 +69,42 @@ func diskFileName(dir string, fp uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("spec-%016x.json", fp))
 }
 
-// diskKeys names a quantity's values inside the entry file, in order
-// (ASCII, stable across versions — these strings are the on-disk format).
-// Flows are not spilled.
-func (q quantity) diskKeys() []string {
-	switch q {
-	case qLaplacian:
-		return []string{"lambda2", "lambda_max"}
-	case qPaperGamma:
-		return []string{"gamma_paper"}
-	}
-	return nil
+// diskEntry is the on-disk format (these key names are stable across
+// versions). Pointers tell a missing key from a zero value; keys the record
+// does not use (an older entry's "gamma" or "gamma_paper") are ignored.
+type diskEntry struct {
+	Lambda2   *float64 `json:"lambda2"`
+	LambdaMax *float64 `json:"lambda_max"`
 }
 
-// diskLoad tries to read quantity q of fingerprint fp from the spill. It
-// misses unless every one of q's keys is present, so an entry that holds
-// only some of them (say, λ₂ without λ_max) recomputes.
-func (c *Cache) diskLoad(q quantity, fp uint64) ([]float64, bool) {
+// diskLoad tries to read fingerprint fp's record from the spill. It misses
+// unless both keys are present, so an entry that holds λ₂ without λ_max
+// recomputes.
+func (c *Cache) diskLoad(fp uint64) (spectral.Laplacian, bool) {
 	dir := c.spillDir()
 	if dir == "" {
-		return nil, false
+		return spectral.Laplacian{}, false
 	}
 	raw, err := os.ReadFile(diskFileName(dir, fp))
 	if err != nil {
-		return nil, false
+		return spectral.Laplacian{}, false
 	}
-	entry := map[string]float64{}
-	if json.Unmarshal(raw, &entry) != nil {
-		return nil, false // torn or corrupt entry: recompute, don't fail
+	var e diskEntry
+	if json.Unmarshal(raw, &e) != nil || e.Lambda2 == nil || e.LambdaMax == nil {
+		return spectral.Laplacian{}, false // torn, corrupt or older entry: recompute, don't fail
 	}
-	keys := q.diskKeys()
-	vals := make([]float64, len(keys))
-	for i, k := range keys {
-		v, ok := entry[k]
-		if !ok {
-			return nil, false
-		}
-		vals[i] = v
-	}
-	return vals, true
+	return spectral.Laplacian{Lambda2: *e.Lambda2, LambdaMax: *e.LambdaMax}, true
 }
 
-// diskSave merges quantity q's values for fingerprint fp into the spill
-// entry, atomically (temp file + rename). Failures are silent: the value is
-// already memoized in memory, and the next process simply recomputes.
-func (c *Cache) diskSave(q quantity, fp uint64, vals []float64) {
+// diskSave writes fingerprint fp's record to the spill, atomically (temp
+// file + rename). Failures are silent: the record is already memoized in
+// memory, and the next process simply recomputes.
+func (c *Cache) diskSave(fp uint64, r spectral.Laplacian) {
 	dir := c.spillDir()
 	if dir == "" {
 		return
 	}
-	path := diskFileName(dir, fp)
-	entry := map[string]float64{}
-	if raw, err := os.ReadFile(path); err == nil {
-		// Merge with whatever quantities another process already spilled;
-		// a corrupt existing entry is simply overwritten.
-		_ = json.Unmarshal(raw, &entry)
-	}
-	for i, k := range q.diskKeys() {
-		entry[k] = vals[i]
-	}
-	raw, err := json.Marshal(entry)
+	raw, err := json.Marshal(diskEntry{Lambda2: &r.Lambda2, LambdaMax: &r.LambdaMax})
 	if err != nil {
 		return
 	}
@@ -145,7 +118,7 @@ func (c *Cache) diskSave(q quantity, fp uint64, vals []float64) {
 		os.Remove(tmp.Name())
 		return
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp.Name(), diskFileName(dir, fp)); err != nil {
 		os.Remove(tmp.Name())
 	}
 }

@@ -27,7 +27,7 @@ func TestDiskSpillSharesAcrossCaches(t *testing.T) {
 	if _, err := c1.Gamma(g); err != nil {
 		t.Fatal(err)
 	}
-	if s := c1.Stats().Laplacian; s.Computes != 1 || s.DiskHits != 0 {
+	if s := c1.Stats(); s.Computes != 1 || s.DiskHits != 0 {
 		t.Fatalf("first process stats %+v, want 1 compute", s)
 	}
 	entries, err := os.ReadDir(dir)
@@ -46,7 +46,7 @@ func TestDiskSpillSharesAcrossCaches(t *testing.T) {
 	if _, err := c2.Gamma(g); err != nil {
 		t.Fatal(err)
 	}
-	if s := c2.Stats().Laplacian; s.Computes != 0 || s.DiskHits != 1 || s.Hits != 1 {
+	if s := c2.Stats(); s.Computes != 0 || s.DiskHits != 1 || s.Hits != 1 {
 		t.Fatalf("second process Laplacian stats %+v, want a disk hit, then a memory hit", s)
 	}
 	// Values loaded from disk must round-trip bit-exactly (the spill is
@@ -60,53 +60,80 @@ func TestDiskSpillSharesAcrossCaches(t *testing.T) {
 	}
 }
 
-// TestDiskSpillPaperGammaRoundTrips: γ_P of a graph whose paper weights
-// mix (the mesh) is spilled under its own key, and a uniform-weight graph's
-// γ_P derives from the spilled Laplacian record — a second cache on the
-// same directory must load both bit-exactly without recomputing either.
-func TestDiskSpillPaperGammaRoundTrips(t *testing.T) {
+// TestDiskSpillGammaRoundTrips: γ derives from the spilled Laplacian
+// record, so a second cache on the same directory must reproduce the first
+// cache's γ bit-exactly without a single eigensolve — on a regular graph
+// and on one whose degrees mix.
+func TestDiskSpillGammaRoundTrips(t *testing.T) {
 	dir := t.TempDir()
-	mesh, torus := graph.Grid(6, 6), graph.Torus(6, 6)
+	graphs := []*graph.G{graph.Grid(6, 6), graph.Torus(6, 6)}
 
 	c1 := speccache.New()
 	if err := c1.SetDiskDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	var want [2]float64
-	for i, g := range []*graph.G{mesh, torus} {
-		v, err := c1.PaperGamma(g)
+	for i, g := range graphs {
+		v, err := c1.Gamma(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = v
 	}
-	if s := c1.Stats(); s.PaperGamma.Computes != 1 || s.Laplacian.Computes != 1 {
-		t.Fatalf("first process stats %+v, want one γ_P solve (mesh) and one Laplacian record (torus)", s)
+	if s := c1.Stats(); s.Computes != 2 || s.DiskHits != 0 {
+		t.Fatalf("first process stats %+v, want two Laplacian records computed", s)
 	}
 
 	c2 := speccache.New()
 	if err := c2.SetDiskDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	for i, g := range []*graph.G{mesh, torus} {
-		got, err := c2.PaperGamma(g)
+	for i, g := range graphs {
+		got, err := c2.Gamma(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want[i] {
-			t.Fatalf("%s: disk-loaded γ_P %v differs from computed %v", g.Name(), got, want[i])
+			t.Fatalf("%s: γ from the spilled record %v differs from computed %v", g.Name(), got, want[i])
 		}
 	}
-	if s := c2.Stats(); s.PaperGamma.Computes != 0 || s.PaperGamma.DiskHits != 1 ||
-		s.Laplacian.Computes != 0 || s.Laplacian.DiskHits != 1 {
+	if s := c2.Stats(); s.Computes != 0 || s.DiskHits != 2 {
 		t.Fatalf("second process stats %+v, want pure disk hits", s)
+	}
+}
+
+// TestDiskSpillEntryWithExtraKeysLoads: an entry that also holds a value
+// the record does not use (older versions spilled γ_P as "gamma_paper")
+// still loads the record as a disk hit.
+func TestDiskSpillEntryWithExtraKeysLoads(t *testing.T) {
+	dir := t.TempDir()
+	g := graph.Grid(6, 6)
+	want, err := spectral.LaplacianExtremes(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("spec-%016x.json", g.Fingerprint()))
+	entry := fmt.Sprintf(`{"gamma_paper":0.5,"lambda2":%v,"lambda_max":%v}`, want.Lambda2, want.LambdaMax)
+	if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := speccache.New()
+	if err := c.SetDiskDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.MustLambda2(g); got != want.Lambda2 {
+		t.Fatalf("λ₂ from the entry = %v, want %v", got, want.Lambda2)
+	}
+	if s := c.Stats(); s.Computes != 0 || s.DiskHits != 1 {
+		t.Fatalf("entry with extra keys did not load as a disk hit: %+v", s)
 	}
 }
 
 // TestDiskSpillOlderEntryRecomputes: an entry spilled before the Laplacian
 // record carried λ_max holds only "lambda2" (and "gamma"). Loading it would
-// leave λ_max = 0 and a wrong γ, so the record must recompute and merge
-// λ_max into the entry.
+// leave λ_max = 0 and a wrong γ, so the record must recompute and rewrite
+// the entry with λ_max.
 func TestDiskSpillOlderEntryRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.DeBruijn(5)
@@ -131,11 +158,11 @@ func TestDiskSpillOlderEntryRecomputes(t *testing.T) {
 	if got != want {
 		t.Fatalf("γ from an older spill entry = %v, want %v", got, want)
 	}
-	if s := c.Stats().Laplacian; s.Computes != 1 || s.DiskHits != 0 {
+	if s := c.Stats(); s.Computes != 1 || s.DiskHits != 0 {
 		t.Fatalf("older entry counted as a disk hit: %+v", s)
 	}
 	if raw := readFile(t, path); !strings.Contains(raw, `"lambda_max":`) {
-		t.Fatalf("recompute did not merge λ_max into the entry: %s", raw)
+		t.Fatalf("recompute did not write λ_max to the entry: %s", raw)
 	}
 }
 
@@ -166,7 +193,7 @@ func TestDiskSpillCorruptEntryRecomputes(t *testing.T) {
 	if got := c.MustLambda2(g); got != want {
 		t.Fatalf("recomputed λ₂ %v differs from original %v", got, want)
 	}
-	if s := c.Stats().Laplacian; s.Computes != 1 || s.DiskHits != 0 {
+	if s := c.Stats(); s.Computes != 1 || s.DiskHits != 0 {
 		t.Fatalf("corrupt entry was counted as a disk hit: %+v", s)
 	}
 	// The recompute healed the entry on disk for the next process.
@@ -175,7 +202,7 @@ func TestDiskSpillCorruptEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c3.MustLambda2(g)
-	if s := c3.Stats().Laplacian; s.DiskHits != 1 {
+	if s := c3.Stats(); s.DiskHits != 1 {
 		t.Fatalf("healed entry not served from disk: %+v", s)
 	}
 }
@@ -185,7 +212,7 @@ func TestDiskSpillCorruptEntryRecomputes(t *testing.T) {
 func TestDiskSpillDisabledByDefault(t *testing.T) {
 	c := speccache.New()
 	c.MustLambda2(graph.Cycle(12))
-	if s := c.Stats().Laplacian; s.DiskHits != 0 || s.Computes != 1 {
+	if s := c.Stats(); s.DiskHits != 0 || s.Computes != 1 {
 		t.Fatalf("memory-only cache produced disk traffic: %+v", s)
 	}
 }

@@ -6,30 +6,22 @@ import (
 )
 
 // The shared process-wide cache — and only it — is exposed on the metrics
-// registry. Per-run caches (a Session's churned-subgraph spectra) are
-// transient by design and would leak series if each registered itself; their
-// traffic is invisible to /metrics/prom, exactly like it is invisible to
-// the disk spill.
+// registry. A cache made with New (the experiments' churned overlays, tests)
+// is transient by design and would leak series if each registered itself;
+// its traffic is invisible to /metrics/prom, exactly like it is invisible to
+// the disk spill unless it opts in.
 func init() {
 	reg := obs.Default()
-	promName := map[quantity]string{
-		qLaplacian:  "laplacian",
-		qPaperGamma: "paper_gamma",
-		qFlow:       "optflow",
-	}
-	for q := quantity(0); q < numQuantities; q++ {
-		q := q
-		l := obs.L("quantity", promName[q])
-		reg.CounterFunc("speccache_lookups_total",
-			"Spectral cache lookups against the shared cache.",
-			func() float64 { return float64(shared.lookups[q].Load()) }, l)
-		reg.CounterFunc("speccache_computes_total",
-			"Cache misses that ran a fresh solve.",
-			func() float64 { return float64(shared.computes[q].Load()) }, l)
-		reg.CounterFunc("speccache_disk_hits_total",
-			"Cache misses served from the cross-process disk spill.",
-			func() float64 { return float64(shared.diskHits[q].Load()) }, l)
-	}
+	l := obs.L("quantity", "laplacian")
+	reg.CounterFunc("speccache_lookups_total",
+		"Spectral cache lookups against the shared cache.",
+		func() float64 { return float64(shared.lookups.Load()) }, l)
+	reg.CounterFunc("speccache_computes_total",
+		"Cache misses that ran a fresh solve.",
+		func() float64 { return float64(shared.computes.Load()) }, l)
+	reg.CounterFunc("speccache_disk_hits_total",
+		"Cache misses served from the cross-process disk spill.",
+		func() float64 { return float64(shared.diskHits.Load()) }, l)
 	solvePath := func(get func(spectral.SolveCounts) uint64) func() float64 {
 		return func() float64 { return float64(get(spectral.SolveStats())) }
 	}

@@ -1,102 +1,57 @@
-// Package speccache memoizes the expensive per-topology spectral quantities
-// the rest of the system keeps asking for. It keeps one Laplacian record per
-// graph (spectral.LaplacianExtremes: λ₂, the algebraic connectivity behind
-// every convergence bound, and λ_max), from which γ of the uniform diffusion
-// matrix (the second-order scheme's acceleration input) and, where the
-// paper's edge weight is uniform, γ of the paper's diffusion matrix follow.
-// It also keeps γ_P where those weights mix, and the ℓ₂-minimal balancing
-// flow of a load vector.
+// Package speccache memoizes the one expensive per-topology spectral value
+// the rest of the system keeps asking for: a graph's Laplacian record
+// (spectral.LaplacianExtremes: λ₂, the algebraic connectivity behind every
+// convergence bound, and λ_max), from which γ of the uniform diffusion
+// matrix (the second-order scheme's acceleration input) follows.
 //
-// All of these are pure functions of the graph (plus, for flows, the load
-// vector), and all of them cost an eigendecomposition or a Laplacian solve —
-// O(n³) for dense instances. A grid sweep asks for the same (topology, n)
-// values in every one of its units, and the experiment harness asks for them
-// again per experiment; before this package each call site hoisted its own
-// per-file copy. The cache is keyed on graph.G.Fingerprint (name + node
-// count + edge set), so distinct instances never collide and repeated
-// instances — across units, experiments and processes' worth of cells —
-// compute each quantity exactly once per process.
+// The record is a pure function of the graph and costs an eigendecomposition
+// or a Laplacian solve — O(n³) for dense instances. A grid sweep asks for the
+// same (topology, n) record in every one of its units, sessions and lbserved
+// ask for it on every Open, and the experiment harness asks for it again per
+// experiment. The cache is keyed on graph.G.Fingerprint (name + node count +
+// edge set), so distinct instances never collide and repeated instances
+// compute the record exactly once per process (and, with the disk spill,
+// once per spill directory).
 //
 // Concurrency: lookups are safe from any number of goroutines, and
-// concurrent first requests for the same key are deduplicated (one computes,
-// the rest block on the result), which keeps parallel sweeps from burning
-// cores on redundant eigensolves. Values are memoized verbatim from
-// internal/spectral and internal/flow, so cached and uncached runs are
-// numerically identical.
+// concurrent first requests for the same graph are deduplicated (one
+// computes, the rest block on the result), which keeps parallel sweeps from
+// burning cores on redundant eigensolves. Values are memoized verbatim from
+// internal/spectral, so cached and uncached runs are numerically identical.
 package speccache
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/matrix"
 	"repro/internal/spectral"
 )
 
-// quantity indexes the per-kind statistics counters.
-type quantity int
-
-const (
-	qLaplacian quantity = iota
-	qPaperGamma
-	qFlow
-	numQuantities
-)
-
-// scalarKey identifies one memoized value list: which quantity, of which
-// graph.
-type scalarKey struct {
-	q  quantity
-	fp uint64
-}
-
-// flowKey identifies one memoized optimal flow: graph × load vector.
-type flowKey struct {
-	fp    uint64
-	loads uint64
-}
-
-// scalarEntry carries one quantity's values (its diskKeys, in order); once
-// deduplicates concurrent first computations without holding the cache
-// lock during the eigensolve.
-type scalarEntry struct {
+// entry carries one graph's Laplacian record; once deduplicates concurrent
+// first computations without holding the cache lock during the eigensolve.
+type entry struct {
 	once sync.Once
-	val  []float64
+	rec  spectral.Laplacian
 	err  error
 }
 
-type flowEntry struct {
-	once sync.Once
-	val  *flow.EdgeFlow
-	err  error
-}
-
-// Cache memoizes spectral quantities per graph fingerprint. The zero value
-// is not usable; call New.
+// Cache memoizes Laplacian records per graph fingerprint. The zero value is
+// not usable; call New.
 type Cache struct {
 	mu      sync.Mutex
-	scalars map[scalarKey]*scalarEntry
-	flows   map[flowKey]*flowEntry
-	// diskDir, when non-empty, is the disk-spill directory scalars are
+	entries map[uint64]*entry
+	// diskDir, when non-empty, is the disk-spill directory records are
 	// shared through across processes (see disk.go).
 	diskDir string
 
-	lookups  [numQuantities]atomic.Uint64
-	computes [numQuantities]atomic.Uint64
-	diskHits [numQuantities]atomic.Uint64
+	lookups, computes, diskHits atomic.Uint64
 }
 
 // New returns an empty cache.
 func New() *Cache {
-	return &Cache{
-		scalars: make(map[scalarKey]*scalarEntry),
-		flows:   make(map[flowKey]*flowEntry),
-	}
+	return &Cache{entries: make(map[uint64]*entry)}
 }
 
 // shared is the process-wide cache used by the package-level helpers —
@@ -108,45 +63,34 @@ var shared = New()
 // Shared returns the process-wide cache.
 func Shared() *Cache { return shared }
 
-// scalar runs the common memoization path for one spilled quantity.
-func (c *Cache) scalar(q quantity, g *graph.G, compute func() ([]float64, error)) ([]float64, error) {
-	c.lookups[q].Add(1)
-	key := scalarKey{q: q, fp: g.Fingerprint()}
+// laplacian returns g's memoized Laplacian record: from memory, else from
+// the disk spill, else from spectral.LaplacianExtremes (written back to the
+// spill).
+func (c *Cache) laplacian(g *graph.G) (spectral.Laplacian, error) {
+	c.lookups.Add(1)
+	fp := g.Fingerprint()
 	c.mu.Lock()
-	e, ok := c.scalars[key]
+	e, ok := c.entries[fp]
 	if !ok {
-		e = &scalarEntry{}
-		c.scalars[key] = e
+		e = &entry{}
+		c.entries[fp] = e
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
 		// Memory missed; the disk spill is the second level — a hit there is
 		// another process's (or a previous run's) eigensolve reused.
-		if v, ok := c.diskLoad(q, key.fp); ok {
-			c.diskHits[q].Add(1)
-			e.val = v
+		if r, ok := c.diskLoad(fp); ok {
+			c.diskHits.Add(1)
+			e.rec = r
 			return
 		}
-		c.computes[q].Add(1)
-		e.val, e.err = compute()
+		c.computes.Add(1)
+		e.rec, e.err = spectral.LaplacianExtremes(g)
 		if e.err == nil {
-			c.diskSave(q, key.fp, e.val)
+			c.diskSave(fp, e.rec)
 		}
 	})
-	return e.val, e.err
-}
-
-// laplacian returns g's memoized Laplacian record (via
-// spectral.LaplacianExtremes on a miss). Only λ₂ and λ_max are kept.
-func (c *Cache) laplacian(g *graph.G) (spectral.Laplacian, error) {
-	v, err := c.scalar(qLaplacian, g, func() ([]float64, error) {
-		r, err := spectral.LaplacianExtremes(g)
-		return []float64{r.Lambda2, r.LambdaMax}, err
-	})
-	if err != nil {
-		return spectral.Laplacian{}, err
-	}
-	return spectral.Laplacian{Lambda2: v[0], LambdaMax: v[1]}, nil
+	return e.rec, e.err
 }
 
 // Lambda2 returns the memoized algebraic connectivity of g, from its
@@ -177,134 +121,42 @@ func (c *Cache) Gamma(g *graph.G) (float64, error) {
 	return r.Gamma(spectral.DiffusionAlpha(g)), nil
 }
 
-// PaperGamma returns the second-largest eigenvalue magnitude of the paper's
-// diffusion matrix (transfer rule 1/(4·max(dᵢ,dⱼ))): derived from g's
-// Laplacian record when that weight is one uniform c
-// (spectral.PaperEdgeScale), else memoized from spectral.PaperGammaOf.
-func (c *Cache) PaperGamma(g *graph.G) (float64, error) {
-	if scale := spectral.PaperEdgeScale(g); scale != 0 {
-		r, err := c.laplacian(g)
-		if err != nil {
-			return 0, err
-		}
-		return r.Gamma(scale), nil
-	}
-	v, err := c.scalar(qPaperGamma, g, func() ([]float64, error) {
-		gp, err := spectral.PaperGammaOf(g)
-		return []float64{gp}, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return v[0], nil
-}
-
-// OptimalFlow returns the memoized ℓ₂-minimal balancing flow of load vector
-// l on g (via flow.Optimal on a miss). The returned flow is a private copy:
-// callers may mutate it freely without corrupting the cache.
-func (c *Cache) OptimalFlow(g *graph.G, l matrix.Vector) (*flow.EdgeFlow, error) {
-	c.lookups[qFlow].Add(1)
-	key := flowKey{fp: g.Fingerprint(), loads: hashLoads(l)}
-	c.mu.Lock()
-	e, ok := c.flows[key]
-	if !ok {
-		e = &flowEntry{}
-		c.flows[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		c.computes[qFlow].Add(1)
-		e.val, e.err = flow.Optimal(g, l)
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	// The copy is bound to the caller's graph instance, not the one the
-	// value was first computed on: equal fingerprints guarantee identical
-	// edge lists, and flow operations (Sub, Divergence) compare graph
-	// pointers, so a cache hit across separately built suites must not leak
-	// the original instance.
-	out := flow.NewEdgeFlow(g)
-	copy(out.Values, e.val.Values)
-	return out, nil
-}
-
-// hashLoads folds a load vector's exact bit pattern into the flow cache key.
-func hashLoads(l matrix.Vector) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range l {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
-// Reset drops every memoized value and zeroes the statistics. Intended for
+// Reset drops every memoized record and zeroes the statistics. Intended for
 // tests and for processes that rebuild topologies wholesale (e.g. long
 // dynamic-network runs that never revisit a graph).
 func (c *Cache) Reset() {
 	c.mu.Lock()
-	c.scalars = make(map[scalarKey]*scalarEntry)
-	c.flows = make(map[flowKey]*flowEntry)
+	c.entries = make(map[uint64]*entry)
 	c.mu.Unlock()
-	for q := quantity(0); q < numQuantities; q++ {
-		c.lookups[q].Store(0)
-		c.computes[q].Store(0)
-		c.diskHits[q].Store(0)
-	}
+	c.lookups.Store(0)
+	c.computes.Store(0)
+	c.diskHits.Store(0)
 }
 
-// QuantityStats counts one quantity's cache traffic.
-type QuantityStats struct {
-	// Computes is how many times the quantity was actually computed (cache
-	// misses all the way down); Hits is how many lookups were served from
-	// memory; DiskHits how many were loaded from the disk spill instead of
-	// computed.
-	Computes, Hits, DiskHits uint64
-}
-
-// Stats is a point-in-time snapshot of the cache's effectiveness, one entry
-// per memoized quantity, plus the process-wide spectral solve-path counters
-// — which solver (closed form, dense, Lanczos, inverse power) actually ran
-// behind the cache misses. The large-n smoke gate asserts Solves.Dense == 0
-// on million-node runs through this field.
+// Stats is a point-in-time snapshot of the cache's effectiveness, plus the
+// process-wide spectral solve-path counters — which solver (closed form,
+// dense, Lanczos, inverse power) actually ran behind the cache misses
+// (lbbench -cache-stats prints both).
 type Stats struct {
-	// Laplacian counts the Laplacian records behind Lambda2, Gamma and
-	// uniform-weight PaperGamma lookups; PaperGamma counts the rest.
-	Laplacian   QuantityStats
-	PaperGamma  QuantityStats
-	OptimalFlow QuantityStats
-	Solves      spectral.SolveCounts
+	// Computes is how many records were actually computed (cache misses all
+	// the way down); Hits is how many lookups were served from memory;
+	// DiskHits how many were loaded from the disk spill instead of computed.
+	Computes, Hits, DiskHits uint64
+	Solves                   spectral.SolveCounts
 }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	snap := func(q quantity) QuantityStats {
-		lookups, computes, disk := c.lookups[q].Load(), c.computes[q].Load(), c.diskHits[q].Load()
-		return QuantityStats{Computes: computes, Hits: lookups - computes - disk, DiskHits: disk}
-	}
-	return Stats{
-		Laplacian:   snap(qLaplacian),
-		PaperGamma:  snap(qPaperGamma),
-		OptimalFlow: snap(qFlow),
-		Solves:      spectral.SolveStats(),
-	}
+	lookups, computes, disk := c.lookups.Load(), c.computes.Load(), c.diskHits.Load()
+	return Stats{Computes: computes, Hits: lookups - computes - disk, DiskHits: disk, Solves: spectral.SolveStats()}
 }
 
 // String renders the cache traffic as one human-readable line.
 func (s Stats) String() string {
-	part := func(name string, q QuantityStats) string {
-		if q.DiskHits > 0 {
-			return fmt.Sprintf("%s %d computed/%d disk/%d hits", name, q.Computes, q.DiskHits, q.Hits)
-		}
-		return fmt.Sprintf("%s %d computed/%d hits", name, q.Computes, q.Hits)
+	if s.DiskHits > 0 {
+		return fmt.Sprintf("λ₂/λ_max %d computed/%d disk/%d hits", s.Computes, s.DiskHits, s.Hits)
 	}
-	return part("λ₂/λ_max", s.Laplacian) + ", " + part("γ_P", s.PaperGamma) + ", " +
-		part("optflow", s.OptimalFlow)
+	return fmt.Sprintf("λ₂/λ_max %d computed/%d hits", s.Computes, s.Hits)
 }
 
 // Package-level helpers against the shared cache, so hot call sites read as
@@ -318,11 +170,3 @@ func MustLambda2(g *graph.G) float64 { return shared.MustLambda2(g) }
 
 // Gamma is Shared().Gamma.
 func Gamma(g *graph.G) (float64, error) { return shared.Gamma(g) }
-
-// PaperGamma is Shared().PaperGamma.
-func PaperGamma(g *graph.G) (float64, error) { return shared.PaperGamma(g) }
-
-// OptimalFlow is Shared().OptimalFlow.
-func OptimalFlow(g *graph.G, l matrix.Vector) (*flow.EdgeFlow, error) {
-	return shared.OptimalFlow(g, l)
-}
