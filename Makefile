@@ -46,7 +46,7 @@ staticcheck:
 e2e-test:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
-# Every experiment table, bit for bit: `lbbench -exp all -csv` runs twice
+# Every experiment table, bit for bit: `lbbench -exp all -format csv` runs twice
 # under one fresh speccache spill directory, cold (every Laplacian record
 # computed and spilled) and warm (every record loaded from disk), and both
 # stdouts must hash to EXP_MD5. Pinned on amd64 only, as TestQuickCSVDigest
@@ -61,7 +61,7 @@ exp-digest:
 	trap 'rm -rf "$$dir"' EXIT
 	$(GO) build -o "$$dir/lbbench" ./cmd/lbbench
 	for pass in cold warm; do
-		sum=$$(LB_SPECCACHE_DIR="$$dir/spill" "$$dir/lbbench" -exp all -csv -cache-stats 2> "$$dir/$$pass.err" | md5sum | cut -d' ' -f1)
+		sum=$$(LB_SPECCACHE_DIR="$$dir/spill" "$$dir/lbbench" -exp all -format csv -cache-stats 2> "$$dir/$$pass.err" | md5sum | cut -d' ' -f1)
 		grep speccache "$$dir/$$pass.err"
 		if [ "$$sum" != $(EXP_MD5) ]; then
 			echo "exp-digest: $$pass spill: stdout md5 $$sum, want $(EXP_MD5)" >&2; exit 1

@@ -22,7 +22,7 @@ import (
 // report plumbing of a sweep. Setting one next to -explain exits
 // exitConflict.
 var explainIgnored = map[string]bool{
-	"grid": true, "exp": true, "seed": true, "quick": true, "csv": true, "format": true,
+	"grid": true, "exp": true, "seed": true, "quick": true, "format": true,
 	"spawn": true, "merge": true, "resume": true, "out": true, "shard": true, "units": true,
 	"stream-agg": true, "emit-matrix": true,
 	"topos": true, "algos": true, "modes": true, "loads": true, "scenarios": true, "seeds": true,

@@ -9,7 +9,7 @@
 //	lbbench -list               # list experiments, topologies, algorithms,
 //	                            # modes, workloads and scenarios
 //	lbbench -quick              # shrunk sweeps (CI-sized)
-//	lbbench -csv                # CSV instead of aligned tables
+//	lbbench -format csv         # CSV instead of aligned tables
 //	lbbench -parallel 8         # fan each experiment's sweep over 8 workers
 //
 // Grid mode (one invocation reproduces a whole paper figure's sweep):
@@ -131,6 +131,7 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/orchestrator"
 	"repro/internal/scenario"
@@ -155,7 +156,6 @@ func main() {
 		exp   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		seed  = flag.Int64("seed", 1, "seed for randomized components (experiment mode)")
 		quick = flag.Bool("quick", false, "shrink sweeps for a fast run")
-		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables (experiment mode)")
 		list  = flag.Bool("list", false, "list registered experiments, topologies, algorithms, modes, workloads and scenarios, then exit")
 
 		grid    = flag.Bool("grid", false, "run a declarative sweep grid instead of the experiment tables")
@@ -206,13 +206,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lbbench: %s\n", msg)
 		os.Exit(code)
 	}
-	// A typo'd -format must not cost a full sweep: reject it before running,
-	// not when rendering.
-	if *grid || *merge != "" {
-		if err := output.CheckFormat(); err != nil {
-			fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
-			os.Exit(exitUsage)
-		}
+	// A typo'd -format must not cost a full sweep or experiment run: reject
+	// it before running, not when rendering.
+	if err := output.CheckFormat(*grid || *merge != ""); err != nil {
+		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
+		os.Exit(exitUsage)
 	}
 	shardI, shardM, err := cliflags.ParseShard(*shard)
 	if err != nil {
@@ -268,7 +266,7 @@ func main() {
 	case *grid || *merge != "":
 		code = runGrid(gf)
 	default:
-		code = runExperiments(*exp, *seed, *quick, *csv, gridDef.Parallel)
+		code = runExperiments(*exp, *seed, *quick, output.Format == "csv", gridDef.Parallel)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "lbbench: %v\n", err)
@@ -456,7 +454,7 @@ func printRegistries() {
 	}
 	section("topologies (-topos)", topoparse.Descriptions())
 	section("algorithms (-algos)", core.AlgorithmDescriptions())
-	section("modes (-modes)", core.ModeDescriptions())
+	section("modes (-modes)", load.ModeDescriptions())
 	section("workloads (-loads)", workload.Descriptions())
 	section("scenarios (-scenarios)", scenario.Descriptions())
 }

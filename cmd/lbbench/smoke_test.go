@@ -227,6 +227,12 @@ func TestBinaries(t *testing.T) {
 			"lbbench -grid -round-workers 2 -out " + x:                             exitUsage,
 			"lbbench -grid -parallel -3 -out " + x:                                 exitUsage,
 			"lbbench -grid -modes tokens -out " + x:                                exitUsage,
+			"lbbench -grid -topos ring -out " + x:                                  exitUsage,
+			"lbbench -grid -topos cycle,ring -out " + x:                            exitUsage,
+			"lbbench -grid -topos regular -out " + x:                               exitUsage,
+			"lbbench -grid -csv -out " + x:                                         exitUsage,
+			"lbbench -exp E1 -quick -format json":                                  exitUsage,
+			"lbbench -exp E1 -quick -format bogus":                                 exitUsage,
 			"lbbench -exp E1 -quick -parallel -2":                                  exitUsage,
 			"lbbench -grid -spawn 2 -retries -1 -out " + x:                         exitUsage,
 			"lbbench -exp E1 -quick -shard 0/3":                                    exitConflict,
@@ -244,6 +250,9 @@ func TestBinaries(t *testing.T) {
 			"lbserved -addr 127.0.0.1:-1 -drain-rounds -1":                         exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -drain-timeout -1s":                       exitUsage,
 			"lbserved -addr 127.0.0.1:-1 -round-workers 2":                         exitUsage,
+
+			// Re-cased names pass every check, so the daemon fails at listen.
+			"lbserved -addr 127.0.0.1:-1 -topo Torus -algo Diffusion -mode Discrete -load Spike": 1,
 		} {
 			if _, stderr, code := run(t, strings.Fields(argv)...); code != want {
 				t.Errorf("%s: exit %d, want %d (%s)", argv, code, want, stderr)
@@ -252,6 +261,14 @@ func TestBinaries(t *testing.T) {
 		if _, err := os.Stat(x); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("a refused run left a journal: %v", err)
 		}
+	})
+
+	// A name is read in one spelling: a re-cased grid reports the bytes of
+	// the lowercase one.
+	t.Run("names", func(t *testing.T) {
+		grid := strings.Fields("lbbench -grid -n 64 -format csv")
+		sameBytes(t, "re-cased grid", runOK(t, append(grid, "-topos", "Torus", "-algos", "Diffusion", "-modes", "Discrete", "-loads", "Spike")...),
+			runOK(t, append(grid, "-topos", "torus", "-algos", "diffusion", "-modes", "discrete", "-loads", "spike")...))
 	})
 
 	// The recording of a replay flushes on SIGTERM, byte-matches the trace

@@ -40,11 +40,11 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/core"
+	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/serve"
@@ -67,7 +67,7 @@ func run() int {
 		n            = fs.Int("n", 64, "node count")
 		algo         = fs.String("algo", "diffusion", "balancing algorithm (as in lbbench -algos)")
 		mode         = fs.String("mode", "continuous", "load model: continuous or discrete")
-		load         = fs.String("load", "", "initial workload kind (as in lbbench -loads); empty starts idle (all-zero loads)")
+		loadKind     = fs.String("load", "", "initial workload kind (as in lbbench -loads); empty starts idle (all-zero loads)")
 		scale        = fs.Float64("scale", 1e6, "initial workload magnitude (with -load)")
 		eps          = fs.Float64("eps", 1e-3, "balance target ε (Φ ≤ ε·Φ⁰; also the drain target's ε·peak)")
 		seed         = fs.Int64("seed", 1, "algorithm RNG seed")
@@ -83,6 +83,10 @@ func run() int {
 		return exitUsage
 	}
 	logger := log.New(os.Stderr, "lbserved: ", log.LstdFlags)
+	usage := func(err error) int {
+		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
+		return exitUsage
+	}
 
 	if !(*hz >= 0) || math.IsInf(*hz, 1) {
 		fmt.Fprintf(os.Stderr, "lbserved: bad -hz %v (want a finite rate ≥ 0; 0 free-runs)\n", *hz)
@@ -105,37 +109,43 @@ func run() int {
 		}
 	}
 
-	// The graph comes through the batch builder, so lbserved's topology is
-	// the same instance a grid unit of the same (topo, n) balances on —
-	// what makes a recorded trace replay against the identical graph.
-	graphs, err := batch.BuildGraphs(batch.Spec{Topologies: []string{*topo}, N: *n})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-		return exitUsage
+	// Names go through the sweep's one normalizer, so lbserved accepts every
+	// spelling lbbench -grid does. The graph comes through the batch
+	// builder, so lbserved's topology is the same instance a grid unit of
+	// the same (topo, n) balances on — what makes a recorded trace replay
+	// against the identical graph.
+	spec := batch.Spec{Topologies: []string{*topo}, Algorithms: []string{*algo}, Modes: []string{*mode}, N: *n}
+	if *loadKind != "" {
+		spec.Workloads = []string{*loadKind}
 	}
-	g := graphs[strings.ToLower(strings.TrimSpace(*topo))]
+	spec, err := spec.Canonical()
+	if err != nil {
+		return usage(err)
+	}
+	graphs, err := batch.BuildGraphs(spec)
+	if err != nil {
+		return usage(err)
+	}
+	g := graphs[spec.Topologies[0]]
 	// The daemon's one session is a one-unit sweep: the tuner keeps its
 	// rounds serial below batch.RoundParallelMinN nodes and gives them
 	// every core above it.
 	_, roundWorkers := batch.TuneWorkers(1, g.N(), runtime.GOMAXPROCS(0))
 
-	alg, err := core.ParseAlgorithm(*algo)
+	alg, err := core.ParseAlgorithm(spec.Algorithms[0])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-		return exitUsage
+		return usage(err)
 	}
-	md, err := core.ParseMode(*mode)
+	md, err := load.ParseMode(spec.Modes[0])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-		return exitUsage
+		return usage(err)
 	}
 
 	loads := make([]float64, g.N())
-	if *load != "" {
-		kind, err := workload.ParseKind(*load)
+	if len(spec.Workloads) > 0 {
+		kind, err := workload.ParseKind(spec.Workloads[0])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-			return exitUsage
+			return usage(err)
 		}
 		loads = workload.Continuous(kind, g.N(), *scale, rand.New(rand.NewSource(*seed)))
 	}
@@ -150,16 +160,14 @@ func run() int {
 		Workers:   roundWorkers,
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-		return exitUsage
+		return usage(err)
 	}
 
 	var replay []scenario.Event
 	if *replayPath != "" {
 		replay, err = scenario.ReadTraceFile(*replayPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-			return exitUsage
+			return usage(err)
 		}
 		logger.Printf("replaying %d events from %s (round interval %v)",
 			len(replay), *replayPath, interval)
@@ -199,8 +207,7 @@ func run() int {
 		Logf:           logger.Printf,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbserved: %v\n", err)
-		return exitUsage
+		return usage(err)
 	}
 
 	ctx, stop := signals.Graceful(context.Background())

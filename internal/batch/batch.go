@@ -36,8 +36,10 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
+	"repro/internal/load"
 	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/workload"
@@ -279,24 +281,22 @@ func Expand(spec Spec) ([]Unit, error) {
 	if err := spec.validShard(); err != nil {
 		return nil, err
 	}
-	topos, err := normalize("topology", spec.Topologies)
+	spec, err := spec.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	algos, err := normalize("algorithm", spec.Algorithms)
-	if err != nil {
-		return nil, err
+	for _, d := range spec.nameDims() {
+		if len(*d.names) == 0 {
+			return nil, fmt.Errorf("batch: spec has no %s entries", d.dim)
+		}
 	}
-	modes, err := normalize("mode", spec.Modes)
-	if err != nil {
-		return nil, err
+	for _, m := range spec.Modes {
+		if _, err := load.ParseMode(m); err != nil {
+			return nil, fmt.Errorf("batch: %w", err)
+		}
 	}
-	wlNames, err := normalize("workload", spec.Workloads)
-	if err != nil {
-		return nil, err
-	}
-	kinds := make([]workload.Kind, len(wlNames))
-	for i, name := range wlNames {
+	kinds := make([]workload.Kind, len(spec.Workloads))
+	for i, name := range spec.Workloads {
 		k, err := workload.ParseKind(name)
 		if err != nil {
 			return nil, fmt.Errorf("batch: %w", err)
@@ -307,14 +307,6 @@ func Expand(spec Spec) ([]Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	// core.ParseMode owns the mode names, but batch cannot import core (core
-	// imports batch), and -merge reads journal headers through Expand
-	// without going through core: this check is what guards them.
-	for _, m := range modes {
-		if m != "continuous" && m != "discrete" {
-			return nil, fmt.Errorf("batch: unknown mode %q (want continuous or discrete)", m)
-		}
-	}
 	seen := map[int64]bool{}
 	for _, s := range spec.Seeds {
 		if seen[s] {
@@ -323,10 +315,10 @@ func Expand(spec Spec) ([]Unit, error) {
 		seen[s] = true
 	}
 
-	units := make([]Unit, 0, len(topos)*len(algos)*len(modes)*len(kinds)*len(scnNames)*len(spec.Seeds))
-	for _, topo := range topos {
-		for _, alg := range algos {
-			for _, mode := range modes {
+	units := make([]Unit, 0, len(spec.Topologies)*len(spec.Algorithms)*len(spec.Modes)*len(kinds)*len(scnNames)*len(spec.Seeds))
+	for _, topo := range spec.Topologies {
+		for _, alg := range spec.Algorithms {
+			for _, mode := range spec.Modes {
 				for wi, kind := range kinds {
 					for si, scn := range scnNames {
 						for _, seed := range spec.Seeds {
@@ -336,7 +328,7 @@ func Expand(spec Spec) ([]Unit, error) {
 								Algorithm:    alg,
 								Mode:         mode,
 								Workload:     kind,
-								WorkloadName: wlNames[wi],
+								WorkloadName: spec.Workloads[wi],
 								Scenario:     scn,
 								ScenarioSpec: scnSpecs[si],
 								Seed:         seed,
@@ -347,9 +339,6 @@ func Expand(spec Spec) ([]Unit, error) {
 			}
 		}
 	}
-	if len(units) == 0 {
-		return nil, fmt.Errorf("batch: empty grid (every dimension needs at least one entry)")
-	}
 	return units, nil
 }
 
@@ -359,14 +348,10 @@ func Expand(spec Spec) ([]Unit, error) {
 // one process; the static scenario canonicalizes to "" (the legacy
 // journal-compatible encoding — see Unit.Scenario).
 func parseScenarios(in []string) ([]string, []scenario.Spec, error) {
-	raw, err := normalizeCase("scenario", in, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	names := make([]string, len(raw))
-	specs := make([]scenario.Spec, len(raw))
+	names := make([]string, len(in))
+	specs := make([]scenario.Spec, len(in))
 	seen := map[string]bool{}
-	for i, r := range raw {
+	for i, r := range in {
 		sp, err := scenario.Parse(r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("batch: %w", err)
@@ -489,35 +474,44 @@ func (s Spec) ownedUnits(units []Unit) []Unit {
 	return mine
 }
 
-// normalize lowercases and trims a dimension's entries and rejects empties
-// and duplicates, so the expansion is duplicate-free by construction.
-func normalize(dim string, in []string) ([]string, error) {
-	return normalizeCase(dim, in, true)
+// Canonical returns s with every name a user types in its one spelling:
+// each topology, algorithm, mode and workload entry trimmed and lowercased.
+// It rejects an empty or a duplicate entry, so an expansion is
+// duplicate-free by construction; an empty dimension passes, for Expand
+// to refuse. Scenarios keep their case, because a
+// trace:<file> entry holds a path; scenario.Parse gives them their
+// canonical form. Expand, BuildGraphs, SameGrid and the CLIs read names
+// only through here; each dimension's own table (topoparse, core's
+// algorithms, load's modes, workload's kinds) then checks them.
+func (s Spec) Canonical() (Spec, error) {
+	for _, d := range s.nameDims() {
+		if len(*d.names) == 0 {
+			continue
+		}
+		out := make([]string, 0, len(*d.names))
+		for _, name := range *d.names {
+			name = strings.ToLower(strings.TrimSpace(name))
+			if name == "" {
+				return Spec{}, fmt.Errorf("batch: empty %s entry", d.dim)
+			}
+			if slices.Contains(out, name) {
+				return Spec{}, fmt.Errorf("batch: duplicate %s entry %q", d.dim, name)
+			}
+			out = append(out, name)
+		}
+		*d.names = out
+	}
+	return s, nil
 }
 
-// normalizeCase is normalize with the lowercasing optional: the scenario
-// dimension preserves case because trace:<file> entries carry filesystem
-// paths (scenario.Parse lowercases the non-path kinds itself, so the
-// canonical-form duplicate check is unaffected).
-func normalizeCase(dim string, in []string, lower bool) ([]string, error) {
-	if len(in) == 0 {
-		return nil, fmt.Errorf("batch: spec has no %s entries", dim)
-	}
-	out := make([]string, 0, len(in))
-	seen := map[string]bool{}
-	for _, s := range in {
-		s = strings.TrimSpace(s)
-		if lower {
-			s = strings.ToLower(s)
-		}
-		if s == "" {
-			return nil, fmt.Errorf("batch: empty %s entry", dim)
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("batch: duplicate %s entry %q", dim, s)
-		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	return out, nil
+// nameDim is one name dimension of a spec: its name in messages and its
+// entries.
+type nameDim struct {
+	dim   string
+	names *[]string
+}
+
+// nameDims lists s's name dimensions in expansion order.
+func (s *Spec) nameDims() []nameDim {
+	return []nameDim{{"topology", &s.Topologies}, {"algorithm", &s.Algorithms}, {"mode", &s.Modes}, {"workload", &s.Workloads}}
 }

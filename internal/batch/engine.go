@@ -173,13 +173,12 @@ func BuildGraphs(spec Spec) (map[string]*graph.G, error) {
 	if err := spec.validParams(); err != nil {
 		return nil, err
 	}
-	spec = spec.withDefaults()
-	names, err := normalize("topology", spec.Topologies)
+	spec, err := spec.withDefaults().Canonical()
 	if err != nil {
 		return nil, err
 	}
 	graphs := make(map[string]*graph.G)
-	for _, name := range names {
+	for _, name := range spec.Topologies {
 		key := fmt.Sprintf("%s|%d", name, spec.N)
 		if g, ok := builtGraphs.Load(key); ok {
 			graphs[name] = g.(*graph.G)

@@ -159,27 +159,19 @@ func SameGrid(a, b Spec) error {
 			"run parameters differ (n=%d scale=%g epsilon=%g max_rounds=%d vs n=%d scale=%g epsilon=%g max_rounds=%d) — outcomes are not comparable",
 			a.N, a.Scale, a.Epsilon, a.MaxRounds, b.N, b.Scale, b.Epsilon, b.MaxRounds)
 	}
-	dims := []struct {
-		name string
-		a, b []string
-	}{
-		{"topology", a.Topologies, b.Topologies},
-		{"algorithm", a.Algorithms, b.Algorithms},
-		{"mode", a.Modes, b.Modes},
-		{"workload", a.Workloads, b.Workloads},
+	a, err := a.Canonical()
+	if err != nil {
+		return err
 	}
-	for _, d := range dims {
-		an, err := normalize(d.name, d.a)
-		if err != nil {
-			return err
-		}
-		bn, err := normalize(d.name, d.b)
-		if err != nil {
-			return err
-		}
-		if !slices.Equal(an, bn) {
+	b, err = b.Canonical()
+	if err != nil {
+		return err
+	}
+	bd := b.nameDims()
+	for i, d := range a.nameDims() {
+		if !slices.Equal(*d.names, *bd[i].names) {
 			return fmt.Errorf("%s dimensions differ (%v vs %v) — these journals index different grids; "+
-				"merge only shards of one sweep, or concatenate and replay through -resume (which matches by Key)", d.name, an, bn)
+				"merge only shards of one sweep, or concatenate and replay through -resume (which matches by Key)", d.dim, *d.names, *bd[i].names)
 		}
 	}
 	// Scenarios compare in canonical form, so "bursty" matches

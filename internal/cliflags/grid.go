@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
 
 	"repro/internal/batch"
 )
@@ -66,22 +67,19 @@ type Output struct {
 // RegisterOutput registers the report knobs every sweep CLI ends with.
 func RegisterOutput(fs *flag.FlagSet) *Output {
 	o := &Output{}
-	fs.StringVar(&o.Format, "format", "table", "final report format (table, csv, json)")
+	fs.StringVar(&o.Format, "format", "table", "output format: table, csv or json for a grid report; table or csv for -exp")
 	fs.BoolVar(&o.StreamAgg, "stream-agg", false, "streaming-only aggregation: fold aggregates and per-dimension marginals incrementally, never materializing cells")
 	return o
 }
 
-// CheckFormat validates the -format value.
-func (o *Output) CheckFormat() error {
-	switch o.Format {
-	case "table", "csv", "json":
+// CheckFormat validates the -format value: a sweep report (grid) renders
+// as table, csv or json, an experiment table as table or csv.
+func (o *Output) CheckFormat(grid bool) error {
+	switch {
+	case o.Format == "table" || o.Format == "csv" || o.Format == "json" && grid:
 		return nil
+	case grid:
+		return fmt.Errorf("unknown -format %q (want table, csv or json)", o.Format)
 	}
-	return badFormatError(o.Format)
-}
-
-type badFormatError string
-
-func (e badFormatError) Error() string {
-	return "unknown -format \"" + string(e) + "\" (want table, csv or json)"
+	return fmt.Errorf("unknown -format %q for -exp (want table or csv)", o.Format)
 }

@@ -84,11 +84,7 @@ func (a Algorithm) String() string {
 // description, in declaration order — the -list surface.
 func AlgorithmDescriptions() [][2]string { return slices.Clone(algorithms[:]) }
 
-// ModeDescriptions returns each load-model name and a one-line
-// description — the -list surface.
-func ModeDescriptions() [][2]string { return slices.Clone(modes[:]) }
-
-// ParseAlgorithm converts a CLI name into an Algorithm.
+// ParseAlgorithm converts a canonical (lowercase) name into an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	for a, d := range algorithms {
 		if d[0] == s {
@@ -98,41 +94,16 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("core: unknown algorithm %q", s)
 }
 
-// Mode selects continuous (divisible) or discrete (token) load.
-type Mode int
+// Mode selects continuous (divisible) or discrete (token) load; its name
+// table and parser are load's.
+type Mode = load.Mode
 
 const (
 	// Continuous allows arbitrarily divisible load.
-	Continuous Mode = iota
+	Continuous = load.Continuous
 	// Discrete moves indivisible tokens (floor transfers).
-	Discrete
+	Discrete = load.Discrete
 )
-
-// modes is Mode's name table, indexed by Mode: the String name and the
-// one-line -list description.
-var modes = [...][2]string{
-	Continuous: {"continuous", "arbitrarily divisible load (the ideal model of §2.1)"},
-	Discrete:   {"discrete", "indivisible tokens with floor transfers (§2.2/§4.2)"},
-}
-
-// String implements fmt.Stringer. Every Mode but Discrete runs as, and
-// reads as, continuous.
-func (m Mode) String() string {
-	if m == Discrete {
-		return modes[Discrete][0]
-	}
-	return modes[Continuous][0]
-}
-
-// ParseMode converts a CLI name into a Mode.
-func ParseMode(s string) (Mode, error) {
-	for m, d := range modes {
-		if d[0] == s {
-			return Mode(m), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown mode %q", s)
-}
 
 // Config describes one balancing run.
 type Config struct {

@@ -229,18 +229,6 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	for _, m := range []Mode{Continuous, Discrete} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("round trip %v: %v %v", m, got, err)
-		}
-	}
-	if _, err := ParseMode("tokens"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestModeAndAlgorithmStrings(t *testing.T) {
 	if Continuous.String() != "continuous" || Discrete.String() != "discrete" {
 		t.Fatal("mode names")

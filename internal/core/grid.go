@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/batch"
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/obs"
 )
 
@@ -145,19 +145,18 @@ func ValidateGridSpec(spec batch.Spec) error {
 
 // validateGridSpec rejects bad specs up front: a typo'd algorithm or an
 // empty/duplicated dimension should fail the sweep, not silently error
-// every cell.
+// every cell. Algorithms are checked on their canonical spelling, the one
+// every unit carries.
 func validateGridSpec(spec batch.Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
+	spec, err := spec.Canonical()
+	if err != nil {
+		return err
+	}
 	for _, name := range spec.Algorithms {
 		if _, err := ParseAlgorithm(name); err != nil {
-			return err
-		}
-	}
-	for _, name := range spec.Modes {
-		// Expand lowercases mode names, so " Discrete" runs as discrete.
-		if _, err := ParseMode(strings.ToLower(strings.TrimSpace(name))); err != nil {
 			return err
 		}
 	}
@@ -176,7 +175,7 @@ func RunUnit(spec batch.Spec, u batch.Unit, g *graph.G, loads []float64, algoSee
 	if err != nil {
 		return Result{}, err
 	}
-	mode, err := ParseMode(u.Mode)
+	mode, err := load.ParseMode(u.Mode)
 	if err != nil {
 		return Result{}, err
 	}

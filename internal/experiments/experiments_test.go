@@ -170,11 +170,11 @@ func TestA2IncreasingOrderCleanQuick(t *testing.T) {
 	}
 }
 
-// quickCSVDigest is the md5 of `lbbench -exp all -quick -csv` (seed 1).
+// quickCSVDigest is the md5 of `lbbench -exp all -quick -format csv` (seed 1).
 const quickCSVDigest = "750c1213ca3150cf628db9045f0d7955"
 
 // TestQuickCSVDigest renders every registered experiment exactly as
-// `lbbench -exp all -quick -csv` prints it — Quick, Seed 1, CSV, in IDs()
+// `lbbench -exp all -quick -format csv` prints it — Quick, Seed 1, CSV, in IDs()
 // order — and pins the md5 of the bytes at pool widths 1 and 8, so any
 // change to a kernel's floating-point op chain or an experiment's output
 // fails here. It runs on amd64 only: other architectures may fuse the
@@ -193,7 +193,7 @@ func TestQuickCSVDigest(t *testing.T) {
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != quickCSVDigest {
-			t.Fatalf("lbbench -exp all -quick -csv -parallel %d md5 is %s, pinned %s; if the new output is intended, "+
+			t.Fatalf("lbbench -exp all -quick -format csv -parallel %d md5 is %s, pinned %s; if the new output is intended, "+
 				"update quickCSVDigest and record the new digest in CHANGES.md", workers, got, quickCSVDigest)
 		}
 	}

@@ -178,3 +178,15 @@ func TestMoveTowardsBalanceDecreasesPotentialProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{Continuous, Discrete} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Fatalf("round trip %v: %v %v", m, got, err)
+		}
+	}
+	if _, err := ParseMode("tokens"); err == nil {
+		t.Fatal("expected error")
+	}
+}

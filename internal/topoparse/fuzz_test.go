@@ -6,8 +6,9 @@ import "testing"
 // graph it returns is simple with endpoints in [0, N), and that the same
 // inputs always build the same graph. n is folded into [1, 512] so each
 // exec stays cheap. The seed corpus in testdata/fuzz/FuzzBuild holds every
-// name and alias, the smallworld n=5 size that used to panic and an unknown
-// name.
+// name, the smallworld n=5 size that used to panic, an unknown name and the
+// retired aliases (ring, mesh, clique, line, bintree, regular), which Build
+// now refuses.
 func FuzzBuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name string, n int, seed int64) {
 		n = int(uint(n)%512) + 1

@@ -3,11 +3,12 @@
 // name, so they all accept the same names, and it is unit-tested here once
 // instead of per-binary.
 //
-// Accepted forms (n is the requested approximate node count; families with
-// rigid sizes round up):
+// Accepted names (canonical: lowercase, no padding — batch.Spec.Canonical
+// spells a typed name this way; n is the requested approximate node count,
+// and families with rigid sizes round up):
 //
-//	path cycle|ring grid|mesh torus hypercube debruijn complete star tree
-//	random-regular petersen barbell lollipop
+//	path cycle grid torus torus3d hypercube debruijn ccc butterfly complete
+//	star tree random-regular petersen barbell lollipop smallworld rgg
 package topoparse
 
 import (
@@ -15,104 +16,45 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"strings"
 
 	"repro/internal/graph"
 )
 
-// topologies is the name table: each accepted name, in display order, and
-// its one-line -list description.
-var topologies = [...][2]string{
-	{"path", "path (line) graph"},
-	{"cycle", "ring of n nodes"},
-	{"grid", "2-D mesh (no wraparound), side ⌈√n⌉"},
-	{"torus", "2-D torus (wraparound grid)"},
-	{"torus3d", "3-D torus"},
-	{"hypercube", "d-dimensional hypercube, n rounded to 2^d"},
-	{"debruijn", "binary de Bruijn graph"},
-	{"ccc", "cube-connected cycles"},
-	{"butterfly", "wrapped butterfly network"},
-	{"complete", "complete graph (clique)"},
-	{"star", "one hub, n−1 leaves"},
-	{"tree", "complete binary tree"},
-	{"random-regular", "random 4-regular graph (seeded)"},
-	{"petersen", "the Petersen graph (n fixed at 10)"},
-	{"barbell", "two cliques joined by one edge"},
-	{"lollipop", "clique with a path tail"},
-	{"smallworld", "Watts–Strogatz small world (seeded)"},
-	{"rgg", "random geometric graph above the connectivity radius (seeded)"},
+// topology is one accepted name: its -list description and its
+// constructor, which Build calls with n ≥ 1. seed feeds the randomized
+// families only.
+type topology struct {
+	name, desc string
+	build      func(n int, seed int64) (*graph.G, error)
 }
 
-// Names lists the accepted topology names in display order.
-func Names() []string {
-	out := make([]string, len(topologies))
-	for i, t := range topologies {
-		out[i] = t[0]
-	}
-	return out
-}
-
-// Descriptions returns each accepted name and a one-line description, in
-// display order — the -list surface.
-func Descriptions() [][2]string { return slices.Clone(topologies[:]) }
-
-// Build constructs the named topology at (approximately) n nodes. Families
-// indexed by a side/dimension round n up to the next valid size. seed feeds
-// the randomized families only.
-func Build(name string, n int, seed int64) (*graph.G, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("topoparse: n must be positive, got %d", n)
-	}
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "path", "line":
-		return graph.Path(n), nil
-	case "cycle", "ring":
+// topologies is the name table, in display order: the one list of names
+// that Build accepts and -list shows.
+var topologies = [...]topology{
+	{"path", "path (line) graph", func(n int, _ int64) (*graph.G, error) { return graph.Path(n), nil }},
+	{"cycle", "ring of n nodes", func(n int, _ int64) (*graph.G, error) {
 		if n < 3 {
 			return nil, fmt.Errorf("topoparse: cycle needs n ≥ 3, got %d", n)
 		}
 		return graph.Cycle(n), nil
-	case "grid", "mesh":
-		side, err := roundUp("grid", n, max(1, root(n, 2)), 4, square)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Grid(side, side), nil
-	case "torus":
-		side, err := roundUp("torus", n, max(3, root(n, 2)), 4, square)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Torus(side, side), nil
-	case "hypercube":
-		d, err := roundUp("hypercube", n, 0, 63, pow2) // degree d < 63
-		if err != nil {
-			return nil, err
-		}
-		return graph.Hypercube(d), nil
-	case "debruijn":
-		d, err := roundUp("debruijn", n, 1, 4, pow2)
-		if err != nil {
-			return nil, err
-		}
-		return graph.DeBruijn(d), nil
-	case "complete", "clique":
-		return graph.Complete(n), nil
-	case "star":
+	}},
+	{"grid", "2-D mesh (no wraparound), side ⌈√n⌉", rounded("grid", 1, 2, 4, square, func(s int) *graph.G { return graph.Grid(s, s) })},
+	{"torus", "2-D torus (wraparound grid)", rounded("torus", 3, 2, 4, square, func(s int) *graph.G { return graph.Torus(s, s) })},
+	{"torus3d", "3-D torus", rounded("torus3d", 3, 3, 6, cube, func(s int) *graph.G { return graph.Torus3D(s, s, s) })},
+	{"hypercube", "d-dimensional hypercube, n rounded to 2^d", rounded("hypercube", 0, 0, 63, pow2, graph.Hypercube)}, // degree d < 63
+	{"debruijn", "binary de Bruijn graph", rounded("debruijn", 1, 0, 4, pow2, graph.DeBruijn)},
+	{"ccc", "cube-connected cycles", rounded("ccc", 3, 0, 3, dTimesPow2, graph.CubeConnectedCycles)},
+	{"butterfly", "wrapped butterfly network", rounded("butterfly", 3, 0, 4, dTimesPow2, graph.Butterfly)},
+	{"complete", "complete graph (clique)", func(n int, _ int64) (*graph.G, error) { return graph.Complete(n), nil }},
+	{"star", "one hub, n−1 leaves", func(n int, _ int64) (*graph.G, error) {
 		if n < 2 {
 			return nil, fmt.Errorf("topoparse: star needs n ≥ 2, got %d", n)
 		}
 		return graph.Star(n), nil
-	case "tree", "bintree":
-		levels, err := roundUp("tree", n, 1, 3, func(l int) (int, bool) {
-			p, ok := pow2(l)
-			return p - 1, ok
-		})
-		if err != nil {
-			return nil, err
-		}
-		return graph.BinaryTree(levels), nil
-	case "random-regular", "regular":
+	}},
+	{"tree", "complete binary tree", rounded("tree", 1, 0, 3, treeSize, graph.BinaryTree)},
+	{"random-regular", "random 4-regular graph (seeded)", func(n int, seed int64) (*graph.G, error) {
 		d := 4
 		if d >= n {
 			return nil, fmt.Errorf("topoparse: random-regular needs n > 4, got %d", n)
@@ -121,54 +63,87 @@ func Build(name string, n int, seed int64) (*graph.G, error) {
 			n++
 		}
 		return graph.RandomRegular(n, d, rand.New(rand.NewSource(seed))), nil
-	case "petersen":
-		return graph.Petersen(), nil
-	case "torus3d":
-		side, err := roundUp("torus3d", n, max(3, root(n, 3)), 6, func(s int) (int, bool) {
-			s2, ok := square(s)
-			return mul(s2, s, ok)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return graph.Torus3D(side, side, side), nil
-	case "ccc":
-		d, err := roundUp("ccc", n, 3, 3, dTimesPow2)
-		if err != nil {
-			return nil, err
-		}
-		return graph.CubeConnectedCycles(d), nil
-	case "butterfly":
-		d, err := roundUp("butterfly", n, 3, 4, dTimesPow2)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Butterfly(d), nil
-	case "smallworld":
-		if n < 6 { // k = 2 neighbours a side needs k < n/2
-			return nil, fmt.Errorf("topoparse: smallworld needs n ≥ 6, got %d", n)
-		}
-		return graph.SmallWorld(n, 2, 0.1, rand.New(rand.NewSource(seed))), nil
-	case "rgg":
-		if n < 2 {
-			return nil, fmt.Errorf("topoparse: rgg needs n ≥ 2, got %d", n)
-		}
-		r := 2 * graph.ConnectivityRadius(n)
-		return graph.RandomGeometric(n, r, rand.New(rand.NewSource(seed))), nil
-	case "barbell":
+	}},
+	{"petersen", "the Petersen graph (n fixed at 10)", func(int, int64) (*graph.G, error) { return graph.Petersen(), nil }},
+	{"barbell", "two cliques joined by one edge", func(n int, _ int64) (*graph.G, error) {
 		k := n / 2
 		if k < 2 {
 			return nil, fmt.Errorf("topoparse: barbell needs n ≥ 4, got %d", n)
 		}
 		return graph.Barbell(k), nil
-	case "lollipop":
+	}},
+	{"lollipop", "clique with a path tail", func(n int, _ int64) (*graph.G, error) {
 		k := n * 2 / 3
 		if k < 2 || n-k < 1 {
 			return nil, fmt.Errorf("topoparse: lollipop needs n ≥ 4, got %d", n)
 		}
 		return graph.Lollipop(k, n-k), nil
-	default:
-		return nil, fmt.Errorf("topoparse: unknown topology %q (accepted: %s)", name, strings.Join(Names(), " "))
+	}},
+	{"smallworld", "Watts–Strogatz small world (seeded)", func(n int, seed int64) (*graph.G, error) {
+		if n < 6 { // k = 2 neighbours a side needs k < n/2
+			return nil, fmt.Errorf("topoparse: smallworld needs n ≥ 6, got %d", n)
+		}
+		return graph.SmallWorld(n, 2, 0.1, rand.New(rand.NewSource(seed))), nil
+	}},
+	{"rgg", "random geometric graph above the connectivity radius (seeded)", func(n int, seed int64) (*graph.G, error) {
+		if n < 2 {
+			return nil, fmt.Errorf("topoparse: rgg needs n ≥ 2, got %d", n)
+		}
+		r := 2 * graph.ConnectivityRadius(n)
+		return graph.RandomGeometric(n, r, rand.New(rand.NewSource(seed))), nil
+	}},
+}
+
+// Names lists the accepted topology names in display order.
+func Names() []string {
+	out := make([]string, len(topologies))
+	for i, t := range topologies {
+		out[i] = t.name
+	}
+	return out
+}
+
+// Descriptions returns each accepted name and a one-line description, in
+// display order — the -list surface.
+func Descriptions() [][2]string {
+	out := make([][2]string, len(topologies))
+	for i, t := range topologies {
+		out[i] = [2]string{t.name, t.desc}
+	}
+	return out
+}
+
+// Build constructs the named topology at (approximately) n nodes. name must
+// be canonical, as Names lists it. Families indexed by a side/dimension
+// round n up to the next valid size. seed feeds the randomized families
+// only.
+func Build(name string, n int, seed int64) (*graph.G, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("topoparse: n must be positive, got %d", n)
+	}
+	for _, t := range topologies {
+		if t.name == name {
+			return t.build(n, seed)
+		}
+	}
+	return nil, fmt.Errorf("topoparse: unknown topology %q (accepted: %s)", name, strings.Join(Names(), " "))
+}
+
+// rounded is the constructor of a family indexed by a side or dimension k:
+// it builds build(k) at the least k whose family has ≥ n nodes (roundUp).
+// The search starts at lo, or at max(lo, root(n, dim)) when the family's
+// size is k^dim.
+func rounded(family string, lo, dim, degree int, size func(k int) (int, bool), build func(k int) *graph.G) func(int, int64) (*graph.G, error) {
+	return func(n int, _ int64) (*graph.G, error) {
+		from := lo
+		if dim > 0 {
+			from = max(lo, root(n, dim))
+		}
+		k, err := roundUp(family, n, from, degree, size)
+		if err != nil {
+			return nil, err
+		}
+		return build(k), nil
 	}
 }
 
@@ -205,7 +180,18 @@ func mul(a, b int, ok bool) (int, bool) {
 
 func square(s int) (int, bool) { return mul(s, s, true) }
 
+func cube(s int) (int, bool) {
+	s2, ok := square(s)
+	return mul(s2, s, ok)
+}
+
 func pow2(d int) (int, bool) { return 1 << d, d < bits.UintSize-1 }
+
+// treeSize is the node count of a complete binary tree of l levels.
+func treeSize(l int) (int, bool) {
+	p, ok := pow2(l)
+	return p - 1, ok
+}
 
 func dTimesPow2(d int) (int, bool) {
 	p, ok := pow2(d)

@@ -37,28 +37,6 @@ func TestBuildRoundsUp(t *testing.T) {
 	}
 }
 
-func TestBuildAliases(t *testing.T) {
-	for _, pair := range [][2]string{{"ring", "cycle"}, {"mesh", "grid"}, {"clique", "complete"}, {"line", "path"}} {
-		a, err := Build(pair[0], 16, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Build(pair[1], 16, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.N() != b.N() || a.M() != b.M() {
-			t.Fatalf("alias %s != %s", pair[0], pair[1])
-		}
-	}
-}
-
-func TestBuildCaseInsensitive(t *testing.T) {
-	if _, err := Build("  TORUS ", 16, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	cases := []struct {
 		name string
