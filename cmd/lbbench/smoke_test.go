@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -269,6 +270,24 @@ func TestBinaries(t *testing.T) {
 		grid := strings.Fields("lbbench -grid -n 64 -format csv")
 		sameBytes(t, "re-cased grid", runOK(t, append(grid, "-topos", "Torus", "-algos", "Diffusion", "-modes", "Discrete", "-loads", "Spike")...),
 			runOK(t, append(grid, "-topos", "torus", "-algos", "diffusion", "-modes", "discrete", "-loads", "spike")...))
+	})
+
+	// A start already at the target runs no rounds under any arrival-free
+	// scenario: static, edge churn and periodic failures alike.
+	t.Run("balanced start", func(t *testing.T) {
+		out := runOK(t, strings.Fields(`lbbench -grid -topos torus -algos diffusion -modes continuous,discrete -loads flat
+			-scenarios static,edge-churn:0.2,periodic-failures:4:2 -n 16 -format csv`)...)
+		cells, _, _ := strings.Cut(out, "\n\n") // the per-cell table, before the summary
+		lines := strings.Split(cells, "\n")
+		col := slices.Index(strings.Split(lines[0], ","), "rounds")
+		if len(lines) != 7 || col < 0 {
+			t.Fatalf("want a header with a rounds column and 6 cells:\n%s", cells)
+		}
+		for _, line := range lines[1:] {
+			if f := strings.Split(line, ","); f[col] != "0" {
+				t.Errorf("flat start ran %s rounds: %s", f[col], line)
+			}
+		}
 	})
 
 	// The recording of a replay flushes on SIGTERM, byte-matches the trace

@@ -156,6 +156,10 @@ type Config struct {
 	// zero-allocation hot loop. Timings are observational only; they
 	// never influence the run, so results are byte-identical either way.
 	Phases *obs.Phases
+	// OnRound, when non-nil, is the session's one per-round consumer:
+	// Commit hands it each committed round. It may read the session but
+	// not advance it (lbserved's metrics fold; nil for batch runs).
+	OnRound func(Round)
 }
 
 // Result reports a run: Close's sealed record, or Metrics' live view of
@@ -239,28 +243,14 @@ func (cfg Config) withDefaults() Config {
 }
 
 // Balance validates cfg, runs it to completion, and reports the outcome
-// next to the matching theorem bound. It is a thin driver over the
-// stepwise Session API: Open, Step/Commit to the horizon (with the
-// scenario loop injecting arrivals and swapping graphs between rounds for
-// non-static scenarios), Close.
+// next to the matching theorem bound: Open, the one round loop every
+// scenario runs through, static included (runScenario), then Close.
 func Balance(cfg Config) (Result, error) {
 	s, err := Open(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if !cfg.Scenario.IsStatic() {
-		return runScenario(s)
-	}
-	horizon := s.Horizon()
-	for s.Phi() > s.Target() && s.Rounds() < horizon {
-		if err := s.Step(); err != nil {
-			return Result{}, err
-		}
-		if _, err := s.Commit(); err != nil {
-			return Result{}, err
-		}
-	}
-	return s.Close(), nil
+	return runScenario(s)
 }
 
 // System is the stepper surface every balancing algorithm in this

@@ -9,16 +9,18 @@ import (
 	"repro/internal/scenario"
 )
 
-// runScenario drives an open session under its non-static scenario: each
-// round it asks the scenario instance for the active graph (SwapGraph
-// rebuilds the stepper — with the current loads and the session's
-// persistent algorithm RNG — only when the graph actually changes),
-// advances the stepper one synchronous round, injects the scenario's
-// arrivals straight into the stepper's live load state, and commits the
-// potential. Arrival-bearing scenarios run their full horizon (there is no
+// runScenario is the one round loop: Balance runs every config through
+// it. Each round it asks the scenario instance for the active graph
+// (SwapGraph rebuilds the stepper — with the current loads and the
+// session's persistent algorithm RNG — only when the graph actually
+// changes), advances the stepper one synchronous round, injects the
+// scenario's arrivals straight into the stepper's live load state, and
+// commits the potential. The static scenario is the instance whose graph
+// never changes and which injects nothing; it draws nothing, so it gets no
+// RNG. Arrival-bearing scenarios run their full horizon (there is no
 // convergence round to stop at while load keeps landing); arrival-free
-// ones (pure topology churn) stop early once Φ reaches the target, exactly
-// like a static run.
+// ones, static and pure topology churn alike, stop as soon as Φ is at or
+// under the target, including a start that already is (0 rounds).
 //
 // All randomness is split into two streams — cfg.Seed for the algorithm,
 // cfg.ScenarioSeed for the scenario — and every draw happens at a fixed
@@ -27,17 +29,18 @@ import (
 func runScenario(s *Session) (Result, error) {
 	cfg := s.Config()
 	var ref float64
-	for _, v := range cfg.Loads {
-		ref += v
+	var rng *rand.Rand
+	if !cfg.Scenario.IsStatic() { // the static instance reads neither
+		ref, rng = load.Sum(cfg.Loads), rand.New(rand.NewSource(cfg.ScenarioSeed))
 	}
-	inst, err := cfg.Scenario.New(cfg.Graph, ref, rand.New(rand.NewSource(cfg.ScenarioSeed)))
+	inst, err := cfg.Scenario.New(cfg.Graph, ref, rng)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
 
-	horizon := s.Horizon()
-	for t := 1; t <= horizon; t++ {
-		k := t - 1 // scenarios number rounds from 0
+	horizon, arrivalFree := s.Horizon(), inst.ArrivalFree()
+	// Scenarios number rounds from 0; a check before round k is one after k−1.
+	for k := 0; k < horizon && !(arrivalFree && s.Phi() <= s.Target()); k++ {
 		if err := s.SwapGraph(inst.Graph(k)); err != nil {
 			return Result{}, err
 		}
@@ -46,17 +49,13 @@ func runScenario(s *Session) (Result, error) {
 		}
 		// An arrival-free scenario has nothing to inject, and s.Loads() would
 		// copy a discrete run's tokens into the session's float view.
-		if !inst.ArrivalFree() {
+		if !arrivalFree {
 			if _, err := s.Inject(inst.Arrivals(k, s.Loads())); err != nil {
 				return Result{}, err
 			}
 		}
-		phi, err := s.Commit()
-		if err != nil {
+		if _, err := s.Commit(); err != nil {
 			return Result{}, err
-		}
-		if inst.ArrivalFree() && phi <= s.Target() {
-			break
 		}
 	}
 	return s.Close(), nil

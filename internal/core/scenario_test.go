@@ -122,6 +122,29 @@ func TestBalanceScenarioChurnStopsEarly(t *testing.T) {
 	}
 }
 
+// TestBalancedStartStopsAtOnce: a start already at the target (flat
+// loads, Φ⁰ = 0) runs no rounds under any arrival-free scenario, static and
+// topology churn alike, because the one round loop checks before round 1
+// as it does after every round.
+func TestBalancedStartStopsAtOnce(t *testing.T) {
+	g := graph.Torus(4, 4)
+	flat := make([]float64, g.N())
+	for i := range flat {
+		flat[i] = 100
+	}
+	for _, sc := range []string{"static", "edge-churn:0.2", "periodic-failures:4:2"} {
+		for _, mode := range []Mode{Continuous, Discrete} {
+			res, err := Balance(Config{Graph: g, Mode: mode, Loads: flat, Scenario: mustScenario(t, sc)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rounds != 0 || !res.Converged {
+				t.Errorf("%s/%v: a flat start ran %d rounds (converged %t), want 0", sc, mode, res.Rounds, res.Converged)
+			}
+		}
+	}
+}
+
 // TestBalanceScenarioDiscreteConservesPlusInjections: in token mode, the
 // final total equals the initial total plus exactly what the scenario
 // injected — the round loop neither loses nor invents tokens.
@@ -262,6 +285,46 @@ func TestChurnBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
 	// The counts wobble by a few runtime allocations from run to run.
 	if got > want+rounds/8 {
 		t.Fatalf("a %d-round Balance run allocates %v times, its session calls %v", rounds, got, want)
+	}
+}
+
+// TestStaticBalanceAllocatesOnlyItsSessionCalls: a static Balance run
+// allocates exactly what its Open, Step, Commit and Close calls do. The
+// static scenario runs through the same loop as churn, and its instance
+// must cost neither an allocation nor a seeded RNG.
+func TestStaticBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
+	const rounds = 256
+	g := graph.Torus(16, 16)
+	cfg := Config{
+		Graph:     g,
+		Algorithm: Diffusion,
+		Mode:      Discrete,
+		Loads:     SpikeLoads(g.N(), 1e9),
+		Epsilon:   1e-12, // far from reached within the horizon
+		MaxRounds: rounds,
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if r, err := Balance(cfg); err != nil || r.Rounds != rounds {
+			panic(fmt.Sprintf("Balance: %d rounds, %v", r.Rounds, err))
+		}
+	})
+	want := testing.AllocsPerRun(3, func() {
+		s, err := Open(cfg)
+		if err != nil {
+			panic(err)
+		}
+		for k := 0; k < rounds; k++ {
+			if err := s.Step(); err != nil {
+				panic(err)
+			}
+			if _, err := s.Commit(); err != nil {
+				panic(err)
+			}
+		}
+		s.Close()
+	})
+	if got != want {
+		t.Fatalf("a %d-round static Balance run allocates %v times, its session calls %v", rounds, got, want)
 	}
 }
 

@@ -18,11 +18,11 @@ import (
 
 // Session is the stepwise form of Balance: the same validated
 // configuration, stepper factory, theorem bounds and round bookkeeping,
-// but with the round loop inverted so the caller drives it. Balance, the
-// scenario engine and the lbserved daemon all run on this one state
-// machine, so the serial IEEE op chain — and with it every byte-identity
-// guarantee of the batch engine — is shared by construction instead of
-// re-implemented per driver.
+// but with the round loop inverted so the caller drives it. Balance's one
+// round loop (static and scenario runs alike), the graph-sequence
+// experiments and the lbserved daemon run on this one state machine, so
+// the serial IEEE op chain, and with it every byte-identity guarantee of
+// the batch engine, is shared by construction instead of re-implemented.
 //
 // The protocol is
 //
@@ -36,11 +36,11 @@ import (
 //	res := s.Close()
 //
 // Each round is Step → (Inject)* → Commit; Commit observes the potential,
-// appends it to the trace and advances the rebalance bookkeeping. The
-// ordering is load-bearing: arrivals land after the round's transfers and
-// before the potential is observed, exactly as the scenario engine has
-// always done, so a trace recorded from a live session replays
-// byte-identically through the grid.
+// advances the trace, peak and rebalance bookkeeping that Phi, Metrics and
+// Close read, and hands the Round to Config.OnRound, the one per-round
+// consumer (lbserved's metrics fold). Arrivals land after the round's
+// transfers and before Φ is observed, as in every scenario run, so a trace
+// recorded from a live session replays byte-identically through the grid.
 type Session struct {
 	cfg Config
 	g   *graph.G // the active graph: cfg.Graph until SwapGraph activates another
@@ -61,6 +61,7 @@ type Session struct {
 	trace    []float64
 	peak     float64
 	injected float64   // load landed since the last Commit
+	arrivals int       // arrivals handed to Inject since the last Commit
 	midRound bool      // Step taken, Commit pending
 	view     []float64 // a token session's float view of its loads (Loads)
 
@@ -227,6 +228,7 @@ func (s *Session) Inject(arrivals []scenario.Arrival) (float64, error) {
 	total := injectInto(s.sys, arrivals)
 	s.phases.Stop(obs.PhaseInject, t0)
 	s.injected += total
+	s.arrivals += len(arrivals)
 	return total, nil
 }
 
@@ -265,9 +267,17 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	return nil
 }
 
-// Commit closes the round: observes the potential, appends it to the
-// trace, updates the peak and the rebalance bookkeeping, and returns the
-// new Φ.
+// Round is one committed round, as Commit hands it to Config.OnRound.
+type Round struct {
+	Index    int     // the round's number: Rounds() once it has committed
+	Phi      float64 // Φ after the round
+	Injected float64 // load Inject landed in the round
+	Arrivals int     // arrivals handed to Inject in the round
+}
+
+// Commit closes the round: observes the potential (all obs.PhaseCommit
+// times), advances the trace, peak and rebalance bookkeeping, hands the
+// round to Config.OnRound when set, and returns the new Φ.
 func (s *Session) Commit() (float64, error) {
 	if s.closed {
 		return 0, errSessionClosed
@@ -289,8 +299,12 @@ func (s *Session) Commit() (float64, error) {
 	case s.rebalanced < 0 && phi <= s.target:
 		s.rebalanced = s.rounds
 	}
-	s.injected = 0
+	r := Round{Index: s.rounds, Phi: phi, Injected: s.injected, Arrivals: s.arrivals}
+	s.injected, s.arrivals = 0, 0
 	s.midRound = false
+	if s.cfg.OnRound != nil {
+		s.cfg.OnRound(r)
+	}
 	return phi, nil
 }
 

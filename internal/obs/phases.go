@@ -9,7 +9,7 @@ const (
 	PhaseSpectra   Phase = iota // spectral solve during Open / SwapGraph
 	PhaseStep                   // one balancing round's matching + transfer
 	PhaseInject                 // mid-round scenario injection
-	PhaseCommit                 // potential evaluation + trace append
+	PhaseCommit                 // potential evaluation (Φ of the committed round)
 	PhaseGraphSwap              // topology swap between rounds
 	numPhases
 )

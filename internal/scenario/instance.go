@@ -24,28 +24,33 @@ type Arrival struct {
 // draws nothing, so the loop may skip it. Instances are not safe for concurrent use; a grid run
 // creates one per unit from the unit's own seed stream.
 type Instance struct {
-	graphAt  func(k int) *graph.G
-	arrivals func(k int, loads []float64) []Arrival
-	// arrivalFree marks scenarios that never inject load (pure topology
-	// churn): their runs may stop early once the potential reaches its
-	// target, exactly like a static run.
-	arrivalFree bool
+	base     *graph.G
+	graphAt  func(k int) *graph.G                   // nil: base every round
+	arrivals func(k int, loads []float64) []Arrival // nil: arrival-free
 }
 
 // Graph returns the topology active in round k — the base graph whenever
 // the scenario leaves topology alone (pointer-compare against the base to
 // detect churn cheaply).
-func (in *Instance) Graph(k int) *graph.G { return in.graphAt(k) }
+func (in *Instance) Graph(k int) *graph.G {
+	if in.graphAt == nil {
+		return in.base
+	}
+	return in.graphAt(k)
+}
 
 // Arrivals returns the load arriving at the end of round k. loads is the
 // post-round load vector, read-only — adversarial scenarios use it to aim.
 func (in *Instance) Arrivals(k int, loads []float64) []Arrival {
+	if in.arrivals == nil {
+		return nil
+	}
 	return in.arrivals(k, loads)
 }
 
 // ArrivalFree reports whether the scenario never injects load, so a run
 // that reaches its balance target has nothing left to wait for.
-func (in *Instance) ArrivalFree() bool { return in.arrivalFree }
+func (in *Instance) ArrivalFree() bool { return in.arrivals == nil }
 
 // meanJobsPerRound is PoissonArrivals' mean job count per round; the rate
 // parameter scales the per-job size so the expected injected load per round
@@ -56,25 +61,24 @@ const meanJobsPerRound = 4.0
 // reference load magnitude injection sizes are fractions of (callers pass
 // the total initial load; anything ≤ 0 falls back to the node count), and
 // rng the scenario's private stream — separate from the algorithm's, so
-// enabling a scenario never perturbs the algorithm's draws.
-func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (*Instance, error) {
+// enabling a scenario never perturbs the algorithm's draws. The static
+// instance reads neither ref nor rng, and allocates nothing.
+func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (Instance, error) {
 	if base == nil || base.N() == 0 {
-		return nil, fmt.Errorf("scenario: %s needs a non-empty base graph", s)
+		return Instance{}, fmt.Errorf("scenario: %s needs a non-empty base graph", s)
 	}
 	if ref <= 0 || math.IsNaN(ref) || math.IsInf(ref, 0) {
 		ref = float64(base.N())
 	}
 	n := base.N()
-	static := func(int) *graph.G { return base }
-	none := func(int, []float64) []Arrival { return nil }
 
 	switch s.Kind {
 	case Static:
-		return &Instance{graphAt: static, arrivals: none, arrivalFree: true}, nil
+		return Instance{base: base}, nil
 
 	case PoissonArrivals:
 		job := s.param(0) * ref / meanJobsPerRound
-		return &Instance{graphAt: static, arrivals: func(int, []float64) []Arrival {
+		return Instance{base: base, arrivals: func(int, []float64) []Arrival {
 			jobs := poisson(rng, meanJobsPerRound)
 			out := make([]Arrival, 0, jobs)
 			for i := 0; i < jobs; i++ {
@@ -85,7 +89,7 @@ func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (*Instance, error)
 
 	case Bursty:
 		period, amount := int(s.param(0)), s.param(1)*ref
-		return &Instance{graphAt: static, arrivals: func(k int, _ []float64) []Arrival {
+		return Instance{base: base, arrivals: func(k int, _ []float64) []Arrival {
 			if (k+1)%period != 0 {
 				return nil
 			}
@@ -94,7 +98,7 @@ func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (*Instance, error)
 
 	case AdversarialRespike:
 		every, amount := int(s.param(0)), s.param(1)*ref
-		return &Instance{graphAt: static, arrivals: func(k int, loads []float64) []Arrival {
+		return Instance{base: base, arrivals: func(k int, loads []float64) []Arrival {
 			if (k+1)%every != 0 {
 				return nil
 			}
@@ -104,7 +108,7 @@ func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (*Instance, error)
 	case HotspotDrift:
 		amount, period := s.param(0)*ref, int(s.param(1))
 		hot := rng.Intn(n)
-		return &Instance{graphAt: static, arrivals: func(k int, _ []float64) []Arrival {
+		return Instance{base: base, arrivals: func(k int, _ []float64) []Arrival {
 			if k > 0 && k%period == 0 {
 				if nb := base.Neighbors(hot); len(nb) > 0 {
 					hot = int(nb[rng.Intn(len(nb))])
@@ -115,34 +119,34 @@ func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (*Instance, error)
 
 	case EdgeChurn:
 		seq := &dynamic.RandomSubgraphs{Base: base, KeepProb: 1 - s.param(0), RNG: rng}
-		return &Instance{graphAt: seq.Next, arrivals: none, arrivalFree: true}, nil
+		return Instance{graphAt: seq.Next}, nil
 
 	case PeriodicFailures:
 		period := int(s.param(0))
 		seq := &dynamic.EdgeFailures{Base: base, FailCount: int(s.param(1)), RNG: rng}
 		var cur *graph.G
-		return &Instance{graphAt: func(k int) *graph.G {
+		return Instance{graphAt: func(k int) *graph.G {
 			if cur == nil || k%period == 0 {
 				cur = seq.Next(k)
 			}
 			return cur
-		}, arrivals: none, arrivalFree: true}, nil
+		}}, nil
 
 	case Trace:
 		events, err := ReadTraceFile(s.Path)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
+			return Instance{}, fmt.Errorf("scenario: %w", err)
 		}
 		for _, e := range events {
 			if e.Node >= n {
-				return nil, fmt.Errorf("scenario: trace %s: round %d targets node %d but the graph has %d nodes", s.Path, e.Round, e.Node, n)
+				return Instance{}, fmt.Errorf("scenario: trace %s: round %d targets node %d but the graph has %d nodes", s.Path, e.Round, e.Node, n)
 			}
 		}
 		// The cursor rides the in-order round-loop contract documented on
 		// Instance: events land exactly at their recorded round, no RNG
 		// draws, so replay is deterministic with any rng (including nil).
 		cursor := 0
-		return &Instance{graphAt: static, arrivals: func(k int, _ []float64) []Arrival {
+		return Instance{base: base, arrivals: func(k int, _ []float64) []Arrival {
 			var out []Arrival
 			for cursor < len(events) && events[cursor].Round <= k {
 				if events[cursor].Round == k {
@@ -154,7 +158,7 @@ func (s Spec) New(base *graph.G, ref float64, rng *rand.Rand) (*Instance, error)
 		}}, nil
 
 	default:
-		return nil, fmt.Errorf("scenario: unknown kind %v", s.Kind)
+		return Instance{}, fmt.Errorf("scenario: unknown kind %v", s.Kind)
 	}
 }
 

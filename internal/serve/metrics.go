@@ -34,14 +34,3 @@ var (
 // Beyond it the O(n) fold would start competing with the round itself, so
 // million-node daemons keep the JSON snapshot percentiles only.
 const backlogObserveMaxN = 16384
-
-// observeRound folds one committed round into the registry.
-func observeRound(phi float64, arrivals int, injected float64, loads []float64) {
-	mRounds.Inc()
-	mArrivals.Add(uint64(arrivals))
-	mLoadInjected.Add(injected)
-	mPhi.Set(phi)
-	if len(loads) <= backlogObserveMaxN {
-		mBacklog.ObserveAll(loads)
-	}
-}

@@ -9,17 +9,18 @@
 // paper's reproducible experiments.
 //
 // Concurrency model: two locks. The session lock (Server.mu) is held by
-// the round for its whole floating-point chain — Step, Inject, Commit,
-// recording and the metrics fold — and by the readers of the live session
-// (Metrics, drain, Close), so a GET /metrics waits at most one round. The
-// ingest lock (ingest.mu) guards only the pending arrival queue, the
-// draining flag and the round the queue will land in; POST /arrive and
-// /healthz take it alone, for O(1) work per arrival, and never wait
-// across a round. Each round takes the ingest lock once, to swap the
-// queue for an empty spare the server owns (lock order: session, then
-// ingest). Arrivals are injected mid-round (after the round's transfers,
-// before the potential is observed), exactly where the scenario engine
-// injects, which is what makes recorded traces replay exactly.
+// the round for its whole floating-point chain — Step, Inject, Commit
+// (whose per-round consumer is the metrics fold) and recording — and by
+// the readers of the live session (Metrics, drain, Close), so a GET
+// /metrics waits at most one round. The ingest lock (ingest.mu) guards
+// only the pending arrival queue, the draining flag and the round the
+// queue will land in; POST /arrive and /healthz take it alone, for O(1)
+// work per arrival, and never wait across a round. Each round takes the
+// ingest lock once, to swap the queue for an empty spare the server owns
+// (lock order: session, then ingest). Arrivals are injected mid-round
+// (after the round's transfers, before the potential is observed),
+// exactly where the scenario engine injects, which is what makes recorded
+// traces replay exactly.
 package serve
 
 import (
@@ -82,8 +83,7 @@ type Server struct {
 
 	arrivalsTotal int64
 	loadInjected  float64
-	roundTimes    []time.Time // ring buffer of recent round completions
-	timesNext     int
+	roundTimes    [128]time.Time // round k completed at roundTimes[(k−1) % 128]
 	start         time.Time
 
 	addr net.Addr // set once Run is listening
@@ -130,9 +130,13 @@ type Metrics struct {
 	Nodes []float64 `json:"nodes,omitempty"`
 }
 
-// New opens the session and validates the replay trace against it.
+// New opens the session, with the server's metrics fold as its per-round
+// consumer, and validates the replay trace against it.
 func New(opts Options) (*Server, error) {
-	sess, err := core.Open(opts.Config)
+	s := &Server{start: time.Now()}
+	cfg := opts.Config
+	cfg.OnRound = s.fold
+	sess, err := core.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -148,12 +152,8 @@ func New(opts Options) (*Server, error) {
 	if opts.DrainMaxRounds <= 0 {
 		opts.DrainMaxRounds = 4096
 	}
-	return &Server{
-		opts:       opts,
-		sess:       sess,
-		roundTimes: make([]time.Time, 0, 128),
-		start:      time.Now(),
-	}, nil
+	s.opts, s.sess = opts, sess
+	return s, nil
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -163,8 +163,9 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // StepRound advances the session one balancing round: replay events due
-// this round and all queued HTTP arrivals are injected mid-round (and
-// recorded, when recording), then the round commits. Returns the new Φ.
+// this round and all queued HTTP arrivals are injected mid-round, the
+// round commits (which runs the metrics fold), and the arrivals are
+// recorded, when recording. Returns the new Φ.
 func (s *Server) StepRound() (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,8 +191,7 @@ func (s *Server) StepRound() (float64, error) {
 	if err := s.sess.Step(); err != nil {
 		return 0, err
 	}
-	total, err := s.sess.Inject(arrivals)
-	if err != nil {
+	if _, err := s.sess.Inject(arrivals); err != nil {
 		return 0, err
 	}
 	phi, err := s.sess.Commit()
@@ -206,17 +206,27 @@ func (s *Server) StepRound() (float64, error) {
 			}
 		}
 	}
-	s.arrivalsTotal += int64(len(arrivals))
-	s.loadInjected += total
-	observeRound(phi, len(arrivals), total, s.sess.Loads())
-	s.rounds.Store(int64(k + 1))
-	if len(s.roundTimes) < cap(s.roundTimes) {
-		s.roundTimes = append(s.roundTimes, time.Now())
-	} else {
-		s.roundTimes[s.timesNext] = time.Now()
-	}
-	s.timesNext = (s.timesNext + 1) % cap(s.roundTimes)
 	return phi, nil
+}
+
+// fold is the session's per-round consumer (core.Config.OnRound): it
+// folds one committed round into the server's counters, its round-rate
+// ring and the registry. It runs inside Commit, under the session lock.
+func (s *Server) fold(r core.Round) {
+	s.arrivalsTotal += int64(r.Arrivals)
+	s.loadInjected += r.Injected
+	s.rounds.Store(int64(r.Index))
+	s.roundTimes[(r.Index-1)%len(s.roundTimes)] = time.Now()
+
+	mRounds.Inc()
+	mArrivals.Add(uint64(r.Arrivals))
+	mLoadInjected.Add(r.Injected)
+	mPhi.Set(r.Phi)
+	// Loads refreshes a discrete session's float view, O(n): read it only
+	// for a histogram that observes it.
+	if s.opts.Config.Graph.N() <= backlogObserveMaxN {
+		mBacklog.ObserveAll(s.sess.Loads())
+	}
 }
 
 // Metrics returns the current metrics document.
@@ -260,25 +270,17 @@ func (s *Server) Metrics() Metrics {
 // roundsPerSecLocked estimates the recent round rate from the completion
 // ring buffer.
 func (s *Server) roundsPerSecLocked() float64 {
-	k := len(s.roundTimes)
-	if k < 2 {
+	last := s.sess.Rounds()
+	held := min(last, len(s.roundTimes))
+	if held < 2 {
 		return 0
 	}
-	// Oldest entry: the next slot to be overwritten once the ring is
-	// full, index 0 before that.
-	oldest := 0
-	if k == cap(s.roundTimes) {
-		oldest = s.timesNext
-	}
-	newest := (s.timesNext + cap(s.roundTimes) - 1) % cap(s.roundTimes)
-	if k < cap(s.roundTimes) {
-		newest = k - 1
-	}
-	span := s.roundTimes[newest].Sub(s.roundTimes[oldest]).Seconds()
+	at := func(k int) time.Time { return s.roundTimes[(k-1)%len(s.roundTimes)] }
+	span := at(last).Sub(at(last - held + 1)).Seconds()
 	if span <= 0 {
 		return 0
 	}
-	return float64(k-1) / span
+	return float64(held-1) / span
 }
 
 // backlog computes the queue-depth summary of one load snapshot. It

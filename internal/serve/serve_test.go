@@ -12,6 +12,7 @@ import (
 	"os"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -562,33 +563,130 @@ func TestBacklogMatchesSortedPick(t *testing.T) {
 	}
 }
 
-// BenchmarkStepRound times one served round of continuous Algorithm 1 on
-// the 2¹⁴-node hypercube: Step, Inject (nothing queued), Commit and the
-// registry fold of every node's depth.
+// BenchmarkStepRound times one served round of Algorithm 1 on a
+// hypercube: Step, Inject (nothing queued), Commit and the metrics fold.
+// The continuous 2¹⁴-node row folds every node's depth into the backlog
+// histogram; the discrete 2¹⁵-node row is above backlogObserveMaxN, so
+// its fold reads no loads.
 func BenchmarkStepRound(b *testing.B) {
-	g := graph.Hypercube(14)
-	rng := rand.New(rand.NewSource(1))
-	loads := make([]float64, g.N())
-	for i := range loads {
-		loads[i] = 1000 * rng.Float64()
+	for _, bc := range []struct {
+		mode core.Mode
+		dim  int
+	}{{core.Continuous, 14}, {core.Discrete, 15}} {
+		b.Run(fmt.Sprintf("%v/n=%d", bc.mode, 1<<bc.dim), func(b *testing.B) {
+			g := graph.Hypercube(bc.dim)
+			rng := rand.New(rand.NewSource(1))
+			loads := make([]float64, g.N())
+			for i := range loads {
+				loads[i] = 1000 * rng.Float64()
+			}
+			srv, err := New(Options{Config: core.Config{
+				Graph:     g,
+				Algorithm: core.Diffusion,
+				Mode:      bc.mode,
+				Loads:     loads,
+				Epsilon:   1e-6,
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := srv.StepRound(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	srv, err := New(Options{Config: core.Config{
-		Graph:     g,
-		Algorithm: core.Diffusion,
-		Mode:      core.Continuous,
-		Loads:     loads,
-		Epsilon:   1e-6,
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := srv.StepRound(); err != nil {
-			b.Fatal(err)
+}
+
+// TestStepRoundZeroAllocs is the daemon's row beside core's
+// TestSessionHotLoopZeroAllocs: a served round with nothing queued (Step,
+// Inject, Commit and the metrics fold Commit runs) allocates nothing, in
+// either mode.
+func TestStepRoundZeroAllocs(t *testing.T) {
+	for _, mode := range []core.Mode{core.Continuous, core.Discrete} {
+		cfg := testConfig(t)
+		cfg.Mode, cfg.Loads, cfg.Epsilon = mode, core.SpikeLoads(cfg.Graph.N(), 1e6), 1e-9
+		srv, err := New(Options{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 100 runs keep the Φ trace inside its initial capacity.
+		avg := testing.AllocsPerRun(100, func() {
+			if _, err := srv.StepRound(); err != nil {
+				panic(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%v: a served round with nothing queued allocates %v times, want 0", mode, avg)
 		}
 	}
+}
+
+// TestRegistryTracksServer: a replay drive moves the daemon's scraped
+// series by exactly this server's work: lbserved_rounds_total by its
+// rounds, lbserved_arrivals_total by its arrivals, lbserved_load_injected
+// by the load they carried, and the lbserved_backlog_depth _count by
+// rounds × n; lbserved_phi reads its last Φ.
+func TestRegistryTracksServer(t *testing.T) {
+	const rounds = 12 // past the last replay event, at round 9
+	cfg, events := testConfig(t), testTrace(t)
+	srv, err := New(Options{Config: cfg, Replay: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := scrape(t)
+	var phi float64
+	for i := 0; i < rounds; i++ {
+		if phi, err = srv.StepRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := scrape(t)
+	var load float64
+	for _, e := range events {
+		load += e.Amount
+	}
+	delta := func(name string) float64 { return after[name] - before[name] }
+	for name, want := range map[string]float64{
+		"lbserved_rounds_total":        rounds,
+		"lbserved_arrivals_total":      float64(len(events)),
+		"lbserved_backlog_depth_count": float64(rounds * cfg.Graph.N()),
+	} {
+		if got := delta(name); got != want {
+			t.Errorf("%s grew by %v, want %v", name, got, want)
+		}
+	}
+	if got := delta("lbserved_load_injected"); math.Abs(got-load) > 1e-9*load {
+		t.Errorf("lbserved_load_injected grew by %v, want %v", got, load)
+	}
+	if got := after["lbserved_phi"]; got != phi {
+		t.Errorf("lbserved_phi = %v, want the last round's Φ %v", got, phi)
+	}
+}
+
+// scrape reads the process registry's exposition into series → value.
+func scrape(t *testing.T) map[string]float64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := obs.Default().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		series[line[:i]] = v
+	}
+	return series
 }
 
 // TestMetricsDocumentTracksSession pins the GET /metrics document to the
