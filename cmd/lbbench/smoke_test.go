@@ -290,6 +290,24 @@ func TestBinaries(t *testing.T) {
 		}
 	})
 
+	// A theorem is named only where a positive bound applies: a flat
+	// discrete start is at its threshold already, under either algorithm.
+	t.Run("bound name", func(t *testing.T) {
+		out := runOK(t, strings.Fields("lbbench -grid -topos torus -algos diffusion,randpair -modes discrete -loads flat -n 16 -format csv")...)
+		cells, _, _ := strings.Cut(out, "\n\n")
+		lines := strings.Split(cells, "\n")
+		header := strings.Split(lines[0], ",")
+		bound, name := slices.Index(header, "bound"), slices.Index(header, "bound_name")
+		if len(lines) != 3 || bound < 0 || name < 0 {
+			t.Fatalf("want a header with bound and bound_name columns and 2 cells:\n%s", cells)
+		}
+		for _, line := range lines[1:] {
+			if f := strings.Split(line, ","); f[bound] != "0" || f[name] != "" {
+				t.Errorf("flat discrete start: bound %s named %q, want 0 and no name: %s", f[bound], f[name], line)
+			}
+		}
+	})
+
 	// The recording of a replay flushes on SIGTERM, byte-matches the trace
 	// it replayed (all 24 arrivals), and re-runs as a grid scenario
 	// independent of -parallel.

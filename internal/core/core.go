@@ -158,7 +158,11 @@ type Config struct {
 	Phases *obs.Phases
 	// OnRound, when non-nil, is the session's one per-round consumer:
 	// Commit hands it each committed round. It may read the session but
-	// not advance it (lbserved's metrics fold; nil for batch runs).
+	// not advance it (lbserved's metrics fold; nil for batch runs). A
+	// consumer makes the session a daemon session, which may run without
+	// end: it keeps O(1) memory per round, reports no Result.Trace, and
+	// its SteadyRMS averages at most the last SteadyWindow potentials
+	// (see Session).
 	OnRound func(Round)
 }
 
@@ -171,7 +175,8 @@ type Result struct {
 	// Algorithm and Mode echo the configuration.
 	Algorithm Algorithm
 	Mode      Mode
-	// Trace is the full Φ trajectory (entry t is Φ after round t).
+	// Trace is the full Φ trajectory (entry t is Φ after round t); nil
+	// for a daemon session (Config.OnRound set), which keeps no history.
 	Trace []float64
 	// Lambda2 and Delta are the spectral inputs of the paper's bounds
 	// (Lambda2 is 0 when not computed, e.g. for RandomPartners).

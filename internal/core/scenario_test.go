@@ -291,8 +291,12 @@ func TestChurnBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
 // TestStaticBalanceAllocatesOnlyItsSessionCalls: a static Balance run
 // allocates exactly what its Open, Step, Commit and Close calls do. The
 // static scenario runs through the same loop as churn, and its instance
-// must cost neither an allocation nor a seeded RNG.
+// must cost neither an allocation nor a seeded RNG. The runtime adds a
+// few stray allocations now and then; averaged over allocsRuns runs they
+// cannot move the integer mean, while one more allocation per run still
+// does.
 func TestStaticBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
+	const allocsRuns = 30
 	const rounds = 256
 	g := graph.Torus(16, 16)
 	cfg := Config{
@@ -303,12 +307,12 @@ func TestStaticBalanceAllocatesOnlyItsSessionCalls(t *testing.T) {
 		Epsilon:   1e-12, // far from reached within the horizon
 		MaxRounds: rounds,
 	}
-	got := testing.AllocsPerRun(3, func() {
+	got := testing.AllocsPerRun(allocsRuns, func() {
 		if r, err := Balance(cfg); err != nil || r.Rounds != rounds {
 			panic(fmt.Sprintf("Balance: %d rounds, %v", r.Rounds, err))
 		}
 	})
-	want := testing.AllocsPerRun(3, func() {
+	want := testing.AllocsPerRun(allocsRuns, func() {
 		s, err := Open(cfg)
 		if err != nil {
 			panic(err)

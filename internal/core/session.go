@@ -36,11 +36,19 @@ import (
 //	res := s.Close()
 //
 // Each round is Step → (Inject)* → Commit; Commit observes the potential,
-// advances the trace, peak and rebalance bookkeeping that Phi, Metrics and
-// Close read, and hands the Round to Config.OnRound, the one per-round
+// advances the trajectory, peak and rebalance bookkeeping that Phi, Metrics
+// and Close read, and hands the Round to Config.OnRound, the one per-round
 // consumer (lbserved's metrics fold). Arrivals land after the round's
 // transfers and before Φ is observed, as in every scenario run, so a trace
 // recorded from a live session replays byte-identically through the grid.
+//
+// A session records its trajectory in one of two ways, chosen at Open. A
+// session without a consumer — batch, grid, experiment and -explain runs,
+// all bounded by their horizon — keeps the full trace, one Φ per round. A
+// session with a consumer is a daemon session (lbserved): it may run
+// forever, so it keeps O(1) memory per round — Φ⁰, the last Φ, the peak,
+// the rebalance bookkeeping and a ring of the last SteadyWindow potentials
+// — and reports no Trace.
 type Session struct {
 	cfg Config
 	g   *graph.G // the active graph: cfg.Graph until SwapGraph activates another
@@ -58,7 +66,10 @@ type Session struct {
 	target       float64
 
 	rounds   int
-	trace    []float64
+	phi0     float64
+	phi      float64   // Φ after the last committed round
+	trace    []float64 // every Φ so far; nil for a daemon session
+	ring     []float64 // a daemon session's last SteadyWindow Φ: round k's at k % SteadyWindow
 	peak     float64
 	injected float64   // load landed since the last Commit
 	arrivals int       // arrivals handed to Inject since the last Commit
@@ -79,8 +90,9 @@ var errSessionClosed = errors.New("core: session is closed")
 // Open validates cfg, fills its defaults, computes the spectral inputs and
 // theorem bound (static scenarios only — the one-shot theorems never apply
 // to ongoing-arrival runs), builds the stepper and observes Φ⁰. The
-// returned session has completed round 0: Phi() is Φ⁰ and the trace holds
-// one entry.
+// returned session has completed round 0: Phi() is Φ⁰, the first entry of
+// its trace (or ring). A non-nil cfg.OnRound makes it a daemon session
+// (see Session).
 func Open(cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -124,8 +136,13 @@ func Open(cfg Config) (*Session, error) {
 
 	phi0 := sys.Potential()
 	s.target = cfg.Epsilon * phi0
-	s.peak = phi0
-	s.trace = append(make([]float64, 0, 128), phi0)
+	s.phi0, s.phi, s.peak = phi0, phi0, phi0
+	if cfg.OnRound != nil {
+		s.ring = make([]float64, SteadyWindow)
+		s.ring[0] = phi0
+	} else {
+		s.trace = append(make([]float64, 0, 128), phi0)
+	}
 
 	// Theorem bound and discrete floor — static runs only: a scenario
 	// run's target stays ε·Φ⁰ with no theorem attached.
@@ -140,7 +157,7 @@ func Open(cfg Config) (*Session, error) {
 			}
 			s.bound = diffusion.DiscreteBound(cfg.Graph, s.lambda2, phi0)
 			s.boundName = "Theorem 6"
-		case cfg.Algorithm == RandomPartners && cfg.Mode == Continuous && phi0 > 1:
+		case cfg.Algorithm == RandomPartners && cfg.Mode == Continuous:
 			s.bound = 120 * math.Log(phi0)
 			s.boundName = "Theorem 12 (c=1)"
 		case cfg.Algorithm == RandomPartners && cfg.Mode == Discrete:
@@ -148,11 +165,15 @@ func Open(cfg Config) (*Session, error) {
 			if thr > s.target {
 				s.target = thr
 			}
-			if phi0 > thr {
-				s.bound = 240 * math.Log(phi0/thr)
-				s.boundName = "Theorem 14 (c=1)"
-			}
+			s.bound = 240 * math.Log(phi0/thr)
+			s.boundName = "Theorem 14 (c=1)"
 		}
+	}
+	// A theorem is named only where a positive bound applies: a start at
+	// or under a discrete threshold (or at Φ⁰ ≤ 1 under Theorem 12) has
+	// nothing left to bound.
+	if !(s.bound > 0) {
+		s.bound, s.boundName = 0, ""
 	}
 	if phi0 <= s.target {
 		s.rebalanced = 0
@@ -168,7 +189,7 @@ func (s *Session) Rounds() int { return s.rounds }
 
 // Phi returns the most recently committed potential (Φ⁰ before the first
 // Commit).
-func (s *Session) Phi() float64 { return s.trace[len(s.trace)-1] }
+func (s *Session) Phi() float64 { return s.phi }
 
 // Target returns the convergence target: ε·Φ⁰, raised to the discrete
 // threshold where the theorems demand one.
@@ -276,8 +297,9 @@ type Round struct {
 }
 
 // Commit closes the round: observes the potential (all obs.PhaseCommit
-// times), advances the trace, peak and rebalance bookkeeping, hands the
-// round to Config.OnRound when set, and returns the new Φ.
+// times), records it (in the full trace, or a daemon session's ring),
+// advances the peak and rebalance bookkeeping, hands the round to
+// Config.OnRound when set, and returns the new Φ.
 func (s *Session) Commit() (float64, error) {
 	if s.closed {
 		return 0, errSessionClosed
@@ -289,7 +311,12 @@ func (s *Session) Commit() (float64, error) {
 	phi := s.sys.Potential()
 	s.phases.Stop(obs.PhaseCommit, t0)
 	s.rounds++
-	s.trace = append(s.trace, phi)
+	s.phi = phi
+	if s.ring != nil {
+		s.ring[s.rounds%SteadyWindow] = phi
+	} else {
+		s.trace = append(s.trace, phi)
+	}
 	if phi > s.peak {
 		s.peak = phi
 	}
@@ -343,19 +370,21 @@ func floatView(buf []float64, tok []int64) []float64 {
 // Metrics returns the live Result as of the last Commit: the theorem
 // bound and the scenario metrics both, with RebalanceRounds -1 while Φ has
 // stayed above the target since the last injection. Trace is the session's
-// own trajectory, valid until the next Commit. lbserved serves this record
-// from /metrics.
+// own trajectory, valid until the next Commit; a daemon session has none,
+// and its SteadyRMS is the window one (see steadyRMS). lbserved serves
+// this record from /metrics; a daemon's scrape costs O(SteadyWindow), not
+// O(rounds).
 func (s *Session) Metrics() Result {
 	res := Result{
 		Outcome: batch.Outcome{
 			Rounds:          s.rounds,
-			Converged:       s.Phi() <= s.target,
-			PhiStart:        s.trace[0],
-			PhiEnd:          s.Phi(),
+			Converged:       s.phi <= s.target,
+			PhiStart:        s.phi0,
+			PhiEnd:          s.phi,
 			Bound:           s.bound,
 			BoundName:       s.boundName,
 			PeakPhi:         s.peak,
-			SteadyRMS:       steadyRMS(s.trace, s.cfg.Graph.N()),
+			SteadyRMS:       s.steadyRMS(),
 			RebalanceRounds: -1,
 		},
 		Algorithm: s.cfg.Algorithm,
@@ -388,17 +417,33 @@ func (s *Session) Close() Result {
 	return res
 }
 
-// steadyRMS is the mean RMS discrepancy √(Φ/n) over the final quarter of
-// the trajectory (at least one round) — the steady-state metric scenario
-// runs report.
-func steadyRMS(trace []float64, n int) float64 {
-	q := len(trace) / 4
-	if q < 1 {
-		q = 1
+// SteadyWindow is the length of a daemon session's Φ ring: the most
+// rounds its SteadyRMS averages over (8 KB of float64s).
+const SteadyWindow = 1024
+
+// steadyRMS is the steady-state metric scenario runs report: the mean RMS
+// discrepancy √(Φ/n) over the last q potentials of the trajectory, summed
+// oldest first, where q is a quarter of the k+1 potentials of k rounds (at
+// least one). A daemon session's q is also at most SteadyWindow: below
+// 4·SteadyWindow rounds its value is the last-quarter one bit for bit, and
+// past that it is the mean over a fixed window of the latest rounds.
+func (s *Session) steadyRMS() float64 {
+	q := max((s.rounds+1)/4, 1)
+	var older, newer []float64
+	if s.ring == nil {
+		older = s.trace[len(s.trace)-q:]
+	} else {
+		q = min(q, SteadyWindow)
+		first := (s.rounds - q + 1) % SteadyWindow
+		end := first + q // past SteadyWindow, the window wraps to the ring's start
+		older, newer = s.ring[first:min(end, SteadyWindow)], s.ring[:max(end-SteadyWindow, 0)]
 	}
+	n := float64(s.cfg.Graph.N())
 	var sum float64
-	for _, p := range trace[len(trace)-q:] {
-		sum += math.Sqrt(p / float64(n))
+	for _, seg := range [2][]float64{older, newer} {
+		for _, p := range seg {
+			sum += math.Sqrt(p / n)
+		}
 	}
 	return sum / float64(q)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -373,5 +374,98 @@ func TestGridRunWindowedShard(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripWall(got.Cells), stripWall(want)) {
 		t.Fatal("windowed shard cells diverge from the unrestricted run's slice")
+	}
+}
+
+// TestBoundNamedOnlyWhenPositive: a Result names a theorem exactly when a
+// positive bound applies, for every algorithm and mode. A flat start (Φ⁰ =
+// 0) is at or under either discrete threshold, so Theorems 6 and 14 bound
+// nothing there.
+func TestBoundNamedOnlyWhenPositive(t *testing.T) {
+	g := graph.Torus(4, 4)
+	flat := make([]float64, g.N())
+	for i := range flat {
+		flat[i] = 100
+	}
+	for _, am := range algorithmModes() {
+		for _, start := range []struct {
+			name  string
+			loads []float64
+		}{{"flat", flat}, {"spike", SpikeLoads(g.N(), 1e6)}} {
+			res, err := Balance(Config{Graph: g, Algorithm: am.Algo, Mode: am.Mode, Loads: start.loads, Epsilon: 1e-4, MaxRounds: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (res.Bound > 0) != (res.BoundName != "") {
+				t.Errorf("%v/%v/%s: bound %v named %q", am.Algo, am.Mode, start.name, res.Bound, res.BoundName)
+			}
+		}
+	}
+}
+
+// TestDaemonSessionWindow drives a daemon session (one with a per-round
+// consumer) in lockstep with a plain one past 4·SteadyWindow rounds, with
+// arrivals. The plain session keeps its full trace; the daemon keeps none.
+// Below 4·SteadyWindow rounds the daemon's SteadyRMS is the plain
+// session's last-quarter value bit for bit; past that it is the mean over
+// the last SteadyWindow potentials, summed oldest first. Every other field
+// of the live and the sealed Result agrees.
+func TestDaemonSessionWindow(t *testing.T) {
+	g := graph.Torus(4, 4)
+	cfg := Config{Graph: g, Loads: SpikeLoads(g.N(), 1e6), Epsilon: 1e-9, Scenario: mustScenario(t, "poisson-arrivals")}
+	plain, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed := 0
+	cfg.OnRound = func(Round) { consumed++ }
+	daemon, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(g.N())
+	check := func(got, want Result) {
+		t.Helper()
+		if got.Trace != nil || len(want.Trace) != want.Rounds+1 {
+			t.Fatalf("round %d: daemon trace of %d points, plain trace of %d", want.Rounds, len(got.Trace), len(want.Trace))
+		}
+		wantRMS := want.SteadyRMS
+		if len(want.Trace)/4 > SteadyWindow {
+			var sum float64
+			for _, p := range want.Trace[len(want.Trace)-SteadyWindow:] {
+				sum += math.Sqrt(p / n)
+			}
+			wantRMS = sum / SteadyWindow
+		}
+		if math.Float64bits(got.SteadyRMS) != math.Float64bits(wantRMS) {
+			t.Fatalf("round %d: daemon SteadyRMS %v, want %v", want.Rounds, got.SteadyRMS, wantRMS)
+		}
+		got.Trace, got.SteadyRMS = want.Trace, want.SteadyRMS
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: daemon Result diverges:\n got %+v\nwant %+v", want.Rounds, got.Outcome, want.Outcome)
+		}
+	}
+	const rounds = 4*SteadyWindow + 600
+	for k := 0; k < rounds; k++ {
+		var arrivals []scenario.Arrival
+		if k%7 == 0 {
+			arrivals = []scenario.Arrival{{Node: k % g.N(), Amount: float64(100 + k%13)}}
+		}
+		for _, s := range []*Session{plain, daemon} {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Inject(arrivals); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(daemon.Metrics(), plain.Metrics())
+	}
+	check(daemon.Close(), plain.Close())
+	if consumed != rounds {
+		t.Fatalf("the consumer saw %d rounds, want %d", consumed, rounds)
 	}
 }

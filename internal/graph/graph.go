@@ -63,6 +63,9 @@ type G struct {
 
 	fpOnce sync.Once
 	fp     uint64
+
+	connOnce  sync.Once
+	connected bool
 }
 
 // Builder accumulates edges and produces an immutable G. Self loops and
@@ -307,27 +310,35 @@ func (g *G) HasEdge(u, v int) bool {
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
-// the single node are connected by convention.
+// the single node are connected by convention. Like Fingerprint, the
+// answer is computed once, by one depth-first search, and is safe for
+// concurrent use.
 func (g *G) IsConnected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.Neighbors(u) {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, int(v))
+	g.connOnce.Do(func() {
+		if g.n <= 1 {
+			g.connected = true
+			return
+		}
+		seen := make([]bool, g.n)
+		// Each node is pushed at most once, when first seen: the stack
+		// never outgrows n.
+		stack := make([]int32, 1, g.n)
+		seen[0] = true
+		count := 1
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range g.Neighbors(int(u)) {
+				if !seen[v] {
+					seen[v] = true
+					count++
+					stack = append(stack, v)
+				}
 			}
 		}
-	}
-	return count == g.n
+		g.connected = count == g.n
+	})
+	return g.connected
 }
 
 // Laplacian returns the n×n Laplacian L = D − A, where D is the diagonal

@@ -21,6 +21,13 @@
 // (after the round's transfers, before the potential is observed),
 // exactly where the scenario engine injects, which is what makes recorded
 // traces replay exactly.
+//
+// Memory is bounded. The server's fold is the session's per-round
+// consumer, which makes it a core daemon session: it keeps a fixed window
+// of the last core.SteadyWindow potentials instead of one Φ per round, so
+// the heap stays flat however long the server runs, a /metrics scrape
+// costs O(core.SteadyWindow), and steady_rms is the window definition
+// (core.Session documents it). Close's Result carries no Trace.
 package serve
 
 import (
@@ -548,8 +555,9 @@ func (s *Server) drain() error {
 	return nil
 }
 
-// Close seals the session and returns the run's Result (the same report a
-// batch run of the whole ingested workload would produce).
+// Close seals the session and returns the run's Result: the report a
+// batch run of the whole ingested workload would produce, less the Trace
+// a daemon session does not keep, and with the window SteadyRMS.
 func (s *Server) Close() core.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()

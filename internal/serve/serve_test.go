@@ -601,6 +601,32 @@ func BenchmarkStepRound(b *testing.B) {
 	}
 }
 
+// BenchmarkMetrics times one /metrics document of a served session at 10³,
+// 10⁴ and 10⁵ rounds. A daemon session's SteadyRMS averages a quarter of
+// its rounds up to core.SteadyWindow of them, so a scrape's cost grows
+// until 4·SteadyWindow rounds and is the same from then on, however long
+// the session runs.
+func BenchmarkMetrics(b *testing.B) {
+	for _, rounds := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
+			srv, err := New(Options{Config: testConfig(b)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			for range rounds {
+				if _, err := srv.StepRound(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				srv.Metrics()
+			}
+		})
+	}
+}
+
 // TestStepRoundZeroAllocs is the daemon's row beside core's
 // TestSessionHotLoopZeroAllocs: a served round with nothing queued (Step,
 // Inject, Commit and the metrics fold Commit runs) allocates nothing, in
@@ -613,7 +639,6 @@ func TestStepRoundZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 100 runs keep the Φ trace inside its initial capacity.
 		avg := testing.AllocsPerRun(100, func() {
 			if _, err := srv.StepRound(); err != nil {
 				panic(err)
