@@ -3,6 +3,7 @@
 package main
 
 import (
+	"crypto/md5"
 	"errors"
 	"fmt"
 	"io"
@@ -304,6 +305,25 @@ func TestBinaries(t *testing.T) {
 		for _, line := range lines[1:] {
 			if f := strings.Split(line, ","); f[bound] != "0" || f[name] != "" {
 				t.Errorf("flat discrete start: bound %s named %q, want 0 and no name: %s", f[bound], f[name], line)
+			}
+		}
+	})
+
+	// Churned runs are pinned by digest: every algorithm, both modes, under
+	// edge churn and periodic failures. A change to the subgraph draw or to
+	// how SwapGraph carries a stepper onto the new graph must keep these
+	// bytes.
+	t.Run("churn digest", func(t *testing.T) {
+		for _, c := range []struct{ argv, md5 string }{
+			{`lbbench -grid -topos torus,random-regular,debruijn,star -algos diffusion,dimexchange,randpair,roundrobin
+				-modes continuous,discrete -loads spike,uniform -scenarios edge-churn:0.1,edge-churn:0.4,periodic-failures:4:2
+				-seeds 1,2 -n 64 -eps 1e-9 -format csv`, "f5c157c6a14fe60824a15370d99d5bb0"},
+			{`lbbench -grid -topos torus,random-regular,debruijn -algos firstorder,secondorder -modes continuous
+				-loads spike,uniform -scenarios edge-churn:0.1,periodic-failures:4:2 -seeds 1,2 -n 64 -eps 1e-9 -format csv`,
+				"f3dd863bb262f4cc93278f0d4aec3180"},
+		} {
+			if got := fmt.Sprintf("%x", md5.Sum([]byte(runOK(t, strings.Fields(c.argv)...)))); got != c.md5 {
+				t.Errorf("stdout md5 %s, want %s: %s", got, c.md5, strings.Join(strings.Fields(c.argv), " "))
 			}
 		}
 	})
