@@ -18,16 +18,17 @@ ci: build vet fmt-check staticcheck test e2e-test exp-digest bench large-n-smoke
 build:
 	$(GO) build ./...
 
-# The kernel checksum table, the examples and lbserved's flat-heap check
-# are built !race (minutes, or shadow memory, under the detector), so they
-# get their own plain run.
+# The kernel checksum table, the examples, lbserved's flat-heap check and
+# the churned round's allocation count are built !race (minutes, shadow
+# memory or extra allocations under the detector), so they get their own
+# plain run.
 # cmd/lbbench's tests drive the lbserved they build, whose sources its test
 # binary does not import, so a cached pass could miss a change there: that
 # package always runs.
 test:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/cmd/lbbench$$')
 	$(GO) test -race -count=1 ./cmd/lbbench/
-	$(GO) test -count=1 -run '^(TestStateChecksumsMatchBaseline|TestServedSessionHeapFlat|Example_.*)$$' . ./internal/core/ ./internal/serve/
+	$(GO) test -count=1 -run '^(TestStateChecksumsMatchBaseline|TestServedSessionHeapFlat|TestChurnRoundAllocs|Example_.*)$$' . ./internal/core/ ./internal/serve/
 
 vet:
 	$(GO) vet ./...

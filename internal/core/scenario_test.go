@@ -14,7 +14,7 @@ import (
 	"repro/internal/scenario"
 )
 
-func mustScenario(t *testing.T, s string) scenario.Spec {
+func mustScenario(t testing.TB, s string) scenario.Spec {
 	t.Helper()
 	sp, err := scenario.Parse(s)
 	if err != nil {

@@ -253,10 +253,20 @@ func (s *Session) Inject(arrivals []scenario.Arrival) (float64, error) {
 	return total, nil
 }
 
-// SwapGraph activates g, rebuilding the stepper on the current loads with
-// the persistent algorithm RNG. A no-op when g is already active; only
-// legal between rounds. Only the configured graph's spectra go through the
-// process-wide cache (see buildSystemOn).
+// SwapGraph activates g between rounds; a no-op when g is already active.
+//
+// A stepper whose only state is its load vector moves onto g in place,
+// keeping its load buffer and scratch: Algorithm 1 (the next Step builds
+// its round body for g) and random-matching dimension exchange (each round
+// draws its matching from the active graph) through SetGraph, and
+// Algorithm 2, which never reads the edges, as it is. A churned run swaps
+// graphs every round, so this is most of its per-round saving. A stepper
+// with state derived from its graph is rebuilt on the current loads with
+// the persistent algorithm RNG: first-order diffusion (α = 1/(δ+1)),
+// second-order diffusion (β from γ) and round-robin exchange (a colouring
+// of the graph as its schedule). Either way the trajectory is the one a
+// fresh stepper on g would run. Only the configured graph's spectra go
+// through the process-wide cache (see buildSystemOn).
 func (s *Session) SwapGraph(g *graph.G) error {
 	if s.closed {
 		return errSessionClosed
@@ -271,6 +281,25 @@ func (s *Session) SwapGraph(g *graph.G) error {
 		return nil
 	}
 	t0 := s.phases.Start()
+	err := s.moveTo(g)
+	s.phases.Stop(obs.PhaseGraphSwap, t0)
+	if err != nil {
+		return err
+	}
+	s.g = g
+	return nil
+}
+
+// moveTo carries the stepper onto g: in place where its only state is its
+// loads, otherwise by a rebuild (see SwapGraph).
+func (s *Session) moveTo(g *graph.G) error {
+	switch s.cfg.Algorithm {
+	case RandomPartners:
+		return nil
+	case Diffusion, DimensionExchange:
+		s.sys.(interface{ SetGraph(*graph.G) }).SetGraph(g)
+		return nil
+	}
 	var sys System
 	var err error
 	if tok, ok := s.sys.(Stepper[int64]); ok {
@@ -280,11 +309,10 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	} else {
 		sys, err = buildSystemOn(s.cfg, g, s.sys.(Stepper[float64]).Values(), s.algoRNG)
 	}
-	s.phases.Stop(obs.PhaseGraphSwap, t0)
 	if err != nil {
 		return err
 	}
-	s.g, s.sys = g, sys
+	s.sys = sys
 	return nil
 }
 

@@ -80,15 +80,16 @@ func RoundFlows[T load.Value](g *graph.G, l []T) []Flow {
 	return flows
 }
 
-// Stepper is the stateful Algorithm 1 stepper on a fixed graph, over
-// float64 loads (the continuous model) or int64 tokens (the discrete
-// model). Workers > 1 enables the goroutine-parallel round executor.
+// Stepper is the stateful Algorithm 1 stepper on one graph at a time (G;
+// SetGraph moves it to another), over float64 loads (the continuous model)
+// or int64 tokens (the discrete model). Workers > 1 enables the
+// goroutine-parallel round executor.
 type Stepper[T load.Value] struct {
 	G       *graph.G
 	Workers int
 
 	cur, next []T         // the round-start/next double buffer
-	body      func(i int) // the round body, built once (see Step)
+	body      func(i int) // the round body, built once per graph (see Step)
 }
 
 // New creates a stepper over a copy of the initial loads or tokens.
@@ -113,8 +114,8 @@ func New[T load.Value](g *graph.G, initial []T) *Stepper[T] {
 // endpoints compute the same flow from the same round-start counts, so
 // the node-parallel formulation remains exact.
 //
-// The first Step builds one of two round bodies, by g.IsRegular(), and
-// every later Step reuses it. On a δ-regular graph max(dᵢ, dⱼ) = δ on every
+// The first Step on a graph builds one of two round bodies, by
+// g.IsRegular(), and every later Step reuses it until SetGraph. On a δ-regular graph max(dᵢ, dⱼ) = δ on every
 // edge, so regularBody divides by the one constant D = 4δ and skips the
 // per-edge gather of both endpoint degrees. Any other graph — star, path,
 // tree, de Bruijn, every churned subgraph — takes the general body, which
@@ -125,22 +126,23 @@ func New[T load.Value](g *graph.G, initial []T) *Stepper[T] {
 func (s *Stepper[T]) Step() {
 	g, cur := s.G, s.cur
 	n := g.N()
+	if s.next == nil {
+		s.next = make([]T, n)
+	}
 	switch {
 	case s.body != nil:
-		// Built by an earlier Step.
+		// Built by an earlier Step since the last SetGraph.
 	case g.IsRegular():
-		s.next = make([]T, n)
 		s.body = regularBody(g, cur, s.next)
 	default:
-		s.next = make([]T, n)
 		// The round body scans the CSR rows — one contiguous index stream —
 		// instead of pointer-chasing per-node slices. Neighbour order and the
 		// floating-point operation chain are identical to the slice form (the
 		// CSR contract in graph.CSR), so checksums match bit-for-bit. The
-		// closure is built once: the graph, the CSR arrays and the load
-		// vector's backing storage are all fixed for the stepper's lifetime,
-		// and a per-Step closure would put one heap allocation in the round
-		// hot loop.
+		// closure is built once per graph: the graph, the CSR arrays and the
+		// load vector's backing storage are all fixed until SetGraph, and a
+		// per-Step closure would put one heap allocation in the round hot
+		// loop.
 		off, tgt := g.CSR()
 		next := s.next
 		s.body = func(i int) {
@@ -180,6 +182,18 @@ func (s *Stepper[T]) Step() {
 	}
 	parallel.For(n, parallel.StepperWorkers(s.Workers), s.body)
 	copy(cur, s.next)
+}
+
+// SetGraph moves the stepper onto g, which must have the same node count:
+// the loads and the double buffer stay, and the next Step builds the round
+// body for g. Algorithm 1's only state is its load vector, so this is the
+// same stepper New would build on g from the current loads, without copying
+// them (a churned run's graph changes every round).
+func (s *Stepper[T]) SetGraph(g *graph.G) {
+	if g.N() != len(s.cur) {
+		panic("diffusion: SetGraph node count mismatch")
+	}
+	s.G, s.body = g, nil
 }
 
 // regularBody is Step's round body on a δ-regular graph: the general body

@@ -423,7 +423,10 @@ func checkRoundMatchesReference(t *testing.T, round int, c *Stepper[float64], wa
 func TestRoundMatchesReference(t *testing.T) {
 	const rounds = 200
 	h6 := graph.Hypercube(6)
-	cut := h6.Edges()[0]
+	cut := make([]bool, h6.M()) // keeps every edge but the first
+	for k := 1; k < len(cut); k++ {
+		cut[k] = true
+	}
 	for _, c := range []struct {
 		g       *graph.G
 		regular bool
@@ -437,7 +440,7 @@ func TestRoundMatchesReference(t *testing.T) {
 		{graph.RandomRegular(64, 3, rand.New(rand.NewSource(5))), true},
 		{graph.Star(33), false},
 		{graph.DeBruijn(6), false},
-		{h6.Subgraph("hypercube(6)-e", func(e graph.Edge) bool { return e != cut }), false},
+		{h6.Subgraph("hypercube(6)-e", cut), false},
 	} {
 		g := c.g
 		if g.IsRegular() != c.regular {

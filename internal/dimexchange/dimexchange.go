@@ -201,6 +201,21 @@ func newStepper[T load.Value](g *graph.G, initial []T) *Stepper[T] {
 	return &Stepper[T]{G: g, loads: slices.Clone(initial), pair: PairRule[T]()}
 }
 
+// SetGraph moves a random-matching stepper onto g, which must have the same
+// node count. Each round draws its matching from the active graph, so the
+// loads, the RNG and the round scratch carry over unchanged. A round-robin
+// stepper cannot move: its schedule is a colouring of the graph it was
+// built on, so SetGraph panics on one.
+func (s *Stepper[T]) SetGraph(g *graph.G) {
+	if s.rng == nil {
+		panic("dimexchange: SetGraph on a round-robin stepper")
+	}
+	if g.N() != len(s.loads) {
+		panic("dimexchange: SetGraph node count mismatch")
+	}
+	s.G = g
+}
+
 // Sweep returns the number of rounds per full schedule cycle (0 for random
 // matchings).
 func (s *Stepper[T]) Sweep() int { return len(s.Classes) }

@@ -41,19 +41,31 @@ func (s Static) N() int { return s.G.N() }
 // RequireConnected is set, rounds draw until the subgraph is connected
 // (suitable only for generous KeepProb; the draw is capped and falls back
 // to the base graph).
+//
+// A draw is one Float64 per base edge, in Base.Edges() order, written into
+// a keep mask the generator owns and reuses every round; graph.G.Subgraph
+// builds the round's graph from it. That fixed stream is what keeps churn
+// trajectories reproducible.
 type RandomSubgraphs struct {
 	Base             *graph.G
 	KeepProb         float64
 	RequireConnected bool
 	RNG              *rand.Rand
+
+	keep []bool // the draw's mask, one entry per base edge
 }
 
 // Next draws round k's subgraph.
 func (r *RandomSubgraphs) Next(k int) *graph.G {
 	const maxDraws = 50
+	r.keep = sized(r.keep, r.Base.M())
+	keep, rng, p := r.keep, r.RNG, r.KeepProb
 	for attempt := 0; attempt < maxDraws; attempt++ {
 		name := fmt.Sprintf("%s@r%d", r.Base.Name(), k)
-		sub := r.Base.Subgraph(name, func(graph.Edge) bool { return r.RNG.Float64() < r.KeepProb })
+		for i := range keep {
+			keep[i] = rng.Float64() < p
+		}
+		sub := r.Base.Subgraph(name, keep)
 		if !r.RequireConnected || sub.IsConnected() {
 			return sub
 		}
@@ -91,31 +103,45 @@ func (a *Alternating) N() int { return a.Graphs[0].N() }
 
 // EdgeFailures keeps the base topology but disables a fresh uniformly
 // random set of FailCount edges every round — the "flaky links" scenario.
+// A round draws Intn(M) until FailCount distinct edges (or all of them) are
+// marked failed in a keep mask the generator owns and reuses every round.
 type EdgeFailures struct {
 	Base      *graph.G
 	FailCount int
 	RNG       *rand.Rand
+
+	keep []bool // the draw's mask, one entry per base edge
 }
 
 // Next draws round k's graph with FailCount edges removed.
 func (f *EdgeFailures) Next(k int) *graph.G {
-	edges := f.Base.Edges()
-	m := len(edges)
-	fail := make(map[int]bool, f.FailCount)
-	for len(fail) < f.FailCount && len(fail) < m {
-		fail[f.RNG.Intn(m)] = true
+	m := f.Base.M()
+	f.keep = sized(f.keep, m)
+	keep := f.keep
+	for i := range keep {
+		keep[i] = true
 	}
-	idx := 0
+	for failed := 0; failed < f.FailCount && failed < m; {
+		if i := f.RNG.Intn(m); keep[i] {
+			keep[i] = false
+			failed++
+		}
+	}
 	name := fmt.Sprintf("%s-fail%d@r%d", f.Base.Name(), f.FailCount, k)
-	return f.Base.Subgraph(name, func(graph.Edge) bool {
-		keep := !fail[idx]
-		idx++
-		return keep
-	})
+	return f.Base.Subgraph(name, keep)
 }
 
 // N returns the node count.
 func (f *EdgeFailures) N() int { return f.Base.N() }
+
+// sized returns mask with m entries, reusing its storage when it already
+// has m. The entries are left as they are: every draw writes all of them.
+func sized(mask []bool, m int) []bool {
+	if len(mask) != m {
+		mask = make([]bool, m)
+	}
+	return mask
+}
 
 // RoundStat records the spectral state of one round of a dynamic run.
 type RoundStat struct {

@@ -97,7 +97,7 @@ func TestSubgraphMatchesBuilder(t *testing.T) {
 	for _, base := range bases {
 		for _, r := range rules {
 			name := base.Name() + "/" + r.name
-			sub := base.Subgraph(name, r.keep())
+			sub := base.Subgraph(name, KeepIf(base, r.keep()))
 			keep := r.keep()
 			b := NewBuilder(name, base.N())
 			for _, e := range base.Edges() {

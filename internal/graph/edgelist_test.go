@@ -36,10 +36,11 @@ func pinnedGraphs(t *testing.T) map[string]*graph.G {
 		t.Fatal(err)
 	}
 	coin := rand.New(rand.NewSource(7))
+	h6, t88 := graph.Hypercube(6), graph.Torus(8, 8)
 	for _, s := range []*graph.G{
-		graph.Hypercube(6).Subgraph("hypercube-none", func(graph.Edge) bool { return false }),
-		graph.Torus(8, 8).Subgraph("torus-drop0", func(e graph.Edge) bool { return e.U != 0 }),
-		rr.Subgraph("rr-churn", func(graph.Edge) bool { return coin.Float64() >= 0.1 }),
+		h6.Subgraph("hypercube-none", make([]bool, h6.M())),
+		t88.Subgraph("torus-drop0", graph.KeepIf(t88, func(e graph.Edge) bool { return e.U != 0 })),
+		rr.Subgraph("rr-churn", graph.KeepIf(rr, func(graph.Edge) bool { return coin.Float64() >= 0.1 })),
 	} {
 		out["subgraph/"+s.Name()] = s
 	}

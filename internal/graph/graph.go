@@ -310,35 +310,42 @@ func (g *G) HasEdge(u, v int) bool {
 }
 
 // IsConnected reports whether the graph is connected. The empty graph and
-// the single node are connected by convention. Like Fingerprint, the
-// answer is computed once, by one depth-first search, and is safe for
-// concurrent use.
+// the single node are connected by convention. A graph whose family
+// constructor recorded a closed-form λ₂ > 0 is connected (λ₂ > 0 exactly
+// when it is) and needs no search; any other graph, including a family
+// member whose closed-form λ₂ is 0 or rounds to it, is searched once. Like
+// Fingerprint, the answer is computed once and is safe for concurrent use.
 func (g *G) IsConnected() bool {
 	g.connOnce.Do(func() {
-		if g.n <= 1 {
-			g.connected = true
-			return
-		}
-		seen := make([]bool, g.n)
-		// Each node is pushed at most once, when first seen: the stack
-		// never outgrows n.
-		stack := make([]int32, 1, g.n)
-		seen[0] = true
-		count := 1
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range g.Neighbors(int(u)) {
-				if !seen[v] {
-					seen[v] = true
-					count++
-					stack = append(stack, v)
-				}
-			}
-		}
-		g.connected = count == g.n
+		g.connected = g.closed != nil && g.closed.Lambda2 > 0 || g.searchConnected()
 	})
 	return g.connected
+}
+
+// searchConnected decides connectivity by one depth-first search from
+// node 0.
+func (g *G) searchConnected() bool {
+	if g.n <= 1 {
+		return true
+	}
+	seen := make([]bool, g.n)
+	// Each node is pushed at most once, when first seen: the stack never
+	// outgrows n.
+	stack := make([]int32, 1, g.n)
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range g.Neighbors(int(u)) {
+			if !seen[v] {
+				seen[v] = true
+				count++
+				stack = append(stack, v)
+			}
+		}
+	}
+	return count == g.n
 }
 
 // Laplacian returns the n×n Laplacian L = D − A, where D is the diagonal
@@ -357,20 +364,23 @@ func (g *G) Laplacian() *matrix.Dense {
 }
 
 // Subgraph returns the graph on the same node set containing only the edges
-// for which keep returns true. keep is called exactly once per edge, in
-// Edges() order, which is what keeps the dynamic-network generators' RNG
-// streams fixed; Subgraph builds the base's edge list if it has none. One
-// pass records keep's answers in a mask and counts the kept degrees; a
-// second pass places the kept edges, already canonical and sorted, straight
-// into the new CSR. No edge list is built for the subgraph.
-func (g *G) Subgraph(name string, keep func(Edge) bool) *G {
+// whose entry in keep is true: keep[k] decides Edges()[k], and its length
+// must be M(). Subgraph builds the base's edge list if it has none and
+// does not retain keep, so a caller drawing a subgraph every round (the
+// dynamic-network generators) fills one mask and reuses it. One pass counts
+// the kept degrees; a second places the kept edges, already canonical and
+// sorted, straight into the new CSR. No edge list is built for the
+// subgraph.
+func (g *G) Subgraph(name string, keep []bool) *G {
 	edges := g.Edges()
-	kept := make([]bool, len(edges))
+	if len(keep) != len(edges) {
+		panic(fmt.Sprintf("graph: Subgraph mask of %d entries for %d edges", len(keep), len(edges)))
+	}
+	keep = keep[:len(edges)] // lets the compiler drop keep's bounds checks
 	off := make([]int, g.n+1)
 	m := 0
 	for k, e := range edges {
-		if keep(e) {
-			kept[k] = true
+		if keep[k] {
 			off[e.U+1]++
 			off[e.V+1]++
 			m++
@@ -379,7 +389,7 @@ func (g *G) Subgraph(name string, keep func(Edge) bool) *G {
 	tgt := make([]int32, 2*m)
 	startRows(off)
 	for k, e := range edges {
-		if kept[k] {
+		if keep[k] {
 			place(off, tgt, int32(e.U), int32(e.V))
 		}
 	}

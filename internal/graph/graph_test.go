@@ -286,7 +286,7 @@ func TestLaplacianStructure(t *testing.T) {
 
 func TestSubgraph(t *testing.T) {
 	g := Complete(5)
-	sub := g.Subgraph("no-zero", func(e Edge) bool { return e.U != 0 })
+	sub := g.Subgraph("no-zero", KeepIf(g, func(e Edge) bool { return e.U != 0 }))
 	if sub.N() != 5 {
 		t.Fatal("subgraph must keep node set")
 	}
@@ -316,7 +316,7 @@ func TestIsRegular(t *testing.T) {
 		{Path(8), false},
 		{BinaryTree(4), false},
 		{DeBruijn(4), false},
-		{h6.Subgraph("hypercube(6)-e", func(e Edge) bool { return e != cut }), false},
+		{h6.Subgraph("hypercube(6)-e", KeepIf(h6, func(e Edge) bool { return e != cut })), false},
 	} {
 		if got := c.g.IsRegular(); got != c.want {
 			t.Errorf("%s: IsRegular() = %v, want %v", c.g, got, c.want)
@@ -333,6 +333,51 @@ func TestIsConnectedEdgeCases(t *testing.T) {
 	}
 	if NewBuilder("two", 2).MustFinish().IsConnected() {
 		t.Fatal("two isolated nodes are disconnected")
+	}
+}
+
+// TestIsConnectedClosedForm: the nine closed-form families at every
+// parameter with 1 ≤ n ≤ 64, degenerate ones included (K(a,0), grid(1,c),
+// grid(1,1), the smallest tori, hypercube(0)). IsConnected answers a
+// recorded λ₂ > 0 without a search, so for n ≥ 2 that λ₂ > 0 must be
+// exactly what the search finds, and IsConnected must agree with the
+// search everywhere. A recorded λ₂ of 0 decides nothing: such a graph is
+// searched.
+func TestIsConnectedClosedForm(t *testing.T) {
+	var gs []*G
+	for n := 1; n <= 64; n++ {
+		gs = append(gs, Path(n), Complete(n), Star(n))
+		if n >= 3 {
+			gs = append(gs, Cycle(n))
+		}
+		for a := 0; a <= n; a++ {
+			gs = append(gs, CompleteBipartite(a, n-a))
+		}
+		for r := 1; r <= n; r++ {
+			if n%r != 0 {
+				continue
+			}
+			gs = append(gs, Grid(r, n/r))
+			if r >= 3 && n/r >= 3 {
+				gs = append(gs, Torus(r, n/r))
+			}
+		}
+	}
+	for d := 0; d <= 6; d++ {
+		gs = append(gs, Hypercube(d))
+	}
+	gs = append(gs, Petersen())
+	for _, g := range gs {
+		search := g.searchConnected()
+		if cf, ok := g.ClosedForm(); ok && g.N() >= 2 && (cf.Lambda2 > 0) != search {
+			t.Errorf("%s: closed-form λ₂ = %v, search says connected = %v", g.Name(), cf.Lambda2, search)
+		}
+		if got := g.IsConnected(); got != search {
+			t.Errorf("%s: IsConnected() = %v, search %v", g.Name(), got, search)
+		}
+	}
+	if two := NewBuilder("two", 2).MustFinish().withClosedForm(0, 2); two.IsConnected() {
+		t.Error("a recorded λ₂ of 0 made two isolated nodes connected")
 	}
 }
 
@@ -404,7 +449,8 @@ func TestFingerprint(t *testing.T) {
 	// Sensitive to name: same structure, different name must differ (names
 	// encode construction parameters the edge list may not reach, and the
 	// speccache key must separate them).
-	if Cycle(32).Fingerprint() == Cycle(32).Subgraph("renamed", func(Edge) bool { return true }).Fingerprint() {
+	c32 := Cycle(32)
+	if c32.Fingerprint() == c32.Subgraph("renamed", KeepIf(c32, func(Edge) bool { return true })).Fingerprint() {
 		t.Fatal("renamed graph shares a fingerprint")
 	}
 	// Concurrent first calls are safe (G is lazily fingerprinted).

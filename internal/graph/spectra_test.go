@@ -131,7 +131,7 @@ func TestKnownLambda2Unknown(t *testing.T) {
 		Barbell(3),
 		BinaryTree(3),
 		c4.MustFinish(),
-		Cycle(4).Subgraph("cycle(4)", func(Edge) bool { return true }),
+		Cycle(4).Subgraph("cycle(4)", []bool{true, true, true, true}),
 		Path(0), Complete(0), Star(0), Grid(0, 3), CompleteBipartite(0, 3),
 	} {
 		if _, ok := g.ClosedForm(); ok {
