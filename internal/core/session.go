@@ -280,6 +280,9 @@ func (s *Session) SwapGraph(g *graph.G) error {
 	if g == s.g {
 		return nil
 	}
+	if g.N() != s.g.N() {
+		return fmt.Errorf("core: SwapGraph to %d nodes, the session has %d", g.N(), s.g.N())
+	}
 	t0 := s.phases.Start()
 	err := s.moveTo(g)
 	s.phases.Stop(obs.PhaseGraphSwap, t0)

@@ -190,6 +190,9 @@ func TestSessionProtocolErrors(t *testing.T) {
 	if _, err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.SwapGraph(graph.Cycle(9)); err == nil {
+		t.Error("SwapGraph to a graph of another node count accepted")
+	}
 	s.Close()
 	if err := s.Step(); err == nil {
 		t.Error("Step after Close accepted")
