@@ -281,10 +281,10 @@ type Stepper[T load.Value] interface {
 
 // buildSystemOn constructs the requested stepper on an explicit graph and
 // load vector with an explicit RNG — the factory Open and SwapGraph share;
-// SwapGraph uses it to rebuild a stepper when the active graph changes
-// mid-run. Its persistent rng keeps a randomized algorithm's draw stream
-// continuous across rebuilds, so a run's randomness does not restart with
-// each churn.
+// SwapGraph uses it to rebuild a stepper whose state derives from the
+// graph when the active graph changes mid-run. Its persistent rng keeps a
+// randomized algorithm's draw stream continuous across rebuilds, so a
+// run's randomness does not restart with each churn.
 // The second-order scheme's γ of the configured graph, which recurs across
 // units, comes through the process-wide speccache. Any other graph is a
 // churned subgraph that a session activates at most once, so its γ is

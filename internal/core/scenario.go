@@ -11,11 +11,11 @@ import (
 
 // runScenario is the one round loop: Balance runs every config through
 // it. Each round it asks the scenario instance for the active graph
-// (SwapGraph rebuilds the stepper — with the current loads and the
-// session's persistent algorithm RNG — only when the graph actually
-// changes), advances the stepper one synchronous round, injects the
-// scenario's arrivals straight into the stepper's live load state, and
-// commits the potential. The static scenario is the instance whose graph
+// (SwapGraph carries the stepper onto it — in place, or rebuilt on the
+// current loads with the session's persistent algorithm RNG — only when
+// the graph actually changes), advances the stepper one synchronous
+// round, injects the scenario's arrivals straight into the stepper's live
+// load state, and commits the potential. The static scenario is the instance whose graph
 // never changes and which injects nothing; it draws nothing, so it gets no
 // RNG. Arrival-bearing scenarios run their full horizon (there is no
 // convergence round to stop at while load keeps landing); arrival-free

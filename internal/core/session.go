@@ -253,16 +253,17 @@ func (s *Session) Inject(arrivals []scenario.Arrival) (float64, error) {
 	return total, nil
 }
 
-// SwapGraph activates g between rounds; a no-op when g is already active.
+// SwapGraph activates g, which must have the session's node count, between
+// rounds; a no-op when g is already active.
 //
 // A stepper whose only state is its load vector moves onto g in place,
-// keeping its load buffer and scratch: Algorithm 1 (the next Step builds
-// its round body for g) and random-matching dimension exchange (each round
-// draws its matching from the active graph) through SetGraph, and
-// Algorithm 2, which never reads the edges, as it is. A churned run swaps
-// graphs every round, so this is most of its per-round saving. A stepper
-// with state derived from its graph is rebuilt on the current loads with
-// the persistent algorithm RNG: first-order diffusion (α = 1/(δ+1)),
+// keeping its load buffer and scratch, so a churned run, which swaps
+// graphs every round, copies no loads: Algorithm 1 (the next Step builds
+// its round body for g) and random-matching dimension exchange (each
+// round draws its matching from the active graph) through SetGraph, and
+// Algorithm 2, which never reads the edges, as it is. A stepper with state
+// derived from its graph is rebuilt on the current loads with the
+// persistent algorithm RNG: first-order diffusion (α = 1/(δ+1)),
 // second-order diffusion (β from γ) and round-robin exchange (a colouring
 // of the graph as its schedule). Either way the trajectory is the one a
 // fresh stepper on g would run. Only the configured graph's spectra go

@@ -115,14 +115,14 @@ func New[T load.Value](g *graph.G, initial []T) *Stepper[T] {
 // the node-parallel formulation remains exact.
 //
 // The first Step on a graph builds one of two round bodies, by
-// g.IsRegular(), and every later Step reuses it until SetGraph. On a δ-regular graph max(dᵢ, dⱼ) = δ on every
-// edge, so regularBody divides by the one constant D = 4δ and skips the
-// per-edge gather of both endpoint degrees. Any other graph — star, path,
-// tree, de Bruijn, every churned subgraph — takes the general body, which
-// gathers max(dᵢ, dⱼ) per edge. Both bodies run the same IEEE operations on
-// the same operands in the same neighbour order (the divisor is
-// 4·float64(δ) either way), so the choice leaves every load and token
-// bit-identical.
+// g.IsRegular(), and every later Step reuses it until SetGraph. On a
+// δ-regular graph max(dᵢ, dⱼ) = δ on every edge, so regularBody divides by
+// the one constant D = 4δ and skips the per-edge gather of both endpoint
+// degrees. Any other graph — star, path, tree, de Bruijn, every churned
+// subgraph — takes the general body, which gathers max(dᵢ, dⱼ) per edge.
+// Both bodies run the same IEEE operations on the same operands in the
+// same neighbour order (the divisor is 4·float64(δ) either way), so the
+// choice leaves every load and token bit-identical.
 func (s *Stepper[T]) Step() {
 	g, cur := s.G, s.cur
 	n := g.N()
